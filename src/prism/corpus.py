@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -490,14 +491,27 @@ def read_jsonl(path: str) -> list[AnnotatedExample]:
     return examples
 
 
+@contextmanager
+def atomic_write(path: str) -> Iterator[TextIO]:
+    """Yield a temp file next to `path` and rename it over `path` once the
+    body finishes; if the body or the rename fails, the temp file is removed."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.isfile(tmp):
+            os.remove(tmp)
+        raise
+
+
 def write_jsonl(examples: Sequence[AnnotatedExample], path: str) -> None:
     """Write a corpus atomically (temp file, then rename), one record per line."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for ex in examples:
             fh.write(json.dumps(example_to_record(ex)))
             fh.write("\n")
-    os.replace(tmp, path)
 
 
 def stats_table(examples: Sequence[AnnotatedExample]) -> str:

@@ -22,6 +22,7 @@ from . import model as model_mod
 from .corpus import (
     AnnotatedExample,
     GeneratorConfig,
+    atomic_write,
     chunk,
     generate,
     read_jsonl,
@@ -37,7 +38,7 @@ from .errors import (
     DivergenceError,
     EmptyBatchError,
 )
-from .fact_graph import RISK_MODES
+from .fact_graph import RISK_ONEHOP
 from .model import (
     METHOD_PRISM,
     METHOD_SFT,
@@ -51,7 +52,7 @@ from .model import (
     save_checkpoint,
     train,
 )
-from .objective import comp_loss
+from .objective import DEFAULT_EPSILON, comp_loss
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -75,27 +76,11 @@ CSV_HEADER = "run_id,method,lambda,seed,metric,value,delta_vs_sft"
 
 
 @dataclass
-class RunConfig:
-    """Resolved configuration of one training run."""
+class RunConfig(TrainSettings):
+    """Resolved configuration of one run: trainer settings plus corpus, held-out share and output."""
 
     corpus: str = ""
-    method: str = METHOD_PRISM
-    lam: float = 0.1
-    epsilon: float = 1e-6
-    steps: int = 500
-    batch_size: int = 16
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    weight_decay: float = 0.0
-    embed_dim: int = 16
-    hidden_dim: int = 32
-    window: int = 4
-    vocab_size: int = 0       # 0: derive from the corpus
     eval_fraction: float = 0.1
-    risk_propagation: str = "onehop"
-    seed: int = 0
     out: str = "runs/run"
 
 
@@ -168,20 +153,6 @@ def parse_config_file(path: str) -> dict[str, str]:
     return raw
 
 
-def _coerce(value: str, target_type: type, key: str):
-    try:
-        if target_type is bool:
-            lowered = str(value).strip().lower()
-            if lowered in ("1", "true", "yes"):
-                return True
-            if lowered in ("0", "false", "no"):
-                return False
-            raise ValueError(value)
-        return target_type(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config key {key!r}: cannot parse {value!r} as {target_type.__name__}") from exc
-
-
 def config_from_dict(cls, raw: dict[str, str]):
     """Build a config dataclass from string key/value pairs."""
     hints = get_type_hints(cls)
@@ -192,7 +163,10 @@ def config_from_dict(cls, raw: dict[str, str]):
         if name not in names:
             raise ConfigError(f"unknown config key {key!r} for {cls.__name__}")
         target = hints[name]
-        kwargs[name] = value if target is str else _coerce(value, target, key)
+        try:
+            kwargs[name] = target(value)
+        except ValueError as exc:
+            raise ConfigError(f"config key {key!r}: cannot parse {value!r} as {target.__name__}") from exc
     return cls(**kwargs)
 
 
@@ -205,21 +179,12 @@ def resolved_config_dict(cfg: RunConfig) -> dict:
 def validate_run_config(cfg: RunConfig) -> RunConfig:
     """Check ranges and normalize method-specific fields (lambda is forced to
     0 for methods without a complement term)."""
-    if cfg.method not in METHODS:
-        raise ConfigError(f"unknown method {cfg.method!r}; expected one of {METHODS}")
+    cfg.validate()
     if not cfg.corpus:
         raise ConfigError("no corpus path configured")
-    if cfg.lam < 0.0:
-        raise ConfigError("lambda must be nonnegative")
-    if not 0.0 < cfg.epsilon <= 1e-3:
-        raise ConfigError("epsilon must be in (0, 1e-3]")
-    if cfg.steps < 1 or cfg.batch_size < 1:
-        raise ConfigError("steps and batch_size must be >= 1")
     if not 0.0 <= cfg.eval_fraction <= 0.9:
         raise ConfigError("eval_fraction must be in [0, 0.9]")
-    if cfg.risk_propagation not in RISK_MODES:
-        raise ConfigError(f"risk_propagation must be one of {RISK_MODES}")
-    if cfg.method in (METHOD_SFT, "knowledge_mask") and cfg.lam != 0.0:
+    if not METHODS[cfg.method].has_comp and cfg.lam != 0.0:
         print(f"note: lambda is ignored for method={cfg.method}; forcing 0", file=sys.stderr)
         cfg = replace(cfg, lam=0.0)
     return cfg
@@ -234,11 +199,9 @@ def run_identifier(cfg: RunConfig) -> str:
 # commands
 
 def _write_json(path: str, payload: dict) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    os.replace(tmp, path)
 
 
 def cmd_preprocess(cfg: GeneratorConfig) -> dict:
@@ -286,25 +249,9 @@ def cmd_train(cfg: RunConfig) -> MetricsReport:
     vocab = cfg.vocab_size or infer_vocab_size(examples)
     train_examples, eval_examples = _split_corpus(examples, cfg.eval_fraction)
 
-    settings = TrainSettings(
-        method=cfg.method,
-        lam=cfg.lam,
-        epsilon=cfg.epsilon,
-        steps=cfg.steps,
-        batch_size=cfg.batch_size,
-        learning_rate=cfg.learning_rate,
-        beta1=cfg.beta1,
-        beta2=cfg.beta2,
-        adam_eps=cfg.adam_eps,
-        weight_decay=cfg.weight_decay,
-        embed_dim=cfg.embed_dim,
-        hidden_dim=cfg.hidden_dim,
-        window=cfg.window,
-        vocab_size=vocab,
-        risk_propagation=cfg.risk_propagation,
-        seed=cfg.seed,
-    )
-    result = train(train_examples, settings)
+    # The resolved config keeps the user's vocab_size (0 = derive), so the
+    # run id does not depend on the corpus contents.
+    result = train(train_examples, replace(cfg, vocab_size=vocab))
     prep_eval = prepare_examples(eval_examples, cfg.window, vocab, risk_mode=cfg.risk_propagation)
     eval_metrics = evaluate(result.params, prep_eval, cfg.epsilon)
 
@@ -334,13 +281,10 @@ def cmd_train(cfg: RunConfig) -> MetricsReport:
         os.path.join(cfg.out, "resolved_config.json"),
         {"run_id": run_id, "config_hash": config_digest(resolved), "config": resolved},
     )
-    log_path = os.path.join(cfg.out, "log.jsonl")
-    tmp = f"{log_path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(cfg.out, "log.jsonl")) as fh:
         for record in result.step_log:
             fh.write(json.dumps(record.to_dict()))
             fh.write("\n")
-    os.replace(tmp, log_path)
     save_checkpoint(
         os.path.join(cfg.out, "checkpoint.json"), result.params, result.opt_state, resolved, cfg.seed
     )
@@ -416,11 +360,9 @@ def cmd_ablate(cfg: RunConfig, lambdas: Sequence[float]) -> str:
         for row in metric_rows(report, baseline):
             lines.append(",".join(row))
     csv_path = os.path.join(cfg.out, "ablation.csv")
-    tmp = f"{csv_path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with atomic_write(csv_path) as fh:
         fh.write("\n".join(lines))
         fh.write("\n")
-    os.replace(tmp, csv_path)
     print(f"ablation over lambdas {[f'{l:g}' for l in lambdas]} -> {csv_path}")
     print(f"deltas are against baseline run {baseline.run_id}")
     return csv_path
@@ -432,8 +374,8 @@ def cmd_trace(checkpoint_path: str, corpus_path: str, limit: int, out: str | Non
     examples = read_jsonl(corpus_path)[: limit if limit > 0 else None]
     if not examples:
         raise ConfigError("corpus slice is empty")
-    risk_mode = ck.config.get("risk_propagation", "onehop")
-    epsilon = float(ck.config.get("epsilon", 1e-6))
+    risk_mode = ck.config.get("risk_propagation", RISK_ONEHOP)
+    epsilon = float(ck.config.get("epsilon", DEFAULT_EPSILON))
     prepared = prepare_examples(examples, ck.params.window, ck.params.vocab_size, risk_mode=risk_mode)
 
     rows = []
@@ -457,10 +399,8 @@ def cmd_trace(checkpoint_path: str, corpus_path: str, limit: int, out: str | Non
             )
     payload = "\n".join(json.dumps(row) for row in rows) + "\n"
     if out:
-        tmp = f"{out}.tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with atomic_write(out) as fh:
             fh.write(payload)
-        os.replace(tmp, out)
         print(f"wrote {len(rows)} trace rows to {out}")
     else:
         sys.stdout.write(payload)
@@ -491,11 +431,9 @@ def cmd_report(run_dirs: Sequence[str], out: str | None) -> list[str]:
     for line in lines:
         print(line)
     if out:
-        tmp = f"{out}.tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with atomic_write(out) as fh:
             fh.write("\n".join(lines))
             fh.write("\n")
-        os.replace(tmp, out)
     return lines
 
 

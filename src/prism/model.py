@@ -12,15 +12,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-from dataclasses import asdict, dataclass
-from typing import Sequence
+import math
+from dataclasses import asdict, dataclass, replace
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import AnnotatedExample
+from .corpus import AnnotatedExample, atomic_write
 from .errors import CheckpointError, ConfigError, DivergenceError
 from .fact_graph import (
+    RISK_MODES,
     RISK_ONEHOP,
     TokenSignals,
     derive_token_signals,
@@ -29,33 +30,35 @@ from .fact_graph import (
 )
 from .objective import (
     DEFAULT_EPSILON,
+    MAX_EPSILON,
     comp_loss,
-    knowledge_mask_loss,
-    sft_loss,
+    knowledge_mask_valid,
+    sft_loss,  # noqa: F401  not called here, but profilers patch prism.model.sft_loss
     softmax_probs,
     total_loss,
 )
 
 PARAM_FIELDS = ("embedding", "w1", "b1", "w2", "b2")
 
+
+class Method(NamedTuple):
+    """One training method as switches on the objective sft + lam * comp."""
+
+    has_comp: bool          # False: lam is forced to 0
+    use_gates: bool
+    use_fact_mask: bool
+    drop_unsupported: bool  # knowledge mask: unsupported fact tokens leave the valid mask
+
+
 METHOD_SFT = "sft"
 METHOD_PRISM = "prism"
-METHOD_KNOWLEDGE_MASK = "knowledge_mask"
-METHOD_PRISM_NO_GATE = "prism_no_gate"
-METHOD_PRISM_NO_MASK = "prism_no_mask"
-METHODS = (
-    METHOD_SFT,
-    METHOD_PRISM,
-    METHOD_KNOWLEDGE_MASK,
-    METHOD_PRISM_NO_GATE,
-    METHOD_PRISM_NO_MASK,
-)
-
-# method -> (use_gates, use_fact_mask) for the complement term
-_COMP_FLAGS = {
-    METHOD_PRISM: (True, True),
-    METHOD_PRISM_NO_GATE: (False, True),
-    METHOD_PRISM_NO_MASK: (True, False),
+# Key order is the order shown by --help and in error messages.
+METHODS = {
+    METHOD_SFT: Method(False, True, True, False),
+    METHOD_PRISM: Method(True, True, True, False),
+    "knowledge_mask": Method(False, True, True, True),
+    "prism_no_gate": Method(True, False, True, False),
+    "prism_no_mask": Method(True, True, False, False),
 }
 
 
@@ -267,7 +270,7 @@ def prepare_examples(
 
 
 def _gather_batch(
-    prepared: Sequence[PreparedExample], idx: np.ndarray
+    prepared: Sequence[PreparedExample], idx: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray, TokenSignals]:
     chosen = [prepared[i] for i in idx]
     windows = np.concatenate([p.windows for p in chosen])
@@ -298,6 +301,25 @@ class TrainSettings:
     vocab_size: int = 0  # 0: derive from the data
     risk_propagation: str = RISK_ONEHOP
     seed: int = 0
+
+    def validate(self) -> None:
+        """Reject any trainer setting that is out of range or non-finite."""
+        if self.method not in METHODS:
+            raise ConfigError(f"unknown method {self.method!r}; expected one of {tuple(METHODS)}")
+        if not 0.0 <= self.lam < math.inf:
+            raise ConfigError("lambda must be finite and nonnegative")
+        if not 0.0 < self.epsilon <= MAX_EPSILON:
+            raise ConfigError(f"epsilon must be in (0, {MAX_EPSILON}]")
+        if min(self.steps, self.batch_size, self.embed_dim, self.hidden_dim, self.window) < 1:
+            raise ConfigError("steps, batch_size, embed_dim, hidden_dim and window must be >= 1")
+        if not (0.0 < self.learning_rate < math.inf and 0.0 < self.adam_eps < math.inf):
+            raise ConfigError("learning_rate and adam_eps must be finite and > 0")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ConfigError("beta1 and beta2 must be in [0, 1)")
+        if not math.isfinite(self.weight_decay):
+            raise ConfigError("weight_decay must be finite")
+        if self.risk_propagation not in RISK_MODES:
+            raise ConfigError(f"risk_propagation must be one of {RISK_MODES}")
 
 
 @dataclass
@@ -354,17 +376,16 @@ def infer_vocab_size(examples: Sequence[AnnotatedExample]) -> int:
 def train(examples: Sequence[AnnotatedExample], settings: TrainSettings) -> TrainResult:
     """Teacher-forced training loop over a corpus, fully seeded.
 
-    Dispatches the loss by method.  At lam = 0 every prism variant
-    mathematically reduces to plain SFT (the auxiliary term is skipped
-    entirely), so such runs are bit-identical to method="sft".  Aborts with
-    the step index if the loss goes non-finite.
+    Each step is one total_loss call with the method's METHODS switches.
+    Methods without a complement term run at lam = 0, where total_loss skips
+    that term, so any method at lam = 0 is bit-identical to method="sft" on
+    the same valid mask.  Aborts with the step index on a non-finite loss.
     """
-    if settings.method not in METHODS:
-        raise ConfigError(f"unknown method {settings.method!r}; expected one of {METHODS}")
-    if settings.lam < 0.0:
-        raise ConfigError("lambda must be nonnegative")
+    settings.validate()
     if not examples:
         raise ConfigError("training corpus is empty")
+    method = METHODS[settings.method]
+    lam = settings.lam if method.has_comp else 0.0
     vocab = settings.vocab_size or infer_vocab_size(examples)
     prepared = prepare_examples(
         examples, settings.window, vocab, risk_mode=settings.risk_propagation
@@ -381,10 +402,6 @@ def train(examples: Sequence[AnnotatedExample], settings: TrainSettings) -> Trai
         weight_decay=settings.weight_decay,
     )
 
-    method = settings.method
-    if method in _COMP_FLAGS and settings.lam == 0.0:
-        method = METHOD_SFT
-
     log: list[StepRecord] = []
     counters = TrainCounters()
     for step in range(1, settings.steps + 1):
@@ -396,25 +413,14 @@ def train(examples: Sequence[AnnotatedExample], settings: TrainSettings) -> Trai
 
         n_sft = int(signals.valid_mask.sum())
         n_fact = int(signals.fact_mask.sum())
+        if method.drop_unsupported:
+            signals = replace(signals, valid_mask=knowledge_mask_valid(signals))
+        loss, grad, trace = total_loss(
+            logits, labels, signals, lam, settings.epsilon,
+            use_gates=method.use_gates, use_fact_mask=method.use_fact_mask,
+        )
         alpha_active = off_target = 0
-        if method == METHOD_SFT:
-            value, grad = sft_loss(logits, labels, signals.valid_mask)
-            sft_value, comp_value, total = value, 0.0, value
-        elif method == METHOD_KNOWLEDGE_MASK:
-            value, grad = knowledge_mask_loss(logits, labels, signals)
-            sft_value, comp_value, total = value, 0.0, value
-        else:
-            use_gates, use_fact_mask = _COMP_FLAGS[method]
-            breakdown, grad, trace = total_loss(
-                logits,
-                labels,
-                signals,
-                settings.lam,
-                settings.epsilon,
-                use_gates=use_gates,
-                use_fact_mask=use_fact_mask,
-            )
-            sft_value, comp_value, total = breakdown.sft, breakdown.comp, breakdown.total
+        if trace is not None:
             active = trace.alpha > 0.0
             alpha_active = int(active.sum())
             off_target = int((active & ~(trace.pref_gate & trace.keep_gate)).sum())
@@ -422,7 +428,7 @@ def train(examples: Sequence[AnnotatedExample], settings: TrainSettings) -> Trai
             counters.off_target_total += off_target
             counters.alpha_nonfact_total += int((active & ~signals.fact_mask).sum())
 
-        if not np.isfinite(total):
+        if not np.isfinite(loss.total):
             raise DivergenceError(f"non-finite loss at step {step}")
 
         probs_label = softmax_probs(logits)[np.arange(len(labels)), labels]
@@ -431,9 +437,9 @@ def train(examples: Sequence[AnnotatedExample], settings: TrainSettings) -> Trai
         log.append(
             StepRecord(
                 step=step,
-                sft=sft_value,
-                comp=comp_value,
-                total=total,
+                sft=loss.sft,
+                comp=loss.comp,
+                total=loss.total,
                 n_sft=n_sft,
                 n_fact=n_fact,
                 alpha_active=alpha_active,
@@ -475,13 +481,7 @@ def evaluate(
     """Mean label probabilities by token group, top-1 rates, and gate rates."""
     if not prepared:
         raise ConfigError("nothing to evaluate")
-    windows = np.concatenate([p.windows for p in prepared])
-    labels = np.concatenate([p.labels for p in prepared])
-    signals = TokenSignals(
-        fact_mask=np.concatenate([p.signals.fact_mask for p in prepared]),
-        support_weight=np.concatenate([p.signals.support_weight for p in prepared]),
-        valid_mask=np.concatenate([p.signals.valid_mask for p in prepared]),
-    )
+    windows, labels, signals = _gather_batch(prepared, range(len(prepared)))
     logits, _ = forward_batch(params, windows)
     probs = softmax_probs(logits)
     rows = np.arange(len(labels))
@@ -494,19 +494,18 @@ def evaluate(
     nonfact = signals.valid_mask & ~fact
     _, _, trace = comp_loss(logits, labels, signals, epsilon)
 
-    n_fact = int(fact.sum())
     return EvalMetrics(
         n_positions=int(signals.valid_mask.sum()),
-        n_fact=n_fact,
+        n_fact=int(fact.sum()),
         n_risky=int(risky.sum()),
         mean_p_risky_fact=_group_mean(p_label, risky),
         mean_p_safe_fact=_group_mean(p_label, safe),
         mean_p_nonfact=_group_mean(p_label, nonfact),
         nonfact_top1_acc=_group_mean(top1.astype(np.float64), nonfact),
         risky_top1_rate=_group_mean(top1.astype(np.float64), risky),
-        gate_pref_rate=_group_mean(trace.pref_gate[fact].astype(np.float64), np.ones(n_fact, dtype=bool)) if n_fact else None,
-        gate_keep_rate=_group_mean(trace.keep_gate[fact].astype(np.float64), np.ones(n_fact, dtype=bool)) if n_fact else None,
-        gate_active_rate=_group_mean((trace.alpha[fact] > 0.0).astype(np.float64), np.ones(n_fact, dtype=bool)) if n_fact else None,
+        gate_pref_rate=_group_mean(trace.pref_gate.astype(np.float64), fact),
+        gate_keep_rate=_group_mean(trace.keep_gate.astype(np.float64), fact),
+        gate_active_rate=_group_mean((trace.alpha > 0.0).astype(np.float64), fact),
     )
 
 
@@ -556,44 +555,53 @@ def save_checkpoint(
             "v": {name: arr.tolist() for name, arr in opt_state.v.items()},
         },
     }
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(payload, fh)
         fh.write("\n")
-    os.replace(tmp, path)
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    """Read a checkpoint and verify its config hash."""
+    """Read a checkpoint, verify its config hash, and check its schema and
+    that every parameter and moment array has the shape the others imply."""
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
-    if payload.get("format_version") != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {payload.get('format_version')!r}")
-    config = payload["config"]
+    version = payload.get("format_version") if isinstance(payload, dict) else None
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {version!r}")
+    config = payload.get("config")
     if config_digest(config) != payload.get("config_hash"):
         raise CheckpointError("checkpoint config hash mismatch")
-    m = payload["model"]
-    params = ModelParams(
-        embedding=np.asarray(m["embedding"], dtype=np.float64),
-        w1=np.asarray(m["w1"], dtype=np.float64),
-        b1=np.asarray(m["b1"], dtype=np.float64),
-        w2=np.asarray(m["w2"], dtype=np.float64),
-        b2=np.asarray(m["b2"], dtype=np.float64),
-        window=int(m["window"]),
-        bos_token=int(m["bos_token"]),
-    )
-    o = payload["optimizer"]
-    opt_state = OptimizerState(
-        learning_rate=float(o["learning_rate"]),
-        beta1=float(o["beta1"]),
-        beta2=float(o["beta2"]),
-        eps=float(o["eps"]),
-        weight_decay=float(o["weight_decay"]),
-        step_count=int(o["step_count"]),
-        m={name: np.asarray(arr, dtype=np.float64) for name, arr in o["m"].items()},
-        v={name: np.asarray(arr, dtype=np.float64) for name, arr in o["v"].items()},
-    )
-    return Checkpoint(params=params, opt_state=opt_state, config=config, seed=int(payload["seed"]))
+    try:
+        m, o = payload["model"], payload["optimizer"]
+        params = ModelParams(
+            **{name: np.asarray(m[name], dtype=np.float64) for name in PARAM_FIELDS},
+            window=int(m["window"]),
+            bos_token=int(m["bos_token"]),
+        )
+        opt_state = OptimizerState(
+            **{key: float(o[key]) for key in ("learning_rate", "beta1", "beta2", "eps", "weight_decay")},
+            step_count=int(o["step_count"]),
+            m={name: np.asarray(o["m"][name], dtype=np.float64) for name in PARAM_FIELDS},
+            v={name: np.asarray(o["v"][name], dtype=np.float64) for name in PARAM_FIELDS},
+        )
+        seed = int(payload["seed"])
+    except (KeyError, TypeError, ValueError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise CheckpointError(f"malformed checkpoint {path}: {detail}") from exc
+
+    emb, w1 = params.embedding, params.w1
+    if emb.ndim != 2 or len(emb) < 2 or w1.ndim != 2 or params.window < 1:
+        raise CheckpointError(f"malformed checkpoint {path}: need embedding [V >= 2, d], w1 2-D, window >= 1")
+    (vocab, dim), hidden = emb.shape, w1.shape[1]
+    expected = {"embedding": (vocab, dim), "w1": (params.window * dim, hidden), "b1": (hidden,),
+                "w2": (hidden, vocab), "b2": (vocab,)}
+    for name, shape in expected.items():
+        arrays = {"model": getattr(params, name), "m": opt_state.m[name], "v": opt_state.v[name]}
+        for where, arr in arrays.items():
+            if arr.shape != shape or not np.all(np.isfinite(arr)):
+                raise CheckpointError(f"malformed checkpoint {path}: {where}.{name} must be finite "
+                                      f"with shape {shape}, got shape {arr.shape}")
+    return Checkpoint(params=params, opt_state=opt_state, config=config, seed=seed)

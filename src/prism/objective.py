@@ -266,23 +266,23 @@ def total_loss(
     *,
     use_gates: bool = True,
     use_fact_mask: bool = True,
-) -> tuple[LossBreakdown, np.ndarray, GateTrace]:
+) -> tuple[LossBreakdown, np.ndarray, GateTrace | None]:
     """Combined objective sft + lam * comp with its per-logit gradient.
 
     lam = 0 must reproduce sft_loss bit for bit, so that case skips the
-    weighted add entirely (adding 0.0 could still flip signed zeros).
+    complement term entirely (adding 0.0 could still flip signed zeros): comp
+    is reported as 0.0 and the gate trace is None.
     """
     if lam < 0.0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
-    sft_value, sft_grad = sft_loss(logits, labels, signals.valid_mask)
-    comp_value, comp_grad, trace = comp_loss(
-        logits, labels, signals, epsilon, use_gates=use_gates, use_fact_mask=use_fact_mask
-    )
-    if lam == 0.0:
-        total, grad = sft_value, sft_grad
-    else:
+    sft_value, grad = sft_loss(logits, labels, signals.valid_mask)
+    comp_value, total, trace = 0.0, sft_value, None
+    if lam != 0.0:
+        comp_value, comp_grad, trace = comp_loss(
+            logits, labels, signals, epsilon, use_gates=use_gates, use_fact_mask=use_fact_mask
+        )
         total = sft_value + lam * comp_value
-        grad = sft_grad + lam * comp_grad
+        grad = grad + lam * comp_grad
     breakdown = LossBreakdown(
         sft=sft_value,
         comp=comp_value,
@@ -294,17 +294,21 @@ def total_loss(
     return breakdown, grad, trace
 
 
+def knowledge_mask_valid(signals: TokenSignals) -> np.ndarray:
+    """The knowledge-mask baseline's valid mask: every fact token of an
+    imperfectly supported span (support weight < 1) is removed."""
+    return np.asarray(signals.valid_mask, dtype=bool) & ~(
+        np.asarray(signals.fact_mask, dtype=bool) & (signals.support_weight < 1.0)
+    )
+
+
 def knowledge_mask_loss(
     logits: np.ndarray,
     labels: np.ndarray,
     signals: TokenSignals,
 ) -> tuple[float, np.ndarray]:
-    """Baseline: plain SFT with every fact token of an imperfectly supported
-    span (support weight < 1) removed from the valid mask, N recomputed."""
-    surviving = np.asarray(signals.valid_mask, dtype=bool) & ~(
-        np.asarray(signals.fact_mask, dtype=bool) & (signals.support_weight < 1.0)
-    )
-    return sft_loss(logits, labels, surviving)
+    """Baseline: plain SFT over knowledge_mask_valid(signals), N recomputed."""
+    return sft_loss(logits, labels, knowledge_mask_valid(signals))
 
 
 def finite_difference_gradient(

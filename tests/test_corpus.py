@@ -10,6 +10,7 @@ from prism.corpus import (
     GeneratorConfig,
     N_SPECIAL,
     TOKEN_PERIOD,
+    atomic_write,
     chunk,
     example_to_record,
     generate,
@@ -292,6 +293,15 @@ class TestJsonl:
         path = tmp_path / "atomic.jsonl"
         write_jsonl(generate(config(n_examples=3)), str(path))
         assert path.exists()
+        assert not (tmp_path / "atomic.jsonl.tmp").exists()
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "atomic.jsonl"
+        with pytest.raises(RuntimeError):
+            with atomic_write(str(path)) as fh:
+                fh.write("partial")
+                raise RuntimeError("body failed")
+        assert not path.exists()
         assert not (tmp_path / "atomic.jsonl.tmp").exists()
 
 

@@ -38,6 +38,13 @@ def corpus_path(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def checkpoint_path(corpus_path, tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("ck_run"))
+    cmd_train(run_config(corpus_path, out, steps=5))
+    return os.path.join(out, "checkpoint.json")
+
+
 def run_config(corpus, out, **overrides):
     base = dict(corpus=corpus, method="prism", lam=0.1, steps=25, batch_size=8,
                 learning_rate=3e-3, embed_dim=12, hidden_dim=16,
@@ -246,6 +253,32 @@ class TestTraceCommand:
         rc = main(["trace", "--checkpoint", ck_path, "--corpus", corpus_path])
         assert rc == 2
 
+    @pytest.mark.parametrize("damage", [
+        lambda p: p.pop("optimizer"),
+        lambda p: p["model"].pop("b2"),
+        lambda p: p["model"]["w1"].pop(),
+        lambda p: p["model"].update(b1=p["model"]["b1"][:-1]),
+        lambda p: p["model"].update(embedding=[0.0, 1.0]),
+        lambda p: p["optimizer"]["m"]["w2"].pop(),
+        lambda p: p["optimizer"]["v"].update(embedding=[[0.0]]),
+    ], ids=["no_optimizer", "no_b2", "w1_rows", "b1_len", "embedding_1d", "m_w2", "v_embedding"])
+    def test_damaged_checkpoint_is_2(self, checkpoint_path, corpus_path, tmp_path, capsys, damage):
+        payload = json.loads(open(checkpoint_path).read())
+        damage(payload)
+        ck_path = tmp_path / "damaged.json"
+        ck_path.write_text(json.dumps(payload))
+        assert main(["trace", "--checkpoint", str(ck_path), "--corpus", corpus_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: malformed checkpoint") and err.count("\n") == 1
+
+    def test_out_is_a_directory_is_2_without_temp_file(self, checkpoint_path, corpus_path,
+                                                        tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        assert main(["trace", "--checkpoint", checkpoint_path, "--corpus", corpus_path,
+                     "--out", str(taken)]) == 2
+        assert not os.path.exists(f"{taken}.tmp")
+
 
 class TestReportCommand:
     def test_names_baseline_and_deltas(self, corpus_path, tmp_path, capsys):
@@ -267,6 +300,14 @@ class TestReportCommand:
         with pytest.raises(ConfigError, match="baseline"):
             cmd_report([d], out=None)
 
+    def test_out_is_a_directory_is_2_without_temp_file(self, corpus_path, tmp_path, capsys):
+        d = str(tmp_path / "sft")
+        cmd_train(run_config(corpus_path, d, method="sft", lam=0.0, steps=5))
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        assert main(["report", d, "--out", str(taken)]) == 2
+        assert not os.path.exists(f"{taken}.tmp")
+
 
 class TestExitCodes:
     def test_success(self, corpus_path, tmp_path, capsys):
@@ -278,6 +319,27 @@ class TestExitCodes:
     def test_config_error_is_1(self, corpus_path, tmp_path, capsys):
         assert main(["train", "--corpus", corpus_path, "--method", "prism",
                      "--lambda", "-3", "--out", str(tmp_path / "r")]) == 1
+
+    @pytest.mark.parametrize("flags, line", [
+        (["--lambda", "nan"], ""),
+        (["--lambda", "inf"], ""),
+        ([], "learning_rate = nan"),
+        ([], "learning_rate = 0"),
+        ([], "adam_eps = 0"),
+        ([], "beta1 = 2"),
+        ([], "beta2 = 1"),
+        ([], "weight_decay = inf"),
+        ([], "window = -1"),
+    ], ids=["lambda_nan", "lambda_inf", "lr_nan", "lr_zero", "adam_eps_zero", "beta1_2",
+            "beta2_1", "weight_decay_inf", "window_negative"])
+    def test_out_of_range_setting_is_1(self, corpus_path, tmp_path, capsys, flags, line):
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(f"corpus = {corpus_path}\nsteps = 3\nbatch_size = 4\n{line}\n"
+                       f"out = {tmp_path / 'run'}\n")
+        assert main(["train", "--config", str(cfg), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert not os.path.exists(tmp_path / "run")
 
     def test_unknown_flag_is_1(self, capsys):
         assert main(["train", "--frobnicate"]) == 1

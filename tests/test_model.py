@@ -298,10 +298,22 @@ class TestTrain:
 
     def test_methods_dispatch(self):
         examples = small_corpus()
+
+        def run(method, lam):
+            return train(examples, TrainSettings(method=method, lam=lam, steps=5,
+                                                 batch_size=8, vocab_size=70, seed=1))
+
+        def assert_same_bits(a, b):
+            assert [s.to_dict() for s in a.step_log] == [s.to_dict() for s in b.step_log]
+            for name in PARAM_FIELDS:
+                assert np.array_equal(getattr(a.params, name), getattr(b.params, name))
+
         for method in ("sft", "prism", "knowledge_mask", "prism_no_gate", "prism_no_mask"):
-            result = train(examples, TrainSettings(method=method, lam=0.1, steps=5,
-                                                   batch_size=8, vocab_size=70, seed=1))
-            assert len(result.step_log) == 5
+            assert len(run(method, 0.1).step_log) == 5
+        sft = run("sft", 0.0)
+        for method in ("prism_no_gate", "prism_no_mask"):
+            assert_same_bits(run(method, 0.0), sft)
+        assert_same_bits(run("knowledge_mask", 0.1), run("knowledge_mask", 0.0))
         with pytest.raises(ConfigError):
             train(examples, TrainSettings(method="nope", steps=1))
 
