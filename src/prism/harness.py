@@ -16,7 +16,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Sequence, get_type_hints
+from typing import NamedTuple, Sequence, get_type_hints
 
 from . import model as model_mod
 from .corpus import (
@@ -43,6 +43,7 @@ from .model import (
     METHOD_PRISM,
     METHOD_SFT,
     METHODS,
+    PreparedExample,
     TrainSettings,
     config_digest,
     evaluate,
@@ -240,20 +241,44 @@ def _split_corpus(
     return examples[:-n_eval], examples[-n_eval:]
 
 
-def cmd_train(cfg: RunConfig) -> MetricsReport:
-    """Train one run and write checkpoint, per-step log, and metrics."""
-    cfg = validate_run_config(cfg)
+class RunData(NamedTuple):
+    """A run's corpus, split and prepared: everything before the first step."""
+
+    vocab: int
+    train_examples: list[AnnotatedExample]
+    eval_examples: list[AnnotatedExample]
+    prep_train: list[PreparedExample]
+    prep_eval: list[PreparedExample]
+
+
+def load_run_data(cfg: RunConfig) -> RunData:
+    """Read, split and prepare the corpus of a validated config.  Only the
+    corpus, eval_fraction, vocab_size, window and risk_propagation settings
+    matter, so every run of a lambda sweep can share one RunData."""
     examples = read_jsonl(cfg.corpus)
     if not examples:
         raise ConfigError(f"corpus {cfg.corpus} is empty")
     vocab = cfg.vocab_size or infer_vocab_size(examples)
     train_examples, eval_examples = _split_corpus(examples, cfg.eval_fraction)
+    prep_train = prepare_examples(train_examples, cfg.window, vocab, risk_mode=cfg.risk_propagation)
+    prep_eval = prepare_examples(eval_examples, cfg.window, vocab, risk_mode=cfg.risk_propagation)
+    return RunData(vocab, train_examples, eval_examples, prep_train, prep_eval)
+
+
+def cmd_train(cfg: RunConfig, data: RunData | None = None) -> MetricsReport:
+    """Train one run and write checkpoint, per-step log, and metrics.
+
+    `data` is load_run_data of an equivalent config; without it the corpus
+    is read and prepared here."""
+    cfg = validate_run_config(cfg)
+    if data is None:
+        data = load_run_data(cfg)
+    train_examples, eval_examples = data.train_examples, data.eval_examples
 
     # The resolved config keeps the user's vocab_size (0 = derive), so the
     # run id does not depend on the corpus contents.
-    result = train(train_examples, replace(cfg, vocab_size=vocab))
-    prep_eval = prepare_examples(eval_examples, cfg.window, vocab, risk_mode=cfg.risk_propagation)
-    eval_metrics = evaluate(result.params, prep_eval, cfg.epsilon)
+    result = train(train_examples, replace(cfg, vocab_size=data.vocab), data.prep_train)
+    eval_metrics = evaluate(result.params, data.prep_eval, cfg.epsilon)
 
     resolved = resolved_config_dict(cfg)
     run_id = run_identifier(cfg)
@@ -327,22 +352,30 @@ def metric_rows(
 def cmd_ablate(cfg: RunConfig, lambdas: Sequence[float]) -> str:
     """Run the auxiliary-weight sweep and write one consolidated CSV.
 
-    Every lambda shares the seed and corpus; deltas are taken against the
-    lambda = 0 run.  A failed run is recorded and the sweep continues.
+    Every lambda shares the seed and corpus, which is read and prepared once;
+    each lam_* directory is byte-identical to a standalone train run of the
+    same config.  Deltas are taken against the lambda = 0 run.  A failed run
+    is recorded and the sweep continues.
     """
     if not lambdas:
         raise ConfigError("lambda list is empty")
     if 0.0 not in lambdas:
         raise ConfigError("lambda list must include 0")
+    subs = [
+        validate_run_config(
+            replace(cfg, method=METHOD_PRISM, lam=lam, out=os.path.join(cfg.out, f"lam_{lam:g}"))
+        )
+        for lam in lambdas
+    ]
+    data = load_run_data(subs[0])
     os.makedirs(cfg.out, exist_ok=True)
 
     reports: dict[float, MetricsReport] = {}
     failures: list[dict] = []
-    for lam in lambdas:
-        sub = replace(cfg, method=METHOD_PRISM, lam=lam, out=os.path.join(cfg.out, f"lam_{lam:g}"))
+    for lam, sub in zip(lambdas, subs):
         try:
-            reports[lam] = cmd_train(sub)
-        except (DivergenceError, EmptyBatchError, AnnotationError) as exc:
+            reports[lam] = cmd_train(sub, data)
+        except (DivergenceError, EmptyBatchError) as exc:
             failures.append({"lambda": lam, "error": str(exc)})
             print(f"warning: lambda={lam:g} failed: {exc}", file=sys.stderr)
     if failures:
@@ -420,6 +453,13 @@ def cmd_report(run_dirs: Sequence[str], out: str | None) -> list[str]:
     )
     if baseline is None:
         raise ConfigError("no baseline run (lambda = 0 or method = sft) among the given runs")
+    for report in reports:
+        if (report.seed, report.corpus) != (baseline.seed, baseline.corpus):
+            raise ConfigError(
+                f"run {report.run_id} (seed {report.seed}, corpus {report.corpus}) does not share "
+                f"seed and corpus with baseline run {baseline.run_id} "
+                f"(seed {baseline.seed}, corpus {baseline.corpus})"
+            )
 
     lines = [CSV_HEADER]
     for report in reports:

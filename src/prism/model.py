@@ -109,8 +109,11 @@ def init_params(
 
 
 def _check_tokens(tokens: np.ndarray, vocab_size: int) -> None:
-    if tokens.size and (tokens.min() < 0 or tokens.max() >= vocab_size):
-        raise ValueError("token id outside [0, vocab_size)")
+    if tokens.size:
+        low, high = int(tokens.min()), int(tokens.max())
+        if low < 0 or high >= vocab_size:
+            bad = low if low < 0 else high
+            raise ConfigError(f"token id {bad} outside [0, {vocab_size}) of the model vocabulary")
 
 
 def forward_batch(
@@ -156,9 +159,13 @@ def backward_batch(
     d_pre = d_hidden * (1.0 - hidden * hidden)
     d_w1 = x.T @ d_pre
     d_b1 = d_pre.sum(axis=0)
-    d_x = (d_pre @ params.w1.T).reshape(w.shape[0], params.window, params.embed_dim)
-    d_emb = np.zeros_like(params.embedding)
-    np.add.at(d_emb, w, d_x)
+    # Embedding scatter: one bincount over (token id, column) bins.  Each bin
+    # sums its rows in batch order, exactly as np.add.at would.
+    dim = params.embed_dim
+    bins = (w.reshape(-1, 1) * dim + np.arange(dim)).ravel()
+    d_x = d_pre @ params.w1.T
+    d_emb = np.bincount(bins, weights=d_x.ravel(), minlength=params.vocab_size * dim)
+    d_emb = d_emb.reshape(params.vocab_size, dim)
     return {"embedding": d_emb, "w1": d_w1, "b1": d_b1, "w2": d_w2, "b2": d_b2}
 
 
@@ -373,13 +380,21 @@ def infer_vocab_size(examples: Sequence[AnnotatedExample]) -> int:
     return top + 1
 
 
-def train(examples: Sequence[AnnotatedExample], settings: TrainSettings) -> TrainResult:
+def train(
+    examples: Sequence[AnnotatedExample],
+    settings: TrainSettings,
+    prepared: Sequence[PreparedExample] | None = None,
+) -> TrainResult:
     """Teacher-forced training loop over a corpus, fully seeded.
 
     Each step is one total_loss call with the method's METHODS switches.
     Methods without a complement term run at lam = 0, where total_loss skips
     that term, so any method at lam = 0 is bit-identical to method="sft" on
     the same valid mask.  Aborts with the step index on a non-finite loss.
+
+    `prepared`, when given, must be prepare_examples(examples,
+    settings.window, vocab, risk_mode=settings.risk_propagation); a sweep
+    passes one preparation to every run.  It is only read, never modified.
     """
     settings.validate()
     if not examples:
@@ -387,9 +402,10 @@ def train(examples: Sequence[AnnotatedExample], settings: TrainSettings) -> Trai
     method = METHODS[settings.method]
     lam = settings.lam if method.has_comp else 0.0
     vocab = settings.vocab_size or infer_vocab_size(examples)
-    prepared = prepare_examples(
-        examples, settings.window, vocab, risk_mode=settings.risk_propagation
-    )
+    if prepared is None:
+        prepared = prepare_examples(
+            examples, settings.window, vocab, risk_mode=settings.risk_propagation
+        )
 
     rng = np.random.default_rng(settings.seed)
     params = init_params(vocab, settings.embed_dim, settings.hidden_dim, settings.window, rng)
@@ -431,9 +447,14 @@ def train(examples: Sequence[AnnotatedExample], settings: TrainSettings) -> Trai
         if not np.isfinite(loss.total):
             raise DivergenceError(f"non-finite loss at step {step}")
 
-        probs_label = softmax_probs(logits)[np.arange(len(labels)), labels]
-        risky = signals.fact_mask & (signals.support_weight < 1.0)
-        safe = signals.fact_mask & (signals.support_weight >= 1.0)
+        # p_risky and p_safe read fact rows only, and a row's softmax does
+        # not depend on the other rows.
+        fact = signals.fact_mask
+        fact_labels = labels[fact]
+        probs_label = softmax_probs(logits[fact])[np.arange(len(fact_labels)), fact_labels]
+        fact_support = signals.support_weight[fact]
+        risky = fact_support < 1.0
+        safe = fact_support >= 1.0
         log.append(
             StepRecord(
                 step=step,
@@ -555,8 +576,10 @@ def save_checkpoint(
             "v": {name: arr.tolist() for name, arr in opt_state.v.items()},
         },
     }
+    # json.dumps encodes in one C call; json.dump would stream through the
+    # pure-Python encoder.  The bytes are the same.
     with atomic_write(path) as fh:
-        json.dump(payload, fh)
+        fh.write(json.dumps(payload))
         fh.write("\n")
 
 

@@ -127,9 +127,10 @@ def sft_loss(
     rows = np.arange(length)
     value = float(-(logp[rows, y][valid]).sum() / n)
 
-    grad = np.zeros_like(z)
+    grad = np.exp(logp)
+    grad /= n
+    grad[~valid] = 0.0
     vi = np.nonzero(valid)[0]
-    grad[vi] = np.exp(logp[vi]) / n
     grad[vi, y[vi]] -= 1.0 / n
     return value, grad
 

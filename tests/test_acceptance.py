@@ -84,13 +84,14 @@ def corpus():
 
 @pytest.fixture(scope="module")
 def sweep(corpus):
-    """One full training run per lambda, shared seed and corpus."""
+    """One full training run per lambda, shared seed, corpus and preparation."""
     train_ex, eval_ex = corpus[:-N_EVAL], corpus[-N_EVAL:]
+    prep_train = prepare_examples(train_ex, window=4, vocab_size=70)
     prep_eval = prepare_examples(eval_ex, window=4, vocab_size=70)
     out = {}
     for lam in LAMBDAS:
         start = time.monotonic()
-        result = train(train_ex, settings_for(lam))
+        result = train(train_ex, settings_for(lam), prep_train)
         metrics = evaluate(result.params, prep_eval)
         out[lam] = {
             "metrics": metrics,

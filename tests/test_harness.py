@@ -174,6 +174,31 @@ class TestAblateCommand:
         base_rows = [r for r in rows if r[2] == "0.0"]
         assert all(float(r[6]) == 0.0 for r in base_rows)
 
+    def test_lambda_run_is_byte_identical_to_standalone_train(self, corpus_path, tmp_path, capsys):
+        # the sweep shares one preparation; no state may leak between its runs
+        out = str(tmp_path / "sweep")
+        cmd_ablate(run_config(corpus_path, out), [0.0, 0.1])
+        run_dir = os.path.join(out, "lam_0.1")
+        names = ("checkpoint.json", "log.jsonl", "metrics.json")
+        swept = {name: open(os.path.join(run_dir, name), "rb").read() for name in names}
+        cmd_train(run_config(corpus_path, run_dir, lam=0.1))
+        for name in names:
+            assert open(os.path.join(run_dir, name), "rb").read() == swept[name], name
+
+    def test_bad_annotation_is_2(self, corpus_path, tmp_path, capsys):
+        records = [json.loads(line) for line in open(corpus_path)]
+        target = next(r for r in records if len(r["sentences"]) >= 3)
+        target["edges"] = [{"from": 2, "to": 1}]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(json.dumps(r) + "\n" for r in records))
+        out = tmp_path / "sweep"
+        assert main(["ablate", "--corpus", str(bad), "--lambdas", "0,0.1",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "edge 2->1 must point from an earlier to a later sentence" in err
+        assert err.count("\n") == 1
+        assert not os.path.exists(out / "failures.json")
+
     def test_lambda_list_must_include_zero(self, corpus_path, tmp_path):
         with pytest.raises(ConfigError, match="include 0"):
             cmd_ablate(run_config(corpus_path, str(tmp_path / "s")), [0.1])
@@ -187,10 +212,10 @@ class TestAblateCommand:
         import prism.harness as harness_mod
         original = harness_mod.cmd_train
 
-        def flaky(sub_cfg):
+        def flaky(sub_cfg, *rest):
             if sub_cfg.lam == 0.5:
                 sub_cfg = type(sub_cfg)(**{**sub_cfg.__dict__, "weight_decay": -2e5})
-            return original(sub_cfg)
+            return original(sub_cfg, *rest)
 
         harness_mod.cmd_train = flaky
         try:
@@ -300,6 +325,23 @@ class TestReportCommand:
         with pytest.raises(ConfigError, match="baseline"):
             cmd_report([d], out=None)
 
+    @pytest.mark.parametrize("mismatch", ["seed", "corpus"])
+    def test_seed_or_corpus_mismatch_rejected(self, corpus_path, tmp_path, capsys, mismatch):
+        base_dir, other_dir = str(tmp_path / "base"), str(tmp_path / "other")
+        cmd_train(run_config(corpus_path, base_dir, lam=0.0, seed=5, steps=5))
+        if mismatch == "seed":
+            cmd_train(run_config(corpus_path, other_dir, lam=0.1, seed=0, steps=5))
+        else:
+            other_corpus = str(tmp_path / "other.jsonl")
+            shutil.copyfile(corpus_path, other_corpus)
+            cmd_train(run_config(other_corpus, other_dir, lam=0.1, seed=5, steps=5))
+        ids = [json.loads(open(os.path.join(d, "metrics.json")).read())["run_id"]
+               for d in (base_dir, other_dir)]
+        assert main(["report", base_dir, other_dir]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert all(run_id in err for run_id in ids)
+
     def test_out_is_a_directory_is_2_without_temp_file(self, corpus_path, tmp_path, capsys):
         d = str(tmp_path / "sft")
         cmd_train(run_config(corpus_path, d, method="sft", lam=0.0, steps=5))
@@ -340,6 +382,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
         assert not os.path.exists(tmp_path / "run")
+
+    @pytest.mark.parametrize("command, shown", [
+        ("trace", "token id 500 outside [0, "),
+        ("train", "outside [0, 10) of the model vocabulary"),
+    ], ids=["trace", "train"])
+    def test_token_outside_vocabulary_is_1(self, checkpoint_path, corpus_path, tmp_path, capsys,
+                                           command, shown):
+        if command == "trace":
+            records = [json.loads(line) for line in open(corpus_path)]
+            records[0]["input"][0] = 500
+            wide = tmp_path / "wide.jsonl"
+            wide.write_text("".join(json.dumps(r) + "\n" for r in records))
+            argv = ["trace", "--checkpoint", checkpoint_path, "--corpus", str(wide)]
+        else:
+            cfg = tmp_path / "t.cfg"
+            cfg.write_text(f"corpus = {corpus_path}\nvocab_size = 10\nsteps = 3\n"
+                           f"out = {tmp_path / 'run'}\n")
+            argv = ["train", "--config", str(cfg)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: token id ") and shown in err
+        assert err.count("\n") == 1
 
     def test_unknown_flag_is_1(self, capsys):
         assert main(["train", "--frobnicate"]) == 1

@@ -171,6 +171,25 @@ class TestBackward:
         with pytest.raises(ValueError):
             backward_batch(params, np.array([[1]]), np.zeros((1, 7)))
 
+    def test_embedding_gradient_matches_add_at_bit_for_bit(self):
+        # heavily repeated ids, begin-token padding, and rows 7..11 never occur
+        rng = np.random.default_rng(4)
+        params = init_params(12, 5, 6, 4, rng)
+        windows = rng.integers(1, 4, size=(300, 4))
+        windows[:40, :3] = 0
+        windows[::7] = 6
+        logits, cache = forward_batch(params, windows)
+        dlogits = rng.standard_normal(logits.shape)
+        grads = backward_batch(params, windows, dlogits, cache)
+
+        x, hidden = cache
+        d_pre = (dlogits @ params.w2.T) * (1.0 - hidden * hidden)
+        d_x = (d_pre @ params.w1.T).reshape(300, 4, 5)
+        expected = np.zeros_like(params.embedding)
+        np.add.at(expected, windows, d_x)
+        assert grads["embedding"].tobytes() == expected.tobytes()
+        assert not expected[7:].any()
+
 
 class TestOptimizer:
     def test_zero_gradients_leave_params_unchanged(self):
@@ -274,6 +293,23 @@ class TestTrain:
         assert [s.to_dict() for s in r1.step_log] == [s.to_dict() for s in r2.step_log]
         for name in PARAM_FIELDS:
             assert np.array_equal(getattr(r1.params, name), getattr(r2.params, name))
+
+    def test_given_preparation_is_reused_and_left_unchanged(self):
+        examples = small_corpus()
+        settings = TrainSettings(method="prism", lam=0.5, steps=25, batch_size=8,
+                                 vocab_size=70, seed=9)
+        prepared = prepare_examples(examples, settings.window, 70)
+        before = [(p.windows.copy(), p.labels.copy(), p.signals.fact_mask.copy(),
+                   p.signals.support_weight.copy(), p.signals.valid_mask.copy()) for p in prepared]
+        own = train(examples, settings)
+        given = train(examples, settings, prepared)
+        assert [s.to_dict() for s in own.step_log] == [s.to_dict() for s in given.step_log]
+        for name in PARAM_FIELDS:
+            assert getattr(own.params, name).tobytes() == getattr(given.params, name).tobytes()
+        for p, arrays in zip(prepared, before):
+            now = (p.windows, p.labels, p.signals.fact_mask, p.signals.support_weight,
+                   p.signals.valid_mask)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(now, arrays))
 
     def test_lambda_zero_equals_stripped_annotations(self):
         examples = small_corpus()
