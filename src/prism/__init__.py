@@ -23,17 +23,11 @@ from .fact_graph import (
     TokenSignals,
     derive_token_signals,
     propagate_risk,
-    segment_sentences,
 )
 from .objective import (
     GateTrace,
     LossBreakdown,
-    compute_alpha,
     comp_loss,
-    finite_difference_gradient,
-    keep_gate,
-    knowledge_mask_loss,
-    redistribute,
     sft_loss,
     softmax_probs,
     total_loss,

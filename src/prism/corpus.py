@@ -142,15 +142,6 @@ def n_filler(config: GeneratorConfig) -> int:
     return config.vocab_size - N_SPECIAL - config.n_keys - config.n_values
 
 
-def token_strings(config: GeneratorConfig) -> list[str]:
-    """The generator's fixed id -> text bijection."""
-    texts = ["<bos>", ".", "is", "?", "q"]
-    texts += [f"k{i}" for i in range(config.n_keys)]
-    texts += [f"v{i}" for i in range(config.n_values)]
-    texts += [f"w{i}" for i in range(n_filler(config))]
-    return texts
-
-
 def generate(config: GeneratorConfig) -> list[AnnotatedExample]:
     """Deterministically generate an annotated corpus from the config seed.
 
@@ -401,6 +392,7 @@ def example_from_record(record: dict, lineno: int | None = None) -> AnnotatedExa
 
     input_tokens = _token_list(record["input"], "input", lineno)
     target_tokens = _token_list(record["target"], "target", lineno)
+    _require(len(target_tokens) > 0, "field 'target' must not be empty", lineno)
 
     sentences = []
     for i, s in enumerate(record["sentences"]):

@@ -14,14 +14,11 @@ All operations here are pure functions; returned containers are immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import AnnotationError
-
-# Token texts ending with any of these close a sentence.
-SENTENCE_TERMINALS = (".", "!", "?", "\n")
 
 RISK_ONEHOP = "onehop"
 RISK_FIXPOINT = "fixpoint"
@@ -99,26 +96,17 @@ def propagate_risk(
     """
     if mode not in RISK_MODES:
         raise ValueError(f"unknown risk propagation mode: {mode!r}")
-    by_id = {s.index: i for i, s in enumerate(sentences)}
-    if len(by_id) != len(sentences):
-        raise AnnotationError("duplicate sentence ids")
-    for s in sentences:
-        if not 0.0 <= s.risk <= 1.0:
-            raise AnnotationError(f"sentence {s.index} risk {s.risk} outside [0, 1]")
-    for e in edges:
-        if e.src not in by_id or e.dst not in by_id:
-            raise AnnotationError(f"edge {e.src}->{e.dst} references an unknown sentence id")
-        if e.src >= e.dst:
-            raise AnnotationError(f"edge {e.src}->{e.dst} must point from an earlier to a later sentence")
+    _raise_first(_violations(sentences, edges=edges))
 
+    # Sentence ids run 1..n (checked above): sentence `dst` sits at dst - 1.
+    sources: dict[int, list[int]] = {}
+    for e in edges:
+        sources.setdefault(e.dst, []).append(e.src)
     raw = [s.risk for s in sentences]
     eff = list(raw)
     source = eff if mode == RISK_FIXPOINT else raw
-    for i in sorted(range(len(sentences)), key=lambda i: sentences[i].index):
-        sid = sentences[i].index
-        incoming = [source[by_id[e.src]] for e in edges if e.dst == sid]
-        if incoming:
-            eff[i] = max(eff[i], max(incoming))
+    for dst in sorted(sources):
+        eff[dst - 1] = max(eff[dst - 1], max([source[src - 1] for src in sources[dst]]))
     return RiskGraph(tuple(sentences), tuple(edges), tuple(eff))
 
 
@@ -135,29 +123,13 @@ def derive_token_signals(
     sentence get support weight 1 and no fact mask.
     """
     valid_mask = np.asarray(valid, dtype=bool)
-    if valid_mask.shape != (length,):
-        raise AnnotationError(f"valid mask has shape {valid_mask.shape}, expected ({length},)")
+    _raise_first(_violations(graph.sentences, facts=facts, length=length, valid=valid_mask))
 
     support = np.ones(length, dtype=np.float64)
     for s, eff in zip(graph.sentences, graph.effective_risk):
-        if not (0 <= s.token_start < s.token_end <= length):
-            raise AnnotationError(
-                f"sentence {s.index} span [{s.token_start}, {s.token_end}) outside [0, {length})"
-            )
         support[s.token_start:s.token_end] = 1.0 - eff
-
-    spans = {s.index: s for s in graph.sentences}
     in_fact = np.zeros(length, dtype=bool)
     for f in facts:
-        owner = spans.get(f.sentence)
-        if owner is None:
-            raise AnnotationError(f"fact {f.fact_id} references unknown sentence {f.sentence}")
-        if not (0 <= f.token_start < f.token_end <= length):
-            raise AnnotationError(
-                f"fact {f.fact_id} span [{f.token_start}, {f.token_end}) outside [0, {length})"
-            )
-        if f.token_start < owner.token_start or f.token_end > owner.token_end:
-            raise AnnotationError(f"fact {f.fact_id} extends outside sentence {f.sentence}")
         in_fact[f.token_start:f.token_end] = True
 
     fact_mask = in_fact & valid_mask
@@ -174,24 +146,71 @@ def sentence_ids(sentences: Iterable[SentenceSpan], length: int) -> np.ndarray:
     return sid
 
 
-def segment_sentences(token_texts: Sequence[str]) -> list[SentenceSpan]:
-    """Partition a token sequence into sentences by terminal punctuation.
+def _violations(
+    sentences: Sequence[SentenceSpan],
+    edges: Sequence[DependencyEdge] | None = None,
+    facts: Sequence[FactSpan] = (),
+    length: int | None = None,
+    valid: Sequence[int] | np.ndarray | None = None,
+) -> Iterator[tuple[str, str]]:
+    """Every data-contract violation as (reason tag, message), in sentence,
+    edge, fact order.  This is the one place the annotation rules live.
 
-    A boundary falls after every token whose text ends with '.', '!', '?',
-    or a newline; a trailing partial sentence is closed at the end.  Risks
-    are left at 0.0 for the caller to fill in.
+    The sentence/edge rules (ids, risks, edges) run when `edges` is given;
+    the span rules (sentence and fact spans, valid mask) when `length` is.
     """
-    if not token_texts:
-        raise ValueError("cannot segment an empty token sequence")
-    spans: list[SentenceSpan] = []
-    start = 0
-    for i, text in enumerate(token_texts):
-        if text.endswith(SENTENCE_TERMINALS):
-            spans.append(SentenceSpan(index=len(spans) + 1, token_start=start, token_end=i + 1))
-            start = i + 1
-    if start < len(token_texts):
-        spans.append(SentenceSpan(index=len(spans) + 1, token_start=start, token_end=len(token_texts)))
-    return spans
+    structure, spans = edges is not None, length is not None
+    prev_end = 0
+    for pos, s in enumerate(sentences, 1):
+        if structure and s.index != pos:
+            yield "sentence-index", f"sentence {s.index} at position {pos}: ids must run 1, 2, ... in order"
+        if spans:
+            if not (0 <= s.token_start < s.token_end <= length):
+                yield "sentence-span-range", (
+                    f"sentence {s.index} span [{s.token_start}, {s.token_end}) outside [0, {length})"
+                )
+            elif s.token_start < prev_end:
+                yield "sentence-span-order", (
+                    f"sentence {s.index} starts at {s.token_start}, before an earlier sentence ends at {prev_end}"
+                )
+            prev_end = max(prev_end, s.token_end)
+        if structure and not 0.0 <= s.risk <= 1.0:
+            yield "risk-range", f"sentence {s.index} risk {s.risk} outside [0, 1]"
+
+    if structure:
+        ids = {s.index for s in sentences}
+        seen: set[tuple[int, int]] = set()
+        for e in edges:
+            if e.src >= e.dst:
+                yield ("self-edge" if e.src == e.dst else "edge-not-forward"), (
+                    f"edge {e.src}->{e.dst} must point from an earlier to a later sentence"
+                )
+            if e.src not in ids or e.dst not in ids:
+                yield "edge-unknown-sentence", f"edge {e.src}->{e.dst} references an unknown sentence id"
+            if (e.src, e.dst) in seen:
+                yield "duplicate-edge", f"edge {e.src}->{e.dst} appears more than once"
+            seen.add((e.src, e.dst))
+
+    if spans:
+        span_by_id = {s.index: s for s in sentences}
+        for f in facts:
+            if not (0 <= f.token_start < f.token_end <= length):
+                yield "fact-span-range", (
+                    f"fact {f.fact_id} span [{f.token_start}, {f.token_end}) outside [0, {length})"
+                )
+                continue
+            owner = span_by_id.get(f.sentence)
+            if owner is None:
+                yield "fact-unknown-sentence", f"fact {f.fact_id} references unknown sentence {f.sentence}"
+            elif f.token_start < owner.token_start or f.token_end > owner.token_end:
+                yield "fact-outside-sentence", f"fact {f.fact_id} extends outside sentence {f.sentence}"
+        if valid is not None and (getattr(valid, "ndim", 1) != 1 or len(valid) != length):
+            yield "valid-mask-length", f"valid mask has shape {np.shape(valid)}, expected ({length},)"
+
+
+def _raise_first(violations: Iterator[tuple[str, str]]) -> None:
+    for _, message in violations:
+        raise AnnotationError(message)
 
 
 def annotation_violations(
@@ -203,50 +222,11 @@ def annotation_violations(
 ) -> list[str]:
     """All data-contract violations in one annotation set, as stable reason tags.
 
-    Used by corpus filtering; an empty list means the example is clean.
+    Used by corpus filtering; an empty list means the example is clean, and
+    then propagate_risk and derive_token_signals accept it too.
     """
     reasons: list[str] = []
-
-    def add(reason: str) -> None:
+    for reason, _ in _violations(sentences, edges, facts, length, valid):
         if reason not in reasons:
             reasons.append(reason)
-
-    prev_end = 0
-    for pos, s in enumerate(sentences):
-        if s.index != pos + 1:
-            add("sentence-index")
-        if not (0 <= s.token_start < s.token_end <= length):
-            add("sentence-span-range")
-        elif s.token_start < prev_end:
-            add("sentence-span-order")
-        prev_end = max(prev_end, s.token_end)
-        if not 0.0 <= s.risk <= 1.0:
-            add("risk-range")
-
-    ids = {s.index for s in sentences}
-    span_by_id = {s.index: s for s in sentences}
-    seen: set[tuple[int, int]] = set()
-    for e in edges:
-        if e.src == e.dst:
-            add("self-edge")
-        elif e.src > e.dst:
-            add("edge-not-forward")
-        if e.src not in ids or e.dst not in ids:
-            add("edge-unknown-sentence")
-        if (e.src, e.dst) in seen:
-            add("duplicate-edge")
-        seen.add((e.src, e.dst))
-
-    for f in facts:
-        if not (0 <= f.token_start < f.token_end <= length):
-            add("fact-span-range")
-            continue
-        owner = span_by_id.get(f.sentence)
-        if owner is None:
-            add("fact-unknown-sentence")
-        elif f.token_start < owner.token_start or f.token_end > owner.token_end:
-            add("fact-outside-sentence")
-
-    if valid is not None and len(valid) != length:
-        add("valid-mask-length")
     return reasons

@@ -526,10 +526,11 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--lambdas", help="comma-separated lambda list (must include 0)")
     a.set_defaults(func=_main_ablate)
 
-    tr = sub.add_parser("trace", parents=[common], help="dump per-token gate decisions")
+    tr = sub.add_parser("trace", help="dump per-token gate decisions")
     tr.add_argument("--checkpoint", required=True)
     tr.add_argument("--corpus", required=True)
     tr.add_argument("--limit", type=int, default=8, help="number of examples to trace (0 = all)")
+    tr.add_argument("--out", help="write the trace here instead of stdout")
     tr.set_defaults(func=_main_trace)
 
     r = sub.add_parser("report", help="summarize finished runs with deltas vs the baseline")
@@ -540,10 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _main_preprocess(args: argparse.Namespace) -> None:
-    raw = _load_overlaid(args)
-    raw.pop("method", None)
-    cfg = config_from_dict(GeneratorConfig, raw)
-    cmd_preprocess(cfg)
+    cmd_preprocess(config_from_dict(GeneratorConfig, _load_overlaid(args)))
 
 
 def _main_train(args: argparse.Namespace) -> None:

@@ -28,15 +28,12 @@ from prism.model import (
     prepare_examples,
     train,
 )
-from prism.objective import (
-    comp_loss,
+from prism.objective import comp_loss, sft_loss, softmax_probs, total_loss
+from prism.oracles import (
     finite_difference_gradient,
     keep_gate,
     knowledge_mask_loss,
     redistribute,
-    sft_loss,
-    softmax_probs,
-    total_loss,
 )
 
 # Frozen acceptance configuration: a planted-risk corpus of ~2000 examples

@@ -18,7 +18,6 @@ from prism.corpus import (
     n_filler,
     read_jsonl,
     stats_table,
-    token_strings,
     verify_and_filter,
     write_jsonl,
 )
@@ -28,7 +27,6 @@ from prism.fact_graph import (
     FactSpan,
     SentenceSpan,
     propagate_risk,
-    segment_sentences,
 )
 
 
@@ -73,12 +71,15 @@ class TestGenerate:
         assert not report.rejected
 
     def test_token_texts_segment_back_to_sentence_spans(self):
-        cfg = config()
-        texts = token_strings(cfg)
-        for ex in generate(cfg)[:20]:
-            spans = segment_sentences([texts[t] for t in ex.target_tokens])
-            assert [(s.token_start, s.token_end) for s in spans] == \
-                   [(s.token_start, s.token_end) for s in ex.sentences]
+        # cutting the target after every period token gives back the sentence spans
+        for ex in generate(config())[:20]:
+            assert ex.sentences[0].token_start == 0
+            assert ex.sentences[-1].token_end == len(ex.target_tokens)
+            for a, b in zip(ex.sentences, ex.sentences[1:]):
+                assert a.token_end == b.token_start
+            for s in ex.sentences:
+                assert ex.target_tokens[s.token_end - 1] == TOKEN_PERIOD
+                assert TOKEN_PERIOD not in ex.target_tokens[s.token_start:s.token_end - 1]
 
     def test_dependency_edges_point_at_prior_mentions(self):
         examples = generate(config(n_examples=300, dependency_p=0.6))

@@ -1,4 +1,6 @@
-"""Risk propagation, token signals, and sentence segmentation."""
+"""Risk propagation, token signals, and the annotation contract."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +15,6 @@ from prism.fact_graph import (
     annotation_violations,
     derive_token_signals,
     propagate_risk,
-    segment_sentences,
     sentence_ids,
 )
 
@@ -178,39 +179,6 @@ class TestDeriveTokenSignals:
             assert sig.support_weight[t] + g.effective_risk[sid[t] - 1] == 1.0
 
 
-class TestSegmentSentences:
-    def test_two_terminal_periods(self):
-        spans = segment_sentences(["Hi", ".", "Bye", "."])
-        assert [(s.token_start, s.token_end) for s in spans] == [(0, 2), (2, 4)]
-
-    def test_trailing_sentence_closed(self):
-        spans = segment_sentences(["A", "B", "C"])
-        assert [(s.token_start, s.token_end) for s in spans] == [(0, 3)]
-
-    def test_mixed_terminals(self):
-        spans = segment_sentences(["hey", "?", "a", "b", "."])
-        assert [(s.token_start, s.token_end) for s in spans] == [(0, 2), (2, 5)]
-
-    def test_newline_and_bang_split(self):
-        spans = segment_sentences(["a\n", "b", "!", "c"])
-        assert [(s.token_start, s.token_end) for s in spans] == [(0, 1), (1, 3), (3, 4)]
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
-            segment_sentences([])
-
-    @given(st.lists(st.sampled_from(["tok", "x.", ".", "!", "?", "mid?end", "nl\n", "y"]),
-                    min_size=1, max_size=30))
-    @settings(max_examples=200)
-    def test_partition_no_gaps_no_overlaps(self, texts):
-        spans = segment_sentences(texts)
-        assert spans[0].token_start == 0
-        assert spans[-1].token_end == len(texts)
-        for a, b in zip(spans, spans[1:]):
-            assert a.token_end == b.token_start
-        assert [s.index for s in spans] == list(range(1, len(spans) + 1))
-
-
 class TestAnnotationViolations:
     def test_clean_example(self):
         sentences = spans_for([0.1, 0.2])
@@ -232,3 +200,63 @@ class TestAnnotationViolations:
         bad_order = [SentenceSpan(1, 0, 4, 0.0), SentenceSpan(2, 2, 6, 0.0)]
         assert "sentence-span-order" in annotation_violations(bad_order, [], [], 6)
         assert "sentence-index" in annotation_violations([SentenceSpan(3, 0, 2, 0.0)], [], [], 2)
+
+
+def corrupt(kind, sentences, facts, edges, valid, n, k):
+    """Break one rule of the data contract in place; n is the sentence count
+    before any corruption and k a sentence position in [0, n)."""
+    if kind == "edge-not-forward":
+        edges.append(DependencyEdge(n, 1))
+    elif kind == "self-edge":
+        edges.append(DependencyEdge(k + 1, k + 1))
+    elif kind == "duplicate-edge":
+        edges.append(edges[0] if edges else DependencyEdge(1, 1))
+    elif kind == "edge-unknown-sentence":
+        edges.append(DependencyEdge(1, n + 10))
+    elif kind == "risk-range":
+        sentences[k] = replace(sentences[k], risk=1.5)
+    elif kind == "sentence-index":
+        sentences[k] = replace(sentences[k], index=0)
+    elif kind == "sentence-span-range":
+        sentences[k] = replace(sentences[k], token_end=sentences[k].token_start)
+    elif kind == "sentence-span-order":
+        sentences.append(SentenceSpan(len(sentences) + 1, 0, 3, 0.0))
+    elif kind == "fact-span-range":
+        facts.append(FactSpan(99, 3 * n, 3 * n + 1, 1))
+    elif kind == "fact-unknown-sentence":
+        facts.append(FactSpan(99, 0, 1, n + 10))
+    elif kind == "fact-outside-sentence":
+        facts.append(FactSpan(99, 0, 4, 1))
+    else:
+        valid.append(1)
+
+
+CORRUPTIONS = ("edge-not-forward", "self-edge", "duplicate-edge", "edge-unknown-sentence",
+               "risk-range", "sentence-index", "sentence-span-range", "sentence-span-order",
+               "fact-span-range", "fact-unknown-sentence", "fact-outside-sentence",
+               "valid-mask-length")
+
+
+class TestValidatorsAgree:
+    @given(random_dags(), st.lists(st.sampled_from(CORRUPTIONS), max_size=3), st.data())
+    @settings(max_examples=300)
+    def test_training_path_raises_iff_filter_rejects(self, dag, kinds, data):
+        risks, edges = dag
+        n = len(risks)
+        sentences = spans_for(risks)
+        facts = [FactSpan(j, 3 * j + 1, 3 * j + 2, j + 1) for j in range(n)]
+        valid = [1] * (3 * n)
+        for kind in kinds:
+            k = data.draw(st.integers(min_value=0, max_value=n - 1))
+            corrupt(kind, sentences, facts, edges, valid, n, k)
+
+        reasons = annotation_violations(sentences, facts, edges, 3 * n, valid)
+        try:
+            graph = propagate_risk(sentences, edges)
+            derive_token_signals(graph, facts, valid, 3 * n)
+        except AnnotationError:
+            raised = True
+        else:
+            raised = False
+        assert raised == bool(reasons)
+        assert bool(reasons) == bool(kinds)

@@ -3,10 +3,13 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import prism
 from prism.corpus import GeneratorConfig, generate, read_jsonl, write_jsonl
 from prism.errors import ConfigError
 from prism.harness import (
@@ -25,7 +28,8 @@ from prism.harness import (
     validate_run_config,
 )
 from prism.model import load_checkpoint, prepare_examples, forward_batch
-from prism.objective import redistribute, softmax_probs
+from prism.objective import softmax_probs
+from prism.oracles import redistribute
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +116,14 @@ class TestPreprocess:
         meta = cmd_preprocess(cfg)
         assert meta["kept"] == 20
         assert meta["rejected"] == 5
+
+    def test_trainer_key_is_1(self, tmp_path, capsys):
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text(f"n_examples = 5\nmethod = sft\nout = {tmp_path / 'c.jsonl'}\n")
+        assert main(["preprocess", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: unknown config key 'method' for GeneratorConfig\n"
+        assert not os.path.exists(tmp_path / "c.jsonl")
 
     def test_rerun_byte_identical(self, tmp_path, capsys):
         cfg = GeneratorConfig(vocab_size=70, n_examples=25, n_keys=10, n_values=10,
@@ -304,6 +316,16 @@ class TestTraceCommand:
                      "--out", str(taken)]) == 2
         assert not os.path.exists(f"{taken}.tmp")
 
+    @pytest.mark.parametrize("flag, value", [("--config", "missing.cfg"), ("--seed", "99")],
+                             ids=["config", "seed"])
+    def test_unread_flags_are_1(self, checkpoint_path, corpus_path, tmp_path, capsys, flag, value):
+        out = tmp_path / "trace.jsonl"
+        assert main(["trace", "--checkpoint", checkpoint_path, "--corpus", corpus_path,
+                     "--out", str(out), flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: unrecognized arguments:") and err.count("\n") == 1
+        assert not os.path.exists(out)
+
 
 class TestReportCommand:
     def test_names_baseline_and_deltas(self, corpus_path, tmp_path, capsys):
@@ -405,6 +427,55 @@ class TestExitCodes:
         assert err.startswith("config error: token id ") and shown in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("case, shown", [
+        ("backward_edge", "edge 2->1 must point from an earlier to a later sentence"),
+        ("self_edge", "edge 2->2 must point from an earlier to a later sentence"),
+        ("duplicate_edge", "edge 1->2 appears more than once"),
+        ("overlapping_sentences", "sentence 2 starts at "),
+    ], ids=["backward_edge", "self_edge", "duplicate_edge", "overlapping_sentences"])
+    @pytest.mark.parametrize("command", ["train", "ablate", "trace"])
+    def test_bad_annotation_is_2(self, checkpoint_path, corpus_path, tmp_path, capsys,
+                                 command, case, shown):
+        records = [json.loads(line) for line in open(corpus_path)]
+        target = next(r for r in records if len(r["sentences"]) >= 3)
+        if case == "backward_edge":
+            target["edges"] = [{"from": 2, "to": 1}]
+        elif case == "self_edge":
+            target["edges"] = [{"from": 2, "to": 2}]
+        elif case == "duplicate_edge":
+            target["edges"] = [{"from": 1, "to": 2}, {"from": 1, "to": 2}]
+        else:
+            target["sentences"][1]["start"] -= 1
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(json.dumps(r) + "\n" for r in records))
+        out = tmp_path / "out"
+        argv = {
+            "train": ["train", "--corpus", str(bad)],
+            "ablate": ["ablate", "--corpus", str(bad), "--lambdas", "0,0.1"],
+            "trace": ["trace", "--checkpoint", checkpoint_path, "--corpus", str(bad), "--limit", "0"],
+        }[command]
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and shown in err and err.count("\n") == 1
+        assert not os.path.exists(out)
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    @pytest.mark.parametrize("command", ["train", "trace"])
+    def test_empty_target_is_2(self, checkpoint_path, corpus_path, tmp_path, capsys, command):
+        records = [json.loads(line) for line in open(corpus_path)]
+        records[2]["target"] = []
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(json.dumps(r) + "\n" for r in records))
+        out = tmp_path / "out"
+        argv = {
+            "train": ["train", "--corpus", str(bad)],
+            "trace": ["trace", "--checkpoint", checkpoint_path, "--corpus", str(bad)],
+        }[command]
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "i/o error: line 3: field 'target' must not be empty\n"
+        assert not os.path.exists(out)
+
     def test_unknown_flag_is_1(self, capsys):
         assert main(["train", "--frobnicate"]) == 1
 
@@ -436,3 +507,11 @@ class TestMetricsReportRoundTrip:
             counters={"off_target_total": 0},
         )
         assert MetricsReport.from_dict(report.to_dict()) == report
+
+
+def test_training_path_does_not_import_the_oracles():
+    src = os.path.dirname(os.path.dirname(prism.__file__))
+    code = "import sys, prism.harness; print('prism.oracles' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout == "False\n"

@@ -27,7 +27,8 @@ from prism.model import (
     save_checkpoint,
     train,
 )
-from prism.objective import finite_difference_gradient, sft_loss, softmax_probs, total_loss
+from prism.objective import sft_loss, softmax_probs, total_loss
+from prism.oracles import finite_difference_gradient
 
 from prism.fact_graph import TokenSignals
 

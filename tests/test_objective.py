@@ -9,17 +9,13 @@ from hypothesis import strategies as st
 
 from prism.errors import EmptyBatchError
 from prism.fact_graph import TokenSignals
-from prism.objective import (
-    GateTrace,
+from prism.objective import GateTrace, comp_loss, sft_loss, softmax_probs, total_loss
+from prism.oracles import (
     compute_alpha,
-    comp_loss,
     finite_difference_gradient,
     keep_gate,
     knowledge_mask_loss,
     redistribute,
-    sft_loss,
-    softmax_probs,
-    total_loss,
 )
 
 TOL = 1e-12
