@@ -14,6 +14,7 @@ from .errors import (
     CorpusFormatError,
     DivergenceError,
     EmptyBatchError,
+    RunFileError,
 )
 from .fact_graph import (
     DependencyEdge,

@@ -113,6 +113,8 @@ class GeneratorConfig:
             raise ConfigError("chunk_limit must be >= 1")
         if self.plant_defects < 0:
             raise ConfigError("plant_defects must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.plant_defects > 0 and self.sentences_min < 2:
             raise ConfigError("defect planting needs sentences_min >= 2")
         needed = N_SPECIAL + self.n_keys + self.n_values
@@ -380,6 +382,7 @@ def _token_list(obj: object, name: str, lineno: int | None) -> list[int]:
     for tok in obj:  # type: ignore[union-attr]
         _require(isinstance(tok, int) and not isinstance(tok, bool) and tok >= 0,
                  f"field {name!r} must contain nonnegative token ids", lineno)
+        _require(tok < 2**63, f"field {name!r} holds a token id of 2**63 or more", lineno)
         out.append(tok)
     return out
 
@@ -395,6 +398,7 @@ def example_from_record(record: dict, lineno: int | None = None) -> AnnotatedExa
     _require(len(target_tokens) > 0, "field 'target' must not be empty", lineno)
 
     sentences = []
+    _require(isinstance(record["sentences"], list), "field 'sentences' must be a list", lineno)
     for i, s in enumerate(record["sentences"]):
         _require(isinstance(s, dict), "field 'sentences' must contain objects", lineno)
         for key in ("start", "end", "risk"):
@@ -408,6 +412,7 @@ def example_from_record(record: dict, lineno: int | None = None) -> AnnotatedExa
         sentences.append(SentenceSpan(index=i + 1, token_start=s["start"], token_end=s["end"], risk=float(risk)))
 
     facts = []
+    _require(isinstance(record["facts"], list), "field 'facts' must be a list", lineno)
     for f in record["facts"]:
         _require(isinstance(f, dict), "field 'facts' must contain objects", lineno)
         for key in ("id", "start", "end", "sentence"):
@@ -417,6 +422,7 @@ def example_from_record(record: dict, lineno: int | None = None) -> AnnotatedExa
         facts.append(FactSpan(fact_id=f["id"], token_start=f["start"], token_end=f["end"], sentence=f["sentence"]))
 
     edges = []
+    _require(isinstance(record["edges"], list), "field 'edges' must be a list", lineno)
     for e in record["edges"]:
         _require(isinstance(e, dict), "field 'edges' must contain objects", lineno)
         for key in ("from", "to"):
@@ -468,18 +474,21 @@ def read_jsonl(path: str) -> list[AnnotatedExample]:
     """Read an annotated corpus; empty files yield an empty corpus.
 
     Malformed JSON or schema violations raise CorpusFormatError with the
-    line number and offending field.
+    line number and offending field; so do bytes that are not UTF-8.
     """
     examples = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"invalid JSON: {exc.msg}", lineno) from exc
-            examples.append(example_from_record(record, lineno))
+        try:
+            for lineno, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                except ValueError as exc:  # also an integer too long to convert
+                    raise CorpusFormatError(f"invalid JSON: {getattr(exc, 'msg', exc)}", lineno) from exc
+                examples.append(example_from_record(record, lineno))
+        except UnicodeDecodeError as exc:
+            raise CorpusFormatError(f"{path} is not UTF-8 text ({exc.reason})") from exc
     return examples
 
 

@@ -29,5 +29,9 @@ class CheckpointError(ValueError):
     """A checkpoint file is unreadable or inconsistent with its config hash."""
 
 
+class RunFileError(ValueError):
+    """A run's metrics.json is unreadable or does not match its schema."""
+
+
 class DivergenceError(RuntimeError):
     """Training produced a non-finite quantity."""

@@ -78,9 +78,6 @@ class TokenSignals:
     support_weight: np.ndarray  # float64 [T]
     valid_mask: np.ndarray      # bool [T]
 
-    def __len__(self) -> int:
-        return len(self.valid_mask)
-
 
 def propagate_risk(
     sentences: Sequence[SentenceSpan],

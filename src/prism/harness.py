@@ -15,8 +15,8 @@ import dataclasses
 import json
 import os
 import sys
-from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Sequence, get_type_hints
+from dataclasses import asdict, dataclass, field, replace
+from typing import NamedTuple, Sequence, get_args, get_origin, get_type_hints
 
 from . import model as model_mod
 from .corpus import (
@@ -37,8 +37,8 @@ from .errors import (
     CorpusFormatError,
     DivergenceError,
     EmptyBatchError,
+    RunFileError,
 )
-from .fact_graph import RISK_ONEHOP
 from .model import (
     METHOD_PRISM,
     METHOD_SFT,
@@ -53,7 +53,7 @@ from .model import (
     save_checkpoint,
     train,
 )
-from .objective import DEFAULT_EPSILON, comp_loss
+from .objective import comp_loss
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -101,61 +101,81 @@ class MetricsReport:
     baseline_run_id: str | None = None
     deltas: dict[str, float] = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "run_id": self.run_id,
-            "method": self.method,
-            "lambda": self.lam,
-            "seed": self.seed,
-            "corpus": self.corpus,
-            "n_train": self.n_train,
-            "n_eval": self.n_eval,
-            "metrics": self.metrics,
-            "counters": self.counters,
-            "baseline_run_id": self.baseline_run_id,
-            "deltas": self.deltas,
-        }
+    def write(self, path: str) -> None:
+        _write_json(path, _file_keys(asdict(self)))
 
     @classmethod
-    def from_dict(cls, data: dict) -> "MetricsReport":
-        return cls(
-            run_id=data["run_id"],
-            method=data["method"],
-            lam=data["lambda"],
-            seed=data["seed"],
-            corpus=data["corpus"],
-            n_train=data["n_train"],
-            n_eval=data["n_eval"],
-            metrics=data["metrics"],
-            counters=data["counters"],
-            baseline_run_id=data.get("baseline_run_id"),
-            deltas=data.get("deltas", {}),
-        )
+    def read(cls, path: str) -> MetricsReport:
+        """Load a metrics.json written by `write`, checking every field's name and type."""
+        hints = get_type_hints(cls)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                data = json.load(fh)
+            if not isinstance(data, dict):
+                raise TypeError("not a JSON object")
+            fields = {}
+            for key, value in data.items():
+                name = _CONFIG_ALIASES.get(key, key)
+                if name in hints and not _fits(value, hints[name]):
+                    raise TypeError(f"field {key!r} has the wrong type")
+                fields[name] = value
+            return cls(**fields)
+        except (TypeError, ValueError) as exc:  # ValueError: bad JSON or bytes that are not UTF-8
+            raise RunFileError(f"malformed metrics file {path}: {exc}") from exc
+
+
+def _fits(value: object, hint: object) -> bool:
+    """Whether a decoded JSON value has a field's type; a float field takes
+    any number that is finite as a float."""
+    args = get_args(hint)
+    if get_origin(hint) is dict:
+        return isinstance(value, dict) and all(_fits(v, args[1]) for v in value.values())
+    if args:  # a union such as `str | None`
+        return any(_fits(value, arg) for arg in args)
+    if isinstance(value, bool):
+        return False
+    if hint is float:
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, hint)  # type: ignore[arg-type]
 
 
 # ---------------------------------------------------------------------------
 # config parsing
 
+# Config-file and run-file key -> dataclass field.
 _CONFIG_ALIASES = {"lambda": "lam"}
+
+
+def _file_keys(fields: dict) -> dict:
+    """`fields` with each aliased field renamed to its file key, moved to the end."""
+    for key, name in _CONFIG_ALIASES.items():
+        fields[key] = fields.pop(name)
+    return fields
 
 
 def parse_config_file(path: str) -> dict[str, str]:
     """Plain-text `key = value` config; '#' starts a comment."""
     raw: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {text!r}")
-            key, _, value = text.partition("=")
-            raw[key.strip()] = value.strip()
+        try:
+            for lineno, line in enumerate(fh, 1):
+                text = line.split("#", 1)[0].strip()
+                if not text:
+                    continue
+                if "\0" in text:
+                    raise ConfigError(f"{path}:{lineno}: NUL byte in {text!r}")
+                if "=" not in text:
+                    raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {text!r}")
+                key, _, value = text.partition("=")
+                raw[key.strip()] = value.strip()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     return raw
 
 
-def config_from_dict(cls, raw: dict[str, str]):
-    """Build a config dataclass from string key/value pairs."""
+def config_from_dict(cls, raw: dict):
+    """Build a config dataclass from key/value pairs: strings from a config
+    file, or the JSON values of a resolved config."""
     hints = get_type_hints(cls)
     names = {f.name for f in dataclasses.fields(cls)}
     kwargs = {}
@@ -166,15 +186,9 @@ def config_from_dict(cls, raw: dict[str, str]):
         target = hints[name]
         try:
             kwargs[name] = target(value)
-        except ValueError as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"config key {key!r}: cannot parse {value!r} as {target.__name__}") from exc
     return cls(**kwargs)
-
-
-def resolved_config_dict(cfg: RunConfig) -> dict:
-    out = dataclasses.asdict(cfg)
-    out["lambda"] = out.pop("lam")
-    return out
 
 
 def validate_run_config(cfg: RunConfig) -> RunConfig:
@@ -192,7 +206,7 @@ def validate_run_config(cfg: RunConfig) -> RunConfig:
 
 
 def run_identifier(cfg: RunConfig) -> str:
-    digest = config_digest(resolved_config_dict(cfg))
+    digest = config_digest(_file_keys(asdict(cfg)))
     return f"{cfg.method}_lam{cfg.lam:g}_seed{cfg.seed}_{digest[:8]}"
 
 
@@ -213,7 +227,7 @@ def cmd_preprocess(cfg: GeneratorConfig) -> dict:
     report = verify_and_filter([c.example for c in chunks])
     write_jsonl(report.kept, cfg.out)
     meta = {
-        "config": dataclasses.asdict(cfg),
+        "config": asdict(cfg),
         "kept": len(report.kept),
         "rejected": len(report.rejected),
         "reason_counts": dict(sorted(report.reason_counts.items())),
@@ -230,39 +244,34 @@ def cmd_preprocess(cfg: GeneratorConfig) -> dict:
     return meta
 
 
-def _split_corpus(
-    examples: list[AnnotatedExample], eval_fraction: float
-) -> tuple[list[AnnotatedExample], list[AnnotatedExample]]:
-    n_eval = int(round(eval_fraction * len(examples))) if eval_fraction > 0 else 0
-    if n_eval == 0:
-        return examples, examples  # evaluate on the training split
-    if n_eval >= len(examples):
-        raise ConfigError("eval_fraction leaves no training examples")
-    return examples[:-n_eval], examples[-n_eval:]
-
-
 class RunData(NamedTuple):
     """A run's corpus, split and prepared: everything before the first step."""
 
     vocab: int
     train_examples: list[AnnotatedExample]
-    eval_examples: list[AnnotatedExample]
     prep_train: list[PreparedExample]
     prep_eval: list[PreparedExample]
 
 
 def load_run_data(cfg: RunConfig) -> RunData:
-    """Read, split and prepare the corpus of a validated config.  Only the
-    corpus, eval_fraction, vocab_size, window and risk_propagation settings
-    matter, so every run of a lambda sweep can share one RunData."""
+    """Read, prepare and split the corpus of a validated config.  The whole
+    corpus is prepared once, in file order, and split at the same index as
+    the examples; the last eval_fraction is held out, and with none held out
+    the run evaluates on its training split.  Only the corpus, eval_fraction,
+    vocab_size, window and risk_propagation settings matter, so every run of
+    a lambda sweep can share one RunData."""
     examples = read_jsonl(cfg.corpus)
     if not examples:
         raise ConfigError(f"corpus {cfg.corpus} is empty")
+    n_eval = int(round(cfg.eval_fraction * len(examples))) if cfg.eval_fraction > 0 else 0
+    if n_eval >= len(examples):
+        raise ConfigError("eval_fraction leaves no training examples")
     vocab = cfg.vocab_size or infer_vocab_size(examples)
-    train_examples, eval_examples = _split_corpus(examples, cfg.eval_fraction)
-    prep_train = prepare_examples(train_examples, cfg.window, vocab, risk_mode=cfg.risk_propagation)
-    prep_eval = prepare_examples(eval_examples, cfg.window, vocab, risk_mode=cfg.risk_propagation)
-    return RunData(vocab, train_examples, eval_examples, prep_train, prep_eval)
+    prepared = prepare_examples(examples, cfg.window, vocab, risk_mode=cfg.risk_propagation)
+    if n_eval == 0:
+        return RunData(vocab, examples, prepared, prepared)
+    cut = len(examples) - n_eval
+    return RunData(vocab, examples[:cut], prepared[:cut], prepared[cut:])
 
 
 def cmd_train(cfg: RunConfig, data: RunData | None = None) -> MetricsReport:
@@ -273,18 +282,18 @@ def cmd_train(cfg: RunConfig, data: RunData | None = None) -> MetricsReport:
     cfg = validate_run_config(cfg)
     if data is None:
         data = load_run_data(cfg)
-    train_examples, eval_examples = data.train_examples, data.eval_examples
+    train_examples, n_eval = data.train_examples, len(data.prep_eval)
 
     # The resolved config keeps the user's vocab_size (0 = derive), so the
     # run id does not depend on the corpus contents.
     result = train(train_examples, replace(cfg, vocab_size=data.vocab), data.prep_train)
     eval_metrics = evaluate(result.params, data.prep_eval, cfg.epsilon)
 
-    resolved = resolved_config_dict(cfg)
+    resolved = _file_keys(asdict(cfg))
     run_id = run_identifier(cfg)
     last = result.step_log[-1]
     metrics: dict[str, float | None] = {
-        **{k: v for k, v in eval_metrics.to_dict().items() if k.startswith(("mean_", "nonfact_", "risky_", "gate_"))},
+        **{k: v for k, v in asdict(eval_metrics).items() if k.startswith(("mean_", "nonfact_", "risky_", "gate_"))},
         "final_sft": last.sft,
         "final_comp": last.comp,
         "final_total": last.total,
@@ -296,9 +305,9 @@ def cmd_train(cfg: RunConfig, data: RunData | None = None) -> MetricsReport:
         seed=cfg.seed,
         corpus=cfg.corpus,
         n_train=len(train_examples),
-        n_eval=len(eval_examples),
+        n_eval=n_eval,
         metrics=metrics,
-        counters=dataclasses.asdict(result.counters),
+        counters=asdict(result.counters),
     )
 
     os.makedirs(cfg.out, exist_ok=True)
@@ -308,15 +317,15 @@ def cmd_train(cfg: RunConfig, data: RunData | None = None) -> MetricsReport:
     )
     with atomic_write(os.path.join(cfg.out, "log.jsonl")) as fh:
         for record in result.step_log:
-            fh.write(json.dumps(record.to_dict()))
+            fh.write(json.dumps(asdict(record)))
             fh.write("\n")
     save_checkpoint(
         os.path.join(cfg.out, "checkpoint.json"), result.params, result.opt_state, resolved, cfg.seed
     )
-    _write_json(os.path.join(cfg.out, "metrics.json"), report.to_dict())
+    report.write(os.path.join(cfg.out, "metrics.json"))
 
     print(f"run {run_id}: {cfg.steps} steps on {len(train_examples)} examples "
-          f"(eval on {len(eval_examples)})")
+          f"(eval on {n_eval})")
     print(f"  final loss: total={last.total:.6f} sft={last.sft:.6f} comp={last.comp:.6f}")
     for key in METRIC_KEYS:
         value = metrics.get(key)
@@ -325,28 +334,25 @@ def cmd_train(cfg: RunConfig, data: RunData | None = None) -> MetricsReport:
     return report
 
 
-def _format_value(value: float | None) -> str:
-    return "" if value is None else repr(float(value))
-
-
-def metric_rows(
-    report: MetricsReport, baseline: MetricsReport | None
-) -> list[tuple[str, str, str, str, str, str, str]]:
-    rows = []
-    for key in METRIC_KEYS:
-        value = report.metrics.get(key)
-        if value is None:
-            continue
-        delta = ""
-        if baseline is not None:
-            base_value = baseline.metrics.get(key)
-            if base_value is not None:
-                delta = repr(float(value) - float(base_value))
-        rows.append(
-            (report.run_id, report.method, repr(float(report.lam)), str(report.seed), key,
-             _format_value(value), delta)
-        )
-    return rows
+def write_csv(
+    reports: Sequence[MetricsReport], baseline: MetricsReport, out: str | None, echo: bool = False
+) -> list[str]:
+    """The metrics table of `reports` with deltas against `baseline` where both
+    have a value: printed when `echo`, then written to `out` when given."""
+    lines = [CSV_HEADER]
+    for r in reports:
+        for key in METRIC_KEYS:
+            value, base = r.metrics.get(key), baseline.metrics.get(key)
+            if value is not None:
+                delta = "" if base is None else repr(float(value) - float(base))
+                lines.append(f"{r.run_id},{r.method},{float(r.lam)!r},{r.seed},{key},"
+                             f"{float(value)!r},{delta}")
+    if echo:
+        print("\n".join(lines))
+    if out:
+        with atomic_write(out) as fh:
+            fh.write("\n".join(lines) + "\n")
+    return lines
 
 
 def cmd_ablate(cfg: RunConfig, lambdas: Sequence[float]) -> str:
@@ -355,7 +361,8 @@ def cmd_ablate(cfg: RunConfig, lambdas: Sequence[float]) -> str:
     Every lambda shares the seed and corpus, which is read and prepared once;
     each lam_* directory is byte-identical to a standalone train run of the
     same config.  Deltas are taken against the lambda = 0 run.  A failed run
-    is recorded and the sweep continues.
+    is recorded and the sweep continues.  Two lambdas that map to one lam_*
+    directory are a config error.
     """
     if not lambdas:
         raise ConfigError("lambda list is empty")
@@ -367,54 +374,57 @@ def cmd_ablate(cfg: RunConfig, lambdas: Sequence[float]) -> str:
         )
         for lam in lambdas
     ]
+    dirs = [sub.out for sub in subs]
+    for i, run_dir in enumerate(dirs):
+        if run_dir in dirs[:i]:
+            raise ConfigError(f"lambdas {lambdas[dirs.index(run_dir)]!r} and {lambdas[i]!r} "
+                              f"share the run directory {run_dir}")
     data = load_run_data(subs[0])
     os.makedirs(cfg.out, exist_ok=True)
 
-    reports: dict[float, MetricsReport] = {}
+    reports: list[MetricsReport] = []
     failures: list[dict] = []
-    for lam, sub in zip(lambdas, subs):
+    for sub in subs:
         try:
-            reports[lam] = cmd_train(sub, data)
+            reports.append(cmd_train(sub, data))
         except (DivergenceError, EmptyBatchError) as exc:
-            failures.append({"lambda": lam, "error": str(exc)})
-            print(f"warning: lambda={lam:g} failed: {exc}", file=sys.stderr)
+            failures.append({"lambda": sub.lam, "error": str(exc)})
+            print(f"warning: lambda={sub.lam:g} failed: {exc}", file=sys.stderr)
     if failures:
         _write_json(os.path.join(cfg.out, "failures.json"), {"failures": failures})
-    baseline = reports.get(0.0)
+    baseline = next((r for r in reports if r.lam == 0.0), None)
     if baseline is None:
         raise DivergenceError("baseline run (lambda = 0) failed; no deltas possible")
 
-    lines = [CSV_HEADER]
-    for lam in lambdas:
-        report = reports.get(lam)
-        if report is None:
-            continue
-        report.baseline_run_id = baseline.run_id
-        for row in metric_rows(report, baseline):
-            lines.append(",".join(row))
     csv_path = os.path.join(cfg.out, "ablation.csv")
-    with atomic_write(csv_path) as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+    write_csv(reports, baseline, csv_path)
     print(f"ablation over lambdas {[f'{l:g}' for l in lambdas]} -> {csv_path}")
     print(f"deltas are against baseline run {baseline.run_id}")
     return csv_path
 
 
 def cmd_trace(checkpoint_path: str, corpus_path: str, limit: int, out: str | None) -> list[dict]:
-    """Dump per-token gate decisions of a checkpointed model over a corpus slice."""
+    """Dump per-token gate decisions of a checkpointed model over a corpus slice,
+    with the epsilon and risk propagation of the checkpoint's config."""
     ck = load_checkpoint(checkpoint_path)
+    try:
+        if not isinstance(ck.config, dict):
+            raise ConfigError("config is not a JSON object")
+        settings = config_from_dict(RunConfig, ck.config)
+        settings.validate()
+    except ConfigError as exc:
+        raise CheckpointError(f"malformed checkpoint {checkpoint_path}: {exc}") from exc
     examples = read_jsonl(corpus_path)[: limit if limit > 0 else None]
     if not examples:
         raise ConfigError("corpus slice is empty")
-    risk_mode = ck.config.get("risk_propagation", RISK_ONEHOP)
-    epsilon = float(ck.config.get("epsilon", DEFAULT_EPSILON))
-    prepared = prepare_examples(examples, ck.params.window, ck.params.vocab_size, risk_mode=risk_mode)
+    prepared = prepare_examples(
+        examples, ck.params.window, ck.params.vocab_size, risk_mode=settings.risk_propagation
+    )
 
     rows = []
     for i, prep in enumerate(prepared):
         logits, _ = model_mod.forward_batch(ck.params, prep.windows)
-        _, _, trace = comp_loss(logits, prep.labels, prep.signals, epsilon)
+        _, _, trace = comp_loss(logits, prep.labels, prep.signals, settings.epsilon)
         for t in range(len(prep.labels)):
             sid = int(prep.sentence_id[t])
             rows.append(
@@ -442,11 +452,7 @@ def cmd_trace(checkpoint_path: str, corpus_path: str, limit: int, out: str | Non
 
 def cmd_report(run_dirs: Sequence[str], out: str | None) -> list[str]:
     """Summarize finished runs against their shared baseline (lambda = 0 or sft)."""
-    reports = []
-    for run_dir in run_dirs:
-        path = os.path.join(run_dir, "metrics.json")
-        with open(path, encoding="utf-8") as fh:
-            reports.append(MetricsReport.from_dict(json.load(fh)))
+    reports = [MetricsReport.read(os.path.join(run_dir, "metrics.json")) for run_dir in run_dirs]
     baseline = next(
         (r for r in reports if r.lam == 0.0 or r.method == METHOD_SFT),
         None,
@@ -460,21 +466,9 @@ def cmd_report(run_dirs: Sequence[str], out: str | None) -> list[str]:
                 f"seed and corpus with baseline run {baseline.run_id} "
                 f"(seed {baseline.seed}, corpus {baseline.corpus})"
             )
-
-    lines = [CSV_HEADER]
-    for report in reports:
-        report.baseline_run_id = baseline.run_id
-        for row in metric_rows(report, baseline):
-            lines.append(",".join(row))
     print(f"baseline: {baseline.run_id} (method={baseline.method}, lambda={baseline.lam:g}, "
           f"seed={baseline.seed})")
-    for line in lines:
-        print(line)
-    if out:
-        with atomic_write(out) as fh:
-            fh.write("\n".join(lines))
-            fh.write("\n")
-    return lines
+    return write_csv(reports, baseline, out, echo=True)
 
 
 # ---------------------------------------------------------------------------
@@ -485,14 +479,12 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _load_overlaid(args: argparse.Namespace, extra: dict[str, str] | None = None) -> dict[str, str]:
+def _load_overlaid(args: argparse.Namespace) -> dict[str, str]:
     raw = parse_config_file(args.config) if args.config else {}
-    if extra:
-        raw.update(extra)
-    for key in ("seed", "lam", "method", "out", "corpus"):
+    for key in ("seed", "lambda", "method", "out", "corpus"):
         value = getattr(args, key, None)
         if value is not None:
-            raw[{"lam": "lambda"}.get(key, key)] = str(value)
+            raw[key] = str(value)
     return raw
 
 
@@ -517,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("train", parents=[common], help="train one run")
     t.add_argument("--corpus", help="override the corpus path")
-    t.add_argument("--lambda", dest="lam", type=float, help="override the auxiliary weight")
+    t.add_argument("--lambda", type=float, metavar="LAM", help="override the auxiliary weight")
     t.add_argument("--method", choices=METHODS, help="override the training method")
     t.set_defaults(func=_main_train)
 
@@ -545,8 +537,7 @@ def _main_preprocess(args: argparse.Namespace) -> None:
 
 
 def _main_train(args: argparse.Namespace) -> None:
-    cfg = config_from_dict(RunConfig, _load_overlaid(args))
-    cmd_train(cfg)
+    cmd_train(config_from_dict(RunConfig, _load_overlaid(args)))
 
 
 def _main_ablate(args: argparse.Namespace) -> None:
@@ -575,7 +566,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ConfigError, EmptyBatchError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (CorpusFormatError, AnnotationError, CheckpointError, OSError) as exc:
+    except (CorpusFormatError, AnnotationError, CheckpointError, RunFileError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except DivergenceError as exc:

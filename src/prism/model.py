@@ -13,13 +13,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .corpus import AnnotatedExample, atomic_write
-from .errors import CheckpointError, ConfigError, DivergenceError
+from .errors import AnnotationError, CheckpointError, ConfigError, DivergenceError
 from .fact_graph import (
     RISK_MODES,
     RISK_ONEHOP,
@@ -39,6 +39,8 @@ from .objective import (
 )
 
 PARAM_FIELDS = ("embedding", "w1", "b1", "w2", "b2")
+# OptimizerState's float hyperparameters, in checkpoint order.
+OPTIMIZER_FIELDS = ("learning_rate", "beta1", "beta2", "eps", "weight_decay")
 
 
 class Method(NamedTuple):
@@ -79,10 +81,6 @@ class ModelParams:
     @property
     def embed_dim(self) -> int:
         return self.embedding.shape[1]
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.w1.shape[1]
 
 
 def init_params(
@@ -131,24 +129,16 @@ def forward_batch(
     return logits, (x, hidden)
 
 
-def forward(params: ModelParams, window_tokens: Sequence[int]) -> np.ndarray:
-    """Logits row (length V) for a single window of previous tokens."""
-    logits, _ = forward_batch(params, np.asarray(window_tokens, dtype=np.int64)[None, :])
-    return logits[0]
-
-
 def backward_batch(
     params: ModelParams,
     windows: np.ndarray,
     dlogits: np.ndarray,
-    cache: tuple[np.ndarray, np.ndarray] | None = None,
+    cache: tuple[np.ndarray, np.ndarray],
 ) -> dict[str, np.ndarray]:
     """Exact reverse-mode gradients of the loss w.r.t. every parameter, given
-    the per-logit loss gradient [B, V]."""
+    the per-logit loss gradient [B, V] and forward_batch's activations."""
     w = np.asarray(windows, dtype=np.int64)
     dz = np.asarray(dlogits, dtype=np.float64)
-    if cache is None:
-        _, cache = forward_batch(params, w)
     x, hidden = cache
     if dz.shape != (w.shape[0], params.vocab_size):
         raise ValueError(f"loss gradient has shape {dz.shape}, expected {(w.shape[0], params.vocab_size)}")
@@ -183,21 +173,15 @@ class OptimizerState:
     v: dict[str, np.ndarray]
 
 
-def init_optimizer(
-    params: ModelParams,
-    learning_rate: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-    weight_decay: float = 0.0,
-) -> OptimizerState:
+def init_optimizer(params: ModelParams, settings: TrainSettings) -> OptimizerState:
+    """Zero moments and the optimizer hyperparameters of `settings`."""
     zeros = {name: np.zeros_like(getattr(params, name)) for name in PARAM_FIELDS}
     return OptimizerState(
-        learning_rate=learning_rate,
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
-        weight_decay=weight_decay,
+        learning_rate=settings.learning_rate,
+        beta1=settings.beta1,
+        beta2=settings.beta2,
+        eps=settings.adam_eps,
+        weight_decay=settings.weight_decay,
         step_count=0,
         m=zeros,
         v={name: z.copy() for name, z in zeros.items()},
@@ -252,9 +236,10 @@ def prepare_examples(
 
     For target position t the window is the `window` tokens preceding it in
     input + target, left-padded with the begin token at the sequence start.
+    An annotation error names the example's 1-based position in `examples`.
     """
     prepared = []
-    for ex in examples:
+    for pos, ex in enumerate(examples, 1):
         full = np.asarray(list(ex.input_tokens) + list(ex.target_tokens), dtype=np.int64)
         _check_tokens(full, vocab_size)
         t_len = len(ex.target_tokens)
@@ -263,8 +248,11 @@ def prepare_examples(
         padded = np.concatenate([np.full(window, bos_token, dtype=np.int64), full])
         all_windows = np.lib.stride_tricks.sliding_window_view(padded, window)
         windows = all_windows[len(ex.input_tokens) : len(ex.input_tokens) + t_len].copy()
-        graph = propagate_risk(ex.sentences, ex.edges, mode=risk_mode)
-        signals = derive_token_signals(graph, ex.facts, ex.valid_mask, t_len)
+        try:
+            graph = propagate_risk(ex.sentences, ex.edges, mode=risk_mode)
+            signals = derive_token_signals(graph, ex.facts, ex.valid_mask, t_len)
+        except AnnotationError as exc:
+            raise AnnotationError(f"record {pos}: {exc}") from exc
         prepared.append(
             PreparedExample(
                 windows=windows,
@@ -327,6 +315,8 @@ class TrainSettings:
             raise ConfigError("weight_decay must be finite")
         if self.risk_propagation not in RISK_MODES:
             raise ConfigError(f"risk_propagation must be one of {RISK_MODES}")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
 
 @dataclass
@@ -343,9 +333,6 @@ class StepRecord:
     off_target: int
     p_risky: float | None
     p_safe: float | None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -409,14 +396,7 @@ def train(
 
     rng = np.random.default_rng(settings.seed)
     params = init_params(vocab, settings.embed_dim, settings.hidden_dim, settings.window, rng)
-    state = init_optimizer(
-        params,
-        learning_rate=settings.learning_rate,
-        beta1=settings.beta1,
-        beta2=settings.beta2,
-        eps=settings.adam_eps,
-        weight_decay=settings.weight_decay,
-    )
+    state = init_optimizer(params, settings)
 
     log: list[StepRecord] = []
     counters = TrainCounters()
@@ -489,9 +469,6 @@ class EvalMetrics:
     gate_pref_rate: float | None
     gate_keep_rate: float | None
     gate_active_rate: float | None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def evaluate(
@@ -566,11 +543,7 @@ def save_checkpoint(
             **{name: getattr(params, name).tolist() for name in PARAM_FIELDS},
         },
         "optimizer": {
-            "learning_rate": opt_state.learning_rate,
-            "beta1": opt_state.beta1,
-            "beta2": opt_state.beta2,
-            "eps": opt_state.eps,
-            "weight_decay": opt_state.weight_decay,
+            **{key: getattr(opt_state, key) for key in OPTIMIZER_FIELDS},
             "step_count": opt_state.step_count,
             "m": {name: arr.tolist() for name, arr in opt_state.m.items()},
             "v": {name: arr.tolist() for name, arr in opt_state.v.items()},
@@ -589,7 +562,7 @@ def load_checkpoint(path: str) -> Checkpoint:
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or bytes that are not UTF-8
             raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
     version = payload.get("format_version") if isinstance(payload, dict) else None
     if version != CHECKPOINT_VERSION:
@@ -605,13 +578,13 @@ def load_checkpoint(path: str) -> Checkpoint:
             bos_token=int(m["bos_token"]),
         )
         opt_state = OptimizerState(
-            **{key: float(o[key]) for key in ("learning_rate", "beta1", "beta2", "eps", "weight_decay")},
+            **{key: float(o[key]) for key in OPTIMIZER_FIELDS},
             step_count=int(o["step_count"]),
             m={name: np.asarray(o["m"][name], dtype=np.float64) for name in PARAM_FIELDS},
             v={name: np.asarray(o["v"][name], dtype=np.float64) for name in PARAM_FIELDS},
         )
         seed = int(payload["seed"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise CheckpointError(f"malformed checkpoint {path}: {detail}") from exc
 

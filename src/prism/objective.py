@@ -42,20 +42,14 @@ class GateTrace:
     keep_gate: np.ndarray  # bool [T]
     alpha: np.ndarray      # float64 [T]
 
-    def __len__(self) -> int:
-        return len(self.alpha)
-
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    """The two loss terms, their weighted sum, and the normalization counts."""
+    """The two loss terms and their weighted sum."""
 
     sft: float
     comp: float
     total: float
-    n_sft: int
-    n_fact: int
-    lam: float
 
 
 def _as_logits(logits: np.ndarray) -> np.ndarray:
@@ -221,15 +215,7 @@ def total_loss(
         )
         total = sft_value + lam * comp_value
         grad = grad + lam * comp_grad
-    breakdown = LossBreakdown(
-        sft=sft_value,
-        comp=comp_value,
-        total=total,
-        n_sft=int(np.asarray(signals.valid_mask, dtype=bool).sum()),
-        n_fact=int(np.asarray(signals.fact_mask, dtype=bool).sum()),
-        lam=lam,
-    )
-    return breakdown, grad, trace
+    return LossBreakdown(sft=sft_value, comp=comp_value, total=total), grad, trace
 
 
 def knowledge_mask_valid(signals: TokenSignals) -> np.ndarray:

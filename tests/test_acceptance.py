@@ -211,7 +211,7 @@ def test_criterion_05_degeneracies(corpus):
     train_ex = corpus[:-N_EVAL]
     sft_run = train(train_ex, settings_for(0.0, method="sft", steps=200))
     prism_run = train(train_ex, settings_for(0.0, method="prism", steps=200))
-    assert [s.to_dict() for s in sft_run.step_log] == [s.to_dict() for s in prism_run.step_log]
+    assert sft_run.step_log == prism_run.step_log
     for name in PARAM_FIELDS:
         assert np.array_equal(getattr(sft_run.params, name), getattr(prism_run.params, name))
 
@@ -219,7 +219,7 @@ def test_criterion_05_degeneracies(corpus):
                                         "n_examples": 500}))
     km_run = train(clean, settings_for(0.0, method="knowledge_mask", steps=200, vocab=70))
     sft_clean = train(clean, settings_for(0.0, method="sft", steps=200, vocab=70))
-    assert [s.to_dict() for s in km_run.step_log] == [s.to_dict() for s in sft_clean.step_log]
+    assert km_run.step_log == sft_clean.step_log
     for name in PARAM_FIELDS:
         assert np.array_equal(getattr(km_run.params, name), getattr(sft_clean.params, name))
     _passed(5, "prism@lambda=0 == sft and knowledge_mask == sft (all-supported), "

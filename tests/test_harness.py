@@ -27,7 +27,7 @@ from prism.harness import (
     run_identifier,
     validate_run_config,
 )
-from prism.model import load_checkpoint, prepare_examples, forward_batch
+from prism.model import config_digest, load_checkpoint, prepare_examples, forward_batch
 from prism.objective import softmax_probs
 from prism.oracles import redistribute
 
@@ -73,6 +73,12 @@ class TestConfigParsing:
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError, match="steps"):
             config_from_dict(RunConfig, {"steps": "many"})
+
+    def test_nul_byte_is_1(self, corpus_path, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("steps = 3\ncorpus = a\0b\n")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
+        assert capsys.readouterr().err == f"config error: {cfg}:2: NUL byte in 'corpus = a\\x00b'\n"
 
     def test_missing_equals_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -173,6 +179,30 @@ class TestTrainCommand:
             cmd_train(run_config(str(empty), str(tmp_path / "run")))
 
 
+class TestRunData:
+    @pytest.mark.parametrize("eval_fraction", [0.0, 0.1])
+    def test_corpus_prepared_once_in_file_order(self, corpus_path, monkeypatch, eval_fraction):
+        import prism.harness as harness_mod
+        calls = []
+
+        def counting(examples, *args, **kwargs):
+            calls.append(len(examples))
+            return prepare_examples(examples, *args, **kwargs)
+
+        monkeypatch.setattr(harness_mod, "prepare_examples", counting)
+        cfg = validate_run_config(run_config(corpus_path, "unused", eval_fraction=eval_fraction))
+        data = harness_mod.load_run_data(cfg)
+        assert calls == [120]
+        n_train = 120 if eval_fraction == 0 else 108
+        assert len(data.train_examples) == len(data.prep_train) == n_train
+        assert len(data.prep_eval) == (120 - n_train or 120)
+        alone = prepare_examples(read_jsonl(corpus_path), 4, data.vocab)
+        held = alone[n_train:] if eval_fraction else alone
+        for a, b in zip([*data.prep_train, *data.prep_eval], [*alone[:n_train], *held]):
+            assert a.windows.tobytes() == b.windows.tobytes()
+            assert a.signals.support_weight.tobytes() == b.signals.support_weight.tobytes()
+
+
 class TestAblateCommand:
     def test_csv_contract(self, corpus_path, tmp_path, capsys):
         out = str(tmp_path / "sweep")
@@ -216,6 +246,17 @@ class TestAblateCommand:
             cmd_ablate(run_config(corpus_path, str(tmp_path / "s")), [0.1])
         with pytest.raises(ConfigError, match="empty"):
             cmd_ablate(run_config(corpus_path, str(tmp_path / "s")), [])
+
+    @pytest.mark.parametrize("lambdas, pair", [("0,0.1,0.1", "0.1 and 0.1"),
+                                               ("0,0.1,0.1000001", "0.1 and 0.1000001"),
+                                               ("0,0", "0.0 and 0.0")])
+    def test_colliding_run_directories_are_1(self, corpus_path, tmp_path, capsys, lambdas, pair):
+        out = tmp_path / "sweep"
+        assert main(["ablate", "--corpus", corpus_path, "--lambdas", lambdas, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: lambdas {pair} share the run directory")
+        assert err.count("\n") == 1
+        assert not os.path.exists(out)
 
     def test_partial_failure_recorded_and_continues(self, corpus_path, tmp_path, capsys):
         out = str(tmp_path / "sweep")
@@ -308,6 +349,28 @@ class TestTraceCommand:
         err = capsys.readouterr().err
         assert err.startswith("i/o error: malformed checkpoint") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("damage, shown", [
+        (lambda c: [c], "config is not a JSON object"),
+        (lambda c: {**c, "epsilon": 0.5}, "epsilon must be in"),
+        (lambda c: {**c, "risk_propagation": "sideways"}, "risk_propagation must be one of"),
+        (lambda c: {**c, "epsilon": None}, "config key 'epsilon': cannot parse None"),
+        (lambda c: {**c, "color": "red"}, "unknown config key 'color'"),
+    ], ids=["not_object", "epsilon_range", "risk_mode", "epsilon_null", "unknown_key"])
+    def test_damaged_config_with_matching_hash_is_2(self, checkpoint_path, corpus_path, tmp_path,
+                                                    capsys, damage, shown):
+        payload = json.loads(open(checkpoint_path).read())
+        payload["config"] = damage(payload["config"])
+        payload["config_hash"] = config_digest(payload["config"])
+        ck_path = tmp_path / "damaged.json"
+        ck_path.write_text(json.dumps(payload))
+        out = tmp_path / "trace.jsonl"
+        assert main(["trace", "--checkpoint", str(ck_path), "--corpus", corpus_path,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"i/o error: malformed checkpoint {ck_path}: ") and shown in err
+        assert err.count("\n") == 1
+        assert not os.path.exists(out)
+
     def test_out_is_a_directory_is_2_without_temp_file(self, checkpoint_path, corpus_path,
                                                         tmp_path, capsys):
         taken = tmp_path / "taken"
@@ -363,6 +426,25 @@ class TestReportCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
         assert all(run_id in err for run_id in ids)
+
+    @pytest.mark.parametrize("damage, shown", [
+        (lambda m: m.pop("seed"), "missing 1 required positional argument"),
+        (lambda m: m.update(color="red"), "unexpected keyword argument 'color'"),
+        (lambda m: m.update({"lambda": "0"}), "field 'lambda' has the wrong type"),
+        (lambda m: m["metrics"].update(final_total=[1.0]), "field 'metrics' has the wrong type"),
+        (lambda m: m.update(seed=True), "field 'seed' has the wrong type"),
+    ], ids=["missing_field", "unknown_field", "lambda_str", "metric_list", "seed_bool"])
+    def test_damaged_metrics_is_2(self, corpus_path, tmp_path, capsys, damage, shown):
+        d = tmp_path / "sft"
+        cmd_train(run_config(corpus_path, str(d), method="sft", lam=0.0, steps=5))
+        saved = json.loads((d / "metrics.json").read_text())
+        damage(saved)
+        (d / "metrics.json").write_text(json.dumps(saved))
+        capsys.readouterr()
+        assert main(["report", str(d)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"i/o error: malformed metrics file {d / 'metrics.json'}: ")
+        assert shown in err and err.count("\n") == 1
 
     def test_out_is_a_directory_is_2_without_temp_file(self, corpus_path, tmp_path, capsys):
         d = str(tmp_path / "sft")
@@ -437,7 +519,7 @@ class TestExitCodes:
     def test_bad_annotation_is_2(self, checkpoint_path, corpus_path, tmp_path, capsys,
                                  command, case, shown):
         records = [json.loads(line) for line in open(corpus_path)]
-        target = next(r for r in records if len(r["sentences"]) >= 3)
+        position, target = next((i, r) for i, r in enumerate(records, 1) if len(r["sentences"]) >= 3)
         if case == "backward_edge":
             target["edges"] = [{"from": 2, "to": 1}]
         elif case == "self_edge":
@@ -456,7 +538,7 @@ class TestExitCodes:
         }[command]
         assert main([*argv, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("i/o error: ") and shown in err and err.count("\n") == 1
+        assert err.startswith(f"i/o error: record {position}: ") and shown in err and err.count("\n") == 1
         assert not os.path.exists(out)
         assert not list(tmp_path.rglob("*.tmp"))
 
@@ -475,6 +557,47 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "i/o error: line 3: field 'target' must not be empty\n"
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("what", ["config", "corpus", "checkpoint", "metrics"])
+    def test_undecodable_bytes_end_in_one_line(self, checkpoint_path, corpus_path, tmp_path, capsys,
+                                               what):
+        blob = tmp_path / "blob"
+        blob.write_bytes(b'{"\xff\xfe": 1}\n')
+        if what == "metrics":
+            os.makedirs(tmp_path / "run")
+            blob = tmp_path / "run" / "metrics.json"
+            blob.write_bytes(b"\x80")
+        argv, code = {
+            "config": (["train", "--config", str(blob)], 1),
+            "corpus": (["train", "--corpus", str(blob), "--out", str(tmp_path / "r")], 2),
+            "checkpoint": (["trace", "--checkpoint", str(blob), "--corpus", corpus_path], 2),
+            "metrics": (["report", str(tmp_path / "run")], 2),
+        }[what]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith(("config error: ", "i/o error: ")) and err.count("\n") == 1
+        assert str(blob) in err
+
+    @pytest.mark.parametrize("command", ["train", "preprocess"])
+    def test_negative_seed_is_1(self, corpus_path, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        argv = ["train", "--corpus", corpus_path] if command == "train" else ["preprocess"]
+        assert main([*argv, "--seed", "-1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "config error: seed must be >= 0\n"
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("field, value, shown", [
+        ("sentences", 5, "line 2: field 'sentences' must be a list"),
+        ("edges", None, "line 2: field 'edges' must be a list"),
+        ("target", [2**63], "line 2: field 'target' holds a token id of 2**63 or more"),
+    ], ids=["sentences_int", "edges_null", "token_beyond_int64"])
+    def test_ill_typed_record_is_2(self, corpus_path, tmp_path, capsys, field, value, shown):
+        records = [json.loads(line) for line in open(corpus_path)]
+        records[1][field] = value
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert main(["train", "--corpus", str(bad), "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == f"i/o error: {shown}\n"
 
     def test_unknown_flag_is_1(self, capsys):
         assert main(["train", "--frobnicate"]) == 1
@@ -500,13 +623,15 @@ class TestExitCodes:
 
 
 class TestMetricsReportRoundTrip:
-    def test_dict_round_trip(self):
+    def test_dict_round_trip(self, tmp_path):
         report = MetricsReport(
             run_id="r", method="prism", lam=0.1, seed=1, corpus="c.jsonl",
             n_train=10, n_eval=2, metrics={"final_total": 1.5},
             counters={"off_target_total": 0},
         )
-        assert MetricsReport.from_dict(report.to_dict()) == report
+        path = str(tmp_path / "metrics.json")
+        report.write(path)
+        assert MetricsReport.read(path) == report
 
 
 def test_training_path_does_not_import_the_oracles():

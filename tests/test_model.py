@@ -16,7 +16,6 @@ from prism.model import (
     TrainSettings,
     backward_batch,
     evaluate,
-    forward,
     forward_batch,
     infer_vocab_size,
     init_optimizer,
@@ -48,7 +47,7 @@ def tiny_params():
 class TestForward:
     def test_hand_computed_instance(self):
         params = tiny_params()
-        logits = forward(params, [1])
+        logits = forward_batch(params, np.array([[1]]))[0][0]
         x = [0.3, -0.1]
         a1 = [x[0] * 1.0 + x[1] * 0.5 + 0.1, x[0] * -1.0 + x[1] * 0.25 + -0.2]
         h = [math.tanh(a1[0]), math.tanh(a1[1])]
@@ -62,7 +61,7 @@ class TestForward:
             embedding=np.zeros((4, 3)), w1=np.zeros((6, 5)), b1=np.zeros(5),
             w2=np.zeros((5, 4)), b2=np.zeros(4), window=2,
         )
-        logits = forward(params, [1, 2])
+        logits = forward_batch(params, np.array([[1, 2]]))[0][0]
         assert np.all(logits == 0.0)
         assert softmax_probs(logits) == pytest.approx([0.25] * 4, abs=1e-15)
 
@@ -78,7 +77,7 @@ class TestForward:
 
     def test_token_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            forward(tiny_params(), [7])
+            forward_batch(tiny_params(), np.array([[7]]))
 
     def test_window_shape_checked(self):
         with pytest.raises(ValueError):
@@ -89,7 +88,8 @@ class TestBackward:
     def test_zero_loss_gradient_gives_zero_param_gradients(self):
         params = init_params(6, 3, 4, 2, np.random.default_rng(0))
         windows = np.array([[1, 2], [3, 4]])
-        grads = backward_batch(params, windows, np.zeros((2, 6)))
+        _, cache = forward_batch(params, windows)
+        grads = backward_batch(params, windows, np.zeros((2, 6)), cache)
         assert all(np.all(grads[name] == 0.0) for name in PARAM_FIELDS)
 
     def test_matches_finite_differences_through_sft(self):
@@ -169,8 +169,9 @@ class TestBackward:
 
     def test_shape_mismatch_rejected(self):
         params = tiny_params()
+        _, cache = forward_batch(params, np.array([[1]]))
         with pytest.raises(ValueError):
-            backward_batch(params, np.array([[1]]), np.zeros((1, 7)))
+            backward_batch(params, np.array([[1]]), np.zeros((1, 7)), cache)
 
     def test_embedding_gradient_matches_add_at_bit_for_bit(self):
         # heavily repeated ids, begin-token padding, and rows 7..11 never occur
@@ -196,7 +197,7 @@ class TestOptimizer:
     def test_zero_gradients_leave_params_unchanged(self):
         params = init_params(4, 2, 3, 1, np.random.default_rng(3))
         before = {n: getattr(params, n).copy() for n in PARAM_FIELDS}
-        state = init_optimizer(params, weight_decay=0.0)
+        state = init_optimizer(params, TrainSettings(weight_decay=0.0))
         zeros = {n: np.zeros_like(getattr(params, n)) for n in PARAM_FIELDS}
         optimizer_step(params, zeros, state)
         for name in PARAM_FIELDS:
@@ -209,8 +210,8 @@ class TestOptimizer:
             w2=np.zeros((1, 1)), b2=np.zeros(1), window=1,
         )
         lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
-        state = init_optimizer(params, learning_rate=lr, beta1=b1, beta2=b2,
-                               eps=eps, weight_decay=0.0)
+        state = init_optimizer(params, TrainSettings(learning_rate=lr, beta1=b1, beta2=b2,
+                                                     adam_eps=eps, weight_decay=0.0))
         zero = {n: np.zeros_like(getattr(params, n)) for n in PARAM_FIELDS}
 
         p, m, v = 1.0, 0.0, 0.0
@@ -230,14 +231,14 @@ class TestOptimizer:
             embedding=np.array([[2.0]]), w1=np.zeros((1, 1)), b1=np.zeros(1),
             w2=np.zeros((1, 1)), b2=np.zeros(1), window=1,
         )
-        state = init_optimizer(params, learning_rate=0.1, weight_decay=0.5)
+        state = init_optimizer(params, TrainSettings(learning_rate=0.1, weight_decay=0.5))
         zeros = {n: np.zeros_like(getattr(params, n)) for n in PARAM_FIELDS}
         optimizer_step(params, zeros, state)
         assert params.embedding[0, 0] == pytest.approx(2.0 * (1 - 0.1 * 0.5), abs=1e-15)
 
     def test_non_finite_gradient_rejected(self):
         params = init_params(4, 2, 3, 1, np.random.default_rng(4))
-        state = init_optimizer(params)
+        state = init_optimizer(params, TrainSettings())
         grads = {n: np.zeros_like(getattr(params, n)) for n in PARAM_FIELDS}
         grads["w1"][0, 0] = np.nan
         with pytest.raises(DivergenceError):
@@ -291,7 +292,7 @@ class TestTrain:
                                  vocab_size=70, seed=9)
         r1 = train(examples, settings)
         r2 = train(examples, settings)
-        assert [s.to_dict() for s in r1.step_log] == [s.to_dict() for s in r2.step_log]
+        assert r1.step_log == r2.step_log
         for name in PARAM_FIELDS:
             assert np.array_equal(getattr(r1.params, name), getattr(r2.params, name))
 
@@ -304,7 +305,7 @@ class TestTrain:
                    p.signals.support_weight.copy(), p.signals.valid_mask.copy()) for p in prepared]
         own = train(examples, settings)
         given = train(examples, settings, prepared)
-        assert [s.to_dict() for s in own.step_log] == [s.to_dict() for s in given.step_log]
+        assert own.step_log == given.step_log
         for name in PARAM_FIELDS:
             assert getattr(own.params, name).tobytes() == getattr(given.params, name).tobytes()
         for p, arrays in zip(prepared, before):
@@ -341,7 +342,7 @@ class TestTrain:
                                                  batch_size=8, vocab_size=70, seed=1))
 
         def assert_same_bits(a, b):
-            assert [s.to_dict() for s in a.step_log] == [s.to_dict() for s in b.step_log]
+            assert a.step_log == b.step_log
             for name in PARAM_FIELDS:
                 assert np.array_equal(getattr(a.params, name), getattr(b.params, name))
 
@@ -414,7 +415,7 @@ class TestCheckpoint:
 
     def test_tampered_config_rejected(self, tmp_path):
         params = init_params(5, 2, 3, 2, np.random.default_rng(8))
-        state = init_optimizer(params)
+        state = init_optimizer(params, TrainSettings())
         path = str(tmp_path / "ck.json")
         save_checkpoint(path, params, state, {"seed": 1}, seed=1)
         payload = json.loads(open(path).read())

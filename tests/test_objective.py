@@ -398,13 +398,6 @@ class TestTotalLoss:
         assert breakdown.comp == comp_value
         assert np.allclose(grad, sft_grad + 0.1 * comp_grad, atol=TOL)
 
-    def test_counts(self):
-        # fact mask arrives already intersected with valid (producer invariant)
-        signals = make_signals([1, 0, 0], [0.5, 1.0, 0.5], valid=[1, 1, 0])
-        breakdown, _, _ = total_loss(np.zeros((3, 4)), np.array([0, 1, 2]), signals, lam=0.5)
-        assert breakdown.n_sft == 2
-        assert breakdown.n_fact == 1
-
     def test_nonfact_positions_keep_pure_sft_gradient(self):
         rng = np.random.default_rng(13)
         logits = rng.normal(size=(6, 7))
