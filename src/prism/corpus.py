@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Sequence, TextIO
@@ -253,18 +254,10 @@ def _plant_defect(base: AnnotatedExample, kind: int) -> AnnotatedExample:
     return ex
 
 
-@dataclass
-class Chunk:
-    """A sentence-aligned slice of an example; oversize means one indivisible
-    sentence region exceeded the limit and became its own chunk."""
-
-    example: AnnotatedExample
-    oversize: bool
-
-
-def chunk(example: AnnotatedExample, limit: int) -> list[Chunk]:
+def chunk(example: AnnotatedExample, limit: int) -> list[AnnotatedExample]:
     """Split an example on sentence boundaries into chunks of at most `limit`
-    target tokens (greedy packing).
+    target tokens (greedy packing); one sentence region, or a target without
+    sentences, that exceeds the limit alone becomes one longer chunk.
 
     Tokens between or after sentences travel with the preceding sentence;
     concatenating the chunk targets reproduces the original target exactly.
@@ -276,7 +269,7 @@ def chunk(example: AnnotatedExample, limit: int) -> list[Chunk]:
         raise ConfigError("chunk limit must be >= 1")
     t_len = len(example.target_tokens)
     if not example.sentences:
-        return [Chunk(example=example, oversize=t_len > limit)]
+        return [example]
 
     # Region i: sentence i plus any following gap tokens (leading gap joins region 0).
     starts = [0] + [s.token_start for s in example.sentences[1:]]
@@ -327,17 +320,14 @@ def chunk(example: AnnotatedExample, limit: int) -> list[Chunk]:
             if e.src in inside and e.dst in inside
         ]
         chunks.append(
-            Chunk(
-                example=AnnotatedExample(
-                    input_tokens=list(example.input_tokens),
-                    target_tokens=example.target_tokens[lo:hi],
-                    valid_mask=example.valid_mask[lo:hi],
-                    sentences=sentences,
-                    facts=facts,
-                    edges=edges,
-                    extra=dict(example.extra),
-                ),
-                oversize=hi - lo > limit,
+            AnnotatedExample(
+                input_tokens=list(example.input_tokens),
+                target_tokens=example.target_tokens[lo:hi],
+                valid_mask=example.valid_mask[lo:hi],
+                sentences=sentences,
+                facts=facts,
+                edges=edges,
+                extra=dict(example.extra),
             )
         )
     return chunks
@@ -388,7 +378,7 @@ def _token_list(obj: object, name: str, lineno: int | None) -> list[int]:
 
 
 def example_from_record(record: dict, lineno: int | None = None) -> AnnotatedExample:
-    """Decode one JSONL record, checking field presence, types, and ranges."""
+    """Decode one JSONL record, checking field presence and types."""
     _require(isinstance(record, dict), "record must be a JSON object", lineno)
     for name in ("input", "target", "sentences", "facts", "edges"):
         _require(name in record, f"missing field {name!r}", lineno)
@@ -405,10 +395,9 @@ def example_from_record(record: dict, lineno: int | None = None) -> AnnotatedExa
             _require(key in s, f"sentence missing field {key!r}", lineno)
         _require(isinstance(s["start"], int) and isinstance(s["end"], int),
                  "sentence fields 'start'/'end' must be integers", lineno)
-        risk = s["risk"]
-        _require(isinstance(risk, (int, float)) and not isinstance(risk, bool),
+        risk = s["risk"]  # its range is an annotation rule, checked with the others
+        _require(isinstance(risk, float) or type(risk) is int and abs(risk) <= sys.float_info.max,
                  "field 'risk' must be a number", lineno)
-        _require(0.0 <= risk <= 1.0, f"field 'risk' out of range [0, 1]: {risk}", lineno)
         sentences.append(SentenceSpan(index=i + 1, token_start=s["start"], token_end=s["end"], risk=float(risk)))
 
     facts = []
@@ -470,8 +459,9 @@ def example_to_record(example: AnnotatedExample) -> dict:
     return record
 
 
-def read_jsonl(path: str) -> list[AnnotatedExample]:
-    """Read an annotated corpus; empty files yield an empty corpus.
+def read_jsonl(path: str, limit: int = 0) -> list[AnnotatedExample]:
+    """Read an annotated corpus, or only its first `limit` records when
+    limit > 0; empty files yield an empty corpus.
 
     Malformed JSON or schema violations raise CorpusFormatError with the
     line number and offending field; so do bytes that are not UTF-8.
@@ -487,6 +477,8 @@ def read_jsonl(path: str) -> list[AnnotatedExample]:
                 except ValueError as exc:  # also an integer too long to convert
                     raise CorpusFormatError(f"invalid JSON: {getattr(exc, 'msg', exc)}", lineno) from exc
                 examples.append(example_from_record(record, lineno))
+                if len(examples) == limit:
+                    break
         except UnicodeDecodeError as exc:
             raise CorpusFormatError(f"{path} is not UTF-8 text ({exc.reason})") from exc
     return examples

@@ -58,10 +58,9 @@ class DependencyEdge:
 
 @dataclass(frozen=True)
 class RiskGraph:
-    """Sentences plus dependency edges, with effective risks filled in."""
+    """Sentences with their effective risks, after propagation along the edges."""
 
     sentences: tuple[SentenceSpan, ...]
-    edges: tuple[DependencyEdge, ...]
     effective_risk: tuple[float, ...]
 
 
@@ -104,7 +103,7 @@ def propagate_risk(
     source = eff if mode == RISK_FIXPOINT else raw
     for dst in sorted(sources):
         eff[dst - 1] = max(eff[dst - 1], max([source[src - 1] for src in sources[dst]]))
-    return RiskGraph(tuple(sentences), tuple(edges), tuple(eff))
+    return RiskGraph(tuple(sentences), tuple(eff))
 
 
 def derive_token_signals(

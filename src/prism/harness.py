@@ -18,9 +18,10 @@ import sys
 from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple, Sequence, get_args, get_origin, get_type_hints
 
+import numpy as np
+
 from . import model as model_mod
 from .corpus import (
-    AnnotatedExample,
     GeneratorConfig,
     atomic_write,
     chunk,
@@ -43,6 +44,7 @@ from .model import (
     METHOD_PRISM,
     METHOD_SFT,
     METHODS,
+    MAX_VOCAB_SIZE,
     PreparedExample,
     TrainSettings,
     config_digest,
@@ -223,8 +225,8 @@ def cmd_preprocess(cfg: GeneratorConfig) -> dict:
     """generate -> chunk -> verify_and_filter -> write_jsonl, plus a stats table."""
     examples = generate(cfg)
     chunks = [c for ex in examples for c in chunk(ex, cfg.chunk_limit)]
-    oversize = sum(1 for c in chunks if c.oversize)
-    report = verify_and_filter([c.example for c in chunks])
+    oversize = sum(1 for c in chunks if len(c.target_tokens) > cfg.chunk_limit)
+    report = verify_and_filter(chunks)
     write_jsonl(report.kept, cfg.out)
     meta = {
         "config": asdict(cfg),
@@ -248,18 +250,17 @@ class RunData(NamedTuple):
     """A run's corpus, split and prepared: everything before the first step."""
 
     vocab: int
-    train_examples: list[AnnotatedExample]
     prep_train: list[PreparedExample]
     prep_eval: list[PreparedExample]
 
 
 def load_run_data(cfg: RunConfig) -> RunData:
-    """Read, prepare and split the corpus of a validated config.  The whole
-    corpus is prepared once, in file order, and split at the same index as
-    the examples; the last eval_fraction is held out, and with none held out
-    the run evaluates on its training split.  Only the corpus, eval_fraction,
-    vocab_size, window and risk_propagation settings matter, so every run of
-    a lambda sweep can share one RunData."""
+    """Read, size, prepare and split the corpus of a validated config.  The
+    whole corpus is prepared once, in file order; the last eval_fraction is
+    held out, or with none held out the run evaluates on its training split.
+    The vocabulary (vocab_size, or with 0 the smallest covering the corpus)
+    may not exceed MAX_VOCAB_SIZE.  Only the corpus, eval_fraction, vocab_size,
+    window and risk_propagation settings matter, so a sweep shares one RunData."""
     examples = read_jsonl(cfg.corpus)
     if not examples:
         raise ConfigError(f"corpus {cfg.corpus} is empty")
@@ -267,11 +268,11 @@ def load_run_data(cfg: RunConfig) -> RunData:
     if n_eval >= len(examples):
         raise ConfigError("eval_fraction leaves no training examples")
     vocab = cfg.vocab_size or infer_vocab_size(examples)
+    if vocab > MAX_VOCAB_SIZE:
+        raise ConfigError(f"vocabulary of {vocab} tokens exceeds the limit of {MAX_VOCAB_SIZE}")
     prepared = prepare_examples(examples, cfg.window, vocab, risk_mode=cfg.risk_propagation)
-    if n_eval == 0:
-        return RunData(vocab, examples, prepared, prepared)
-    cut = len(examples) - n_eval
-    return RunData(vocab, examples[:cut], prepared[:cut], prepared[cut:])
+    cut = len(prepared) - n_eval
+    return RunData(vocab, prepared[:cut], prepared[cut:] or prepared)
 
 
 def cmd_train(cfg: RunConfig, data: RunData | None = None) -> MetricsReport:
@@ -282,18 +283,17 @@ def cmd_train(cfg: RunConfig, data: RunData | None = None) -> MetricsReport:
     cfg = validate_run_config(cfg)
     if data is None:
         data = load_run_data(cfg)
-    train_examples, n_eval = data.train_examples, len(data.prep_eval)
+    n_train, n_eval = len(data.prep_train), len(data.prep_eval)
 
     # The resolved config keeps the user's vocab_size (0 = derive), so the
     # run id does not depend on the corpus contents.
-    result = train(train_examples, replace(cfg, vocab_size=data.vocab), data.prep_train)
-    eval_metrics = evaluate(result.params, data.prep_eval, cfg.epsilon)
+    result = train(data.prep_train, replace(cfg, vocab_size=data.vocab))
 
     resolved = _file_keys(asdict(cfg))
     run_id = run_identifier(cfg)
     last = result.step_log[-1]
     metrics: dict[str, float | None] = {
-        **{k: v for k, v in asdict(eval_metrics).items() if k.startswith(("mean_", "nonfact_", "risky_", "gate_"))},
+        **evaluate(result.params, data.prep_eval, cfg.epsilon),
         "final_sft": last.sft,
         "final_comp": last.comp,
         "final_total": last.total,
@@ -304,7 +304,7 @@ def cmd_train(cfg: RunConfig, data: RunData | None = None) -> MetricsReport:
         lam=cfg.lam,
         seed=cfg.seed,
         corpus=cfg.corpus,
-        n_train=len(train_examples),
+        n_train=n_train,
         n_eval=n_eval,
         metrics=metrics,
         counters=asdict(result.counters),
@@ -324,7 +324,7 @@ def cmd_train(cfg: RunConfig, data: RunData | None = None) -> MetricsReport:
     )
     report.write(os.path.join(cfg.out, "metrics.json"))
 
-    print(f"run {run_id}: {cfg.steps} steps on {len(train_examples)} examples "
+    print(f"run {run_id}: {cfg.steps} steps on {n_train} examples "
           f"(eval on {n_eval})")
     print(f"  final loss: total={last.total:.6f} sft={last.sft:.6f} comp={last.comp:.6f}")
     for key in METRIC_KEYS:
@@ -414,7 +414,7 @@ def cmd_trace(checkpoint_path: str, corpus_path: str, limit: int, out: str | Non
         settings.validate()
     except ConfigError as exc:
         raise CheckpointError(f"malformed checkpoint {checkpoint_path}: {exc}") from exc
-    examples = read_jsonl(corpus_path)[: limit if limit > 0 else None]
+    examples = read_jsonl(corpus_path, limit)
     if not examples:
         raise ConfigError("corpus slice is empty")
     prepared = prepare_examples(
@@ -424,6 +424,8 @@ def cmd_trace(checkpoint_path: str, corpus_path: str, limit: int, out: str | Non
     rows = []
     for i, prep in enumerate(prepared):
         logits, _ = model_mod.forward_batch(ck.params, prep.windows)
+        if not np.all(np.isfinite(logits)):
+            raise DivergenceError(f"non-finite logits for record {i + 1}")
         _, _, trace = comp_loss(logits, prep.labels, prep.signals, settings.epsilon)
         for t in range(len(prep.labels)):
             sid = int(prep.sentence_id[t])
@@ -562,7 +564,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args.func(args)
+        with np.errstate(all="ignore"):  # every non-finite result is checked explicitly
+            args.func(args)
     except (ConfigError, EmptyBatchError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import AnnotatedExample, atomic_write
+from .corpus import TOKEN_BOS, AnnotatedExample, atomic_write
 from .errors import AnnotationError, CheckpointError, ConfigError, DivergenceError
 from .fact_graph import (
     RISK_MODES,
@@ -72,7 +72,6 @@ class ModelParams:
     w2: np.ndarray         # [h, V]
     b2: np.ndarray         # [V]
     window: int
-    bos_token: int = 0
 
     @property
     def vocab_size(self) -> int:
@@ -89,7 +88,6 @@ def init_params(
     hidden_dim: int,
     window: int,
     rng: np.random.Generator,
-    bos_token: int = 0,
 ) -> ModelParams:
     """Seeded small-scale initialization; biases start at zero."""
     if vocab_size < 2 or embed_dim < 1 or hidden_dim < 1 or window < 1:
@@ -102,7 +100,6 @@ def init_params(
         w2=rng.standard_normal((hidden_dim, vocab_size)) / np.sqrt(hidden_dim),
         b2=np.zeros(vocab_size),
         window=window,
-        bos_token=bos_token,
     )
 
 
@@ -229,7 +226,6 @@ def prepare_examples(
     examples: Sequence[AnnotatedExample],
     window: int,
     vocab_size: int,
-    bos_token: int = 0,
     risk_mode: str = RISK_ONEHOP,
 ) -> list[PreparedExample]:
     """Expand annotated examples into per-position windows, labels, and signals.
@@ -245,7 +241,7 @@ def prepare_examples(
         t_len = len(ex.target_tokens)
         if t_len == 0:
             raise ValueError("example has an empty target")
-        padded = np.concatenate([np.full(window, bos_token, dtype=np.int64), full])
+        padded = np.concatenate([np.full(window, TOKEN_BOS, dtype=np.int64), full])
         all_windows = np.lib.stride_tricks.sliding_window_view(padded, window)
         windows = all_windows[len(ex.input_tokens) : len(ex.input_tokens) + t_len].copy()
         try:
@@ -356,6 +352,11 @@ def _group_mean(values: np.ndarray, mask: np.ndarray) -> float | None:
     return float(values[mask].mean()) if mask.any() else None
 
 
+# Largest vocabulary a run may resolve to: it bounds the [V, d] and [h, V]
+# parameter arrays, so a huge token id is refused, not allocated.
+MAX_VOCAB_SIZE = 2**16
+
+
 def infer_vocab_size(examples: Sequence[AnnotatedExample]) -> int:
     """Smallest vocabulary covering every token id in the corpus."""
     top = 0
@@ -367,35 +368,26 @@ def infer_vocab_size(examples: Sequence[AnnotatedExample]) -> int:
     return top + 1
 
 
-def train(
-    examples: Sequence[AnnotatedExample],
-    settings: TrainSettings,
-    prepared: Sequence[PreparedExample] | None = None,
-) -> TrainResult:
-    """Teacher-forced training loop over a corpus, fully seeded.
+def train(prepared: Sequence[PreparedExample], settings: TrainSettings) -> TrainResult:
+    """Teacher-forced training loop over a prepared corpus, fully seeded.
 
     Each step is one total_loss call with the method's METHODS switches.
     Methods without a complement term run at lam = 0, where total_loss skips
     that term, so any method at lam = 0 is bit-identical to method="sft" on
     the same valid mask.  Aborts with the step index on a non-finite loss.
 
-    `prepared`, when given, must be prepare_examples(examples,
-    settings.window, vocab, risk_mode=settings.risk_propagation); a sweep
+    `prepared` is prepare_examples(examples, settings.window,
+    settings.vocab_size, risk_mode=settings.risk_propagation); a sweep
     passes one preparation to every run.  It is only read, never modified.
     """
     settings.validate()
-    if not examples:
+    if not prepared:
         raise ConfigError("training corpus is empty")
     method = METHODS[settings.method]
     lam = settings.lam if method.has_comp else 0.0
-    vocab = settings.vocab_size or infer_vocab_size(examples)
-    if prepared is None:
-        prepared = prepare_examples(
-            examples, settings.window, vocab, risk_mode=settings.risk_propagation
-        )
 
     rng = np.random.default_rng(settings.seed)
-    params = init_params(vocab, settings.embed_dim, settings.hidden_dim, settings.window, rng)
+    params = init_params(settings.vocab_size, settings.embed_dim, settings.hidden_dim, settings.window, rng)
     state = init_optimizer(params, settings)
 
     log: list[StepRecord] = []
@@ -454,33 +446,18 @@ def train(
     return TrainResult(params=params, opt_state=state, step_log=log, counters=counters)
 
 
-@dataclass
-class EvalMetrics:
-    """Teacher-forced evaluation of a model against annotated examples."""
-
-    n_positions: int
-    n_fact: int
-    n_risky: int
-    mean_p_risky_fact: float | None
-    mean_p_safe_fact: float | None
-    mean_p_nonfact: float | None
-    nonfact_top1_acc: float | None
-    risky_top1_rate: float | None
-    gate_pref_rate: float | None
-    gate_keep_rate: float | None
-    gate_active_rate: float | None
-
-
 def evaluate(
     params: ModelParams,
     prepared: Sequence[PreparedExample],
     epsilon: float = DEFAULT_EPSILON,
-) -> EvalMetrics:
-    """Mean label probabilities by token group, top-1 rates, and gate rates."""
+) -> dict[str, float | None]:
+    """The metrics.json entries: label probabilities, top-1 and gate rates by token group."""
     if not prepared:
         raise ConfigError("nothing to evaluate")
     windows, labels, signals = _gather_batch(prepared, range(len(prepared)))
     logits, _ = forward_batch(params, windows)
+    if not np.all(np.isfinite(logits)):
+        raise DivergenceError("non-finite logits in evaluation")
     probs = softmax_probs(logits)
     rows = np.arange(len(labels))
     p_label = probs[rows, labels]
@@ -492,19 +469,16 @@ def evaluate(
     nonfact = signals.valid_mask & ~fact
     _, _, trace = comp_loss(logits, labels, signals, epsilon)
 
-    return EvalMetrics(
-        n_positions=int(signals.valid_mask.sum()),
-        n_fact=int(fact.sum()),
-        n_risky=int(risky.sum()),
-        mean_p_risky_fact=_group_mean(p_label, risky),
-        mean_p_safe_fact=_group_mean(p_label, safe),
-        mean_p_nonfact=_group_mean(p_label, nonfact),
-        nonfact_top1_acc=_group_mean(top1.astype(np.float64), nonfact),
-        risky_top1_rate=_group_mean(top1.astype(np.float64), risky),
-        gate_pref_rate=_group_mean(trace.pref_gate.astype(np.float64), fact),
-        gate_keep_rate=_group_mean(trace.keep_gate.astype(np.float64), fact),
-        gate_active_rate=_group_mean((trace.alpha > 0.0).astype(np.float64), fact),
-    )
+    return {
+        "mean_p_risky_fact": _group_mean(p_label, risky),
+        "mean_p_safe_fact": _group_mean(p_label, safe),
+        "mean_p_nonfact": _group_mean(p_label, nonfact),
+        "nonfact_top1_acc": _group_mean(top1.astype(np.float64), nonfact),
+        "risky_top1_rate": _group_mean(top1.astype(np.float64), risky),
+        "gate_pref_rate": _group_mean(trace.pref_gate.astype(np.float64), fact),
+        "gate_keep_rate": _group_mean(trace.keep_gate.astype(np.float64), fact),
+        "gate_active_rate": _group_mean((trace.alpha > 0.0).astype(np.float64), fact),
+    }
 
 
 def config_digest(config: dict) -> str:
@@ -539,7 +513,7 @@ def save_checkpoint(
         "config_hash": config_digest(config),
         "model": {
             "window": params.window,
-            "bos_token": params.bos_token,
+            "bos_token": TOKEN_BOS,
             **{name: getattr(params, name).tolist() for name in PARAM_FIELDS},
         },
         "optimizer": {
@@ -575,8 +549,9 @@ def load_checkpoint(path: str) -> Checkpoint:
         params = ModelParams(
             **{name: np.asarray(m[name], dtype=np.float64) for name in PARAM_FIELDS},
             window=int(m["window"]),
-            bos_token=int(m["bos_token"]),
         )
+        if int(m["bos_token"]) != TOKEN_BOS:
+            raise ValueError(f"model.bos_token must be {TOKEN_BOS}")
         opt_state = OptimizerState(
             **{key: float(o[key]) for key in OPTIMIZER_FIELDS},
             step_count=int(o["step_count"]),

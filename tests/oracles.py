@@ -1,8 +1,8 @@
 """Scalar reference implementations that the tests check the objective against.
 
-Training, evaluation and trace never import this module: they run the
-vectorized gates and the analytic gradients in objective.py.  The oracles
-here spell out the same definitions one position (or one logit) at a time.
+The package runs the vectorized gates and the analytic gradients in
+prism.objective.  The oracles here spell out the same definitions one
+position (or one logit) at a time.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ from typing import Callable
 
 import numpy as np
 
-from .fact_graph import TokenSignals
-from .objective import DEFAULT_EPSILON, knowledge_mask_valid, sft_loss
+from prism.fact_graph import TokenSignals
+from prism.objective import DEFAULT_EPSILON, knowledge_mask_valid, sft_loss
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,8 @@ from prism.model import (
     train,
 )
 from prism.objective import comp_loss, sft_loss, softmax_probs, total_loss
-from prism.oracles import (
+
+from oracles import (
     finite_difference_gradient,
     keep_gate,
     knowledge_mask_loss,
@@ -55,7 +56,7 @@ N_EVAL = 200
 LAMBDAS = (0.0, 0.01, 0.1, 0.5, 1.0)
 
 
-def settings_for(lam, method="prism", steps=1300, vocab=70):
+def settings_for(lam, method="prism", steps=1300):
     return TrainSettings(
         method=method,
         lam=lam,
@@ -65,9 +66,13 @@ def settings_for(lam, method="prism", steps=1300, vocab=70):
         embed_dim=32,
         hidden_dim=64,
         window=4,
-        vocab_size=vocab,
+        vocab_size=70,
         seed=7,
     )
+
+
+def prepared(examples):
+    return prepare_examples(examples, window=4, vocab_size=70)
 
 
 def _passed(n, message):
@@ -83,12 +88,11 @@ def corpus():
 def sweep(corpus):
     """One full training run per lambda, shared seed, corpus and preparation."""
     train_ex, eval_ex = corpus[:-N_EVAL], corpus[-N_EVAL:]
-    prep_train = prepare_examples(train_ex, window=4, vocab_size=70)
-    prep_eval = prepare_examples(eval_ex, window=4, vocab_size=70)
+    prep_train, prep_eval = prepared(train_ex), prepared(eval_ex)
     out = {}
     for lam in LAMBDAS:
         start = time.monotonic()
-        result = train(train_ex, settings_for(lam), prep_train)
+        result = train(prep_train, settings_for(lam))
         metrics = evaluate(result.params, prep_eval)
         out[lam] = {
             "metrics": metrics,
@@ -208,17 +212,18 @@ def test_criterion_04_hand_examples():
 
 
 def test_criterion_05_degeneracies(corpus):
-    train_ex = corpus[:-N_EVAL]
-    sft_run = train(train_ex, settings_for(0.0, method="sft", steps=200))
-    prism_run = train(train_ex, settings_for(0.0, method="prism", steps=200))
+    prep_train = prepared(corpus[:-N_EVAL])
+    sft_run = train(prep_train, settings_for(0.0, method="sft", steps=200))
+    prism_run = train(prep_train, settings_for(0.0, method="prism", steps=200))
     assert sft_run.step_log == prism_run.step_log
     for name in PARAM_FIELDS:
         assert np.array_equal(getattr(sft_run.params, name), getattr(prism_run.params, name))
 
     clean = generate(GeneratorConfig(**{**GEN.__dict__, "corruption_fraction": 0.0,
                                         "n_examples": 500}))
-    km_run = train(clean, settings_for(0.0, method="knowledge_mask", steps=200, vocab=70))
-    sft_clean = train(clean, settings_for(0.0, method="sft", steps=200, vocab=70))
+    prep_clean = prepared(clean)
+    km_run = train(prep_clean, settings_for(0.0, method="knowledge_mask", steps=200))
+    sft_clean = train(prep_clean, settings_for(0.0, method="sft", steps=200))
     assert km_run.step_log == sft_clean.step_log
     for name in PARAM_FIELDS:
         assert np.array_equal(getattr(km_run.params, name), getattr(sft_clean.params, name))
@@ -229,24 +234,25 @@ def test_criterion_05_degeneracies(corpus):
 def test_criterion_06_mechanism_demonstration(sweep):
     base = sweep[0.0]["metrics"]
     treated = sweep[0.1]["metrics"]
-    rel_drop = (base.mean_p_risky_fact - treated.mean_p_risky_fact) / base.mean_p_risky_fact
-    acc_delta = treated.nonfact_top1_acc - base.nonfact_top1_acc
+    p_base, p_treated = base["mean_p_risky_fact"], treated["mean_p_risky_fact"]
+    rel_drop = (p_base - p_treated) / p_base
+    acc_delta = treated["nonfact_top1_acc"] - base["nonfact_top1_acc"]
     seconds = sweep[0.0]["seconds"] + sweep[0.1]["seconds"]
     assert rel_drop >= 0.10, f"risky-token confidence only dropped {rel_drop:.1%}"
     assert acc_delta >= -0.02, f"non-fact accuracy degraded {-acc_delta:.3f}"
     assert seconds < 300.0
-    _passed(6, f"risky p_label {base.mean_p_risky_fact:.4f} -> {treated.mean_p_risky_fact:.4f} "
+    _passed(6, f"risky p_label {p_base:.4f} -> {p_treated:.4f} "
                f"(-{rel_drop:.1%}), non-fact acc delta {acc_delta:+.4f}, {seconds:.0f}s")
 
 
 def test_criterion_07_lambda_tradeoff_trend(sweep):
     base = sweep[0.0]["metrics"]
-    suppression = [base.mean_p_risky_fact - sweep[lam]["metrics"].mean_p_risky_fact
+    suppression = [base["mean_p_risky_fact"] - sweep[lam]["metrics"]["mean_p_risky_fact"]
                    for lam in LAMBDAS]
     for earlier, later in zip(suppression, suppression[1:]):
         assert later >= earlier, f"suppression not monotone: {suppression}"
-    cap_01 = sweep[0.1]["metrics"].nonfact_top1_acc
-    cap_10 = sweep[1.0]["metrics"].nonfact_top1_acc
+    cap_01 = sweep[0.1]["metrics"]["nonfact_top1_acc"]
+    cap_10 = sweep[1.0]["metrics"]["nonfact_top1_acc"]
     assert cap_10 <= cap_01, f"capability proxy improved at lambda=1.0: {cap_10} > {cap_01}"
     _passed(7, "suppression non-decreasing over lambdas "
                + "/".join(f"{s:.4f}" for s in suppression)
@@ -257,10 +263,10 @@ def test_criterion_08_component_roles(corpus, sweep):
     assert sweep[0.1]["counters"].off_target_total == 0
     assert sweep[0.1]["counters"].alpha_nonfact_total == 0
 
-    slice_ex = corpus[:300]
-    no_gate = train(slice_ex, settings_for(0.1, method="prism_no_gate", steps=150))
+    prep_slice = prepared(corpus[:300])
+    no_gate = train(prep_slice, settings_for(0.1, method="prism_no_gate", steps=150))
     assert no_gate.counters.off_target_total > 0
-    no_mask = train(slice_ex, settings_for(0.1, method="prism_no_mask", steps=150))
+    no_mask = train(prep_slice, settings_for(0.1, method="prism_no_mask", steps=150))
     assert no_mask.counters.alpha_nonfact_total > 0
     _passed(8, f"prism: 0 off-target / 0 non-fact activations; "
                f"no_gate: {no_gate.counters.off_target_total} off-target; "

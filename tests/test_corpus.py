@@ -21,7 +21,7 @@ from prism.corpus import (
     verify_and_filter,
     write_jsonl,
 )
-from prism.errors import ConfigError, CorpusFormatError
+from prism.errors import AnnotationError, ConfigError, CorpusFormatError
 from prism.fact_graph import (
     DependencyEdge,
     FactSpan,
@@ -142,33 +142,31 @@ def sentence_lengths_example(lengths):
 class TestChunk:
     def test_greedy_sentence_packing(self):
         chunks = chunk(sentence_lengths_example([50, 60, 120]), limit=200)
-        assert [len(c.example.target_tokens) for c in chunks] == [110, 120]
-        assert not any(c.oversize for c in chunks)
+        assert [len(c.target_tokens) for c in chunks] == [110, 120]
 
     def test_single_oversize_sentence_flagged(self):
         chunks = chunk(sentence_lengths_example([250]), limit=200)
-        assert len(chunks) == 1
-        assert chunks[0].oversize
+        assert [len(c.target_tokens) for c in chunks] == [250]
 
     def test_everything_fits_one_chunk(self):
         ex = sentence_lengths_example([30, 40])
         chunks = chunk(ex, limit=200)
         assert len(chunks) == 1
-        assert chunks[0].example.target_tokens == ex.target_tokens
+        assert chunks[0].target_tokens == ex.target_tokens
 
     def test_concatenation_reproduces_target(self):
         ex = sentence_lengths_example([7, 9, 4, 12, 3])
         chunks = chunk(ex, limit=10)
-        joined = [t for c in chunks for t in c.example.target_tokens]
+        joined = [t for c in chunks for t in c.target_tokens]
         assert joined == ex.target_tokens
         for c in chunks:
-            for s in c.example.sentences:
-                assert 0 <= s.token_start < s.token_end <= len(c.example.target_tokens)
+            for s in c.sentences:
+                assert 0 <= s.token_start < s.token_end <= len(c.target_tokens)
 
     def test_never_splits_inside_sentence(self):
         ex = sentence_lengths_example([7, 9, 4, 12, 3])
         for c in chunk(ex, limit=10):
-            spans = c.example.sentences
+            spans = c.sentences
             assert spans[0].token_start == 0
             for a, b in zip(spans, spans[1:]):
                 assert a.token_end == b.token_start
@@ -185,19 +183,19 @@ class TestChunk:
         )
         whole = propagate_risk(ex.sentences, ex.edges).effective_risk
         chunks = chunk(ex, limit=6)
-        assert [len(c.example.target_tokens) for c in chunks] == [6, 3]
+        assert [len(c.target_tokens) for c in chunks] == [6, 3]
         rebuilt = []
         for c in chunks:
-            rebuilt.extend(propagate_risk(c.example.sentences, c.example.edges).effective_risk)
+            rebuilt.extend(propagate_risk(c.sentences, c.edges).effective_risk)
         assert rebuilt == list(whole)
 
     def test_generated_corpus_chunks_cleanly(self):
         for ex in generate(config(n_examples=30, sentences_min=3, sentences_max=4)):
             chunks = chunk(ex, limit=8)
             assert len(chunks) >= 2
-            joined = [t for c in chunks for t in c.example.target_tokens]
+            joined = [t for c in chunks for t in c.target_tokens]
             assert joined == ex.target_tokens
-            assert not verify_and_filter([c.example for c in chunks]).rejected
+            assert not verify_and_filter(chunks).rejected
 
     def test_limit_validated(self):
         with pytest.raises(ConfigError):
@@ -275,12 +273,28 @@ class TestJsonl:
         assert err.value.line_number == 2
 
     def test_risk_out_of_range_names_the_field(self, tmp_path):
+        # the reader checks the type; the range is an annotation rule
         record = example_to_record(generate(config(n_examples=1))[0])
         record["sentences"][0]["risk"] = 1.7
         path = tmp_path / "risk.jsonl"
         path.write_text(json.dumps(record) + "\n")
-        with pytest.raises(CorpusFormatError, match="'risk'"):
-            read_jsonl(str(path))
+        ex = read_jsonl(str(path))[0]
+        with pytest.raises(AnnotationError, match=r"sentence 1 risk 1.7 outside \[0, 1\]"):
+            propagate_risk(ex.sentences, ex.edges)
+        for bad in ("0.5", True, 10**400):
+            record["sentences"][0]["risk"] = bad
+            path.write_text(json.dumps(record) + "\n")
+            with pytest.raises(CorpusFormatError, match="line 1: field 'risk' must be a number"):
+                read_jsonl(str(path))
+
+    def test_limit_stops_decoding(self, tmp_path):
+        good = json.dumps(example_to_record(generate(config(n_examples=1))[0]))
+        path = tmp_path / "c.jsonl"
+        path.write_text(f"{good}\n\n{good}\n{{oops\n")
+        assert len(read_jsonl(str(path), limit=2)) == 2
+        for limit in (0, 3):
+            with pytest.raises(CorpusFormatError, match="line 4"):
+                read_jsonl(str(path), limit=limit)
 
     def test_missing_field_named(self, tmp_path):
         record = example_to_record(generate(config(n_examples=1))[0])

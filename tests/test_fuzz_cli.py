@@ -1,6 +1,7 @@
-"""Fuzz the CLI in-process: random config text, damaged corpora, checkpoints
-and metrics files must each end in a documented exit code (0-3) with a
-one-line message, never in an uncaught exception or a leftover *.tmp file."""
+"""Fuzz the CLI in-process: random config text, damaged corpora, corpora with
+huge token ids, checkpoints and metrics files must each end in a documented
+exit code (0-3) with a one-line message, never in an uncaught exception or a
+leftover *.tmp file."""
 
 import dataclasses
 import io
@@ -10,14 +11,13 @@ import shutil
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from prism.corpus import GeneratorConfig, generate, write_jsonl
 from prism.harness import RunConfig, main
-from prism.model import config_digest
+from prism.model import MAX_VOCAB_SIZE, config_digest
 
 FUZZ = settings(max_examples=40, deadline=None, derandomize=True, database=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -32,6 +32,10 @@ VALUES = ["", "0", "1", "2", "-1", "0.5", "1e-3", "nan", "inf", "-inf", "1e400",
           "x", "prism", "sft", "knowledge_mask", "prism_no_gate", "onehop", "fixpoint", "0,0.1"]
 TRAIN_KEYS = ["lambda" if f.name == "lam" else f.name for f in dataclasses.fields(RunConfig)]
 GEN_KEYS = [f.name for f in dataclasses.fields(GeneratorConfig)]
+
+# Token ids for corpora whose vocabulary is inferred (vocab_size = 0): small
+# ones keep the model small; the rest are refused before any allocation.
+token_ids = st.integers(0, 99) | st.integers(MAX_VOCAB_SIZE, 2**63 - 1)
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
@@ -96,7 +100,7 @@ def base(tmp_path_factory):
 def cli(argv, workdir):
     """Run main(argv); check the exit code, stderr and temp files; return the code."""
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err), np.errstate(all="ignore"):
+    with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2, 3)
     lines = err.getvalue().splitlines()
@@ -151,6 +155,28 @@ def test_damaged_corpus(base, command, data):
             argv = ["trace", "--checkpoint", str(base / "lam_0.1" / "checkpoint.json"),
                     "--corpus", bad, "--limit", "0"]
         cli([*argv, "--out", os.path.join(wd, "out")], wd)
+    finally:
+        shutil.rmtree(wd)
+
+
+@FUZZ
+@given(data=st.data())
+def test_inferred_vocabulary(base, data):
+    wd = tempfile.mkdtemp(dir=base)
+    try:
+        records = [json.loads(line) for line in (base / "corpus.jsonl").read_text().splitlines()]
+        for _ in range(data.draw(st.integers(1, 3))):
+            tokens = data.draw(st.sampled_from(records))[data.draw(st.sampled_from(["input", "target"]))]
+            tokens[data.draw(st.integers(0, len(tokens) - 1))] = data.draw(token_ids)
+        top = max(max(r["input"] + r["target"]) for r in records)
+        corpus = os.path.join(wd, "wide.jsonl")
+        cfg = os.path.join(wd, "tiny.cfg")
+        with open(corpus, "w", encoding="utf-8") as fh:
+            fh.write("".join(json.dumps(r) + "\n" for r in records))
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write(TINY.replace("vocab_size = 30", "vocab_size = 0"))
+        code = cli(["train", "--config", cfg, "--corpus", corpus, "--out", os.path.join(wd, "run")], wd)
+        assert code == (1 if top >= MAX_VOCAB_SIZE else 0)
     finally:
         shutil.rmtree(wd)
 

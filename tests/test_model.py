@@ -27,7 +27,8 @@ from prism.model import (
     train,
 )
 from prism.objective import sft_loss, softmax_probs, total_loss
-from prism.oracles import finite_difference_gradient
+
+from oracles import finite_difference_gradient
 
 from prism.fact_graph import TokenSignals
 
@@ -254,6 +255,13 @@ def small_corpus(n=60, corruption=0.3, seed=5):
     return generate(cfg)
 
 
+def train_on(examples, settings):
+    """train() on the preparation a run of `settings` gives `examples`."""
+    prepared = prepare_examples(examples, settings.window, settings.vocab_size,
+                                risk_mode=settings.risk_propagation)
+    return train(prepared, settings)
+
+
 class TestPrepare:
     def test_windows_are_teacher_forced_prefixes(self):
         ex = AnnotatedExample(
@@ -290,8 +298,8 @@ class TestTrain:
         examples = small_corpus()
         settings = TrainSettings(method="prism", lam=0.1, steps=25, batch_size=8,
                                  vocab_size=70, seed=9)
-        r1 = train(examples, settings)
-        r2 = train(examples, settings)
+        r1 = train_on(examples, settings)
+        r2 = train_on(examples, settings)
         assert r1.step_log == r2.step_log
         for name in PARAM_FIELDS:
             assert np.array_equal(getattr(r1.params, name), getattr(r2.params, name))
@@ -303,11 +311,11 @@ class TestTrain:
         prepared = prepare_examples(examples, settings.window, 70)
         before = [(p.windows.copy(), p.labels.copy(), p.signals.fact_mask.copy(),
                    p.signals.support_weight.copy(), p.signals.valid_mask.copy()) for p in prepared]
-        own = train(examples, settings)
-        given = train(examples, settings, prepared)
-        assert own.step_log == given.step_log
+        first = train(prepared, settings)
+        again = train(prepared, settings)
+        assert first.step_log == again.step_log
         for name in PARAM_FIELDS:
-            assert getattr(own.params, name).tobytes() == getattr(given.params, name).tobytes()
+            assert getattr(first.params, name).tobytes() == getattr(again.params, name).tobytes()
         for p, arrays in zip(prepared, before):
             now = (p.windows, p.labels, p.signals.fact_mask, p.signals.support_weight,
                    p.signals.valid_mask)
@@ -327,8 +335,8 @@ class TestTrain:
         ]
         settings = TrainSettings(method="prism", lam=0.0, steps=30, batch_size=8,
                                  vocab_size=70, seed=9)
-        full = train(examples, settings)
-        bare = train(stripped, settings)
+        full = train_on(examples, settings)
+        bare = train_on(stripped, settings)
         assert [(s.sft, s.comp, s.total) for s in full.step_log] == \
                [(s.sft, s.comp, s.total) for s in bare.step_log]
         for name in PARAM_FIELDS:
@@ -338,8 +346,8 @@ class TestTrain:
         examples = small_corpus()
 
         def run(method, lam):
-            return train(examples, TrainSettings(method=method, lam=lam, steps=5,
-                                                 batch_size=8, vocab_size=70, seed=1))
+            return train_on(examples, TrainSettings(method=method, lam=lam, steps=5,
+                                                    batch_size=8, vocab_size=70, seed=1))
 
         def assert_same_bits(a, b):
             assert a.step_log == b.step_log
@@ -352,8 +360,10 @@ class TestTrain:
         for method in ("prism_no_gate", "prism_no_mask"):
             assert_same_bits(run(method, 0.0), sft)
         assert_same_bits(run("knowledge_mask", 0.1), run("knowledge_mask", 0.0))
-        with pytest.raises(ConfigError):
-            train(examples, TrainSettings(method="nope", steps=1))
+        with pytest.raises(ConfigError, match="unknown method"):
+            train_on(examples, TrainSettings(method="nope", steps=1, vocab_size=70))
+        with pytest.raises(ConfigError, match="empty"):
+            train([], TrainSettings(vocab_size=70))
 
     def test_divergence_aborts_with_step_index(self):
         examples = small_corpus(n=20)
@@ -361,12 +371,12 @@ class TestTrain:
                                  vocab_size=70, seed=1, learning_rate=1.0,
                                  weight_decay=-2e5)
         with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="step"):
-            train(examples, settings)
+            train_on(examples, settings)
 
     def test_prism_counters_stay_clean(self):
         examples = small_corpus()
-        result = train(examples, TrainSettings(method="prism", lam=0.2, steps=40,
-                                               batch_size=8, vocab_size=70, seed=2))
+        result = train_on(examples, TrainSettings(method="prism", lam=0.2, steps=40,
+                                                  batch_size=8, vocab_size=70, seed=2))
         assert result.counters.off_target_total == 0
         assert result.counters.alpha_nonfact_total == 0
 
@@ -377,11 +387,10 @@ class TestEvaluate:
         prep = prepare_examples(examples, window=4, vocab_size=70)
         params = init_params(70, 8, 12, 4, np.random.default_rng(6))
         metrics = evaluate(params, prep)
-        assert metrics.n_positions > 0
-        assert metrics.n_fact > metrics.n_risky > 0
-        for rate in (metrics.nonfact_top1_acc, metrics.gate_active_rate,
-                     metrics.risky_top1_rate):
-            assert 0.0 <= rate <= 1.0
+        assert metrics["mean_p_risky_fact"] is not None
+        assert metrics["mean_p_safe_fact"] is not None
+        for key in ("nonfact_top1_acc", "gate_active_rate", "risky_top1_rate"):
+            assert 0.0 <= metrics[key] <= 1.0
 
     def test_no_facts_yields_none_groups(self):
         ex = AnnotatedExample(
@@ -390,9 +399,17 @@ class TestEvaluate:
         )
         prep = prepare_examples([ex], window=2, vocab_size=5)
         metrics = evaluate(init_params(5, 3, 4, 2, np.random.default_rng(7)), prep)
-        assert metrics.mean_p_risky_fact is None
-        assert metrics.gate_active_rate is None
-        assert metrics.mean_p_nonfact is not None
+        assert metrics["mean_p_risky_fact"] is None
+        assert metrics["gate_active_rate"] is None
+        assert metrics["mean_p_nonfact"] is not None
+
+    def test_overflowing_logits_are_divergence(self):
+        prep = prepare_examples(small_corpus(n=5), window=4, vocab_size=70)
+        params = init_params(70, 8, 12, 4, np.random.default_rng(6))
+        params.b1[0] = 50.0  # hidden unit 0 saturates at 1 on every row
+        params.w2[0, 0] = params.b2[0] = 1e308
+        with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="non-finite logits"):
+            evaluate(params, prep)
 
 
 class TestCheckpoint:
@@ -400,7 +417,7 @@ class TestCheckpoint:
         examples = small_corpus(n=30)
         settings = TrainSettings(method="prism", lam=0.1, steps=10, batch_size=8,
                                  vocab_size=70, seed=3)
-        result = train(examples, settings)
+        result = train_on(examples, settings)
         path = str(tmp_path / "ck.json")
         config = {"method": "prism", "lambda": 0.1, "seed": 3}
         save_checkpoint(path, result.params, result.opt_state, config, seed=3)

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from prism.errors import EmptyBatchError
 from prism.fact_graph import TokenSignals
 from prism.objective import GateTrace, comp_loss, sft_loss, softmax_probs, total_loss
-from prism.oracles import (
+
+from oracles import (
     compute_alpha,
     finite_difference_gradient,
     keep_gate,
