@@ -3,6 +3,8 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from prism.model import (
     load_checkpoint,
     prepare_examples,
 )
+import prism
 from prism.objective import softmax_probs
 
 from oracles import redistribute
@@ -680,3 +683,13 @@ class TestMetricsReportRoundTrip:
         report.write(path)
         assert MetricsReport.read(path) == report
 
+
+
+def test_training_path_does_not_import_the_oracles():
+    # The oracles are importable here, so an import of them from the CLI would show.
+    src = os.path.dirname(os.path.dirname(prism.__file__))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    code = "import sys, prism.harness; print('oracles' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout == "False\n"
