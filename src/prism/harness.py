@@ -11,15 +11,19 @@ identical corpora, logs, and CSV files, and 64-bit-exact checkpoints.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
+import multiprocessing
 import os
 import sys
 from dataclasses import asdict, dataclass, field, replace
-from typing import NamedTuple, Sequence, get_args, get_origin, get_type_hints
+from typing import Callable, Iterator, NamedTuple, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
+from . import BLAS_THREADS
 from . import model as model_mod
 from .corpus import (
     GeneratorConfig,
@@ -44,13 +48,14 @@ from .model import (
     METHOD_PRISM,
     METHOD_SFT,
     METHODS,
-    MAX_VOCAB_SIZE,
     PreparedExample,
     TrainSettings,
+    check_model_size,
     config_digest,
     evaluate,
     infer_vocab_size,
     load_checkpoint,
+    numeric_environment,
     prepare_examples,
     save_checkpoint,
     train,
@@ -259,8 +264,9 @@ def load_run_data(cfg: RunConfig) -> RunData:
     whole corpus is prepared once, in file order; the last eval_fraction is
     held out, or with none held out the run evaluates on its training split.
     The vocabulary (vocab_size, or with 0 the smallest covering the corpus)
-    may not exceed MAX_VOCAB_SIZE.  Only the corpus, eval_fraction, vocab_size,
-    window and risk_propagation settings matter, so a sweep shares one RunData."""
+    and the model it sizes must pass check_model_size.  Only the corpus,
+    eval_fraction, vocab_size, window, risk_propagation and model dimension
+    settings matter, so a sweep shares one RunData."""
     examples = read_jsonl(cfg.corpus)
     if not examples:
         raise ConfigError(f"corpus {cfg.corpus} is empty")
@@ -268,8 +274,7 @@ def load_run_data(cfg: RunConfig) -> RunData:
     if n_eval >= len(examples):
         raise ConfigError("eval_fraction leaves no training examples")
     vocab = cfg.vocab_size or infer_vocab_size(examples)
-    if vocab > MAX_VOCAB_SIZE:
-        raise ConfigError(f"vocabulary of {vocab} tokens exceeds the limit of {MAX_VOCAB_SIZE}")
+    check_model_size(cfg, vocab)
     prepared = prepare_examples(examples, cfg.window, vocab, risk_mode=cfg.risk_propagation)
     cut = len(prepared) - n_eval
     return RunData(vocab, prepared[:cut], prepared[cut:] or prepared)
@@ -313,7 +318,8 @@ def cmd_train(cfg: RunConfig, data: RunData | None = None) -> MetricsReport:
     os.makedirs(cfg.out, exist_ok=True)
     _write_json(
         os.path.join(cfg.out, "resolved_config.json"),
-        {"run_id": run_id, "config_hash": config_digest(resolved), "config": resolved},
+        {"run_id": run_id, "config_hash": config_digest(resolved), "config": resolved,
+         "environment": numeric_environment()},
     )
     with atomic_write(os.path.join(cfg.out, "log.jsonl")) as fh:
         for record in result.step_log:
@@ -355,14 +361,95 @@ def write_csv(
     return lines
 
 
+class WorkerDied(Exception):
+    """A forked worker ended before it sent back its call's outcome."""
+
+
+def _call_captured(fn: Callable, item: object) -> tuple[object, Exception | None, str]:
+    """fn(item) with its stdout captured: (value or None, exception or None, stdout)."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return fn(item), None, out.getvalue()
+    except Exception as exc:  # handed to fork_map's caller, which decides what a failure means
+        return None, exc, out.getvalue()
+
+
+def _worker(fn: Callable, item: object, sender) -> None:
+    sender.send(_call_captured(fn, item))
+
+
+def _receive(proc, receiver) -> tuple[object, Exception | None, str]:
+    try:
+        return receiver.recv()
+    except EOFError:
+        proc.join()
+        return None, WorkerDied(f"worker process exited with status {proc.exitcode}"), ""
+
+
+def process_slots() -> int:
+    """How many processes fit side by side on the CPUs this one may use: the
+    CPUs divided by the BLAS threads each process starts (the largest thread
+    variable prism saw at import; one unless the environment set more)."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    threads = max([int(value) for value in BLAS_THREADS.values() if value.isdigit()] + [1])
+    return max(1, cpus // threads)
+
+
+def fork_map(fn: Callable, items: Sequence) -> Iterator[tuple[object, Exception | None]]:
+    """Yield (fn(item), None), or (None, the exception it raised), for each item
+    in order, computed on every core this process may use.
+
+    Items go out in rounds of n = min(process_slots(), len(items)).  Each of the
+    first n - 1 of a round runs in a worker forked for it, which inherits
+    everything in memory; this process runs the last one, then waits for the
+    round.  Only outcomes travel back.  Each call's stdout is captured and
+    written out in item order as its outcome is yielded.  A worker that dies
+    yields WorkerDied naming its exit status (negative: killed by that signal).
+    A caller that stops iterating starts no further round.  With n == 1 every
+    call runs in this process, on the same path.
+    """
+    # fork, not spawn: a worker uses the caller's prepared data as it is in
+    # memory, instead of reading and preparing the corpus again.
+    ctx = multiprocessing.get_context("fork")
+    n = max(1, min(process_slots(), len(items)))
+    for start in range(0, len(items), n):
+        batch = items[start : start + n]
+        workers = []
+        try:
+            for item in batch[:-1]:
+                receiver, sender = ctx.Pipe(duplex=False)
+                proc = ctx.Process(target=_worker, args=(fn, item, sender))
+                proc.start()
+                sender.close()
+                workers.append((proc, receiver))
+            own = _call_captured(fn, batch[-1])
+            outcomes = [_receive(proc, receiver) for proc, receiver in workers] + [own]
+        except BaseException:  # an interrupt: no worker outlives this call
+            for proc, _ in workers:
+                proc.terminate()
+            raise
+        finally:
+            for proc, receiver in workers:
+                proc.join()
+                receiver.close()
+        for value, error, stdout in outcomes:
+            sys.stdout.write(stdout)
+            yield value, error
+
+
 def cmd_ablate(cfg: RunConfig, lambdas: Sequence[float]) -> str:
     """Run the auxiliary-weight sweep and write one consolidated CSV.
 
     Every lambda shares the seed and corpus, which is read and prepared once;
-    each lam_* directory is byte-identical to a standalone train run of the
-    same config.  Deltas are taken against the lambda = 0 run.  A failed run
-    is recorded and the sweep continues.  Two lambdas that map to one lam_*
-    directory are a config error.
+    the runs are shared out over the CPUs by fork_map, and each
+    lam_* directory is byte-identical to a standalone train run of the same
+    config.  Stdout, stderr, failures.json and the CSV follow the lambda
+    list's order.  Deltas are taken against the lambda = 0 run.  A run that
+    diverges, finds an empty batch or whose worker dies is recorded and the
+    sweep continues; any other error ends it as at that lambda in a
+    one-by-one sweep.  Two lambdas that map to one lam_* directory are a
+    config error.
     """
     if not lambdas:
         raise ConfigError("lambda list is empty")
@@ -384,12 +471,14 @@ def cmd_ablate(cfg: RunConfig, lambdas: Sequence[float]) -> str:
 
     reports: list[MetricsReport] = []
     failures: list[dict] = []
-    for sub in subs:
-        try:
-            reports.append(cmd_train(sub, data))
-        except (DivergenceError, EmptyBatchError) as exc:
+    for sub, (report, exc) in zip(subs, fork_map(lambda run: cmd_train(run, data), subs)):
+        if isinstance(exc, (DivergenceError, EmptyBatchError, WorkerDied)):
             failures.append({"lambda": sub.lam, "error": str(exc)})
             print(f"warning: lambda={sub.lam:g} failed: {exc}", file=sys.stderr)
+        elif exc is not None:
+            raise exc
+        else:
+            reports.append(report)
     if failures:
         _write_json(os.path.join(cfg.out, "failures.json"), {"failures": failures})
     baseline = next((r for r in reports if r.lam == 0.0), None)

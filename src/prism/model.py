@@ -4,8 +4,12 @@ The model embeds the previous `window` ground-truth tokens, concatenates the
 embeddings, and maps them through one tanh hidden layer to vocabulary
 logits.  It is deliberately the smallest thing that exposes a full [T, V]
 logit surface: every gradient stays checkable against finite differences,
-and training is single-threaded float64 with position-major reductions, so
-a run is reproducible bit for bit from its seed.
+and training is float64 with position-major reductions, so a run is
+reproducible bit for bit from its seed.  BLAS runs one thread, because
+importing prism pins it to 1 unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS
+or MKL_NUM_THREADS is set; a thread count set there is honoured, and its
+bits can differ from one thread's.  Checkpoints record the numeric
+environment (`numeric_environment`).
 """
 
 from __future__ import annotations
@@ -13,11 +17,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import platform
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import BLAS_THREADS, NUMPY_IMPORTED_BEFORE_PRISM
 from .corpus import TOKEN_BOS, AnnotatedExample, atomic_write
 from .errors import AnnotationError, CheckpointError, ConfigError, DivergenceError
 from .fact_graph import (
@@ -303,6 +309,10 @@ class TrainSettings:
             raise ConfigError(f"epsilon must be in (0, {MAX_EPSILON}]")
         if min(self.steps, self.batch_size, self.embed_dim, self.hidden_dim, self.window) < 1:
             raise ConfigError("steps, batch_size, embed_dim, hidden_dim and window must be >= 1")
+        if self.batch_size > MAX_BATCH_SIZE:
+            raise ConfigError(f"batch_size {self.batch_size} exceeds the limit of {MAX_BATCH_SIZE}")
+        if self.window > MAX_WINDOW:
+            raise ConfigError(f"window {self.window} exceeds the limit of {MAX_WINDOW}")
         if not (0.0 < self.learning_rate < math.inf and 0.0 < self.adam_eps < math.inf):
             raise ConfigError("learning_rate and adam_eps must be finite and > 0")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
@@ -352,9 +362,26 @@ def _group_mean(values: np.ndarray, mask: np.ndarray) -> float | None:
     return float(values[mask].mean()) if mask.any() else None
 
 
-# Largest vocabulary a run may resolve to: it bounds the [V, d] and [h, V]
-# parameter arrays, so a huge token id is refused, not allocated.
+# Upper bounds on a run's size, so that a huge setting or token id is refused
+# before anything is allocated: the vocabulary a run resolves to; the numbers
+# in the five parameter arrays together (training also holds their gradients,
+# two moments, and the checkpoint's text of three copies); examples per batch;
+# and the window, since every prepared example holds [T, window] token ids.
 MAX_VOCAB_SIZE = 2**16
+MAX_PARAMETERS = 2**22
+MAX_BATCH_SIZE = 2**12
+MAX_WINDOW = 64
+
+
+def check_model_size(settings: TrainSettings, vocab_size: int) -> None:
+    """Refuse a vocabulary above MAX_VOCAB_SIZE, or parameter arrays for it
+    that hold more than MAX_PARAMETERS numbers."""
+    if vocab_size > MAX_VOCAB_SIZE:
+        raise ConfigError(f"vocabulary of {vocab_size} tokens exceeds the limit of {MAX_VOCAB_SIZE}")
+    d, h = settings.embed_dim, settings.hidden_dim
+    count = vocab_size * d + settings.window * d * h + h + h * vocab_size + vocab_size
+    if count > MAX_PARAMETERS:
+        raise ConfigError(f"a model of {count} parameters exceeds the limit of {MAX_PARAMETERS}")
 
 
 def infer_vocab_size(examples: Sequence[AnnotatedExample]) -> int:
@@ -381,6 +408,7 @@ def train(prepared: Sequence[PreparedExample], settings: TrainSettings) -> Train
     passes one preparation to every run.  It is only read, never modified.
     """
     settings.validate()
+    check_model_size(settings, settings.vocab_size)
     if not prepared:
         raise ConfigError("training corpus is empty")
     method = METHODS[settings.method]
@@ -487,6 +515,25 @@ def config_digest(config: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def numeric_environment() -> dict:
+    """What a run's bits depend on besides its config and seed: the python,
+    numpy and BLAS versions, the BLAS thread variables as prism left them at
+    import, and whether numpy (and so BLAS) was loaded before that.  Nothing
+    in it varies between runs on one machine."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas_id = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy before 1.25 has no mode="dicts"
+        blas_id = "unknown"
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas_id,
+        "blas_threads": dict(BLAS_THREADS),
+        "numpy_imported_before_prism": NUMPY_IMPORTED_BEFORE_PRISM,
+    }
+
+
 CHECKPOINT_VERSION = 1
 
 
@@ -505,7 +552,8 @@ def save_checkpoint(
     config: dict,
     seed: int,
 ) -> None:
-    """Write a versioned JSON checkpoint; floats round-trip exactly."""
+    """Write a versioned JSON checkpoint with the numeric environment that
+    produced it; floats round-trip exactly."""
     payload = {
         "format_version": CHECKPOINT_VERSION,
         "seed": seed,
@@ -522,6 +570,7 @@ def save_checkpoint(
             "m": {name: arr.tolist() for name, arr in opt_state.m.items()},
             "v": {name: arr.tolist() for name, arr in opt_state.v.items()},
         },
+        "environment": numeric_environment(),
     }
     # json.dumps encodes in one C call; json.dump would stream through the
     # pure-Python encoder.  The bytes are the same.

@@ -21,6 +21,7 @@ from prism.corpus import (
     write_jsonl,
 )
 from prism.fact_graph import DependencyEdge, SentenceSpan, TokenSignals, propagate_risk
+from prism.harness import fork_map
 from prism.model import (
     PARAM_FIELDS,
     TrainSettings,
@@ -86,19 +87,26 @@ def corpus():
 
 @pytest.fixture(scope="module")
 def sweep(corpus):
-    """One full training run per lambda, shared seed, corpus and preparation."""
+    """One full training run per lambda, shared seed, corpus and preparation,
+    run on every core as `prism ablate` runs its sweep."""
     train_ex, eval_ex = corpus[:-N_EVAL], corpus[-N_EVAL:]
     prep_train, prep_eval = prepared(train_ex), prepared(eval_ex)
-    out = {}
-    for lam in LAMBDAS:
+
+    def run(lam):
         start = time.monotonic()
         result = train(prep_train, settings_for(lam))
         metrics = evaluate(result.params, prep_eval)
-        out[lam] = {
+        return {
             "metrics": metrics,
             "counters": result.counters,
             "seconds": time.monotonic() - start,
         }
+
+    out = {}
+    for lam, (outcome, error) in zip(LAMBDAS, fork_map(run, LAMBDAS)):
+        if error is not None:
+            raise error
+        out[lam] = outcome
     return out
 
 

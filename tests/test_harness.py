@@ -27,7 +27,10 @@ from prism.harness import (
     validate_run_config,
 )
 from prism.model import (
+    MAX_BATCH_SIZE,
+    MAX_PARAMETERS,
     MAX_VOCAB_SIZE,
+    MAX_WINDOW,
     config_digest,
     forward_batch,
     load_checkpoint,
@@ -179,6 +182,45 @@ class TestTrainCommand:
         assert ck.config["method"] == "prism"
         assert ck.params.vocab_size == 70
 
+    def test_environment_recorded_outside_config(self, corpus_path, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        report = cmd_train(run_config(corpus_path, out))
+        resolved = json.loads(open(os.path.join(out, "resolved_config.json")).read())
+        checkpoint = json.loads(open(os.path.join(out, "checkpoint.json")).read())
+        assert resolved["environment"] == checkpoint["environment"]
+        env = resolved["environment"]
+        assert env["python"] and env["numpy"] == np.__version__ and env["blas"]
+        assert env["blas_threads"] == {var: os.environ[var] for var in prism.BLAS_THREAD_VARS}
+        assert env["numpy_imported_before_prism"] is False  # tests/conftest.py imports prism first
+        assert "environment" not in resolved["config"]
+        assert resolved["config_hash"] == config_digest(resolved["config"])
+        assert resolved["run_id"] == report.run_id == run_identifier(run_config(corpus_path, out))
+        assert load_checkpoint(os.path.join(out, "checkpoint.json")).config == resolved["config"]
+
+    def test_numpy_imported_first_is_recorded(self):
+        src = os.path.dirname(os.path.dirname(prism.__file__))
+        code = "import numpy, prism.model; print(prism.model.numeric_environment()['numpy_imported_before_prism'])"
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert proc.stdout == "True\n"
+
+    def test_checkpoint_does_not_depend_on_the_thread_variables(self, corpus_path, tmp_path):
+        # Unset, BLAS would start one thread per core, whose reduction order
+        # changes the bits of a batch this size; prism pins it to one.
+        src = os.path.dirname(os.path.dirname(prism.__file__))
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text("steps = 5\nbatch_size = 32\nembed_dim = 32\nhidden_dim = 64\n")
+        bare = {k: v for k, v in os.environ.items() if k not in prism.BLAS_THREAD_VARS}
+        blobs = []
+        for name, extra in (("unset", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+            workdir = tmp_path / name
+            workdir.mkdir()
+            subprocess.run([sys.executable, "-m", "prism.harness", "train", "--config", str(cfg),
+                            "--corpus", corpus_path, "--out", "run"], cwd=workdir, check=True,
+                           capture_output=True, env=dict(bare, PYTHONPATH=src, **extra))
+            blobs.append((workdir / "run" / "checkpoint.json").read_bytes())
+        assert blobs[0] == blobs[1]
+
     def test_empty_corpus_rejected(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
@@ -288,6 +330,80 @@ class TestAblateCommand:
         assert failures["failures"][0]["lambda"] == 0.5
         rows = open(csv_path).read().splitlines()[1:]
         assert all(r.split(",")[2] == "0.0" for r in rows)
+
+    def test_outputs_do_not_depend_on_the_core_count(self, corpus_path, tmp_path, capsys,
+                                                     monkeypatch):
+        import prism.harness as harness_mod
+        out = str(tmp_path / "sweep")
+        seen = []
+        for slots in (1, 3):  # every run in this process; one round of three
+            monkeypatch.setattr(harness_mod, "process_slots", lambda slots=slots: slots)
+            cmd_ablate(run_config(corpus_path, out), [0.0, 0.1, 0.5])
+            files = {os.path.relpath(os.path.join(d, f), out): open(os.path.join(d, f), "rb").read()
+                     for d, _, names in os.walk(out) for f in names}
+            seen.append((files, capsys.readouterr()))
+            shutil.rmtree(out)
+        assert len(seen[0][0]) == 13 and seen[0] == seen[1]
+
+    @pytest.mark.parametrize("cpus, threads, slots", [
+        (2, {}, 2), (2, {"OPENBLAS_NUM_THREADS": "2"}, 1), (8, {"MKL_NUM_THREADS": "3"}, 2),
+        (1, {}, 1), (4, {"OMP_NUM_THREADS": "4,2"}, 4),
+    ])
+    def test_process_slots_leave_no_cpu_oversubscribed(self, monkeypatch, cpus, threads, slots):
+        import prism.harness as harness_mod
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(harness_mod, "BLAS_THREADS", {var: threads.get(var, "1")
+                                                          for var in prism.BLAS_THREAD_VARS})
+        assert harness_mod.process_slots() == slots
+
+    def test_dead_worker_is_recorded_and_the_sweep_goes_on(self, corpus_path, tmp_path, capsys,
+                                                            monkeypatch):
+        import prism.harness as harness_mod
+        import prism.model as model_mod
+        parent, doomed = os.getpid(), []
+        original_train, original_step = harness_mod.train, model_mod.optimizer_step
+
+        def marking(prepared, settings):
+            doomed[:] = [settings.lam == 0.5 and os.getpid() != parent]
+            return original_train(prepared, settings)
+
+        def step_or_die(params, grads, state):
+            if doomed[0] and state.step_count == 2:
+                os._exit(7)  # the worker dies mid-run, writing nothing
+            return original_step(params, grads, state)
+
+        monkeypatch.setattr(harness_mod, "train", marking)
+        monkeypatch.setattr(model_mod, "optimizer_step", step_or_die)
+        # two slots whatever the machine: rounds (0, 0.1) and (0.5, 1), a worker starting 0 and 0.5
+        monkeypatch.setattr(harness_mod, "process_slots", lambda: 2)
+        out = str(tmp_path / "sweep")
+        csv_path = cmd_ablate(run_config(corpus_path, out), [0.0, 0.1, 0.5, 1.0])
+        captured = capsys.readouterr()
+        died = "worker process exited with status 7"
+        assert captured.err == f"warning: lambda=0.5 failed: {died}\n"
+        failures = json.loads(open(os.path.join(out, "failures.json")).read())
+        assert failures == {"failures": [{"lambda": 0.5, "error": died}]}
+        assert sorted(os.listdir(out)) == ["ablation.csv", "failures.json", "lam_0", "lam_0.1", "lam_1"]
+        runs = [line.split(":")[0] for line in captured.out.splitlines() if line.startswith("run ")]
+        assert [r.split("_")[1] for r in runs] == ["lam0", "lam0.1", "lam1"]
+        rows = open(csv_path).read().splitlines()[1:]
+        column = [r.split(",")[2] for r in rows]
+        assert column == sorted(column, key=float) and set(column) == {"0.0", "0.1", "1.0"}
+
+    def test_other_error_ends_the_sweep_as_at_the_first_failing_lambda(self, corpus_path, tmp_path,
+                                                                      capsys, monkeypatch):
+        import prism.harness as harness_mod
+        monkeypatch.setattr(harness_mod, "process_slots", lambda: 2)
+        out = tmp_path / "sweep"
+        out.mkdir()
+        for blocked in ("lam_0", "lam_0.1"):  # run 0 in a worker, run 0.1 here; both fail
+            (out / blocked).write_text("a file where the run directory goes")
+        assert main(["ablate", "--corpus", corpus_path, "--lambdas", "0,0.1,0.5",
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"i/o error: [Errno 17] File exists: '{out / 'lam_0'}'\n"
+        assert sorted(os.listdir(out)) == ["lam_0", "lam_0.1"]  # no later round started
 
 
 class TestTraceCommand:
@@ -670,6 +786,22 @@ class TestExitCodes:
         assert capsys.readouterr().err == (f"config error: vocabulary of {10**12 + 1} tokens "
                                            f"exceeds the limit of {MAX_VOCAB_SIZE}\n")
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("field, shown", [
+        ("embed_dim", f"parameters exceeds the limit of {MAX_PARAMETERS}"),
+        ("hidden_dim", f"parameters exceeds the limit of {MAX_PARAMETERS}"),
+        ("window", f"window {10**12} exceeds the limit of {MAX_WINDOW}"),
+        ("batch_size", f"batch_size {10**12} exceeds the limit of {MAX_BATCH_SIZE}"),
+    ])
+    def test_model_above_the_bound_is_1(self, corpus_path, tmp_path, capsys, command, field, shown):
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(f"steps = 3\n{field} = {10**12}\n" + ("lambdas = 0,0.1\n" if command == "ablate" else ""))
+        assert main([command, "--config", str(cfg), "--corpus", corpus_path,
+                     "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and shown in err and err.count("\n") == 1
+        assert not os.path.exists(tmp_path / "run")
 
 
 class TestMetricsReportRoundTrip:
