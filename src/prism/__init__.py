@@ -28,6 +28,7 @@ from .errors import (
     CorpusFormatError,
     DivergenceError,
     EmptyBatchError,
+    NonFiniteLogits,
     RunFileError,
 )
 from .fact_graph import (

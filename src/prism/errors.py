@@ -25,6 +25,11 @@ class EmptyBatchError(ValueError):
     """No positions survive masking, so a loss average is undefined."""
 
 
+class NonFiniteLogits(ValueError):
+    """Logits hold a NaN or an infinity; training, evaluation and trace turn
+    it into DivergenceError."""
+
+
 class CheckpointError(ValueError):
     """A checkpoint file is unreadable or inconsistent with its config hash."""
 

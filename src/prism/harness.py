@@ -42,6 +42,7 @@ from .errors import (
     CorpusFormatError,
     DivergenceError,
     EmptyBatchError,
+    NonFiniteLogits,
     RunFileError,
 )
 from .model import (
@@ -50,6 +51,7 @@ from .model import (
     METHODS,
     PreparedExample,
     TrainSettings,
+    blas_id,
     check_model_size,
     config_digest,
     evaluate,
@@ -387,12 +389,22 @@ def _receive(proc, receiver) -> tuple[object, Exception | None, str]:
         return None, WorkerDied(f"worker process exited with status {proc.exitcode}"), ""
 
 
+# The thread variable a BLAS reads first, by a name in blas_id().  prism sets
+# all three, so that variable alone gives the BLAS's thread count.
+BLAS_FIRST_THREAD_VAR = {"openblas": "OPENBLAS_NUM_THREADS", "mkl": "MKL_NUM_THREADS"}
+
+
 def process_slots() -> int:
     """How many processes fit side by side on the CPUs this one may use: the
-    CPUs divided by the BLAS threads each process starts (the largest thread
-    variable prism saw at import; one unless the environment set more)."""
+    CPUs divided by the BLAS threads each process starts.  That is the value
+    prism saw at import of the variable the loaded BLAS reads first
+    (BLAS_FIRST_THREAD_VAR), or the largest of the three for another BLAS;
+    one unless the environment set more."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    threads = max([int(value) for value in BLAS_THREADS.values() if value.isdigit()] + [1])
+    blas = blas_id().lower()
+    first = [var for name, var in BLAS_FIRST_THREAD_VAR.items() if name in blas]
+    values = [BLAS_THREADS[var] for var in first] or BLAS_THREADS.values()
+    threads = max([int(value) for value in values if value.isdigit()] + [1])
     return max(1, cpus // threads)
 
 
@@ -513,9 +525,10 @@ def cmd_trace(checkpoint_path: str, corpus_path: str, limit: int, out: str | Non
     rows = []
     for i, prep in enumerate(prepared):
         logits, _ = model_mod.forward_batch(ck.params, prep.windows)
-        if not np.all(np.isfinite(logits)):
-            raise DivergenceError(f"non-finite logits for record {i + 1}")
-        _, _, trace = comp_loss(logits, prep.labels, prep.signals, settings.epsilon)
+        try:
+            _, _, trace = comp_loss(logits, prep.labels, prep.signals, settings.epsilon)
+        except NonFiniteLogits as exc:
+            raise DivergenceError(f"non-finite logits for record {i + 1}") from exc
         for t in range(len(prep.labels)):
             sid = int(prep.sentence_id[t])
             rows.append(

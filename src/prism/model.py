@@ -14,6 +14,7 @@ environment (`numeric_environment`).
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import math
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import BLAS_THREADS, NUMPY_IMPORTED_BEFORE_PRISM
 from .corpus import TOKEN_BOS, AnnotatedExample, atomic_write
-from .errors import AnnotationError, CheckpointError, ConfigError, DivergenceError
+from .errors import AnnotationError, CheckpointError, ConfigError, DivergenceError, NonFiniteLogits
 from .fact_graph import (
     RISK_MODES,
     RISK_ONEHOP,
@@ -118,9 +119,10 @@ def _check_tokens(tokens: np.ndarray, vocab_size: int) -> None:
 
 
 def forward_batch(
-    params: ModelParams, windows: np.ndarray
+    params: ModelParams, windows: np.ndarray, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Logits [B, V] for a batch of token windows [B, window], plus the
+    """Logits [B, V] for a batch of token windows [B, window], written into
+    `out` (a C-contiguous float64 [B, V] array) when given, plus the
     activations needed by backward_batch."""
     w = np.asarray(windows, dtype=np.int64)
     if w.ndim != 2 or w.shape[1] != params.window:
@@ -128,7 +130,8 @@ def forward_batch(
     _check_tokens(w, params.vocab_size)
     x = params.embedding[w].reshape(w.shape[0], -1)
     hidden = np.tanh(x @ params.w1 + params.b1)
-    logits = hidden @ params.w2 + params.b2
+    logits = np.matmul(hidden, params.w2, out=out)
+    logits += params.b2
     return logits, (x, hidden)
 
 
@@ -395,13 +398,30 @@ def infer_vocab_size(examples: Sequence[AnnotatedExample]) -> int:
     return top + 1
 
 
+class StepBuffers:
+    """The [rows, V] arrays of one training step, owned by a run: the logits
+    and the two arrays of total_loss's `out`.  They are reallocated, larger,
+    only when a batch has more rows than any before it."""
+
+    def __init__(self, vocab_size: int) -> None:
+        self.store = np.empty((3, 0, vocab_size))
+
+    def views(self, rows: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        if rows > self.store.shape[1]:
+            self.store = np.empty((3, rows, self.store.shape[2]))
+        logits, shifted, exp = self.store[:, :rows]
+        return logits, (shifted, exp)
+
+
 def train(prepared: Sequence[PreparedExample], settings: TrainSettings) -> TrainResult:
     """Teacher-forced training loop over a prepared corpus, fully seeded.
 
     Each step is one total_loss call with the method's METHODS switches.
     Methods without a complement term run at lam = 0, where total_loss skips
     that term, so any method at lam = 0 is bit-identical to method="sft" on
-    the same valid mask.  Aborts with the step index on a non-finite loss.
+    the same valid mask.  Aborts with the step index on non-finite logits
+    (which total_loss checks, once per step) or a non-finite loss.  The
+    step's [rows, V] arrays live in one StepBuffers for the whole run.
 
     `prepared` is prepare_examples(examples, settings.window,
     settings.vocab_size, risk_mode=settings.risk_propagation); a sweep
@@ -420,21 +440,24 @@ def train(prepared: Sequence[PreparedExample], settings: TrainSettings) -> Train
 
     log: list[StepRecord] = []
     counters = TrainCounters()
+    buffers = StepBuffers(settings.vocab_size)
     for step in range(1, settings.steps + 1):
         idx = rng.integers(0, len(prepared), size=settings.batch_size)
         windows, labels, signals = _gather_batch(prepared, idx)
-        logits, cache = forward_batch(params, windows)
-        if not np.all(np.isfinite(logits)):
-            raise DivergenceError(f"non-finite logits at step {step}")
+        logits_out, loss_out = buffers.views(len(labels))
+        logits, cache = forward_batch(params, windows, out=logits_out)
 
         n_sft = int(signals.valid_mask.sum())
         n_fact = int(signals.fact_mask.sum())
         if method.drop_unsupported:
             signals = replace(signals, valid_mask=knowledge_mask_valid(signals))
-        loss, grad, trace = total_loss(
-            logits, labels, signals, lam, settings.epsilon,
-            use_gates=method.use_gates, use_fact_mask=method.use_fact_mask,
-        )
+        try:
+            loss, grad, trace = total_loss(
+                logits, labels, signals, lam, settings.epsilon,
+                use_gates=method.use_gates, use_fact_mask=method.use_fact_mask, out=loss_out,
+            )
+        except NonFiniteLogits as exc:
+            raise DivergenceError(f"non-finite logits at step {step}") from exc
         alpha_active = off_target = 0
         if trace is not None:
             active = trace.alpha > 0.0
@@ -484,9 +507,10 @@ def evaluate(
         raise ConfigError("nothing to evaluate")
     windows, labels, signals = _gather_batch(prepared, range(len(prepared)))
     logits, _ = forward_batch(params, windows)
-    if not np.all(np.isfinite(logits)):
-        raise DivergenceError("non-finite logits in evaluation")
-    probs = softmax_probs(logits)
+    try:
+        probs = softmax_probs(logits)
+    except NonFiniteLogits as exc:
+        raise DivergenceError("non-finite logits in evaluation") from exc
     rows = np.arange(len(labels))
     p_label = probs[rows, labels]
     top1 = probs.argmax(axis=1) == labels
@@ -515,26 +539,53 @@ def config_digest(config: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def blas_id() -> str:
+    """The BLAS numpy was built against, as "name version", or "unknown"."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy before 1.25 has no mode="dicts"
+        return "unknown"
+
+
 def numeric_environment() -> dict:
     """What a run's bits depend on besides its config and seed: the python,
     numpy and BLAS versions, the BLAS thread variables as prism left them at
     import, and whether numpy (and so BLAS) was loaded before that.  Nothing
     in it varies between runs on one machine."""
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        blas_id = f"{blas['name']} {blas['version']}"
-    except (TypeError, KeyError):  # numpy before 1.25 has no mode="dicts"
-        blas_id = "unknown"
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "blas": blas_id,
+        "blas": blas_id(),
         "blas_threads": dict(BLAS_THREADS),
         "numpy_imported_before_prism": NUMPY_IMPORTED_BEFORE_PRISM,
     }
 
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+
+
+def _encode_array(arr: np.ndarray) -> dict:
+    return {"shape": list(arr.shape), "data": base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii")}
+
+
+def _decode_array(node: object, where: str) -> np.ndarray:
+    """An array from its checkpoint entry; the data length is checked against
+    the shape before any array is built, so a huge shape allocates nothing."""
+    if not isinstance(node, dict):
+        raise TypeError(f"{where} must be an object with shape and data")
+    shape, data = node["shape"], node["data"]
+    if not (isinstance(shape, list) and len(shape) <= 2 and all(type(n) is int and n >= 0 for n in shape)):
+        raise ValueError(f"{where}.shape must be a list of at most two nonnegative integers")
+    if not isinstance(data, str):
+        raise TypeError(f"{where}.data must be a base64 string")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except ValueError as exc:  # binascii.Error, or a str that is not ASCII
+        raise ValueError(f"{where}.data is not base64: {exc}") from exc
+    if len(raw) != 8 * math.prod(shape):
+        raise ValueError(f"{where}.data holds {len(raw)} bytes, shape {shape} needs {8 * math.prod(shape)}")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
 
 
 @dataclass
@@ -553,7 +604,8 @@ def save_checkpoint(
     seed: int,
 ) -> None:
     """Write a versioned JSON checkpoint with the numeric environment that
-    produced it; floats round-trip exactly."""
+    produced it.  Each array is its shape and the base64 of its little-endian
+    float64 bytes, so it round-trips exactly."""
     payload = {
         "format_version": CHECKPOINT_VERSION,
         "seed": seed,
@@ -562,13 +614,13 @@ def save_checkpoint(
         "model": {
             "window": params.window,
             "bos_token": TOKEN_BOS,
-            **{name: getattr(params, name).tolist() for name in PARAM_FIELDS},
+            **{name: _encode_array(getattr(params, name)) for name in PARAM_FIELDS},
         },
         "optimizer": {
             **{key: getattr(opt_state, key) for key in OPTIMIZER_FIELDS},
             "step_count": opt_state.step_count,
-            "m": {name: arr.tolist() for name, arr in opt_state.m.items()},
-            "v": {name: arr.tolist() for name, arr in opt_state.v.items()},
+            "m": {name: _encode_array(arr) for name, arr in opt_state.m.items()},
+            "v": {name: _encode_array(arr) for name, arr in opt_state.v.items()},
         },
         "environment": numeric_environment(),
     }
@@ -581,13 +633,17 @@ def save_checkpoint(
 
 def load_checkpoint(path: str) -> Checkpoint:
     """Read a checkpoint, verify its config hash, and check its schema and
-    that every parameter and moment array has the shape the others imply."""
+    that every parameter and moment array is finite and has the shape the
+    others imply.  A version 1 checkpoint (nested lists) is refused."""
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
         except ValueError as exc:  # bad JSON or bytes that are not UTF-8
             raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
     version = payload.get("format_version") if isinstance(payload, dict) else None
+    if version == 1:
+        raise CheckpointError(f"checkpoint {path} has format version 1, which is no longer read; "
+                              f"retrain to write a version {CHECKPOINT_VERSION} checkpoint")
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version!r}")
     config = payload.get("config")
@@ -596,7 +652,7 @@ def load_checkpoint(path: str) -> Checkpoint:
     try:
         m, o = payload["model"], payload["optimizer"]
         params = ModelParams(
-            **{name: np.asarray(m[name], dtype=np.float64) for name in PARAM_FIELDS},
+            **{name: _decode_array(m[name], f"model.{name}") for name in PARAM_FIELDS},
             window=int(m["window"]),
         )
         if int(m["bos_token"]) != TOKEN_BOS:
@@ -604,8 +660,8 @@ def load_checkpoint(path: str) -> Checkpoint:
         opt_state = OptimizerState(
             **{key: float(o[key]) for key in OPTIMIZER_FIELDS},
             step_count=int(o["step_count"]),
-            m={name: np.asarray(o["m"][name], dtype=np.float64) for name in PARAM_FIELDS},
-            v={name: np.asarray(o["v"][name], dtype=np.float64) for name in PARAM_FIELDS},
+            m={name: _decode_array(o["m"][name], f"m.{name}") for name in PARAM_FIELDS},
+            v={name: _decode_array(o["v"][name], f"v.{name}") for name in PARAM_FIELDS},
         )
         seed = int(payload["seed"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

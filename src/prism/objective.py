@@ -20,10 +20,11 @@ Everything is float64 and deterministic; reductions run in position order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import EmptyBatchError
+from .errors import EmptyBatchError, NonFiniteLogits
 from .fact_graph import TokenSignals
 
 # Label probabilities are clamped to 1 - DEFAULT_EPSILON inside the
@@ -52,13 +53,15 @@ class LossBreakdown:
     total: float
 
 
-def _as_logits(logits: np.ndarray) -> np.ndarray:
-    z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 2 or z.shape[1] < 2:
-        raise ValueError(f"logits must be [T, V] with V >= 2, got shape {z.shape}")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("logits contain non-finite entries")
-    return z
+class Softmax(NamedTuple):
+    """One max/subtract/exp/sum pass over checked logits [T, V].  The two
+    loss terms of a total_loss call share it, and each uses up its own part
+    in place: sft_loss turns `shifted` into its gradient, and comp_loss
+    turns `exp` into the probabilities."""
+
+    shifted: np.ndarray  # logits minus their row max
+    exp: np.ndarray      # exp(shifted)
+    sums: np.ndarray     # [T, 1] row sums of exp
 
 
 def _as_labels(labels: np.ndarray, length: int, vocab: int) -> np.ndarray:
@@ -70,33 +73,59 @@ def _as_labels(labels: np.ndarray, length: int, vocab: int) -> np.ndarray:
     return y
 
 
-def softmax_probs(logits: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax over the last axis (max-subtracted), float64."""
-    z = np.asarray(logits, dtype=np.float64)
+def _check_finite(z: np.ndarray) -> None:
     if not np.all(np.isfinite(z)):
-        raise ValueError("softmax input contains non-finite entries")
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+        raise NonFiniteLogits("logits contain non-finite entries")
 
 
-def _log_softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+def _exp_pass(
+    z: np.ndarray, shifted_out: np.ndarray | None = None, exp_out: np.ndarray | None = None
+) -> Softmax:
+    """Max-subtracted logits, their exponentials, and its sums over the last axis."""
+    shifted = np.subtract(z, z.max(axis=-1, keepdims=True), out=shifted_out)
+    e = np.exp(shifted, out=exp_out)
+    return Softmax(shifted, e, e.sum(axis=-1, keepdims=True))
+
+
+def softmax_probs(logits: np.ndarray) -> np.ndarray:
+    """Numerically stable softmax over the last axis (max-subtracted), float64.
+    Non-finite input raises NonFiniteLogits, a ValueError."""
+    z = np.asarray(logits, dtype=np.float64)
+    _check_finite(z)
+    _, e, sums = _exp_pass(z)
+    e /= sums
+    return e
+
+
+def softmax_pass(logits: np.ndarray, out: Sequence[np.ndarray] | None = None) -> Softmax:
+    """Check that logits are [T, V >= 2] (ValueError) and finite
+    (NonFiniteLogits), then run the max/subtract/exp/sum both loss terms
+    start from.  `out`, when given, is two [T, V] float64 arrays that the
+    shifted logits and their exponentials are written into."""
+    z = np.asarray(logits, dtype=np.float64)
+    if z.ndim != 2 or z.shape[1] < 2:
+        raise ValueError(f"logits must be [T, V] with V >= 2, got shape {z.shape}")
+    _check_finite(z)
+    return _exp_pass(z) if out is None else _exp_pass(z, *out)
 
 
 def sft_loss(
     logits: np.ndarray,
     labels: np.ndarray,
     valid_mask: np.ndarray,
+    *,
+    soft: Softmax | None = None,
 ) -> tuple[float, np.ndarray]:
     """Masked mean negative log-likelihood and its per-logit gradient.
 
     The gradient at a valid position is (softmax - onehot(label)) / N over
-    its logit row and exactly zero at masked positions.
+    its logit row and exactly zero at masked positions.  `soft` is
+    softmax_pass(logits) when the caller has run it already; the gradient is
+    then written over soft.shifted.
     """
-    z = _as_logits(logits)
-    length, vocab = z.shape
+    if soft is None:
+        soft = softmax_pass(logits)
+    length, vocab = soft.shifted.shape
     y = _as_labels(labels, length, vocab)
     valid = np.asarray(valid_mask, dtype=bool)
     if valid.shape != (length,):
@@ -105,11 +134,14 @@ def sft_loss(
     if n == 0:
         raise EmptyBatchError("no valid target positions in batch")
 
-    logp = _log_softmax(z)
+    # log-softmax is shifted - log(sums); only its label entries are kept.
+    log_sums = np.log(soft.sums)
     rows = np.arange(length)
-    value = float(-(logp[rows, y][valid]).sum() / n)
+    value = float(-((soft.shifted[rows, y] - log_sums[:, 0])[valid]).sum() / n)
 
-    grad = np.exp(logp)
+    grad = soft.shifted
+    grad -= log_sums
+    np.exp(grad, out=grad)
     grad /= n
     grad[~valid] = 0.0
     vi = np.nonzero(valid)[0]
@@ -124,9 +156,11 @@ def _gate_arrays(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     rows = np.arange(len(labels))
     p_label = probs[rows, labels]
-    others = probs.copy()
-    others[rows, labels] = -1.0
-    q_max = others.max(axis=1)
+    # q_max is the largest competitor: the row max with the label entry set
+    # below every probability, then put back.
+    probs[rows, labels] = -1.0
+    q_max = probs.max(axis=1)
+    probs[rows, labels] = p_label
     pref = p_label > q_max
     keep = p_label * support * (1.0 - p_label) >= q_max * (1.0 - p_label * support)
     return p_label, q_max, pref, keep
@@ -140,6 +174,9 @@ def comp_loss(
     *,
     use_gates: bool = True,
     use_fact_mask: bool = True,
+    soft: Softmax | None = None,
+    add_into: np.ndarray | None = None,
+    scale: float = 1.0,
 ) -> tuple[float, np.ndarray, GateTrace]:
     """Gated complement loss, its per-logit gradient, and the full gate trace.
 
@@ -154,24 +191,31 @@ def comp_loss(
     the penalty at all valid positions (then N counts valid positions).
 
     A batch with an empty base mask yields value 0 and a zero gradient.
+
+    `soft` is softmax_pass(logits) when the caller has run it already; the
+    probabilities are then written over soft.exp.  With `add_into`, scale *
+    gradient is added into it on the active rows only, and it is returned
+    in place of the gradient.
     """
     if not 0.0 < epsilon <= MAX_EPSILON:
         raise ValueError(f"epsilon must be in (0, {MAX_EPSILON}], got {epsilon}")
-    z = _as_logits(logits)
-    length, vocab = z.shape
+    if soft is None:
+        soft = softmax_pass(logits)
+    length, vocab = soft.shifted.shape
     y = _as_labels(labels, length, vocab)
     support = np.asarray(signals.support_weight, dtype=np.float64)
     base = np.asarray(signals.fact_mask if use_fact_mask else signals.valid_mask, dtype=bool)
     if support.shape != (length,) or base.shape != (length,):
         raise ValueError("token signals do not match the batch length")
 
-    probs = softmax_probs(z)
+    probs = soft.exp
+    probs /= soft.sums
     p_label, q_max, pref, keep = _gate_arrays(probs, y, support)
     gates = (pref & keep) if use_gates else np.ones(length, dtype=bool)
     alpha = np.where(base & gates, 1.0 - support, 0.0)
     trace = GateTrace(p_label=p_label, q_max=q_max, pref_gate=pref, keep_gate=keep, alpha=alpha)
 
-    grad = np.zeros_like(z)
+    grad = np.zeros_like(probs) if add_into is None else add_into
     n_base = int(base.sum())
     if n_base == 0:
         return 0.0, grad, trace
@@ -182,10 +226,13 @@ def comp_loss(
     # Where the clamp saturates, the implemented loss is constant in p_label.
     coeff = np.where(p_label >= 1.0 - epsilon, 0.0, alpha / n_base)
     active = np.nonzero(coeff > 0.0)[0]
-    if active.size:
-        c_label = coeff[active] * p_label[active]
-        grad[active] = (-c_label / (1.0 - p_label[active]))[:, None] * probs[active]
-        grad[active, y[active]] = c_label
+    c_label = coeff[active] * p_label[active]
+    active_grad = (-c_label / (1.0 - p_label[active]))[:, None] * probs[active]
+    active_grad[np.arange(active.size), y[active]] = c_label
+    if add_into is None:
+        grad[active] = active_grad
+    else:
+        grad[active] += scale * active_grad
     return value, grad, trace
 
 
@@ -198,23 +245,33 @@ def total_loss(
     *,
     use_gates: bool = True,
     use_fact_mask: bool = True,
+    out: Sequence[np.ndarray] | None = None,
 ) -> tuple[LossBreakdown, np.ndarray, GateTrace | None]:
     """Combined objective sft + lam * comp with its per-logit gradient.
 
+    The logits are checked once and go through one softmax_pass, which both
+    terms share; non-finite logits raise NonFiniteLogits.  `out`, when
+    given, is the pass's two [T, V] arrays: the first becomes the returned
+    gradient and the second the probabilities, so the call allocates no
+    other [T, V] array.
+
     lam = 0 must reproduce sft_loss bit for bit, so that case skips the
     complement term entirely (adding 0.0 could still flip signed zeros): comp
-    is reported as 0.0 and the gate trace is None.
+    is reported as 0.0 and the gate trace is None.  Otherwise lam * the
+    complement gradient is added into the SFT gradient on the complement's
+    active rows; elsewhere it is zero.
     """
     if lam < 0.0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
-    sft_value, grad = sft_loss(logits, labels, signals.valid_mask)
+    soft = softmax_pass(logits, out)
+    sft_value, grad = sft_loss(logits, labels, signals.valid_mask, soft=soft)
     comp_value, total, trace = 0.0, sft_value, None
     if lam != 0.0:
-        comp_value, comp_grad, trace = comp_loss(
-            logits, labels, signals, epsilon, use_gates=use_gates, use_fact_mask=use_fact_mask
+        comp_value, grad, trace = comp_loss(
+            logits, labels, signals, epsilon, use_gates=use_gates, use_fact_mask=use_fact_mask,
+            soft=soft, add_into=grad, scale=lam,
         )
         total = sft_value + lam * comp_value
-        grad = grad + lam * comp_grad
     return LossBreakdown(sft=sft_value, comp=comp_value, total=total), grad, trace
 
 

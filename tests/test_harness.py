@@ -1,5 +1,6 @@
 """CLI surface: config parsing, run artifacts, determinism, exit codes."""
 
+import base64
 import json
 import os
 import shutil
@@ -57,6 +58,17 @@ def checkpoint_path(corpus_path, tmp_path_factory):
     out = str(tmp_path_factory.mktemp("ck_run"))
     cmd_train(run_config(corpus_path, out, steps=5))
     return os.path.join(out, "checkpoint.json")
+
+
+def decode_array(node):
+    """The array of a version 2 checkpoint entry {"shape", "data"}."""
+    return np.frombuffer(base64.b64decode(node["data"]), dtype="<f8").reshape(node["shape"]).copy()
+
+
+def edit_array(node, edit):
+    """The checkpoint entry of edit(array of `node`)."""
+    arr = np.asarray(edit(decode_array(node)), dtype=np.float64)
+    return {"shape": list(arr.shape), "data": base64.b64encode(arr.astype("<f8").tobytes()).decode()}
 
 
 def run_config(corpus, out, **overrides):
@@ -351,7 +363,26 @@ class TestAblateCommand:
     ])
     def test_process_slots_leave_no_cpu_oversubscribed(self, monkeypatch, cpus, threads, slots):
         import prism.harness as harness_mod
+        # a BLAS of unknown name may read any of the three variables
+        monkeypatch.setattr(harness_mod, "blas_id", lambda: "unknown")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(harness_mod, "BLAS_THREADS", {var: threads.get(var, "1")
+                                                          for var in prism.BLAS_THREAD_VARS})
+        assert harness_mod.process_slots() == slots
+
+    @pytest.mark.parametrize("blas, threads, slots", [
+        ("scipy-openblas 0.3.31", {"OMP_NUM_THREADS": "2"}, 2),
+        ("scipy-openblas 0.3.31", {"OPENBLAS_NUM_THREADS": "2"}, 1),
+        ("openblas 0.3.21", {"MKL_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"}, 2),
+        ("mkl-sdl 2023.1", {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"}, 2),
+        ("mkl-sdl 2023.1", {"MKL_NUM_THREADS": "2"}, 1),
+        ("accelerate", {"OMP_NUM_THREADS": "2"}, 1),
+    ])
+    def test_process_slots_count_the_variable_the_blas_reads_first(self, monkeypatch, blas,
+                                                                   threads, slots):
+        import prism.harness as harness_mod
+        monkeypatch.setattr(harness_mod, "blas_id", lambda: blas)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(harness_mod, "BLAS_THREADS", {var: threads.get(var, "1")
                                                           for var in prism.BLAS_THREAD_VARS})
         assert harness_mod.process_slots() == slots
@@ -457,22 +488,58 @@ class TestTraceCommand:
     @pytest.mark.parametrize("damage", [
         lambda p: p.pop("optimizer"),
         lambda p: p["model"].pop("b2"),
-        lambda p: p["model"]["w1"].pop(),
-        lambda p: p["model"].update(b1=p["model"]["b1"][:-1]),
-        lambda p: p["model"].update(embedding=[0.0, 1.0]),
-        lambda p: p["optimizer"]["m"]["w2"].pop(),
-        lambda p: p["optimizer"]["v"].update(embedding=[[0.0]]),
+        lambda p: p["model"].update(w1=edit_array(p["model"]["w1"], lambda a: a[:-1])),
+        lambda p: p["model"].update(b1=edit_array(p["model"]["b1"], lambda a: a[:-1])),
+        lambda p: p["model"].update(embedding=edit_array(p["model"]["embedding"], lambda a: [0.0, 1.0])),
+        lambda p: p["optimizer"]["m"].update(w2=edit_array(p["optimizer"]["m"]["w2"], lambda a: a[:-1])),
+        lambda p: p["optimizer"]["v"].update(embedding=edit_array(p["optimizer"]["v"]["embedding"],
+                                                                  lambda a: [[0.0]])),
         lambda p: p["model"].update(bos_token=3),
+        lambda p: p["model"]["b2"].update(data="not base64!"),
+        lambda p: p["model"]["b2"].update(data=p["model"]["b2"]["data"][:-12]),
+        lambda p: p["model"]["b1"].update(shape=[-1]),
+        lambda p: p["model"]["w2"].update(shape=[2**40, 2**40]),
+        lambda p: p["model"]["w2"].update(shape=[1] * 40),
     ], ids=["no_optimizer", "no_b2", "w1_rows", "b1_len", "embedding_1d", "m_w2", "v_embedding",
-            "bos_token"])
+            "bos_token", "bad_base64", "data_short_of_shape", "negative_shape", "huge_shape",
+            "many_dimensions"])
     def test_damaged_checkpoint_is_2(self, checkpoint_path, corpus_path, tmp_path, capsys, damage):
         payload = json.loads(open(checkpoint_path).read())
         damage(payload)
         ck_path = tmp_path / "damaged.json"
         ck_path.write_text(json.dumps(payload))
-        assert main(["trace", "--checkpoint", str(ck_path), "--corpus", corpus_path]) == 2
+        out = tmp_path / "trace.jsonl"
+        assert main(["trace", "--checkpoint", str(ck_path), "--corpus", corpus_path,
+                     "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("i/o error: malformed checkpoint") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == ["damaged.json"]  # no trace, no *.tmp file
+
+    def test_version_1_checkpoint_is_2(self, checkpoint_path, corpus_path, tmp_path, capsys):
+        payload = json.loads(open(checkpoint_path).read())
+        payload["format_version"] = 1
+        for group in (payload["model"], payload["optimizer"]["m"], payload["optimizer"]["v"]):
+            for name in ("embedding", "w1", "b1", "w2", "b2"):
+                group[name] = decode_array(group[name]).tolist()
+        ck_path = tmp_path / "v1.json"
+        ck_path.write_text(json.dumps(payload))
+        out = tmp_path / "trace.jsonl"
+        assert main(["trace", "--checkpoint", str(ck_path), "--corpus", corpus_path,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"i/o error: checkpoint {ck_path} has format version 1, "
+                                           "which is no longer read; retrain to write a version 2 "
+                                           "checkpoint\n")
+        assert os.listdir(tmp_path) == ["v1.json"]
+
+    def test_checkpoint_arrays_are_base64_of_little_endian_float64(self, checkpoint_path):
+        payload = json.loads(open(checkpoint_path).read())
+        assert payload["format_version"] == 2
+        ck = load_checkpoint(checkpoint_path)
+        for group, arrays in ((payload["model"], vars(ck.params)), (payload["optimizer"]["m"], ck.opt_state.m),
+                              (payload["optimizer"]["v"], ck.opt_state.v)):
+            for name in ("embedding", "w1", "b1", "w2", "b2"):
+                assert group[name]["shape"] == list(arrays[name].shape)
+                assert base64.b64decode(group[name]["data"]) == arrays[name].astype("<f8").tobytes()
 
     @pytest.mark.parametrize("damage, shown", [
         (lambda c: [c], "config is not a JSON object"),
@@ -499,8 +566,16 @@ class TestTraceCommand:
     def test_overflowing_logits_are_3(self, checkpoint_path, corpus_path, tmp_path, capsys):
         # finite weights, so the checkpoint loads; its config hash still matches
         payload = json.loads(open(checkpoint_path).read())
-        payload["model"]["b1"][0] = 50.0  # hidden unit 0 saturates at 1
-        payload["model"]["w2"][0][0] = payload["model"]["b2"][0] = 1e308
+        def first_set_to(value):
+            def edit(arr):
+                arr.flat[0] = value
+                return arr
+            return edit
+
+        model = payload["model"]
+        model["b1"] = edit_array(model["b1"], first_set_to(50.0))  # hidden unit 0 saturates at 1
+        model["w2"] = edit_array(model["w2"], first_set_to(1e308))
+        model["b2"] = edit_array(model["b2"], first_set_to(1e308))
         ck_path = tmp_path / "overflow.json"
         ck_path.write_text(json.dumps(payload))
         out = tmp_path / "trace.jsonl"

@@ -11,8 +11,10 @@ from prism.corpus import AnnotatedExample, GeneratorConfig, generate
 from prism.errors import CheckpointError, ConfigError, DivergenceError
 from prism.fact_graph import DependencyEdge, FactSpan, SentenceSpan
 from prism.model import (
+    METHODS,
     ModelParams,
     PARAM_FIELDS,
+    StepBuffers,
     TrainSettings,
     backward_batch,
     evaluate,
@@ -26,7 +28,7 @@ from prism.model import (
     save_checkpoint,
     train,
 )
-from prism.objective import sft_loss, softmax_probs, total_loss
+from prism.objective import knowledge_mask_valid, sft_loss, softmax_probs, total_loss
 
 from oracles import finite_difference_gradient
 
@@ -373,12 +375,88 @@ class TestTrain:
         with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="step"):
             train_on(examples, settings)
 
+    @pytest.mark.parametrize("method, lam", [("sft", 0.0), ("prism", 0.1), ("prism_no_gate", 0.5)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_logits_stop_the_run_before_the_update(self, monkeypatch, method, lam, bad):
+        import prism.model as model_mod
+        calls = {"forward": 0, "update": 0}
+        original_forward, original_step = model_mod.forward_batch, model_mod.optimizer_step
+
+        def forward(params, windows, out=None):
+            logits, cache = original_forward(params, windows, out=out)
+            calls["forward"] += 1
+            if calls["forward"] == 3:
+                logits[-1, 5] = bad
+            return logits, cache
+
+        def step(params, grads, state):
+            calls["update"] += 1
+            return original_step(params, grads, state)
+
+        monkeypatch.setattr(model_mod, "forward_batch", forward)
+        monkeypatch.setattr(model_mod, "optimizer_step", step)
+        settings = TrainSettings(method=method, lam=lam, steps=5, batch_size=4, vocab_size=70, seed=1)
+        with pytest.raises(DivergenceError, match="^non-finite logits at step 3$"):
+            train_on(small_corpus(n=20), settings)
+        assert calls["update"] == 2
+
     def test_prism_counters_stay_clean(self):
         examples = small_corpus()
         result = train_on(examples, TrainSettings(method="prism", lam=0.2, steps=40,
                                                   batch_size=8, vocab_size=70, seed=2))
         assert result.counters.off_target_total == 0
         assert result.counters.alpha_nonfact_total == 0
+
+
+def bits(arr):
+    return np.asarray(arr).tobytes()
+
+
+class TestStepBuffers:
+    @pytest.mark.parametrize("vocab", [70, 1024])
+    def test_stale_buffers_give_the_allocating_bits(self, vocab):
+        """Buffers full of NaN and larger than the batch, and batches that
+        shrink, grow within them and grow past them: forward_batch and
+        total_loss with out= equal the allocating calls bit for bit."""
+        rng = np.random.default_rng(vocab)
+        params = init_params(vocab, 8, 16, 3, rng)
+        params.w2 *= 40.0  # peaked softmax rows, so the gates open
+        buffers = StepBuffers(vocab)
+        buffers.views(48)
+        buffers.store.fill(np.nan)
+        active = 0
+        for rows in (40, 9, 30, 48, 60):
+            windows = rng.integers(0, vocab, size=(rows, 3))
+            logits, _ = forward_batch(params, windows)
+            labels = np.where(rng.random(rows) < 0.7, logits.argmax(axis=1), rng.integers(0, vocab, rows))
+            signals = TokenSignals(fact_mask=rng.random(rows) < 0.6,
+                                   support_weight=rng.choice([0.2, 0.5, 0.8, 1.0], rows),
+                                   valid_mask=rng.random(rows) < 0.9)
+            if rows > buffers.store.shape[1]:
+                buffers.views(rows)
+                buffers.store.fill(np.nan)
+            logits_out, loss_out = buffers.views(rows)
+            reused, _ = forward_batch(params, windows, out=logits_out)
+            assert reused is logits_out and bits(reused) == bits(logits)
+            for method in METHODS.values():
+                for lam in (0.0, 0.3):
+                    lam = lam if method.has_comp else 0.0
+                    sig = signals
+                    if method.drop_unsupported:
+                        sig = TokenSignals(signals.fact_mask, signals.support_weight,
+                                           knowledge_mask_valid(signals))
+                    flags = dict(use_gates=method.use_gates, use_fact_mask=method.use_fact_mask)
+                    fresh = total_loss(logits, labels, sig, lam, **flags)
+                    again = total_loss(reused, labels, sig, lam, **flags, out=loss_out)
+                    assert again[1] is loss_out[0]
+                    assert repr(again[0]) == repr(fresh[0])
+                    assert bits(again[1]) == bits(fresh[1])
+                    assert (again[2] is None) == (fresh[2] is None) == (lam == 0.0)
+                    if lam:
+                        for field in ("p_label", "q_max", "pref_gate", "keep_gate", "alpha"):
+                            assert bits(getattr(again[2], field)) == bits(getattr(fresh[2], field))
+                        active += int((fresh[2].alpha > 0).sum())
+        assert active > 0
 
 
 class TestEvaluate:
