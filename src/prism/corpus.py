@@ -361,27 +361,28 @@ def verify_and_filter(examples: Sequence[AnnotatedExample]) -> FilterReport:
     return FilterReport(kept=kept, rejected=rejected, reason_counts=counts)
 
 
-def _require(condition: bool, message: str, lineno: int | None) -> None:
+def _require(condition: bool, message: str, lineno: int | None, *args: object) -> None:
+    """Raise CorpusFormatError(message.format(*args)) unless condition holds;
+    the message is built only then."""
     if not condition:
-        raise CorpusFormatError(message, lineno)
+        raise CorpusFormatError(message.format(*args), lineno)
 
 
 def _token_list(obj: object, name: str, lineno: int | None) -> list[int]:
-    _require(isinstance(obj, list), f"field {name!r} must be a list", lineno)
-    out = []
+    _require(isinstance(obj, list), "field {!r} must be a list", lineno, name)
     for tok in obj:  # type: ignore[union-attr]
-        _require(isinstance(tok, int) and not isinstance(tok, bool) and tok >= 0,
-                 f"field {name!r} must contain nonnegative token ids", lineno)
-        _require(tok < 2**63, f"field {name!r} holds a token id of 2**63 or more", lineno)
-        out.append(tok)
-    return out
+        if type(tok) is not int or not 0 <= tok < 2**63:  # the two checks below, at once
+            _require(isinstance(tok, int) and not isinstance(tok, bool) and tok >= 0,
+                     "field {!r} must contain nonnegative token ids", lineno, name)
+            _require(tok < 2**63, "field {!r} holds a token id of 2**63 or more", lineno, name)
+    return list(obj)  # type: ignore[call-overload]
 
 
 def example_from_record(record: dict, lineno: int | None = None) -> AnnotatedExample:
     """Decode one JSONL record, checking field presence and types."""
     _require(isinstance(record, dict), "record must be a JSON object", lineno)
     for name in ("input", "target", "sentences", "facts", "edges"):
-        _require(name in record, f"missing field {name!r}", lineno)
+        _require(name in record, "missing field {!r}", lineno, name)
 
     input_tokens = _token_list(record["input"], "input", lineno)
     target_tokens = _token_list(record["target"], "target", lineno)
@@ -392,7 +393,7 @@ def example_from_record(record: dict, lineno: int | None = None) -> AnnotatedExa
     for i, s in enumerate(record["sentences"]):
         _require(isinstance(s, dict), "field 'sentences' must contain objects", lineno)
         for key in ("start", "end", "risk"):
-            _require(key in s, f"sentence missing field {key!r}", lineno)
+            _require(key in s, "sentence missing field {!r}", lineno, key)
         _require(isinstance(s["start"], int) and isinstance(s["end"], int),
                  "sentence fields 'start'/'end' must be integers", lineno)
         risk = s["risk"]  # its range is an annotation rule, checked with the others
@@ -405,7 +406,7 @@ def example_from_record(record: dict, lineno: int | None = None) -> AnnotatedExa
     for f in record["facts"]:
         _require(isinstance(f, dict), "field 'facts' must contain objects", lineno)
         for key in ("id", "start", "end", "sentence"):
-            _require(key in f, f"fact missing field {key!r}", lineno)
+            _require(key in f, "fact missing field {!r}", lineno, key)
         _require(isinstance(f["start"], int) and isinstance(f["end"], int) and isinstance(f["sentence"], int),
                  "fact fields 'start'/'end'/'sentence' must be integers", lineno)
         facts.append(FactSpan(fact_id=f["id"], token_start=f["start"], token_end=f["end"], sentence=f["sentence"]))
@@ -415,7 +416,7 @@ def example_from_record(record: dict, lineno: int | None = None) -> AnnotatedExa
     for e in record["edges"]:
         _require(isinstance(e, dict), "field 'edges' must contain objects", lineno)
         for key in ("from", "to"):
-            _require(key in e and isinstance(e[key], int), f"edge field {key!r} must be an integer", lineno)
+            _require(key in e and isinstance(e[key], int), "edge field {!r} must be an integer", lineno, key)
         edges.append(DependencyEdge(src=e["from"], dst=e["to"]))
 
     if "valid" in record:

@@ -62,7 +62,7 @@ from .model import (
     save_checkpoint,
     train,
 )
-from .objective import comp_loss
+from .objective import gate_trace, softmax_probs
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -300,7 +300,7 @@ def cmd_train(cfg: RunConfig, data: RunData | None = None) -> MetricsReport:
     run_id = run_identifier(cfg)
     last = result.step_log[-1]
     metrics: dict[str, float | None] = {
-        **evaluate(result.params, data.prep_eval, cfg.epsilon),
+        **evaluate(result.params, data.prep_eval),
         "final_sft": last.sft,
         "final_comp": last.comp,
         "final_total": last.total,
@@ -506,7 +506,8 @@ def cmd_ablate(cfg: RunConfig, lambdas: Sequence[float]) -> str:
 
 def cmd_trace(checkpoint_path: str, corpus_path: str, limit: int, out: str | None) -> list[dict]:
     """Dump per-token gate decisions of a checkpointed model over a corpus slice,
-    with the epsilon and risk propagation of the checkpoint's config."""
+    with the risk propagation of the checkpoint's config; each record's
+    probabilities are written over its logits."""
     ck = load_checkpoint(checkpoint_path)
     try:
         if not isinstance(ck.config, dict):
@@ -526,9 +527,10 @@ def cmd_trace(checkpoint_path: str, corpus_path: str, limit: int, out: str | Non
     for i, prep in enumerate(prepared):
         logits, _ = model_mod.forward_batch(ck.params, prep.windows)
         try:
-            _, _, trace = comp_loss(logits, prep.labels, prep.signals, settings.epsilon)
+            probs = softmax_probs(logits, out=logits)
         except NonFiniteLogits as exc:
             raise DivergenceError(f"non-finite logits for record {i + 1}") from exc
+        trace = gate_trace(probs, prep.labels, prep.signals)
         for t in range(len(prep.labels)):
             sid = int(prep.sentence_id[t])
             rows.append(

@@ -38,7 +38,7 @@ from .fact_graph import (
 from .objective import (
     DEFAULT_EPSILON,
     MAX_EPSILON,
-    comp_loss,
+    gate_trace,
     knowledge_mask_valid,
     sft_loss,  # noqa: F401  not called here, but profilers patch prism.model.sft_loss
     softmax_probs,
@@ -118,19 +118,43 @@ def _check_tokens(tokens: np.ndarray, vocab_size: int) -> None:
             raise ConfigError(f"token id {bad} outside [0, {vocab_size}) of the model vocabulary")
 
 
+class StepViews(NamedTuple):
+    """A StepBuffers' arrays for one batch of `rows`, each C-contiguous."""
+
+    logits: np.ndarray    # [rows, V]
+    shifted: np.ndarray   # [rows, V], total_loss's two out arrays
+    exp: np.ndarray       # [rows, V]
+    x: np.ndarray         # [rows, window * d], forward_batch's activations
+    hidden: np.ndarray    # [rows, h]
+    d_hidden: np.ndarray  # [rows, h], backward_batch's
+    d_pre: np.ndarray     # [rows, h]
+    d_x: np.ndarray       # [rows, window * d]
+    bins: np.ndarray      # int64 [rows, window * d]
+
+
+# No arrays given: forward_batch and backward_batch allocate each one.
+_FRESH = StepViews(*[None] * len(StepViews._fields))
+
+
 def forward_batch(
-    params: ModelParams, windows: np.ndarray, out: np.ndarray | None = None
+    params: ModelParams, windows: np.ndarray, out: StepViews | None = None
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Logits [B, V] for a batch of token windows [B, window], written into
-    `out` (a C-contiguous float64 [B, V] array) when given, plus the
-    activations needed by backward_batch."""
+    """Logits [B, V] for a batch of token windows [B, window], plus the
+    activations needed by backward_batch; with `out`, all three are written
+    into its logits, x and hidden."""
     w = np.asarray(windows, dtype=np.int64)
     if w.ndim != 2 or w.shape[1] != params.window:
         raise ValueError(f"windows must be [B, {params.window}], got shape {w.shape}")
     _check_tokens(w, params.vocab_size)
-    x = params.embedding[w].reshape(w.shape[0], -1)
-    hidden = np.tanh(x @ params.w1 + params.b1)
-    logits = np.matmul(hidden, params.w2, out=out)
+    o = out or _FRESH
+    # The ids are checked, so mode="clip" changes none; it lets take write
+    # into `out` without an intermediate copy.
+    x = np.take(params.embedding, w, axis=0, mode="clip",
+                out=None if o.x is None else o.x.reshape(*w.shape, -1)).reshape(w.shape[0], -1)
+    hidden = np.matmul(x, params.w1, out=o.hidden)
+    hidden += params.b1
+    np.tanh(hidden, out=hidden)
+    logits = np.matmul(hidden, params.w2, out=o.logits)
     logits += params.b2
     return logits, (x, hidden)
 
@@ -140,27 +164,32 @@ def backward_batch(
     windows: np.ndarray,
     dlogits: np.ndarray,
     cache: tuple[np.ndarray, np.ndarray],
+    out: StepViews | None = None,
 ) -> dict[str, np.ndarray]:
     """Exact reverse-mode gradients of the loss w.r.t. every parameter, given
-    the per-logit loss gradient [B, V] and forward_batch's activations."""
+    the per-logit loss gradient [B, V] and forward_batch's activations; with
+    `out`, the [B, ...] intermediates are written into its arrays."""
     w = np.asarray(windows, dtype=np.int64)
     dz = np.asarray(dlogits, dtype=np.float64)
     x, hidden = cache
     if dz.shape != (w.shape[0], params.vocab_size):
         raise ValueError(f"loss gradient has shape {dz.shape}, expected {(w.shape[0], params.vocab_size)}")
+    o = out or _FRESH
 
     d_w2 = hidden.T @ dz
     d_b2 = dz.sum(axis=0)
-    d_hidden = dz @ params.w2.T
-    d_pre = d_hidden * (1.0 - hidden * hidden)
+    # d_pre = d_hidden * (1 - hidden**2)
+    d_pre = np.multiply(hidden, hidden, out=o.d_pre)
+    np.subtract(1.0, d_pre, out=d_pre)
+    d_pre *= np.matmul(dz, params.w2.T, out=o.d_hidden)
     d_w1 = x.T @ d_pre
     d_b1 = d_pre.sum(axis=0)
     # Embedding scatter: one bincount over (token id, column) bins.  Each bin
     # sums its rows in batch order, exactly as np.add.at would.
     dim = params.embed_dim
-    bins = (w.reshape(-1, 1) * dim + np.arange(dim)).ravel()
-    d_x = d_pre @ params.w1.T
-    d_emb = np.bincount(bins, weights=d_x.ravel(), minlength=params.vocab_size * dim)
+    bins = np.add(w.reshape(-1, 1) * dim, np.arange(dim), out=None if o.bins is None else o.bins.reshape(-1, dim))
+    d_x = np.matmul(d_pre, params.w1.T, out=o.d_x)
+    d_emb = np.bincount(bins.ravel(), weights=d_x.ravel(), minlength=params.vocab_size * dim)
     d_emb = d_emb.reshape(params.vocab_size, dim)
     return {"embedding": d_emb, "w1": d_w1, "b1": d_b1, "w2": d_w2, "b2": d_b2}
 
@@ -391,26 +420,27 @@ def infer_vocab_size(examples: Sequence[AnnotatedExample]) -> int:
     """Smallest vocabulary covering every token id in the corpus."""
     top = 0
     for ex in examples:
-        for tok in ex.input_tokens:
-            top = max(top, tok)
-        for tok in ex.target_tokens:
-            top = max(top, tok)
+        top = max(top, max(ex.input_tokens, default=0), max(ex.target_tokens, default=0))
     return top + 1
 
 
 class StepBuffers:
-    """The [rows, V] arrays of one training step, owned by a run: the logits
-    and the two arrays of total_loss's `out`.  They are reallocated, larger,
-    only when a batch has more rows than any before it."""
+    """The per-row arrays of one training step (StepViews), owned by a run.
+    They are reallocated only when a batch has more rows than they hold, and
+    then for twice its rows, so a run seldom grows them twice: rows never
+    written take no memory, while each growth can leave the old arrays
+    behind as free but resident heap."""
 
-    def __init__(self, vocab_size: int) -> None:
-        self.store = np.empty((3, 0, vocab_size))
+    def __init__(self, params: ModelParams) -> None:
+        fan_in, hidden = params.w1.shape
+        widths = (params.vocab_size,) * 3 + (fan_in, hidden, hidden, hidden, fan_in)
+        self.columns = [(n, np.float64) for n in widths] + [(fan_in, np.int64)]
+        self.arrays = [np.empty((0, n), dtype) for n, dtype in self.columns]
 
-    def views(self, rows: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-        if rows > self.store.shape[1]:
-            self.store = np.empty((3, rows, self.store.shape[2]))
-        logits, shifted, exp = self.store[:, :rows]
-        return logits, (shifted, exp)
+    def views(self, rows: int) -> StepViews:
+        if rows > len(self.arrays[0]):
+            self.arrays = [np.empty((2 * rows, n), dtype) for n, dtype in self.columns]
+        return StepViews(*(a[:rows] for a in self.arrays))
 
 
 def train(prepared: Sequence[PreparedExample], settings: TrainSettings) -> TrainResult:
@@ -421,7 +451,7 @@ def train(prepared: Sequence[PreparedExample], settings: TrainSettings) -> Train
     that term, so any method at lam = 0 is bit-identical to method="sft" on
     the same valid mask.  Aborts with the step index on non-finite logits
     (which total_loss checks, once per step) or a non-finite loss.  The
-    step's [rows, V] arrays live in one StepBuffers for the whole run.
+    step's per-row arrays live in one StepBuffers for the whole run.
 
     `prepared` is prepare_examples(examples, settings.window,
     settings.vocab_size, risk_mode=settings.risk_propagation); a sweep
@@ -440,12 +470,12 @@ def train(prepared: Sequence[PreparedExample], settings: TrainSettings) -> Train
 
     log: list[StepRecord] = []
     counters = TrainCounters()
-    buffers = StepBuffers(settings.vocab_size)
+    buffers = StepBuffers(params)
     for step in range(1, settings.steps + 1):
         idx = rng.integers(0, len(prepared), size=settings.batch_size)
         windows, labels, signals = _gather_batch(prepared, idx)
-        logits_out, loss_out = buffers.views(len(labels))
-        logits, cache = forward_batch(params, windows, out=logits_out)
+        views = buffers.views(len(labels))
+        logits, cache = forward_batch(params, windows, out=views)
 
         n_sft = int(signals.valid_mask.sum())
         n_fact = int(signals.fact_mask.sum())
@@ -454,7 +484,7 @@ def train(prepared: Sequence[PreparedExample], settings: TrainSettings) -> Train
         try:
             loss, grad, trace = total_loss(
                 logits, labels, signals, lam, settings.epsilon,
-                use_gates=method.use_gates, use_fact_mask=method.use_fact_mask, out=loss_out,
+                use_gates=method.use_gates, use_fact_mask=method.use_fact_mask, out=views[1:3],
             )
         except NonFiniteLogits as exc:
             raise DivergenceError(f"non-finite logits at step {step}") from exc
@@ -492,39 +522,35 @@ def train(prepared: Sequence[PreparedExample], settings: TrainSettings) -> Train
                 p_safe=_group_mean(probs_label, safe),
             )
         )
-        grads = backward_batch(params, windows, grad, cache)
+        grads = backward_batch(params, windows, grad, cache, out=views)
         params, state = optimizer_step(params, grads, state)
     return TrainResult(params=params, opt_state=state, step_log=log, counters=counters)
 
 
-def evaluate(
-    params: ModelParams,
-    prepared: Sequence[PreparedExample],
-    epsilon: float = DEFAULT_EPSILON,
-) -> dict[str, float | None]:
-    """The metrics.json entries: label probabilities, top-1 and gate rates by token group."""
+def evaluate(params: ModelParams, prepared: Sequence[PreparedExample]) -> dict[str, float | None]:
+    """The metrics.json entries: label probabilities, top-1 and gate rates by
+    token group, all read from one [rows, V] array, the probabilities written
+    over the logits.  The gates have comp_loss's default flags."""
     if not prepared:
         raise ConfigError("nothing to evaluate")
     windows, labels, signals = _gather_batch(prepared, range(len(prepared)))
     logits, _ = forward_batch(params, windows)
     try:
-        probs = softmax_probs(logits)
+        probs = softmax_probs(logits, out=logits)
     except NonFiniteLogits as exc:
         raise DivergenceError("non-finite logits in evaluation") from exc
-    rows = np.arange(len(labels))
-    p_label = probs[rows, labels]
     top1 = probs.argmax(axis=1) == labels
+    trace = gate_trace(probs, labels, signals)
 
     fact = signals.fact_mask
     risky = fact & (signals.support_weight < 1.0)
     safe = fact & (signals.support_weight >= 1.0)
     nonfact = signals.valid_mask & ~fact
-    _, _, trace = comp_loss(logits, labels, signals, epsilon)
 
     return {
-        "mean_p_risky_fact": _group_mean(p_label, risky),
-        "mean_p_safe_fact": _group_mean(p_label, safe),
-        "mean_p_nonfact": _group_mean(p_label, nonfact),
+        "mean_p_risky_fact": _group_mean(trace.p_label, risky),
+        "mean_p_safe_fact": _group_mean(trace.p_label, safe),
+        "mean_p_nonfact": _group_mean(trace.p_label, nonfact),
         "nonfact_top1_acc": _group_mean(top1.astype(np.float64), nonfact),
         "risky_top1_rate": _group_mean(top1.astype(np.float64), risky),
         "gate_pref_rate": _group_mean(trace.pref_gate.astype(np.float64), fact),

@@ -87,12 +87,13 @@ def _exp_pass(
     return Softmax(shifted, e, e.sum(axis=-1, keepdims=True))
 
 
-def softmax_probs(logits: np.ndarray) -> np.ndarray:
+def softmax_probs(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Numerically stable softmax over the last axis (max-subtracted), float64.
-    Non-finite input raises NonFiniteLogits, a ValueError."""
+    Non-finite input raises NonFiniteLogits, a ValueError.  With `out` (it may
+    be the logits), each step's result is written into it."""
     z = np.asarray(logits, dtype=np.float64)
     _check_finite(z)
-    _, e, sums = _exp_pass(z)
+    _, e, sums = _exp_pass(z, out, out)
     e /= sums
     return e
 
@@ -149,12 +150,18 @@ def sft_loss(
     return value, grad
 
 
-def _gate_arrays(
-    probs: np.ndarray,
-    labels: np.ndarray,
-    support: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    rows = np.arange(len(labels))
+def gate_trace(
+    probs: np.ndarray, labels: np.ndarray, signals: TokenSignals, *, use_gates: bool = True, use_fact_mask: bool = True
+) -> GateTrace:
+    """Both gates and alpha at every position of probabilities [T, V], with
+    comp_loss's flags; labels are int64 ids in [0, V).  The label entries of
+    `probs` are overwritten and put back, so it must be writable."""
+    length = len(labels)
+    support = np.asarray(signals.support_weight, dtype=np.float64)
+    base = np.asarray(signals.fact_mask if use_fact_mask else signals.valid_mask, dtype=bool)
+    if support.shape != (length,) or base.shape != (length,):
+        raise ValueError("token signals do not match the batch length")
+    rows = np.arange(length)
     p_label = probs[rows, labels]
     # q_max is the largest competitor: the row max with the label entry set
     # below every probability, then put back.
@@ -163,7 +170,9 @@ def _gate_arrays(
     probs[rows, labels] = p_label
     pref = p_label > q_max
     keep = p_label * support * (1.0 - p_label) >= q_max * (1.0 - p_label * support)
-    return p_label, q_max, pref, keep
+    gates = (pref & keep) if use_gates else np.ones(length, dtype=bool)
+    alpha = np.where(base & gates, 1.0 - support, 0.0)
+    return GateTrace(p_label=p_label, q_max=q_max, pref_gate=pref, keep_gate=keep, alpha=alpha)
 
 
 def comp_loss(
@@ -203,20 +212,13 @@ def comp_loss(
         soft = softmax_pass(logits)
     length, vocab = soft.shifted.shape
     y = _as_labels(labels, length, vocab)
-    support = np.asarray(signals.support_weight, dtype=np.float64)
-    base = np.asarray(signals.fact_mask if use_fact_mask else signals.valid_mask, dtype=bool)
-    if support.shape != (length,) or base.shape != (length,):
-        raise ValueError("token signals do not match the batch length")
-
     probs = soft.exp
     probs /= soft.sums
-    p_label, q_max, pref, keep = _gate_arrays(probs, y, support)
-    gates = (pref & keep) if use_gates else np.ones(length, dtype=bool)
-    alpha = np.where(base & gates, 1.0 - support, 0.0)
-    trace = GateTrace(p_label=p_label, q_max=q_max, pref_gate=pref, keep_gate=keep, alpha=alpha)
+    trace = gate_trace(probs, y, signals, use_gates=use_gates, use_fact_mask=use_fact_mask)
+    p_label, alpha = trace.p_label, trace.alpha
 
     grad = np.zeros_like(probs) if add_into is None else add_into
-    n_base = int(base.sum())
+    n_base = np.count_nonzero(signals.fact_mask if use_fact_mask else signals.valid_mask)
     if n_base == 0:
         return 0.0, grad, trace
 

@@ -12,8 +12,10 @@ from typing import Callable
 
 import numpy as np
 
+from prism.errors import DivergenceError, NonFiniteLogits
 from prism.fact_graph import TokenSignals
-from prism.objective import DEFAULT_EPSILON, knowledge_mask_valid, sft_loss
+from prism.model import ModelParams, PreparedExample, _gather_batch, _group_mean, forward_batch
+from prism.objective import DEFAULT_EPSILON, comp_loss, knowledge_mask_valid, sft_loss, softmax_probs
 
 
 @dataclass(frozen=True)
@@ -108,3 +110,65 @@ def finite_difference_gradient(
         z[ij] = orig
         grad[ij] = (up - down) / (2.0 * step)
     return grad
+
+
+def evaluate_reference(
+    params: ModelParams,
+    prepared: list[PreparedExample],
+    epsilon: float = DEFAULT_EPSILON,
+) -> dict[str, float | None]:
+    """model.evaluate spelled out through comp_loss: a fresh softmax gives
+    p_label and top-1, and comp_loss's own pass over the logits gives the
+    gate trace, whose loss and gradient are discarded."""
+    windows, labels, signals = _gather_batch(prepared, range(len(prepared)))
+    logits, _ = forward_batch(params, windows)
+    try:
+        probs = softmax_probs(logits)
+    except NonFiniteLogits as exc:
+        raise DivergenceError("non-finite logits in evaluation") from exc
+    p_label = probs[np.arange(len(labels)), labels]
+    top1 = (probs.argmax(axis=1) == labels).astype(np.float64)
+    _, _, trace = comp_loss(logits, labels, signals, epsilon)
+    fact = signals.fact_mask
+    risky = fact & (signals.support_weight < 1.0)
+    nonfact = signals.valid_mask & ~fact
+    return {
+        "mean_p_risky_fact": _group_mean(p_label, risky),
+        "mean_p_safe_fact": _group_mean(p_label, fact & (signals.support_weight >= 1.0)),
+        "mean_p_nonfact": _group_mean(p_label, nonfact),
+        "nonfact_top1_acc": _group_mean(top1, nonfact),
+        "risky_top1_rate": _group_mean(top1, risky),
+        "gate_pref_rate": _group_mean(trace.pref_gate.astype(np.float64), fact),
+        "gate_keep_rate": _group_mean(trace.keep_gate.astype(np.float64), fact),
+        "gate_active_rate": _group_mean((trace.alpha > 0.0).astype(np.float64), fact),
+    }
+
+
+def trace_rows_reference(
+    params: ModelParams,
+    prepared: list[PreparedExample],
+    epsilon: float = DEFAULT_EPSILON,
+) -> list[dict]:
+    """harness.cmd_trace's rows spelled out through comp_loss, one call per
+    example, its loss and gradient discarded."""
+    rows = []
+    for i, prep in enumerate(prepared):
+        logits, _ = forward_batch(params, prep.windows)
+        try:
+            _, _, trace = comp_loss(logits, prep.labels, prep.signals, epsilon)
+        except NonFiniteLogits as exc:
+            raise DivergenceError(f"non-finite logits for record {i + 1}") from exc
+        for t in range(len(prep.labels)):
+            sid = int(prep.sentence_id[t])
+            rows.append({
+                "example": i,
+                "position": t,
+                "sentence": sid if sid >= 0 else None,
+                "p_label": float(trace.p_label[t]),
+                "q_max": float(trace.q_max[t]),
+                "w": float(prep.signals.support_weight[t]),
+                "pref_gate": int(trace.pref_gate[t]),
+                "keep_gate": int(trace.keep_gate[t]),
+                "alpha": float(trace.alpha[t]),
+            })
+    return rows

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from prism.corpus import GeneratorConfig, generate, read_jsonl, write_jsonl
-from prism.errors import ConfigError
+from prism.errors import ConfigError, DivergenceError
 from prism.harness import (
     CSV_HEADER,
     MetricsReport,
@@ -40,7 +40,8 @@ from prism.model import (
 import prism
 from prism.objective import softmax_probs
 
-from oracles import redistribute
+import oracles
+from oracles import redistribute, trace_rows_reference
 
 
 @pytest.fixture(scope="module")
@@ -475,6 +476,49 @@ class TestTraceCommand:
                 assert row["keep_gate"] == int(stays)
         assert active > 0
 
+    def test_rows_equal_the_comp_loss_reference(self, corpus_path, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        cmd_train(run_config(corpus_path, out, steps=120))
+        ck_path = os.path.join(out, "checkpoint.json")
+        payload = json.loads(open(ck_path).read())
+        for name in ("w2", "b2"):  # sharper: some fact rows saturate the clamp, p_label >= 1 - epsilon
+            payload["model"][name] = edit_array(payload["model"][name], lambda a: 8.0 * a)
+        open(ck_path, "w").write(json.dumps(payload))
+        capsys.readouterr()
+        rows = cmd_trace(ck_path, corpus_path, limit=40, out=None)
+        ck = load_checkpoint(ck_path)
+        prepared = prepare_examples(read_jsonl(corpus_path, 40), ck.params.window, ck.params.vocab_size)
+        reference = trace_rows_reference(ck.params, prepared)
+        assert capsys.readouterr().out == "".join(json.dumps(row) + "\n" for row in reference)
+        assert rows == reference
+        fact_p = [r["p_label"] for r in rows if r["w"] < 1.0]
+        assert any(p >= 1.0 - 1e-6 for p in fact_p) and any(p < 1.0 - 1e-6 for p in fact_p)
+        assert any(r["alpha"] > 0 for r in rows) and any(r["pref_gate"] == 0 for r in rows)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_logits_give_the_reference_error(self, checkpoint_path, corpus_path, capsys,
+                                                        monkeypatch, value):
+        ck = load_checkpoint(checkpoint_path)
+        prepared = prepare_examples(read_jsonl(corpus_path, 5), ck.params.window, ck.params.vocab_size)
+        real = forward_batch
+
+        def poisoned(params, windows, out=None):  # one logit of record 3 is not finite
+            logits, cache = real(params, windows, out)
+            if np.array_equal(windows, prepared[2].windows):
+                logits[1, 3] = value
+            return logits, cache
+
+        monkeypatch.setattr(prism.model, "forward_batch", poisoned)
+        monkeypatch.setattr(oracles, "forward_batch", poisoned)
+        errors = []
+        for fn in (lambda: cmd_trace(checkpoint_path, corpus_path, limit=5, out=None),
+                   lambda: trace_rows_reference(ck.params, prepared)):
+            with pytest.raises(DivergenceError) as info:
+                fn()
+            errors.append(str(info.value))
+        assert errors == ["non-finite logits for record 3"] * 2
+        assert capsys.readouterr().out == ""
+
     def test_config_hash_mismatch_fails(self, corpus_path, tmp_path, capsys):
         out = str(tmp_path / "run")
         cmd_train(run_config(corpus_path, out, steps=5))
@@ -818,10 +862,21 @@ class TestExitCodes:
         ("sentences", 5, "line 2: field 'sentences' must be a list"),
         ("edges", None, "line 2: field 'edges' must be a list"),
         ("target", [2**63], "line 2: field 'target' holds a token id of 2**63 or more"),
-    ], ids=["sentences_int", "edges_null", "token_beyond_int64"])
+        ("input", [3, -1], "line 2: field 'input' must contain nonnegative token ids"),
+        ("target", [3, True], "line 2: field 'target' must contain nonnegative token ids"),
+        ("target", [3, 1.0], "line 2: field 'target' must contain nonnegative token ids"),
+        ("input", "3", "line 2: field 'input' must be a list"),
+        ("facts", ..., "line 2: missing field 'facts'"),
+        ("sentences", [{"start": 0, "end": 1}], "line 2: sentence missing field 'risk'"),
+        ("facts", [{"id": 0, "end": 1}], "line 2: fact missing field 'start'"),
+        ("edges", [{"from": 1, "to": "2"}], "line 2: edge field 'to' must be an integer"),
+    ], ids=["sentences_int", "edges_null", "token_beyond_int64", "negative_token", "bool_token",
+            "float_token", "tokens_not_list", "no_facts", "sentence_key", "fact_key", "edge_key"])
     def test_ill_typed_record_is_2(self, corpus_path, tmp_path, capsys, field, value, shown):
         records = [json.loads(line) for line in open(corpus_path)]
         records[1][field] = value
+        if value is ...:
+            del records[1][field]
         bad = tmp_path / "bad.jsonl"
         bad.write_text("".join(json.dumps(r) + "\n" for r in records))
         assert main(["train", "--corpus", str(bad), "--out", str(tmp_path / "r")]) == 2

@@ -3,6 +3,7 @@ and checkpoint round trips for the tiny window model."""
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from prism.model import (
 )
 from prism.objective import knowledge_mask_valid, sft_loss, softmax_probs, total_loss
 
-from oracles import finite_difference_gradient
+from oracles import evaluate_reference, finite_difference_gradient
 
 from prism.fact_graph import TokenSignals
 
@@ -415,29 +416,36 @@ def bits(arr):
 class TestStepBuffers:
     @pytest.mark.parametrize("vocab", [70, 1024])
     def test_stale_buffers_give_the_allocating_bits(self, vocab):
-        """Buffers full of NaN and larger than the batch, and batches that
-        shrink, grow within them and grow past them: forward_batch and
-        total_loss with out= equal the allocating calls bit for bit."""
+        """Buffers full of stale values and larger than the batch, and
+        batches that shrink, grow within them and grow past them:
+        forward_batch, total_loss and backward_batch with out= equal the
+        allocating calls bit for bit."""
         rng = np.random.default_rng(vocab)
         params = init_params(vocab, 8, 16, 3, rng)
         params.w2 *= 40.0  # peaked softmax rows, so the gates open
-        buffers = StepBuffers(vocab)
-        buffers.views(48)
-        buffers.store.fill(np.nan)
+        buffers = StepBuffers(params)
+
+        def spoil():
+            for arr in buffers.arrays:
+                arr.fill(np.nan if arr.dtype == np.float64 else -(2**40))
+
+        buffers.views(30)  # room for 60 rows
+        spoil()
         active = 0
-        for rows in (40, 9, 30, 48, 60):
+        for rows in (40, 9, 30, 60, 61, 100):
             windows = rng.integers(0, vocab, size=(rows, 3))
-            logits, _ = forward_batch(params, windows)
+            logits, cache = forward_batch(params, windows)
             labels = np.where(rng.random(rows) < 0.7, logits.argmax(axis=1), rng.integers(0, vocab, rows))
             signals = TokenSignals(fact_mask=rng.random(rows) < 0.6,
                                    support_weight=rng.choice([0.2, 0.5, 0.8, 1.0], rows),
                                    valid_mask=rng.random(rows) < 0.9)
-            if rows > buffers.store.shape[1]:
+            if rows > len(buffers.arrays[0]):
                 buffers.views(rows)
-                buffers.store.fill(np.nan)
-            logits_out, loss_out = buffers.views(rows)
-            reused, _ = forward_batch(params, windows, out=logits_out)
-            assert reused is logits_out and bits(reused) == bits(logits)
+                spoil()
+            views = buffers.views(rows)
+            reused, reused_cache = forward_batch(params, windows, out=views)
+            assert reused is views.logits and bits(reused) == bits(logits)
+            assert all(bits(a) == bits(b) for a, b in zip(reused_cache, cache))
             for method in METHODS.values():
                 for lam in (0.0, 0.3):
                     lam = lam if method.has_comp else 0.0
@@ -447,8 +455,8 @@ class TestStepBuffers:
                                            knowledge_mask_valid(signals))
                     flags = dict(use_gates=method.use_gates, use_fact_mask=method.use_fact_mask)
                     fresh = total_loss(logits, labels, sig, lam, **flags)
-                    again = total_loss(reused, labels, sig, lam, **flags, out=loss_out)
-                    assert again[1] is loss_out[0]
+                    again = total_loss(reused, labels, sig, lam, **flags, out=views[1:3])
+                    assert again[1] is views.shifted
                     assert repr(again[0]) == repr(fresh[0])
                     assert bits(again[1]) == bits(fresh[1])
                     assert (again[2] is None) == (fresh[2] is None) == (lam == 0.0)
@@ -456,6 +464,9 @@ class TestStepBuffers:
                         for field in ("p_label", "q_max", "pref_gate", "keep_gate", "alpha"):
                             assert bits(getattr(again[2], field)) == bits(getattr(fresh[2], field))
                         active += int((fresh[2].alpha > 0).sum())
+                    grads = backward_batch(params, windows, fresh[1], cache)
+                    grads_again = backward_batch(params, windows, again[1], reused_cache, out=views)
+                    assert all(bits(grads_again[name]) == bits(grads[name]) for name in PARAM_FIELDS)
         assert active > 0
 
 
@@ -480,6 +491,59 @@ class TestEvaluate:
         assert metrics["mean_p_risky_fact"] is None
         assert metrics["gate_active_rate"] is None
         assert metrics["mean_p_nonfact"] is not None
+
+    def test_equals_the_comp_loss_reference(self):
+        examples = small_corpus(n=120)
+        settings = TrainSettings(method="prism", lam=0.1, steps=150, batch_size=16, learning_rate=0.01,
+                                 vocab_size=70, seed=4)
+        params = train_on(examples, settings).params
+        params.w2 *= 3.0  # sharper: most fact rows saturate the clamp, p_label >= 1 - epsilon
+        params.b2 *= 3.0
+        prep = prepare_examples(examples, window=4, vocab_size=70)
+        labels = np.concatenate([p.labels for p in prep])
+        fact = np.concatenate([p.signals.fact_mask for p in prep])
+        logits, _ = forward_batch(params, np.concatenate([p.windows for p in prep]))
+        p_label = softmax_probs(logits)[np.arange(len(labels)), labels][fact]
+        assert (p_label >= 1.0 - 1e-6).any() and (p_label < 1.0 - 1e-6).any()
+        metrics = evaluate(params, prep)
+        assert repr(metrics) == repr(evaluate_reference(params, prep))
+        assert 0.0 < metrics["gate_active_rate"] < metrics["gate_keep_rate"] < 1.0
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_logits_give_the_reference_error(self, value):
+        prep = prepare_examples(small_corpus(n=5), window=4, vocab_size=70)
+        params = init_params(70, 8, 12, 4, np.random.default_rng(6))
+        params.b2[7] = value
+        errors = []
+        for fn in (evaluate, evaluate_reference):
+            with pytest.raises(DivergenceError) as info:
+                fn(params, prep)
+            errors.append(str(info.value))
+        assert errors == ["non-finite logits in evaluation"] * 2
+
+    def test_peak_memory_is_one_rows_by_vocab_array(self):
+        # evaluate holds one [rows, V] float64 array: the logits, then the
+        # probabilities written over them
+        vocab, rng = 1024, np.random.default_rng(9)
+        examples = [
+            AnnotatedExample(
+                input_tokens=[1], target_tokens=rng.integers(2, vocab, size=40).tolist(), valid_mask=[1] * 40,
+                sentences=[SentenceSpan(1, 0, 40, 0.5)], facts=[FactSpan(0, 5, 9, 1)], edges=[],
+            )
+            for _ in range(55)
+        ]
+        prep = prepare_examples(examples, window=4, vocab_size=vocab)
+        rows = sum(len(p.labels) for p in prep)
+        assert rows >= 2000
+        params = init_params(vocab, 8, 16, 4, rng)
+        evaluate(params, prep)
+        tracemalloc.start()
+        try:
+            evaluate(params, prep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * rows * vocab * 8
 
     def test_overflowing_logits_are_divergence(self):
         prep = prepare_examples(small_corpus(n=5), window=4, vocab_size=70)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from prism.errors import EmptyBatchError
 from prism.fact_graph import TokenSignals
-from prism.objective import GateTrace, comp_loss, sft_loss, softmax_probs, total_loss
+from prism.objective import GateTrace, comp_loss, gate_trace, sft_loss, softmax_probs, total_loss
 
 from oracles import (
     compute_alpha,
@@ -62,6 +62,42 @@ class TestSoftmax:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             softmax_probs(np.array([np.nan, 0.0]))
+
+    def test_in_place_gives_the_allocating_bits(self):
+        logits = np.random.default_rng(1).normal(size=(40, 23)) * 20
+        fresh = softmax_probs(logits)
+        z = logits.copy()
+        assert softmax_probs(z, out=z) is z
+        assert z.tobytes() == fresh.tobytes()
+
+
+class TestGateTrace:
+    @pytest.mark.parametrize("use_gates", [True, False])
+    @pytest.mark.parametrize("use_fact_mask", [True, False])
+    def test_equals_the_comp_loss_trace(self, use_gates, use_fact_mask):
+        rng = np.random.default_rng(12)
+        length, vocab = 300, 31
+        logits = rng.normal(size=(length, vocab)) * 4
+        labels = rng.integers(0, vocab, size=length)
+        logits[:40, :] = rng.normal(size=(40, vocab))
+        logits[np.arange(40), labels[:40]] = 40.0  # p_label >= 1 - epsilon: the clamp saturates
+        signals = make_signals(rng.random(length) < 0.6, rng.choice([0.2, 0.7, 1.0], size=length),
+                               rng.random(length) < 0.9)
+        flags = dict(use_gates=use_gates, use_fact_mask=use_fact_mask)
+        probs = softmax_probs(logits)
+        before = probs.tobytes()
+        trace = gate_trace(probs, labels, signals, **flags)
+        assert probs.tobytes() == before  # the label entries are put back
+        _, _, reference = comp_loss(logits, labels, signals, **flags)
+        for field in ("p_label", "q_max", "pref_gate", "keep_gate", "alpha"):
+            assert getattr(trace, field).tobytes() == getattr(reference, field).tobytes(), field
+        assert (trace.p_label[:40] >= 1.0 - 1e-6).all() and (trace.alpha[:40] > 0).any()
+        assert (trace.alpha > 0).any() and (trace.alpha == 0).any()
+
+    def test_signals_of_another_length_rejected(self):
+        probs = softmax_probs(np.zeros((4, 3)))
+        with pytest.raises(ValueError, match="do not match the batch length"):
+            gate_trace(probs, np.zeros(4, dtype=np.int64), make_signals([1, 0, 1], [0.5, 1.0, 0.5]))
 
 
 class TestSftLoss:
