@@ -504,10 +504,18 @@ def cmd_ablate(cfg: RunConfig, lambdas: Sequence[float]) -> str:
     return csv_path
 
 
-def cmd_trace(checkpoint_path: str, corpus_path: str, limit: int, out: str | None) -> list[dict]:
+# One trace row, as json.dumps wrote it: repr gives the JSON text of a finite float.
+TRACE_ROW = ('{"example": %d, "position": %d, "sentence": %s, "p_label": %r, "q_max": %r, '
+             '"w": %r, "pref_gate": %d, "keep_gate": %d, "alpha": %r}\n')
+
+
+def cmd_trace(checkpoint_path: str, corpus_path: str, limit: int, out: str | None) -> int:
     """Dump per-token gate decisions of a checkpointed model over a corpus slice,
-    with the risk propagation of the checkpoint's config; each record's
+    with the risk propagation of the checkpoint's config, one JSON row per
+    target position; returns the number of rows.  Each record's
     probabilities are written over its logits."""
+    if limit < 0:
+        raise ConfigError(f"--limit must be >= 0 (0 = all), got {limit}")
     ck = load_checkpoint(checkpoint_path)
     try:
         if not isinstance(ck.config, dict):
@@ -523,7 +531,7 @@ def cmd_trace(checkpoint_path: str, corpus_path: str, limit: int, out: str | Non
         examples, ck.params.window, ck.params.vocab_size, risk_mode=settings.risk_propagation
     )
 
-    rows = []
+    lines = []
     for i, prep in enumerate(prepared):
         logits, _ = model_mod.forward_batch(ck.params, prep.windows)
         try:
@@ -531,29 +539,19 @@ def cmd_trace(checkpoint_path: str, corpus_path: str, limit: int, out: str | Non
         except NonFiniteLogits as exc:
             raise DivergenceError(f"non-finite logits for record {i + 1}") from exc
         trace = gate_trace(probs, prep.labels, prep.signals)
-        for t in range(len(prep.labels)):
-            sid = int(prep.sentence_id[t])
-            rows.append(
-                {
-                    "example": i,
-                    "position": t,
-                    "sentence": sid if sid >= 0 else None,
-                    "p_label": float(trace.p_label[t]),
-                    "q_max": float(trace.q_max[t]),
-                    "w": float(prep.signals.support_weight[t]),
-                    "pref_gate": int(trace.pref_gate[t]),
-                    "keep_gate": int(trace.keep_gate[t]),
-                    "alpha": float(trace.alpha[t]),
-                }
-            )
-    payload = "\n".join(json.dumps(row) for row in rows) + "\n"
+        sentences = ["null" if sid < 0 else sid for sid in prep.sentence_id.tolist()]
+        columns = zip(sentences, trace.p_label.tolist(), trace.q_max.tolist(),
+                      prep.signals.support_weight.tolist(), trace.pref_gate.tolist(),
+                      trace.keep_gate.tolist(), trace.alpha.tolist())
+        lines.extend(TRACE_ROW % (i, t, *row) for t, row in enumerate(columns))
+    payload = "".join(lines)
     if out:
         with atomic_write(out) as fh:
             fh.write(payload)
-        print(f"wrote {len(rows)} trace rows to {out}")
+        print(f"wrote {len(lines)} trace rows to {out}")
     else:
         sys.stdout.write(payload)
-    return rows
+    return len(lines)
 
 
 def cmd_report(run_dirs: Sequence[str], out: str | None) -> list[str]:

@@ -4,7 +4,7 @@ The model embeds the previous `window` ground-truth tokens, concatenates the
 embeddings, and maps them through one tanh hidden layer to vocabulary
 logits.  It is deliberately the smallest thing that exposes a full [T, V]
 logit surface: every gradient stays checkable against finite differences,
-and training is float64 with position-major reductions, so a run is
+and training is float64 with reductions in a fixed order, so a run is
 reproducible bit for bit from its seed.  BLAS runs one thread, because
 importing prism pins it to 1 unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS
 or MKL_NUM_THREADS is set; a thread count set there is honoured, and its
@@ -123,7 +123,7 @@ class StepViews(NamedTuple):
 
     logits: np.ndarray    # [rows, V]
     shifted: np.ndarray   # [rows, V], total_loss's two out arrays
-    exp: np.ndarray       # [rows, V]
+    probs: np.ndarray     # [rows, V]
     x: np.ndarray         # [rows, window * d], forward_batch's activations
     hidden: np.ndarray    # [rows, h]
     d_hidden: np.ndarray  # [rows, h], backward_batch's
@@ -298,6 +298,31 @@ def prepare_examples(
     return prepared
 
 
+def distinct_windows(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of token windows [N, window] with nonnegative ids:
+    `first` holds one index per distinct window and `rows` each window's
+    index into `first`, so windows[first][rows] equals windows.  The columns
+    are packed into as few int64 keys as hold them, and one lexsort over the
+    keys orders the windows."""
+    bits = max(int(windows.max(initial=0)).bit_length(), 1)
+    per_key = 63 // bits
+    keys = []
+    for start in range(0, windows.shape[1], per_key):
+        key = np.zeros(len(windows), dtype=np.int64)
+        for column in windows.T[start:start + per_key]:
+            key <<= bits
+            key |= column
+        keys.append(key)
+    order = np.lexsort(keys[::-1])
+    ordered = np.stack(keys, axis=1)[order]
+    new = np.empty(len(order), dtype=bool)
+    new[:1] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=new[1:])
+    rows = np.empty(len(order), dtype=np.int64)
+    rows[order] = np.cumsum(new) - 1
+    return order[new], rows
+
+
 def _gather_batch(
     prepared: Sequence[PreparedExample], idx: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray, TokenSignals]:
@@ -446,6 +471,9 @@ class StepBuffers:
 def train(prepared: Sequence[PreparedExample], settings: TrainSettings) -> TrainResult:
     """Teacher-forced training loop over a prepared corpus, fully seeded.
 
+    Each step runs on the batch's distinct windows (distinct_windows): the
+    forward and backward passes and the loss's [rows, V] arrays have one
+    row per distinct window, and total_loss sums each row's positions.
     Each step is one total_loss call with the method's METHODS switches.
     Methods without a complement term run at lam = 0, where total_loss skips
     that term, so any method at lam = 0 is bit-identical to method="sft" on
@@ -474,7 +502,9 @@ def train(prepared: Sequence[PreparedExample], settings: TrainSettings) -> Train
     for step in range(1, settings.steps + 1):
         idx = rng.integers(0, len(prepared), size=settings.batch_size)
         windows, labels, signals = _gather_batch(prepared, idx)
-        views = buffers.views(len(labels))
+        first, rows = distinct_windows(windows)
+        windows = windows[first]
+        views = buffers.views(len(first))
         logits, cache = forward_batch(params, windows, out=views)
 
         n_sft = int(signals.valid_mask.sum())
@@ -484,7 +514,7 @@ def train(prepared: Sequence[PreparedExample], settings: TrainSettings) -> Train
         try:
             loss, grad, trace = total_loss(
                 logits, labels, signals, lam, settings.epsilon,
-                use_gates=method.use_gates, use_fact_mask=method.use_fact_mask, out=views[1:3],
+                use_gates=method.use_gates, use_fact_mask=method.use_fact_mask, out=views[1:3], rows=rows,
             )
         except NonFiniteLogits as exc:
             raise DivergenceError(f"non-finite logits at step {step}") from exc
@@ -500,11 +530,11 @@ def train(prepared: Sequence[PreparedExample], settings: TrainSettings) -> Train
         if not np.isfinite(loss.total):
             raise DivergenceError(f"non-finite loss at step {step}")
 
-        # p_risky and p_safe read fact rows only, and a row's softmax does
-        # not depend on the other rows.
+        # p_risky and p_safe read the distinct rows of the fact positions
+        # only, and a row's softmax does not depend on the other rows.
         fact = signals.fact_mask
-        fact_labels = labels[fact]
-        probs_label = softmax_probs(logits[fact])[np.arange(len(fact_labels)), fact_labels]
+        fact_rows, fact_row_of = np.unique(rows[fact], return_inverse=True)
+        probs_label = softmax_probs(logits[fact_rows])[fact_row_of, labels[fact]]
         fact_support = signals.support_weight[fact]
         risky = fact_support < 1.0
         safe = fact_support >= 1.0
@@ -534,7 +564,7 @@ def evaluate(params: ModelParams, prepared: Sequence[PreparedExample]) -> dict[s
     if not prepared:
         raise ConfigError("nothing to evaluate")
     windows, labels, signals = _gather_batch(prepared, range(len(prepared)))
-    logits, _ = forward_batch(params, windows)
+    logits = forward_batch(params, windows)[0]  # frees the activations before the softmax
     try:
         probs = softmax_probs(logits, out=logits)
     except NonFiniteLogits as exc:

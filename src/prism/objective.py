@@ -14,7 +14,12 @@ and onto competitors in proportion to their current probabilities, which is
 why no replacement target is ever needed.  Gate bits are treated as
 constants under differentiation.
 
-Everything is float64 and deterministic; reductions run in position order.
+The logits are per row, and every other input is per position: `rows`
+maps each of the N positions to its row of the [U, V] logits, so positions
+that share a context window share one row, and a row's gradient is the sum
+of its positions' gradients.  Without `rows` each position is its own row.
+Everything is float64 and deterministic; reductions over positions run in
+position order.
 """
 
 from __future__ import annotations
@@ -54,14 +59,15 @@ class LossBreakdown:
 
 
 class Softmax(NamedTuple):
-    """One max/subtract/exp/sum pass over checked logits [T, V].  The two
-    loss terms of a total_loss call share it, and each uses up its own part
-    in place: sft_loss turns `shifted` into its gradient, and comp_loss
-    turns `exp` into the probabilities."""
+    """One max/subtract/exp/sum/divide pass over checked logits [U, V], and
+    each position's row.  The two loss terms of a total_loss call share it:
+    sft_loss reads `shifted` and writes its gradient over it, and comp_loss
+    reads `probs`."""
 
     shifted: np.ndarray  # logits minus their row max
-    exp: np.ndarray      # exp(shifted)
-    sums: np.ndarray     # [T, 1] row sums of exp
+    probs: np.ndarray    # exp(shifted) / sums
+    sums: np.ndarray     # [U, 1] row sums of exp(shifted)
+    rows: np.ndarray     # int64 [N], each position's row
 
 
 def _as_labels(labels: np.ndarray, length: int, vocab: int) -> np.ndarray:
@@ -73,18 +79,31 @@ def _as_labels(labels: np.ndarray, length: int, vocab: int) -> np.ndarray:
     return y
 
 
+def _as_rows(rows: np.ndarray | None, n_rows: int) -> np.ndarray:
+    """Each position's row of an [n_rows, V] array; None means one row per position."""
+    if rows is None:
+        return np.arange(n_rows)
+    r = np.asarray(rows)
+    if r.ndim != 1 or r.dtype.kind not in "iu" or (r.size and (r.min() < 0 or r.max() >= n_rows)):
+        raise ValueError(f"rows must be a vector of row indices in [0, {n_rows})")
+    return r.astype(np.int64, copy=False)
+
+
 def _check_finite(z: np.ndarray) -> None:
     if not np.all(np.isfinite(z)):
         raise NonFiniteLogits("logits contain non-finite entries")
 
 
-def _exp_pass(
-    z: np.ndarray, shifted_out: np.ndarray | None = None, exp_out: np.ndarray | None = None
-) -> Softmax:
-    """Max-subtracted logits, their exponentials, and its sums over the last axis."""
+def _probs_pass(
+    z: np.ndarray, shifted_out: np.ndarray | None = None, probs_out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Max-subtracted logits, the probabilities, and the sums of exp(shifted)
+    over the last axis; the exponentials are divided in place."""
     shifted = np.subtract(z, z.max(axis=-1, keepdims=True), out=shifted_out)
-    e = np.exp(shifted, out=exp_out)
-    return Softmax(shifted, e, e.sum(axis=-1, keepdims=True))
+    e = np.exp(shifted, out=probs_out)
+    sums = e.sum(axis=-1, keepdims=True)
+    e /= sums
+    return shifted, e, sums
 
 
 def softmax_probs(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -93,21 +112,23 @@ def softmax_probs(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
     be the logits), each step's result is written into it."""
     z = np.asarray(logits, dtype=np.float64)
     _check_finite(z)
-    _, e, sums = _exp_pass(z, out, out)
-    e /= sums
-    return e
+    return _probs_pass(z, out, out)[1]
 
 
-def softmax_pass(logits: np.ndarray, out: Sequence[np.ndarray] | None = None) -> Softmax:
-    """Check that logits are [T, V >= 2] (ValueError) and finite
-    (NonFiniteLogits), then run the max/subtract/exp/sum both loss terms
-    start from.  `out`, when given, is two [T, V] float64 arrays that the
-    shifted logits and their exponentials are written into."""
+def softmax_pass(
+    logits: np.ndarray, out: Sequence[np.ndarray] | None = None, rows: np.ndarray | None = None
+) -> Softmax:
+    """Check that logits are [U, V >= 2] (ValueError) and finite
+    (NonFiniteLogits), and that `rows` (ValueError) holds row indices, then
+    run the max/subtract/exp/sum/divide both loss terms start from.  `out`,
+    when given, is two [U, V] float64 arrays that the shifted logits and the
+    probabilities are written into."""
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] < 2:
-        raise ValueError(f"logits must be [T, V] with V >= 2, got shape {z.shape}")
+        raise ValueError(f"logits must be [U, V] with V >= 2, got shape {z.shape}")
+    rows = _as_rows(rows, len(z))
     _check_finite(z)
-    return _exp_pass(z) if out is None else _exp_pass(z, *out)
+    return Softmax(*_probs_pass(z, *(out or ())), rows)
 
 
 def sft_loss(
@@ -115,59 +136,73 @@ def sft_loss(
     labels: np.ndarray,
     valid_mask: np.ndarray,
     *,
+    rows: np.ndarray | None = None,
     soft: Softmax | None = None,
 ) -> tuple[float, np.ndarray]:
     """Masked mean negative log-likelihood and its per-logit gradient.
 
-    The gradient at a valid position is (softmax - onehot(label)) / N over
-    its logit row and exactly zero at masked positions.  `soft` is
-    softmax_pass(logits) when the caller has run it already; the gradient is
-    then written over soft.shifted.
+    Each valid position adds (softmax - onehot(label)) / N to its row's
+    gradient, taken as probs * count / N, count being the row's valid
+    positions, then -1/N at each valid position's (row, label); a row with
+    no valid position has a gradient of exactly zero.  `soft` is
+    softmax_pass(logits, rows=rows) when the caller has run it already; the
+    gradient is then written over soft.shifted.
     """
     if soft is None:
-        soft = softmax_pass(logits)
-    length, vocab = soft.shifted.shape
-    y = _as_labels(labels, length, vocab)
+        soft = softmax_pass(logits, rows=rows)
+    rows = soft.rows
+    n_rows, vocab = soft.shifted.shape
+    y = _as_labels(labels, len(rows), vocab)
     valid = np.asarray(valid_mask, dtype=bool)
-    if valid.shape != (length,):
-        raise ValueError(f"valid mask has shape {valid.shape}, expected ({length},)")
+    if valid.shape != (len(rows),):
+        raise ValueError(f"valid mask has shape {valid.shape}, expected ({len(rows)},)")
     n = int(valid.sum())
     if n == 0:
         raise EmptyBatchError("no valid target positions in batch")
 
     # log-softmax is shifted - log(sums); only its label entries are kept.
-    log_sums = np.log(soft.sums)
-    rows = np.arange(length)
-    value = float(-((soft.shifted[rows, y] - log_sums[:, 0])[valid]).sum() / n)
+    log_sums = np.log(soft.sums[:, 0])
+    value = float(-((soft.shifted[rows, y] - log_sums[rows])[valid]).sum() / n)
 
-    grad = soft.shifted
-    grad -= log_sums
-    np.exp(grad, out=grad)
-    grad /= n
-    grad[~valid] = 0.0
-    vi = np.nonzero(valid)[0]
-    grad[vi, y[vi]] -= 1.0 / n
+    valid_rows = rows[valid]
+    weight = np.bincount(valid_rows, minlength=n_rows) / n
+    grad = np.multiply(soft.probs, weight[:, None], out=soft.shifted)
+    np.add.at(grad, (valid_rows, y[valid]), -1.0 / n)
     return value, grad
 
 
 def gate_trace(
-    probs: np.ndarray, labels: np.ndarray, signals: TokenSignals, *, use_gates: bool = True, use_fact_mask: bool = True
+    probs: np.ndarray,
+    labels: np.ndarray,
+    signals: TokenSignals,
+    *,
+    rows: np.ndarray | None = None,
+    use_gates: bool = True,
+    use_fact_mask: bool = True,
 ) -> GateTrace:
-    """Both gates and alpha at every position of probabilities [T, V], with
-    comp_loss's flags; labels are int64 ids in [0, V).  The label entries of
-    `probs` are overwritten and put back, so it must be writable."""
+    """Both gates and alpha at every position, with comp_loss's flags, from
+    probabilities [U, V] and each position's row; labels are int64 ids in
+    [0, V).  Each row's top entry is overwritten and put back, so `probs`
+    must be writable."""
     length = len(labels)
+    rows = _as_rows(rows, len(probs))
     support = np.asarray(signals.support_weight, dtype=np.float64)
     base = np.asarray(signals.fact_mask if use_fact_mask else signals.valid_mask, dtype=bool)
+    if rows.shape != (length,):
+        raise ValueError(f"{len(rows)} rows for {length} labels")
     if support.shape != (length,) or base.shape != (length,):
         raise ValueError("token signals do not match the batch length")
-    rows = np.arange(length)
     p_label = probs[rows, labels]
-    # q_max is the largest competitor: the row max with the label entry set
-    # below every probability, then put back.
-    probs[rows, labels] = -1.0
-    q_max = probs.max(axis=1)
-    probs[rows, labels] = p_label
+    # q_max is the largest competitor: the row's top probability, or where
+    # the label is the top entry, the row max with that entry set below
+    # every probability (then put back).
+    every = np.arange(len(probs))
+    top = probs.argmax(axis=1)
+    first = probs[every, top]
+    probs[every, top] = -1.0
+    second = probs.max(axis=1)
+    probs[every, top] = first
+    q_max = np.where(labels == top[rows], second[rows], first[rows])
     pref = p_label > q_max
     keep = p_label * support * (1.0 - p_label) >= q_max * (1.0 - p_label * support)
     gates = (pref & keep) if use_gates else np.ones(length, dtype=bool)
@@ -183,6 +218,7 @@ def comp_loss(
     *,
     use_gates: bool = True,
     use_fact_mask: bool = True,
+    rows: np.ndarray | None = None,
     soft: Softmax | None = None,
     add_into: np.ndarray | None = None,
     scale: float = 1.0,
@@ -194,6 +230,7 @@ def comp_loss(
     active, unclamped position the gradient is +c*p_y on the label logit and
     -c*p_y*p_k/(1-p_y) on every other logit k, with c = alpha/N; where the
     clamp is active the loss is locally constant, so the gradient is zero.
+    A row's gradient is the sum over its positions.
 
     The keyword flags back the two ablation variants: use_gates=False keeps
     the risk weighting but drops both gate bits; use_fact_mask=False applies
@@ -201,20 +238,18 @@ def comp_loss(
 
     A batch with an empty base mask yields value 0 and a zero gradient.
 
-    `soft` is softmax_pass(logits) when the caller has run it already; the
-    probabilities are then written over soft.exp.  With `add_into`, scale *
-    gradient is added into it on the active rows only, and it is returned
-    in place of the gradient.
+    `soft` is softmax_pass(logits, rows=rows) when the caller has run it
+    already.  With `add_into`, scale * gradient is added into it on the
+    active rows only, and it is returned in place of the gradient.
     """
     if not 0.0 < epsilon <= MAX_EPSILON:
         raise ValueError(f"epsilon must be in (0, {MAX_EPSILON}], got {epsilon}")
     if soft is None:
-        soft = softmax_pass(logits)
-    length, vocab = soft.shifted.shape
-    y = _as_labels(labels, length, vocab)
-    probs = soft.exp
-    probs /= soft.sums
-    trace = gate_trace(probs, y, signals, use_gates=use_gates, use_fact_mask=use_fact_mask)
+        soft = softmax_pass(logits, rows=rows)
+    probs, rows = soft.probs, soft.rows
+    vocab = probs.shape[1]
+    y = _as_labels(labels, len(rows), vocab)
+    trace = gate_trace(probs, y, signals, rows=rows, use_gates=use_gates, use_fact_mask=use_fact_mask)
     p_label, alpha = trace.p_label, trace.alpha
 
     grad = np.zeros_like(probs) if add_into is None else add_into
@@ -229,12 +264,26 @@ def comp_loss(
     coeff = np.where(p_label >= 1.0 - epsilon, 0.0, alpha / n_base)
     active = np.nonzero(coeff > 0.0)[0]
     c_label = coeff[active] * p_label[active]
-    active_grad = (-c_label / (1.0 - p_label[active]))[:, None] * probs[active]
-    active_grad[np.arange(active.size), y[active]] = c_label
+    m = -c_label / (1.0 - p_label[active])
+    # An active position adds m * p_k at every logit k of its row, except c_label
+    # at its label.  Summed per (row, label) pair and then per row, a label
+    # entry is its pair's c_label plus the row's other pairs' m times p, so a
+    # large m * p_label is never added and then cancelled.  With the gates on,
+    # a row has at most one active label, so the other pairs' m is exactly 0.
+    pairs, pair_of = np.unique(rows[active] * vocab + y[active], return_inverse=True)
+    pair_row, pair_label = np.divmod(pairs, vocab)
+    hit, row_of = np.unique(pair_row, return_inverse=True)
+    m_pair = np.bincount(pair_of, weights=m, minlength=len(pairs))
+    m_row = np.bincount(row_of, weights=m_pair, minlength=len(hit))
+    block = probs[hit]
+    block *= m_row[:, None]
+    block[row_of, pair_label] = (np.bincount(pair_of, weights=c_label, minlength=len(pairs))
+                                 + (m_row[row_of] - m_pair) * probs[pair_row, pair_label])
     if add_into is None:
-        grad[active] = active_grad
+        grad[hit] = block
     else:
-        grad[active] += scale * active_grad
+        block *= scale
+        grad[hit] += block
     return value, grad, trace
 
 
@@ -248,14 +297,17 @@ def total_loss(
     use_gates: bool = True,
     use_fact_mask: bool = True,
     out: Sequence[np.ndarray] | None = None,
+    rows: np.ndarray | None = None,
 ) -> tuple[LossBreakdown, np.ndarray, GateTrace | None]:
     """Combined objective sft + lam * comp with its per-logit gradient.
 
-    The logits are checked once and go through one softmax_pass, which both
-    terms share; non-finite logits raise NonFiniteLogits.  `out`, when
-    given, is the pass's two [T, V] arrays: the first becomes the returned
-    gradient and the second the probabilities, so the call allocates no
-    other [T, V] array.
+    The logits [U, V] are checked once and go through one softmax_pass, which
+    both terms share; non-finite logits raise NonFiniteLogits.  `rows` maps
+    each position to its row (None: one row per position), and the returned
+    gradient [U, V] sums each row's positions.  `out`, when given, is the
+    pass's two [U, V] arrays: the first becomes the returned gradient and
+    the second the probabilities, so the call allocates no other [U, V]
+    array.
 
     lam = 0 must reproduce sft_loss bit for bit, so that case skips the
     complement term entirely (adding 0.0 could still flip signed zeros): comp
@@ -265,7 +317,7 @@ def total_loss(
     """
     if lam < 0.0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
-    soft = softmax_pass(logits, out)
+    soft = softmax_pass(logits, out, rows)
     sft_value, grad = sft_loss(logits, labels, signals.valid_mask, soft=soft)
     comp_value, total, trace = 0.0, sft_value, None
     if lam != 0.0:

@@ -444,9 +444,10 @@ class TestTraceCommand:
         cmd_train(run_config(corpus_path, out, steps=120))
         ck_path = os.path.join(out, "checkpoint.json")
         trace_path = str(tmp_path / "trace.jsonl")
-        rows = cmd_trace(ck_path, corpus_path, limit=6, out=trace_path)
+        count = cmd_trace(ck_path, corpus_path, limit=6, out=trace_path)
         assert os.path.exists(trace_path)
-        assert rows == [json.loads(line) for line in open(trace_path)]
+        rows = [json.loads(line) for line in open(trace_path)]
+        assert count == len(rows)
 
         examples = read_jsonl(corpus_path)[:6]
         ck = load_checkpoint(ck_path)
@@ -484,13 +485,22 @@ class TestTraceCommand:
         for name in ("w2", "b2"):  # sharper: some fact rows saturate the clamp, p_label >= 1 - epsilon
             payload["model"][name] = edit_array(payload["model"][name], lambda a: 8.0 * a)
         open(ck_path, "w").write(json.dumps(payload))
+        records = [json.loads(line) for line in open(corpus_path)][:40]
+        for record in records[:3]:  # a last target token outside every sentence: "sentence": null
+            record["target"].append(record["target"][-1])
+            record.get("valid", []).append(1)
+        traced = str(tmp_path / "traced.jsonl")
+        open(traced, "w").write("".join(json.dumps(record) + "\n" for record in records))
         capsys.readouterr()
-        rows = cmd_trace(ck_path, corpus_path, limit=40, out=None)
+        count = cmd_trace(ck_path, traced, limit=40, out=None)
         ck = load_checkpoint(ck_path)
-        prepared = prepare_examples(read_jsonl(corpus_path, 40), ck.params.window, ck.params.vocab_size)
+        prepared = prepare_examples(read_jsonl(traced), ck.params.window, ck.params.vocab_size)
         reference = trace_rows_reference(ck.params, prepared)
-        assert capsys.readouterr().out == "".join(json.dumps(row) + "\n" for row in reference)
-        assert rows == reference
+        printed = capsys.readouterr().out
+        assert printed == "".join(json.dumps(row) + "\n" for row in reference)
+        rows = [json.loads(line) for line in printed.splitlines()]
+        assert count == len(rows) and rows == reference
+        assert any(r["sentence"] is None for r in rows) and any(r["sentence"] is not None for r in rows)
         fact_p = [r["p_label"] for r in rows if r["w"] < 1.0]
         assert any(p >= 1.0 - 1e-6 for p in fact_p) and any(p < 1.0 - 1e-6 for p in fact_p)
         assert any(r["alpha"] > 0 for r in rows) and any(r["pref_gate"] == 0 for r in rows)
@@ -655,6 +665,16 @@ class TestTraceCommand:
                      "--out", str(out), flag, value]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: unrecognized arguments:") and err.count("\n") == 1
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("limit", ["-3", "-1"])
+    def test_negative_limit_is_1(self, checkpoint_path, corpus_path, tmp_path, capsys, limit):
+        out = tmp_path / "trace.jsonl"
+        assert main(["trace", "--checkpoint", checkpoint_path, "--corpus", corpus_path,
+                     "--limit", limit, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: --limit must be >= 0 (0 = all), got {limit}\n"
+        assert captured.out == ""
         assert not os.path.exists(out)
 
 

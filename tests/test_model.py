@@ -12,12 +12,15 @@ from prism.corpus import AnnotatedExample, GeneratorConfig, generate
 from prism.errors import CheckpointError, ConfigError, DivergenceError
 from prism.fact_graph import DependencyEdge, FactSpan, SentenceSpan
 from prism.model import (
+    MAX_VOCAB_SIZE,
+    MAX_WINDOW,
     METHODS,
     ModelParams,
     PARAM_FIELDS,
     StepBuffers,
     TrainSettings,
     backward_batch,
+    distinct_windows,
     evaluate,
     forward_batch,
     infer_vocab_size,
@@ -171,6 +174,51 @@ class TestBackward:
             scale = max(np.abs(grads[name]).max(), np.abs(numeric).max(), 1e-12)
             assert np.abs(grads[name] - numeric).max() / scale < 1e-5, name
 
+    def test_distinct_window_step_matches_finite_differences(self):
+        # the step as train runs it: forward and backward on the distinct
+        # windows, against the per-position loss over every window
+        rng = np.random.default_rng(3)
+        params = init_params(5, 2, 3, 2, rng)
+        params.embedding *= 10.0
+        params.w2 *= 8.0
+        windows = rng.integers(0, 3, size=(30, 2))  # 9 possible windows, so many repeat
+        first, rows = distinct_windows(windows)
+        assert len(first) < 20
+        logits, cache = forward_batch(params, windows[first])
+        labels = np.where(rng.random(30) < 0.8, logits.argmax(axis=1)[rows], rng.integers(0, 5, 30))
+        signals = TokenSignals(fact_mask=rng.random(30) < 0.6, support_weight=rng.uniform(0.4, 0.9, size=30),
+                               valid_mask=rng.random(30) < 0.9)
+        lam = 0.7
+        breakdown, dlogits, trace = total_loss(logits, labels, signals, lam=lam, rows=rows)
+        assert (trace.alpha > 0).sum() > np.unique(rows[trace.alpha > 0]).size  # active positions share rows
+        grads = backward_batch(params, windows[first], dlogits, cache)
+
+        alpha = trace.alpha.copy()
+        n_fact = int(signals.fact_mask.sum())
+
+        def loss_at(ps):
+            z, _ = forward_batch(ps, windows)
+            sft = sft_loss(z, labels, signals.valid_mask)[0]
+            p_label = np.minimum(softmax_probs(z)[np.arange(30), labels], 1.0 - 1e-6)
+            return sft + lam * float((alpha * -np.log1p(-p_label)).sum() / n_fact)
+
+        assert loss_at(params) == pytest.approx(breakdown.total, rel=1e-12)
+        for name in PARAM_FIELDS:
+            arr = getattr(params, name)
+            numeric = np.zeros_like(arr)
+            it = np.nditer(arr, flags=["multi_index"])
+            for _ in it:
+                ij = it.multi_index
+                orig = arr[ij]
+                arr[ij] = orig + 1e-5
+                up = loss_at(params)
+                arr[ij] = orig - 1e-5
+                down = loss_at(params)
+                arr[ij] = orig
+                numeric[ij] = (up - down) / 2e-5
+            scale = max(np.abs(grads[name]).max(), np.abs(numeric).max(), 1e-12)
+            assert np.abs(grads[name] - numeric).max() / scale < 1e-5, name
+
     def test_shape_mismatch_rejected(self):
         params = tiny_params()
         _, cache = forward_batch(params, np.array([[1]]))
@@ -195,6 +243,31 @@ class TestBackward:
         np.add.at(expected, windows, d_x)
         assert grads["embedding"].tobytes() == expected.tobytes()
         assert not expected[7:].any()
+
+
+class TestDistinctWindows:
+    def test_round_trip_at_the_size_limits(self):
+        rng = np.random.default_rng(6)
+        windows = rng.integers(MAX_VOCAB_SIZE - 3, MAX_VOCAB_SIZE, size=(400, MAX_WINDOW))
+        windows[::4] = windows[1::4]
+        windows[2::4, 1:] = windows[3::4, 1:]  # pairs that differ in the first column only
+        windows[5, -1] = 0
+        first, rows = distinct_windows(windows)
+        assert np.array_equal(windows[first][rows], windows)
+        assert len(first) == len(np.unique(windows, axis=0))
+        assert rows.dtype == np.int64 and np.array_equal(np.unique(rows), np.arange(len(first)))
+
+    @pytest.mark.parametrize("vocab", [2, 70, MAX_VOCAB_SIZE])
+    def test_one_differing_column_gives_another_row(self, vocab):
+        # every column of a window falls in some packed key; changing any one
+        # column must still give a distinct window
+        base = np.full((1, MAX_WINDOW), vocab - 1, dtype=np.int64)
+        windows = np.repeat(base, MAX_WINDOW + 2, axis=0)
+        windows[np.arange(MAX_WINDOW), np.arange(MAX_WINDOW)] = 0
+        first, rows = distinct_windows(windows)
+        assert len(first) == MAX_WINDOW + 1
+        assert rows[-1] == rows[-2] and len(set(rows[:-1])) == MAX_WINDOW + 1
+        assert np.array_equal(windows[first][rows], windows)
 
 
 class TestOptimizer:
@@ -400,6 +473,30 @@ class TestTrain:
         with pytest.raises(DivergenceError, match="^non-finite logits at step 3$"):
             train_on(small_corpus(n=20), settings)
         assert calls["update"] == 2
+
+    def test_forward_batch_gets_the_distinct_windows_only(self, monkeypatch):
+        import prism.model as model_mod
+        batches, forwarded = [], []
+        original_gather, original_forward = model_mod._gather_batch, model_mod.forward_batch
+
+        def gather(prepared, idx):
+            batch = original_gather(prepared, idx)
+            batches.append(batch[0].copy())
+            return batch
+
+        def forward(params, windows, out=None):
+            forwarded.append(np.array(windows))
+            return original_forward(params, windows, out=out)
+
+        monkeypatch.setattr(model_mod, "_gather_batch", gather)
+        monkeypatch.setattr(model_mod, "forward_batch", forward)
+        train_on(small_corpus(), TrainSettings(method="prism", lam=0.1, steps=6, batch_size=8,
+                                               vocab_size=70, seed=3))
+        assert len(batches) == len(forwarded) == 6
+        for batch, windows in zip(batches, forwarded):
+            assert len(windows) < len(batch)
+            assert np.array_equal(np.unique(windows, axis=0), np.unique(batch, axis=0))
+            assert len(np.unique(windows, axis=0)) == len(windows)
 
     def test_prism_counters_stay_clean(self):
         examples = small_corpus()

@@ -100,6 +100,53 @@ class TestGateTrace:
             gate_trace(probs, np.zeros(4, dtype=np.int64), make_signals([1, 0, 1], [0.5, 1.0, 0.5]))
 
 
+class TestGroupedRows:
+    """total_loss on the distinct rows of a batch, with each position's row,
+    against the per-position call whose gradient rows are summed by row."""
+
+    @staticmethod
+    def batch(rng):
+        n_rows, vocab, length = 50, 23, 400
+        logits = rng.normal(size=(n_rows, vocab)) * 3
+        logits[:6, 4] = 40.0  # p >= 1 - epsilon: the clamp saturates
+        logits[6:12, 2] = 9.0  # peaked, but below the clamp
+        rows = rng.integers(0, n_rows - 3, size=length)  # the last three rows have no position
+        labels = np.where(rng.random(length) < 0.7, logits.argmax(axis=1)[rows], rng.integers(0, vocab, length))
+        signals = make_signals(rng.random(length) < 0.6, rng.choice([0.2, 0.7, 1.0], size=length),
+                               rng.random(length) < 0.9)
+        return logits, rows, labels, signals
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    @pytest.mark.parametrize("use_gates", [True, False])
+    @pytest.mark.parametrize("use_fact_mask", [True, False])
+    def test_equals_the_per_position_call_summed_by_row(self, lam, use_gates, use_fact_mask):
+        logits, rows, labels, signals = self.batch(np.random.default_rng(31))
+        flags = dict(use_gates=use_gates, use_fact_mask=use_fact_mask)
+        loss, grad, trace = total_loss(logits, labels, signals, lam, rows=rows, **flags)
+        ref_loss, ref_grad, ref_trace = total_loss(logits[rows], labels, signals, lam, **flags)
+        for field in ("sft", "comp", "total"):
+            assert getattr(loss, field) == pytest.approx(getattr(ref_loss, field), rel=1e-12, abs=0.0)
+        summed = np.zeros_like(logits)
+        np.add.at(summed, rows, ref_grad)
+        assert grad.shape == logits.shape
+        assert np.abs(grad - summed).max() <= 1e-15
+        assert not grad[-3:].any()
+        assert (trace is None) == (ref_trace is None) == (lam == 0.0)
+        if lam:
+            for field in ("p_label", "q_max", "pref_gate", "keep_gate", "alpha"):
+                assert getattr(trace, field).tobytes() == getattr(ref_trace, field).tobytes(), field
+            active = trace.alpha > 0
+            assert active.any() and np.unique(rows[active]).size < active.sum()  # rows shared by active positions
+
+    def test_rows_outside_the_logits_rejected(self):
+        logits, rows, labels, signals = self.batch(np.random.default_rng(32))
+        for bad in (rows + 50, rows - 50, rows.astype(np.float64), rows[:, None]):
+            with pytest.raises(ValueError, match="rows must be"):
+                total_loss(logits, labels, signals, 0.1, rows=bad)
+        with pytest.raises(ValueError, match="399 rows for 400 labels"):
+            gate_trace(softmax_probs(logits), labels, signals, rows=rows[1:])
+
+
 class TestSftLoss:
     def test_perfect_prediction_zero_loss(self):
         logits = np.array([[1000.0, 0.0, 0.0], [0.0, 1000.0, 0.0]])
