@@ -28,7 +28,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Sequence, TextIO
+from typing import Any, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -378,8 +378,63 @@ def _token_list(obj: object, name: str, lineno: int | None) -> list[int]:
     return list(obj)  # type: ignore[call-overload]
 
 
-def example_from_record(record: dict, lineno: int | None = None) -> AnnotatedExample:
-    """Decode one JSONL record, checking field presence and types."""
+def _check_sentence(s: Any, lineno: int | None) -> None:
+    """The per-key checks of one sentence object."""
+    _require(isinstance(s, dict), "field 'sentences' must contain objects", lineno)
+    for key in ("start", "end", "risk"):
+        _require(key in s, "sentence missing field {!r}", lineno, key)
+    _require(type(s["start"]) is int and type(s["end"]) is int,
+             "sentence fields 'start'/'end' must be integers", lineno)
+    risk = s["risk"]  # its range is an annotation rule, checked with the others
+    _require(isinstance(risk, float) or type(risk) is int and abs(risk) <= sys.float_info.max,
+             "field 'risk' must be a number", lineno)
+
+
+def _check_fact(f: Any, lineno: int | None) -> None:
+    """The per-key checks of one fact object."""
+    _require(isinstance(f, dict), "field 'facts' must contain objects", lineno)
+    for key in ("id", "start", "end", "sentence"):
+        _require(key in f, "fact missing field {!r}", lineno, key)
+    _require(type(f["start"]) is int and type(f["end"]) is int and type(f["sentence"]) is int,
+             "fact fields 'start'/'end'/'sentence' must be integers", lineno)
+    _require(type(f["id"]) is int, "fact field 'id' must be an integer", lineno)
+
+
+def _check_edge(e: Any, lineno: int | None) -> None:
+    """The per-key checks of one edge object."""
+    _require(isinstance(e, dict), "field 'edges' must contain objects", lineno)
+    for key in ("from", "to"):
+        _require(key in e and type(e[key]) is int, "edge field {!r} must be an integer", lineno, key)
+
+
+def _list_field(record: dict, name: str, lineno: int | None) -> list:
+    _require(isinstance(record[name], list), "field {!r} must be a list", lineno, name)
+    return record[name]
+
+
+def _shared(shared: dict, cls: type, *fields: int) -> object:
+    """cls(*fields), made once per `shared` map: a later call with equal
+    fields returns the same object."""
+    key = (cls, *fields)
+    span = shared.get(key)
+    if span is None:
+        span = shared[key] = cls(*fields)
+    return span
+
+
+def example_from_record(record: dict, lineno: int | None = None, shared: dict | None = None) -> AnnotatedExample:
+    """Decode one JSONL record, checking field presence and types.
+
+    Span bounds, sentence ids, edge endpoints and fact ids must be JSON
+    integers (not booleans).  Each sentence, fact and edge is checked in one
+    condition; only an object that fails it takes the per-key checks, which
+    name the first rule it breaks, or accept it (a sentence risk that is an
+    integer).  Facts and edges, whose fields are integers, are immutable:
+    equal ones are one object per `shared` map, which read_jsonl keeps for a
+    whole file.
+    """
+    if shared is None:
+        shared = {}
     _require(isinstance(record, dict), "record must be a JSON object", lineno)
     for name in ("input", "target", "sentences", "facts", "edges"):
         _require(name in record, "missing field {!r}", lineno, name)
@@ -389,35 +444,24 @@ def example_from_record(record: dict, lineno: int | None = None) -> AnnotatedExa
     _require(len(target_tokens) > 0, "field 'target' must not be empty", lineno)
 
     sentences = []
-    _require(isinstance(record["sentences"], list), "field 'sentences' must be a list", lineno)
-    for i, s in enumerate(record["sentences"]):
-        _require(isinstance(s, dict), "field 'sentences' must contain objects", lineno)
-        for key in ("start", "end", "risk"):
-            _require(key in s, "sentence missing field {!r}", lineno, key)
-        _require(isinstance(s["start"], int) and isinstance(s["end"], int),
-                 "sentence fields 'start'/'end' must be integers", lineno)
-        risk = s["risk"]  # its range is an annotation rule, checked with the others
-        _require(isinstance(risk, float) or type(risk) is int and abs(risk) <= sys.float_info.max,
-                 "field 'risk' must be a number", lineno)
-        sentences.append(SentenceSpan(index=i + 1, token_start=s["start"], token_end=s["end"], risk=float(risk)))
+    for i, s in enumerate(_list_field(record, "sentences", lineno), 1):
+        if not (type(s) is dict and type(s.get("start")) is int and type(s.get("end")) is int
+                and type(s.get("risk")) is float):
+            _check_sentence(s, lineno)
+        sentences.append(SentenceSpan(i, s["start"], s["end"], float(s["risk"])))
 
     facts = []
-    _require(isinstance(record["facts"], list), "field 'facts' must be a list", lineno)
-    for f in record["facts"]:
-        _require(isinstance(f, dict), "field 'facts' must contain objects", lineno)
-        for key in ("id", "start", "end", "sentence"):
-            _require(key in f, "fact missing field {!r}", lineno, key)
-        _require(isinstance(f["start"], int) and isinstance(f["end"], int) and isinstance(f["sentence"], int),
-                 "fact fields 'start'/'end'/'sentence' must be integers", lineno)
-        facts.append(FactSpan(fact_id=f["id"], token_start=f["start"], token_end=f["end"], sentence=f["sentence"]))
+    for f in _list_field(record, "facts", lineno):
+        if not (type(f) is dict and type(f.get("id")) is int and type(f.get("start")) is int
+                and type(f.get("end")) is int and type(f.get("sentence")) is int):
+            _check_fact(f, lineno)
+        facts.append(_shared(shared, FactSpan, f["id"], f["start"], f["end"], f["sentence"]))
 
     edges = []
-    _require(isinstance(record["edges"], list), "field 'edges' must be a list", lineno)
-    for e in record["edges"]:
-        _require(isinstance(e, dict), "field 'edges' must contain objects", lineno)
-        for key in ("from", "to"):
-            _require(key in e and isinstance(e[key], int), "edge field {!r} must be an integer", lineno, key)
-        edges.append(DependencyEdge(src=e["from"], dst=e["to"]))
+    for e in _list_field(record, "edges", lineno):
+        if not (type(e) is dict and type(e.get("from")) is int and type(e.get("to")) is int):
+            _check_edge(e, lineno)
+        edges.append(_shared(shared, DependencyEdge, e["from"], e["to"]))
 
     if "valid" in record:
         valid = record["valid"]
@@ -468,6 +512,7 @@ def read_jsonl(path: str, limit: int = 0) -> list[AnnotatedExample]:
     line number and offending field; so do bytes that are not UTF-8.
     """
     examples = []
+    shared: dict = {}
     with open(path, encoding="utf-8") as fh:
         try:
             for lineno, line in enumerate(fh, 1):
@@ -477,7 +522,7 @@ def read_jsonl(path: str, limit: int = 0) -> list[AnnotatedExample]:
                     record = json.loads(line)
                 except ValueError as exc:  # also an integer too long to convert
                     raise CorpusFormatError(f"invalid JSON: {getattr(exc, 'msg', exc)}", lineno) from exc
-                examples.append(example_from_record(record, lineno))
+                examples.append(example_from_record(record, lineno, shared))
                 if len(examples) == limit:
                     break
         except UnicodeDecodeError as exc:

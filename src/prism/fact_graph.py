@@ -14,7 +14,9 @@ All operations here are pure functions; returned containers are immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from itertools import chain
+from operator import attrgetter
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -25,7 +27,7 @@ RISK_FIXPOINT = "fixpoint"
 RISK_MODES = (RISK_ONEHOP, RISK_FIXPOINT)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SentenceSpan:
     """One sentence of the target, as a half-open token range with a risk score."""
 
@@ -35,7 +37,7 @@ class SentenceSpan:
     risk: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FactSpan:
     """A token span marking one atomic factual commitment inside a sentence."""
 
@@ -45,7 +47,7 @@ class FactSpan:
     sentence: int  # owning sentence id
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DependencyEdge:
     """Sentence `dst` relies on factual content introduced in sentence `src`.
 
@@ -77,11 +79,18 @@ class TokenSignals:
     support_weight: np.ndarray  # float64 [T]
     valid_mask: np.ndarray      # bool [T]
 
+    def __getitem__(self, index: slice | np.ndarray) -> TokenSignals:
+        """The signals at `index`: a slice, or an array of positions."""
+        return TokenSignals(self.fact_mask[index], self.support_weight[index], self.valid_mask[index])
+
 
 def propagate_risk(
     sentences: Sequence[SentenceSpan],
     edges: Sequence[DependencyEdge],
     mode: str = RISK_ONEHOP,
+    facts: Sequence[FactSpan] = (),
+    length: int | None = None,
+    valid: Sequence[int] | np.ndarray | None = None,
 ) -> RiskGraph:
     """Compute effective risks: each sentence takes the max of its own raw risk
     and the raw risks of its immediate predecessors.
@@ -89,57 +98,90 @@ def propagate_risk(
     mode="fixpoint" propagates transitively instead (predecessors contribute
     their effective risk); since edges always point forward, a single pass in
     sentence-id order reaches the fixpoint.
+
+    The annotation rules are checked first, in one _violations pass: the
+    sentence and edge rules always, and with `length` also the span rules
+    for the sentences, `facts` and `valid` over a target of that length,
+    which derive_token_signals relies on.  The first sentence or edge
+    violation is raised, or else the first span violation.
     """
     if mode not in RISK_MODES:
         raise ValueError(f"unknown risk propagation mode: {mode!r}")
-    _raise_first(_violations(sentences, edges=edges))
+    _raise_first(_violations(sentences, edges, facts, length, valid))
 
     # Sentence ids run 1..n (checked above): sentence `dst` sits at dst - 1.
-    sources: dict[int, list[int]] = {}
-    for e in edges:
-        sources.setdefault(e.dst, []).append(e.src)
+    # Edges go in sentence-id order of dst, so with fixpoint every source's
+    # risk is final before it is read.
     raw = [s.risk for s in sentences]
     eff = list(raw)
     source = eff if mode == RISK_FIXPOINT else raw
-    for dst in sorted(sources):
-        eff[dst - 1] = max(eff[dst - 1], max([source[src - 1] for src in sources[dst]]))
+    for e in sorted(edges, key=attrgetter("dst")):
+        if source[e.src - 1] > eff[e.dst - 1]:
+            eff[e.dst - 1] = source[e.src - 1]
     return RiskGraph(tuple(sentences), tuple(eff))
 
 
+def span_positions(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Every position of the half-open spans [starts[i], ends[i]), span after
+    span, each in increasing order."""
+    sizes = ends - starts
+    shift = np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+    return np.arange(len(shift), dtype=np.int64) + shift
+
+
+def _span_table(spans: Sequence[Sequence[object]], fields: tuple[str, ...], bases: np.ndarray) -> np.ndarray:
+    """int64 [spans, fields] of every example's spans in order, the first two
+    fields (start, end) moved by the example's base position."""
+    counts = [len(example) for example in spans]
+    values = chain.from_iterable(map(attrgetter(*fields), chain.from_iterable(spans)))
+    table = np.fromiter(values, dtype=np.int64, count=len(fields) * sum(counts)).reshape(-1, len(fields))
+    table[:, :2] += np.repeat(bases, counts)[:, None]
+    return table
+
+
+def _fill_runs(runs: np.ndarray, in_sentence: np.ndarray, in_gap: float) -> np.ndarray:
+    """Positions in runs of the given lengths, alternately a gap and a
+    sentence, each filled with `in_gap` or that sentence's value."""
+    values = np.full(len(runs), in_gap, dtype=in_sentence.dtype)
+    values[1::2] = in_sentence
+    return np.repeat(values, runs)
+
+
 def derive_token_signals(
-    graph: RiskGraph,
-    facts: Sequence[FactSpan],
-    valid: Sequence[int] | np.ndarray,
-    length: int,
-) -> TokenSignals:
-    """Turn a risk graph plus fact spans into per-token signals of the given length.
+    graphs: Sequence[RiskGraph],
+    facts: Sequence[Sequence[FactSpan]],
+    valid: Sequence[Sequence[int] | np.ndarray],
+) -> tuple[TokenSignals, np.ndarray]:
+    """Per-token signals of a corpus, example after example, from each
+    example's risk graph, fact spans and valid mask (whose length is the
+    example's); also each position's sentence id, -1 outside every sentence.
+    Each graph must come from propagate_risk given that example's facts,
+    valid mask and length, which checked the spans.
 
-    The fact mask is the union of all fact spans intersected with the valid
-    mask; overlapping fact spans collapse into one.  Tokens outside every
-    sentence get support weight 1 and no fact mask.
+    The fact mask is the union of an example's fact spans intersected with
+    its valid mask; overlapping fact spans collapse into one.  Tokens outside
+    every sentence get support weight 1 and no fact mask.
     """
-    valid_mask = np.asarray(valid, dtype=bool)
-    _raise_first(_violations(graph.sentences, facts=facts, length=length, valid=valid_mask))
+    lengths = np.array([len(v) for v in valid], dtype=np.int64)
+    length = int(lengths.sum())
+    valid_mask = np.fromiter(chain.from_iterable(valid), dtype=bool, count=length)
+    bases = np.cumsum(lengths) - lengths
+    sentences = _span_table([g.sentences for g in graphs], ("token_start", "token_end", "index"), bases)
+    risks = np.fromiter(chain.from_iterable(g.effective_risk for g in graphs), dtype=np.float64, count=len(sentences))
+    fact_spans = _span_table(facts, ("token_start", "token_end"), bases)
 
-    support = np.ones(length, dtype=np.float64)
-    for s, eff in zip(graph.sentences, graph.effective_risk):
-        support[s.token_start:s.token_end] = 1.0 - eff
-    in_fact = np.zeros(length, dtype=bool)
-    for f in facts:
-        in_fact[f.token_start:f.token_end] = True
-
-    fact_mask = in_fact & valid_mask
-    for arr in (fact_mask, support, valid_mask):
+    # The sentences are in order and do not overlap (checked), so they and
+    # the gaps around them split the positions into runs: gap, sentence,
+    # gap, ..., sentence, gap.
+    runs = np.diff(np.concatenate([[0], sentences[:, :2].ravel(), [length]]))
+    support = _fill_runs(runs, 1.0 - risks, 1.0)
+    sentence_id = _fill_runs(runs, sentences[:, 2], -1)
+    fact_mask = np.zeros(length, dtype=bool)
+    fact_mask[span_positions(fact_spans[:, 0], fact_spans[:, 1])] = True
+    fact_mask &= valid_mask
+    for arr in (fact_mask, support, valid_mask, sentence_id):
         arr.setflags(write=False)
-    return TokenSignals(fact_mask=fact_mask, support_weight=support, valid_mask=valid_mask)
-
-
-def sentence_ids(sentences: Iterable[SentenceSpan], length: int) -> np.ndarray:
-    """Sentence id per token position; -1 for tokens outside every sentence."""
-    sid = np.full(length, -1, dtype=np.int64)
-    for s in sentences:
-        sid[s.token_start:s.token_end] = s.index
-    return sid
+    return TokenSignals(fact_mask=fact_mask, support_weight=support, valid_mask=valid_mask), sentence_id
 
 
 def _violations(
@@ -153,7 +195,7 @@ def _violations(
     edge, fact order.  This is the one place the annotation rules live.
 
     The sentence/edge rules (ids, risks, edges) run when `edges` is given;
-    the span rules (sentence and fact spans, valid mask) when `length` is.
+    the span rules (SPAN_RULES) when `length` is.
     """
     structure, spans = edges is not None, length is not None
     prev_end = 0
@@ -204,9 +246,20 @@ def _violations(
             yield "valid-mask-length", f"valid mask has shape {np.shape(valid)}, expected ({length},)"
 
 
+# The rules that need the target length; the others are the sentence and edge rules.
+SPAN_RULES = frozenset({"sentence-span-range", "sentence-span-order", "fact-span-range",
+                        "fact-unknown-sentence", "fact-outside-sentence", "valid-mask-length"})
+
+
 def _raise_first(violations: Iterator[tuple[str, str]]) -> None:
-    for _, message in violations:
-        raise AnnotationError(message)
+    """Raise the first sentence or edge violation, or else the first span violation."""
+    first_span = None
+    for reason, message in violations:
+        if reason not in SPAN_RULES:
+            raise AnnotationError(message)
+        first_span = first_span or message
+    if first_span is not None:
+        raise AnnotationError(first_span)
 
 
 def annotation_violations(

@@ -49,7 +49,7 @@ from .model import (
     METHOD_PRISM,
     METHOD_SFT,
     METHODS,
-    PreparedExample,
+    PreparedCorpus,
     TrainSettings,
     blas_id,
     check_model_size,
@@ -257,8 +257,8 @@ class RunData(NamedTuple):
     """A run's corpus, split and prepared: everything before the first step."""
 
     vocab: int
-    prep_train: list[PreparedExample]
-    prep_eval: list[PreparedExample]
+    prep_train: PreparedCorpus
+    prep_eval: PreparedCorpus
 
 
 def load_run_data(cfg: RunConfig) -> RunData:
@@ -532,7 +532,7 @@ def cmd_trace(checkpoint_path: str, corpus_path: str, limit: int, out: str | Non
     )
 
     lines = []
-    for i, prep in enumerate(prepared):
+    for i, prep in enumerate(prepared):  # one forward pass per record, over its slice
         logits, _ = model_mod.forward_batch(ck.params, prep.windows)
         try:
             probs = softmax_probs(logits, out=logits)

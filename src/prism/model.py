@@ -20,6 +20,7 @@ import json
 import math
 import platform
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -33,7 +34,7 @@ from .fact_graph import (
     TokenSignals,
     derive_token_signals,
     propagate_risk,
-    sentence_ids,
+    span_positions,
 )
 from .objective import (
     DEFAULT_EPSILON,
@@ -228,7 +229,11 @@ def optimizer_step(
     grads: dict[str, np.ndarray],
     state: OptimizerState,
 ) -> tuple[ModelParams, OptimizerState]:
-    """One bias-corrected moment update with decoupled weight decay, in place."""
+    """One bias-corrected moment update with decoupled weight decay, in place.
+    Each intermediate is written into one work array per parameter or into
+    the gradient, which the update consumes, in the order of
+    p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), so the update has that
+    expression's bits."""
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - state.beta1**t
@@ -239,25 +244,71 @@ def optimizer_step(
             raise DivergenceError(f"non-finite gradient for parameter {name!r} at optimizer step {t}")
         m = state.m[name]
         v = state.v[name]
+        work = np.empty_like(m)
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m += np.multiply(g, 1.0 - state.beta1, out=work)
         v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
+        g *= g
+        g *= 1.0 - state.beta2
+        v += g
         p = getattr(params, name)
         if state.weight_decay != 0.0:
-            p -= state.learning_rate * state.weight_decay * p
-        p -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+            p -= np.multiply(p, state.learning_rate * state.weight_decay, out=work)
+        np.divide(m, bc1, out=work)
+        work *= state.learning_rate
+        np.divide(v, bc2, out=g)
+        np.sqrt(g, out=g)
+        g += state.eps
+        work /= g
+        p -= work
     return params, state
 
 
-@dataclass
-class PreparedExample:
-    """One example flattened into teacher-forcing windows and token signals."""
+@dataclass(frozen=True)
+class PreparedCorpus:
+    """Examples flattened into teacher-forcing windows and token signals, one
+    array per field for the whole corpus: example i holds the positions
+    offsets[i]:offsets[i + 1].  A position's window is its row of `distinct`,
+    the corpus's distinct windows in distinct_windows' order; so ids follow
+    the windows' order, and equal windows share an id.  corpus[i] is example
+    i and corpus[a:b] the examples a..b-1, each a PreparedCorpus of views
+    into these arrays."""
 
-    windows: np.ndarray       # int64 [T, window]
-    labels: np.ndarray        # int64 [T]
-    signals: TokenSignals
-    sentence_id: np.ndarray   # int64 [T], -1 outside any sentence
+    distinct: np.ndarray     # int64 [D, window]
+    window_id: np.ndarray    # int64 [T], each position's row of `distinct`
+    labels: np.ndarray       # int64 [T]
+    signals: TokenSignals    # [T] each
+    sentence_id: np.ndarray  # int64 [T], -1 outside any sentence
+    offsets: np.ndarray      # int64 [n + 1], offsets[0] == 0
+
+    @property
+    def windows(self) -> np.ndarray:
+        """int64 [T, window], made on each call."""
+        return self.distinct[self.window_id]
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, key: int | slice) -> PreparedCorpus:
+        picked = range(len(self))[key]  # IndexError for an example outside the corpus
+        if isinstance(picked, int):
+            picked = range(picked, picked + 1)
+        if picked.step != 1:
+            raise ValueError("a corpus slice must have step 1")
+        start, stop = picked.start, max(picked.start, picked.stop)
+        lo, hi = int(self.offsets[start]), int(self.offsets[stop])
+        return PreparedCorpus(
+            distinct=self.distinct,
+            window_id=self.window_id[lo:hi],
+            labels=self.labels[lo:hi],
+            signals=self.signals[lo:hi],
+            sentence_id=self.sentence_id[lo:hi],
+            offsets=self.offsets[start:stop + 1] - lo,
+        )
+
+    def positions(self, idx: np.ndarray) -> np.ndarray:
+        """The positions of examples `idx`, example after example."""
+        return span_positions(self.offsets[idx], self.offsets[idx + 1])
 
 
 def prepare_examples(
@@ -265,36 +316,49 @@ def prepare_examples(
     window: int,
     vocab_size: int,
     risk_mode: str = RISK_ONEHOP,
-) -> list[PreparedExample]:
+) -> PreparedCorpus:
     """Expand annotated examples into per-position windows, labels, and signals.
 
     For target position t the window is the `window` tokens preceding it in
     input + target, left-padded with the begin token at the sequence start.
-    An annotation error names the example's 1-based position in `examples`.
+    Examples are checked in order, each for its token ids, a nonempty target
+    and then its annotations (propagate_risk); an annotation error names the
+    example's 1-based position in `examples`.  The distinct windows come
+    from one distinct_windows over the corpus.
     """
-    prepared = []
-    for pos, ex in enumerate(examples, 1):
-        full = np.asarray(list(ex.input_tokens) + list(ex.target_tokens), dtype=np.int64)
-        _check_tokens(full, vocab_size)
+    # One sequence per example, `window` begin tokens, then input and target.
+    pad = [TOKEN_BOS] * window
+    t_lens = np.array([len(ex.target_tokens) for ex in examples], dtype=np.int64)
+    ends = np.cumsum(np.array([len(ex.input_tokens) for ex in examples], dtype=np.int64) + t_lens + window)
+    tokens = np.fromiter(chain.from_iterable(chain(pad, ex.input_tokens, ex.target_tokens) for ex in examples),
+                         dtype=np.int64, count=int(ends[-1]) if examples else 0)
+    bad = (tokens < 0) | (tokens >= vocab_size)
+    first_bad = int(np.searchsorted(ends, bad.argmax(), side="right")) if bad.any() else -1
+
+    graphs = []
+    for pos, ex in enumerate(examples):
+        if pos == first_bad:
+            _check_tokens(np.asarray(list(ex.input_tokens) + list(ex.target_tokens), dtype=np.int64), vocab_size)
         t_len = len(ex.target_tokens)
         if t_len == 0:
             raise ValueError("example has an empty target")
-        padded = np.concatenate([np.full(window, TOKEN_BOS, dtype=np.int64), full])
-        all_windows = np.lib.stride_tricks.sliding_window_view(padded, window)
-        windows = all_windows[len(ex.input_tokens) : len(ex.input_tokens) + t_len].copy()
         try:
-            graph = propagate_risk(ex.sentences, ex.edges, mode=risk_mode)
-            signals = derive_token_signals(graph, ex.facts, ex.valid_mask, t_len)
+            graphs.append(propagate_risk(ex.sentences, ex.edges, risk_mode, ex.facts, t_len, ex.valid_mask))
         except AnnotationError as exc:
-            raise AnnotationError(f"record {pos}: {exc}") from exc
-        prepared.append(
-            PreparedExample(
-                windows=windows,
-                labels=np.asarray(ex.target_tokens, dtype=np.int64),
-                signals=signals,
-                sentence_id=sentence_ids(ex.sentences, t_len),
-            )
-        )
+            raise AnnotationError(f"record {pos + 1}: {exc}") from exc
+    signals, sentence_id = derive_token_signals(graphs, [ex.facts for ex in examples],
+                                                [ex.valid_mask for ex in examples])
+
+    # Target position t of an example sits at window + len(input) + t of its
+    # sequence; its window is the `window` tokens before it.
+    at = span_positions(ends - t_lens - window, ends - window)
+    windows = np.lib.stride_tricks.sliding_window_view(tokens, window)[at] if examples else tokens.reshape(0, window)
+    first, window_id = distinct_windows(windows)
+    labels = tokens[at + window]
+    offsets = np.concatenate([[0], np.cumsum(t_lens)])
+    prepared = PreparedCorpus(windows[first], window_id, labels, signals, sentence_id, offsets)
+    for arr in (prepared.distinct, window_id, labels, offsets):
+        arr.setflags(write=False)
     return prepared
 
 
@@ -321,20 +385,6 @@ def distinct_windows(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows = np.empty(len(order), dtype=np.int64)
     rows[order] = np.cumsum(new) - 1
     return order[new], rows
-
-
-def _gather_batch(
-    prepared: Sequence[PreparedExample], idx: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray, TokenSignals]:
-    chosen = [prepared[i] for i in idx]
-    windows = np.concatenate([p.windows for p in chosen])
-    labels = np.concatenate([p.labels for p in chosen])
-    signals = TokenSignals(
-        fact_mask=np.concatenate([p.signals.fact_mask for p in chosen]),
-        support_weight=np.concatenate([p.signals.support_weight for p in chosen]),
-        valid_mask=np.concatenate([p.signals.valid_mask for p in chosen]),
-    )
-    return windows, labels, signals
 
 
 @dataclass
@@ -423,7 +473,7 @@ def _group_mean(values: np.ndarray, mask: np.ndarray) -> float | None:
 # before anything is allocated: the vocabulary a run resolves to; the numbers
 # in the five parameter arrays together (training also holds their gradients,
 # two moments, and the checkpoint's text of three copies); examples per batch;
-# and the window, since every prepared example holds [T, window] token ids.
+# and the window, since the windows of a corpus or a batch are [rows, window] token ids.
 MAX_VOCAB_SIZE = 2**16
 MAX_PARAMETERS = 2**22
 MAX_BATCH_SIZE = 2**12
@@ -468,12 +518,13 @@ class StepBuffers:
         return StepViews(*(a[:rows] for a in self.arrays))
 
 
-def train(prepared: Sequence[PreparedExample], settings: TrainSettings) -> TrainResult:
+def train(prepared: PreparedCorpus, settings: TrainSettings) -> TrainResult:
     """Teacher-forced training loop over a prepared corpus, fully seeded.
 
-    Each step runs on the batch's distinct windows (distinct_windows): the
-    forward and backward passes and the loss's [rows, V] arrays have one
-    row per distinct window, and total_loss sums each row's positions.
+    Each step runs on the batch's distinct windows, found from the corpus's
+    window ids: the forward and backward passes and the loss's [rows, V]
+    arrays have one row per distinct window, in distinct_windows' order, and
+    total_loss sums each row's positions.
     Each step is one total_loss call with the method's METHODS switches.
     Methods without a complement term run at lam = 0, where total_loss skips
     that term, so any method at lam = 0 is bit-identical to method="sft" on
@@ -501,10 +552,12 @@ def train(prepared: Sequence[PreparedExample], settings: TrainSettings) -> Train
     buffers = StepBuffers(params)
     for step in range(1, settings.steps + 1):
         idx = rng.integers(0, len(prepared), size=settings.batch_size)
-        windows, labels, signals = _gather_batch(prepared, idx)
-        first, rows = distinct_windows(windows)
-        windows = windows[first]
-        views = buffers.views(len(first))
+        at = prepared.positions(idx)
+        ids, rows = np.unique(prepared.window_id[at], return_inverse=True)
+        windows = prepared.distinct[ids]
+        labels = prepared.labels[at]
+        signals = prepared.signals[at]
+        views = buffers.views(len(ids))
         logits, cache = forward_batch(params, windows, out=views)
 
         n_sft = int(signals.valid_mask.sum())
@@ -557,14 +610,14 @@ def train(prepared: Sequence[PreparedExample], settings: TrainSettings) -> Train
     return TrainResult(params=params, opt_state=state, step_log=log, counters=counters)
 
 
-def evaluate(params: ModelParams, prepared: Sequence[PreparedExample]) -> dict[str, float | None]:
+def evaluate(params: ModelParams, prepared: PreparedCorpus) -> dict[str, float | None]:
     """The metrics.json entries: label probabilities, top-1 and gate rates by
     token group, all read from one [rows, V] array, the probabilities written
     over the logits.  The gates have comp_loss's default flags."""
     if not prepared:
         raise ConfigError("nothing to evaluate")
-    windows, labels, signals = _gather_batch(prepared, range(len(prepared)))
-    logits = forward_batch(params, windows)[0]  # frees the activations before the softmax
+    labels, signals = prepared.labels, prepared.signals
+    logits = forward_batch(params, prepared.windows)[0]  # frees the activations before the softmax
     try:
         probs = softmax_probs(logits, out=logits)
     except NonFiniteLogits as exc:

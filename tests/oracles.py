@@ -8,14 +8,80 @@ position (or one logit) at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from prism.errors import DivergenceError, NonFiniteLogits
-from prism.fact_graph import TokenSignals
-from prism.model import ModelParams, PreparedExample, _gather_batch, _group_mean, forward_batch
+from prism.corpus import TOKEN_BOS, AnnotatedExample
+from prism.errors import AnnotationError, DivergenceError, NonFiniteLogits
+from prism.fact_graph import RISK_ONEHOP, TokenSignals, _violations, propagate_risk
+from prism.model import (
+    PARAM_FIELDS,
+    ModelParams,
+    OptimizerState,
+    PreparedCorpus,
+    _check_tokens,
+    _group_mean,
+    forward_batch,
+)
 from prism.objective import DEFAULT_EPSILON, comp_loss, knowledge_mask_valid, sft_loss, softmax_probs
+
+
+@dataclass
+class PreparedExample:
+    """One example flattened into teacher-forcing windows and token signals."""
+
+    windows: np.ndarray       # int64 [T, window]
+    labels: np.ndarray        # int64 [T]
+    signals: TokenSignals
+    sentence_id: np.ndarray   # int64 [T], -1 outside any sentence
+
+
+def prepare_reference(
+    examples: Sequence[AnnotatedExample],
+    window: int,
+    vocab_size: int,
+    risk_mode: str = RISK_ONEHOP,
+) -> list[PreparedExample]:
+    """model.prepare_examples one example at a time, as its per-example
+    version did: a padded copy and a sliding window per example, the
+    sentence and edge rules (propagate_risk without a length), then the span
+    rules in a second pass, and the signals and sentence ids filled in span
+    by span."""
+    prepared = []
+    for pos, ex in enumerate(examples, 1):
+        full = np.asarray(list(ex.input_tokens) + list(ex.target_tokens), dtype=np.int64)
+        _check_tokens(full, vocab_size)
+        t_len = len(ex.target_tokens)
+        if t_len == 0:
+            raise ValueError("example has an empty target")
+        padded = np.concatenate([np.full(window, TOKEN_BOS, dtype=np.int64), full])
+        all_windows = np.lib.stride_tricks.sliding_window_view(padded, window)
+        windows = all_windows[len(ex.input_tokens) : len(ex.input_tokens) + t_len].copy()
+        valid_mask = np.asarray(ex.valid_mask, dtype=bool)
+        try:
+            graph = propagate_risk(ex.sentences, ex.edges, mode=risk_mode)
+            for _, message in _violations(graph.sentences, facts=ex.facts, length=t_len, valid=valid_mask):
+                raise AnnotationError(message)
+        except AnnotationError as exc:
+            raise AnnotationError(f"record {pos}: {exc}") from exc
+        support = np.ones(t_len, dtype=np.float64)
+        sentence_id = np.full(t_len, -1, dtype=np.int64)
+        for s, eff in zip(graph.sentences, graph.effective_risk):
+            support[s.token_start:s.token_end] = 1.0 - eff
+            sentence_id[s.token_start:s.token_end] = s.index
+        in_fact = np.zeros(t_len, dtype=bool)
+        for f in ex.facts:
+            in_fact[f.token_start:f.token_end] = True
+        prepared.append(
+            PreparedExample(
+                windows=windows,
+                labels=np.asarray(ex.target_tokens, dtype=np.int64),
+                signals=TokenSignals(fact_mask=in_fact & valid_mask, support_weight=support, valid_mask=valid_mask),
+                sentence_id=sentence_id,
+            )
+        )
+    return prepared
 
 
 @dataclass(frozen=True)
@@ -112,16 +178,33 @@ def finite_difference_gradient(
     return grad
 
 
+def optimizer_step_reference(params: ModelParams, grads: dict[str, np.ndarray], state: OptimizerState) -> None:
+    """model.optimizer_step as whole-array expressions, each making its own temporaries."""
+    state.step_count += 1
+    t = state.step_count
+    bc1 = 1.0 - state.beta1**t
+    bc2 = 1.0 - state.beta2**t
+    for name in PARAM_FIELDS:
+        g, m, v, p = grads[name], state.m[name], state.v[name], getattr(params, name)
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * (g * g)
+        if state.weight_decay != 0.0:
+            p -= state.learning_rate * state.weight_decay * p
+        p -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+
+
 def evaluate_reference(
     params: ModelParams,
-    prepared: list[PreparedExample],
+    prepared: PreparedCorpus,
     epsilon: float = DEFAULT_EPSILON,
 ) -> dict[str, float | None]:
     """model.evaluate spelled out through comp_loss: a fresh softmax gives
     p_label and top-1, and comp_loss's own pass over the logits gives the
     gate trace, whose loss and gradient are discarded."""
-    windows, labels, signals = _gather_batch(prepared, range(len(prepared)))
-    logits, _ = forward_batch(params, windows)
+    labels, signals = prepared.labels, prepared.signals
+    logits, _ = forward_batch(params, prepared.windows)
     try:
         probs = softmax_probs(logits)
     except NonFiniteLogits as exc:
@@ -146,7 +229,7 @@ def evaluate_reference(
 
 def trace_rows_reference(
     params: ModelParams,
-    prepared: list[PreparedExample],
+    prepared: PreparedCorpus,
     epsilon: float = DEFAULT_EPSILON,
 ) -> list[dict]:
     """harness.cmd_trace's rows spelled out through comp_loss, one call per

@@ -1,17 +1,24 @@
 """Generator statistics, chunking, filtering, and JSONL round trips."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prism.corpus import (
     AnnotatedExample,
     GeneratorConfig,
     N_SPECIAL,
     TOKEN_PERIOD,
+    _check_edge,
+    _check_fact,
+    _check_sentence,
     atomic_write,
     chunk,
+    example_from_record,
     example_to_record,
     generate,
     key_token,
@@ -286,6 +293,33 @@ class TestJsonl:
             path.write_text(json.dumps(record) + "\n")
             with pytest.raises(CorpusFormatError, match="line 1: field 'risk' must be a number"):
                 read_jsonl(str(path))
+
+    JSON_VALUES = st.one_of(st.integers(min_value=-3, max_value=2**70), st.booleans(), st.none(),
+                            st.floats(allow_nan=False), st.text(max_size=2), st.lists(st.integers(), max_size=1))
+
+    @given(st.sampled_from([("sentences", ("start", "end", "risk"), _check_sentence),
+                            ("facts", ("id", "start", "end", "sentence"), _check_fact),
+                            ("edges", ("from", "to"), _check_edge)]),
+           st.data())
+    @settings(max_examples=300)
+    def test_one_condition_agrees_with_the_per_key_checks(self, kind, data):
+        """An object passes the decoder iff it passes the per-key checks, and
+        then decodes to its own values; otherwise both give one message."""
+        field, keys, check = kind
+        obj = data.draw(st.one_of(st.fixed_dictionaries({}, optional={k: self.JSON_VALUES for k in keys}),
+                                  st.fixed_dictionaries({k: st.integers(0, 9) for k in keys}),
+                                  self.JSON_VALUES))
+        record = {"input": [1], "target": [2, 3], "sentences": [], "facts": [], "edges": [], field: [obj]}
+        try:
+            check(obj, 7)
+        except CorpusFormatError as exc:
+            with pytest.raises(CorpusFormatError) as info:
+                example_from_record(record, 7)
+            assert str(info.value) == str(exc)
+            return
+        span = getattr(example_from_record(record, 7), field)[0]
+        for key, value in zip(keys, dataclasses.astuple(span)[-len(keys):]):
+            assert value == obj[key] and type(value) is (float if key == "risk" else int)
 
     def test_limit_stops_decoding(self, tmp_path):
         good = json.dumps(example_to_record(generate(config(n_examples=1))[0]))

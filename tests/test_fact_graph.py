@@ -15,7 +15,6 @@ from prism.fact_graph import (
     annotation_violations,
     derive_token_signals,
     propagate_risk,
-    sentence_ids,
 )
 
 
@@ -124,10 +123,15 @@ class TestPropagationProperties:
         assert propagate_risk(spans_for(risks), more).effective_risk == base
 
 
+def signals_of(graph, facts, valid):
+    """derive_token_signals over a corpus of one example."""
+    return derive_token_signals([graph], [facts], [valid])[0]
+
+
 class TestDeriveTokenSignals:
     def test_zero_risk_means_full_support(self):
         g = propagate_risk(spans_for([0.0, 0.0]), [])
-        sig = derive_token_signals(g, [], np.ones(6, dtype=bool), 6)
+        sig = signals_of(g, [], np.ones(6, dtype=bool))
         assert np.all(sig.support_weight == 1.0)
         assert not sig.fact_mask.any()
 
@@ -135,7 +139,7 @@ class TestDeriveTokenSignals:
         # sentence covering [3, 6) with effective risk 0.7, one fact span [4, 5)
         sentences = [SentenceSpan(1, 0, 3, 0.0), SentenceSpan(2, 3, 6, 0.7)]
         g = propagate_risk(sentences, [])
-        sig = derive_token_signals(g, [FactSpan(0, 4, 5, 2)], np.ones(6, dtype=bool), 6)
+        sig = signals_of(g, [FactSpan(0, 4, 5, 2)], np.ones(6, dtype=bool))
         assert sig.fact_mask.tolist() == [False, False, False, False, True, False]
         assert np.all(sig.support_weight[3:6] == 1.0 - 0.7)
         assert np.all(sig.support_weight[0:3] == 1.0)
@@ -143,38 +147,38 @@ class TestDeriveTokenSignals:
     def test_overlapping_fact_spans_union(self):
         g = propagate_risk([SentenceSpan(1, 0, 8, 0.5)], [])
         facts = [FactSpan(0, 3, 6, 1), FactSpan(1, 5, 7, 1)]
-        sig = derive_token_signals(g, facts, np.ones(8, dtype=bool), 8)
+        sig = signals_of(g, facts, np.ones(8, dtype=bool))
         assert sig.fact_mask.tolist() == [False, False, False, True, True, True, True, False]
 
     def test_tokens_outside_sentences(self):
         g = propagate_risk([SentenceSpan(1, 2, 4, 0.9)], [])
-        sig = derive_token_signals(g, [], np.ones(6, dtype=bool), 6)
+        sig = signals_of(g, [], np.ones(6, dtype=bool))
         assert sig.support_weight.tolist() == [1.0, 1.0, 1.0 - 0.9, 1.0 - 0.9, 1.0, 1.0]
 
     def test_fact_mask_subset_of_valid(self):
         g = propagate_risk([SentenceSpan(1, 0, 4, 0.5)], [])
         valid = np.array([1, 1, 0, 0], dtype=bool)
-        sig = derive_token_signals(g, [FactSpan(0, 1, 3, 1)], valid, 4)
+        sig = signals_of(g, [FactSpan(0, 1, 3, 1)], valid)
         assert sig.fact_mask.tolist() == [False, True, False, False]
         assert not (sig.fact_mask & ~sig.valid_mask).any()
 
+    # derive_token_signals takes graphs whose spans propagate_risk checked.
     def test_span_out_of_range_rejected(self):
-        g = propagate_risk([SentenceSpan(1, 0, 4, 0.5)], [])
         with pytest.raises(AnnotationError):
-            derive_token_signals(g, [FactSpan(0, 3, 9, 1)], np.ones(4, dtype=bool), 4)
+            propagate_risk([SentenceSpan(1, 0, 4, 0.5)], [], facts=[FactSpan(0, 3, 9, 1)], length=4,
+                           valid=np.ones(4, dtype=bool))
 
     def test_fact_outside_sentence_rejected(self):
-        g = propagate_risk([SentenceSpan(1, 0, 2, 0.5), SentenceSpan(2, 2, 4, 0.0)], [])
         with pytest.raises(AnnotationError):
-            derive_token_signals(g, [FactSpan(0, 2, 3, 1)], np.ones(4, dtype=bool), 4)
+            propagate_risk([SentenceSpan(1, 0, 2, 0.5), SentenceSpan(2, 2, 4, 0.0)], [],
+                           facts=[FactSpan(0, 2, 3, 1)], length=4, valid=np.ones(4, dtype=bool))
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8))
     @settings(max_examples=200)
     def test_support_plus_risk_is_exactly_one(self, risks):
         g = propagate_risk(spans_for(risks), [])
         length = 3 * len(risks)
-        sig = derive_token_signals(g, [], np.ones(length, dtype=bool), length)
-        sid = sentence_ids(g.sentences, length)
+        sig, sid = derive_token_signals([g], [[]], [np.ones(length, dtype=bool)])
         for t in range(length):
             assert sig.support_weight[t] + g.effective_risk[sid[t] - 1] == 1.0
 
@@ -252,8 +256,8 @@ class TestValidatorsAgree:
 
         reasons = annotation_violations(sentences, facts, edges, 3 * n, valid)
         try:
-            graph = propagate_risk(sentences, edges)
-            derive_token_signals(graph, facts, valid, 3 * n)
+            graph = propagate_risk(sentences, edges, facts=facts, length=3 * n, valid=valid)
+            derive_token_signals([graph], [facts], [valid])
         except AnnotationError:
             raised = True
         else:

@@ -890,8 +890,23 @@ class TestExitCodes:
         ("sentences", [{"start": 0, "end": 1}], "line 2: sentence missing field 'risk'"),
         ("facts", [{"id": 0, "end": 1}], "line 2: fact missing field 'start'"),
         ("edges", [{"from": 1, "to": "2"}], "line 2: edge field 'to' must be an integer"),
+        # span bounds, sentence ids, edge endpoints and fact ids are integers, never booleans
+        ("sentences", [{"start": False, "end": 1, "risk": 0.0}], "line 2: sentence fields 'start'/'end' must be integers"),
+        ("sentences", [{"start": 0, "end": True, "risk": 0.0}], "line 2: sentence fields 'start'/'end' must be integers"),
+        ("facts", [{"id": 0, "start": False, "end": 1, "sentence": 1}],
+         "line 2: fact fields 'start'/'end'/'sentence' must be integers"),
+        ("facts", [{"id": 0, "start": 0, "end": True, "sentence": 1}],
+         "line 2: fact fields 'start'/'end'/'sentence' must be integers"),
+        ("facts", [{"id": 0, "start": 0, "end": 1, "sentence": True}],
+         "line 2: fact fields 'start'/'end'/'sentence' must be integers"),
+        ("facts", [{"id": [1], "start": 0, "end": 1, "sentence": 1}], "line 2: fact field 'id' must be an integer"),
+        ("facts", [{"id": True, "start": 0, "end": 1, "sentence": 1}], "line 2: fact field 'id' must be an integer"),
+        ("edges", [{"from": True, "to": 2}], "line 2: edge field 'from' must be an integer"),
+        ("edges", [{"from": 1, "to": False}], "line 2: edge field 'to' must be an integer"),
     ], ids=["sentences_int", "edges_null", "token_beyond_int64", "negative_token", "bool_token",
-            "float_token", "tokens_not_list", "no_facts", "sentence_key", "fact_key", "edge_key"])
+            "float_token", "tokens_not_list", "no_facts", "sentence_key", "fact_key", "edge_key",
+            "bool_sentence_start", "bool_sentence_end", "bool_fact_start", "bool_fact_end", "bool_fact_sentence",
+            "list_fact_id", "bool_fact_id", "bool_edge_from", "bool_edge_to"])
     def test_ill_typed_record_is_2(self, corpus_path, tmp_path, capsys, field, value, shown):
         records = [json.loads(line) for line in open(corpus_path)]
         records[1][field] = value

@@ -8,8 +8,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from prism.corpus import AnnotatedExample, GeneratorConfig, generate
-from prism.errors import CheckpointError, ConfigError, DivergenceError
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from prism.corpus import AnnotatedExample, GeneratorConfig, chunk, generate, verify_and_filter
+from prism.errors import AnnotationError, CheckpointError, ConfigError, DivergenceError
 from prism.fact_graph import DependencyEdge, FactSpan, SentenceSpan
 from prism.model import (
     MAX_VOCAB_SIZE,
@@ -34,7 +37,7 @@ from prism.model import (
 )
 from prism.objective import knowledge_mask_valid, sft_loss, softmax_probs, total_loss
 
-from oracles import evaluate_reference, finite_difference_gradient
+from oracles import evaluate_reference, finite_difference_gradient, optimizer_step_reference, prepare_reference
 
 from prism.fact_graph import TokenSignals
 
@@ -271,6 +274,32 @@ class TestDistinctWindows:
 
 
 class TestOptimizer:
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_equals_the_expression_with_one_work_array(self, weight_decay):
+        """The update's bits are the whole-array expression's, and it holds one
+        work array at a time (the expression holds three temporaries)."""
+        rng = np.random.default_rng(11)
+        settings = TrainSettings(learning_rate=0.02, weight_decay=weight_decay)
+        params, reference = (init_params(300, 16, 24, 4, np.random.default_rng(5)) for _ in range(2))
+        state, reference_state = init_optimizer(params, settings), init_optimizer(reference, settings)
+        for step in range(6):
+            grads = {n: rng.standard_normal(getattr(params, n).shape) * 10.0 ** (step - 3) for n in PARAM_FIELDS}
+            optimizer_step_reference(reference, {n: g.copy() for n, g in grads.items()}, reference_state)
+            if step < 5:
+                optimizer_step(params, grads, state)
+                continue
+            tracemalloc.start()
+            try:
+                optimizer_step(params, grads, state)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.5 * max(g.nbytes for g in grads.values())
+        for name in PARAM_FIELDS:
+            for ours, theirs in ((getattr(params, name), getattr(reference, name)),
+                                 (state.m[name], reference_state.m[name]), (state.v[name], reference_state.v[name])):
+                assert ours.tobytes() == theirs.tobytes()
+
     def test_zero_gradients_leave_params_unchanged(self):
         params = init_params(4, 2, 3, 1, np.random.default_rng(3))
         before = {n: getattr(params, n).copy() for n in PARAM_FIELDS}
@@ -367,6 +396,158 @@ class TestPrepare:
         prep = prepare_examples([ex], window=2, vocab_size=8)[0]
         assert np.all(prep.signals.support_weight == pytest.approx(1 - 0.8))
         assert prep.signals.fact_mask.tolist() == [False, False, True, False]
+
+
+def readme_corpus():
+    """The README quick start's corpus, as preprocess writes it."""
+    cfg = GeneratorConfig(vocab_size=70, n_examples=2000, n_keys=20, n_values=20, sentence_length=5,
+                          corruption_fraction=0.3, risk_min=0.5, risk_max=0.9, dependency_p=0.25, seed=11)
+    return verify_and_filter([c for ex in generate(cfg) for c in chunk(ex, cfg.chunk_limit)]).kept
+
+
+def assert_equals_reference(prepared, reference):
+    """Every per-example array of the flat corpus is the reference's, byte for byte."""
+    assert len(prepared) == len(reference)
+    assert prepared.offsets.tolist() == np.cumsum([0] + [len(r.labels) for r in reference]).tolist()
+    for record, ref in zip(prepared, reference):
+        pairs = [(record.windows, ref.windows), (record.labels, ref.labels), (record.sentence_id, ref.sentence_id),
+                 (record.signals.fact_mask, ref.signals.fact_mask),
+                 (record.signals.support_weight, ref.signals.support_weight),
+                 (record.signals.valid_mask, ref.signals.valid_mask)]
+        for got, want in pairs:
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    # one id per distinct window, numbered in distinct_windows' order
+    assert prepared.window_id.tobytes() == distinct_windows(prepared.windows)[1].tobytes()
+
+
+@st.composite
+def annotated_examples(draw, vocab=12):
+    """A valid annotated example: sentences with gaps, facts inside them,
+    forward edges and a random valid mask."""
+    t_len = draw(st.integers(min_value=1, max_value=14))
+    cuts = sorted(draw(st.sets(st.integers(min_value=0, max_value=t_len), max_size=8)))
+    bounds = [(a, b) for a, b in zip(cuts[::2], cuts[1::2])]
+    sentences = [SentenceSpan(j, a, b, draw(st.floats(min_value=0.0, max_value=1.0)))
+                 for j, (a, b) in enumerate(bounds, 1)]
+    facts = []
+    for s in sentences:
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            start = draw(st.integers(min_value=s.token_start, max_value=s.token_end - 1))
+            end = draw(st.integers(min_value=start + 1, max_value=s.token_end))
+            facts.append(FactSpan(len(facts), start, end, s.index))
+    pairs = [(i, j) for i in range(1, len(sentences) + 1) for j in range(i + 1, len(sentences) + 1)]
+    tokens = st.integers(min_value=0, max_value=vocab - 1)
+    return AnnotatedExample(
+        input_tokens=draw(st.lists(tokens, max_size=4)),
+        target_tokens=draw(st.lists(tokens, min_size=t_len, max_size=t_len)),
+        valid_mask=draw(st.lists(st.sampled_from([0, 1]), min_size=t_len, max_size=t_len)),
+        sentences=sentences,
+        facts=facts,
+        edges=[DependencyEdge(i, j) for i, j in pairs if draw(st.booleans())],
+    )
+
+
+def break_example(ex, kind):
+    """`ex` with one rule broken: a sentence/edge rule, a span rule, both, or a token id."""
+    sentences, facts, edges = list(ex.sentences), list(ex.facts), list(ex.edges)
+    target, valid = list(ex.target_tokens), list(ex.valid_mask)
+    if kind in ("risk", "both") and sentences:
+        sentences[-1] = SentenceSpan(sentences[-1].index, sentences[-1].token_start, sentences[-1].token_end, 1.5)
+    if kind == "edge":
+        edges.append(DependencyEdge(1, 1))
+    if kind in ("fact", "both"):
+        facts.append(FactSpan(99, len(target), len(target) + 1, 1))
+    if kind == "valid":
+        valid.append(1)
+    if kind == "token":
+        target[-1] = 999
+    return AnnotatedExample(list(ex.input_tokens), target, valid, sentences, facts, edges)
+
+
+def outcome(prepare, *args, **kwargs):
+    try:
+        return prepare(*args, **kwargs)
+    except (AnnotationError, ConfigError) as exc:
+        return type(exc), str(exc)
+
+
+class TestPreparedCorpus:
+    @pytest.mark.parametrize("risk_mode", ["onehop", "fixpoint"])
+    def test_equals_the_per_example_reference_on_the_readme_corpus(self, risk_mode):
+        examples = readme_corpus()
+        prepared = prepare_examples(examples, 4, 70, risk_mode=risk_mode)
+        assert len(prepared) == len(examples) > 1000
+        assert_equals_reference(prepared, prepare_reference(examples, 4, 70, risk_mode=risk_mode))
+
+    @given(st.lists(annotated_examples(), min_size=1, max_size=6),
+           st.lists(st.sampled_from(["risk", "edge", "fact", "valid", "both", "token", None]), max_size=6),
+           st.integers(min_value=1, max_value=4), st.sampled_from(["onehop", "fixpoint"]))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_per_example_reference(self, examples, breaks, window, risk_mode):
+        """The same arrays, or the same first error: its type, record number and message."""
+        examples = [break_example(ex, kind) if kind else ex for ex, kind in zip(examples, breaks + [None] * 6)]
+        got = outcome(prepare_examples, examples, window, 12, risk_mode=risk_mode)
+        want = outcome(prepare_reference, examples, window, 12, risk_mode=risk_mode)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert_equals_reference(got, want)
+
+    def test_sentence_and_edge_rules_come_before_the_span_rules(self):
+        examples = small_corpus(n=5)
+        examples[2] = break_example(examples[2], "both")  # a fact outside the target, and risk 1.5
+        last = len(examples[2].sentences)
+        message = f"record 3: sentence {last} risk 1.5 outside [0, 1]"
+        for prepare in (prepare_examples, prepare_reference):
+            with pytest.raises(AnnotationError) as info:
+                prepare(examples, 4, 70)
+            assert str(info.value) == message
+
+    def test_the_first_broken_record_decides_the_error(self):
+        examples = small_corpus(n=6)
+        tokens, annotation = break_example(examples[1], "token"), break_example(examples[3], "fact")
+        for broken in ([examples[0], tokens, examples[2], annotation], [examples[0], annotation, tokens]):
+            got = outcome(prepare_examples, broken, 4, 70)
+            assert got == outcome(prepare_reference, broken, 4, 70)
+            assert got[0] is (ConfigError if broken[1] is tokens else AnnotationError)
+
+    def test_split_by_offsets(self):
+        examples = small_corpus(n=30)
+        prepared = prepare_examples(examples, 4, 70)
+        cut = 27
+        train_split, eval_split = prepared[:cut], prepared[cut:]
+        assert (len(prepared), len(train_split), len(eval_split)) == (30, 27, 3)
+        assert len(prepared[cut:cut]) == 0 and not prepared[30:]
+        assert train_split.offsets.tolist() == prepared.offsets[:cut + 1].tolist()
+        assert eval_split.offsets.tolist() == (prepared.offsets[cut:] - prepared.offsets[cut]).tolist()
+        at = int(prepared.offsets[cut])
+        for part, rows in ((train_split, slice(0, at)), (eval_split, slice(at, None))):
+            assert part.windows.tobytes() == prepared.windows[rows].tobytes()
+            assert part.signals.support_weight.tobytes() == prepared.signals.support_weight[rows].tobytes()
+            assert part.window_id.tobytes() == prepared.window_id[rows].tobytes()
+        # a split prepared alone has the same arrays, and its ids order its windows the same way
+        alone = prepare_examples(examples[cut:], 4, 70)
+        assert len(alone) == len(examples[cut:])
+        assert alone.windows.tobytes() == eval_split.windows.tobytes()
+        assert np.array_equal(np.unique(alone.window_id, return_inverse=True)[1],
+                              np.unique(eval_split.window_id, return_inverse=True)[1])
+        assert prepared[-1].labels.tolist() == examples[-1].target_tokens
+        with pytest.raises(IndexError):
+            prepared[30]
+
+    def test_empty_corpus_is_refused_by_train_and_evaluate(self):
+        prepared = prepare_examples([], 4, 70)
+        assert len(prepared) == 0 and prepared.windows.shape == (0, 4)
+        with pytest.raises(ConfigError, match="training corpus is empty"):
+            train(prepared, TrainSettings(vocab_size=70))
+        with pytest.raises(ConfigError, match="nothing to evaluate"):
+            evaluate(init_params(70, 4, 4, 4, np.random.default_rng(0)), prepared)
+
+    def test_positions_follow_the_examples_in_order(self):
+        prepared = prepare_examples(small_corpus(n=10), 4, 70)
+        idx = np.array([3, 0, 3, 9])
+        expected = np.concatenate([np.arange(prepared.offsets[i], prepared.offsets[i + 1]) for i in idx])
+        assert prepared.positions(idx).tolist() == expected.tolist()
 
 
 class TestTrain:
@@ -476,27 +657,37 @@ class TestTrain:
 
     def test_forward_batch_gets_the_distinct_windows_only(self, monkeypatch):
         import prism.model as model_mod
-        batches, forwarded = [], []
-        original_gather, original_forward = model_mod._gather_batch, model_mod.forward_batch
+        batches, forwarded, loss_rows = [], [], []
+        original_positions = model_mod.PreparedCorpus.positions
+        original_forward, original_loss = model_mod.forward_batch, model_mod.total_loss
 
-        def gather(prepared, idx):
-            batch = original_gather(prepared, idx)
-            batches.append(batch[0].copy())
-            return batch
+        def positions(self, idx):
+            at = original_positions(self, idx)
+            batches.append(self.windows[at])
+            return at
 
         def forward(params, windows, out=None):
             forwarded.append(np.array(windows))
             return original_forward(params, windows, out=out)
 
-        monkeypatch.setattr(model_mod, "_gather_batch", gather)
+        def loss(*args, rows=None, **kwargs):
+            loss_rows.append(np.array(rows))
+            return original_loss(*args, rows=rows, **kwargs)
+
+        monkeypatch.setattr(model_mod.PreparedCorpus, "positions", positions)
         monkeypatch.setattr(model_mod, "forward_batch", forward)
+        monkeypatch.setattr(model_mod, "total_loss", loss)
         train_on(small_corpus(), TrainSettings(method="prism", lam=0.1, steps=6, batch_size=8,
                                                vocab_size=70, seed=3))
-        assert len(batches) == len(forwarded) == 6
-        for batch, windows in zip(batches, forwarded):
+        assert len(batches) == len(forwarded) == len(loss_rows) == 6
+        for batch, windows, rows in zip(batches, forwarded, loss_rows):
             assert len(windows) < len(batch)
             assert np.array_equal(np.unique(windows, axis=0), np.unique(batch, axis=0))
             assert len(np.unique(windows, axis=0)) == len(windows)
+            # the window ids give distinct_windows' rows of the gathered batch, in its order
+            first, expected_rows = distinct_windows(batch)
+            assert windows.tobytes() == batch[first].tobytes()
+            assert rows.tobytes() == expected_rows.tobytes()
 
     def test_prism_counters_stay_clean(self):
         examples = small_corpus()
