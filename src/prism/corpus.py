@@ -16,9 +16,9 @@ Also holds the JSONL schema for annotated examples:
      "facts": [{"id", "start", "end", "sentence"}, ...],
      "edges": [{"from", "to"}, ...]}
 
-One record per line, UTF-8, LF.  An optional "valid" field (0/1 list over
-target positions) is honoured when present; unknown fields are preserved
-across a read/write round trip.
+One record per line, UTF-8, LF.  An optional "valid" field (a list of the
+integers 0 and 1 over target positions) is honoured when present; unknown
+fields are preserved across a read/write round trip.
 """
 
 from __future__ import annotations
@@ -233,15 +233,9 @@ def generate(config: GeneratorConfig) -> list[AnnotatedExample]:
 
 
 def _plant_defect(base: AnnotatedExample, kind: int) -> AnnotatedExample:
-    """A structurally broken clone of `base`; verify_and_filter must drop it."""
-    ex = AnnotatedExample(
-        input_tokens=list(base.input_tokens),
-        target_tokens=list(base.target_tokens),
-        valid_mask=list(base.valid_mask),
-        sentences=list(base.sentences),
-        facts=list(base.facts),
-        edges=list(base.edges),
-    )
+    """A structurally broken clone of `base`; verify_and_filter must drop it.
+    Only the lists a defect changes are copied; the token lists are shared."""
+    ex = replace(base, sentences=list(base.sentences), facts=list(base.facts), edges=list(base.edges))
     if kind == 0:
         ex.edges.append(DependencyEdge(1, 1))
     elif kind == 1:
@@ -465,10 +459,10 @@ def example_from_record(record: dict, lineno: int | None = None, shared: dict | 
 
     if "valid" in record:
         valid = record["valid"]
-        _require(isinstance(valid, list) and all(v in (0, 1) for v in valid),
+        _require(isinstance(valid, list) and all(type(v) is int and v in (0, 1) for v in valid),
                  "field 'valid' must be a list of 0/1", lineno)
         _require(len(valid) == len(target_tokens), "field 'valid' length must match 'target'", lineno)
-        valid_mask = [int(v) for v in valid]
+        valid_mask = list(valid)
     else:
         valid_mask = [1] * len(target_tokens)
 

@@ -18,7 +18,7 @@ import json
 import multiprocessing
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Iterator, NamedTuple, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -96,7 +96,7 @@ class RunConfig(TrainSettings):
 
 @dataclass
 class MetricsReport:
-    """Per-run metrics, with deltas against a named baseline when available."""
+    """Per-run metrics, as metrics.json holds them."""
 
     run_id: str
     method: str
@@ -107,15 +107,14 @@ class MetricsReport:
     n_eval: int
     metrics: dict[str, float | None]
     counters: dict[str, int]
-    baseline_run_id: str | None = None
-    deltas: dict[str, float] = field(default_factory=dict)
 
     def write(self, path: str) -> None:
         _write_json(path, _file_keys(asdict(self)))
 
     @classmethod
     def read(cls, path: str) -> MetricsReport:
-        """Load a metrics.json written by `write`, checking every field's name and type."""
+        """Load a metrics.json written by `write`, checking every field's name and
+        type.  Older files' baseline_run_id and deltas (always null and {}) are ignored."""
         hints = get_type_hints(cls)
         try:
             with open(path, encoding="utf-8") as fh:
@@ -124,6 +123,8 @@ class MetricsReport:
                 raise TypeError("not a JSON object")
             fields = {}
             for key, value in data.items():
+                if key in ("baseline_run_id", "deltas"):
+                    continue
                 name = _CONFIG_ALIASES.get(key, key)
                 if name in hints and not _fits(value, hints[name]):
                     raise TypeError(f"field {key!r} has the wrong type")
@@ -327,9 +328,7 @@ def cmd_train(cfg: RunConfig, data: RunData | None = None) -> MetricsReport:
         for record in result.step_log:
             fh.write(json.dumps(asdict(record)))
             fh.write("\n")
-    save_checkpoint(
-        os.path.join(cfg.out, "checkpoint.json"), result.params, result.opt_state, resolved, cfg.seed
-    )
+    save_checkpoint(os.path.join(cfg.out, "checkpoint.json"), result.params, resolved)
     report.write(os.path.join(cfg.out, "metrics.json"))
 
     print(f"run {run_id}: {cfg.steps} steps on {n_train} examples "
@@ -544,13 +543,12 @@ def cmd_trace(checkpoint_path: str, corpus_path: str, limit: int, out: str | Non
                       prep.signals.support_weight.tolist(), trace.pref_gate.tolist(),
                       trace.keep_gate.tolist(), trace.alpha.tolist())
         lines.extend(TRACE_ROW % (i, t, *row) for t, row in enumerate(columns))
-    payload = "".join(lines)
     if out:
         with atomic_write(out) as fh:
-            fh.write(payload)
+            fh.writelines(lines)
         print(f"wrote {len(lines)} trace rows to {out}")
     else:
-        sys.stdout.write(payload)
+        sys.stdout.writelines(lines)
     return len(lines)
 
 

@@ -47,8 +47,6 @@ from .objective import (
 )
 
 PARAM_FIELDS = ("embedding", "w1", "b1", "w2", "b2")
-# OptimizerState's float hyperparameters, in checkpoint order.
-OPTIMIZER_FIELDS = ("learning_rate", "beta1", "beta2", "eps", "weight_decay")
 
 
 class Method(NamedTuple):
@@ -460,7 +458,6 @@ class TrainCounters:
 @dataclass
 class TrainResult:
     params: ModelParams
-    opt_state: OptimizerState
     step_log: list[StepRecord]
     counters: TrainCounters
 
@@ -472,7 +469,7 @@ def _group_mean(values: np.ndarray, mask: np.ndarray) -> float | None:
 # Upper bounds on a run's size, so that a huge setting or token id is refused
 # before anything is allocated: the vocabulary a run resolves to; the numbers
 # in the five parameter arrays together (training also holds their gradients,
-# two moments, and the checkpoint's text of three copies); examples per batch;
+# two moments, and the checkpoint's text of them); examples per batch;
 # and the window, since the windows of a corpus or a batch are [rows, window] token ids.
 MAX_VOCAB_SIZE = 2**16
 MAX_PARAMETERS = 2**22
@@ -607,7 +604,7 @@ def train(prepared: PreparedCorpus, settings: TrainSettings) -> TrainResult:
         )
         grads = backward_batch(params, windows, grad, cache, out=views)
         params, state = optimizer_step(params, grads, state)
-    return TrainResult(params=params, opt_state=state, step_log=log, counters=counters)
+    return TrainResult(params=params, step_log=log, counters=counters)
 
 
 def evaluate(params: ModelParams, prepared: PreparedCorpus) -> dict[str, float | None]:
@@ -671,7 +668,7 @@ def numeric_environment() -> dict:
     }
 
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def _encode_array(arr: np.ndarray) -> dict:
@@ -700,36 +697,21 @@ def _decode_array(node: object, where: str) -> np.ndarray:
 @dataclass
 class Checkpoint:
     params: ModelParams
-    opt_state: OptimizerState
     config: dict
-    seed: int
 
 
-def save_checkpoint(
-    path: str,
-    params: ModelParams,
-    opt_state: OptimizerState,
-    config: dict,
-    seed: int,
-) -> None:
-    """Write a versioned JSON checkpoint with the numeric environment that
-    produced it.  Each array is its shape and the base64 of its little-endian
-    float64 bytes, so it round-trips exactly."""
+def save_checkpoint(path: str, params: ModelParams, config: dict) -> None:
+    """Write a versioned JSON checkpoint of the parameters and resolved
+    config, with the numeric environment that produced it.  Each array is its
+    shape and the base64 of its little-endian float64 bytes, so it round-trips
+    exactly."""
     payload = {
         "format_version": CHECKPOINT_VERSION,
-        "seed": seed,
         "config": config,
         "config_hash": config_digest(config),
         "model": {
             "window": params.window,
-            "bos_token": TOKEN_BOS,
             **{name: _encode_array(getattr(params, name)) for name in PARAM_FIELDS},
-        },
-        "optimizer": {
-            **{key: getattr(opt_state, key) for key in OPTIMIZER_FIELDS},
-            "step_count": opt_state.step_count,
-            "m": {name: _encode_array(arr) for name, arr in opt_state.m.items()},
-            "v": {name: _encode_array(arr) for name, arr in opt_state.v.items()},
         },
         "environment": numeric_environment(),
     }
@@ -742,8 +724,10 @@ def save_checkpoint(
 
 def load_checkpoint(path: str) -> Checkpoint:
     """Read a checkpoint, verify its config hash, and check its schema and
-    that every parameter and moment array is finite and has the shape the
-    others imply.  A version 1 checkpoint (nested lists) is refused."""
+    that every parameter array is finite and has the shape the others imply.
+    A version 2 checkpoint is read the same way, and its seed, bos_token and
+    optimizer state are ignored; a version 1 checkpoint (nested lists) is
+    refused."""
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -753,26 +737,17 @@ def load_checkpoint(path: str) -> Checkpoint:
     if version == 1:
         raise CheckpointError(f"checkpoint {path} has format version 1, which is no longer read; "
                               f"retrain to write a version {CHECKPOINT_VERSION} checkpoint")
-    if version != CHECKPOINT_VERSION:
+    if version not in (2, CHECKPOINT_VERSION):
         raise CheckpointError(f"unsupported checkpoint version {version!r}")
     config = payload.get("config")
     if config_digest(config) != payload.get("config_hash"):
         raise CheckpointError("checkpoint config hash mismatch")
     try:
-        m, o = payload["model"], payload["optimizer"]
+        m = payload["model"]
         params = ModelParams(
             **{name: _decode_array(m[name], f"model.{name}") for name in PARAM_FIELDS},
             window=int(m["window"]),
         )
-        if int(m["bos_token"]) != TOKEN_BOS:
-            raise ValueError(f"model.bos_token must be {TOKEN_BOS}")
-        opt_state = OptimizerState(
-            **{key: float(o[key]) for key in OPTIMIZER_FIELDS},
-            step_count=int(o["step_count"]),
-            m={name: _decode_array(o["m"][name], f"m.{name}") for name in PARAM_FIELDS},
-            v={name: _decode_array(o["v"][name], f"v.{name}") for name in PARAM_FIELDS},
-        )
-        seed = int(payload["seed"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise CheckpointError(f"malformed checkpoint {path}: {detail}") from exc
@@ -784,9 +759,8 @@ def load_checkpoint(path: str) -> Checkpoint:
     expected = {"embedding": (vocab, dim), "w1": (params.window * dim, hidden), "b1": (hidden,),
                 "w2": (hidden, vocab), "b2": (vocab,)}
     for name, shape in expected.items():
-        arrays = {"model": getattr(params, name), "m": opt_state.m[name], "v": opt_state.v[name]}
-        for where, arr in arrays.items():
-            if arr.shape != shape or not np.all(np.isfinite(arr)):
-                raise CheckpointError(f"malformed checkpoint {path}: {where}.{name} must be finite "
-                                      f"with shape {shape}, got shape {arr.shape}")
-    return Checkpoint(params=params, opt_state=opt_state, config=config, seed=seed)
+        arr = getattr(params, name)
+        if arr.shape != shape or not np.all(np.isfinite(arr)):
+            raise CheckpointError(f"malformed checkpoint {path}: model.{name} must be finite "
+                                  f"with shape {shape}, got shape {arr.shape}")
+    return Checkpoint(params=params, config=config)

@@ -62,7 +62,7 @@ def checkpoint_path(corpus_path, tmp_path_factory):
 
 
 def decode_array(node):
-    """The array of a version 2 checkpoint entry {"shape", "data"}."""
+    """The array of a checkpoint entry {"shape", "data"}."""
     return np.frombuffer(base64.b64decode(node["data"]), dtype="<f8").reshape(node["shape"]).copy()
 
 
@@ -540,23 +540,17 @@ class TestTraceCommand:
         assert rc == 2
 
     @pytest.mark.parametrize("damage", [
-        lambda p: p.pop("optimizer"),
         lambda p: p["model"].pop("b2"),
         lambda p: p["model"].update(w1=edit_array(p["model"]["w1"], lambda a: a[:-1])),
         lambda p: p["model"].update(b1=edit_array(p["model"]["b1"], lambda a: a[:-1])),
         lambda p: p["model"].update(embedding=edit_array(p["model"]["embedding"], lambda a: [0.0, 1.0])),
-        lambda p: p["optimizer"]["m"].update(w2=edit_array(p["optimizer"]["m"]["w2"], lambda a: a[:-1])),
-        lambda p: p["optimizer"]["v"].update(embedding=edit_array(p["optimizer"]["v"]["embedding"],
-                                                                  lambda a: [[0.0]])),
-        lambda p: p["model"].update(bos_token=3),
         lambda p: p["model"]["b2"].update(data="not base64!"),
         lambda p: p["model"]["b2"].update(data=p["model"]["b2"]["data"][:-12]),
         lambda p: p["model"]["b1"].update(shape=[-1]),
         lambda p: p["model"]["w2"].update(shape=[2**40, 2**40]),
         lambda p: p["model"]["w2"].update(shape=[1] * 40),
-    ], ids=["no_optimizer", "no_b2", "w1_rows", "b1_len", "embedding_1d", "m_w2", "v_embedding",
-            "bos_token", "bad_base64", "data_short_of_shape", "negative_shape", "huge_shape",
-            "many_dimensions"])
+    ], ids=["no_b2", "w1_rows", "b1_len", "embedding_1d", "bad_base64", "data_short_of_shape",
+            "negative_shape", "huge_shape", "many_dimensions"])
     def test_damaged_checkpoint_is_2(self, checkpoint_path, corpus_path, tmp_path, capsys, damage):
         payload = json.loads(open(checkpoint_path).read())
         damage(payload)
@@ -572,28 +566,52 @@ class TestTraceCommand:
     def test_version_1_checkpoint_is_2(self, checkpoint_path, corpus_path, tmp_path, capsys):
         payload = json.loads(open(checkpoint_path).read())
         payload["format_version"] = 1
-        for group in (payload["model"], payload["optimizer"]["m"], payload["optimizer"]["v"]):
-            for name in ("embedding", "w1", "b1", "w2", "b2"):
-                group[name] = decode_array(group[name]).tolist()
+        for name in ("embedding", "w1", "b1", "w2", "b2"):
+            payload["model"][name] = decode_array(payload["model"][name]).tolist()
         ck_path = tmp_path / "v1.json"
         ck_path.write_text(json.dumps(payload))
         out = tmp_path / "trace.jsonl"
         assert main(["trace", "--checkpoint", str(ck_path), "--corpus", corpus_path,
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err == (f"i/o error: checkpoint {ck_path} has format version 1, "
-                                           "which is no longer read; retrain to write a version 2 "
+                                           "which is no longer read; retrain to write a version 3 "
                                            "checkpoint\n")
         assert os.listdir(tmp_path) == ["v1.json"]
 
     def test_checkpoint_arrays_are_base64_of_little_endian_float64(self, checkpoint_path):
         payload = json.loads(open(checkpoint_path).read())
-        assert payload["format_version"] == 2
+        assert payload["format_version"] == 3
         ck = load_checkpoint(checkpoint_path)
-        for group, arrays in ((payload["model"], vars(ck.params)), (payload["optimizer"]["m"], ck.opt_state.m),
-                              (payload["optimizer"]["v"], ck.opt_state.v)):
-            for name in ("embedding", "w1", "b1", "w2", "b2"):
-                assert group[name]["shape"] == list(arrays[name].shape)
-                assert base64.b64decode(group[name]["data"]) == arrays[name].astype("<f8").tobytes()
+        for name in ("embedding", "w1", "b1", "w2", "b2"):
+            node, arr = payload["model"][name], getattr(ck.params, name)
+            assert node["shape"] == list(arr.shape)
+            assert base64.b64decode(node["data"]) == arr.astype("<f8").tobytes()
+
+    def test_format_3_holds_only_what_trace_reads(self, checkpoint_path):
+        payload = json.loads(open(checkpoint_path).read())
+        assert list(payload) == ["format_version", "config", "config_hash", "model", "environment"]
+        assert list(payload["model"]) == ["window", "embedding", "w1", "b1", "w2", "b2"]
+
+    def test_format_2_checkpoint_traces_the_same_bytes(self, checkpoint_path, corpus_path, tmp_path, capsys):
+        v3 = json.loads(open(checkpoint_path).read())
+        model = v3["model"]
+        moments = {name: edit_array(model[name], np.zeros_like) for name in ("embedding", "w1", "b1", "w2", "b2")}
+        v2 = {
+            "format_version": 2, "seed": v3["config"]["seed"], "config": v3["config"],
+            "config_hash": v3["config_hash"], "model": {"window": model["window"], "bos_token": 0, **model},
+            "optimizer": {"learning_rate": 3e-3, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8,
+                          "weight_decay": 0.0, "step_count": 5, "m": moments, "v": moments},
+            "environment": v3["environment"],
+        }
+        v2_path = tmp_path / "v2.json"
+        v2_path.write_text(json.dumps(v2))
+        traces = []
+        for path in (checkpoint_path, str(v2_path)):
+            out = tmp_path / "trace.jsonl"
+            assert main(["trace", "--checkpoint", path, "--corpus", corpus_path, "--limit", "4",
+                         "--out", str(out)]) == 0
+            traces.append(out.read_bytes())
+        assert traces[0] == traces[1] and traces[0]
 
     @pytest.mark.parametrize("damage, shown", [
         (lambda c: [c], "config is not a JSON object"),
@@ -692,6 +710,24 @@ class TestReportCommand:
         base_id = json.loads(open(os.path.join(base_dir, "metrics.json")).read())["run_id"]
         assert base_id in shown
 
+    def test_older_metrics_keys_are_ignored(self, corpus_path, tmp_path, capsys):
+        dirs = [tmp_path / "base", tmp_path / "prism"]
+        cmd_train(run_config(corpus_path, str(dirs[0]), method="sft", lam=0.0, steps=5))
+        cmd_train(run_config(corpus_path, str(dirs[1]), method="prism", lam=0.1, steps=5))
+
+        def report(csv_name):
+            capsys.readouterr()
+            assert main(["report", *map(str, dirs), "--out", str(tmp_path / csv_name)]) == 0
+            return capsys.readouterr().out, (tmp_path / csv_name).read_bytes()
+
+        shown = report("new.csv")
+        for d in dirs:  # as written before format 3: the two keys sat between counters and lambda
+            saved = json.loads((d / "metrics.json").read_text())
+            lam = saved.pop("lambda")
+            (d / "metrics.json").write_text(json.dumps({**saved, "baseline_run_id": None, "deltas": {},
+                                                        "lambda": lam}))
+        assert report("old.csv") == shown
+
     def test_no_baseline_rejected(self, corpus_path, tmp_path, capsys):
         d = str(tmp_path / "only")
         cmd_train(run_config(corpus_path, d, method="prism", lam=0.3))
@@ -721,7 +757,8 @@ class TestReportCommand:
         (lambda m: m.update({"lambda": "0"}), "field 'lambda' has the wrong type"),
         (lambda m: m["metrics"].update(final_total=[1.0]), "field 'metrics' has the wrong type"),
         (lambda m: m.update(seed=True), "field 'seed' has the wrong type"),
-    ], ids=["missing_field", "unknown_field", "lambda_str", "metric_list", "seed_bool"])
+        (lambda m: m.update(baseline_run_id=None, deltas={}, color="red"), "unexpected keyword argument 'color'"),
+    ], ids=["missing_field", "unknown_field", "lambda_str", "metric_list", "seed_bool", "older_keys_and_unknown"])
     def test_damaged_metrics_is_2(self, corpus_path, tmp_path, capsys, damage, shown):
         d = tmp_path / "sft"
         cmd_train(run_config(corpus_path, str(d), method="sft", lam=0.0, steps=5))
@@ -903,12 +940,20 @@ class TestExitCodes:
         ("facts", [{"id": True, "start": 0, "end": 1, "sentence": 1}], "line 2: fact field 'id' must be an integer"),
         ("edges", [{"from": True, "to": 2}], "line 2: edge field 'from' must be an integer"),
         ("edges", [{"from": 1, "to": False}], "line 2: edge field 'to' must be an integer"),
+        # the entries of 'valid' are the integers 0 and 1, never booleans or floats
+        ("valid", [True], "line 2: field 'valid' must be a list of 0/1"),
+        ("valid", [False], "line 2: field 'valid' must be a list of 0/1"),
+        ("valid", [1.0], "line 2: field 'valid' must be a list of 0/1"),
+        ("valid", [0.0], "line 2: field 'valid' must be a list of 0/1"),
     ], ids=["sentences_int", "edges_null", "token_beyond_int64", "negative_token", "bool_token",
             "float_token", "tokens_not_list", "no_facts", "sentence_key", "fact_key", "edge_key",
             "bool_sentence_start", "bool_sentence_end", "bool_fact_start", "bool_fact_end", "bool_fact_sentence",
-            "list_fact_id", "bool_fact_id", "bool_edge_from", "bool_edge_to"])
+            "list_fact_id", "bool_fact_id", "bool_edge_from", "bool_edge_to", "bool_valid_true",
+            "bool_valid_false", "float_valid_one", "float_valid_zero"])
     def test_ill_typed_record_is_2(self, corpus_path, tmp_path, capsys, field, value, shown):
         records = [json.loads(line) for line in open(corpus_path)]
+        if field == "valid":  # the bad entry last, after a 1 for each other target position
+            value = [1] * (len(records[1]["target"]) - 1) + value
         records[1][field] = value
         if value is ...:
             del records[1][field]
