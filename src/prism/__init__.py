@@ -43,8 +43,10 @@ from .fact_graph import (
 from .objective import (
     GateTrace,
     LossBreakdown,
+    Softmax,
     comp_loss,
     sft_loss,
+    softmax_pass,
     softmax_probs,
     total_loss,
 )

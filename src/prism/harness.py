@@ -459,7 +459,8 @@ def cmd_ablate(cfg: RunConfig, lambdas: Sequence[float]) -> str:
     list's order.  Deltas are taken against the lambda = 0 run.  A run that
     diverges, finds an empty batch or whose worker dies is recorded and the
     sweep continues; any other error ends it as at that lambda in a
-    one-by-one sweep.  Two lambdas that map to one lam_* directory are a
+    one-by-one sweep.  A sweep without failures removes any failures.json
+    an earlier sweep left in its directory.  Two lambdas that map to one lam_* directory are a
     config error.
     """
     if not lambdas:
@@ -490,8 +491,12 @@ def cmd_ablate(cfg: RunConfig, lambdas: Sequence[float]) -> str:
             raise exc
         else:
             reports.append(report)
+    failures_path = os.path.join(cfg.out, "failures.json")
     if failures:
-        _write_json(os.path.join(cfg.out, "failures.json"), {"failures": failures})
+        _write_json(failures_path, {"failures": failures})
+    else:  # so a clean sweep keeps no earlier sweep's failures
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(failures_path)
     baseline = next((r for r in reports if r.lam == 0.0), None)
     if baseline is None:
         raise DivergenceError("baseline run (lambda = 0) failed; no deltas possible")

@@ -120,8 +120,7 @@ def _check_tokens(tokens: np.ndarray, vocab_size: int) -> None:
 class StepViews(NamedTuple):
     """A StepBuffers' arrays for one batch of `rows`, each C-contiguous."""
 
-    logits: np.ndarray    # [rows, V]
-    shifted: np.ndarray   # [rows, V], total_loss's two out arrays
+    logits: np.ndarray    # [rows, V], with probs total_loss's two out arrays
     probs: np.ndarray     # [rows, V]
     x: np.ndarray         # [rows, window * d], forward_batch's activations
     hidden: np.ndarray    # [rows, h]
@@ -195,47 +194,36 @@ def backward_batch(
 
 @dataclass
 class OptimizerState:
-    """Decoupled-weight-decay adaptive-moment optimizer state."""
+    """Decoupled-weight-decay adaptive-moment optimizer state; the
+    hyperparameters are read from the run's TrainSettings."""
 
-    learning_rate: float
-    beta1: float
-    beta2: float
-    eps: float
-    weight_decay: float
     step_count: int
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
 
 
-def init_optimizer(params: ModelParams, settings: TrainSettings) -> OptimizerState:
-    """Zero moments and the optimizer hyperparameters of `settings`."""
+def init_optimizer(params: ModelParams) -> OptimizerState:
+    """Zero moments at step 0."""
     zeros = {name: np.zeros_like(getattr(params, name)) for name in PARAM_FIELDS}
-    return OptimizerState(
-        learning_rate=settings.learning_rate,
-        beta1=settings.beta1,
-        beta2=settings.beta2,
-        eps=settings.adam_eps,
-        weight_decay=settings.weight_decay,
-        step_count=0,
-        m=zeros,
-        v={name: z.copy() for name, z in zeros.items()},
-    )
+    return OptimizerState(step_count=0, m=zeros, v={name: z.copy() for name, z in zeros.items()})
 
 
 def optimizer_step(
     params: ModelParams,
     grads: dict[str, np.ndarray],
     state: OptimizerState,
+    settings: TrainSettings,
 ) -> tuple[ModelParams, OptimizerState]:
-    """One bias-corrected moment update with decoupled weight decay, in place.
-    Each intermediate is written into one work array per parameter or into
-    the gradient, which the update consumes, in the order of
-    p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), so the update has that
-    expression's bits."""
+    """One bias-corrected moment update with decoupled weight decay, in place,
+    with the hyperparameters of `settings`.  Each intermediate is written
+    into one work array per parameter or into the gradient, which the update
+    consumes, in the order of p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), so
+    the update has that expression's bits."""
+    lr, beta1, beta2 = settings.learning_rate, settings.beta1, settings.beta2
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
     for name in PARAM_FIELDS:
         g = grads[name]
         if not np.all(np.isfinite(g)):
@@ -243,20 +231,20 @@ def optimizer_step(
         m = state.m[name]
         v = state.v[name]
         work = np.empty_like(m)
-        m *= state.beta1
-        m += np.multiply(g, 1.0 - state.beta1, out=work)
-        v *= state.beta2
+        m *= beta1
+        m += np.multiply(g, 1.0 - beta1, out=work)
+        v *= beta2
         g *= g
-        g *= 1.0 - state.beta2
+        g *= 1.0 - beta2
         v += g
         p = getattr(params, name)
-        if state.weight_decay != 0.0:
-            p -= np.multiply(p, state.learning_rate * state.weight_decay, out=work)
+        if settings.weight_decay != 0.0:
+            p -= np.multiply(p, lr * settings.weight_decay, out=work)
         np.divide(m, bc1, out=work)
-        work *= state.learning_rate
+        work *= lr
         np.divide(v, bc2, out=g)
         np.sqrt(g, out=g)
-        g += state.eps
+        g += settings.adam_eps
         work /= g
         p -= work
     return params, state
@@ -505,7 +493,7 @@ class StepBuffers:
 
     def __init__(self, params: ModelParams) -> None:
         fan_in, hidden = params.w1.shape
-        widths = (params.vocab_size,) * 3 + (fan_in, hidden, hidden, hidden, fan_in)
+        widths = (params.vocab_size,) * 2 + (fan_in, hidden, hidden, hidden, fan_in)
         self.columns = [(n, np.float64) for n in widths] + [(fan_in, np.int64)]
         self.arrays = [np.empty((0, n), dtype) for n, dtype in self.columns]
 
@@ -527,7 +515,8 @@ def train(prepared: PreparedCorpus, settings: TrainSettings) -> TrainResult:
     that term, so any method at lam = 0 is bit-identical to method="sft" on
     the same valid mask.  Aborts with the step index on non-finite logits
     (which total_loss checks, once per step) or a non-finite loss.  The
-    step's per-row arrays live in one StepBuffers for the whole run.
+    step's per-row arrays live in one StepBuffers for the whole run, and
+    total_loss runs its softmax pass over the logits in place.
 
     `prepared` is prepare_examples(examples, settings.window,
     settings.vocab_size, risk_mode=settings.risk_propagation); a sweep
@@ -542,7 +531,7 @@ def train(prepared: PreparedCorpus, settings: TrainSettings) -> TrainResult:
 
     rng = np.random.default_rng(settings.seed)
     params = init_params(settings.vocab_size, settings.embed_dim, settings.hidden_dim, settings.window, rng)
-    state = init_optimizer(params, settings)
+    state = init_optimizer(params)
 
     log: list[StepRecord] = []
     counters = TrainCounters()
@@ -561,10 +550,17 @@ def train(prepared: PreparedCorpus, settings: TrainSettings) -> TrainResult:
         n_fact = int(signals.fact_mask.sum())
         if method.drop_unsupported:
             signals = replace(signals, valid_mask=knowledge_mask_valid(signals))
+        # p_risky and p_safe read the distinct rows of the fact positions
+        # only, and a row's softmax does not depend on the other rows.  They
+        # are read before total_loss writes its pass over the logits.
+        fact = signals.fact_mask
+        fact_rows, fact_row_of = np.unique(rows[fact], return_inverse=True)
         try:
+            probs_label = softmax_probs(logits[fact_rows])[fact_row_of, labels[fact]]
             loss, grad, trace = total_loss(
                 logits, labels, signals, lam, settings.epsilon,
-                use_gates=method.use_gates, use_fact_mask=method.use_fact_mask, out=views[1:3], rows=rows,
+                use_gates=method.use_gates, use_fact_mask=method.use_fact_mask,
+                out=(logits, views.probs), rows=rows,
             )
         except NonFiniteLogits as exc:
             raise DivergenceError(f"non-finite logits at step {step}") from exc
@@ -580,11 +576,6 @@ def train(prepared: PreparedCorpus, settings: TrainSettings) -> TrainResult:
         if not np.isfinite(loss.total):
             raise DivergenceError(f"non-finite loss at step {step}")
 
-        # p_risky and p_safe read the distinct rows of the fact positions
-        # only, and a row's softmax does not depend on the other rows.
-        fact = signals.fact_mask
-        fact_rows, fact_row_of = np.unique(rows[fact], return_inverse=True)
-        probs_label = softmax_probs(logits[fact_rows])[fact_row_of, labels[fact]]
         fact_support = signals.support_weight[fact]
         risky = fact_support < 1.0
         safe = fact_support >= 1.0
@@ -603,7 +594,7 @@ def train(prepared: PreparedCorpus, settings: TrainSettings) -> TrainResult:
             )
         )
         grads = backward_batch(params, windows, grad, cache, out=views)
-        params, state = optimizer_step(params, grads, state)
+        params, state = optimizer_step(params, grads, state, settings)
     return TrainResult(params=params, step_log=log, counters=counters)
 
 
@@ -744,11 +735,11 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise CheckpointError("checkpoint config hash mismatch")
     try:
         m = payload["model"]
-        params = ModelParams(
-            **{name: _decode_array(m[name], f"model.{name}") for name in PARAM_FIELDS},
-            window=int(m["window"]),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        arrays = {name: _decode_array(m[name], f"model.{name}") for name in PARAM_FIELDS}
+        if type(m["window"]) is not int:  # a bool is not a JSON integer
+            raise TypeError("model.window must be an integer")
+        params = ModelParams(**arrays, window=m["window"])
+    except (KeyError, TypeError, ValueError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise CheckpointError(f"malformed checkpoint {path}: {detail}") from exc
 

@@ -94,62 +94,44 @@ def _check_finite(z: np.ndarray) -> None:
         raise NonFiniteLogits("logits contain non-finite entries")
 
 
-def _probs_pass(
-    z: np.ndarray, shifted_out: np.ndarray | None = None, probs_out: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Max-subtracted logits, the probabilities, and the sums of exp(shifted)
-    over the last axis; the exponentials are divided in place."""
-    shifted = np.subtract(z, z.max(axis=-1, keepdims=True), out=shifted_out)
-    e = np.exp(shifted, out=probs_out)
-    sums = e.sum(axis=-1, keepdims=True)
-    e /= sums
-    return shifted, e, sums
-
-
-def softmax_probs(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Numerically stable softmax over the last axis (max-subtracted), float64.
-    Non-finite input raises NonFiniteLogits, a ValueError.  With `out` (it may
-    be the logits), each step's result is written into it."""
-    z = np.asarray(logits, dtype=np.float64)
-    _check_finite(z)
-    return _probs_pass(z, out, out)[1]
-
-
 def softmax_pass(
     logits: np.ndarray, out: Sequence[np.ndarray] | None = None, rows: np.ndarray | None = None
 ) -> Softmax:
     """Check that logits are [U, V >= 2] (ValueError) and finite
     (NonFiniteLogits), and that `rows` (ValueError) holds row indices, then
-    run the max/subtract/exp/sum/divide both loss terms start from.  `out`,
-    when given, is two [U, V] float64 arrays that the shifted logits and the
-    probabilities are written into."""
+    run the max/subtract/exp/sum/divide both loss terms start from; the
+    exponentials are divided in place.  `out`, when given, is two [U, V]
+    float64 arrays that the shifted logits and the probabilities are written
+    into; either may be the logits, and both may be one array."""
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] < 2:
         raise ValueError(f"logits must be [U, V] with V >= 2, got shape {z.shape}")
     rows = _as_rows(rows, len(z))
     _check_finite(z)
-    return Softmax(*_probs_pass(z, *(out or ())), rows)
+    shifted_out, probs_out = out or (None, None)
+    shifted = np.subtract(z, z.max(axis=-1, keepdims=True), out=shifted_out)
+    e = np.exp(shifted, out=probs_out)
+    sums = e.sum(axis=-1, keepdims=True)
+    e /= sums
+    return Softmax(shifted, e, sums, rows)
 
 
-def sft_loss(
-    logits: np.ndarray,
-    labels: np.ndarray,
-    valid_mask: np.ndarray,
-    *,
-    rows: np.ndarray | None = None,
-    soft: Softmax | None = None,
-) -> tuple[float, np.ndarray]:
-    """Masked mean negative log-likelihood and its per-logit gradient.
+def softmax_probs(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The probabilities of softmax_pass over logits [rows, V >= 2]; with
+    `out` (it may be the logits), each step's result is written into it."""
+    return softmax_pass(logits, None if out is None else (out, out)).probs
+
+
+def sft_loss(soft: Softmax, labels: np.ndarray, valid_mask: np.ndarray) -> tuple[float, np.ndarray]:
+    """Masked mean negative log-likelihood and its per-logit gradient, from
+    the softmax_pass of the logits.
 
     Each valid position adds (softmax - onehot(label)) / N to its row's
     gradient, taken as probs * count / N, count being the row's valid
     positions, then -1/N at each valid position's (row, label); a row with
-    no valid position has a gradient of exactly zero.  `soft` is
-    softmax_pass(logits, rows=rows) when the caller has run it already; the
-    gradient is then written over soft.shifted.
+    no valid position has a gradient of exactly zero.  The gradient is
+    written over soft.shifted.
     """
-    if soft is None:
-        soft = softmax_pass(logits, rows=rows)
     rows = soft.rows
     n_rows, vocab = soft.shifted.shape
     y = _as_labels(labels, len(rows), vocab)
@@ -211,19 +193,19 @@ def gate_trace(
 
 
 def comp_loss(
-    logits: np.ndarray,
+    soft: Softmax,
     labels: np.ndarray,
     signals: TokenSignals,
+    add_into: np.ndarray,
     epsilon: float = DEFAULT_EPSILON,
     *,
     use_gates: bool = True,
     use_fact_mask: bool = True,
-    rows: np.ndarray | None = None,
-    soft: Softmax | None = None,
-    add_into: np.ndarray | None = None,
     scale: float = 1.0,
-) -> tuple[float, np.ndarray, GateTrace]:
-    """Gated complement loss, its per-logit gradient, and the full gate trace.
+) -> tuple[float, GateTrace]:
+    """Gated complement loss from the softmax_pass of the logits, and the
+    full gate trace; scale * its per-logit gradient is added into `add_into`
+    [U, V], on the active rows only.
 
     value = (1/N) * sum_t alpha_t * (-log(1 - min(p_label, 1 - epsilon)))
     where N counts the base-mask positions (fact-active by default).  At an
@@ -236,26 +218,19 @@ def comp_loss(
     the risk weighting but drops both gate bits; use_fact_mask=False applies
     the penalty at all valid positions (then N counts valid positions).
 
-    A batch with an empty base mask yields value 0 and a zero gradient.
-
-    `soft` is softmax_pass(logits, rows=rows) when the caller has run it
-    already.  With `add_into`, scale * gradient is added into it on the
-    active rows only, and it is returned in place of the gradient.
+    A batch with an empty base mask yields value 0 and adds nothing.
     """
     if not 0.0 < epsilon <= MAX_EPSILON:
         raise ValueError(f"epsilon must be in (0, {MAX_EPSILON}], got {epsilon}")
-    if soft is None:
-        soft = softmax_pass(logits, rows=rows)
     probs, rows = soft.probs, soft.rows
     vocab = probs.shape[1]
     y = _as_labels(labels, len(rows), vocab)
     trace = gate_trace(probs, y, signals, rows=rows, use_gates=use_gates, use_fact_mask=use_fact_mask)
     p_label, alpha = trace.p_label, trace.alpha
 
-    grad = np.zeros_like(probs) if add_into is None else add_into
     n_base = np.count_nonzero(signals.fact_mask if use_fact_mask else signals.valid_mask)
     if n_base == 0:
-        return 0.0, grad, trace
+        return 0.0, trace
 
     p_clamped = np.minimum(p_label, 1.0 - epsilon)
     value = float((alpha * -np.log1p(-p_clamped)).sum() / n_base)
@@ -279,12 +254,9 @@ def comp_loss(
     block *= m_row[:, None]
     block[row_of, pair_label] = (np.bincount(pair_of, weights=c_label, minlength=len(pairs))
                                  + (m_row[row_of] - m_pair) * probs[pair_row, pair_label])
-    if add_into is None:
-        grad[hit] = block
-    else:
-        block *= scale
-        grad[hit] += block
-    return value, grad, trace
+    block *= scale
+    add_into[hit] += block
+    return value, trace
 
 
 def total_loss(
@@ -305,9 +277,9 @@ def total_loss(
     both terms share; non-finite logits raise NonFiniteLogits.  `rows` maps
     each position to its row (None: one row per position), and the returned
     gradient [U, V] sums each row's positions.  `out`, when given, is the
-    pass's two [U, V] arrays: the first becomes the returned gradient and
-    the second the probabilities, so the call allocates no other [U, V]
-    array.
+    pass's two [U, V] arrays: the first (it may be the logits) becomes the
+    returned gradient and the second the probabilities, so the call
+    allocates no other [U, V] array.
 
     lam = 0 must reproduce sft_loss bit for bit, so that case skips the
     complement term entirely (adding 0.0 could still flip signed zeros): comp
@@ -318,12 +290,11 @@ def total_loss(
     if lam < 0.0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
     soft = softmax_pass(logits, out, rows)
-    sft_value, grad = sft_loss(logits, labels, signals.valid_mask, soft=soft)
+    sft_value, grad = sft_loss(soft, labels, signals.valid_mask)
     comp_value, total, trace = 0.0, sft_value, None
     if lam != 0.0:
-        comp_value, grad, trace = comp_loss(
-            logits, labels, signals, epsilon, use_gates=use_gates, use_fact_mask=use_fact_mask,
-            soft=soft, add_into=grad, scale=lam,
+        comp_value, trace = comp_loss(
+            soft, labels, signals, grad, epsilon, use_gates=use_gates, use_fact_mask=use_fact_mask, scale=lam,
         )
         total = sft_value + lam * comp_value
     return LossBreakdown(sft=sft_value, comp=comp_value, total=total), grad, trace

@@ -20,11 +20,20 @@ from prism.model import (
     ModelParams,
     OptimizerState,
     PreparedCorpus,
+    TrainSettings,
     _check_tokens,
     _group_mean,
     forward_batch,
 )
-from prism.objective import DEFAULT_EPSILON, comp_loss, knowledge_mask_valid, sft_loss, softmax_probs
+from prism.objective import (
+    DEFAULT_EPSILON,
+    GateTrace,
+    comp_loss,
+    knowledge_mask_valid,
+    sft_loss,
+    softmax_pass,
+    softmax_probs,
+)
 
 
 @dataclass
@@ -146,13 +155,29 @@ def compute_alpha(
     return alpha, GatePoint(p_label, q_max, pref, keep, alpha)
 
 
+def standalone_sft(logits: np.ndarray, labels: np.ndarray, valid_mask: np.ndarray) -> tuple[float, np.ndarray]:
+    """sft_loss on its own: the softmax pass of the logits, then the term."""
+    return sft_loss(softmax_pass(logits), labels, valid_mask)
+
+
+def standalone_comp(
+    logits: np.ndarray, labels: np.ndarray, signals: TokenSignals, epsilon: float = DEFAULT_EPSILON, **flags
+) -> tuple[float, np.ndarray, GateTrace]:
+    """comp_loss on its own: the softmax pass of the logits, then the term,
+    its gradient added into zeros."""
+    soft = softmax_pass(logits)
+    grad = np.zeros_like(soft.probs)
+    value, trace = comp_loss(soft, labels, signals, grad, epsilon, **flags)
+    return value, grad, trace
+
+
 def knowledge_mask_loss(
     logits: np.ndarray,
     labels: np.ndarray,
     signals: TokenSignals,
 ) -> tuple[float, np.ndarray]:
     """Baseline: plain SFT over knowledge_mask_valid(signals), N recomputed."""
-    return sft_loss(logits, labels, knowledge_mask_valid(signals))
+    return standalone_sft(logits, labels, knowledge_mask_valid(signals))
 
 
 def finite_difference_gradient(
@@ -178,21 +203,24 @@ def finite_difference_gradient(
     return grad
 
 
-def optimizer_step_reference(params: ModelParams, grads: dict[str, np.ndarray], state: OptimizerState) -> None:
+def optimizer_step_reference(
+    params: ModelParams, grads: dict[str, np.ndarray], state: OptimizerState, settings: TrainSettings
+) -> None:
     """model.optimizer_step as whole-array expressions, each making its own temporaries."""
+    lr, beta1, beta2 = settings.learning_rate, settings.beta1, settings.beta2
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
     for name in PARAM_FIELDS:
         g, m, v, p = grads[name], state.m[name], state.v[name], getattr(params, name)
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        if state.weight_decay != 0.0:
-            p -= state.learning_rate * state.weight_decay * p
-        p -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * (g * g)
+        if settings.weight_decay != 0.0:
+            p -= lr * settings.weight_decay * p
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + settings.adam_eps)
 
 
 def evaluate_reference(
@@ -211,7 +239,7 @@ def evaluate_reference(
         raise DivergenceError("non-finite logits in evaluation") from exc
     p_label = probs[np.arange(len(labels)), labels]
     top1 = (probs.argmax(axis=1) == labels).astype(np.float64)
-    _, _, trace = comp_loss(logits, labels, signals, epsilon)
+    _, _, trace = standalone_comp(logits, labels, signals, epsilon)
     fact = signals.fact_mask
     risky = fact & (signals.support_weight < 1.0)
     nonfact = signals.valid_mask & ~fact
@@ -238,7 +266,7 @@ def trace_rows_reference(
     for i, prep in enumerate(prepared):
         logits, _ = forward_batch(params, prep.windows)
         try:
-            _, _, trace = comp_loss(logits, prep.labels, prep.signals, epsilon)
+            _, _, trace = standalone_comp(logits, prep.labels, prep.signals, epsilon)
         except NonFiniteLogits as exc:
             raise DivergenceError(f"non-finite logits for record {i + 1}") from exc
         for t in range(len(prep.labels)):

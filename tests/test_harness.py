@@ -344,6 +344,25 @@ class TestAblateCommand:
         rows = open(csv_path).read().splitlines()[1:]
         assert all(r.split(",")[2] == "0.0" for r in rows)
 
+    def test_clean_sweep_removes_an_earlier_sweeps_failures(self, corpus_path, tmp_path, capsys,
+                                                             monkeypatch):
+        import prism.harness as harness_mod
+        original = harness_mod.cmd_train
+        out = str(tmp_path / "sweep")
+
+        def flaky(sub_cfg, *rest):
+            if sub_cfg.lam == 0.5:
+                raise DivergenceError("non-finite loss at step 3")
+            return original(sub_cfg, *rest)
+
+        monkeypatch.setattr(harness_mod, "cmd_train", flaky)
+        cmd_ablate(run_config(corpus_path, out), [0.0, 0.5])
+        assert sorted(os.listdir(out)) == ["ablation.csv", "failures.json", "lam_0"]
+        monkeypatch.setattr(harness_mod, "cmd_train", original)
+        csv_path = cmd_ablate(run_config(corpus_path, out), [0.0, 0.5])
+        assert sorted(os.listdir(out)) == ["ablation.csv", "lam_0", "lam_0.5"]
+        assert {r.split(",")[2] for r in open(csv_path).read().splitlines()[1:]} == {"0.0", "0.5"}
+
     def test_outputs_do_not_depend_on_the_core_count(self, corpus_path, tmp_path, capsys,
                                                      monkeypatch):
         import prism.harness as harness_mod
@@ -399,10 +418,10 @@ class TestAblateCommand:
             doomed[:] = [settings.lam == 0.5 and os.getpid() != parent]
             return original_train(prepared, settings)
 
-        def step_or_die(params, grads, state):
+        def step_or_die(params, grads, state, settings):
             if doomed[0] and state.step_count == 2:
                 os._exit(7)  # the worker dies mid-run, writing nothing
-            return original_step(params, grads, state)
+            return original_step(params, grads, state, settings)
 
         monkeypatch.setattr(harness_mod, "train", marking)
         monkeypatch.setattr(model_mod, "optimizer_step", step_or_die)
@@ -549,8 +568,11 @@ class TestTraceCommand:
         lambda p: p["model"]["b1"].update(shape=[-1]),
         lambda p: p["model"]["w2"].update(shape=[2**40, 2**40]),
         lambda p: p["model"]["w2"].update(shape=[1] * 40),
+        lambda p: p["model"].update(window=p["model"]["window"] + 0.9),
+        lambda p: p["model"].update(window=str(p["model"]["window"])),
+        lambda p: p["model"].update(window=True),
     ], ids=["no_b2", "w1_rows", "b1_len", "embedding_1d", "bad_base64", "data_short_of_shape",
-            "negative_shape", "huge_shape", "many_dimensions"])
+            "negative_shape", "huge_shape", "many_dimensions", "window_float", "window_string", "window_bool"])
     def test_damaged_checkpoint_is_2(self, checkpoint_path, corpus_path, tmp_path, capsys, damage):
         payload = json.loads(open(checkpoint_path).read())
         damage(payload)
@@ -561,6 +583,8 @@ class TestTraceCommand:
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("i/o error: malformed checkpoint") and err.count("\n") == 1
+        if type(payload["model"].get("window")) is not int:  # 4.9 or "4" must not load as window 4
+            assert err.endswith(": model.window must be an integer\n")
         assert os.listdir(tmp_path) == ["damaged.json"]  # no trace, no *.tmp file
 
     def test_version_1_checkpoint_is_2(self, checkpoint_path, corpus_path, tmp_path, capsys):

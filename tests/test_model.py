@@ -35,9 +35,15 @@ from prism.model import (
     save_checkpoint,
     train,
 )
-from prism.objective import knowledge_mask_valid, sft_loss, softmax_probs, total_loss
+from prism.objective import knowledge_mask_valid, softmax_probs, total_loss
 
-from oracles import evaluate_reference, finite_difference_gradient, optimizer_step_reference, prepare_reference
+from oracles import (
+    evaluate_reference,
+    finite_difference_gradient,
+    optimizer_step_reference,
+    prepare_reference,
+    standalone_sft,
+)
 
 from prism.fact_graph import TokenSignals
 
@@ -71,9 +77,9 @@ class TestForward:
             embedding=np.zeros((4, 3)), w1=np.zeros((6, 5)), b1=np.zeros(5),
             w2=np.zeros((5, 4)), b2=np.zeros(4), window=2,
         )
-        logits = forward_batch(params, np.array([[1, 2]]))[0][0]
+        logits = forward_batch(params, np.array([[1, 2]]))[0]
         assert np.all(logits == 0.0)
-        assert softmax_probs(logits) == pytest.approx([0.25] * 4, abs=1e-15)
+        assert softmax_probs(logits)[0] == pytest.approx([0.25] * 4, abs=1e-15)
 
     def test_deterministic_across_runs(self):
         a = init_params(10, 4, 6, 3, np.random.default_rng(42))
@@ -110,7 +116,7 @@ class TestBackward:
         valid = np.ones(6, dtype=bool)
 
         logits, cache = forward_batch(params, windows)
-        _, dlogits = sft_loss(logits, labels, valid)
+        _, dlogits = standalone_sft(logits, labels, valid)
         grads = backward_batch(params, windows, dlogits, cache)
 
         for name in PARAM_FIELDS:
@@ -121,9 +127,9 @@ class TestBackward:
                 ij = it.multi_index
                 orig = arr[ij]
                 arr[ij] = orig + 1e-5
-                up = sft_loss(forward_batch(params, windows)[0], labels, valid)[0]
+                up = standalone_sft(forward_batch(params, windows)[0], labels, valid)[0]
                 arr[ij] = orig - 1e-5
-                down = sft_loss(forward_batch(params, windows)[0], labels, valid)[0]
+                down = standalone_sft(forward_batch(params, windows)[0], labels, valid)[0]
                 arr[ij] = orig
                 numeric[ij] = (up - down) / 2e-5
             scale = max(np.abs(grads[name]).max(), np.abs(numeric).max(), 1e-12)
@@ -155,7 +161,7 @@ class TestBackward:
 
         def loss_at(ps):
             z, _ = forward_batch(ps, windows)
-            sft = sft_loss(z, labels, signals.valid_mask)[0]
+            sft = standalone_sft(z, labels, signals.valid_mask)[0]
             p_label = np.minimum(softmax_probs(z)[rows, labels], 1.0 - 1e-6)
             comp = float((alpha * -np.log1p(-p_label)).sum() / n_fact)
             return sft + lam * comp
@@ -201,7 +207,7 @@ class TestBackward:
 
         def loss_at(ps):
             z, _ = forward_batch(ps, windows)
-            sft = sft_loss(z, labels, signals.valid_mask)[0]
+            sft = standalone_sft(z, labels, signals.valid_mask)[0]
             p_label = np.minimum(softmax_probs(z)[np.arange(30), labels], 1.0 - 1e-6)
             return sft + lam * float((alpha * -np.log1p(-p_label)).sum() / n_fact)
 
@@ -281,16 +287,16 @@ class TestOptimizer:
         rng = np.random.default_rng(11)
         settings = TrainSettings(learning_rate=0.02, weight_decay=weight_decay)
         params, reference = (init_params(300, 16, 24, 4, np.random.default_rng(5)) for _ in range(2))
-        state, reference_state = init_optimizer(params, settings), init_optimizer(reference, settings)
+        state, reference_state = init_optimizer(params), init_optimizer(reference)
         for step in range(6):
             grads = {n: rng.standard_normal(getattr(params, n).shape) * 10.0 ** (step - 3) for n in PARAM_FIELDS}
-            optimizer_step_reference(reference, {n: g.copy() for n, g in grads.items()}, reference_state)
+            optimizer_step_reference(reference, {n: g.copy() for n, g in grads.items()}, reference_state, settings)
             if step < 5:
-                optimizer_step(params, grads, state)
+                optimizer_step(params, grads, state, settings)
                 continue
             tracemalloc.start()
             try:
-                optimizer_step(params, grads, state)
+                optimizer_step(params, grads, state, settings)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -303,9 +309,9 @@ class TestOptimizer:
     def test_zero_gradients_leave_params_unchanged(self):
         params = init_params(4, 2, 3, 1, np.random.default_rng(3))
         before = {n: getattr(params, n).copy() for n in PARAM_FIELDS}
-        state = init_optimizer(params, TrainSettings(weight_decay=0.0))
+        state = init_optimizer(params)
         zeros = {n: np.zeros_like(getattr(params, n)) for n in PARAM_FIELDS}
-        optimizer_step(params, zeros, state)
+        optimizer_step(params, zeros, state, TrainSettings(weight_decay=0.0))
         for name in PARAM_FIELDS:
             assert np.array_equal(getattr(params, name), before[name])
 
@@ -316,14 +322,14 @@ class TestOptimizer:
             w2=np.zeros((1, 1)), b2=np.zeros(1), window=1,
         )
         lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
-        state = init_optimizer(params, TrainSettings(learning_rate=lr, beta1=b1, beta2=b2,
-                                                     adam_eps=eps, weight_decay=0.0))
+        settings = TrainSettings(learning_rate=lr, beta1=b1, beta2=b2, adam_eps=eps, weight_decay=0.0)
+        state = init_optimizer(params)
         zero = {n: np.zeros_like(getattr(params, n)) for n in PARAM_FIELDS}
 
         p, m, v = 1.0, 0.0, 0.0
         for t, g in ((1, 0.5), (2, -0.25)):
             grads = dict(zero, embedding=np.array([[g]]))
-            optimizer_step(params, grads, state)
+            optimizer_step(params, grads, state, settings)
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
             mhat = m / (1 - b1**t)
@@ -337,18 +343,18 @@ class TestOptimizer:
             embedding=np.array([[2.0]]), w1=np.zeros((1, 1)), b1=np.zeros(1),
             w2=np.zeros((1, 1)), b2=np.zeros(1), window=1,
         )
-        state = init_optimizer(params, TrainSettings(learning_rate=0.1, weight_decay=0.5))
+        state = init_optimizer(params)
         zeros = {n: np.zeros_like(getattr(params, n)) for n in PARAM_FIELDS}
-        optimizer_step(params, zeros, state)
+        optimizer_step(params, zeros, state, TrainSettings(learning_rate=0.1, weight_decay=0.5))
         assert params.embedding[0, 0] == pytest.approx(2.0 * (1 - 0.1 * 0.5), abs=1e-15)
 
     def test_non_finite_gradient_rejected(self):
         params = init_params(4, 2, 3, 1, np.random.default_rng(4))
-        state = init_optimizer(params, TrainSettings())
+        state = init_optimizer(params)
         grads = {n: np.zeros_like(getattr(params, n)) for n in PARAM_FIELDS}
         grads["w1"][0, 0] = np.nan
         with pytest.raises(DivergenceError):
-            optimizer_step(params, grads, state)
+            optimizer_step(params, grads, state, TrainSettings())
 
 
 def small_corpus(n=60, corruption=0.3, seed=5):
@@ -578,6 +584,29 @@ class TestTrain:
                    p.signals.valid_mask)
             assert all(a.tobytes() == b.tobytes() for a, b in zip(now, arrays))
 
+    @pytest.mark.parametrize("method, lam", [("sft", 0.0), ("prism", 0.5)])
+    def test_step_log_reads_the_logits_before_the_loss_pass(self, monkeypatch, method, lam):
+        """p_risky and p_safe are the softmax of the logits total_loss is given
+        (it then writes its pass over them), read on the fact rows alone with
+        the bits of a softmax over every row."""
+        import prism.model as model_mod
+        seen, original_loss = [], model_mod.total_loss
+
+        def loss(logits, labels, signals, *args, **kwargs):
+            seen.append((logits.copy(), kwargs["rows"], labels, signals))
+            return original_loss(logits, labels, signals, *args, **kwargs)
+
+        monkeypatch.setattr(model_mod, "total_loss", loss)
+        result = train_on(small_corpus(), TrainSettings(method=method, lam=lam, steps=6, batch_size=8,
+                                                        vocab_size=70, seed=3))
+        assert len(seen) == len(result.step_log) == 6
+        for (logits, rows, labels, signals), record in zip(seen, result.step_log):
+            fact = signals.fact_mask
+            p_label = softmax_probs(logits)[rows[fact], labels[fact]]
+            support = signals.support_weight[fact]
+            assert repr(record.p_risky) == repr(float(p_label[support < 1.0].mean()))
+            assert repr(record.p_safe) == repr(float(p_label[support >= 1.0].mean()))
+
     def test_lambda_zero_equals_stripped_annotations(self):
         examples = small_corpus()
         stripped = [
@@ -644,9 +673,9 @@ class TestTrain:
                 logits[-1, 5] = bad
             return logits, cache
 
-        def step(params, grads, state):
+        def step(params, grads, state, settings):
             calls["update"] += 1
-            return original_step(params, grads, state)
+            return original_step(params, grads, state, settings)
 
         monkeypatch.setattr(model_mod, "forward_batch", forward)
         monkeypatch.setattr(model_mod, "optimizer_step", step)
@@ -743,8 +772,9 @@ class TestStepBuffers:
                                            knowledge_mask_valid(signals))
                     flags = dict(use_gates=method.use_gates, use_fact_mask=method.use_fact_mask)
                     fresh = total_loss(logits, labels, sig, lam, **flags)
-                    again = total_loss(reused, labels, sig, lam, **flags, out=views[1:3])
-                    assert again[1] is views.shifted
+                    reused[...] = logits  # the last call's pass ran over it in place
+                    again = total_loss(reused, labels, sig, lam, **flags, out=(reused, views.probs))
+                    assert again[1] is views.logits
                     assert repr(again[0]) == repr(fresh[0])
                     assert bits(again[1]) == bits(fresh[1])
                     assert (again[2] is None) == (fresh[2] is None) == (lam == 0.0)

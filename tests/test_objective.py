@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from prism.errors import EmptyBatchError
 from prism.fact_graph import TokenSignals
-from prism.objective import GateTrace, comp_loss, gate_trace, sft_loss, softmax_probs, total_loss
+from prism.objective import GateTrace, gate_trace, softmax_pass, softmax_probs, total_loss
 
 from oracles import (
     compute_alpha,
@@ -17,6 +17,8 @@ from oracles import (
     keep_gate,
     knowledge_mask_loss,
     redistribute,
+    standalone_comp,
+    standalone_sft,
 )
 
 TOL = 1e-12
@@ -40,13 +42,13 @@ def rel_error(analytic, numeric):
 
 class TestSoftmax:
     def test_symmetry(self):
-        assert softmax_probs(np.array([0.0, 0.0])) == pytest.approx([0.5, 0.5], abs=TOL)
+        assert softmax_probs(np.array([[0.0, 0.0]]))[0] == pytest.approx([0.5, 0.5], abs=TOL)
 
     def test_uniform(self):
-        assert softmax_probs(np.array([1.0, 1.0, 1.0, 1.0])) == pytest.approx([0.25] * 4, abs=TOL)
+        assert softmax_probs(np.array([[1.0, 1.0, 1.0, 1.0]]))[0] == pytest.approx([0.25] * 4, abs=TOL)
 
     def test_closed_form(self):
-        assert softmax_probs(np.array([math.log(2.0), 0.0])) == pytest.approx([2 / 3, 1 / 3], abs=TOL)
+        assert softmax_probs(np.array([[math.log(2.0), 0.0]]))[0] == pytest.approx([2 / 3, 1 / 3], abs=TOL)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
@@ -55,13 +57,19 @@ class TestSoftmax:
         assert (probs >= 0).all()
 
     def test_extreme_logits_stable(self):
-        probs = softmax_probs(np.array([1e4, 0.0, -1e4]))
+        probs = softmax_probs(np.array([[1e4, 0.0, -1e4]]))
         assert np.isfinite(probs).all()
         assert probs.sum() == pytest.approx(1.0, abs=TOL)
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            softmax_probs(np.array([np.nan, 0.0]))
+        with pytest.raises(ValueError, match="non-finite"):
+            softmax_probs(np.array([[np.nan, 0.0]]))
+
+    @pytest.mark.parametrize("shape", [(4,), (2,), (3, 1), (1, 0), (2, 3, 4)])
+    def test_rows_of_at_least_two_logits_required(self, shape):
+        for softmax in (softmax_probs, softmax_pass):
+            with pytest.raises(ValueError, match=r"must be \[U, V\] with V >= 2"):
+                softmax(np.zeros(shape))
 
     def test_in_place_gives_the_allocating_bits(self):
         logits = np.random.default_rng(1).normal(size=(40, 23)) * 20
@@ -88,7 +96,7 @@ class TestGateTrace:
         before = probs.tobytes()
         trace = gate_trace(probs, labels, signals, **flags)
         assert probs.tobytes() == before  # the label entries are put back
-        _, _, reference = comp_loss(logits, labels, signals, **flags)
+        _, _, reference = standalone_comp(logits, labels, signals, **flags)
         for field in ("p_label", "q_max", "pref_gate", "keep_gate", "alpha"):
             assert getattr(trace, field).tobytes() == getattr(reference, field).tobytes(), field
         assert (trace.p_label[:40] >= 1.0 - 1e-6).all() and (trace.alpha[:40] > 0).any()
@@ -150,21 +158,21 @@ class TestGroupedRows:
 class TestSftLoss:
     def test_perfect_prediction_zero_loss(self):
         logits = np.array([[1000.0, 0.0, 0.0], [0.0, 1000.0, 0.0]])
-        value, grad = sft_loss(logits, np.array([0, 1]), np.array([1, 1]))
+        value, grad = standalone_sft(logits, np.array([0, 1]), np.array([1, 1]))
         assert value == 0.0
 
     def test_single_uniform_binary_position(self):
-        value, _ = sft_loss(np.zeros((1, 2)), np.array([0]), np.array([1]))
+        value, _ = standalone_sft(np.zeros((1, 2)), np.array([0]), np.array([1]))
         assert value == pytest.approx(math.log(2.0), abs=TOL)
 
     def test_masked_position_contributes_nothing(self):
         rng = np.random.default_rng(1)
         logits = rng.normal(size=(3, 4))
         labels = np.array([0, 1, 2])
-        v1, g1 = sft_loss(logits, labels, np.array([1, 0, 1]))
+        v1, g1 = standalone_sft(logits, labels, np.array([1, 0, 1]))
         wild = logits.copy()
         wild[1] = 1e3  # masked row may hold anything
-        v2, g2 = sft_loss(wild, labels, np.array([1, 0, 1]))
+        v2, g2 = standalone_sft(wild, labels, np.array([1, 0, 1]))
         assert v1 == v2
         assert np.array_equal(g1, g2)
         assert np.all(g1[1] == 0.0)
@@ -174,7 +182,7 @@ class TestSftLoss:
         logits = rng.normal(size=(4, 5))
         labels = np.array([3, 0, 1, 2])
         valid = np.array([1, 1, 0, 1])
-        _, grad = sft_loss(logits, labels, valid)
+        _, grad = standalone_sft(logits, labels, valid)
         probs = softmax_probs(logits)
         n = 3
         for t in range(4):
@@ -186,11 +194,11 @@ class TestSftLoss:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(EmptyBatchError):
-            sft_loss(np.zeros((2, 3)), np.array([0, 1]), np.array([0, 0]))
+            standalone_sft(np.zeros((2, 3)), np.array([0, 1]), np.array([0, 0]))
 
     def test_label_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            sft_loss(np.zeros((1, 3)), np.array([3]), np.array([1]))
+            standalone_sft(np.zeros((1, 3)), np.array([3]), np.array([1]))
 
 
 class TestKeepGate:
@@ -322,7 +330,7 @@ class TestCompLoss:
         rng = np.random.default_rng(6)
         logits = rng.normal(size=(4, 5))
         signals = make_signals([1, 1, 0, 1], [1.0, 1.0, 1.0, 1.0])  # w=1 -> alpha=0
-        value, grad, trace = comp_loss(logits, np.array([0, 1, 2, 3]), signals)
+        value, grad, trace = standalone_comp(logits, np.array([0, 1, 2, 3]), signals)
         assert value == 0.0
         assert np.all(grad == 0.0)
         assert np.all(trace.alpha == 0.0)
@@ -334,7 +342,7 @@ class TestCompLoss:
         # formula is exercised through the gate-free variant.
         logits = logits_for_probs([0.5, 0.25, 0.25])
         signals = make_signals([1], [0.0])
-        value, _, trace = comp_loss(logits, np.array([0]), signals, use_gates=False)
+        value, _, trace = standalone_comp(logits, np.array([0]), signals, use_gates=False)
         assert trace.alpha[0] == 1.0
         assert value == pytest.approx(math.log(2.0), abs=1e-12)
 
@@ -342,7 +350,7 @@ class TestCompLoss:
         # same position through the gates: w = 0 fails the keep gate
         logits = logits_for_probs([0.5, 0.25, 0.25])
         signals = make_signals([1], [0.0])
-        value, grad, trace = comp_loss(logits, np.array([0]), signals)
+        value, grad, trace = standalone_comp(logits, np.array([0]), signals)
         assert trace.pref_gate[0] and not trace.keep_gate[0]
         assert trace.alpha[0] == 0.0
         assert value == 0.0
@@ -351,7 +359,7 @@ class TestCompLoss:
         # p = (0.7, 0.2, 0.1), label 0, alpha pinned to 1, N_fact 1
         logits = logits_for_probs([0.7, 0.2, 0.1])
         signals = make_signals([1], [0.0])
-        value, grad, trace = comp_loss(logits, np.array([0]), signals, use_gates=False)
+        value, grad, trace = standalone_comp(logits, np.array([0]), signals, use_gates=False)
         assert trace.alpha[0] == 1.0
         assert grad[0] == pytest.approx([0.7, -7 / 15, -7 / 30], abs=TOL)
         assert abs(grad[0].sum()) < TOL
@@ -364,7 +372,7 @@ class TestCompLoss:
             labels = logits.argmax(axis=1)  # guarantee the preference gate can open
             signals = make_signals(rng.integers(0, 2, size=length),
                                    rng.uniform(size=length))
-            _, grad, _ = comp_loss(logits, labels, signals)
+            _, grad, _ = standalone_comp(logits, labels, signals)
             assert np.abs(grad.sum(axis=1)).max() < TOL
 
     def test_sign_structure_at_active_positions(self):
@@ -374,7 +382,7 @@ class TestCompLoss:
             logits = rng.normal(size=(4, 8)) * 2.0
             labels = logits.argmax(axis=1)
             signals = make_signals(np.ones(4), rng.uniform(size=4) * 0.8)
-            _, grad, trace = comp_loss(logits, labels, signals)
+            _, grad, trace = standalone_comp(logits, labels, signals)
             probs = softmax_probs(logits)
             for t in np.nonzero(trace.alpha > 0)[0]:
                 found += 1
@@ -389,21 +397,21 @@ class TestCompLoss:
         logits = np.vstack([logits_for_probs([0.9, 0.05, 0.05]),
                             logits_for_probs([0.2, 0.4, 0.4])])
         signals = make_signals([1, 1], [0.5, 0.5])
-        value, _, trace = comp_loss(logits, np.array([0, 0]), signals)
+        value, _, trace = standalone_comp(logits, np.array([0, 0]), signals)
         assert trace.alpha == pytest.approx([0.5, 0.0], abs=TOL)
         assert value == pytest.approx(0.5 * -math.log(1.0 - 0.9) / 2.0, rel=1e-12)
 
     def test_duplicating_positions_keeps_average(self):
         logits = logits_for_probs([0.5, 0.25, 0.25])
         signals = make_signals([1], [0.0])
-        single, _, _ = comp_loss(logits, np.array([0]), signals)
+        single, _, _ = standalone_comp(logits, np.array([0]), signals)
         tiled = np.tile(logits, (5, 1))
         signals5 = make_signals([1] * 5, [0.0] * 5)
-        five, _, _ = comp_loss(tiled, np.zeros(5, dtype=int), signals5)
+        five, _, _ = standalone_comp(tiled, np.zeros(5, dtype=int), signals5)
         assert five == pytest.approx(single, abs=TOL)
 
     def test_no_fact_positions_returns_zero(self):
-        value, grad, _ = comp_loss(np.zeros((3, 4)), np.array([0, 1, 2]),
+        value, grad, _ = standalone_comp(np.zeros((3, 4)), np.array([0, 1, 2]),
                                    make_signals([0, 0, 0], [0.5, 0.5, 0.5]))
         assert value == 0.0
         assert np.all(grad == 0.0)
@@ -411,7 +419,7 @@ class TestCompLoss:
     def test_clamp_bounds_value_and_zeroes_gradient(self):
         logits = np.array([[60.0, 0.0, 0.0]])  # p_label ~ 1 - 2e-26, clamped
         signals = make_signals([1], [0.0])
-        value, grad, _ = comp_loss(logits, np.array([0]), signals, epsilon=1e-6,
+        value, grad, _ = standalone_comp(logits, np.array([0]), signals, epsilon=1e-6,
                                    use_gates=False)
         assert value == pytest.approx(-math.log(1e-6), rel=1e-9)
         assert np.all(grad == 0.0)
@@ -419,9 +427,9 @@ class TestCompLoss:
     def test_epsilon_validated(self):
         signals = make_signals([1], [0.0])
         with pytest.raises(ValueError):
-            comp_loss(np.zeros((1, 2)), np.array([0]), signals, epsilon=0.0)
+            standalone_comp(np.zeros((1, 2)), np.array([0]), signals, epsilon=0.0)
         with pytest.raises(ValueError):
-            comp_loss(np.zeros((1, 2)), np.array([0]), signals, epsilon=0.1)
+            standalone_comp(np.zeros((1, 2)), np.array([0]), signals, epsilon=0.1)
 
     def test_variant_flags(self):
         rng = np.random.default_rng(9)
@@ -431,11 +439,11 @@ class TestCompLoss:
         support = np.full(6, 0.3)
         signals = make_signals(fact, support)
         # gates dropped: alpha = fact * (1 - w) everywhere on the mask
-        _, _, no_gate = comp_loss(logits, labels, signals, use_gates=False)
+        _, _, no_gate = standalone_comp(logits, labels, signals, use_gates=False)
         assert np.allclose(no_gate.alpha[fact], 0.7)
         assert np.all(no_gate.alpha[~fact] == 0.0)
         # mask dropped: valid positions with both gates open get alpha > 0
-        _, _, no_mask = comp_loss(logits, labels, signals, use_fact_mask=False)
+        _, _, no_mask = standalone_comp(logits, labels, signals, use_fact_mask=False)
         open_gates = no_mask.pref_gate & no_mask.keep_gate
         assert np.array_equal(no_mask.alpha > 0, open_gates)
 
@@ -447,7 +455,7 @@ class TestCompLoss:
         fact = rng.integers(0, 2, size=12)
         support = rng.uniform(size=12)
         signals = make_signals(fact, support)
-        _, _, trace = comp_loss(logits, labels, signals)
+        _, _, trace = standalone_comp(logits, labels, signals)
         probs = softmax_probs(logits)
         for t in range(12):
             alpha, point = compute_alpha(probs[t], int(labels[t]), int(fact[t]), float(support[t]))
@@ -464,7 +472,7 @@ class TestTotalLoss:
         logits = rng.normal(size=(5, 6))
         labels = logits.argmax(axis=1)
         signals = make_signals([1, 0, 1, 1, 0], rng.uniform(size=5))
-        sft_value, sft_grad = sft_loss(logits, labels, signals.valid_mask)
+        sft_value, sft_grad = standalone_sft(logits, labels, signals.valid_mask)
         breakdown, grad, _ = total_loss(logits, labels, signals, lam=0.0)
         assert breakdown.total == sft_value
         assert np.array_equal(grad, sft_grad)
@@ -476,8 +484,8 @@ class TestTotalLoss:
         signals = make_signals([1, 1, 0, 0], [0.2, 0.4, 1.0, 1.0])
         breakdown, grad, _ = total_loss(logits, labels, signals, lam=0.1)
         assert breakdown.total == pytest.approx(breakdown.sft + 0.1 * breakdown.comp, abs=TOL)
-        sft_value, sft_grad = sft_loss(logits, labels, signals.valid_mask)
-        comp_value, comp_grad, _ = comp_loss(logits, labels, signals)
+        sft_value, sft_grad = standalone_sft(logits, labels, signals.valid_mask)
+        comp_value, comp_grad, _ = standalone_comp(logits, labels, signals)
         assert breakdown.sft == sft_value
         assert breakdown.comp == comp_value
         assert np.allclose(grad, sft_grad + 0.1 * comp_grad, atol=TOL)
@@ -487,7 +495,7 @@ class TestTotalLoss:
         logits = rng.normal(size=(6, 7))
         labels = logits.argmax(axis=1)
         signals = make_signals([1, 0, 1, 0, 0, 1], np.full(6, 0.3))
-        _, sft_grad = sft_loss(logits, labels, signals.valid_mask)
+        _, sft_grad = standalone_sft(logits, labels, signals.valid_mask)
         for lam in (0.0, 0.1, 2.0):
             _, grad, _ = total_loss(logits, labels, signals, lam=lam)
             nonfact = ~signals.fact_mask
@@ -506,7 +514,7 @@ class TestKnowledgeMaskLoss:
         labels = rng.integers(0, 5, size=4)
         signals = make_signals([1, 1, 0, 0], [1.0, 1.0, 1.0, 1.0])
         v1, g1 = knowledge_mask_loss(logits, labels, signals)
-        v2, g2 = sft_loss(logits, labels, signals.valid_mask)
+        v2, g2 = standalone_sft(logits, labels, signals.valid_mask)
         assert v1 == v2
         assert np.array_equal(g1, g2)
 
@@ -568,9 +576,9 @@ class TestGradientsAgainstFiniteDifferences:
             valid = rng.integers(0, 2, size=length)
             if valid.sum() == 0:
                 valid[0] = 1
-            _, analytic = sft_loss(logits, labels, valid)
+            _, analytic = standalone_sft(logits, labels, valid)
             numeric = finite_difference_gradient(
-                lambda z: sft_loss(z, labels, valid)[0], logits
+                lambda z: standalone_sft(z, labels, valid)[0], logits
             )
             assert rel_error(analytic, numeric) < 1e-5
 
@@ -585,7 +593,7 @@ class TestGradientsAgainstFiniteDifferences:
             if fact.sum() == 0:
                 fact[0] = 1
             signals = make_signals(fact, rng.uniform(size=length))
-            value, analytic, trace = comp_loss(logits, labels, signals)
+            value, analytic, trace = standalone_comp(logits, labels, signals)
             active_seen += int((trace.alpha > 0).sum())
             surface = frozen_comp_surface(labels, trace.alpha.copy(), int(fact.sum()), 1e-6)
             assert surface(logits) == pytest.approx(value, abs=1e-14)
@@ -608,7 +616,7 @@ class TestGradientsAgainstFiniteDifferences:
             valid = signals.valid_mask
 
             def surface(z):
-                return sft_loss(z, labels, valid)[0] + lam * comp_surface(z)
+                return standalone_sft(z, labels, valid)[0] + lam * comp_surface(z)
 
             assert surface(logits) == pytest.approx(breakdown.total, abs=1e-12)
             numeric = finite_difference_gradient(surface, logits)
