@@ -51,6 +51,11 @@ N_SPECIAL = 5
 # Tokens per fact statement: key, relation, value.
 _FACT_TOKENS = 3
 
+# Upper bounds on a config, checked before anything is generated: its vocabulary
+# (a training run's too) and its corpus's target tokens.
+MAX_VOCAB_SIZE = 2**16
+MAX_CORPUS_TOKENS = 2**24
+
 
 @dataclass
 class AnnotatedExample:
@@ -127,6 +132,11 @@ class GeneratorConfig:
                 f"vocab_size {self.vocab_size} too small for {self.n_keys} keys, "
                 f"{self.n_values} values, and specials (need >= {needed})"
             )
+        if self.vocab_size > MAX_VOCAB_SIZE:
+            raise ConfigError(f"vocab_size {self.vocab_size} exceeds the limit of {MAX_VOCAB_SIZE}")
+        tokens = (self.n_examples + self.plant_defects) * self.sentences_max * self.sentence_length
+        if tokens > MAX_CORPUS_TOKENS:
+            raise ConfigError(f"a corpus of up to {tokens} target tokens exceeds the limit of {MAX_CORPUS_TOKENS}")
 
 
 def key_token(config: GeneratorConfig, k: int) -> int:

@@ -107,7 +107,8 @@ def propagate_risk(
     """
     if mode not in RISK_MODES:
         raise ValueError(f"unknown risk propagation mode: {mode!r}")
-    _raise_first(_violations(sentences, edges, facts, length, valid))
+    for _, message in _violations(sentences, edges, facts, length, valid):
+        raise AnnotationError(message)
 
     # Sentence ids run 1..n (checked above): sentence `dst` sits at dst - 1.
     # Edges go in sentence-id order of dst, so with fixpoint every source's
@@ -186,80 +187,63 @@ def derive_token_signals(
 
 def _violations(
     sentences: Sequence[SentenceSpan],
-    edges: Sequence[DependencyEdge] | None = None,
+    edges: Sequence[DependencyEdge],
     facts: Sequence[FactSpan] = (),
     length: int | None = None,
     valid: Sequence[int] | np.ndarray | None = None,
 ) -> Iterator[tuple[str, str]]:
-    """Every data-contract violation as (reason tag, message), in sentence,
-    edge, fact order.  This is the one place the annotation rules live.
-
-    The sentence/edge rules (ids, risks, edges) run when `edges` is given;
-    the span rules (SPAN_RULES) when `length` is.
+    """Every data-contract violation as (reason tag, message), in the order
+    they are reported: the sentence and edge rules first (each sentence's id
+    and then its risk, then the edges), and with `length` the span rules
+    after them (the sentence spans, then the facts, then the valid mask's
+    length).  This is the one place the annotation rules live.
     """
-    structure, spans = edges is not None, length is not None
-    prev_end = 0
     for pos, s in enumerate(sentences, 1):
-        if structure and s.index != pos:
+        if s.index != pos:
             yield "sentence-index", f"sentence {s.index} at position {pos}: ids must run 1, 2, ... in order"
-        if spans:
-            if not (0 <= s.token_start < s.token_end <= length):
-                yield "sentence-span-range", (
-                    f"sentence {s.index} span [{s.token_start}, {s.token_end}) outside [0, {length})"
-                )
-            elif s.token_start < prev_end:
-                yield "sentence-span-order", (
-                    f"sentence {s.index} starts at {s.token_start}, before an earlier sentence ends at {prev_end}"
-                )
-            prev_end = max(prev_end, s.token_end)
-        if structure and not 0.0 <= s.risk <= 1.0:
+        if not 0.0 <= s.risk <= 1.0:
             yield "risk-range", f"sentence {s.index} risk {s.risk} outside [0, 1]"
 
-    if structure:
-        ids = {s.index for s in sentences}
-        seen: set[tuple[int, int]] = set()
-        for e in edges:
-            if e.src >= e.dst:
-                yield ("self-edge" if e.src == e.dst else "edge-not-forward"), (
-                    f"edge {e.src}->{e.dst} must point from an earlier to a later sentence"
-                )
-            if e.src not in ids or e.dst not in ids:
-                yield "edge-unknown-sentence", f"edge {e.src}->{e.dst} references an unknown sentence id"
-            if (e.src, e.dst) in seen:
-                yield "duplicate-edge", f"edge {e.src}->{e.dst} appears more than once"
-            seen.add((e.src, e.dst))
+    ids = {s.index for s in sentences}
+    seen: set[tuple[int, int]] = set()
+    for e in edges:
+        if e.src >= e.dst:
+            yield ("self-edge" if e.src == e.dst else "edge-not-forward"), (
+                f"edge {e.src}->{e.dst} must point from an earlier to a later sentence"
+            )
+        if e.src not in ids or e.dst not in ids:
+            yield "edge-unknown-sentence", f"edge {e.src}->{e.dst} references an unknown sentence id"
+        if (e.src, e.dst) in seen:
+            yield "duplicate-edge", f"edge {e.src}->{e.dst} appears more than once"
+        seen.add((e.src, e.dst))
 
-    if spans:
-        span_by_id = {s.index: s for s in sentences}
-        for f in facts:
-            if not (0 <= f.token_start < f.token_end <= length):
-                yield "fact-span-range", (
-                    f"fact {f.fact_id} span [{f.token_start}, {f.token_end}) outside [0, {length})"
-                )
-                continue
-            owner = span_by_id.get(f.sentence)
-            if owner is None:
-                yield "fact-unknown-sentence", f"fact {f.fact_id} references unknown sentence {f.sentence}"
-            elif f.token_start < owner.token_start or f.token_end > owner.token_end:
-                yield "fact-outside-sentence", f"fact {f.fact_id} extends outside sentence {f.sentence}"
-        if valid is not None and (getattr(valid, "ndim", 1) != 1 or len(valid) != length):
-            yield "valid-mask-length", f"valid mask has shape {np.shape(valid)}, expected ({length},)"
-
-
-# The rules that need the target length; the others are the sentence and edge rules.
-SPAN_RULES = frozenset({"sentence-span-range", "sentence-span-order", "fact-span-range",
-                        "fact-unknown-sentence", "fact-outside-sentence", "valid-mask-length"})
-
-
-def _raise_first(violations: Iterator[tuple[str, str]]) -> None:
-    """Raise the first sentence or edge violation, or else the first span violation."""
-    first_span = None
-    for reason, message in violations:
-        if reason not in SPAN_RULES:
-            raise AnnotationError(message)
-        first_span = first_span or message
-    if first_span is not None:
-        raise AnnotationError(first_span)
+    if length is None:
+        return
+    prev_end = 0
+    for s in sentences:
+        if not (0 <= s.token_start < s.token_end <= length):
+            yield "sentence-span-range", (
+                f"sentence {s.index} span [{s.token_start}, {s.token_end}) outside [0, {length})"
+            )
+        elif s.token_start < prev_end:
+            yield "sentence-span-order", (
+                f"sentence {s.index} starts at {s.token_start}, before an earlier sentence ends at {prev_end}"
+            )
+        prev_end = max(prev_end, s.token_end)
+    span_by_id = {s.index: s for s in sentences}
+    for f in facts:
+        if not (0 <= f.token_start < f.token_end <= length):
+            yield "fact-span-range", (
+                f"fact {f.fact_id} span [{f.token_start}, {f.token_end}) outside [0, {length})"
+            )
+            continue
+        owner = span_by_id.get(f.sentence)
+        if owner is None:
+            yield "fact-unknown-sentence", f"fact {f.fact_id} references unknown sentence {f.sentence}"
+        elif f.token_start < owner.token_start or f.token_end > owner.token_end:
+            yield "fact-outside-sentence", f"fact {f.fact_id} extends outside sentence {f.sentence}"
+    if valid is not None and (getattr(valid, "ndim", 1) != 1 or len(valid) != length):
+        yield "valid-mask-length", f"valid mask has shape {np.shape(valid)}, expected ({length},)"
 
 
 def annotation_violations(

@@ -62,7 +62,6 @@ from .model import (
     save_checkpoint,
     train,
 )
-from .objective import gate_trace, softmax_probs
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -516,45 +515,48 @@ TRACE_ROW = ('{"example": %d, "position": %d, "sentence": %s, "p_label": %r, "q_
 def cmd_trace(checkpoint_path: str, corpus_path: str, limit: int, out: str | None) -> int:
     """Dump per-token gate decisions of a checkpointed model over a corpus slice,
     with the risk propagation of the checkpoint's config, one JSON row per
-    target position; returns the number of rows.  Each record's
-    probabilities are written over its logits."""
+    target position; returns the number of rows.  Each record's rows come
+    from one gate_pass and are written before the next record's; a
+    non-finite record leaves the earlier rows on stdout, and no `out`.  The
+    model must have its config's dimensions."""
     if limit < 0:
         raise ConfigError(f"--limit must be >= 0 (0 = all), got {limit}")
     ck = load_checkpoint(checkpoint_path)
+    params = ck.params
     try:
         if not isinstance(ck.config, dict):
             raise ConfigError("config is not a JSON object")
         settings = config_from_dict(RunConfig, ck.config)
         settings.validate()
+        check_model_size(settings, params.vocab_size)
+        shape = (params.window, params.embed_dim, params.w1.shape[1], params.vocab_size)
+        wanted = (settings.window, settings.embed_dim, settings.hidden_dim, settings.vocab_size or params.vocab_size)
+        if shape != wanted:  # vocab_size 0: derived from the training corpus
+            raise ConfigError(f"model (window, embed_dim, hidden_dim, vocab_size) {shape} is not the config's {wanted}")
     except ConfigError as exc:
         raise CheckpointError(f"malformed checkpoint {checkpoint_path}: {exc}") from exc
     examples = read_jsonl(corpus_path, limit)
     if not examples:
         raise ConfigError("corpus slice is empty")
     prepared = prepare_examples(
-        examples, ck.params.window, ck.params.vocab_size, risk_mode=settings.risk_propagation
+        examples, params.window, params.vocab_size, risk_mode=settings.risk_propagation
     )
 
-    lines = []
-    for i, prep in enumerate(prepared):  # one forward pass per record, over its slice
-        logits, _ = model_mod.forward_batch(ck.params, prep.windows)
-        try:
-            probs = softmax_probs(logits, out=logits)
-        except NonFiniteLogits as exc:
-            raise DivergenceError(f"non-finite logits for record {i + 1}") from exc
-        trace = gate_trace(probs, prep.labels, prep.signals)
-        sentences = ["null" if sid < 0 else sid for sid in prep.sentence_id.tolist()]
-        columns = zip(sentences, trace.p_label.tolist(), trace.q_max.tolist(),
-                      prep.signals.support_weight.tolist(), trace.pref_gate.tolist(),
-                      trace.keep_gate.tolist(), trace.alpha.tolist())
-        lines.extend(TRACE_ROW % (i, t, *row) for t, row in enumerate(columns))
+    with (atomic_write(out) if out else contextlib.nullcontext(sys.stdout)) as fh:
+        for i, prep in enumerate(prepared):
+            try:
+                trace = model_mod.gate_pass(params, prep)
+            except NonFiniteLogits as exc:
+                raise DivergenceError(f"non-finite logits for record {i + 1}") from exc
+            sentences = ["null" if sid < 0 else sid for sid in prep.sentence_id.tolist()]
+            columns = zip(sentences, trace.p_label.tolist(), trace.q_max.tolist(),
+                          prep.signals.support_weight.tolist(), trace.pref_gate.tolist(),
+                          trace.keep_gate.tolist(), trace.alpha.tolist())
+            fh.writelines(TRACE_ROW % (i, t, *row) for t, row in enumerate(columns))
+    rows = len(prepared.labels)
     if out:
-        with atomic_write(out) as fh:
-            fh.writelines(lines)
-        print(f"wrote {len(lines)} trace rows to {out}")
-    else:
-        sys.stdout.writelines(lines)
-    return len(lines)
+        print(f"wrote {rows} trace rows to {out}")
+    return rows
 
 
 def cmd_report(run_dirs: Sequence[str], out: str | None) -> list[str]:

@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import BLAS_THREADS, NUMPY_IMPORTED_BEFORE_PRISM
-from .corpus import TOKEN_BOS, AnnotatedExample, atomic_write
+from .corpus import MAX_VOCAB_SIZE, TOKEN_BOS, AnnotatedExample, atomic_write
 from .errors import AnnotationError, CheckpointError, ConfigError, DivergenceError, NonFiniteLogits
 from .fact_graph import (
     RISK_MODES,
@@ -39,6 +39,7 @@ from .fact_graph import (
 from .objective import (
     DEFAULT_EPSILON,
     MAX_EPSILON,
+    GateTrace,
     gate_trace,
     knowledge_mask_valid,
     sft_loss,  # noqa: F401  not called here, but profilers patch prism.model.sft_loss
@@ -267,11 +268,6 @@ class PreparedCorpus:
     sentence_id: np.ndarray  # int64 [T], -1 outside any sentence
     offsets: np.ndarray      # int64 [n + 1], offsets[0] == 0
 
-    @property
-    def windows(self) -> np.ndarray:
-        """int64 [T, window], made on each call."""
-        return self.distinct[self.window_id]
-
     def __len__(self) -> int:
         return len(self.offsets) - 1
 
@@ -295,6 +291,11 @@ class PreparedCorpus:
     def positions(self, idx: np.ndarray) -> np.ndarray:
         """The positions of examples `idx`, example after example."""
         return span_positions(self.offsets[idx], self.offsets[idx + 1])
+
+    def distinct_rows(self, at: slice | np.ndarray = slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct windows of positions `at`, and each position's row of them."""
+        ids, rows = np.unique(self.window_id[at], return_inverse=True)
+        return self.distinct[ids], rows
 
 
 def prepare_examples(
@@ -455,11 +456,11 @@ def _group_mean(values: np.ndarray, mask: np.ndarray) -> float | None:
 
 
 # Upper bounds on a run's size, so that a huge setting or token id is refused
-# before anything is allocated: the vocabulary a run resolves to; the numbers
-# in the five parameter arrays together (training also holds their gradients,
-# two moments, and the checkpoint's text of them); examples per batch;
-# and the window, since the windows of a corpus or a batch are [rows, window] token ids.
-MAX_VOCAB_SIZE = 2**16
+# before anything is allocated: the vocabulary a run resolves to
+# (MAX_VOCAB_SIZE, shared with the generator); the numbers in the five
+# parameter arrays together (training also holds their gradients, two
+# moments, and the checkpoint's text of them); examples per batch; and the
+# window, since the windows of a corpus or a batch are [rows, window] token ids.
 MAX_PARAMETERS = 2**22
 MAX_BATCH_SIZE = 2**12
 MAX_WINDOW = 64
@@ -539,11 +540,10 @@ def train(prepared: PreparedCorpus, settings: TrainSettings) -> TrainResult:
     for step in range(1, settings.steps + 1):
         idx = rng.integers(0, len(prepared), size=settings.batch_size)
         at = prepared.positions(idx)
-        ids, rows = np.unique(prepared.window_id[at], return_inverse=True)
-        windows = prepared.distinct[ids]
+        windows, rows = prepared.distinct_rows(at)
         labels = prepared.labels[at]
         signals = prepared.signals[at]
-        views = buffers.views(len(ids))
+        views = buffers.views(len(windows))
         logits, cache = forward_batch(params, windows, out=views)
 
         n_sft = int(signals.valid_mask.sum())
@@ -598,21 +598,25 @@ def train(prepared: PreparedCorpus, settings: TrainSettings) -> TrainResult:
     return TrainResult(params=params, step_log=log, counters=counters)
 
 
+def gate_pass(params: ModelParams, prepared: PreparedCorpus) -> GateTrace:
+    """Both gates, alpha and top-1 at every position of `prepared`, with
+    comp_loss's default flags, from one forward pass over its distinct windows
+    and their probabilities written over the logits (NonFiniteLogits if not finite)."""
+    windows, rows = prepared.distinct_rows()
+    logits = forward_batch(params, windows)[0]  # frees the activations before the softmax
+    return gate_trace(softmax_probs(logits, out=logits), prepared.labels, prepared.signals, rows=rows)
+
+
 def evaluate(params: ModelParams, prepared: PreparedCorpus) -> dict[str, float | None]:
     """The metrics.json entries: label probabilities, top-1 and gate rates by
-    token group, all read from one [rows, V] array, the probabilities written
-    over the logits.  The gates have comp_loss's default flags."""
+    token group, all read from one gate_pass."""
     if not prepared:
         raise ConfigError("nothing to evaluate")
-    labels, signals = prepared.labels, prepared.signals
-    logits = forward_batch(params, prepared.windows)[0]  # frees the activations before the softmax
     try:
-        probs = softmax_probs(logits, out=logits)
+        trace = gate_pass(params, prepared)
     except NonFiniteLogits as exc:
         raise DivergenceError("non-finite logits in evaluation") from exc
-    top1 = probs.argmax(axis=1) == labels
-    trace = gate_trace(probs, labels, signals)
-
+    signals = prepared.signals
     fact = signals.fact_mask
     risky = fact & (signals.support_weight < 1.0)
     safe = fact & (signals.support_weight >= 1.0)
@@ -622,8 +626,8 @@ def evaluate(params: ModelParams, prepared: PreparedCorpus) -> dict[str, float |
         "mean_p_risky_fact": _group_mean(trace.p_label, risky),
         "mean_p_safe_fact": _group_mean(trace.p_label, safe),
         "mean_p_nonfact": _group_mean(trace.p_label, nonfact),
-        "nonfact_top1_acc": _group_mean(top1.astype(np.float64), nonfact),
-        "risky_top1_rate": _group_mean(top1.astype(np.float64), risky),
+        "nonfact_top1_acc": _group_mean(trace.top1.astype(np.float64), nonfact),
+        "risky_top1_rate": _group_mean(trace.top1.astype(np.float64), risky),
         "gate_pref_rate": _group_mean(trace.pref_gate.astype(np.float64), fact),
         "gate_keep_rate": _group_mean(trace.keep_gate.astype(np.float64), fact),
         "gate_active_rate": _group_mean((trace.alpha > 0.0).astype(np.float64), fact),

@@ -47,6 +47,7 @@ class GateTrace:
     pref_gate: np.ndarray  # bool [T]
     keep_gate: np.ndarray  # bool [T]
     alpha: np.ndarray      # float64 [T]
+    top1: np.ndarray       # bool [T], the label is its row's argmax
 
 
 @dataclass(frozen=True)
@@ -89,11 +90,6 @@ def _as_rows(rows: np.ndarray | None, n_rows: int) -> np.ndarray:
     return r.astype(np.int64, copy=False)
 
 
-def _check_finite(z: np.ndarray) -> None:
-    if not np.all(np.isfinite(z)):
-        raise NonFiniteLogits("logits contain non-finite entries")
-
-
 def softmax_pass(
     logits: np.ndarray, out: Sequence[np.ndarray] | None = None, rows: np.ndarray | None = None
 ) -> Softmax:
@@ -107,7 +103,8 @@ def softmax_pass(
     if z.ndim != 2 or z.shape[1] < 2:
         raise ValueError(f"logits must be [U, V] with V >= 2, got shape {z.shape}")
     rows = _as_rows(rows, len(z))
-    _check_finite(z)
+    if not np.all(np.isfinite(z)):
+        raise NonFiniteLogits("logits contain non-finite entries")
     shifted_out, probs_out = out or (None, None)
     shifted = np.subtract(z, z.max(axis=-1, keepdims=True), out=shifted_out)
     e = np.exp(shifted, out=probs_out)
@@ -162,8 +159,8 @@ def gate_trace(
     use_gates: bool = True,
     use_fact_mask: bool = True,
 ) -> GateTrace:
-    """Both gates and alpha at every position, with comp_loss's flags, from
-    probabilities [U, V] and each position's row; labels are int64 ids in
+    """Both gates, alpha and top-1 at every position, with comp_loss's flags,
+    from probabilities [U, V] and each position's row; labels are int64 ids in
     [0, V).  Each row's top entry is overwritten and put back, so `probs`
     must be writable."""
     length = len(labels)
@@ -184,12 +181,13 @@ def gate_trace(
     probs[every, top] = -1.0
     second = probs.max(axis=1)
     probs[every, top] = first
-    q_max = np.where(labels == top[rows], second[rows], first[rows])
+    top1 = labels == top[rows]
+    q_max = np.where(top1, second[rows], first[rows])
     pref = p_label > q_max
     keep = p_label * support * (1.0 - p_label) >= q_max * (1.0 - p_label * support)
     gates = (pref & keep) if use_gates else np.ones(length, dtype=bool)
     alpha = np.where(base & gates, 1.0 - support, 0.0)
-    return GateTrace(p_label=p_label, q_max=q_max, pref_gate=pref, keep_gate=keep, alpha=alpha)
+    return GateTrace(p_label=p_label, q_max=q_max, pref_gate=pref, keep_gate=keep, alpha=alpha, top1=top1)
 
 
 def comp_loss(

@@ -70,7 +70,8 @@ def prepare_reference(
         valid_mask = np.asarray(ex.valid_mask, dtype=bool)
         try:
             graph = propagate_risk(ex.sentences, ex.edges, mode=risk_mode)
-            for _, message in _violations(graph.sentences, facts=ex.facts, length=t_len, valid=valid_mask):
+            # no edges: propagate_risk has checked them
+            for _, message in _violations(graph.sentences, (), ex.facts, t_len, valid_mask):
                 raise AnnotationError(message)
         except AnnotationError as exc:
             raise AnnotationError(f"record {pos}: {exc}") from exc
@@ -232,7 +233,7 @@ def evaluate_reference(
     p_label and top-1, and comp_loss's own pass over the logits gives the
     gate trace, whose loss and gradient are discarded."""
     labels, signals = prepared.labels, prepared.signals
-    logits, _ = forward_batch(params, prepared.windows)
+    logits, _ = forward_batch(params, prepared.distinct[prepared.window_id])
     try:
         probs = softmax_probs(logits)
     except NonFiniteLogits as exc:
@@ -264,7 +265,7 @@ def trace_rows_reference(
     example, its loss and gradient discarded."""
     rows = []
     for i, prep in enumerate(prepared):
-        logits, _ = forward_batch(params, prep.windows)
+        logits, _ = forward_batch(params, prep.distinct[prep.window_id])
         try:
             _, _, trace = standalone_comp(logits, prep.labels, prep.signals, epsilon)
         except NonFiniteLogits as exc:

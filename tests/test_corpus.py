@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prism.corpus import (
+    MAX_CORPUS_TOKENS,
+    MAX_VOCAB_SIZE,
     AnnotatedExample,
     GeneratorConfig,
     N_SPECIAL,
@@ -120,6 +122,17 @@ class TestGenerate:
     def test_vocab_too_small_rejected(self):
         with pytest.raises(ConfigError, match="vocab"):
             generate(config(vocab_size=20, n_keys=10, n_values=10))
+
+    def test_bounds_hold_at_their_limits(self):
+        GeneratorConfig(vocab_size=MAX_VOCAB_SIZE).validate()
+        with pytest.raises(ConfigError, match=f"vocab_size {MAX_VOCAB_SIZE + 1} exceeds the limit"):
+            GeneratorConfig(vocab_size=MAX_VOCAB_SIZE + 1).validate()
+        # (n_examples + plant_defects) * sentences_max * sentence_length target tokens at most
+        at_limit = GeneratorConfig(n_examples=MAX_CORPUS_TOKENS // 32 - 3, plant_defects=3,
+                                   sentences_max=8, sentence_length=4)
+        at_limit.validate()
+        with pytest.raises(ConfigError, match=f"{MAX_CORPUS_TOKENS + 32} target tokens exceeds the limit"):
+            dataclasses.replace(at_limit, plant_defects=4).validate()
 
     def test_planted_defects_are_rejected_by_filter(self):
         examples = generate(config(n_examples=40, plant_defects=6))

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from prism.corpus import GeneratorConfig, generate, read_jsonl, write_jsonl
+from prism.corpus import MAX_CORPUS_TOKENS, GeneratorConfig, generate, read_jsonl, write_jsonl
 from prism.errors import ConfigError, DivergenceError
 from prism.harness import (
     CSV_HEADER,
@@ -261,7 +261,7 @@ class TestRunData:
         alone = prepare_examples(read_jsonl(corpus_path), 4, data.vocab)
         held = alone[n_train:] if eval_fraction else alone
         for a, b in zip([*data.prep_train, *data.prep_eval], [*alone[:n_train], *held]):
-            assert a.windows.tobytes() == b.windows.tobytes()
+            assert a.distinct[a.window_id].tobytes() == b.distinct[b.window_id].tobytes()
             assert a.signals.support_weight.tobytes() == b.signals.support_weight.tobytes()
 
 
@@ -474,7 +474,7 @@ class TestTraceCommand:
         fact_by_pos = {}
         probs_by_pos = {}
         for i, prep in enumerate(prepared):
-            logits, _ = forward_batch(ck.params, prep.windows)
+            logits, _ = forward_batch(ck.params, prep.distinct[prep.window_id])
             probs = softmax_probs(logits)
             for t in range(len(prep.labels)):
                 fact_by_pos[(i, t)] = bool(prep.signals.fact_mask[t])
@@ -524,21 +524,30 @@ class TestTraceCommand:
         assert any(p >= 1.0 - 1e-6 for p in fact_p) and any(p < 1.0 - 1e-6 for p in fact_p)
         assert any(r["alpha"] > 0 for r in rows) and any(r["pref_gate"] == 0 for r in rows)
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-    def test_non_finite_logits_give_the_reference_error(self, checkpoint_path, corpus_path, capsys,
-                                                        monkeypatch, value):
-        ck = load_checkpoint(checkpoint_path)
-        prepared = prepare_examples(read_jsonl(corpus_path, 5), ck.params.window, ck.params.vocab_size)
+    @staticmethod
+    def poison_record_3(monkeypatch, prepared, value):
+        """Make one logit of record 3 non-finite, for cmd_trace and the oracles.
+        Record 3 is told by its set of windows, which cmd_trace forwards
+        distinct and sorted, and the oracle per position."""
+        record_3 = np.unique(prepared[2].distinct[prepared[2].window_id], axis=0)
         real = forward_batch
 
-        def poisoned(params, windows, out=None):  # one logit of record 3 is not finite
+        def poisoned(params, windows, out=None):
             logits, cache = real(params, windows, out)
-            if np.array_equal(windows, prepared[2].windows):
+            if np.array_equal(np.unique(windows, axis=0), record_3):
                 logits[1, 3] = value
             return logits, cache
 
         monkeypatch.setattr(prism.model, "forward_batch", poisoned)
         monkeypatch.setattr(oracles, "forward_batch", poisoned)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_logits_give_the_reference_error(self, checkpoint_path, corpus_path, capsys,
+                                                        monkeypatch, value):
+        ck = load_checkpoint(checkpoint_path)
+        prepared = prepare_examples(read_jsonl(corpus_path, 5), ck.params.window, ck.params.vocab_size)
+        earlier = "".join(json.dumps(row) + "\n" for row in trace_rows_reference(ck.params, prepared[:2]))
+        self.poison_record_3(monkeypatch, prepared, value)
         errors = []
         for fn in (lambda: cmd_trace(checkpoint_path, corpus_path, limit=5, out=None),
                    lambda: trace_rows_reference(ck.params, prepared)):
@@ -546,7 +555,39 @@ class TestTraceCommand:
                 fn()
             errors.append(str(info.value))
         assert errors == ["non-finite logits for record 3"] * 2
-        assert capsys.readouterr().out == ""
+        # rows go out record by record: stdout holds exactly those of records 1 and 2
+        assert capsys.readouterr().out == earlier and earlier
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_record_leaves_no_out_file(self, checkpoint_path, corpus_path, tmp_path, capsys,
+                                                  monkeypatch, value):
+        ck = load_checkpoint(checkpoint_path)
+        prepared = prepare_examples(read_jsonl(corpus_path, 5), ck.params.window, ck.params.vocab_size)
+        self.poison_record_3(monkeypatch, prepared, value)
+        out = tmp_path / "trace.jsonl"
+        assert main(["trace", "--checkpoint", checkpoint_path, "--corpus", corpus_path, "--limit", "5",
+                     "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "numeric divergence: non-finite logits for record 3\n"
+        assert os.listdir(tmp_path) == []  # no trace, no *.tmp file
+
+    def test_forward_batch_gets_each_records_distinct_windows(self, checkpoint_path, corpus_path, tmp_path,
+                                                               monkeypatch):
+        ck = load_checkpoint(checkpoint_path)
+        prepared = prepare_examples(read_jsonl(corpus_path, 12), ck.params.window, ck.params.vocab_size)
+        forwarded, real = [], forward_batch
+
+        def forward(params, windows, out=None):
+            forwarded.append(np.array(windows))
+            return real(params, windows, out)
+
+        monkeypatch.setattr(prism.model, "forward_batch", forward)
+        assert cmd_trace(checkpoint_path, corpus_path, limit=12, out=str(tmp_path / "trace.jsonl")) \
+            == len(prepared.labels)
+        assert len(forwarded) == len(prepared) == 12
+        for windows, prep in zip(forwarded, prepared):
+            assert windows.tobytes() == prep.distinct_rows()[0].tobytes()
+        assert sum(map(len, forwarded)) < len(prepared.labels)  # some record repeats a window
 
     def test_config_hash_mismatch_fails(self, corpus_path, tmp_path, capsys):
         out = str(tmp_path / "run")
@@ -571,8 +612,15 @@ class TestTraceCommand:
         lambda p: p["model"].update(window=p["model"]["window"] + 0.9),
         lambda p: p["model"].update(window=str(p["model"]["window"])),
         lambda p: p["model"].update(window=True),
+        # config-hash-matching checkpoints whose model is not the config's: a window above
+        # MAX_WINDOW with embedding width 1, and window 5000 with width 0, so w1 is empty
+        lambda p: p["model"].update(window=100, embedding=edit_array(p["model"]["embedding"], lambda a: a[:, :1]),
+                                    w1=edit_array(p["model"]["w1"], lambda a: np.zeros((100, a.shape[1])))),
+        lambda p: p["model"].update(window=5000, embedding=edit_array(p["model"]["embedding"], lambda a: a[:, :0]),
+                                    w1=edit_array(p["model"]["w1"], lambda a: a[:0])),
     ], ids=["no_b2", "w1_rows", "b1_len", "embedding_1d", "bad_base64", "data_short_of_shape",
-            "negative_shape", "huge_shape", "many_dimensions", "window_float", "window_string", "window_bool"])
+            "negative_shape", "huge_shape", "many_dimensions", "window_float", "window_string", "window_bool",
+            "window_above_the_config", "window_of_an_empty_model"])
     def test_damaged_checkpoint_is_2(self, checkpoint_path, corpus_path, tmp_path, capsys, damage):
         payload = json.loads(open(checkpoint_path).read())
         damage(payload)
@@ -585,6 +633,8 @@ class TestTraceCommand:
         assert err.startswith("i/o error: malformed checkpoint") and err.count("\n") == 1
         if type(payload["model"].get("window")) is not int:  # 4.9 or "4" must not load as window 4
             assert err.endswith(": model.window must be an integer\n")
+        if payload["model"].get("window") in (100, 5000):
+            assert "(window, embed_dim, hidden_dim, vocab_size)" in err and "is not the config's" in err
         assert os.listdir(tmp_path) == ["damaged.json"]  # no trace, no *.tmp file
 
     def test_version_1_checkpoint_is_2(self, checkpoint_path, corpus_path, tmp_path, capsys):
@@ -643,7 +693,10 @@ class TestTraceCommand:
         (lambda c: {**c, "risk_propagation": "sideways"}, "risk_propagation must be one of"),
         (lambda c: {**c, "epsilon": None}, "config key 'epsilon': cannot parse None"),
         (lambda c: {**c, "color": "red"}, "unknown config key 'color'"),
-    ], ids=["not_object", "epsilon_range", "risk_mode", "epsilon_null", "unknown_key"])
+        (lambda c: {**c, "embed_dim": 13}, ", 13, 16, "),
+        (lambda c: {**c, "vocab_size": 2**16}, f", 16, {2**16})"),
+    ], ids=["not_object", "epsilon_range", "risk_mode", "epsilon_null", "unknown_key", "other_embed_dim",
+            "other_vocab_size"])
     def test_damaged_config_with_matching_hash_is_2(self, checkpoint_path, corpus_path, tmp_path,
                                                     capsys, damage, shown):
         payload = json.loads(open(checkpoint_path).read())
@@ -1036,6 +1089,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and shown in err and err.count("\n") == 1
         assert not os.path.exists(tmp_path / "run")
+
+    @pytest.mark.parametrize("fields, shown", [
+        ({"n_keys": 10**13, "vocab_size": 2 * 10**13},
+         f"vocab_size {2 * 10**13} exceeds the limit of {MAX_VOCAB_SIZE}"),
+        ({"sentences_max": 10**14}, f"target tokens exceeds the limit of {MAX_CORPUS_TOKENS}"),
+        ({"n_examples": 10**6, "plant_defects": 10**6}, f"target tokens exceeds the limit of {MAX_CORPUS_TOKENS}"),
+    ], ids=["vocab_size", "sentences_max", "plant_defects"])
+    def test_corpus_above_the_bound_is_1(self, tmp_path, capsys, fields, shown):
+        cfg = tmp_path / "g.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in fields.items()))
+        assert main(["preprocess", "--config", str(cfg), "--out", str(tmp_path / "corpus.jsonl")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err
+        assert err.startswith("config error: ") and shown in err and err.count("\n") == 1
+        assert os.listdir(tmp_path) == ["g.cfg"]  # nothing generated or written
 
 
 class TestMetricsReportRoundTrip:

@@ -380,7 +380,7 @@ class TestPrepare:
             sentences=[SentenceSpan(1, 0, 3, 0.0)], facts=[], edges=[],
         )
         prep = prepare_examples([ex], window=3, vocab_size=10)[0]
-        assert prep.windows.tolist() == [[0, 5, 6], [5, 6, 7], [6, 7, 8]]
+        assert prep.distinct[prep.window_id].tolist() == [[0, 5, 6], [5, 6, 7], [6, 7, 8]]
         assert prep.labels.tolist() == [7, 8, 9]
         assert prep.sentence_id.tolist() == [1, 1, 1]
 
@@ -390,7 +390,7 @@ class TestPrepare:
             sentences=[], facts=[], edges=[],
         )
         prep = prepare_examples([ex], window=4, vocab_size=5)[0]
-        assert prep.windows.tolist() == [[0, 0, 0, 0], [0, 0, 0, 3]]
+        assert prep.distinct[prep.window_id].tolist() == [[0, 0, 0, 0], [0, 0, 0, 3]]
         assert prep.sentence_id.tolist() == [-1, -1]
 
     def test_signals_flow_through_propagation(self):
@@ -416,14 +416,15 @@ def assert_equals_reference(prepared, reference):
     assert len(prepared) == len(reference)
     assert prepared.offsets.tolist() == np.cumsum([0] + [len(r.labels) for r in reference]).tolist()
     for record, ref in zip(prepared, reference):
-        pairs = [(record.windows, ref.windows), (record.labels, ref.labels), (record.sentence_id, ref.sentence_id),
+        pairs = [(record.distinct[record.window_id], ref.windows), (record.labels, ref.labels),
+                 (record.sentence_id, ref.sentence_id),
                  (record.signals.fact_mask, ref.signals.fact_mask),
                  (record.signals.support_weight, ref.signals.support_weight),
                  (record.signals.valid_mask, ref.signals.valid_mask)]
         for got, want in pairs:
             assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
     # one id per distinct window, numbered in distinct_windows' order
-    assert prepared.window_id.tobytes() == distinct_windows(prepared.windows)[1].tobytes()
+    assert prepared.window_id.tobytes() == distinct_windows(prepared.distinct[prepared.window_id])[1].tobytes()
 
 
 @st.composite
@@ -528,13 +529,13 @@ class TestPreparedCorpus:
         assert eval_split.offsets.tolist() == (prepared.offsets[cut:] - prepared.offsets[cut]).tolist()
         at = int(prepared.offsets[cut])
         for part, rows in ((train_split, slice(0, at)), (eval_split, slice(at, None))):
-            assert part.windows.tobytes() == prepared.windows[rows].tobytes()
+            assert part.distinct[part.window_id].tobytes() == prepared.distinct[prepared.window_id][rows].tobytes()
             assert part.signals.support_weight.tobytes() == prepared.signals.support_weight[rows].tobytes()
             assert part.window_id.tobytes() == prepared.window_id[rows].tobytes()
         # a split prepared alone has the same arrays, and its ids order its windows the same way
         alone = prepare_examples(examples[cut:], 4, 70)
         assert len(alone) == len(examples[cut:])
-        assert alone.windows.tobytes() == eval_split.windows.tobytes()
+        assert alone.distinct[alone.window_id].tobytes() == eval_split.distinct[eval_split.window_id].tobytes()
         assert np.array_equal(np.unique(alone.window_id, return_inverse=True)[1],
                               np.unique(eval_split.window_id, return_inverse=True)[1])
         assert prepared[-1].labels.tolist() == examples[-1].target_tokens
@@ -543,7 +544,7 @@ class TestPreparedCorpus:
 
     def test_empty_corpus_is_refused_by_train_and_evaluate(self):
         prepared = prepare_examples([], 4, 70)
-        assert len(prepared) == 0 and prepared.windows.shape == (0, 4)
+        assert len(prepared) == 0 and prepared.distinct[prepared.window_id].shape == (0, 4)
         with pytest.raises(ConfigError, match="training corpus is empty"):
             train(prepared, TrainSettings(vocab_size=70))
         with pytest.raises(ConfigError, match="nothing to evaluate"):
@@ -572,7 +573,7 @@ class TestTrain:
         settings = TrainSettings(method="prism", lam=0.5, steps=25, batch_size=8,
                                  vocab_size=70, seed=9)
         prepared = prepare_examples(examples, settings.window, 70)
-        before = [(p.windows.copy(), p.labels.copy(), p.signals.fact_mask.copy(),
+        before = [(p.distinct[p.window_id], p.labels.copy(), p.signals.fact_mask.copy(),
                    p.signals.support_weight.copy(), p.signals.valid_mask.copy()) for p in prepared]
         first = train(prepared, settings)
         again = train(prepared, settings)
@@ -580,7 +581,7 @@ class TestTrain:
         for name in PARAM_FIELDS:
             assert getattr(first.params, name).tobytes() == getattr(again.params, name).tobytes()
         for p, arrays in zip(prepared, before):
-            now = (p.windows, p.labels, p.signals.fact_mask, p.signals.support_weight,
+            now = (p.distinct[p.window_id], p.labels, p.signals.fact_mask, p.signals.support_weight,
                    p.signals.valid_mask)
             assert all(a.tobytes() == b.tobytes() for a, b in zip(now, arrays))
 
@@ -692,7 +693,7 @@ class TestTrain:
 
         def positions(self, idx):
             at = original_positions(self, idx)
-            batches.append(self.windows[at])
+            batches.append(self.distinct[self.window_id][at])
             return at
 
         def forward(params, windows, out=None):
@@ -820,12 +821,29 @@ class TestEvaluate:
         prep = prepare_examples(examples, window=4, vocab_size=70)
         labels = np.concatenate([p.labels for p in prep])
         fact = np.concatenate([p.signals.fact_mask for p in prep])
-        logits, _ = forward_batch(params, np.concatenate([p.windows for p in prep]))
+        logits, _ = forward_batch(params, np.concatenate([p.distinct[p.window_id] for p in prep]))
         p_label = softmax_probs(logits)[np.arange(len(labels)), labels][fact]
         assert (p_label >= 1.0 - 1e-6).any() and (p_label < 1.0 - 1e-6).any()
         metrics = evaluate(params, prep)
         assert repr(metrics) == repr(evaluate_reference(params, prep))
         assert 0.0 < metrics["gate_active_rate"] < metrics["gate_keep_rate"] < 1.0
+
+    def test_forward_batch_gets_the_distinct_windows_only(self, monkeypatch):
+        import prism.model as model_mod
+        split = prepare_examples(small_corpus(n=40), window=4, vocab_size=70)[30:]
+        forwarded, original_forward = [], model_mod.forward_batch
+
+        def forward(params, windows, out=None):
+            forwarded.append(np.array(windows))
+            return original_forward(params, windows, out=out)
+
+        monkeypatch.setattr(model_mod, "forward_batch", forward)
+        params = init_params(70, 8, 12, 4, np.random.default_rng(6))
+        metrics = evaluate(params, split)
+        assert len(forwarded) == 1 and len(forwarded[0]) < len(split.labels)
+        assert forwarded[0].tobytes() == split.distinct_rows()[0].tobytes()
+        monkeypatch.undo()
+        assert repr(metrics) == repr(evaluate_reference(params, split))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_logits_give_the_reference_error(self, value):

@@ -102,6 +102,17 @@ class TestGateTrace:
         assert (trace.p_label[:40] >= 1.0 - 1e-6).all() and (trace.alpha[:40] > 0).any()
         assert (trace.alpha > 0).any() and (trace.alpha == 0).any()
 
+    def test_top1_is_the_label_being_its_rows_argmax(self):
+        rng = np.random.default_rng(13)
+        logits = rng.normal(size=(40, 9)) * 3
+        rows = rng.integers(0, 40, size=300)
+        labels = np.where(rng.random(300) < 0.5, logits.argmax(axis=1)[rows], rng.integers(0, 9, size=300))
+        probs = softmax_probs(logits)
+        trace = gate_trace(probs, labels, make_signals(rng.random(300) < 0.6, np.full(300, 0.5)), rows=rows)
+        expected = probs.argmax(axis=1)[rows] == labels
+        assert trace.top1.dtype == expected.dtype and trace.top1.tobytes() == expected.tobytes()
+        assert trace.top1.any() and not trace.top1.all()
+
     def test_signals_of_another_length_rejected(self):
         probs = softmax_probs(np.zeros((4, 3)))
         with pytest.raises(ValueError, match="do not match the batch length"):
