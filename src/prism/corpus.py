@@ -52,7 +52,7 @@ N_SPECIAL = 5
 _FACT_TOKENS = 3
 
 # Upper bounds on a config, checked before anything is generated: its vocabulary
-# (a training run's too) and its corpus's target tokens.
+# (a training run's too), and its corpus's target tokens and dependency edges.
 MAX_VOCAB_SIZE = 2**16
 MAX_CORPUS_TOKENS = 2**24
 
@@ -137,6 +137,10 @@ class GeneratorConfig:
         tokens = (self.n_examples + self.plant_defects) * self.sentences_max * self.sentence_length
         if tokens > MAX_CORPUS_TOKENS:
             raise ConfigError(f"a corpus of up to {tokens} target tokens exceeds the limit of {MAX_CORPUS_TOKENS}")
+        # a dependent sentence gets an edge to every earlier mention of its key
+        edges = (self.n_examples + self.plant_defects) * self.sentences_max * (self.sentences_max - 1) // 2
+        if self.dependency_p > 0 and edges > MAX_CORPUS_TOKENS:
+            raise ConfigError(f"a corpus of up to {edges} dependency edges exceeds the limit of {MAX_CORPUS_TOKENS}")
 
 
 def key_token(config: GeneratorConfig, k: int) -> int:
@@ -191,7 +195,8 @@ def generate(config: GeneratorConfig) -> list[AnnotatedExample]:
         sentences: list[SentenceSpan] = []
         facts: list[FactSpan] = []
         edges: list[DependencyEdge] = []
-        mentions: list[tuple[int, int]] = []  # (sentence id, key)
+        mentioned: list[int] = []  # every key stated so far, in order
+        said: dict[int, list[int]] = {}  # key -> the earlier sentences that state it
         first_key = int(rng.integers(0, config.n_keys))
         prev_key: int | None = None
         for j in range(1, n_sent + 1):
@@ -204,26 +209,26 @@ def generate(config: GeneratorConfig) -> list[AnnotatedExample]:
                     target.append(filler_token(config, int(rng.integers(0, fillers))))
             risk = 0.0
             incoming: set[int] = set()
+            before = len(mentioned)  # mentioned[:before] holds the keys of earlier sentences
             for _slot in range(config.facts_per_sentence):
-                prior = [(jj, kk) for jj, kk in mentions if jj < j]
-                if prior and rng.random() < config.dependency_p:
-                    _, key = prior[int(rng.integers(0, len(prior)))]
-                    incoming.update(jj for jj, kk in prior if kk == key)
+                if before and rng.random() < config.dependency_p:
+                    key = mentioned[int(rng.integers(0, before))]
+                    incoming.update(said[key])
                 else:
                     key = first_key if prev_key is None else (prev_key + 1) % config.n_keys
                     if key in corrupt_keys:
                         risk = max(risk, float(rng.uniform(config.risk_min, config.risk_max)))
                 target.append(key_token(config, key))
                 target.append(TOKEN_REL)
-                facts.append(
-                    FactSpan(fact_id=len(facts), token_start=len(target), token_end=len(target) + 1, sentence=j)
-                )
+                facts.append(FactSpan(len(facts), len(target), len(target) + 1, j))
                 target.append(value_token(config, int(stated_value[key])))
-                mentions.append((j, key))
+                mentioned.append(key)
                 prev_key = key
             target.append(TOKEN_PERIOD)
             sentences.append(SentenceSpan(index=j, token_start=start, token_end=len(target), risk=risk))
             edges.extend(DependencyEdge(src, j) for src in sorted(incoming))
+            for key in set(mentioned[before:]):
+                said.setdefault(key, []).append(j)
 
         input_tokens = [TOKEN_QUERY, key_token(config, first_key), TOKEN_QMARK]
         examples.append(
@@ -268,69 +273,72 @@ def chunk(example: AnnotatedExample, limit: int) -> list[AnnotatedExample]:
     Dependency edges whose source lands in an earlier chunk are folded into
     the dependent sentence's raw risk (max with the source's raw risk), which
     preserves one-hop effective risks.  Each chunk repeats the input tokens.
+
+    An example that packs into one chunk is returned as is.  So is an example
+    with an annotation no chunk can hold, for verify_and_filter to reject
+    under its own reason: sentence ids that do not run 1, 2, ... in order, a
+    fact or edge naming no sentence, or an edge across chunks that does not
+    point forward or appears twice.  Time is linear in the sentences, facts
+    and edges.
     """
     if limit < 1:
         raise ConfigError("chunk limit must be >= 1")
-    t_len = len(example.target_tokens)
-    if not example.sentences:
-        return [example]
-
+    sentences = example.sentences
+    n = len(sentences)
     # Region i: sentence i plus any following gap tokens (leading gap joins region 0).
-    starts = [0] + [s.token_start for s in example.sentences[1:]]
-    ends = starts[1:] + [t_len]
+    starts = [0] + [s.token_start for s in sentences[1:]]
+    ends = starts[1:] + [len(example.target_tokens)]
 
-    groups: list[list[int]] = []
-    current: list[int] = []
+    first: list[int] = []  # each chunk's first region
+    group: list[int] = []  # region -> its chunk
     used = 0
     for i, (a, b) in enumerate(zip(starts, ends)):
-        size = b - a
-        if current and used + size > limit:
-            groups.append(current)
-            current, used = [], 0
-        current.append(i)
-        used += size
-    if current:
-        groups.append(current)
+        if not first or used + b - a > limit:
+            first.append(i)
+            used = 0
+        group.append(len(first) - 1)
+        used += b - a
+    if len(first) == 1 or any(s.index != i for i, s in enumerate(sentences, 1)):
+        return [example]
 
-    raw_risk = {s.index: s.risk for s in example.sentences}
+    # Sentence id j is region j - 1; in chunk g it becomes j - first[g], and
+    # chunk 0, which starts at token 0, keeps its spans as they are.
+    facts: list[list[FactSpan]] = [[] for _ in first]
+    for f in example.facts:
+        if not 1 <= f.sentence <= n:
+            return [example]
+        g = group[f.sentence - 1]
+        lo = starts[first[g]]
+        facts[g].append(FactSpan(f.fact_id, f.token_start - lo, f.token_end - lo, f.sentence - first[g]) if g else f)
+    risk = [s.risk for s in sentences]
+    folded: set[DependencyEdge] = set()
+    edges: list[list[DependencyEdge]] = [[] for _ in first]
+    for e in example.edges:
+        if not (1 <= e.src <= n and 1 <= e.dst <= n):
+            return [example]
+        g = group[e.dst - 1]
+        if group[e.src - 1] == g:
+            edges[g].append(DependencyEdge(e.src - first[g], e.dst - first[g]) if g else e)
+        elif e.src < e.dst and e not in folded:
+            folded.add(e)
+            risk[e.dst - 1] = max(risk[e.dst - 1], sentences[e.src - 1].risk)
+        else:
+            return [example]
+
     chunks = []
-    for group in groups:
-        lo, hi = starts[group[0]], ends[group[-1]]
-        inside = {example.sentences[i].index for i in group}
-        renumber = {example.sentences[i].index: new + 1 for new, i in enumerate(group)}
-        sentences = []
-        for i in group:
-            s = example.sentences[i]
-            risk = s.risk
-            for e in example.edges:
-                if e.dst == s.index and e.src not in inside:
-                    risk = max(risk, raw_risk[e.src])
-            sentences.append(
-                SentenceSpan(
-                    index=renumber[s.index],
-                    token_start=s.token_start - lo,
-                    token_end=s.token_end - lo,
-                    risk=risk,
-                )
-            )
-        facts = [
-            replace(f, token_start=f.token_start - lo, token_end=f.token_end - lo, sentence=renumber[f.sentence])
-            for f in example.facts
-            if f.sentence in inside
-        ]
-        edges = [
-            DependencyEdge(renumber[e.src], renumber[e.dst])
-            for e in example.edges
-            if e.src in inside and e.dst in inside
-        ]
+    for g, (a, b) in enumerate(zip(first, first[1:] + [n])):
+        lo, hi = starts[a], ends[b - 1]
         chunks.append(
             AnnotatedExample(
                 input_tokens=list(example.input_tokens),
                 target_tokens=example.target_tokens[lo:hi],
                 valid_mask=example.valid_mask[lo:hi],
-                sentences=sentences,
-                facts=facts,
-                edges=edges,
+                sentences=[
+                    SentenceSpan(i - a + 1, s.token_start - lo, s.token_end - lo, risk[i])
+                    for i, s in enumerate(sentences[a:b], a)
+                ],
+                facts=facts[g],
+                edges=edges[g],
                 extra=dict(example.extra),
             )
         )

@@ -1,20 +1,44 @@
-"""Scalar reference implementations that the tests check the objective against.
+"""Scalar reference implementations that the tests check the package against.
 
 The package runs the vectorized gates and the analytic gradients in
 prism.objective.  The oracles here spell out the same definitions one
-position (or one logit) at a time.
+position (or one logit) at a time.  The corpus references are the
+generator and the chunker in their quadratic form, which the linear ones
+must match field for field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from prism.corpus import TOKEN_BOS, AnnotatedExample
-from prism.errors import AnnotationError, DivergenceError, NonFiniteLogits
-from prism.fact_graph import RISK_ONEHOP, TokenSignals, _violations, propagate_risk
+from prism.corpus import (
+    _FACT_TOKENS,
+    TOKEN_BOS,
+    TOKEN_PERIOD,
+    TOKEN_QMARK,
+    TOKEN_QUERY,
+    TOKEN_REL,
+    AnnotatedExample,
+    GeneratorConfig,
+    _plant_defect,
+    filler_token,
+    key_token,
+    n_filler,
+    value_token,
+)
+from prism.errors import AnnotationError, ConfigError, DivergenceError, NonFiniteLogits
+from prism.fact_graph import (
+    RISK_ONEHOP,
+    DependencyEdge,
+    FactSpan,
+    SentenceSpan,
+    TokenSignals,
+    _violations,
+    propagate_risk,
+)
 from prism.model import (
     PARAM_FIELDS,
     ModelParams,
@@ -284,3 +308,177 @@ def trace_rows_reference(
                 "alpha": float(trace.alpha[t]),
             })
     return rows
+
+
+def generate_reference(config: GeneratorConfig) -> list[AnnotatedExample]:
+    """corpus.generate as it was before it kept its earlier mentions as it
+    went: `prior` is rebuilt for every fact slot, in time quadratic in the
+    mentions of an example.
+
+    Deterministically generate an annotated corpus from the config seed.
+
+    Corrupted keys always state one fixed wrong value, so a plain
+    likelihood-trained model becomes confidently wrong exactly where the
+    risk labels say it should not.
+
+    Non-fact tokens are all predictable from their context window: the first
+    stated key is named in the input, every later fresh statement uses the
+    successor key ((previous + 1) mod n_keys), and when sentences are longer
+    than their fact statements the first padding slot echoes the most recent
+    key as a filler token (remaining padding is random filler).  Capability
+    metrics therefore have a real ceiling instead of a noise floor.
+    """
+    config.validate()
+    rng = np.random.default_rng(config.seed)
+
+    true_value = rng.integers(0, config.n_values, size=config.n_keys)
+    n_corrupt = int(round(config.corruption_fraction * config.n_keys))
+    corrupt_keys = set(rng.permutation(config.n_keys)[:n_corrupt].tolist())
+    stated_value = true_value.copy()
+    for k in sorted(corrupt_keys):
+        wrong = int(rng.integers(0, config.n_values - 1))
+        if wrong >= true_value[k]:
+            wrong += 1
+        stated_value[k] = wrong
+
+    fillers = n_filler(config)
+    pad = config.sentence_length - (_FACT_TOKENS * config.facts_per_sentence + 1)
+    examples = []
+    for _ in range(config.n_examples):
+        n_sent = int(rng.integers(config.sentences_min, config.sentences_max + 1))
+        target: list[int] = []
+        sentences: list[SentenceSpan] = []
+        facts: list[FactSpan] = []
+        edges: list[DependencyEdge] = []
+        mentions: list[tuple[int, int]] = []  # (sentence id, key)
+        first_key = int(rng.integers(0, config.n_keys))
+        prev_key: int | None = None
+        for j in range(1, n_sent + 1):
+            start = len(target)
+            for i in range(pad):
+                if i == 0:
+                    echo = prev_key if prev_key is not None else first_key
+                    target.append(filler_token(config, echo % fillers))
+                else:
+                    target.append(filler_token(config, int(rng.integers(0, fillers))))
+            risk = 0.0
+            incoming: set[int] = set()
+            for _slot in range(config.facts_per_sentence):
+                prior = [(jj, kk) for jj, kk in mentions if jj < j]
+                if prior and rng.random() < config.dependency_p:
+                    _, key = prior[int(rng.integers(0, len(prior)))]
+                    incoming.update(jj for jj, kk in prior if kk == key)
+                else:
+                    key = first_key if prev_key is None else (prev_key + 1) % config.n_keys
+                    if key in corrupt_keys:
+                        risk = max(risk, float(rng.uniform(config.risk_min, config.risk_max)))
+                target.append(key_token(config, key))
+                target.append(TOKEN_REL)
+                facts.append(
+                    FactSpan(fact_id=len(facts), token_start=len(target), token_end=len(target) + 1, sentence=j)
+                )
+                target.append(value_token(config, int(stated_value[key])))
+                mentions.append((j, key))
+                prev_key = key
+            target.append(TOKEN_PERIOD)
+            sentences.append(SentenceSpan(index=j, token_start=start, token_end=len(target), risk=risk))
+            edges.extend(DependencyEdge(src, j) for src in sorted(incoming))
+
+        input_tokens = [TOKEN_QUERY, key_token(config, first_key), TOKEN_QMARK]
+        examples.append(
+            AnnotatedExample(
+                input_tokens=input_tokens,
+                target_tokens=target,
+                valid_mask=[1] * len(target),
+                sentences=sentences,
+                facts=facts,
+                edges=edges,
+            )
+        )
+
+    for i in range(config.plant_defects):
+        examples.append(_plant_defect(examples[i % config.n_examples], kind=i % 4))
+    return examples
+
+
+def chunk_reference(example: AnnotatedExample, limit: int) -> list[AnnotatedExample]:
+    """corpus.chunk as it was before its one pass over facts and edges: every
+    edge is scanned for every sentence, and every fact and edge for every
+    chunk.
+
+    Split an example on sentence boundaries into chunks of at most `limit`
+    target tokens (greedy packing); one sentence region, or a target without
+    sentences, that exceeds the limit alone becomes one longer chunk.
+
+    Tokens between or after sentences travel with the preceding sentence;
+    concatenating the chunk targets reproduces the original target exactly.
+    Dependency edges whose source lands in an earlier chunk are folded into
+    the dependent sentence's raw risk (max with the source's raw risk), which
+    preserves one-hop effective risks.  Each chunk repeats the input tokens.
+    """
+    if limit < 1:
+        raise ConfigError("chunk limit must be >= 1")
+    t_len = len(example.target_tokens)
+    if not example.sentences:
+        return [example]
+
+    # Region i: sentence i plus any following gap tokens (leading gap joins region 0).
+    starts = [0] + [s.token_start for s in example.sentences[1:]]
+    ends = starts[1:] + [t_len]
+
+    groups: list[list[int]] = []
+    current: list[int] = []
+    used = 0
+    for i, (a, b) in enumerate(zip(starts, ends)):
+        size = b - a
+        if current and used + size > limit:
+            groups.append(current)
+            current, used = [], 0
+        current.append(i)
+        used += size
+    if current:
+        groups.append(current)
+
+    raw_risk = {s.index: s.risk for s in example.sentences}
+    chunks = []
+    for group in groups:
+        lo, hi = starts[group[0]], ends[group[-1]]
+        inside = {example.sentences[i].index for i in group}
+        renumber = {example.sentences[i].index: new + 1 for new, i in enumerate(group)}
+        sentences = []
+        for i in group:
+            s = example.sentences[i]
+            risk = s.risk
+            for e in example.edges:
+                if e.dst == s.index and e.src not in inside:
+                    risk = max(risk, raw_risk[e.src])
+            sentences.append(
+                SentenceSpan(
+                    index=renumber[s.index],
+                    token_start=s.token_start - lo,
+                    token_end=s.token_end - lo,
+                    risk=risk,
+                )
+            )
+        facts = [
+            replace(f, token_start=f.token_start - lo, token_end=f.token_end - lo, sentence=renumber[f.sentence])
+            for f in example.facts
+            if f.sentence in inside
+        ]
+        edges = [
+            DependencyEdge(renumber[e.src], renumber[e.dst])
+            for e in example.edges
+            if e.src in inside and e.dst in inside
+        ]
+        chunks.append(
+            AnnotatedExample(
+                input_tokens=list(example.input_tokens),
+                target_tokens=example.target_tokens[lo:hi],
+                valid_mask=example.valid_mask[lo:hi],
+                sentences=sentences,
+                facts=facts,
+                edges=edges,
+                extra=dict(example.extra),
+            )
+        )
+    return chunks

@@ -2,11 +2,13 @@
 
 import dataclasses
 import json
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import chunk_reference, generate_reference
 
 from prism.corpus import (
     MAX_CORPUS_TOKENS,
@@ -133,6 +135,13 @@ class TestGenerate:
         at_limit.validate()
         with pytest.raises(ConfigError, match=f"{MAX_CORPUS_TOKENS + 32} target tokens exceeds the limit"):
             dataclasses.replace(at_limit, plant_defects=4).validate()
+        # with dependency_p > 0, (n_examples + plant_defects) * sentences_max * (sentences_max - 1) / 2
+        # dependency edges at most: 5793 * 5792 / 2 = 16,776,528 and 5794 * 5793 / 2 = 16,782,321
+        edges_at_limit = GeneratorConfig(n_examples=1, sentences_max=5793)
+        edges_at_limit.validate()
+        with pytest.raises(ConfigError, match=f"16782321 dependency edges exceeds the limit of {MAX_CORPUS_TOKENS}"):
+            dataclasses.replace(edges_at_limit, sentences_max=5794).validate()
+        dataclasses.replace(edges_at_limit, sentences_max=5794, dependency_p=0.0).validate()
 
     def test_planted_defects_are_rejected_by_filter(self):
         examples = generate(config(n_examples=40, plant_defects=6))
@@ -220,6 +229,139 @@ class TestChunk:
     def test_limit_validated(self):
         with pytest.raises(ConfigError):
             chunk(sentence_lengths_example([3]), limit=0)
+
+    def test_example_that_fits_is_returned_as_is(self):
+        ex = sentence_lengths_example([30, 40])
+        assert chunk(ex, limit=200)[0] is ex
+        assert chunk(ex, limit=70)[0] is ex
+        assert len(chunk(ex, limit=69)) == 2
+
+    @pytest.mark.parametrize("edit, reason", [
+        (lambda ex: ex.edges.append(DependencyEdge(2, 1)), "edge-not-forward"),
+        (lambda ex: ex.edges.append(DependencyEdge(1, 3)), "duplicate-edge"),
+        (lambda ex: ex.edges.append(DependencyEdge(1, 4)), "edge-unknown-sentence"),
+        (lambda ex: ex.edges.append(DependencyEdge(0, 2)), "edge-unknown-sentence"),
+        (lambda ex: ex.facts.append(FactSpan(1, 4, 5, 4)), "fact-unknown-sentence"),
+        (lambda ex: ex.sentences.extend([ex.sentences.pop(2), ex.sentences.pop(1)]), "sentence-index"),
+    ], ids=["backward-edge", "duplicate-edge", "edge-to-no-sentence", "edge-from-no-sentence", "fact-of-no-sentence",
+            "sentences-2-and-3-swapped"])
+    def test_annotation_no_chunk_can_hold_returns_the_example_whole(self, edit, reason):
+        # one sentence per chunk at limit 3: split, each of these would be
+        # folded, dropped or renumbered out of sight (or raise KeyError)
+        ex = AnnotatedExample(
+            input_tokens=[4], target_tokens=[5, 6, TOKEN_PERIOD] * 3, valid_mask=[1] * 9,
+            sentences=[SentenceSpan(j, 3 * j - 3, 3 * j, 0.1 * j) for j in (1, 2, 3)],
+            facts=[FactSpan(0, 1, 2, 1)], edges=[DependencyEdge(1, 3)],
+        )
+        assert len(chunk(ex, limit=3)) == 3
+        edit(ex)
+        chunks = chunk(ex, limit=3)
+        assert len(chunks) == 1 and chunks[0] is ex
+        report = verify_and_filter(chunks)
+        assert not report.kept and reason in report.rejected[0][1]
+
+    def test_planted_backward_edge_is_rejected_across_chunks(self):
+        # at limit 4 every sentence is its own chunk, so the planted edge 2->1
+        # crosses chunks; it used to be folded into sentence 1's risk and dropped
+        cfg = GeneratorConfig(n_examples=50, sentence_length=4, sentences_max=4, plant_defects=8)
+        for limit in (4, 200):
+            report = verify_and_filter([c for ex in generate(cfg) for c in chunk(ex, limit)])
+            assert report.reason_counts == {"edge-not-forward": 2, "fact-span-range": 2,
+                                            "risk-range": 2, "self-edge": 2}
+
+    def test_twenty_thousand_sentences_chunk_in_linear_time(self):
+        # one sentence per chunk, a forward edge between neighbours: every
+        # edge crosses chunks and folds into its dependent's risk
+        n = 20_000
+        ex = AnnotatedExample(
+            input_tokens=[4], target_tokens=[5, TOKEN_PERIOD] * n, valid_mask=[1] * (2 * n),
+            sentences=[SentenceSpan(j, 2 * j - 2, 2 * j, (j % 10) / 10) for j in range(1, n + 1)],
+            facts=[FactSpan(j - 1, 2 * j - 2, 2 * j - 1, j) for j in range(1, n + 1)],
+            edges=[DependencyEdge(j, j + 1) for j in range(1, n)],
+        )
+        start = time.perf_counter()
+        chunks = chunk(ex, limit=2)
+        assert time.perf_counter() - start < 5.0
+        assert len(chunks) == n
+        assert all(c.sentences == [SentenceSpan(1, 0, 2, c.sentences[0].risk)] for c in chunks)
+        assert all(c.facts == [FactSpan(j, 0, 1, 1)] and not c.edges for j, c in enumerate(chunks))
+        whole = propagate_risk(ex.sentences, ex.edges).effective_risk
+        assert [c.sentences[0].risk for c in chunks] == list(whole)
+
+
+def fields(example):
+    """Every field of an example, each sentence risk by repr."""
+    return (example.input_tokens, example.target_tokens, example.valid_mask,
+            [(s.index, s.token_start, s.token_end, repr(s.risk)) for s in example.sentences],
+            example.facts, example.edges, example.extra)
+
+
+# The README quick start, the three perfbench workload generators
+# (perfbench/run.py) at two seeds, and a dense config: two facts per
+# sentence, nearly every one a restatement, with padding and defects.
+README_GEN = dict(vocab_size=70, n_examples=2000, n_keys=20, n_values=20, sentence_length=5,
+                  corruption_fraction=0.3, risk_min=0.5, risk_max=0.9, dependency_p=0.25, seed=11)
+BENCH_GEN = dict(README_GEN, plant_defects=8)
+REFERENCE_CONFIGS = {
+    "readme": README_GEN,
+    **{f"sweep_acceptance-{seed}": dict(BENCH_GEN, seed=seed) for seed in (1, 3)},
+    **{f"wide_vocab-{seed}": dict(BENCH_GEN, vocab_size=1024, n_keys=200, n_values=200, sentence_length=6,
+                                  seed=seed) for seed in (1, 3)},
+    **{f"long_docs-{seed}": dict(BENCH_GEN, n_examples=1000, facts_per_sentence=4, sentence_length=13,
+                                 sentences_min=8, sentences_max=16, dependency_p=0.5, chunk_limit=180,
+                                 seed=seed) for seed in (1, 3)},
+    "dense": dict(facts_per_sentence=2, sentence_length=8, sentences_min=4, sentences_max=10,
+                  dependency_p=0.9, chunk_limit=30, plant_defects=12, seed=2),
+}
+
+
+@st.composite
+def small_configs(draw):
+    facts = draw(st.integers(1, 3))
+    n_keys, n_values = draw(st.integers(1, 6)), draw(st.integers(2, 6))
+    sentences_min = draw(st.integers(1, 5))
+    return GeneratorConfig(
+        vocab_size=N_SPECIAL + n_keys + n_values + draw(st.integers(1, 3)),
+        n_examples=draw(st.integers(1, 6)),
+        n_keys=n_keys,
+        n_values=n_values,
+        facts_per_sentence=facts,
+        # key, relation and value per fact, the period, and 0-3 padding tokens
+        sentence_length=3 * facts + 1 + draw(st.integers(0, 3)),
+        sentences_min=sentences_min,
+        sentences_max=draw(st.integers(sentences_min, 9)),
+        corruption_fraction=draw(st.sampled_from([0.0, 0.3, 1.0])),
+        dependency_p=draw(st.sampled_from([0.0, 0.25, 0.9, 1.0])),
+        chunk_limit=draw(st.integers(1, 40)),
+        plant_defects=draw(st.integers(0, 4)) if sentences_min >= 2 else 0,
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+class TestAgainstReference:
+    """generate and chunk give the quadratic references' examples, field for field."""
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_CONFIGS))
+    def test_configs_match_the_reference(self, name):
+        cfg = GeneratorConfig(**REFERENCE_CONFIGS[name])
+        examples = generate(cfg)
+        assert list(map(fields, examples)) == list(map(fields, generate_reference(cfg)))
+        for ex in examples:
+            assert (list(map(fields, chunk(ex, cfg.chunk_limit)))
+                    == list(map(fields, chunk_reference(ex, cfg.chunk_limit))))
+
+    @given(small_configs())
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    def test_small_configs_match_the_reference(self, cfg):
+        examples = generate(cfg)
+        assert list(map(fields, examples)) == list(map(fields, generate_reference(cfg)))
+        for ex in examples[:cfg.n_examples]:
+            assert (list(map(fields, chunk(ex, cfg.chunk_limit)))
+                    == list(map(fields, chunk_reference(ex, cfg.chunk_limit))))
+        # the reference can hide a planted defect (a backward edge across
+        # chunks); chunk never does
+        for ex in examples[cfg.n_examples:]:
+            assert verify_and_filter(chunk(ex, cfg.chunk_limit)).rejected
 
 
 class TestVerifyAndFilter:

@@ -1095,7 +1095,10 @@ class TestExitCodes:
          f"vocab_size {2 * 10**13} exceeds the limit of {MAX_VOCAB_SIZE}"),
         ({"sentences_max": 10**14}, f"target tokens exceeds the limit of {MAX_CORPUS_TOKENS}"),
         ({"n_examples": 10**6, "plant_defects": 10**6}, f"target tokens exceeds the limit of {MAX_CORPUS_TOKENS}"),
-    ], ids=["vocab_size", "sentences_max", "plant_defects"])
+        # 80,000 target tokens, but 199,990,000 edges: every sentence restates the one key
+        ({"n_examples": 1, "n_keys": 1, "dependency_p": 1, "sentences_min": 20000, "sentences_max": 20000,
+          "sentence_length": 4}, f"199990000 dependency edges exceeds the limit of {MAX_CORPUS_TOKENS}"),
+    ], ids=["vocab_size", "sentences_max", "plant_defects", "dependency_edges"])
     def test_corpus_above_the_bound_is_1(self, tmp_path, capsys, fields, shown):
         cfg = tmp_path / "g.cfg"
         cfg.write_text("".join(f"{key} = {value}\n" for key, value in fields.items()))
