@@ -270,9 +270,14 @@ def chunk(example: AnnotatedExample, limit: int) -> list[AnnotatedExample]:
 
     Tokens between or after sentences travel with the preceding sentence;
     concatenating the chunk targets reproduces the original target exactly.
-    Dependency edges whose source lands in an earlier chunk are folded into
-    the dependent sentence's raw risk (max with the source's raw risk), which
-    preserves one-hop effective risks.  Each chunk repeats the input tokens.
+    A dependency edge whose source lands in an earlier chunk is dropped, and
+    the dependent sentence's raw risk becomes the max of its own and the
+    source's raw risk.  This does not keep effective risks: the folded risk
+    counts as the dependent's own, so one-hop propagation passes it on to the
+    dependent's dependents in its chunk, one hop further than in the whole
+    example; and only the source's raw risk crosses, so under fixpoint
+    propagation the risk the source inherits from its own sources can be
+    lost.  Each chunk repeats the input tokens.
 
     An example that packs into one chunk is returned as is.  So is an example
     with an annotation no chunk can hold, for verify_and_filter to reject

@@ -49,6 +49,7 @@ from .model import (
     METHOD_PRISM,
     METHOD_SFT,
     METHODS,
+    ModelParams,
     PreparedCorpus,
     TrainSettings,
     blas_id,
@@ -511,14 +512,36 @@ def cmd_ablate(cfg: RunConfig, lambdas: Sequence[float]) -> str:
 TRACE_ROW = ('{"example": %d, "position": %d, "sentence": %s, "p_label": %r, "q_max": %r, '
              '"w": %r, "pref_gate": %d, "keep_gate": %d, "alpha": %r}\n')
 
+# trace runs consecutive records as one group while their positions' float64
+# rows of x, hidden and logits fit in this many bytes (a larger record is a
+# group of its own): about 2,000 positions at V = 70 and 430 at V = 1024.
+TRACE_GROUP_BYTES = 4 * 2**20
+
+
+def _trace_text(params: ModelParams, prepared: PreparedCorpus, start: int, stop: int) -> str:
+    """The trace rows of records start..stop-1, from one gate_pass with
+    per-record matmuls."""
+    group = prepared[start:stop]
+    trace = model_mod.gate_pass(params, group, per_example=True)
+    lengths = np.diff(group.offsets)
+    example = np.repeat(np.arange(start, stop), lengths)
+    position = np.arange(len(group.labels)) - np.repeat(group.offsets[:-1], lengths)
+    sentences = ["null" if sid < 0 else sid for sid in group.sentence_id.tolist()]
+    columns = zip(example.tolist(), position.tolist(), sentences, trace.p_label.tolist(), trace.q_max.tolist(),
+                  group.signals.support_weight.tolist(), trace.pref_gate.tolist(), trace.keep_gate.tolist(),
+                  trace.alpha.tolist())
+    return "".join(map(TRACE_ROW.__mod__, columns))
+
 
 def cmd_trace(checkpoint_path: str, corpus_path: str, limit: int, out: str | None) -> int:
     """Dump per-token gate decisions of a checkpointed model over a corpus slice,
     with the risk propagation of the checkpoint's config, one JSON row per
-    target position; returns the number of rows.  Each record's rows come
-    from one gate_pass and are written before the next record's; a
-    non-finite record leaves the earlier rows on stdout, and no `out`.  The
-    model must have its config's dimensions."""
+    target position; returns the number of rows.  Records go through
+    gate_pass in groups of at most TRACE_GROUP_BYTES, each record with its
+    own matmuls, so its rows do not depend on the group; a group's rows are
+    written before the next group's.  A non-finite record leaves the earlier
+    records' rows on stdout, and no `out`.  The model must have its config's
+    dimensions."""
     if limit < 0:
         raise ConfigError(f"--limit must be >= 0 (0 = all), got {limit}")
     ck = load_checkpoint(checkpoint_path)
@@ -542,17 +565,22 @@ def cmd_trace(checkpoint_path: str, corpus_path: str, limit: int, out: str | Non
         examples, params.window, params.vocab_size, risk_mode=settings.risk_propagation
     )
 
+    # A position's x, hidden and logits rows: 8 bytes per column.
+    group_rows = TRACE_GROUP_BYTES // (8 * (params.w1.shape[0] + params.w1.shape[1] + params.vocab_size))
+    offsets, start = prepared.offsets, 0
     with (atomic_write(out) if out else contextlib.nullcontext(sys.stdout)) as fh:
-        for i, prep in enumerate(prepared):
+        while start < len(prepared):
+            stop = max(start + 1, int(np.searchsorted(offsets, offsets[start] + group_rows, side="right")) - 1)
             try:
-                trace = model_mod.gate_pass(params, prep)
-            except NonFiniteLogits as exc:
-                raise DivergenceError(f"non-finite logits for record {i + 1}") from exc
-            sentences = ["null" if sid < 0 else sid for sid in prep.sentence_id.tolist()]
-            columns = zip(sentences, trace.p_label.tolist(), trace.q_max.tolist(),
-                          prep.signals.support_weight.tolist(), trace.pref_gate.tolist(),
-                          trace.keep_gate.tolist(), trace.alpha.tolist())
-            fh.writelines(TRACE_ROW % (i, t, *row) for t, row in enumerate(columns))
+                fh.write(_trace_text(params, prepared, start, stop))
+            except NonFiniteLogits:
+                # Write the rows of the records before the non-finite one, one record at a time.
+                for i in range(start, stop):
+                    try:
+                        fh.write(_trace_text(params, prepared, i, i + 1))
+                    except NonFiniteLogits as exc:
+                        raise DivergenceError(f"non-finite logits for record {i + 1}") from exc
+            start = stop
     rows = len(prepared.labels)
     if out:
         print(f"wrote {rows} trace rows to {out}")

@@ -136,24 +136,37 @@ _FRESH = StepViews(*[None] * len(StepViews._fields))
 
 
 def forward_batch(
-    params: ModelParams, windows: np.ndarray, out: StepViews | None = None
+    params: ModelParams, windows: np.ndarray, out: StepViews | None = None, splits: Sequence[int] | None = None
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Logits [B, V] for a batch of token windows [B, window], plus the
     activations needed by backward_batch; with `out`, all three are written
-    into its logits, x and hidden."""
+    into its logits, x and hidden.  `splits`, row offsets 0 = s_0 <= s_1 <=
+    ... <= s_k = B, split the two matmuls: each block s_j:s_j+1 gets its own
+    pair, so its rows have the bits of a forward_batch over that block alone.
+    None is one block."""
     w = np.asarray(windows, dtype=np.int64)
     if w.ndim != 2 or w.shape[1] != params.window:
         raise ValueError(f"windows must be [B, {params.window}], got shape {w.shape}")
     _check_tokens(w, params.vocab_size)
+    blocks = [slice(None)]
+    if splits is not None:
+        bounds = [int(s) for s in splits]
+        if len(bounds) < 2 or bounds[0] != 0 or bounds[-1] != len(w) or bounds != sorted(bounds):
+            raise ValueError(f"splits must rise from 0 to {len(w)}, got {bounds}")
+        blocks = list(map(slice, bounds[:-1], bounds[1:]))
     o = out or _FRESH
     # The ids are checked, so mode="clip" changes none; it lets take write
     # into `out` without an intermediate copy.
     x = np.take(params.embedding, w, axis=0, mode="clip",
                 out=None if o.x is None else o.x.reshape(*w.shape, -1)).reshape(w.shape[0], -1)
-    hidden = np.matmul(x, params.w1, out=o.hidden)
+    hidden = np.empty((len(w), params.w1.shape[1])) if o.hidden is None else o.hidden
+    for b in blocks:
+        np.matmul(x[b], params.w1, out=hidden[b])
     hidden += params.b1
     np.tanh(hidden, out=hidden)
-    logits = np.matmul(hidden, params.w2, out=o.logits)
+    logits = np.empty((len(w), params.vocab_size)) if o.logits is None else o.logits
+    for b in blocks:
+        np.matmul(hidden[b], params.w2, out=logits[b])
     logits += params.b2
     return logits, (x, hidden)
 
@@ -598,12 +611,25 @@ def train(prepared: PreparedCorpus, settings: TrainSettings) -> TrainResult:
     return TrainResult(params=params, step_log=log, counters=counters)
 
 
-def gate_pass(params: ModelParams, prepared: PreparedCorpus) -> GateTrace:
+def gate_pass(params: ModelParams, prepared: PreparedCorpus, per_example: bool = False) -> GateTrace:
     """Both gates, alpha and top-1 at every position of `prepared`, with
     comp_loss's default flags, from one forward pass over its distinct windows
-    and their probabilities written over the logits (NonFiniteLogits if not finite)."""
-    windows, rows = prepared.distinct_rows()
-    logits = forward_batch(params, windows)[0]  # frees the activations before the softmax
+    and their probabilities written over the logits (NonFiniteLogits if not
+    finite).  With `per_example`, each example's distinct windows, in
+    window-id order, get their own matmuls (forward_batch's `splits`), so an
+    example's values are those of a gate_pass over it alone."""
+    # Only the logits are kept, so the activations are freed before the softmax.
+    if per_example:
+        # One np.unique over (example, window id) keys gives each example's
+        # distinct windows, example after example.
+        n_ids = len(prepared.distinct)
+        example = np.repeat(np.arange(len(prepared)), np.diff(prepared.offsets))
+        keys, rows = np.unique(example * n_ids + prepared.window_id, return_inverse=True)
+        splits = np.searchsorted(keys, np.arange(len(prepared) + 1) * n_ids).tolist()
+        logits = forward_batch(params, prepared.distinct[keys % n_ids], splits=splits)[0]
+    else:
+        windows, rows = prepared.distinct_rows()
+        logits = forward_batch(params, windows)[0]
     return gate_trace(softmax_probs(logits, out=logits), prepared.labels, prepared.signals, rows=rows)
 
 

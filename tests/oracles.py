@@ -39,6 +39,7 @@ from prism.fact_graph import (
     _violations,
     propagate_risk,
 )
+from prism.harness import TRACE_ROW
 from prism.model import (
     PARAM_FIELDS,
     ModelParams,
@@ -48,6 +49,7 @@ from prism.model import (
     _check_tokens,
     _group_mean,
     forward_batch,
+    gate_pass,
 )
 from prism.objective import (
     DEFAULT_EPSILON,
@@ -308,6 +310,23 @@ def trace_rows_reference(
                 "alpha": float(trace.alpha[t]),
             })
     return rows
+
+
+def trace_text_per_record(params: ModelParams, prepared: PreparedCorpus) -> str:
+    """harness.cmd_trace's output as it was made before records went through
+    gate_pass in groups: one gate_pass and one row format per record."""
+    lines = []
+    for i, prep in enumerate(prepared):
+        try:
+            trace = gate_pass(params, prep)
+        except NonFiniteLogits as exc:
+            raise DivergenceError(f"non-finite logits for record {i + 1}") from exc
+        sentences = ["null" if sid < 0 else sid for sid in prep.sentence_id.tolist()]
+        columns = zip(sentences, trace.p_label.tolist(), trace.q_max.tolist(),
+                      prep.signals.support_weight.tolist(), trace.pref_gate.tolist(),
+                      trace.keep_gate.tolist(), trace.alpha.tolist())
+        lines.extend(TRACE_ROW % (i, t, *row) for t, row in enumerate(columns))
+    return "".join(lines)
 
 
 def generate_reference(config: GeneratorConfig) -> list[AnnotatedExample]:

@@ -14,6 +14,7 @@ from prism.corpus import MAX_CORPUS_TOKENS, GeneratorConfig, generate, read_json
 from prism.errors import ConfigError, DivergenceError
 from prism.harness import (
     CSV_HEADER,
+    TRACE_GROUP_BYTES,
     MetricsReport,
     RunConfig,
     cmd_ablate,
@@ -41,7 +42,7 @@ import prism
 from prism.objective import softmax_probs
 
 import oracles
-from oracles import redistribute, trace_rows_reference
+from oracles import redistribute, trace_rows_reference, trace_text_per_record
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +71,11 @@ def edit_array(node, edit):
     """The checkpoint entry of edit(array of `node`)."""
     arr = np.asarray(edit(decode_array(node)), dtype=np.float64)
     return {"shape": list(arr.shape), "data": base64.b64encode(arr.astype("<f8").tobytes()).decode()}
+
+
+def trace_row_bytes(params):
+    """The bytes of one position's x, hidden and logits rows in trace's groups."""
+    return 8 * (params.w1.shape[0] + params.w1.shape[1] + params.vocab_size)
 
 
 def run_config(corpus, out, **overrides):
@@ -525,21 +531,40 @@ class TestTraceCommand:
         assert any(r["alpha"] > 0 for r in rows) and any(r["pref_gate"] == 0 for r in rows)
 
     @staticmethod
-    def poison_record_3(monkeypatch, prepared, value):
-        """Make one logit of record 3 non-finite, for cmd_trace and the oracles.
-        Record 3 is told by its set of windows, which cmd_trace forwards
-        distinct and sorted, and the oracle per position."""
-        record_3 = np.unique(prepared[2].distinct[prepared[2].window_id], axis=0)
+    def poison_record(monkeypatch, prepared, record, value):
+        """Make one logit of `record` (1-based) non-finite, for cmd_trace and
+        the oracles.  The record is told by its set of windows: cmd_trace
+        forwards each record's distinct windows, sorted, as one block of
+        forward_batch's `splits`, and the oracle forwards a record per
+        position."""
+        prep = prepared[record - 1]
+        target = np.unique(prep.distinct[prep.window_id], axis=0)
         real = forward_batch
 
-        def poisoned(params, windows, out=None):
-            logits, cache = real(params, windows, out)
-            if np.array_equal(np.unique(windows, axis=0), record_3):
-                logits[1, 3] = value
+        def poisoned(params, windows, out=None, splits=None):
+            logits, cache = real(params, windows, out, splits)
+            bounds = [0, len(windows)] if splits is None else splits
+            for a, b in zip(bounds[:-1], bounds[1:]):
+                if np.array_equal(np.unique(windows[a:b], axis=0), target):
+                    logits[a + 1, 3] = value
             return logits, cache
 
         monkeypatch.setattr(prism.model, "forward_batch", poisoned)
         monkeypatch.setattr(oracles, "forward_batch", poisoned)
+
+    @staticmethod
+    def trace_groups(monkeypatch, *args):
+        """The records of each gate_pass of cmd_trace(*args)."""
+        groups, real = [], prism.model.gate_pass
+
+        def spy(params, prepared, per_example=False):
+            groups.append(len(prepared))
+            return real(params, prepared, per_example)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(prism.model, "gate_pass", spy)
+            cmd_trace(*args)
+        return groups
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_logits_give_the_reference_error(self, checkpoint_path, corpus_path, capsys,
@@ -547,7 +572,9 @@ class TestTraceCommand:
         ck = load_checkpoint(checkpoint_path)
         prepared = prepare_examples(read_jsonl(corpus_path, 5), ck.params.window, ck.params.vocab_size)
         earlier = "".join(json.dumps(row) + "\n" for row in trace_rows_reference(ck.params, prepared[:2]))
-        self.poison_record_3(monkeypatch, prepared, value)
+        assert self.trace_groups(monkeypatch, checkpoint_path, corpus_path, 5, None) == [5]
+        capsys.readouterr()
+        self.poison_record(monkeypatch, prepared, 3, value)
         errors = []
         for fn in (lambda: cmd_trace(checkpoint_path, corpus_path, limit=5, out=None),
                    lambda: trace_rows_reference(ck.params, prepared)):
@@ -555,7 +582,7 @@ class TestTraceCommand:
                 fn()
             errors.append(str(info.value))
         assert errors == ["non-finite logits for record 3"] * 2
-        # rows go out record by record: stdout holds exactly those of records 1 and 2
+        # record 3 sits in the middle of the one group: stdout holds exactly the rows of records 1 and 2
         assert capsys.readouterr().out == earlier and earlier
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
@@ -563,7 +590,7 @@ class TestTraceCommand:
                                                   monkeypatch, value):
         ck = load_checkpoint(checkpoint_path)
         prepared = prepare_examples(read_jsonl(corpus_path, 5), ck.params.window, ck.params.vocab_size)
-        self.poison_record_3(monkeypatch, prepared, value)
+        self.poison_record(monkeypatch, prepared, 3, value)
         out = tmp_path / "trace.jsonl"
         assert main(["trace", "--checkpoint", checkpoint_path, "--corpus", corpus_path, "--limit", "5",
                      "--out", str(out)]) == 3
@@ -571,23 +598,62 @@ class TestTraceCommand:
         assert captured.out == "" and captured.err == "numeric divergence: non-finite logits for record 3\n"
         assert os.listdir(tmp_path) == []  # no trace, no *.tmp file
 
-    def test_forward_batch_gets_each_records_distinct_windows(self, checkpoint_path, corpus_path, tmp_path,
-                                                               monkeypatch):
+    def test_non_finite_record_in_the_middle_of_a_later_group(self, checkpoint_path, corpus_path, tmp_path,
+                                                             capsys, monkeypatch):
+        ck = load_checkpoint(checkpoint_path)
+        prepared = prepare_examples(read_jsonl(corpus_path, 12), ck.params.window, ck.params.vocab_size)
+        # a budget of records 1-4's positions: they make the first group
+        monkeypatch.setattr(prism.harness, "TRACE_GROUP_BYTES", trace_row_bytes(ck.params) * int(prepared.offsets[4]))
+        groups = self.trace_groups(monkeypatch, checkpoint_path, corpus_path, 12, None)
+        assert groups[0] == 4 and groups[1] >= 3 and sum(groups) == 12
+        record = 4 + groups[1] // 2 + 1  # 1-based, neither first nor last of the second group
+        earlier = "".join(json.dumps(row) + "\n" for row in trace_rows_reference(ck.params, prepared[:record - 1]))
+        capsys.readouterr()
+        self.poison_record(monkeypatch, prepared, record, np.nan)
+        with pytest.raises(DivergenceError, match=f"^non-finite logits for record {record}$"):
+            cmd_trace(checkpoint_path, corpus_path, limit=12, out=None)
+        assert capsys.readouterr().out == earlier  # the first group, then the second's records before it
+        out = tmp_path / "trace.jsonl"
+        assert main(["trace", "--checkpoint", checkpoint_path, "--corpus", corpus_path, "--limit", "12",
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"numeric divergence: non-finite logits for record {record}\n"
+        assert os.listdir(tmp_path) == []
+
+    @staticmethod
+    def forward_calls(monkeypatch, checkpoint_path, corpus_path, out):
+        """The forward_batch calls of a 12-record cmd_trace, after checking
+        that each record's matmul block holds exactly its sorted distinct
+        windows."""
         ck = load_checkpoint(checkpoint_path)
         prepared = prepare_examples(read_jsonl(corpus_path, 12), ck.params.window, ck.params.vocab_size)
         forwarded, real = [], forward_batch
 
-        def forward(params, windows, out=None):
-            forwarded.append(np.array(windows))
-            return real(params, windows, out)
+        def forward(params, windows, out=None, splits=None):
+            forwarded.append((np.array(windows), splits))
+            return real(params, windows, out, splits)
 
         monkeypatch.setattr(prism.model, "forward_batch", forward)
-        assert cmd_trace(checkpoint_path, corpus_path, limit=12, out=str(tmp_path / "trace.jsonl")) \
-            == len(prepared.labels)
-        assert len(forwarded) == len(prepared) == 12
-        for windows, prep in zip(forwarded, prepared):
+        assert cmd_trace(checkpoint_path, corpus_path, limit=12, out=out) == len(prepared.labels)
+        blocks = [windows[a:b] for windows, splits in forwarded for a, b in zip(splits[:-1], splits[1:])]
+        assert len(blocks) == len(prepared) == 12
+        for windows, prep in zip(blocks, prepared):
             assert windows.tobytes() == prep.distinct_rows()[0].tobytes()
-        assert sum(map(len, forwarded)) < len(prepared.labels)  # some record repeats a window
+        assert sum(map(len, blocks)) < len(prepared.labels)  # some record repeats a window
+        return forwarded
+
+    def test_forward_batch_gets_each_records_distinct_windows(self, checkpoint_path, corpus_path, tmp_path,
+                                                               monkeypatch):
+        forwarded = self.forward_calls(monkeypatch, checkpoint_path, corpus_path, str(tmp_path / "trace.jsonl"))
+        assert len(forwarded) == 1  # the twelve records make one group
+
+    def test_forward_batch_gets_each_records_distinct_windows_in_groups(self, checkpoint_path, corpus_path,
+                                                                         tmp_path, monkeypatch):
+        ck = load_checkpoint(checkpoint_path)
+        lengths = np.diff(prepare_examples(read_jsonl(corpus_path, 12), ck.params.window,
+                                           ck.params.vocab_size).offsets)
+        monkeypatch.setattr(prism.harness, "TRACE_GROUP_BYTES", trace_row_bytes(ck.params) * 3 * int(lengths.max()))
+        forwarded = self.forward_calls(monkeypatch, checkpoint_path, corpus_path, str(tmp_path / "trace.jsonl"))
+        assert 1 < len(forwarded) <= 4  # any three records fit in one group, and not all twelve
 
     def test_config_hash_mismatch_fails(self, corpus_path, tmp_path, capsys):
         out = str(tmp_path / "run")
@@ -771,6 +837,68 @@ class TestTraceCommand:
         assert captured.err == f"config error: --limit must be >= 0 (0 = all), got {limit}\n"
         assert captured.out == ""
         assert not os.path.exists(out)
+
+
+# Corpora shaped like the benchmark's three workloads, smaller: each traces
+# in several groups at the models' 8 * (4 * 32 + 64 + V) bytes per row.
+GROUPED_CORPORA = {
+    "sweep": (dict(n_examples=600), {}),
+    "long_docs": (dict(n_examples=60, facts_per_sentence=4, sentence_length=13, sentences_min=8,
+                       sentences_max=16, dependency_p=0.5, chunk_limit=180), dict(risk_propagation="fixpoint")),
+    "wide_vocab": (dict(n_examples=200, vocab_size=1024, n_keys=200, n_values=200, sentence_length=6),
+                   dict(vocab_size=1024)),
+}
+
+
+class TestTraceGroups:
+    @pytest.fixture(scope="class", params=sorted(GROUPED_CORPORA))
+    def grouped_run(self, request, tmp_path_factory):
+        generator, training = GROUPED_CORPORA[request.param]
+        base = tmp_path_factory.mktemp(request.param)
+        corpus = str(base / "corpus.jsonl")
+        cmd_preprocess(GeneratorConfig(**{**dict(vocab_size=70, n_keys=20, n_values=20, sentence_length=5,
+                                                 corruption_fraction=0.3, risk_min=0.5, risk_max=0.9,
+                                                 dependency_p=0.25, seed=5), **generator}, out=corpus))
+        cmd_train(run_config(corpus, str(base / "run"), steps=40, batch_size=16, learning_rate=0.01,
+                             embed_dim=32, hidden_dim=64, window=4, **training))
+        return str(base / "run" / "checkpoint.json"), corpus
+
+    def test_bytes_equal_the_per_record_oracle(self, grouped_run, tmp_path, capsys, monkeypatch):
+        ck_path, corpus = grouped_run
+        ck = load_checkpoint(ck_path)
+        params = ck.params
+
+        def oracle(limit):
+            prepared = prepare_examples(read_jsonl(corpus, limit), params.window, params.vocab_size,
+                                        risk_mode=ck.config["risk_propagation"])
+            return trace_text_per_record(params, prepared).encode(), prepared.offsets
+
+        forwarded, real = [], forward_batch
+
+        def forward(params, windows, out=None, splits=None):
+            forwarded.append((len(windows), len(splits) - 1))
+            return real(params, windows, out, splits)
+
+        whole = tmp_path / "whole.jsonl"
+        with monkeypatch.context() as patch:
+            patch.setattr(prism.model, "forward_batch", forward)
+            cmd_trace(ck_path, corpus, 0, str(whole))
+        expected, offsets = oracle(0)
+        assert whole.read_bytes() == expected
+        # several groups, none of whose x, hidden and logits hold more than the budget
+        groups = [records for _, records in forwarded]
+        assert len(groups) > 2 and groups[1] >= 2 and sum(groups) == len(offsets) - 1
+        assert all(rows * trace_row_bytes(params) <= TRACE_GROUP_BYTES for rows, _ in forwarded)
+
+        lines = whole.read_bytes().splitlines(keepends=True)
+        mid = groups[0] + groups[1] // 2  # a limit that ends in the middle of the second group
+        capsys.readouterr()
+        assert cmd_trace(ck_path, corpus, mid, None) == offsets[mid]
+        assert capsys.readouterr().out.encode() == oracle(mid)[0]
+        # record i's rows, and those before it, are the same under --limit i + 1 and --limit 0
+        for limit in (1, groups[0], groups[0] + 1, mid, len(offsets) - 1):
+            cmd_trace(ck_path, corpus, limit, None)
+            assert capsys.readouterr().out.encode() == b"".join(lines[:offsets[limit]])
 
 
 class TestReportCommand:

@@ -26,6 +26,7 @@ from prism.model import (
     distinct_windows,
     evaluate,
     forward_batch,
+    gate_pass,
     infer_vocab_size,
     init_optimizer,
     init_params,
@@ -98,6 +99,24 @@ class TestForward:
     def test_window_shape_checked(self):
         with pytest.raises(ValueError):
             forward_batch(tiny_params(), np.array([[1, 2]]))
+
+    def test_split_blocks_have_the_bits_of_their_own_forward(self):
+        params = init_params(30, 8, 16, 4, np.random.default_rng(8))
+        windows = np.random.default_rng(9).integers(0, 30, size=(40, 4))
+        splits = [0, 1, 2, 2, 19, 40]  # one-row blocks, an empty one and two wider ones
+        logits, (x, hidden) = forward_batch(params, windows, splits=splits)
+        for a, b in zip(splits[:-1], splits[1:]):
+            if a == b:
+                continue  # forward_batch refuses an empty batch of its own
+            alone, (alone_x, alone_hidden) = forward_batch(params, windows[a:b])
+            assert bits(logits[a:b]) == bits(alone)
+            assert bits(x[a:b]) == bits(alone_x) and bits(hidden[a:b]) == bits(alone_hidden)
+        assert bits(forward_batch(params, windows, splits=[0, 40])[0]) == bits(forward_batch(params, windows)[0])
+
+    @pytest.mark.parametrize("splits", [[0], [0, 5], [1, 6], [0, 4, 3, 6], [0, 7], [-1, 0, 6]])
+    def test_splits_must_rise_from_zero_to_the_batch(self, splits):
+        with pytest.raises(ValueError, match="splits must rise from 0 to 6"):
+            forward_batch(tiny_params(), np.zeros((6, 1), dtype=np.int64), splits=splits)
 
 
 class TestBackward:
@@ -787,6 +806,32 @@ class TestStepBuffers:
                     grads_again = backward_batch(params, windows, again[1], reused_cache, out=views)
                     assert all(bits(grads_again[name]) == bits(grads[name]) for name in PARAM_FIELDS)
         assert active > 0
+
+
+class TestGatePass:
+    def test_per_example_equals_a_pass_over_each_example(self):
+        prep = prepare_examples(small_corpus(n=40), window=4, vocab_size=70)
+        params = init_params(70, 8, 12, 4, np.random.default_rng(6))
+        grouped = gate_pass(params, prep, per_example=True)
+        for field in ("p_label", "q_max", "pref_gate", "keep_gate", "alpha", "top1"):
+            alone = np.concatenate([getattr(gate_pass(params, p), field) for p in prep])
+            assert bits(getattr(grouped, field)) == bits(alone)
+
+    def test_per_example_forwards_each_examples_distinct_windows(self, monkeypatch):
+        import prism.model as model_mod
+        prep = prepare_examples(small_corpus(n=12), window=4, vocab_size=70)[3:]
+        forwarded, original_forward = [], model_mod.forward_batch
+
+        def forward(params, windows, out=None, splits=None):
+            forwarded.append((np.array(windows), splits))
+            return original_forward(params, windows, out=out, splits=splits)
+
+        monkeypatch.setattr(model_mod, "forward_batch", forward)
+        gate_pass(init_params(70, 8, 12, 4, np.random.default_rng(6)), prep, per_example=True)
+        [(windows, splits)] = forwarded
+        assert len(splits) == len(prep) + 1
+        for a, b, p in zip(splits[:-1], splits[1:], prep):
+            assert bits(windows[a:b]) == bits(p.distinct_rows()[0])
 
 
 class TestEvaluate:
