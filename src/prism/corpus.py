@@ -395,33 +395,27 @@ def _token_list(obj: object, name: str, lineno: int | None) -> list[int]:
     return list(obj)  # type: ignore[call-overload]
 
 
-def _check_sentence(s: Any, lineno: int | None) -> None:
-    """The per-key checks of one sentence object."""
-    _require(isinstance(s, dict), "field 'sentences' must contain objects", lineno)
-    for key in ("start", "end", "risk"):
-        _require(key in s, "sentence missing field {!r}", lineno, key)
-    _require(type(s["start"]) is int and type(s["end"]) is int,
-             "sentence fields 'start'/'end' must be integers", lineno)
-    risk = s["risk"]  # its range is an annotation rule, checked with the others
-    _require(isinstance(risk, float) or type(risk) is int and abs(risk) <= sys.float_info.max,
-             "field 'risk' must be a number", lineno)
+# Each list field's objects: the name its messages use, and each key with the
+# JSON type its value must have.  An integer is never a boolean; a number is a
+# float, or an integer finite as a float (a risk's range is an annotation rule).
+_INTEGER = ("an integer", lambda v: type(v) is int)
+_NUMBER = ("a number", lambda v: isinstance(v, float) or type(v) is int and abs(v) <= sys.float_info.max)
+_OBJECT_KEYS = {
+    "sentences": ("sentence", {"start": _INTEGER, "end": _INTEGER, "risk": _NUMBER}),
+    "facts": ("fact", {"id": _INTEGER, "start": _INTEGER, "end": _INTEGER, "sentence": _INTEGER}),
+    "edges": ("edge", {"from": _INTEGER, "to": _INTEGER}),
+}
 
 
-def _check_fact(f: Any, lineno: int | None) -> None:
-    """The per-key checks of one fact object."""
-    _require(isinstance(f, dict), "field 'facts' must contain objects", lineno)
-    for key in ("id", "start", "end", "sentence"):
-        _require(key in f, "fact missing field {!r}", lineno, key)
-    _require(type(f["start"]) is int and type(f["end"]) is int and type(f["sentence"]) is int,
-             "fact fields 'start'/'end'/'sentence' must be integers", lineno)
-    _require(type(f["id"]) is int, "fact field 'id' must be an integer", lineno)
-
-
-def _check_edge(e: Any, lineno: int | None) -> None:
-    """The per-key checks of one edge object."""
-    _require(isinstance(e, dict), "field 'edges' must contain objects", lineno)
-    for key in ("from", "to"):
-        _require(key in e and type(e[key]) is int, "edge field {!r} must be an integer", lineno, key)
+def _check_object(obj: Any, field: str, lineno: int | None) -> None:
+    """The per-key checks of one object of list field `field`, from
+    _OBJECT_KEYS: the first key, in its order, that is missing or of the
+    wrong type is named."""
+    _require(isinstance(obj, dict), "field {!r} must contain objects", lineno, field)
+    name, keys = _OBJECT_KEYS[field]
+    for key, (kind, fits) in keys.items():
+        _require(key in obj, "{} missing field {!r}", lineno, name, key)
+        _require(fits(obj[key]), "{} field {!r} must be {}", lineno, name, key, kind)
 
 
 def _list_field(record: dict, name: str, lineno: int | None) -> list:
@@ -444,11 +438,11 @@ def example_from_record(record: dict, lineno: int | None = None, shared: dict | 
 
     Span bounds, sentence ids, edge endpoints and fact ids must be JSON
     integers (not booleans).  Each sentence, fact and edge is checked in one
-    condition; only an object that fails it takes the per-key checks, which
-    name the first rule it breaks, or accept it (a sentence risk that is an
-    integer).  Facts and edges, whose fields are integers, are immutable:
-    equal ones are one object per `shared` map, which read_jsonl keeps for a
-    whole file.
+    condition; only an object that fails it takes _check_object's per-key
+    checks, which name the first key it gets wrong, or accept it (a sentence
+    risk that is an integer).  Facts and edges, whose fields are integers,
+    are immutable: equal ones are one object per `shared` map, which
+    read_jsonl keeps for a whole file.
     """
     if shared is None:
         shared = {}
@@ -464,20 +458,20 @@ def example_from_record(record: dict, lineno: int | None = None, shared: dict | 
     for i, s in enumerate(_list_field(record, "sentences", lineno), 1):
         if not (type(s) is dict and type(s.get("start")) is int and type(s.get("end")) is int
                 and type(s.get("risk")) is float):
-            _check_sentence(s, lineno)
+            _check_object(s, "sentences", lineno)
         sentences.append(SentenceSpan(i, s["start"], s["end"], float(s["risk"])))
 
     facts = []
     for f in _list_field(record, "facts", lineno):
         if not (type(f) is dict and type(f.get("id")) is int and type(f.get("start")) is int
                 and type(f.get("end")) is int and type(f.get("sentence")) is int):
-            _check_fact(f, lineno)
+            _check_object(f, "facts", lineno)
         facts.append(_shared(shared, FactSpan, f["id"], f["start"], f["end"], f["sentence"]))
 
     edges = []
     for e in _list_field(record, "edges", lineno):
         if not (type(e) is dict and type(e.get("from")) is int and type(e.get("to")) is int):
-            _check_edge(e, lineno)
+            _check_object(e, "edges", lineno)
         edges.append(_shared(shared, DependencyEdge, e["from"], e["to"]))
 
     if "valid" in record:

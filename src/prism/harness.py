@@ -114,23 +114,15 @@ class MetricsReport:
     @classmethod
     def read(cls, path: str) -> MetricsReport:
         """Load a metrics.json written by `write`, checking every field's name and
-        type.  Older files' baseline_run_id and deltas (always null and {}) are ignored."""
-        hints = get_type_hints(cls)
+        type (config_from_dict).  Older files' baseline_run_id and deltas (always
+        null and {}) are ignored."""
         try:
             with open(path, encoding="utf-8") as fh:
                 data = json.load(fh)
-            if not isinstance(data, dict):
-                raise TypeError("not a JSON object")
-            fields = {}
-            for key, value in data.items():
-                if key in ("baseline_run_id", "deltas"):
-                    continue
-                name = _CONFIG_ALIASES.get(key, key)
-                if name in hints and not _fits(value, hints[name]):
-                    raise TypeError(f"field {key!r} has the wrong type")
-                fields[name] = value
-            return cls(**fields)
-        except (TypeError, ValueError) as exc:  # ValueError: bad JSON or bytes that are not UTF-8
+            if isinstance(data, dict):
+                data = {key: value for key, value in data.items() if key not in {"baseline_run_id", "deltas"}}
+            return config_from_dict(cls, data, decoded=True)
+        except (TypeError, ValueError) as exc:  # also a missing field, bad JSON or bytes that are not UTF-8
             raise RunFileError(f"malformed metrics file {path}: {exc}") from exc
 
 
@@ -183,9 +175,13 @@ def parse_config_file(path: str) -> dict[str, str]:
     return raw
 
 
-def config_from_dict(cls, raw: dict):
-    """Build a config dataclass from key/value pairs: strings from a config
-    file, or the JSON values of a resolved config."""
+def config_from_dict(cls, raw: object, decoded: bool = False):
+    """Build a dataclass from key/value pairs: strings from a config file,
+    each parsed as its field's type, or with `decoded` a decoded JSON object
+    (a run file's), whose values must have their field's type (_fits) and
+    are kept as they are."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{cls.__name__} must be a JSON object, got {type(raw).__name__}")
     hints = get_type_hints(cls)
     names = {f.name for f in dataclasses.fields(cls)}
     kwargs = {}
@@ -194,8 +190,10 @@ def config_from_dict(cls, raw: dict):
         if name not in names:
             raise ConfigError(f"unknown config key {key!r} for {cls.__name__}")
         target = hints[name]
+        if decoded and not _fits(value, target):
+            raise ConfigError(f"field {key!r} has the wrong type")
         try:
-            kwargs[name] = target(value)
+            kwargs[name] = value if decoded else target(value)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"config key {key!r}: cannot parse {value!r} as {target.__name__}") from exc
     return cls(**kwargs)
@@ -547,9 +545,7 @@ def cmd_trace(checkpoint_path: str, corpus_path: str, limit: int, out: str | Non
     ck = load_checkpoint(checkpoint_path)
     params = ck.params
     try:
-        if not isinstance(ck.config, dict):
-            raise ConfigError("config is not a JSON object")
-        settings = config_from_dict(RunConfig, ck.config)
+        settings = config_from_dict(RunConfig, ck.config, decoded=True)
         settings.validate()
         check_model_size(settings, params.vocab_size)
         shape = (params.window, params.embed_dim, params.w1.shape[1], params.vocab_size)

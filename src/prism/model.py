@@ -138,7 +138,7 @@ _FRESH = StepViews(*[None] * len(StepViews._fields))
 def forward_batch(
     params: ModelParams, windows: np.ndarray, out: StepViews | None = None, splits: Sequence[int] | None = None
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Logits [B, V] for a batch of token windows [B, window], plus the
+    """Logits [B, V] for a batch of token windows [B, window], B >= 0, plus the
     activations needed by backward_batch; with `out`, all three are written
     into its logits, x and hidden.  `splits`, row offsets 0 = s_0 <= s_1 <=
     ... <= s_k = B, split the two matmuls: each block s_j:s_j+1 gets its own
@@ -158,7 +158,7 @@ def forward_batch(
     # The ids are checked, so mode="clip" changes none; it lets take write
     # into `out` without an intermediate copy.
     x = np.take(params.embedding, w, axis=0, mode="clip",
-                out=None if o.x is None else o.x.reshape(*w.shape, -1)).reshape(w.shape[0], -1)
+                out=None if o.x is None else o.x.reshape(*w.shape, params.embed_dim)).reshape(len(w), len(params.w1))
     hidden = np.empty((len(w), params.w1.shape[1])) if o.hidden is None else o.hidden
     for b in blocks:
         np.matmul(x[b], params.w1, out=hidden[b])
@@ -618,18 +618,14 @@ def gate_pass(params: ModelParams, prepared: PreparedCorpus, per_example: bool =
     finite).  With `per_example`, each example's distinct windows, in
     window-id order, get their own matmuls (forward_batch's `splits`), so an
     example's values are those of a gate_pass over it alone."""
-    # Only the logits are kept, so the activations are freed before the softmax.
-    if per_example:
-        # One np.unique over (example, window id) keys gives each example's
-        # distinct windows, example after example.
-        n_ids = len(prepared.distinct)
-        example = np.repeat(np.arange(len(prepared)), np.diff(prepared.offsets))
-        keys, rows = np.unique(example * n_ids + prepared.window_id, return_inverse=True)
-        splits = np.searchsorted(keys, np.arange(len(prepared) + 1) * n_ids).tolist()
-        logits = forward_batch(params, prepared.distinct[keys % n_ids], splits=splits)[0]
-    else:
-        windows, rows = prepared.distinct_rows()
-        logits = forward_batch(params, windows)[0]
+    # One np.unique over (block, window id) keys gives each block's distinct windows,
+    # block after block: an example with `per_example`, else all of `prepared`.  Only
+    # the logits are kept, so the activations are freed before the softmax.
+    n_ids, n_blocks = len(prepared.distinct), len(prepared) if per_example else 1
+    block = np.repeat(np.arange(n_blocks), np.diff(prepared.offsets)) if per_example else 0
+    keys, rows = np.unique(block * n_ids + prepared.window_id, return_inverse=True)
+    splits = np.searchsorted(keys, np.arange(n_blocks + 1) * n_ids).tolist()
+    logits = forward_batch(params, prepared.distinct[keys % n_ids], splits=splits)[0]
     return gate_trace(softmax_probs(logits, out=logits), prepared.labels, prepared.signals, rows=rows)
 
 
@@ -747,19 +743,16 @@ def load_checkpoint(path: str) -> Checkpoint:
     """Read a checkpoint, verify its config hash, and check its schema and
     that every parameter array is finite and has the shape the others imply.
     A version 2 checkpoint is read the same way, and its seed, bos_token and
-    optimizer state are ignored; a version 1 checkpoint (nested lists) is
-    refused."""
+    optimizer state are ignored; any other version, or none, is refused."""
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
         except ValueError as exc:  # bad JSON or bytes that are not UTF-8
             raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
     version = payload.get("format_version") if isinstance(payload, dict) else None
-    if version == 1:
-        raise CheckpointError(f"checkpoint {path} has format version 1, which is no longer read; "
+    if type(version) is not int or version not in (2, CHECKPOINT_VERSION):  # 3.0 and true are not versions
+        raise CheckpointError(f"checkpoint {path} has format version {version!r}, which is not read; "
                               f"retrain to write a version {CHECKPOINT_VERSION} checkpoint")
-    if version not in (2, CHECKPOINT_VERSION):
-        raise CheckpointError(f"unsupported checkpoint version {version!r}")
     config = payload.get("config")
     if config_digest(config) != payload.get("config_hash"):
         raise CheckpointError("checkpoint config hash mismatch")

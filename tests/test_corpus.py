@@ -17,9 +17,7 @@ from prism.corpus import (
     GeneratorConfig,
     N_SPECIAL,
     TOKEN_PERIOD,
-    _check_edge,
-    _check_fact,
-    _check_sentence,
+    _check_object,
     atomic_write,
     chunk,
     example_from_record,
@@ -446,27 +444,28 @@ class TestJsonl:
         for bad in ("0.5", True, 10**400):
             record["sentences"][0]["risk"] = bad
             path.write_text(json.dumps(record) + "\n")
-            with pytest.raises(CorpusFormatError, match="line 1: field 'risk' must be a number"):
+            with pytest.raises(CorpusFormatError, match="line 1: sentence field 'risk' must be a number"):
                 read_jsonl(str(path))
 
     JSON_VALUES = st.one_of(st.integers(min_value=-3, max_value=2**70), st.booleans(), st.none(),
                             st.floats(allow_nan=False), st.text(max_size=2), st.lists(st.integers(), max_size=1))
 
-    @given(st.sampled_from([("sentences", ("start", "end", "risk"), _check_sentence),
-                            ("facts", ("id", "start", "end", "sentence"), _check_fact),
-                            ("edges", ("from", "to"), _check_edge)]),
+    @given(st.sampled_from([("sentences", ("start", "end", "risk")),
+                            ("facts", ("id", "start", "end", "sentence")),
+                            ("edges", ("from", "to"))]),
            st.data())
     @settings(max_examples=300)
     def test_one_condition_agrees_with_the_per_key_checks(self, kind, data):
-        """An object passes the decoder iff it passes the per-key checks, and
-        then decodes to its own values; otherwise both give one message."""
-        field, keys, check = kind
+        """An object passes the decoder iff it passes the key table's per-key
+        checks, and then decodes to its own values; otherwise both give one
+        message."""
+        field, keys = kind
         obj = data.draw(st.one_of(st.fixed_dictionaries({}, optional={k: self.JSON_VALUES for k in keys}),
                                   st.fixed_dictionaries({k: st.integers(0, 9) for k in keys}),
                                   self.JSON_VALUES))
         record = {"input": [1], "target": [2, 3], "sentences": [], "facts": [], "edges": [], field: [obj]}
         try:
-            check(obj, 7)
+            _check_object(obj, field, 7)
         except CorpusFormatError as exc:
             with pytest.raises(CorpusFormatError) as info:
                 example_from_record(record, 7)

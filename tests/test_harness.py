@@ -714,9 +714,25 @@ class TestTraceCommand:
         assert main(["trace", "--checkpoint", str(ck_path), "--corpus", corpus_path,
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err == (f"i/o error: checkpoint {ck_path} has format version 1, "
-                                           "which is no longer read; retrain to write a version 3 "
+                                           "which is not read; retrain to write a version 3 "
                                            "checkpoint\n")
         assert os.listdir(tmp_path) == ["v1.json"]
+
+    @pytest.mark.parametrize("version, shown", [(4, "4"), ("3", "'3'"), (3.0, "3.0"), (None, "None"), (..., "None")],
+                             ids=["4", "str", "float", "null", "missing"])
+    def test_every_unread_version_gets_the_same_refusal(self, checkpoint_path, corpus_path, tmp_path, capsys,
+                                                        version, shown):
+        payload = json.loads(open(checkpoint_path).read())
+        payload["format_version"] = version
+        if version is ...:
+            del payload["format_version"]
+        ck_path = tmp_path / "unread.json"
+        ck_path.write_text(json.dumps(payload))
+        assert main(["trace", "--checkpoint", str(ck_path), "--corpus", corpus_path,
+                     "--out", str(tmp_path / "trace.jsonl")]) == 2
+        assert capsys.readouterr().err == (f"i/o error: checkpoint {ck_path} has format version {shown}, "
+                                           "which is not read; retrain to write a version 3 checkpoint\n")
+        assert os.listdir(tmp_path) == ["unread.json"]
 
     def test_checkpoint_arrays_are_base64_of_little_endian_float64(self, checkpoint_path):
         payload = json.loads(open(checkpoint_path).read())
@@ -754,15 +770,24 @@ class TestTraceCommand:
         assert traces[0] == traces[1] and traces[0]
 
     @pytest.mark.parametrize("damage, shown", [
-        (lambda c: [c], "config is not a JSON object"),
+        (lambda c: [c], "RunConfig must be a JSON object, got list"),
         (lambda c: {**c, "epsilon": 0.5}, "epsilon must be in"),
         (lambda c: {**c, "risk_propagation": "sideways"}, "risk_propagation must be one of"),
-        (lambda c: {**c, "epsilon": None}, "config key 'epsilon': cannot parse None"),
+        (lambda c: {**c, "epsilon": None}, "field 'epsilon' has the wrong type"),
         (lambda c: {**c, "color": "red"}, "unknown config key 'color'"),
         (lambda c: {**c, "embed_dim": 13}, ", 13, 16, "),
         (lambda c: {**c, "vocab_size": 2**16}, f", 16, {2**16})"),
+        # a value of the wrong JSON type is refused, never converted to the field's type
+        (lambda c: {**c, "window": 4.9}, "field 'window' has the wrong type"),
+        (lambda c: {**c, "window": True}, "field 'window' has the wrong type"),
+        (lambda c: {**c, "window": "4"}, "field 'window' has the wrong type"),
+        (lambda c: {**c, "embed_dim": str(c["embed_dim"])}, "field 'embed_dim' has the wrong type"),
+        (lambda c: {**c, "lambda": "0.1"}, "field 'lambda' has the wrong type"),
+        (lambda c: {**c, "steps": 2.5}, "field 'steps' has the wrong type"),
+        (lambda c: {**c, "corpus": 123}, "field 'corpus' has the wrong type"),
     ], ids=["not_object", "epsilon_range", "risk_mode", "epsilon_null", "unknown_key", "other_embed_dim",
-            "other_vocab_size"])
+            "other_vocab_size", "window_float", "window_bool", "window_str", "embed_dim_str", "lambda_str",
+            "steps_float", "corpus_int"])
     def test_damaged_config_with_matching_hash_is_2(self, checkpoint_path, corpus_path, tmp_path,
                                                     capsys, damage, shown):
         payload = json.loads(open(checkpoint_path).read())
@@ -776,7 +801,7 @@ class TestTraceCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"i/o error: malformed checkpoint {ck_path}: ") and shown in err
         assert err.count("\n") == 1
-        assert not os.path.exists(out)
+        assert os.listdir(tmp_path) == ["damaged.json"]  # no trace, no *.tmp file
 
     def test_overflowing_logits_are_3(self, checkpoint_path, corpus_path, tmp_path, capsys):
         # finite weights, so the checkpoint loads; its config hash still matches
@@ -958,11 +983,12 @@ class TestReportCommand:
 
     @pytest.mark.parametrize("damage, shown", [
         (lambda m: m.pop("seed"), "missing 1 required positional argument"),
-        (lambda m: m.update(color="red"), "unexpected keyword argument 'color'"),
+        (lambda m: m.update(color="red"), "unknown config key 'color' for MetricsReport"),
         (lambda m: m.update({"lambda": "0"}), "field 'lambda' has the wrong type"),
         (lambda m: m["metrics"].update(final_total=[1.0]), "field 'metrics' has the wrong type"),
         (lambda m: m.update(seed=True), "field 'seed' has the wrong type"),
-        (lambda m: m.update(baseline_run_id=None, deltas={}, color="red"), "unexpected keyword argument 'color'"),
+        (lambda m: m.update(baseline_run_id=None, deltas={}, color="red"),
+         "unknown config key 'color' for MetricsReport"),
     ], ids=["missing_field", "unknown_field", "lambda_str", "metric_list", "seed_bool", "older_keys_and_unknown"])
     def test_damaged_metrics_is_2(self, corpus_path, tmp_path, capsys, damage, shown):
         d = tmp_path / "sft"
@@ -1133,14 +1159,14 @@ class TestExitCodes:
         ("facts", [{"id": 0, "end": 1}], "line 2: fact missing field 'start'"),
         ("edges", [{"from": 1, "to": "2"}], "line 2: edge field 'to' must be an integer"),
         # span bounds, sentence ids, edge endpoints and fact ids are integers, never booleans
-        ("sentences", [{"start": False, "end": 1, "risk": 0.0}], "line 2: sentence fields 'start'/'end' must be integers"),
-        ("sentences", [{"start": 0, "end": True, "risk": 0.0}], "line 2: sentence fields 'start'/'end' must be integers"),
+        ("sentences", [{"start": False, "end": 1, "risk": 0.0}], "line 2: sentence field 'start' must be an integer"),
+        ("sentences", [{"start": 0, "end": True, "risk": 0.0}], "line 2: sentence field 'end' must be an integer"),
         ("facts", [{"id": 0, "start": False, "end": 1, "sentence": 1}],
-         "line 2: fact fields 'start'/'end'/'sentence' must be integers"),
+         "line 2: fact field 'start' must be an integer"),
         ("facts", [{"id": 0, "start": 0, "end": True, "sentence": 1}],
-         "line 2: fact fields 'start'/'end'/'sentence' must be integers"),
+         "line 2: fact field 'end' must be an integer"),
         ("facts", [{"id": 0, "start": 0, "end": 1, "sentence": True}],
-         "line 2: fact fields 'start'/'end'/'sentence' must be integers"),
+         "line 2: fact field 'sentence' must be an integer"),
         ("facts", [{"id": [1], "start": 0, "end": 1, "sentence": 1}], "line 2: fact field 'id' must be an integer"),
         ("facts", [{"id": True, "start": 0, "end": 1, "sentence": 1}], "line 2: fact field 'id' must be an integer"),
         ("edges", [{"from": True, "to": 2}], "line 2: edge field 'from' must be an integer"),

@@ -106,12 +106,19 @@ class TestForward:
         splits = [0, 1, 2, 2, 19, 40]  # one-row blocks, an empty one and two wider ones
         logits, (x, hidden) = forward_batch(params, windows, splits=splits)
         for a, b in zip(splits[:-1], splits[1:]):
-            if a == b:
-                continue  # forward_batch refuses an empty batch of its own
             alone, (alone_x, alone_hidden) = forward_batch(params, windows[a:b])
             assert bits(logits[a:b]) == bits(alone)
             assert bits(x[a:b]) == bits(alone_x) and bits(hidden[a:b]) == bits(alone_hidden)
         assert bits(forward_batch(params, windows, splits=[0, 40])[0]) == bits(forward_batch(params, windows)[0])
+
+    @pytest.mark.parametrize("with_out", [False, True], ids=["fresh", "out"])
+    def test_empty_batch_gives_empty_arrays(self, with_out):
+        params = init_params(30, 8, 16, 4, np.random.default_rng(8))
+        windows = np.zeros((0, 4), dtype=np.int64)
+        out = StepBuffers(params).views(0) if with_out else None
+        logits, (x, hidden) = forward_batch(params, windows, out=out)
+        assert (logits.shape, x.shape, hidden.shape) == ((0, 30), (0, 32), (0, 16))
+        assert forward_batch(params, windows, splits=[0, 0])[0].shape == (0, 30)
 
     @pytest.mark.parametrize("splits", [[0], [0, 5], [1, 6], [0, 4, 3, 6], [0, 7], [-1, 0, 6]])
     def test_splits_must_rise_from_zero_to_the_batch(self, splits):
@@ -878,15 +885,16 @@ class TestEvaluate:
         split = prepare_examples(small_corpus(n=40), window=4, vocab_size=70)[30:]
         forwarded, original_forward = [], model_mod.forward_batch
 
-        def forward(params, windows, out=None):
-            forwarded.append(np.array(windows))
-            return original_forward(params, windows, out=out)
+        def forward(params, windows, out=None, splits=None):
+            forwarded.append((np.array(windows), splits))
+            return original_forward(params, windows, out=out, splits=splits)
 
         monkeypatch.setattr(model_mod, "forward_batch", forward)
         params = init_params(70, 8, 12, 4, np.random.default_rng(6))
         metrics = evaluate(params, split)
-        assert len(forwarded) == 1 and len(forwarded[0]) < len(split.labels)
-        assert forwarded[0].tobytes() == split.distinct_rows()[0].tobytes()
+        [(windows, splits)] = forwarded
+        assert len(windows) < len(split.labels) and splits == [0, len(windows)]  # one block
+        assert windows.tobytes() == split.distinct_rows()[0].tobytes()
         monkeypatch.undo()
         assert repr(metrics) == repr(evaluate_reference(params, split))
 
