@@ -510,12 +510,6 @@ def cmd_ablate(cfg: RunConfig, lambdas: Sequence[float]) -> str:
 TRACE_ROW = ('{"example": %d, "position": %d, "sentence": %s, "p_label": %r, "q_max": %r, '
              '"w": %r, "pref_gate": %d, "keep_gate": %d, "alpha": %r}\n')
 
-# trace runs consecutive records as one group while their positions' float64
-# rows of x, hidden and logits fit in this many bytes (a larger record is a
-# group of its own): about 2,000 positions at V = 70 and 430 at V = 1024.
-TRACE_GROUP_BYTES = 4 * 2**20
-
-
 def _trace_text(params: ModelParams, prepared: PreparedCorpus, start: int, stop: int) -> str:
     """The trace rows of records start..stop-1, from one gate_pass with
     per-record matmuls."""
@@ -535,7 +529,7 @@ def cmd_trace(checkpoint_path: str, corpus_path: str, limit: int, out: str | Non
     """Dump per-token gate decisions of a checkpointed model over a corpus slice,
     with the risk propagation of the checkpoint's config, one JSON row per
     target position; returns the number of rows.  Records go through
-    gate_pass in groups of at most TRACE_GROUP_BYTES, each record with its
+    gate_pass in groups of at most model.BLOCK_BYTES, each record with its
     own matmuls, so its rows do not depend on the group; a group's rows are
     written before the next group's.  A non-finite record leaves the earlier
     records' rows on stdout, and no `out`.  The model must have its config's
@@ -561,8 +555,9 @@ def cmd_trace(checkpoint_path: str, corpus_path: str, limit: int, out: str | Non
         examples, params.window, params.vocab_size, risk_mode=settings.risk_propagation
     )
 
-    # A position's x, hidden and logits rows: 8 bytes per column.
-    group_rows = TRACE_GROUP_BYTES // (8 * (params.w1.shape[0] + params.w1.shape[1] + params.vocab_size))
+    # Consecutive records are one group while their positions fit in a block (a
+    # larger record is a group of its own).
+    group_rows = model_mod.block_rows(params)
     offsets, start = prepared.offsets, 0
     with (atomic_write(out) if out else contextlib.nullcontext(sys.stdout)) as fh:
         while start < len(prepared):

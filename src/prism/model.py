@@ -565,11 +565,16 @@ def train(prepared: PreparedCorpus, settings: TrainSettings) -> TrainResult:
             signals = replace(signals, valid_mask=knowledge_mask_valid(signals))
         # p_risky and p_safe read the distinct rows of the fact positions
         # only, and a row's softmax does not depend on the other rows.  They
-        # are read before total_loss writes its pass over the logits.
+        # are read before total_loss writes its pass over the logits, from a
+        # softmax run in place over the fact rows, gathered into the head of
+        # views.probs (total_loss writes over it later).  The fact rows are
+        # rows of the logits, so mode="clip" changes none; it lets take write
+        # into `out` without an intermediate copy.
         fact = signals.fact_mask
         fact_rows, fact_row_of = np.unique(rows[fact], return_inverse=True)
         try:
-            probs_label = softmax_probs(logits[fact_rows])[fact_row_of, labels[fact]]
+            head = np.take(logits, fact_rows, axis=0, mode="clip", out=views.probs[:len(fact_rows)])
+            probs_label = softmax_probs(head, out=head)[fact_row_of, labels[fact]]
             loss, grad, trace = total_loss(
                 logits, labels, signals, lam, settings.epsilon,
                 use_gates=method.use_gates, use_fact_mask=method.use_fact_mask,
@@ -611,27 +616,65 @@ def train(prepared: PreparedCorpus, settings: TrainSettings) -> TrainResult:
     return TrainResult(params=params, step_log=log, counters=counters)
 
 
+# gate_pass's row blocks and trace's record groups keep their float64 rows of
+# x, hidden and logits within this many bytes: about 2,000 rows at V = 70 and
+# 430 at V = 1024.
+BLOCK_BYTES = 4 * 2**20
+
+
+def block_rows(params: ModelParams) -> int:
+    """The rows of x, hidden and logits, 8 bytes per column, that fit in BLOCK_BYTES."""
+    return BLOCK_BYTES // (8 * (params.w1.shape[0] + params.w1.shape[1] + params.vocab_size))
+
+
+def _gate_block(params: ModelParams, windows: np.ndarray, splits: list[int], labels: np.ndarray,
+                signals: TokenSignals, rows: np.ndarray) -> GateTrace:
+    # Only the logits are kept, so the activations are freed before the softmax.
+    logits = forward_batch(params, windows, splits=splits)[0]
+    return gate_trace(softmax_probs(logits, out=logits), labels, signals, rows=rows)
+
+
 def gate_pass(params: ModelParams, prepared: PreparedCorpus, per_example: bool = False) -> GateTrace:
     """Both gates, alpha and top-1 at every position of `prepared`, with
-    comp_loss's default flags, from one forward pass over its distinct windows
-    and their probabilities written over the logits (NonFiniteLogits if not
-    finite).  With `per_example`, each example's distinct windows, in
-    window-id order, get their own matmuls (forward_batch's `splits`), so an
-    example's values are those of a gate_pass over it alone."""
-    # One np.unique over (block, window id) keys gives each block's distinct windows,
-    # block after block: an example with `per_example`, else all of `prepared`.  Only
-    # the logits are kept, so the activations are freed before the softmax.
-    n_ids, n_blocks = len(prepared.distinct), len(prepared) if per_example else 1
-    block = np.repeat(np.arange(n_blocks), np.diff(prepared.offsets)) if per_example else 0
-    keys, rows = np.unique(block * n_ids + prepared.window_id, return_inverse=True)
-    splits = np.searchsorted(keys, np.arange(n_blocks + 1) * n_ids).tolist()
-    logits = forward_batch(params, prepared.distinct[keys % n_ids], splits=splits)[0]
-    return gate_trace(softmax_probs(logits, out=logits), prepared.labels, prepared.signals, rows=rows)
+    comp_loss's default flags, from a forward pass over its D distinct
+    windows and their probabilities written over the logits (NonFiniteLogits
+    if not finite).  The windows run in k = ceil(D / block_rows) nearly equal
+    row blocks, cut at D * i // k, each with its own forward pass, softmax
+    and gate_trace; D rows that fit are one block.  No block has one row
+    unless D is 1, since BLAS multiplies one row by gemv, which rounds
+    differently; so where a row takes over half of BLOCK_BYTES, a block can
+    exceed it.  With `per_example` the caller bounds the memory: `prepared`
+    is one block, in which each example's distinct windows, in window-id
+    order, get their own matmuls (forward_batch's `splits`), so an example's
+    values are those of a gate_pass over it alone."""
+    # One np.unique over (example, window id) keys gives each example's distinct windows,
+    # example after example, with `per_example`; else the keys are the window ids.
+    n_ids, n_examples = len(prepared.distinct), len(prepared) if per_example else 1
+    example = np.repeat(np.arange(n_examples), np.diff(prepared.offsets)) if per_example else 0
+    keys, rows = np.unique(example * n_ids + prepared.window_id, return_inverse=True)
+    n = len(keys)
+    k = 1 if per_example else max(1, min(-(-n // max(block_rows(params), 1)), n // 2))
+    cuts = [n * i // k for i in range(k + 1)]
+    # Each block's positions come from one stable argsort of the rows, and
+    # its inverse puts the blocks' values back in position order; gate_trace
+    # reads each position alone, so the order changes no value.
+    order = np.argsort(rows, kind="stable")
+    ends = np.searchsorted(rows, cuts, sorter=order)
+    parts = []
+    for lo, hi, a, b in zip(cuts, cuts[1:], ends, ends[1:]):
+        block, at = keys[lo:hi], order[a:b]
+        splits = np.searchsorted(block, np.arange(n_examples + 1) * n_ids).tolist()
+        parts.append(_gate_block(params, prepared.distinct[block % n_ids], splits, prepared.labels[at],
+                                 prepared.signals[at], rows[at] - lo))
+    inverse = np.argsort(order)
+    return GateTrace(*(np.concatenate(column)[inverse] for column in zip(*(vars(p).values() for p in parts))))
 
 
 def evaluate(params: ModelParams, prepared: PreparedCorpus) -> dict[str, float | None]:
     """The metrics.json entries: label probabilities, top-1 and gate rates by
-    token group, all read from one gate_pass."""
+    token group, all read from one gate_pass, which holds one row block of at
+    most BLOCK_BYTES at a time; each mean runs over its [T] arrays in
+    position order."""
     if not prepared:
         raise ConfigError("nothing to evaluate")
     try:

@@ -9,7 +9,7 @@ must match field for field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -55,6 +55,7 @@ from prism.objective import (
     DEFAULT_EPSILON,
     GateTrace,
     comp_loss,
+    gate_trace,
     knowledge_mask_valid,
     sft_loss,
     softmax_pass,
@@ -280,6 +281,25 @@ def evaluate_reference(
         "gate_keep_rate": _group_mean(trace.keep_gate.astype(np.float64), fact),
         "gate_active_rate": _group_mean((trace.alpha > 0.0).astype(np.float64), fact),
     }
+
+
+def gate_pass_in_blocks(params: ModelParams, prepared: PreparedCorpus, cuts: Sequence[int]) -> GateTrace:
+    """model.gate_pass over row blocks, its scatter spelled out one position
+    at a time: block j forwards the distinct windows cuts[j]:cuts[j + 1]
+    alone, and every position whose row falls in the block takes its values
+    from that block's gate_trace."""
+    windows, rows = prepared.distinct_rows()
+    values = {f.name: [None] * len(rows) for f in fields(GateTrace)}
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        logits, _ = forward_batch(params, windows[lo:hi])
+        inside = (rows >= lo) & (rows < hi)
+        part = gate_trace(softmax_probs(logits), prepared.labels[inside], prepared.signals[inside],
+                          rows=rows[inside] - lo)
+        for name, column in values.items():
+            for t, value in zip(np.flatnonzero(inside).tolist(), getattr(part, name)):
+                column[t] = value
+    assert all(value is not None for column in values.values() for value in column)
+    return GateTrace(**{name: np.array(column) for name, column in values.items()})
 
 
 def trace_rows_reference(

@@ -14,7 +14,6 @@ from prism.corpus import MAX_CORPUS_TOKENS, GeneratorConfig, generate, read_json
 from prism.errors import ConfigError, DivergenceError
 from prism.harness import (
     CSV_HEADER,
-    TRACE_GROUP_BYTES,
     MetricsReport,
     RunConfig,
     cmd_ablate,
@@ -29,6 +28,7 @@ from prism.harness import (
     validate_run_config,
 )
 from prism.model import (
+    BLOCK_BYTES,
     MAX_BATCH_SIZE,
     MAX_PARAMETERS,
     MAX_VOCAB_SIZE,
@@ -603,7 +603,7 @@ class TestTraceCommand:
         ck = load_checkpoint(checkpoint_path)
         prepared = prepare_examples(read_jsonl(corpus_path, 12), ck.params.window, ck.params.vocab_size)
         # a budget of records 1-4's positions: they make the first group
-        monkeypatch.setattr(prism.harness, "TRACE_GROUP_BYTES", trace_row_bytes(ck.params) * int(prepared.offsets[4]))
+        monkeypatch.setattr(prism.model, "BLOCK_BYTES", trace_row_bytes(ck.params) * int(prepared.offsets[4]))
         groups = self.trace_groups(monkeypatch, checkpoint_path, corpus_path, 12, None)
         assert groups[0] == 4 and groups[1] >= 3 and sum(groups) == 12
         record = 4 + groups[1] // 2 + 1  # 1-based, neither first nor last of the second group
@@ -651,7 +651,7 @@ class TestTraceCommand:
         ck = load_checkpoint(checkpoint_path)
         lengths = np.diff(prepare_examples(read_jsonl(corpus_path, 12), ck.params.window,
                                            ck.params.vocab_size).offsets)
-        monkeypatch.setattr(prism.harness, "TRACE_GROUP_BYTES", trace_row_bytes(ck.params) * 3 * int(lengths.max()))
+        monkeypatch.setattr(prism.model, "BLOCK_BYTES", trace_row_bytes(ck.params) * 3 * int(lengths.max()))
         forwarded = self.forward_calls(monkeypatch, checkpoint_path, corpus_path, str(tmp_path / "trace.jsonl"))
         assert 1 < len(forwarded) <= 4  # any three records fit in one group, and not all twelve
 
@@ -913,7 +913,7 @@ class TestTraceGroups:
         # several groups, none of whose x, hidden and logits hold more than the budget
         groups = [records for _, records in forwarded]
         assert len(groups) > 2 and groups[1] >= 2 and sum(groups) == len(offsets) - 1
-        assert all(rows * trace_row_bytes(params) <= TRACE_GROUP_BYTES for rows, _ in forwarded)
+        assert all(rows * trace_row_bytes(params) <= BLOCK_BYTES for rows, _ in forwarded)
 
         lines = whole.read_bytes().splitlines(keepends=True)
         mid = groups[0] + groups[1] // 2  # a limit that ends in the middle of the second group

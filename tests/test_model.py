@@ -4,6 +4,7 @@ and checkpoint round trips for the tiny window model."""
 import json
 import math
 import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -36,11 +37,12 @@ from prism.model import (
     save_checkpoint,
     train,
 )
-from prism.objective import knowledge_mask_valid, softmax_probs, total_loss
+from prism.objective import GateTrace, knowledge_mask_valid, softmax_probs, total_loss
 
 from oracles import (
     evaluate_reference,
     finite_difference_gradient,
+    gate_pass_in_blocks,
     optimizer_step_reference,
     prepare_reference,
     standalone_sft,
@@ -757,6 +759,27 @@ def bits(arr):
     return np.asarray(arr).tobytes()
 
 
+GATE_FIELDS = tuple(f.name for f in fields(GateTrace))
+
+
+def row_bytes(params):
+    """The bytes of one distinct window's x, hidden and logits rows."""
+    return 8 * (params.w1.shape[0] + params.w1.shape[1] + params.vocab_size)
+
+
+def random_corpus(vocab, n, length=40, seed=9):
+    """n examples of `length` random target tokens, one risky fact each:
+    nearly every window is distinct."""
+    rng = np.random.default_rng(seed)
+    return [
+        AnnotatedExample(
+            input_tokens=[1], target_tokens=rng.integers(2, vocab, size=length).tolist(), valid_mask=[1] * length,
+            sentences=[SentenceSpan(1, 0, length, 0.5)], facts=[FactSpan(0, 5, 9, 1)], edges=[],
+        )
+        for _ in range(n)
+    ]
+
+
 class TestStepBuffers:
     @pytest.mark.parametrize("vocab", [70, 1024])
     def test_stale_buffers_give_the_allocating_bits(self, vocab):
@@ -834,11 +857,88 @@ class TestGatePass:
             return original_forward(params, windows, out=out, splits=splits)
 
         monkeypatch.setattr(model_mod, "forward_batch", forward)
+        monkeypatch.setattr(model_mod, "BLOCK_BYTES", 1)  # the caller bounds a per-example pass
         gate_pass(init_params(70, 8, 12, 4, np.random.default_rng(6)), prep, per_example=True)
         [(windows, splits)] = forwarded
         assert len(splits) == len(prep) + 1
         for a, b, p in zip(splits[:-1], splits[1:], prep):
             assert bits(windows[a:b]) == bits(p.distinct_rows()[0])
+
+    @staticmethod
+    def blocked(monkeypatch, params, prep, budget_rows):
+        """gate_pass(params, prep) with BLOCK_BYTES set to `budget_rows` rows,
+        and the windows of each of its forward_batch calls."""
+        import prism.model as model_mod
+        forwarded, original_forward = [], model_mod.forward_batch
+
+        def forward(params, windows, out=None, splits=None):
+            assert list(splits) == [0, len(windows)]  # one matmul pair
+            forwarded.append(np.array(windows))
+            return original_forward(params, windows, out=out, splits=splits)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(model_mod, "forward_batch", forward)
+            patch.setattr(model_mod, "BLOCK_BYTES", budget_rows * row_bytes(params))
+            trace = gate_pass(params, prep)
+        return trace, forwarded
+
+    @pytest.mark.parametrize("budget_rows", [2, 37, 50])
+    def test_blocks_equal_the_per_block_oracle(self, monkeypatch, budget_rows):
+        prep = prepare_examples(small_corpus(n=40), window=4, vocab_size=70)
+        params = init_params(70, 8, 12, 4, np.random.default_rng(6))
+        params.w2 *= 40.0  # peaked rows, and most labels their rows' argmax, so the gates open
+        top = forward_batch(params, prep.distinct[prep.window_id])[0].argmax(axis=1)
+        rng = np.random.default_rng(2)
+        prep = replace(prep, labels=np.where(rng.random(len(top)) < 0.7, top, prep.labels))
+        trace, forwarded = self.blocked(monkeypatch, params, prep, budget_rows)
+        assert len(forwarded) > 1
+        expected = gate_pass_in_blocks(params, prep, np.cumsum([0] + [len(w) for w in forwarded]).tolist())
+        assert (expected.alpha > 0).any() and not expected.top1.all()
+        for field in GATE_FIELDS:
+            assert getattr(trace, field).dtype == getattr(expected, field).dtype
+            assert bits(getattr(trace, field)) == bits(getattr(expected, field))
+
+    @pytest.mark.parametrize("budget_rows", [1, 2, 3, 37, 10**6])
+    @pytest.mark.parametrize("n_windows", [1, 2, 3, 5, None])
+    def test_blocks_are_nearly_equal_and_within_the_bound(self, monkeypatch, budget_rows, n_windows):
+        prep = prepare_examples(small_corpus(n=40), window=4, vocab_size=70)
+        if n_windows is not None:  # the same positions on the first n_windows windows
+            prep = replace(prep, distinct=prep.distinct[:n_windows], window_id=prep.window_id % n_windows)
+        params = init_params(70, 8, 12, 4, np.random.default_rng(6))
+        _, forwarded = self.blocked(monkeypatch, params, prep, budget_rows)
+        sizes = [len(w) for w in forwarded]
+        distinct = len(prep.distinct_rows()[0])
+        assert distinct == (n_windows or len(prep.distinct))
+        assert sum(sizes) == distinct and max(sizes) - min(sizes) <= 1
+        assert min(sizes) >= 2 or distinct == 1  # no one-row (gemv) block
+        wanted = -(-distinct // budget_rows)
+        if wanted == 1 or wanted <= distinct // 2:  # ceil(D / budget) blocks within the bound
+            assert len(sizes) == wanted and max(sizes) <= budget_rows
+        else:  # fewer blocks, so that none has one row
+            assert len(sizes) == distinct // 2
+        assert bits(np.concatenate(forwarded)) == bits(prep.distinct_rows()[0])
+
+    def test_blocks_at_vocab_1024_match_the_one_block_pass(self, monkeypatch):
+        """At the wide benchmark's V = 1024 and model, a blocked pass gives the
+        one-block values up to rounding.  Whether a row's matmul keeps its bits
+        in another block is a property of the BLAS kernel, not of gate_pass,
+        so only the gates and top-1 are compared exactly."""
+        import prism.model as model_mod
+        prep = prepare_examples(random_corpus(1024, n=60), window=4, vocab_size=1024)
+        params = init_params(1024, 32, 64, 4, np.random.default_rng(3))
+        params.w2 *= 8.0
+        blocked = gate_pass(params, prep)
+        rows_per_block = model_mod.block_rows(params)
+        assert len(prep.distinct_rows()[0]) > 3 * rows_per_block
+        monkeypatch.setattr(model_mod, "BLOCK_BYTES", 2**40)
+        whole = gate_pass(params, prep)
+        assert (whole.alpha > 0).any()
+        for field in GATE_FIELDS:
+            got, want = getattr(blocked, field), getattr(whole, field)
+            if want.dtype == bool:
+                assert bits(got) == bits(want)
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 class TestEvaluate:
@@ -895,6 +995,12 @@ class TestEvaluate:
         [(windows, splits)] = forwarded
         assert len(windows) < len(split.labels) and splits == [0, len(windows)]  # one block
         assert windows.tobytes() == split.distinct_rows()[0].tobytes()
+        # a bound of a third of the windows' rows: three blocks, each forwarded alone
+        forwarded.clear()
+        monkeypatch.setattr(model_mod, "BLOCK_BYTES", row_bytes(params) * -(-len(windows) // 3))
+        evaluate(params, split)
+        assert len(forwarded) == 3 and all(splits == [0, len(w)] for w, splits in forwarded)
+        assert np.concatenate([w for w, _ in forwarded]).tobytes() == windows.tobytes()
         monkeypatch.undo()
         assert repr(metrics) == repr(evaluate_reference(params, split))
 
@@ -911,20 +1017,14 @@ class TestEvaluate:
         assert errors == ["non-finite logits in evaluation"] * 2
 
     def test_peak_memory_is_one_rows_by_vocab_array(self):
-        # evaluate holds one [rows, V] float64 array: the logits, then the
-        # probabilities written over them
-        vocab, rng = 1024, np.random.default_rng(9)
-        examples = [
-            AnnotatedExample(
-                input_tokens=[1], target_tokens=rng.integers(2, vocab, size=40).tolist(), valid_mask=[1] * 40,
-                sentences=[SentenceSpan(1, 0, 40, 0.5)], facts=[FactSpan(0, 5, 9, 1)], edges=[],
-            )
-            for _ in range(55)
-        ]
-        prep = prepare_examples(examples, window=4, vocab_size=vocab)
-        rows = sum(len(p.labels) for p in prep)
-        assert rows >= 2000
-        params = init_params(vocab, 8, 16, 4, rng)
+        """evaluate holds one [rows, V] float64 array of a row block at a time:
+        the logits, then the probabilities written over them, here on a split
+        whose [D, V] logits would take ten times BLOCK_BYTES."""
+        import prism.model as model_mod
+        vocab = 1024
+        prep = prepare_examples(random_corpus(vocab, n=140), window=4, vocab_size=vocab)
+        assert len(prep.distinct_rows()[0]) * vocab * 8 >= 10 * model_mod.BLOCK_BYTES
+        params = init_params(vocab, 8, 16, 4, np.random.default_rng(9))
         evaluate(params, prep)
         tracemalloc.start()
         try:
@@ -932,7 +1032,7 @@ class TestEvaluate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * rows * vocab * 8
+        assert peak < 3 * model_mod.BLOCK_BYTES
 
     def test_overflowing_logits_are_divergence(self):
         prep = prepare_examples(small_corpus(n=5), window=4, vocab_size=70)
