@@ -264,9 +264,11 @@ def _plant_defect(base: AnnotatedExample, kind: int) -> AnnotatedExample:
 
 
 def chunk(example: AnnotatedExample, limit: int) -> list[AnnotatedExample]:
-    """Split an example on sentence boundaries into chunks of at most `limit`
-    target tokens (greedy packing); one sentence region, or a target without
-    sentences, that exceeds the limit alone becomes one longer chunk.
+    """Split an example that passes verify_and_filter on sentence boundaries
+    into chunks of at most `limit` target tokens (greedy packing); one
+    sentence region, or a target without sentences, that exceeds the limit
+    alone becomes one longer chunk.  An example that packs into one chunk is
+    returned as is.
 
     Tokens between or after sentences travel with the preceding sentence;
     concatenating the chunk targets reproduces the original target exactly.
@@ -277,14 +279,8 @@ def chunk(example: AnnotatedExample, limit: int) -> list[AnnotatedExample]:
     dependent's dependents in its chunk, one hop further than in the whole
     example; and only the source's raw risk crosses, so under fixpoint
     propagation the risk the source inherits from its own sources can be
-    lost.  Each chunk repeats the input tokens.
-
-    An example that packs into one chunk is returned as is.  So is an example
-    with an annotation no chunk can hold, for verify_and_filter to reject
-    under its own reason: sentence ids that do not run 1, 2, ... in order, a
-    fact or edge naming no sentence, or an edge across chunks that does not
-    point forward or appears twice.  Time is linear in the sentences, facts
-    and edges.
+    lost.  Each chunk repeats the input tokens.  Time is linear in the
+    sentences, facts and edges.
     """
     if limit < 1:
         raise ConfigError("chunk limit must be >= 1")
@@ -303,32 +299,24 @@ def chunk(example: AnnotatedExample, limit: int) -> list[AnnotatedExample]:
             used = 0
         group.append(len(first) - 1)
         used += b - a
-    if len(first) == 1 or any(s.index != i for i, s in enumerate(sentences, 1)):
+    if len(first) == 1:
         return [example]
 
     # Sentence id j is region j - 1; in chunk g it becomes j - first[g], and
     # chunk 0, which starts at token 0, keeps its spans as they are.
     facts: list[list[FactSpan]] = [[] for _ in first]
     for f in example.facts:
-        if not 1 <= f.sentence <= n:
-            return [example]
         g = group[f.sentence - 1]
         lo = starts[first[g]]
         facts[g].append(FactSpan(f.fact_id, f.token_start - lo, f.token_end - lo, f.sentence - first[g]) if g else f)
     risk = [s.risk for s in sentences]
-    folded: set[DependencyEdge] = set()
     edges: list[list[DependencyEdge]] = [[] for _ in first]
     for e in example.edges:
-        if not (1 <= e.src <= n and 1 <= e.dst <= n):
-            return [example]
         g = group[e.dst - 1]
         if group[e.src - 1] == g:
             edges[g].append(DependencyEdge(e.src - first[g], e.dst - first[g]) if g else e)
-        elif e.src < e.dst and e not in folded:
-            folded.add(e)
+        else:  # edges point forward, so the source is in an earlier chunk
             risk[e.dst - 1] = max(risk[e.dst - 1], sentences[e.src - 1].risk)
-        else:
-            return [example]
 
     chunks = []
     for g, (a, b) in enumerate(zip(first, first[1:] + [n])):

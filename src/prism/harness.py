@@ -156,7 +156,8 @@ def _file_keys(fields: dict) -> dict:
 
 
 def parse_config_file(path: str) -> dict[str, str]:
-    """Plain-text `key = value` config; '#' starts a comment."""
+    """Plain-text `key = value` config; '#' starts a comment, and a key may
+    appear once."""
     raw: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         try:
@@ -168,8 +169,10 @@ def parse_config_file(path: str) -> dict[str, str]:
                     raise ConfigError(f"{path}:{lineno}: NUL byte in {text!r}")
                 if "=" not in text:
                     raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {text!r}")
-                key, _, value = text.partition("=")
-                raw[key.strip()] = value.strip()
+                key, _, value = (part.strip() for part in text.partition("="))
+                if key in raw:
+                    raise ConfigError(f"{path}:{lineno}: key {key!r} repeated")
+                raw[key] = value
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     return raw
@@ -179,7 +182,8 @@ def config_from_dict(cls, raw: object, decoded: bool = False):
     """Build a dataclass from key/value pairs: strings from a config file,
     each parsed as its field's type, or with `decoded` a decoded JSON object
     (a run file's), whose values must have their field's type (_fits) and
-    are kept as they are."""
+    are kept as they are.  Keys are file keys: an aliased field is known
+    only by its alias (`lambda`, not `lam`)."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{cls.__name__} must be a JSON object, got {type(raw).__name__}")
     hints = get_type_hints(cls)
@@ -187,7 +191,7 @@ def config_from_dict(cls, raw: object, decoded: bool = False):
     kwargs = {}
     for key, value in raw.items():
         name = _CONFIG_ALIASES.get(key, key)
-        if name not in names:
+        if name not in names or key in _CONFIG_ALIASES.values():
             raise ConfigError(f"unknown config key {key!r} for {cls.__name__}")
         target = hints[name]
         if decoded and not _fits(value, target):
@@ -228,21 +232,23 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def cmd_preprocess(cfg: GeneratorConfig) -> dict:
-    """generate -> chunk -> verify_and_filter -> write_jsonl, plus a stats table."""
-    examples = generate(cfg)
-    chunks = [c for ex in examples for c in chunk(ex, cfg.chunk_limit)]
+    """generate -> verify_and_filter -> chunk each kept example -> write_jsonl,
+    plus a stats table.  Whole examples are verified, so `rejected` and
+    `reason_counts` count examples, none of which reaches the corpus; `kept`
+    counts the records written."""
+    report = verify_and_filter(generate(cfg))
+    chunks = [c for ex in report.kept for c in chunk(ex, cfg.chunk_limit)]
     oversize = sum(1 for c in chunks if len(c.target_tokens) > cfg.chunk_limit)
-    report = verify_and_filter(chunks)
-    write_jsonl(report.kept, cfg.out)
+    write_jsonl(chunks, cfg.out)
     meta = {
         "config": asdict(cfg),
-        "kept": len(report.kept),
+        "kept": len(chunks),
         "rejected": len(report.rejected),
         "reason_counts": dict(sorted(report.reason_counts.items())),
         "oversize_chunks": oversize,
     }
     _write_json(f"{cfg.out}.meta.json", meta)
-    print(stats_table(report.kept))
+    print(stats_table(chunks))
     print(f"rejected instances: {len(report.rejected)}")
     for reason, count in sorted(report.reason_counts.items()):
         print(f"  {reason}: {count}")
@@ -262,8 +268,9 @@ class RunData(NamedTuple):
 
 def load_run_data(cfg: RunConfig) -> RunData:
     """Read, size, prepare and split the corpus of a validated config.  The
-    whole corpus is prepared once, in file order; the last eval_fraction is
-    held out, or with none held out the run evaluates on its training split.
+    whole corpus is prepared once, in file order; with eval_fraction > 0 the
+    last max(1, round(eval_fraction x n)) records are held out, and with 0
+    the run evaluates on its training split.
     The vocabulary (vocab_size, or with 0 the smallest covering the corpus)
     and the model it sizes must pass check_model_size.  Only the corpus,
     eval_fraction, vocab_size, window, risk_propagation and model dimension
@@ -271,7 +278,7 @@ def load_run_data(cfg: RunConfig) -> RunData:
     examples = read_jsonl(cfg.corpus)
     if not examples:
         raise ConfigError(f"corpus {cfg.corpus} is empty")
-    n_eval = int(round(cfg.eval_fraction * len(examples))) if cfg.eval_fraction > 0 else 0
+    n_eval = max(1, round(cfg.eval_fraction * len(examples))) if cfg.eval_fraction > 0 else 0
     if n_eval >= len(examples):
         raise ConfigError("eval_fraction leaves no training examples")
     vocab = cfg.vocab_size or infer_vocab_size(examples)

@@ -430,6 +430,8 @@ class TrainSettings:
             raise ConfigError(f"risk_propagation must be one of {RISK_MODES}")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
+        if self.vocab_size < 0 or self.vocab_size == 1:
+            raise ConfigError("vocab_size must be 0 (derive it from the corpus) or >= 2")
 
 
 @dataclass

@@ -2,14 +2,17 @@
 
 import dataclasses
 import json
+import os
+import tempfile
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import chunk_reference, generate_reference
 
+from prism import harness
 from prism.corpus import (
     MAX_CORPUS_TOKENS,
     MAX_VOCAB_SIZE,
@@ -243,29 +246,38 @@ class TestChunk:
         (lambda ex: ex.sentences.extend([ex.sentences.pop(2), ex.sentences.pop(1)]), "sentence-index"),
     ], ids=["backward-edge", "duplicate-edge", "edge-to-no-sentence", "edge-from-no-sentence", "fact-of-no-sentence",
             "sentences-2-and-3-swapped"])
-    def test_annotation_no_chunk_can_hold_returns_the_example_whole(self, edit, reason):
-        # one sentence per chunk at limit 3: split, each of these would be
-        # folded, dropped or renumbered out of sight (or raise KeyError)
+    def test_annotation_no_chunk_can_hold_returns_the_example_whole(self, edit, reason, tmp_path, monkeypatch,
+                                                                     capsys):
+        # one sentence per chunk at limit 3: chunked, each of these would be
+        # folded, dropped or renumbered out of sight; preprocess verifies the
+        # whole example first, rejects it under its reason and writes none of it
         ex = AnnotatedExample(
             input_tokens=[4], target_tokens=[5, 6, TOKEN_PERIOD] * 3, valid_mask=[1] * 9,
             sentences=[SentenceSpan(j, 3 * j - 3, 3 * j, 0.1 * j) for j in (1, 2, 3)],
             facts=[FactSpan(0, 1, 2, 1)], edges=[DependencyEdge(1, 3)],
         )
-        assert len(chunk(ex, limit=3)) == 3
+        monkeypatch.setattr(harness, "generate", lambda cfg: [ex])
+        cfg = GeneratorConfig(chunk_limit=3, out=str(tmp_path / "corpus.jsonl"))
+        assert harness.cmd_preprocess(cfg)["kept"] == 3
         edit(ex)
-        chunks = chunk(ex, limit=3)
-        assert len(chunks) == 1 and chunks[0] is ex
-        report = verify_and_filter(chunks)
-        assert not report.kept and reason in report.rejected[0][1]
+        meta = harness.cmd_preprocess(cfg)
+        assert (meta["kept"], meta["rejected"]) == (0, 1)
+        assert meta["reason_counts"][reason] == 1
+        assert read_jsonl(cfg.out) == []
 
-    def test_planted_backward_edge_is_rejected_across_chunks(self):
+    def test_planted_backward_edge_is_rejected_across_chunks(self, tmp_path, capsys):
         # at limit 4 every sentence is its own chunk, so the planted edge 2->1
-        # crosses chunks; it used to be folded into sentence 1's risk and dropped
+        # would cross chunks; preprocess verifies the whole clone first and
+        # rejects it, and only the clean examples' chunks are written
         cfg = GeneratorConfig(n_examples=50, sentence_length=4, sentences_max=4, plant_defects=8)
+        clean = generate(dataclasses.replace(cfg, plant_defects=0))
         for limit in (4, 200):
-            report = verify_and_filter([c for ex in generate(cfg) for c in chunk(ex, limit)])
-            assert report.reason_counts == {"edge-not-forward": 2, "fact-span-range": 2,
-                                            "risk-range": 2, "self-edge": 2}
+            out = str(tmp_path / f"corpus_{limit}.jsonl")
+            meta = harness.cmd_preprocess(dataclasses.replace(cfg, chunk_limit=limit, out=out))
+            assert meta["reason_counts"] == {"edge-not-forward": 2, "fact-span-range": 2,
+                                             "risk-range": 2, "self-edge": 2}
+            assert meta["rejected"] == 8
+            assert read_jsonl(out) == [c for ex in clean for c in chunk(ex, limit)]
 
     def test_twenty_thousand_sentences_chunk_in_linear_time(self):
         # one sentence per chunk, a forward edge between neighbours: every
@@ -336,30 +348,62 @@ def small_configs(draw):
     )
 
 
+def check_chunks_of_verified_examples(cfg):
+    """generate gives the reference's examples; verify_and_filter keeps the
+    first n_examples of them; chunk gives the reference's chunks of each, and
+    every such chunk passes verify_and_filter."""
+    examples = generate(cfg)
+    assert list(map(fields, examples)) == list(map(fields, generate_reference(cfg)))
+    kept = verify_and_filter(examples).kept
+    assert kept == examples[:cfg.n_examples]
+    for ex in kept:
+        chunks = chunk(ex, cfg.chunk_limit)
+        assert list(map(fields, chunks)) == list(map(fields, chunk_reference(ex, cfg.chunk_limit)))
+        assert not verify_and_filter(chunks).rejected
+
+
 class TestAgainstReference:
-    """generate and chunk give the quadratic references' examples, field for field."""
+    """generate and chunk give the quadratic references' examples, field for
+    field; chunk sees verified examples only, as in preprocess."""
 
     @pytest.mark.parametrize("name", sorted(REFERENCE_CONFIGS))
     def test_configs_match_the_reference(self, name):
-        cfg = GeneratorConfig(**REFERENCE_CONFIGS[name])
-        examples = generate(cfg)
-        assert list(map(fields, examples)) == list(map(fields, generate_reference(cfg)))
-        for ex in examples:
-            assert (list(map(fields, chunk(ex, cfg.chunk_limit)))
-                    == list(map(fields, chunk_reference(ex, cfg.chunk_limit))))
+        check_chunks_of_verified_examples(GeneratorConfig(**REFERENCE_CONFIGS[name]))
 
     @given(small_configs())
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     def test_small_configs_match_the_reference(self, cfg):
-        examples = generate(cfg)
-        assert list(map(fields, examples)) == list(map(fields, generate_reference(cfg)))
-        for ex in examples[:cfg.n_examples]:
-            assert (list(map(fields, chunk(ex, cfg.chunk_limit)))
-                    == list(map(fields, chunk_reference(ex, cfg.chunk_limit))))
-        # the reference can hide a planted defect (a backward edge across
-        # chunks); chunk never does
-        for ex in examples[cfg.n_examples:]:
-            assert verify_and_filter(chunk(ex, cfg.chunk_limit)).rejected
+        check_chunks_of_verified_examples(cfg)
+
+
+def check_planted_defects_leave_no_record(cfg, directory):
+    """preprocess with cfg.plant_defects writes the bytes it writes without
+    them, and its meta counts each planted clone as one rejected example."""
+    planted = dataclasses.replace(cfg, out=os.path.join(directory, "planted.jsonl"))
+    clean = dataclasses.replace(cfg, plant_defects=0, out=os.path.join(directory, "clean.jsonl"))
+    meta, clean_meta = harness.cmd_preprocess(planted), harness.cmd_preprocess(clean)
+    with open(planted.out, "rb") as a, open(clean.out, "rb") as b:
+        written = a.read()
+        assert written == b.read()
+    assert (meta["rejected"], clean_meta["rejected"]) == (cfg.plant_defects, 0)
+    assert meta["kept"] == clean_meta["kept"] == written.count(b"\n")
+
+
+class TestPlantedDefects:
+    """preprocess verifies whole examples before it chunks, so no chunk of a
+    planted clone reaches the corpus."""
+
+    def test_long_docs_corpus_is_the_one_without_defects(self, tmp_path, capsys):
+        # chunking before verifying wrote 4 clean chunks of the 8 clones: 1353 records, not 1349
+        cfg = GeneratorConfig(**dict(REFERENCE_CONFIGS["long_docs-1"], seed=2))
+        check_planted_defects_leave_no_record(cfg, str(tmp_path))
+
+    @given(small_configs())
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def test_small_configs_corpus_is_the_one_without_defects(self, cfg):
+        assume(cfg.plant_defects > 0)
+        with tempfile.TemporaryDirectory() as directory:
+            check_planted_defects_leave_no_record(cfg, directory)
 
 
 class TestVerifyAndFilter:

@@ -109,6 +109,28 @@ class TestConfigParsing:
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
         assert capsys.readouterr().err == f"config error: {cfg}:2: NUL byte in 'corpus = a\\x00b'\n"
 
+    def test_repeated_key_is_1(self, corpus_path, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "t.cfg").write_text(f"corpus = {corpus_path}\nsteps = 3\nsteps = 4\n")
+        assert main(["train", "--config", "t.cfg", "--out", "run"]) == 1
+        assert capsys.readouterr().err == "config error: t.cfg:3: key 'steps' repeated\n"
+        assert not os.path.exists(tmp_path / "run")
+
+    def test_field_name_lam_is_an_unknown_key(self, corpus_path, tmp_path, capsys):
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(f"corpus = {corpus_path}\nsteps = 3\nlambda = 0.5\nlam = 0.2\n")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == "config error: unknown config key 'lam' for RunConfig\n"
+        assert not os.path.exists(tmp_path / "run")
+
+    def test_flag_replaces_a_file_value(self, corpus_path, tmp_path, capsys):
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(f"corpus = {corpus_path}\nsteps = 3\nbatch_size = 4\nlambda = 0.5\nseed = 1\n")
+        assert main(["train", "--config", str(cfg), "--lambda", "0.2", "--seed", "2",
+                     "--out", str(tmp_path / "run")]) == 0
+        saved = json.loads((tmp_path / "run" / "metrics.json").read_text())
+        assert (saved["lambda"], saved["seed"]) == (0.2, 2)
+
     def test_missing_equals_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("steps 7\n")
@@ -239,6 +261,22 @@ class TestTrainCommand:
                            capture_output=True, env=dict(bare, PYTHONPATH=src, **extra))
             blobs.append((workdir / "run" / "checkpoint.json").read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_a_small_corpus_holds_out_one_record(self, corpus_path, tmp_path, capsys):
+        # 10% of 4 records rounds to none; one is held out all the same
+        small = tmp_path / "small.jsonl"
+        small.write_text("".join(open(corpus_path).readlines()[:4]))
+        cmd_train(run_config(str(small), str(tmp_path / "run"), steps=3))
+        assert "3 steps on 3 examples (eval on 1)" in capsys.readouterr().out
+        saved = json.loads((tmp_path / "run" / "metrics.json").read_text())
+        assert (saved["n_train"], saved["n_eval"]) == (3, 1)
+
+    def test_one_record_held_out_leaves_no_training_example(self, corpus_path, tmp_path, capsys):
+        one = tmp_path / "one.jsonl"
+        one.write_text(open(corpus_path).readline())
+        assert main(["train", "--corpus", str(one), "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == "config error: eval_fraction leaves no training examples\n"
+        assert not os.path.exists(tmp_path / "run")
 
     def test_empty_corpus_rejected(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
@@ -785,9 +823,14 @@ class TestTraceCommand:
         (lambda c: {**c, "lambda": "0.1"}, "field 'lambda' has the wrong type"),
         (lambda c: {**c, "steps": 2.5}, "field 'steps' has the wrong type"),
         (lambda c: {**c, "corpus": 123}, "field 'corpus' has the wrong type"),
+        # prism writes `lambda`; the field name is not a second spelling of it
+        (lambda c: {**{k: v for k, v in c.items() if k != "lambda"}, "lam": c["lambda"]},
+         "unknown config key 'lam' for RunConfig"),
+        (lambda c: {**c, "vocab_size": 1}, "vocab_size must be 0 (derive it from the corpus) or >= 2"),
+        (lambda c: {**c, "vocab_size": -1}, "vocab_size must be 0 (derive it from the corpus) or >= 2"),
     ], ids=["not_object", "epsilon_range", "risk_mode", "epsilon_null", "unknown_key", "other_embed_dim",
             "other_vocab_size", "window_float", "window_bool", "window_str", "embed_dim_str", "lambda_str",
-            "steps_float", "corpus_int"])
+            "steps_float", "corpus_int", "lam_key", "vocab_size_1", "vocab_size_negative"])
     def test_damaged_config_with_matching_hash_is_2(self, checkpoint_path, corpus_path, tmp_path,
                                                     capsys, damage, shown):
         payload = json.loads(open(checkpoint_path).read())
@@ -989,7 +1032,9 @@ class TestReportCommand:
         (lambda m: m.update(seed=True), "field 'seed' has the wrong type"),
         (lambda m: m.update(baseline_run_id=None, deltas={}, color="red"),
          "unknown config key 'color' for MetricsReport"),
-    ], ids=["missing_field", "unknown_field", "lambda_str", "metric_list", "seed_bool", "older_keys_and_unknown"])
+        (lambda m: m.update(lam=m.pop("lambda")), "unknown config key 'lam' for MetricsReport"),
+    ], ids=["missing_field", "unknown_field", "lambda_str", "metric_list", "seed_bool", "older_keys_and_unknown",
+            "lam_key"])
     def test_damaged_metrics_is_2(self, corpus_path, tmp_path, capsys, damage, shown):
         d = tmp_path / "sft"
         cmd_train(run_config(corpus_path, str(d), method="sft", lam=0.0, steps=5))
@@ -1242,6 +1287,15 @@ class TestExitCodes:
                      "--out", str(tmp_path / "run")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and shown in err and err.count("\n") == 1
+        assert not os.path.exists(tmp_path / "run")
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("vocab_size", [-1, 1])
+    def test_vocab_size_below_2_is_1(self, corpus_path, tmp_path, capsys, command, vocab_size):
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(f"steps = 3\nvocab_size = {vocab_size}\n" + ("lambdas = 0,0.1\n" if command == "ablate" else ""))
+        assert main([command, "--config", str(cfg), "--corpus", corpus_path, "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == "config error: vocab_size must be 0 (derive it from the corpus) or >= 2\n"
         assert not os.path.exists(tmp_path / "run")
 
     @pytest.mark.parametrize("fields, shown", [

@@ -436,7 +436,7 @@ def readme_corpus():
     """The README quick start's corpus, as preprocess writes it."""
     cfg = GeneratorConfig(vocab_size=70, n_examples=2000, n_keys=20, n_values=20, sentence_length=5,
                           corruption_fraction=0.3, risk_min=0.5, risk_max=0.9, dependency_p=0.25, seed=11)
-    return verify_and_filter([c for ex in generate(cfg) for c in chunk(ex, cfg.chunk_limit)]).kept
+    return [c for ex in verify_and_filter(generate(cfg)).kept for c in chunk(ex, cfg.chunk_limit)]
 
 
 def assert_equals_reference(prepared, reference):
