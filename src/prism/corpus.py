@@ -558,7 +558,7 @@ def stats_table(examples: Sequence[AnnotatedExample]) -> str:
     n_edges = sum(len(ex.edges) for ex in examples)
     n_sentences = sum(len(ex.sentences) for ex in examples)
     rows = [
-        ("verified instances retained", len(examples)),
+        ("records written", len(examples)),
         ("fact items", n_facts),
         ("fact relations (dependency edges)", n_edges),
         ("span annotations (sentence + fact spans)", n_sentences + n_facts),

@@ -205,7 +205,7 @@ def config_from_dict(cls, raw: object, decoded: bool = False):
 
 def validate_run_config(cfg: RunConfig) -> RunConfig:
     """Check ranges and normalize method-specific fields (lambda is forced to
-    0 for methods without a complement term)."""
+    0 for methods without a complement term, and -0 is 0)."""
     cfg.validate()
     if not cfg.corpus:
         raise ConfigError("no corpus path configured")
@@ -213,6 +213,8 @@ def validate_run_config(cfg: RunConfig) -> RunConfig:
         raise ConfigError("eval_fraction must be in [0, 0.9]")
     if not METHODS[cfg.method].has_comp and cfg.lam != 0.0:
         print(f"note: lambda is ignored for method={cfg.method}; forcing 0", file=sys.stderr)
+        cfg = replace(cfg, lam=0.0)
+    elif cfg.lam == 0.0:  # -0 is the lambda 0: its run id, config hash and lam_0 directory
         cfg = replace(cfg, lam=0.0)
     return cfg
 
@@ -249,7 +251,7 @@ def cmd_preprocess(cfg: GeneratorConfig) -> dict:
     }
     _write_json(f"{cfg.out}.meta.json", meta)
     print(stats_table(chunks))
-    print(f"rejected instances: {len(report.rejected)}")
+    print(f"rejected examples: {len(report.rejected)}")
     for reason, count in sorted(report.reason_counts.items()):
         print(f"  {reason}: {count}")
     if oversize:
@@ -472,12 +474,8 @@ def cmd_ablate(cfg: RunConfig, lambdas: Sequence[float]) -> str:
         raise ConfigError("lambda list is empty")
     if 0.0 not in lambdas:
         raise ConfigError("lambda list must include 0")
-    subs = [
-        validate_run_config(
-            replace(cfg, method=METHOD_PRISM, lam=lam, out=os.path.join(cfg.out, f"lam_{lam:g}"))
-        )
-        for lam in lambdas
-    ]
+    subs = [validate_run_config(replace(cfg, method=METHOD_PRISM, lam=lam)) for lam in lambdas]
+    subs = [replace(sub, out=os.path.join(cfg.out, f"lam_{sub.lam:g}")) for sub in subs]
     dirs = [sub.out for sub in subs]
     for i, run_dir in enumerate(dirs):
         if run_dir in dirs[:i]:
@@ -508,7 +506,7 @@ def cmd_ablate(cfg: RunConfig, lambdas: Sequence[float]) -> str:
 
     csv_path = os.path.join(cfg.out, "ablation.csv")
     write_csv(reports, baseline, csv_path)
-    print(f"ablation over lambdas {[f'{l:g}' for l in lambdas]} -> {csv_path}")
+    print(f"ablation over lambdas {[f'{sub.lam:g}' for sub in subs]} -> {csv_path}")
     print(f"deltas are against baseline run {baseline.run_id}")
     return csv_path
 
@@ -518,10 +516,9 @@ TRACE_ROW = ('{"example": %d, "position": %d, "sentence": %s, "p_label": %r, "q_
              '"w": %r, "pref_gate": %d, "keep_gate": %d, "alpha": %r}\n')
 
 def _trace_text(params: ModelParams, prepared: PreparedCorpus, start: int, stop: int) -> str:
-    """The trace rows of records start..stop-1, from one gate_pass with
-    per-record matmuls."""
+    """The trace rows of records start..stop-1, from one gate_pass."""
     group = prepared[start:stop]
-    trace = model_mod.gate_pass(params, group, per_example=True)
+    trace = model_mod.gate_pass(params, group)
     lengths = np.diff(group.offsets)
     example = np.repeat(np.arange(start, stop), lengths)
     position = np.arange(len(group.labels)) - np.repeat(group.offsets[:-1], lengths)
@@ -536,11 +533,11 @@ def cmd_trace(checkpoint_path: str, corpus_path: str, limit: int, out: str | Non
     """Dump per-token gate decisions of a checkpointed model over a corpus slice,
     with the risk propagation of the checkpoint's config, one JSON row per
     target position; returns the number of rows.  Records go through
-    gate_pass in groups of at most model.BLOCK_BYTES, each record with its
-    own matmuls, so its rows do not depend on the group; a group's rows are
-    written before the next group's.  A non-finite record leaves the earlier
-    records' rows on stdout, and no `out`.  The model must have its config's
-    dimensions."""
+    gate_pass in model.record_groups, the groups evaluate runs, each record
+    with its own matmuls, so its rows do not depend on the group; a group's
+    rows are written before the next group's.  A non-finite record leaves
+    the earlier records' rows on stdout, and no `out`.  The model must have
+    its config's dimensions."""
     if limit < 0:
         raise ConfigError(f"--limit must be >= 0 (0 = all), got {limit}")
     ck = load_checkpoint(checkpoint_path)
@@ -562,13 +559,8 @@ def cmd_trace(checkpoint_path: str, corpus_path: str, limit: int, out: str | Non
         examples, params.window, params.vocab_size, risk_mode=settings.risk_propagation
     )
 
-    # Consecutive records are one group while their positions fit in a block (a
-    # larger record is a group of its own).
-    group_rows = model_mod.block_rows(params)
-    offsets, start = prepared.offsets, 0
     with (atomic_write(out) if out else contextlib.nullcontext(sys.stdout)) as fh:
-        while start < len(prepared):
-            stop = max(start + 1, int(np.searchsorted(offsets, offsets[start] + group_rows, side="right")) - 1)
+        for start, stop in model_mod.record_groups(params, prepared):
             try:
                 fh.write(_trace_text(params, prepared, start, stop))
             except NonFiniteLogits:
@@ -578,7 +570,6 @@ def cmd_trace(checkpoint_path: str, corpus_path: str, limit: int, out: str | Non
                         fh.write(_trace_text(params, prepared, i, i + 1))
                     except NonFiniteLogits as exc:
                         raise DivergenceError(f"non-finite logits for record {i + 1}") from exc
-            start = stop
     rows = len(prepared.labels)
     if out:
         print(f"wrote {rows} trace rows to {out}")

@@ -21,7 +21,7 @@ import math
 import platform
 from dataclasses import dataclass, replace
 from itertools import chain
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -618,9 +618,9 @@ def train(prepared: PreparedCorpus, settings: TrainSettings) -> TrainResult:
     return TrainResult(params=params, step_log=log, counters=counters)
 
 
-# gate_pass's row blocks and trace's record groups keep their float64 rows of
-# x, hidden and logits within this many bytes: about 2,000 rows at V = 70 and
-# 430 at V = 1024.
+# A record group keeps its float64 rows of x, hidden and logits within this
+# many bytes: about 2,000 positions at V = 70 and 430 at V = 1024.  It bounds
+# memory only: each record has its own matmuls, so no value depends on it.
 BLOCK_BYTES = 4 * 2**20
 
 
@@ -629,60 +629,47 @@ def block_rows(params: ModelParams) -> int:
     return BLOCK_BYTES // (8 * (params.w1.shape[0] + params.w1.shape[1] + params.vocab_size))
 
 
-def _gate_block(params: ModelParams, windows: np.ndarray, splits: list[int], labels: np.ndarray,
-                signals: TokenSignals, rows: np.ndarray) -> GateTrace:
-    # Only the logits are kept, so the activations are freed before the softmax.
-    logits = forward_batch(params, windows, splits=splits)[0]
-    return gate_trace(softmax_probs(logits, out=logits), labels, signals, rows=rows)
+def record_groups(params: ModelParams, prepared: PreparedCorpus) -> Iterator[tuple[int, int]]:
+    """(start, stop) of each group of consecutive records start..stop-1 whose
+    positions fit in block_rows(params), in order; a larger record is a group
+    of its own."""
+    offsets, rows, start = prepared.offsets, block_rows(params), 0
+    while start < len(prepared):
+        stop = max(start + 1, int(np.searchsorted(offsets, offsets[start] + rows, side="right")) - 1)
+        yield start, stop
+        start = stop
 
 
-def gate_pass(params: ModelParams, prepared: PreparedCorpus, per_example: bool = False) -> GateTrace:
+def gate_pass(params: ModelParams, prepared: PreparedCorpus) -> GateTrace:
     """Both gates, alpha and top-1 at every position of `prepared`, with
-    comp_loss's default flags, from a forward pass over its D distinct
-    windows and their probabilities written over the logits (NonFiniteLogits
-    if not finite).  The windows run in k = ceil(D / block_rows) nearly equal
-    row blocks, cut at D * i // k, each with its own forward pass, softmax
-    and gate_trace; D rows that fit are one block.  No block has one row
-    unless D is 1, since BLAS multiplies one row by gemv, which rounds
-    differently; so where a row takes over half of BLOCK_BYTES, a block can
-    exceed it.  With `per_example` the caller bounds the memory: `prepared`
-    is one block, in which each example's distinct windows, in window-id
-    order, get their own matmuls (forward_batch's `splits`), so an example's
-    values are those of a gate_pass over it alone."""
-    # One np.unique over (example, window id) keys gives each example's distinct windows,
-    # example after example, with `per_example`; else the keys are the window ids.
-    n_ids, n_examples = len(prepared.distinct), len(prepared) if per_example else 1
-    example = np.repeat(np.arange(n_examples), np.diff(prepared.offsets)) if per_example else 0
-    keys, rows = np.unique(example * n_ids + prepared.window_id, return_inverse=True)
-    n = len(keys)
-    k = 1 if per_example else max(1, min(-(-n // max(block_rows(params), 1)), n // 2))
-    cuts = [n * i // k for i in range(k + 1)]
-    # Each block's positions come from one stable argsort of the rows, and
-    # its inverse puts the blocks' values back in position order; gate_trace
-    # reads each position alone, so the order changes no value.
-    order = np.argsort(rows, kind="stable")
-    ends = np.searchsorted(rows, cuts, sorter=order)
-    parts = []
-    for lo, hi, a, b in zip(cuts, cuts[1:], ends, ends[1:]):
-        block, at = keys[lo:hi], order[a:b]
-        splits = np.searchsorted(block, np.arange(n_examples + 1) * n_ids).tolist()
-        parts.append(_gate_block(params, prepared.distinct[block % n_ids], splits, prepared.labels[at],
-                                 prepared.signals[at], rows[at] - lo))
-    inverse = np.argsort(order)
-    return GateTrace(*(np.concatenate(column)[inverse] for column in zip(*(vars(p).values() for p in parts))))
+    comp_loss's default flags, from one forward pass and the probabilities
+    written over its logits (NonFiniteLogits if not finite).  One np.unique
+    over (record, window id) keys gives each record's distinct windows, in
+    window-id order, and each record gets its own matmuls (forward_batch's
+    `splits`), so a record's values are those of a gate_pass over it alone.
+    The caller bounds the memory (record_groups)."""
+    n_ids, n_records = len(prepared.distinct), len(prepared)
+    record = np.repeat(np.arange(n_records), np.diff(prepared.offsets))
+    keys, rows = np.unique(record * n_ids + prepared.window_id, return_inverse=True)
+    splits = np.searchsorted(keys, np.arange(n_records + 1) * n_ids).tolist()
+    # Only the logits are kept, so the activations are freed before the softmax.
+    logits = forward_batch(params, prepared.distinct[keys % n_ids], splits=splits)[0]
+    return gate_trace(softmax_probs(logits, out=logits), prepared.labels, prepared.signals, rows=rows)
 
 
 def evaluate(params: ModelParams, prepared: PreparedCorpus) -> dict[str, float | None]:
     """The metrics.json entries: label probabilities, top-1 and gate rates by
-    token group, all read from one gate_pass, which holds one row block of at
-    most BLOCK_BYTES at a time; each mean runs over its [T] arrays in
-    position order."""
+    token group, all read from one gate_pass per record group (record_groups),
+    so a position's values are those trace writes for it and memory holds one
+    group's rows at a time; each mean runs over its [T] arrays in position
+    order."""
     if not prepared:
         raise ConfigError("nothing to evaluate")
     try:
-        trace = gate_pass(params, prepared)
+        parts = [gate_pass(params, prepared[a:b]) for a, b in record_groups(params, prepared)]
     except NonFiniteLogits as exc:
         raise DivergenceError("non-finite logits in evaluation") from exc
+    trace = GateTrace(*(np.concatenate(column) for column in zip(*(vars(p).values() for p in parts))))
     signals = prepared.signals
     fact = signals.fact_mask
     risky = fact & (signals.support_weight < 1.0)

@@ -9,7 +9,7 @@ must match field for field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -55,7 +55,6 @@ from prism.objective import (
     DEFAULT_EPSILON,
     GateTrace,
     comp_loss,
-    gate_trace,
     knowledge_mask_valid,
     sft_loss,
     softmax_pass,
@@ -283,23 +282,16 @@ def evaluate_reference(
     }
 
 
-def gate_pass_in_blocks(params: ModelParams, prepared: PreparedCorpus, cuts: Sequence[int]) -> GateTrace:
-    """model.gate_pass over row blocks, its scatter spelled out one position
-    at a time: block j forwards the distinct windows cuts[j]:cuts[j + 1]
-    alone, and every position whose row falls in the block takes its values
-    from that block's gate_trace."""
-    windows, rows = prepared.distinct_rows()
-    values = {f.name: [None] * len(rows) for f in fields(GateTrace)}
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        logits, _ = forward_batch(params, windows[lo:hi])
-        inside = (rows >= lo) & (rows < hi)
-        part = gate_trace(softmax_probs(logits), prepared.labels[inside], prepared.signals[inside],
-                          rows=rows[inside] - lo)
-        for name, column in values.items():
-            for t, value in zip(np.flatnonzero(inside).tolist(), getattr(part, name)):
-                column[t] = value
-    assert all(value is not None for column in values.values() for value in column)
-    return GateTrace(**{name: np.array(column) for name, column in values.items()})
+def record_groups_reference(prepared: PreparedCorpus, rows: int) -> list[tuple[int, int]]:
+    """model.record_groups spelled out one record at a time: a record joins
+    the open group while the group's positions fit in `rows`, and otherwise
+    opens the next group, alone if it does not fit by itself."""
+    groups, start = [], 0
+    for i in range(1, len(prepared)):
+        if prepared.offsets[i + 1] - prepared.offsets[start] > rows:
+            groups.append((start, i))
+            start = i
+    return groups + [(start, len(prepared))]
 
 
 def trace_rows_reference(

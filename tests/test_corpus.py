@@ -560,7 +560,7 @@ class TestStatsTable:
         table = stats_table(examples)
         lines = table.splitlines()
         assert len(lines) == 5
-        assert lines[0].startswith("verified instances retained")
+        assert lines[0].startswith("records written")
         assert lines[0].rstrip().endswith("30")
         n_facts = sum(len(ex.facts) for ex in examples)
         assert lines[1].rstrip().endswith(str(n_facts))

@@ -43,6 +43,7 @@ from prism.objective import softmax_probs
 
 import oracles
 from oracles import redistribute, trace_rows_reference, trace_text_per_record
+from test_model import evaluated_trace
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +143,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="method"):
             validate_run_config(cfg)
 
+    def test_minus_zero_lambda_is_lambda_zero(self, corpus_path, tmp_path, capsys):
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(f"corpus = {corpus_path}\nsteps = 3\nbatch_size = 4\nlambda = -0\n")
+        run = tmp_path / "run"
+        resolved = []
+        for flags in (["--lambda", "-0"], [], ["--lambda", "0"]):  # -0 by flag, -0 in the file, then 0
+            assert main(["train", "--config", str(cfg), *flags, "--out", str(run)]) == 0
+            resolved.append((run / "resolved_config.json").read_bytes())
+        assert resolved[0] == resolved[1] == resolved[2]
+        saved = json.loads(resolved[0])
+        assert saved["config"]["lambda"] == 0.0 and saved["run_id"].startswith("prism_lam0_seed")
+
     def test_sft_forces_lambda_zero(self, capsys):
         cfg = validate_run_config(RunConfig(corpus="x.jsonl", method="sft", lam=0.5))
         assert cfg.lam == 0.0
@@ -164,7 +177,7 @@ class TestPreprocess:
         assert len(read_jsonl(out)) == 30
         assert os.path.exists(out + ".meta.json")
         shown = capsys.readouterr().out
-        assert "verified instances retained" in shown
+        assert "records written" in shown and "rejected examples: 0\n" in shown
 
     def test_planted_defects_counted(self, tmp_path, capsys):
         out = str(tmp_path / "corpus.jsonl")
@@ -173,6 +186,7 @@ class TestPreprocess:
         meta = cmd_preprocess(cfg)
         assert meta["kept"] == 20
         assert meta["rejected"] == 5
+        assert "rejected examples: 5\n" in capsys.readouterr().out
 
     def test_trainer_key_is_1(self, tmp_path, capsys):
         cfg = tmp_path / "gen.cfg"
@@ -363,6 +377,22 @@ class TestAblateCommand:
         assert err.startswith(f"config error: lambdas {pair} share the run directory")
         assert err.count("\n") == 1
         assert not os.path.exists(out)
+
+    def test_minus_zero_shares_the_run_directory_of_zero(self, corpus_path, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        assert main(["ablate", "--corpus", corpus_path, "--lambdas", "0,-0", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"config error: lambdas 0.0 and -0.0 share the run directory "
+                                           f"{out / 'lam_0'}\n")
+        assert not os.path.exists(out)
+
+    def test_minus_zero_is_the_baseline_in_lam_0(self, corpus_path, tmp_path, capsys):
+        cfg, out = tmp_path / "t.cfg", tmp_path / "sweep"
+        cfg.write_text(f"corpus = {corpus_path}\nsteps = 3\nbatch_size = 4\n")
+        assert main(["ablate", "--config", str(cfg), "--lambdas=-0,0.1", "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == ["ablation.csv", "lam_0", "lam_0.1"]
+        assert "ablation over lambdas ['0', '0.1']" in capsys.readouterr().out
+        baseline = json.loads((out / "lam_0" / "metrics.json").read_text())
+        assert baseline["lambda"] == 0.0 and baseline["run_id"].startswith("prism_lam0_seed")
 
     def test_partial_failure_recorded_and_continues(self, corpus_path, tmp_path, capsys):
         out = str(tmp_path / "sweep")
@@ -592,15 +622,22 @@ class TestTraceCommand:
 
     @staticmethod
     def trace_groups(monkeypatch, *args):
-        """The records of each gate_pass of cmd_trace(*args)."""
-        groups, real = [], prism.model.gate_pass
+        """The records of each group that cmd_trace(*args) runs, after
+        checking that model.record_groups cuts them consecutively, over every
+        record, each within block_rows unless it is one record."""
+        groups, real = [], prism.model.record_groups
 
-        def spy(params, prepared, per_example=False):
-            groups.append(len(prepared))
-            return real(params, prepared, per_example)
+        def spy(params, prepared):
+            cut = list(real(params, prepared))
+            assert cut[0][0] == 0 and cut[-1][1] == len(prepared)
+            assert all(stop == start for (_, stop), (start, _) in zip(cut, cut[1:]))
+            rows = prism.model.block_rows(params)
+            assert all(b - a == 1 or prepared.offsets[b] - prepared.offsets[a] <= rows for a, b in cut)
+            groups.extend(b - a for a, b in cut)
+            return iter(cut)
 
         with monkeypatch.context() as patch:
-            patch.setattr(prism.model, "gate_pass", spy)
+            patch.setattr(prism.model, "record_groups", spy)
             cmd_trace(*args)
         return groups
 
@@ -967,6 +1004,25 @@ class TestTraceGroups:
         for limit in (1, groups[0], groups[0] + 1, mid, len(offsets) - 1):
             cmd_trace(ck_path, corpus, limit, None)
             assert capsys.readouterr().out.encode() == b"".join(lines[:offsets[limit]])
+
+    def test_evaluate_reads_the_values_trace_writes(self, grouped_run, tmp_path):
+        ck_path, corpus = grouped_run
+        ck = load_checkpoint(ck_path)
+        params = ck.params
+        out = tmp_path / "trace.jsonl"
+        cmd_trace(ck_path, corpus, 0, str(out))
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        prepared = prepare_examples(read_jsonl(corpus), params.window, params.vocab_size,
+                                    risk_mode=ck.config["risk_propagation"])
+        trace_groups = len(list(prism.model.record_groups(params, prepared)))
+        assert trace_groups > 2
+        for budget, groups in ((1, len(prepared)), (BLOCK_BYTES, trace_groups)):  # one record each, trace's groups
+            evaluated, n_groups, _ = evaluated_trace(params, prepared, budget)
+            assert n_groups == groups
+            for field in ("p_label", "q_max", "pref_gate", "keep_gate", "alpha"):
+                values = getattr(evaluated, field)
+                written = np.array([row[field] for row in rows], dtype=values.dtype)
+                assert values.tobytes() == written.tobytes(), field
 
 
 class TestReportCommand:

@@ -4,7 +4,7 @@ and checkpoint round trips for the tiny window model."""
 import json
 import math
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -24,6 +24,7 @@ from prism.model import (
     StepBuffers,
     TrainSettings,
     backward_batch,
+    block_rows,
     distinct_windows,
     evaluate,
     forward_batch,
@@ -34,6 +35,7 @@ from prism.model import (
     load_checkpoint,
     optimizer_step,
     prepare_examples,
+    record_groups,
     save_checkpoint,
     train,
 )
@@ -42,11 +44,12 @@ from prism.objective import GateTrace, knowledge_mask_valid, softmax_probs, tota
 from oracles import (
     evaluate_reference,
     finite_difference_gradient,
-    gate_pass_in_blocks,
     optimizer_step_reference,
     prepare_reference,
+    record_groups_reference,
     standalone_sft,
 )
+from test_corpus import small_configs
 
 from prism.fact_graph import TokenSignals
 
@@ -432,10 +435,12 @@ class TestPrepare:
         assert prep.signals.fact_mask.tolist() == [False, False, True, False]
 
 
-def readme_corpus():
-    """The README quick start's corpus, as preprocess writes it."""
-    cfg = GeneratorConfig(vocab_size=70, n_examples=2000, n_keys=20, n_values=20, sentence_length=5,
-                          corruption_fraction=0.3, risk_min=0.5, risk_max=0.9, dependency_p=0.25, seed=11)
+def readme_corpus(**overrides):
+    """The README quick start's corpus, as preprocess writes it, or with
+    `overrides` of its generator config."""
+    cfg = GeneratorConfig(**{**dict(vocab_size=70, n_examples=2000, n_keys=20, n_values=20, sentence_length=5,
+                                    corruption_fraction=0.3, risk_min=0.5, risk_max=0.9, dependency_p=0.25,
+                                    seed=11), **overrides})
     return [c for ex in verify_and_filter(generate(cfg)).kept for c in chunk(ex, cfg.chunk_limit)]
 
 
@@ -842,8 +847,8 @@ class TestGatePass:
     def test_per_example_equals_a_pass_over_each_example(self):
         prep = prepare_examples(small_corpus(n=40), window=4, vocab_size=70)
         params = init_params(70, 8, 12, 4, np.random.default_rng(6))
-        grouped = gate_pass(params, prep, per_example=True)
-        for field in ("p_label", "q_max", "pref_gate", "keep_gate", "alpha", "top1"):
+        grouped = gate_pass(params, prep)
+        for field in GATE_FIELDS:
             alone = np.concatenate([getattr(gate_pass(params, p), field) for p in prep])
             assert bits(getattr(grouped, field)) == bits(alone)
 
@@ -857,88 +862,92 @@ class TestGatePass:
             return original_forward(params, windows, out=out, splits=splits)
 
         monkeypatch.setattr(model_mod, "forward_batch", forward)
-        monkeypatch.setattr(model_mod, "BLOCK_BYTES", 1)  # the caller bounds a per-example pass
-        gate_pass(init_params(70, 8, 12, 4, np.random.default_rng(6)), prep, per_example=True)
+        gate_pass(init_params(70, 8, 12, 4, np.random.default_rng(6)), prep)
         [(windows, splits)] = forwarded
         assert len(splits) == len(prep) + 1
         for a, b, p in zip(splits[:-1], splits[1:], prep):
             assert bits(windows[a:b]) == bits(p.distinct_rows()[0])
 
-    @staticmethod
-    def blocked(monkeypatch, params, prep, budget_rows):
-        """gate_pass(params, prep) with BLOCK_BYTES set to `budget_rows` rows,
-        and the windows of each of its forward_batch calls."""
+    @pytest.mark.parametrize("budget_rows", [0, 1, 12, 40, 10**6])
+    def test_record_groups_are_consecutive_and_within_the_bound(self, monkeypatch, budget_rows):
         import prism.model as model_mod
-        forwarded, original_forward = [], model_mod.forward_batch
-
-        def forward(params, windows, out=None, splits=None):
-            assert list(splits) == [0, len(windows)]  # one matmul pair
-            forwarded.append(np.array(windows))
-            return original_forward(params, windows, out=out, splits=splits)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(model_mod, "forward_batch", forward)
-            patch.setattr(model_mod, "BLOCK_BYTES", budget_rows * row_bytes(params))
-            trace = gate_pass(params, prep)
-        return trace, forwarded
-
-    @pytest.mark.parametrize("budget_rows", [2, 37, 50])
-    def test_blocks_equal_the_per_block_oracle(self, monkeypatch, budget_rows):
         prep = prepare_examples(small_corpus(n=40), window=4, vocab_size=70)
         params = init_params(70, 8, 12, 4, np.random.default_rng(6))
-        params.w2 *= 40.0  # peaked rows, and most labels their rows' argmax, so the gates open
-        top = forward_batch(params, prep.distinct[prep.window_id])[0].argmax(axis=1)
-        rng = np.random.default_rng(2)
-        prep = replace(prep, labels=np.where(rng.random(len(top)) < 0.7, top, prep.labels))
-        trace, forwarded = self.blocked(monkeypatch, params, prep, budget_rows)
-        assert len(forwarded) > 1
-        expected = gate_pass_in_blocks(params, prep, np.cumsum([0] + [len(w) for w in forwarded]).tolist())
-        assert (expected.alpha > 0).any() and not expected.top1.all()
-        for field in GATE_FIELDS:
-            assert getattr(trace, field).dtype == getattr(expected, field).dtype
-            assert bits(getattr(trace, field)) == bits(getattr(expected, field))
+        monkeypatch.setattr(model_mod, "BLOCK_BYTES", budget_rows * row_bytes(params))
+        assert block_rows(params) == budget_rows
+        groups = list(record_groups(params, prep))
+        assert groups == record_groups_reference(prep, budget_rows)
+        assert groups[0][0] == 0 and groups[-1][1] == len(prep)
+        assert all(stop == start for (_, stop), (start, _) in zip(groups, groups[1:]))
+        assert all(stop - start == 1 or prep.offsets[stop] - prep.offsets[start] <= budget_rows
+                   for start, stop in groups)
+        sizes = [stop - start for start, stop in groups]
+        if budget_rows == 12:  # the records of 15 and 20 positions are groups of their own
+            assert max(np.diff(prep.offsets)) > budget_rows and max(sizes) == 1
+        assert (max(sizes) > 1) == (budget_rows >= 40) and (len(groups) == 1) == (budget_rows == 10**6)
 
-    @pytest.mark.parametrize("budget_rows", [1, 2, 3, 37, 10**6])
-    @pytest.mark.parametrize("n_windows", [1, 2, 3, 5, None])
-    def test_blocks_are_nearly_equal_and_within_the_bound(self, monkeypatch, budget_rows, n_windows):
-        prep = prepare_examples(small_corpus(n=40), window=4, vocab_size=70)
-        if n_windows is not None:  # the same positions on the first n_windows windows
-            prep = replace(prep, distinct=prep.distinct[:n_windows], window_id=prep.window_id % n_windows)
-        params = init_params(70, 8, 12, 4, np.random.default_rng(6))
-        _, forwarded = self.blocked(monkeypatch, params, prep, budget_rows)
-        sizes = [len(w) for w in forwarded]
-        distinct = len(prep.distinct_rows()[0])
-        assert distinct == (n_windows or len(prep.distinct))
-        assert sum(sizes) == distinct and max(sizes) - min(sizes) <= 1
-        assert min(sizes) >= 2 or distinct == 1  # no one-row (gemv) block
-        wanted = -(-distinct // budget_rows)
-        if wanted == 1 or wanted <= distinct // 2:  # ceil(D / budget) blocks within the bound
-            assert len(sizes) == wanted and max(sizes) <= budget_rows
-        else:  # fewer blocks, so that none has one row
-            assert len(sizes) == distinct // 2
-        assert bits(np.concatenate(forwarded)) == bits(prep.distinct_rows()[0])
-
-    def test_blocks_at_vocab_1024_match_the_one_block_pass(self, monkeypatch):
-        """At the wide benchmark's V = 1024 and model, a blocked pass gives the
-        one-block values up to rounding.  Whether a row's matmul keeps its bits
-        in another block is a property of the BLAS kernel, not of gate_pass,
-        so only the gates and top-1 are compared exactly."""
+    def test_blocks_at_vocab_1024_match_the_one_block_pass(self):
+        """At the wide benchmark's V = 1024 and model, evaluate's values in
+        record groups within BLOCK_BYTES are those of one group over the whole
+        split, bit for bit."""
         import prism.model as model_mod
         prep = prepare_examples(random_corpus(1024, n=60), window=4, vocab_size=1024)
         params = init_params(1024, 32, 64, 4, np.random.default_rng(3))
         params.w2 *= 8.0
-        blocked = gate_pass(params, prep)
-        rows_per_block = model_mod.block_rows(params)
-        assert len(prep.distinct_rows()[0]) > 3 * rows_per_block
-        monkeypatch.setattr(model_mod, "BLOCK_BYTES", 2**40)
-        whole = gate_pass(params, prep)
+        assert len(prep.distinct_rows()[0]) > 3 * block_rows(params)
+        grouped, n_grouped, _ = evaluated_trace(params, prep, model_mod.BLOCK_BYTES)
+        whole, n_whole, _ = evaluated_trace(params, prep, 2**40)
+        assert n_grouped > 3 and n_whole == 1
         assert (whole.alpha > 0).any()
         for field in GATE_FIELDS:
-            got, want = getattr(blocked, field), getattr(whole, field)
-            if want.dtype == bool:
-                assert bits(got) == bits(want)
-            else:
-                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+            assert bits(getattr(grouped, field)) == bits(getattr(whole, field))
+
+
+def evaluated_trace(params, prep, budget):
+    """The per-position GateTrace that evaluate(params, prep) reads its
+    metrics from with BLOCK_BYTES at `budget`, the number of gate_pass calls
+    it is joined from, and the metrics."""
+    import prism.model as model_mod
+    parts, real = [], model_mod.gate_pass
+
+    def spy(params, prepared):
+        parts.append(real(params, prepared))
+        return parts[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model_mod, "gate_pass", spy)
+        patch.setattr(model_mod, "BLOCK_BYTES", budget)
+        metrics = evaluate(params, prep)
+    joined = GateTrace(*(np.concatenate([getattr(p, field) for p in parts]) for field in GATE_FIELDS))
+    assert len(joined.p_label) == len(prep.labels)
+    return joined, len(parts), metrics
+
+
+def check_bound_free(params, prep):
+    """evaluate's per-position values and metrics are the same bits with
+    BLOCK_BYTES at 1 byte, one record's rows, the default and 2**40, and
+    equal one gate_pass per record; returns the group counts."""
+    import prism.model as model_mod
+    want = GateTrace(*(np.concatenate([getattr(gate_pass(params, p), field) for p in prep])
+                       for field in GATE_FIELDS))
+    longest = int(np.diff(prep.offsets).max())
+    counts, shown = [], set()
+    for budget in (1, longest * row_bytes(params), model_mod.BLOCK_BYTES, 2**40):
+        got, n_groups, metrics = evaluated_trace(params, prep, budget)
+        for field in GATE_FIELDS:
+            assert bits(getattr(got, field)) == bits(getattr(want, field))
+        counts.append(n_groups)
+        shown.add(repr(metrics))
+    assert len(shown) == 1
+    assert counts[0] == len(prep) and counts[-1] == 1
+    return counts
+
+
+# readme_corpus overrides: the quick-start corpus and the sweep_acceptance
+# benchmark corpus at seed 3.  After 20 training steps, a forward pass over
+# either eval split's distinct windows in row blocks changed p_label values
+# against one pass.
+BOUND_FREE_CORPORA = {"readme": {}, "sweep_acceptance-3": dict(plant_defects=8, seed=3)}
 
 
 class TestEvaluate:
@@ -992,17 +1001,38 @@ class TestEvaluate:
         monkeypatch.setattr(model_mod, "forward_batch", forward)
         params = init_params(70, 8, 12, 4, np.random.default_rng(6))
         metrics = evaluate(params, split)
-        [(windows, splits)] = forwarded
-        assert len(windows) < len(split.labels) and splits == [0, len(windows)]  # one block
-        assert windows.tobytes() == split.distinct_rows()[0].tobytes()
-        # a bound of a third of the windows' rows: three blocks, each forwarded alone
+        [(windows, splits)] = forwarded  # the ten records make one group
+        assert len(windows) < len(split.labels) and len(splits) == len(split) + 1
+        for a, b, record in zip(splits[:-1], splits[1:], split):  # one matmul pair per record
+            assert windows[a:b].tobytes() == record.distinct_rows()[0].tobytes()
+        # a bound of a third of the split's positions: three groups or more, each forwarded by records
         forwarded.clear()
-        monkeypatch.setattr(model_mod, "BLOCK_BYTES", row_bytes(params) * -(-len(windows) // 3))
+        monkeypatch.setattr(model_mod, "BLOCK_BYTES", row_bytes(params) * -(-len(split.labels) // 3))
         evaluate(params, split)
-        assert len(forwarded) == 3 and all(splits == [0, len(w)] for w, splits in forwarded)
+        assert len(forwarded) >= 3 and sum(len(splits) - 1 for _, splits in forwarded) == len(split)
         assert np.concatenate([w for w, _ in forwarded]).tobytes() == windows.tobytes()
         monkeypatch.undo()
         assert repr(metrics) == repr(evaluate_reference(params, split))
+
+    @pytest.mark.parametrize("name", sorted(BOUND_FREE_CORPORA))
+    def test_trained_values_do_not_depend_on_the_bound(self, name):
+        examples = readme_corpus(**BOUND_FREE_CORPORA[name])
+        vocab = infer_vocab_size(examples)
+        prep = prepare_examples(examples, window=4, vocab_size=vocab)
+        settings = TrainSettings(method="prism", lam=0.1, steps=20, batch_size=32, learning_rate=0.003,
+                                 embed_dim=32, hidden_dim=64, vocab_size=vocab, seed=7)
+        params = train(prep[:-200], settings).params
+        counts = check_bound_free(params, prep[len(prep) - 200:])
+        assert counts[2] > 1  # the default bound runs the eval split in several groups
+
+    @given(small_configs())
+    @settings(max_examples=30, deadline=None)
+    def test_values_do_not_depend_on_the_bound_on_small_configs(self, cfg):
+        chunks = [c for ex in verify_and_filter(generate(cfg)).kept for c in chunk(ex, cfg.chunk_limit)]
+        prep = prepare_examples(chunks, window=3, vocab_size=cfg.vocab_size)
+        params = init_params(cfg.vocab_size, 6, 8, 3, np.random.default_rng(cfg.seed))
+        params.w2 *= 40.0  # peaked rows, so the gates open
+        check_bound_free(params, prep)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_logits_give_the_reference_error(self, value):
