@@ -21,34 +21,4 @@ NUMPY_IMPORTED_BEFORE_PRISM = "numpy" in sys.modules
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 BLAS_THREADS = {var: os.environ.setdefault(var, "1") for var in BLAS_THREAD_VARS}
 
-from .errors import (
-    AnnotationError,
-    CheckpointError,
-    ConfigError,
-    CorpusFormatError,
-    DivergenceError,
-    EmptyBatchError,
-    NonFiniteLogits,
-    RunFileError,
-)
-from .fact_graph import (
-    DependencyEdge,
-    FactSpan,
-    RiskGraph,
-    SentenceSpan,
-    TokenSignals,
-    derive_token_signals,
-    propagate_risk,
-)
-from .objective import (
-    GateTrace,
-    LossBreakdown,
-    Softmax,
-    comp_loss,
-    sft_loss,
-    softmax_pass,
-    softmax_probs,
-    total_loss,
-)
-
 __version__ = "0.1.0"

@@ -119,7 +119,7 @@ def _check_tokens(tokens: np.ndarray, vocab_size: int) -> None:
 
 
 class StepViews(NamedTuple):
-    """A StepBuffers' arrays for one batch of `rows`, each C-contiguous."""
+    """A training step's per-row arrays for a batch of `rows`, each C-contiguous."""
 
     logits: np.ndarray    # [rows, V], with probs total_loss's two out arrays
     probs: np.ndarray     # [rows, V]
@@ -500,23 +500,11 @@ def infer_vocab_size(examples: Sequence[AnnotatedExample]) -> int:
     return top + 1
 
 
-class StepBuffers:
-    """The per-row arrays of one training step (StepViews), owned by a run.
-    They are reallocated only when a batch has more rows than they hold, and
-    then for twice its rows, so a run seldom grows them twice: rows never
-    written take no memory, while each growth can leave the old arrays
-    behind as free but resident heap."""
-
-    def __init__(self, params: ModelParams) -> None:
-        fan_in, hidden = params.w1.shape
-        widths = (params.vocab_size,) * 2 + (fan_in, hidden, hidden, hidden, fan_in)
-        self.columns = [(n, np.float64) for n in widths] + [(fan_in, np.int64)]
-        self.arrays = [np.empty((0, n), dtype) for n, dtype in self.columns]
-
-    def views(self, rows: int) -> StepViews:
-        if rows > len(self.arrays[0]):
-            self.arrays = [np.empty((2 * rows, n), dtype) for n, dtype in self.columns]
-        return StepViews(*(a[:rows] for a in self.arrays))
+def step_views(params: ModelParams, rows: int) -> StepViews:
+    """Uninitialised StepViews arrays of `rows` rows for a model of `params`."""
+    fan_in, hidden = params.w1.shape
+    widths = (params.vocab_size,) * 2 + (fan_in, hidden, hidden, hidden, fan_in)
+    return StepViews(*(np.empty((rows, n)) for n in widths), np.empty((rows, fan_in), dtype=np.int64))
 
 
 def train(prepared: PreparedCorpus, settings: TrainSettings) -> TrainResult:
@@ -530,9 +518,10 @@ def train(prepared: PreparedCorpus, settings: TrainSettings) -> TrainResult:
     Methods without a complement term run at lam = 0, where total_loss skips
     that term, so any method at lam = 0 is bit-identical to method="sft" on
     the same valid mask.  Aborts with the step index on non-finite logits
-    (which total_loss checks, once per step) or a non-finite loss.  The
-    step's per-row arrays live in one StepBuffers for the whole run, and
-    total_loss runs its softmax pass over the logits in place.
+    (which total_loss checks, once per step) or a non-finite loss.  The run
+    allocates the per-row arrays once (step_views), for the most distinct
+    windows that batch_size records can have, and each step writes the first
+    rows; total_loss runs its softmax pass over the logits in place.
 
     `prepared` is prepare_examples(examples, settings.window,
     settings.vocab_size, risk_mode=settings.risk_propagation); a sweep
@@ -551,14 +540,15 @@ def train(prepared: PreparedCorpus, settings: TrainSettings) -> TrainResult:
 
     log: list[StepRecord] = []
     counters = TrainCounters()
-    buffers = StepBuffers(params)
+    cap = min(len(prepared.distinct), settings.batch_size * int(np.diff(prepared.offsets).max()))
+    scratch = step_views(params, cap)
     for step in range(1, settings.steps + 1):
         idx = rng.integers(0, len(prepared), size=settings.batch_size)
         at = prepared.positions(idx)
         windows, rows = prepared.distinct_rows(at)
         labels = prepared.labels[at]
         signals = prepared.signals[at]
-        views = buffers.views(len(windows))
+        views = StepViews(*(a[:len(windows)] for a in scratch))
         logits, cache = forward_batch(params, windows, out=views)
 
         n_sft = int(signals.valid_mask.sum())

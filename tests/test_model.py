@@ -21,7 +21,7 @@ from prism.model import (
     METHODS,
     ModelParams,
     PARAM_FIELDS,
-    StepBuffers,
+    StepViews,
     TrainSettings,
     backward_batch,
     block_rows,
@@ -37,6 +37,7 @@ from prism.model import (
     prepare_examples,
     record_groups,
     save_checkpoint,
+    step_views,
     train,
 )
 from prism.objective import GateTrace, knowledge_mask_valid, softmax_probs, total_loss
@@ -120,7 +121,12 @@ class TestForward:
     def test_empty_batch_gives_empty_arrays(self, with_out):
         params = init_params(30, 8, 16, 4, np.random.default_rng(8))
         windows = np.zeros((0, 4), dtype=np.int64)
-        out = StepBuffers(params).views(0) if with_out else None
+        out = None
+        if with_out:  # a run's step arrays sliced to no rows, after stale values
+            scratch = step_views(params, 5)
+            for arr in scratch:
+                arr.fill(np.nan if arr.dtype == np.float64 else -(2**40))
+            out = StepViews(*(a[:0] for a in scratch))
         logits, (x, hidden) = forward_batch(params, windows, out=out)
         assert (logits.shape, x.shape, hidden.shape) == ((0, 30), (0, 32), (0, 16))
         assert forward_batch(params, windows, splits=[0, 0])[0].shape == (0, 30)
@@ -785,36 +791,40 @@ def random_corpus(vocab, n, length=40, seed=9):
     ]
 
 
-class TestStepBuffers:
+# Corpora shaped like the benchmark's three workloads, smaller, and one whose
+# single long record has 50 times the positions of each other record.
+CAP_CORPORA = {
+    "sweep": lambda: (readme_corpus(n_examples=300), 70),
+    "long_docs": lambda: (readme_corpus(n_examples=40, facts_per_sentence=4, sentence_length=13, sentences_min=8,
+                                        sentences_max=16, dependency_p=0.5, chunk_limit=180), 70),
+    "wide_vocab": lambda: (readme_corpus(n_examples=100, vocab_size=1024, n_keys=200, n_values=200,
+                                         sentence_length=6), 1024),
+    "one_long_record": lambda: (random_corpus(70, 40, length=10) + random_corpus(70, 1, length=500, seed=10), 70),
+}
+
+
+class TestStepViews:
     @pytest.mark.parametrize("vocab", [70, 1024])
-    def test_stale_buffers_give_the_allocating_bits(self, vocab):
-        """Buffers full of stale values and larger than the batch, and
-        batches that shrink, grow within them and grow past them:
-        forward_batch, total_loss and backward_batch with out= equal the
-        allocating calls bit for bit."""
+    def test_stale_rows_give_the_allocating_bits(self, vocab):
+        """A run's step arrays, full of stale values and larger than the
+        batch, sliced for batches that shrink and grow within them as train
+        slices them: forward_batch, total_loss and backward_batch with out=
+        equal the allocating calls bit for bit."""
         rng = np.random.default_rng(vocab)
         params = init_params(vocab, 8, 16, 3, rng)
         params.w2 *= 40.0  # peaked softmax rows, so the gates open
-        buffers = StepBuffers(params)
-
-        def spoil():
-            for arr in buffers.arrays:
-                arr.fill(np.nan if arr.dtype == np.float64 else -(2**40))
-
-        buffers.views(30)  # room for 60 rows
-        spoil()
+        scratch = step_views(params, 100)
+        for arr in scratch:
+            arr.fill(np.nan if arr.dtype == np.float64 else -(2**40))
         active = 0
-        for rows in (40, 9, 30, 60, 61, 100):
+        for rows in (40, 9, 30, 60, 100, 25):
             windows = rng.integers(0, vocab, size=(rows, 3))
             logits, cache = forward_batch(params, windows)
             labels = np.where(rng.random(rows) < 0.7, logits.argmax(axis=1), rng.integers(0, vocab, rows))
             signals = TokenSignals(fact_mask=rng.random(rows) < 0.6,
                                    support_weight=rng.choice([0.2, 0.5, 0.8, 1.0], rows),
                                    valid_mask=rng.random(rows) < 0.9)
-            if rows > len(buffers.arrays[0]):
-                buffers.views(rows)
-                spoil()
-            views = buffers.views(rows)
+            views = StepViews(*(a[:rows] for a in scratch))
             reused, reused_cache = forward_batch(params, windows, out=views)
             assert reused is views.logits and bits(reused) == bits(logits)
             assert all(bits(a) == bits(b) for a, b in zip(reused_cache, cache))
@@ -841,6 +851,41 @@ class TestStepBuffers:
                     grads_again = backward_batch(params, windows, again[1], reused_cache, out=views)
                     assert all(bits(grads_again[name]) == bits(grads[name]) for name in PARAM_FIELDS)
         assert active > 0
+
+    @pytest.mark.parametrize("shape", ["sweep", "long_docs", "wide_vocab", "one_long_record"])
+    def test_no_step_has_more_rows_than_the_run_allocates(self, monkeypatch, shape):
+        """train allocates its step arrays once, at min(distinct windows,
+        batch_size x the longest record's positions) rows, and every step's
+        forward_batch runs on a head of them."""
+        import prism.model as model_mod
+        examples, vocab = CAP_CORPORA[shape]()
+        settings = TrainSettings(method="prism", lam=0.1, steps=20, batch_size=8, vocab_size=vocab, seed=4)
+        prepared = prepare_examples(examples, settings.window, vocab)
+        longest = int(np.diff(prepared.offsets).max())
+        cap = min(len(prepared.distinct), settings.batch_size * longest)
+        allocated, forwarded = [], []
+        real_views, real_forward = model_mod.step_views, model_mod.forward_batch
+
+        def views(params, rows):
+            allocated.append(real_views(params, rows))
+            return allocated[-1]
+
+        def forward(params, windows, out=None):
+            forwarded.append((len(windows), out))
+            return real_forward(params, windows, out=out)
+
+        monkeypatch.setattr(model_mod, "step_views", views)
+        monkeypatch.setattr(model_mod, "forward_batch", forward)
+        train(prepared, settings)
+        assert [len(a) for a in allocated[0]] == [cap] * len(StepViews._fields) and len(allocated) == 1
+        assert len(forwarded) == settings.steps
+        for rows, out in forwarded:
+            assert 0 < rows <= cap
+            assert all(len(a) == rows and np.shares_memory(a, b) for a, b in zip(out, allocated[0]))
+        if shape == "sweep":  # the batch bounds the cap
+            assert cap == settings.batch_size * longest < len(prepared.distinct)
+        if shape == "one_long_record":  # the long record was drawn, and the distinct windows bound the cap
+            assert max(rows for rows, _ in forwarded) > settings.batch_size * 10 and cap == len(prepared.distinct)
 
 
 class TestGatePass:
