@@ -630,7 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, help="override the config seed")
     common.add_argument("--out", help="override the output path")
 
-    p = sub.add_parser("preprocess", parents=[common], help="generate, chunk, verify, and write a corpus")
+    p = sub.add_parser("preprocess", parents=[common], help="generate, verify, chunk, and write a corpus")
     p.set_defaults(func=_main_preprocess)
 
     t = sub.add_parser("train", parents=[common], help="train one run")

@@ -697,7 +697,11 @@ def numeric_environment() -> dict:
     """What a run's bits depend on besides its config and seed: the python,
     numpy and BLAS versions, the BLAS thread variables as prism left them at
     import, and whether numpy (and so BLAS) was loaded before that.  Nothing
-    in it varies between runs on one machine."""
+    in it varies between runs on one machine.  At more than one BLAS thread
+    the bits also depend on the CPUs the process may use, which it does not
+    record: OpenBLAS runs at most one thread per such CPU, and a matmul's
+    sums change with its thread count, so a run pinned to one CPU gives the
+    one-thread bits under a record of two threads."""
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,

@@ -1,7 +1,11 @@
-"""tools/same_bits.py on a tiny matrix: two runs of one tree diff empty, and
-a one-ulp change to the SFT loss shows up in the files it reaches."""
+"""tools/same_bits.py on a tiny matrix: two runs of one tree diff empty, a
+one-ulp change to the SFT loss shows up in the files it reaches, and a trace
+whose rows depend on their record group fails the BLOCK_BYTES = 1 check."""
 
+import contextlib
+import dataclasses
 import importlib.util
+import io
 import json
 import shutil
 import sys
@@ -22,35 +26,53 @@ TINY = same_bits.Case(
     lambdas=(0.0, 0.1),
     trace_limit=3,
 )
-ONLY = ("preprocess", "train_prism")  # of the matrix's commands, and no --help
+ONLY = ("preprocess", "train_prism")
+# the commands each copy of TINY runs, by its name, and no --help: "bound1" those the BLOCK_BYTES = 1
+# checks read, "checked" every command a check reads
+KEPT = {"tiny": ONLY, "bound1": ONLY + ("trace_0_out", "bound1_train", "bound1_trace")}
+KEPT["checked"] = KEPT["bound1"] + ("train_sft", "ablate", "trace_3_out", "trace_3_stdout", "trace_0_stdout")
 
 
-def plant_one_ulp(tree):
-    """A copy of prism whose sft_loss returns the next float above its loss."""
+def plant(tree):
+    """A copy of prism whose sft_loss returns the next float above its loss,
+    and whose trace groups of one record end their rows with a space."""
     shutil.copytree(ROOT / "src" / "prism", tree / "prism", ignore=shutil.ignore_patterns("__pycache__"))
-    objective = tree / "prism" / "objective.py"
-    text = objective.read_text()
-    assert text.count("    return value, grad\n") == 1
-    objective.write_text(text.replace("    return value, grad\n",
-                                      "    return float(np.nextafter(value, np.inf)), grad\n"))
-    return tree
+    for module, old, new in [
+        ("objective.py", "    return value, grad\n", "    return float(np.nextafter(value, np.inf)), grad\n"),
+        ("harness.py", '    return "".join(map(TRACE_ROW.__mod__, columns))\n',
+         '    return "".join(map(TRACE_ROW.__mod__, columns)) + " " * (stop - start == 1)\n'),
+    ]:
+        text = (tree / "prism" / module).read_text()
+        assert text.count(old) == 1
+        (tree / "prism" / module).write_text(text.replace(old, new))
+    return str(tree)
 
 
 @pytest.fixture(scope="module")
 def manifests(tmp_path_factory):
     base = tmp_path_factory.mktemp("same_bits")
     src = str(ROOT / "src")
-    planted = str(plant_one_ulp(base / "planted_src"))
-    runs = [(src, base / "a"), (src, base / "b"), (planted, base / "planted")]
+    planted = plant(base / "planted_src")
+    checked, bound1 = (dataclasses.replace(TINY, name=name) for name in ("checked", "bound1"))
+    jobs = {  # the longest first
+        "checked": lambda: same_bits.run(src, str(base / "checked"), [checked]),
+        "planted_exit": lambda: same_bits.main(["run", planted, str(base / "planted_exit")]),
+        "a": lambda: same_bits.run(src, str(base / "a"), [TINY]),
+        "b": lambda: same_bits.run(src, str(base / "b"), [TINY]),
+        "planted": lambda: same_bits.run(planted, str(base / "planted"), [TINY]),
+    }
     every_command = same_bits.commands
-    with pytest.MonkeyPatch.context() as patch, ThreadPoolExecutor(max_workers=len(runs)) as pool:
-        patch.setattr(same_bits, "commands", lambda case: [c for c in every_command(case) if c[0] in ONLY])
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stderr(io.StringIO()) as err, \
+            ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+        patch.setattr(same_bits, "commands", lambda case: [c for c in every_command(case) if c[0] in KEPT[case.name]])
         patch.setattr(same_bits, "help_commands", lambda: [])
-        return list(pool.map(lambda job: same_bits.run(job[0], str(job[1]), [TINY]), runs))
+        patch.setattr(same_bits, "matrix", lambda: [bound1])
+        results = dict(zip(jobs, pool.map(lambda job: job(), jobs.values())))
+    return dict(results, planted_stderr=err.getvalue())
 
 
 def test_two_runs_of_one_tree_diff_empty(manifests):
-    a, b, _ = manifests
+    a, b = manifests["a"], manifests["b"]
     assert same_bits.diff(a, b) == (0, [])
     assert set(a["commands"]) == {"tiny/preprocess", "tiny/train_prism"}
     assert all(entry["exit"] == 0 for entry in a["commands"].values())
@@ -58,7 +80,7 @@ def test_two_runs_of_one_tree_diff_empty(manifests):
 
 
 def test_a_one_ulp_loss_change_shows(manifests):
-    a, _, planted = manifests
+    a, planted = manifests["a"], manifests["planted"]
     code, lines = same_bits.diff(a, planted)
     assert code == 1
     # the loss is logged and reported, but the gradient does not read it
@@ -67,8 +89,20 @@ def test_a_one_ulp_loss_change_shows(manifests):
     assert code == 0 and lines and all(line.endswith(" (expected)") for line in lines)
 
 
+def test_every_check_holds_where_its_commands_ran(manifests):
+    assert manifests["a"]["checks"] == {}
+    assert manifests["checked"]["checks"] == {f"checked/{name}": True for name in (
+        "trace_3_stdout", "trace_0_stdout", "trace_limit_prefix", "bound1_trace", "bound1_run", "sweep_lam_0.1",
+        "sweep_lam_0")}
+
+
+def test_trace_rows_that_depend_on_their_group_fail_the_bound1_check(manifests):
+    assert manifests["planted_exit"] == 1
+    assert manifests["planted_stderr"] == "check failed: bound1/bound1_trace\n"
+
+
 def test_manifests_of_different_environments_are_refused(manifests, tmp_path, capsys):
-    a, b, _ = manifests
+    a, b = manifests["a"], manifests["b"]
     b = json.loads(json.dumps(b))
     b["environment"]["numpy"] = "0.0"
     assert same_bits.diff(a, b) == (2, ["refused: the manifests come from different numeric environments (numpy)"])
@@ -83,3 +117,7 @@ def test_a_missing_tree_or_manifest_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: no prism package under {tmp_path / 'nowhere'}\n"
     assert same_bits.main(["diff", str(tmp_path / "a.json"), str(tmp_path / "b.json")]) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot read manifest {tmp_path / 'a.json'}")
+    for key in same_bits.SECTIONS:  # valid JSON, but a manifest without that section
+        (tmp_path / "a.json").write_text(json.dumps({section: {} for section in same_bits.SECTIONS if section != key}))
+        assert same_bits.main(["diff", str(tmp_path / "a.json"), str(tmp_path / "a.json")]) == 2
+        assert capsys.readouterr().err == f"error: manifest {tmp_path / 'a.json'} has no {key!r}\n"

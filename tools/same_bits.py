@@ -6,12 +6,12 @@
 
 ``run`` runs every command of the matrix in a child process
 (``python -m prism.harness`` with only SRC, a directory holding the
-``prism`` package, on PYTHONPATH, and OPENBLAS_NUM_THREADS=1), each case in
-its own directory under OUT, and writes OUT/manifest.json.  The manifest
-holds each command's argv, exit code, stdout and stderr (text up to 4 KiB,
-else its sha256 and length), the sha256 of every file a case leaves, and
-the numeric environment that SRC's ``prism.model.numeric_environment()``
-reports.  ``--jobs`` runs that many cases at a time; it changes no entry.
+``prism`` package, on PYTHONPATH), each case in its own directory under
+OUT, and writes OUT/manifest.json.  The manifest holds each command's argv,
+exit code, stdout and stderr (text up to 4 KiB, else its sha256 and
+length), the sha256 of every file a case leaves, the numeric environment
+that SRC's ``prism.model.numeric_environment()`` reports, and each check's
+result.  ``--jobs`` runs that many cases at a time; it changes no entry.
 
 The matrix is the README quick start, at its own seeds, and the three
 benchmark workloads of ``perfbench/run.py`` (``WORKLOADS``) at seeds 1 and 3.
@@ -22,11 +22,17 @@ and once with ``eval_fraction = 0``; ``ablate`` over the case's lambdas;
 ``--out``; and ``train`` and ``trace --limit 0`` again in one process with
 ``prism.model.BLOCK_BYTES = 1``.  One more case runs every ``--help``.
 
-``diff`` prints one line per entry (a command, by ``case/name``, or a file,
-by ``case/path``) that differs or is in one manifest only, and exits 1 if
-one of them matches no ``--expect`` pattern (fnmatch, so ``'*/log.jsonl'``
-names every run's log), else 0.  It refuses manifests from different
-numeric environments (python, numpy, BLAS, thread count) with exit 2.
+Each case then checks, where their commands ran, that a trace's stdout is
+its ``--out`` file and opens the trace at 0, that the ``BLOCK_BYTES = 1``
+trace and run equal the others, and that the sweep's ``lam_0.1`` and
+``lam_0`` equal the prism and sft runs.  ``run`` exits 1 naming each check
+that fails.
+
+``diff`` prints one line per entry (a command or check, by ``case/name``,
+or a file, by ``case/path``) that differs or is in one manifest only, and
+exits 1 if one of them matches no ``--expect`` pattern (fnmatch, so
+``'*/log.jsonl'`` names every run's log), else 0.  It refuses manifests of
+different numeric environments (python, numpy, BLAS, threads) with exit 2.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ from concurrent.futures import ThreadPoolExecutor
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 METHODS = ("sft", "prism", "knowledge_mask", "prism_no_gate", "prism_no_mask")
 SUBCOMMANDS = ("preprocess", "train", "ablate", "trace", "report")
+SECTIONS = ("environment", "commands", "files", "checks")
 TEXT_LIMIT = 4096
 BOUND1 = ("import sys, prism.harness, prism.model; prism.model.BLOCK_BYTES = 1; "
           "sys.exit(prism.harness.main(sys.argv[1:]))")
@@ -61,7 +68,7 @@ class Case:
     name: str
     generator: dict   # GeneratorConfig keys, without out
     train: dict       # RunConfig keys, without corpus and out
-    lambdas: tuple    # ablate's list; holds 0
+    lambdas: tuple    # ablate's list; holds 0 and 0.1
     trace_limit: int  # trace's --limit besides 0
 
 
@@ -113,6 +120,41 @@ def help_commands() -> list[tuple[str, list[str]]]:
     return [("help", cli + ["--help"])] + [(f"help_{sub}", cli + [sub, "--help"]) for sub in SUBCOMMANDS]
 
 
+def checks(case: Case, workdir: str, results: dict) -> dict:
+    """Whether each within-run promise of a case whose commands all ran holds, by name."""
+    def read(path: str) -> bytes:
+        with open(os.path.join(workdir, path), "rb") as fh:
+            return fh.read()
+
+    def parts(run: str, *ignore: str) -> tuple:
+        """What two equal runs share: log, checkpoint model, and metrics but run_id and `ignore`."""
+        metrics = json.loads(read(f"{run}/metrics.json"))
+        return (read(f"{run}/log.jsonl"), json.loads(read(f"{run}/checkpoint.json"))["model"],
+                {key: value for key, value in metrics.items() if key not in ("run_id", *ignore)})
+
+    def holds(promise) -> bool:
+        try:
+            return promise()
+        except (OSError, ValueError, KeyError):  # a file its commands did not write, or not as prism writes it
+            return False
+
+    limit = case.trace_limit
+    promises = [(f"trace_{k}_stdout", (f"trace_{k}_out", f"trace_{k}_stdout"),
+                 lambda k=k: recorded(read(f"trace_{k}.jsonl")) == results[f"trace_{k}_stdout"]["stdout"])
+                for k in dict.fromkeys((limit, 0))]
+    if limit:
+        promises.append(("trace_limit_prefix", (f"trace_{limit}_out", "trace_0_out"),
+                         lambda: read("trace_0.jsonl").startswith(read(f"trace_{limit}.jsonl"))))
+    promises += [
+        ("bound1_trace", ("trace_0_out", "bound1_trace"), lambda: read("trace_bound1.jsonl") == read("trace_0.jsonl")),
+        ("bound1_run", ("train_prism", "bound1_train"), lambda: parts("runs/bound1") == parts("runs/prism")),
+        ("sweep_lam_0.1", ("train_prism", "ablate"), lambda: parts("runs/sweep/lam_0.1") == parts("runs/prism")),
+        ("sweep_lam_0", ("train_sft", "ablate"),
+         lambda: parts("runs/sweep/lam_0", "method") == parts("runs/sft", "method")),
+    ]
+    return {f"{case.name}/{name}": holds(promise) for name, needs, promise in promises if set(needs) <= results.keys()}
+
+
 def write_config(path: str, values: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(f"{key} = {value}\n" for key, value in values.items())
@@ -130,7 +172,7 @@ def recorded(data: bytes) -> str:
 
 
 def child_env(src: str) -> dict:
-    return dict(os.environ, PYTHONPATH=os.path.abspath(src), OPENBLAS_NUM_THREADS="1", COLUMNS="80")
+    return dict(os.environ, PYTHONPATH=os.path.abspath(src), COLUMNS="80")
 
 
 def run_commands(src: str, workdir: str, cmds: list[tuple[str, list[str]]]) -> dict:
@@ -142,8 +184,8 @@ def run_commands(src: str, workdir: str, cmds: list[tuple[str, list[str]]]) -> d
     return out
 
 
-def run_case(src: str, out: str, case: Case) -> tuple[dict, dict]:
-    """Run one case in OUT/<case name>; returns its command and file entries."""
+def run_case(src: str, out: str, case: Case) -> tuple[dict, dict, dict]:
+    """Run one case in OUT/<case name>; returns its command, file and check entries."""
     workdir = os.path.join(out, case.name)
     os.makedirs(workdir)
     write_config(os.path.join(workdir, "gen.cfg"), dict(case.generator, out="corpus.jsonl"))
@@ -157,7 +199,7 @@ def run_case(src: str, out: str, case: Case) -> tuple[dict, dict]:
             path = os.path.join(base, file)
             with open(path, "rb") as fh:
                 files[os.path.relpath(path, out).replace(os.sep, "/")] = sha256_bytes(fh.read())
-    return {f"{case.name}/{name}": entry for name, entry in results.items()}, files
+    return {f"{case.name}/{name}": entry for name, entry in results.items()}, files, checks(case, workdir, results)
 
 
 def numeric_environment(src: str) -> dict:
@@ -176,13 +218,13 @@ def run(src: str, out: str, cases: list[Case], jobs: int = 1) -> dict:
     with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
         env = pool.submit(numeric_environment, src)
         parts = list(pool.map(lambda case: run_case(src, out, case), cases))
-    manifest = {"environment": env.result(), "commands": {}, "files": {}}
+    manifest = {"environment": env.result(), "commands": {}, "files": {}, "checks": {}}
     os.makedirs(os.path.join(out, "help"))
     helps = run_commands(src, os.path.join(out, "help"), help_commands())
     manifest["commands"].update({f"help/{name}": entry for name, entry in helps.items()})
-    for cmds, files in parts:
-        manifest["commands"].update(cmds)
-        manifest["files"].update(files)
+    for part in parts:
+        for section, entries in zip(SECTIONS[1:], part):
+            manifest[section].update(entries)
     with open(os.path.join(out, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -196,7 +238,7 @@ def diff(a: dict, b: dict, expect: tuple = ()) -> tuple[int, list[str]]:
                       if a["environment"].get(k) != b["environment"].get(k))
         return 2, [f"refused: the manifests come from different numeric environments ({', '.join(keys)})"]
     lines, unexpected = [], 0
-    for kind in ("commands", "files"):
+    for kind in SECTIONS[1:]:
         x, y = a[kind], b[kind]
         for entry in sorted(x.keys() | y.keys()):
             if entry not in y:
@@ -205,7 +247,7 @@ def diff(a: dict, b: dict, expect: tuple = ()) -> tuple[int, list[str]]:
                 what = "only in B"
             elif x[entry] != y[entry]:
                 fields = [f for f in ("argv", "exit", "stdout", "stderr") if x[entry][f] != y[entry][f]] \
-                    if kind == "commands" else ["sha256"]
+                    if kind == "commands" else [{"files": "sha256", "checks": "result"}[kind]]
                 what = "changed " + ",".join(fields)
             else:
                 continue
@@ -229,11 +271,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "run":
         try:
-            run(args.src, args.out, matrix(), args.jobs)
+            checks = run(args.src, args.out, matrix(), args.jobs)["checks"]
         except (OSError, RuntimeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        return 0
+        for name in sorted(name for name, holds in checks.items() if not holds):
+            print(f"check failed: {name}", file=sys.stderr)
+        return 0 if all(checks.values()) else 1
     manifests = []
     for path in (args.a, args.b):
         path = os.path.join(path, "manifest.json") if os.path.isdir(path) else path
@@ -242,6 +286,10 @@ def main(argv: list[str] | None = None) -> int:
                 manifests.append(json.load(fh))
         except (OSError, ValueError) as exc:
             print(f"error: cannot read manifest {path}: {exc}", file=sys.stderr)
+            return 2
+        missing = [key for key in SECTIONS if not isinstance(manifests[-1], dict) or key not in manifests[-1]]
+        if missing:
+            print(f"error: manifest {path} has no {missing[0]!r}", file=sys.stderr)
             return 2
     code, lines = diff(*manifests, expect=tuple(args.expect))
     for line in lines:
