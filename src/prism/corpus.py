@@ -519,7 +519,7 @@ def read_jsonl(path: str, limit: int = 0) -> list[AnnotatedExample]:
                     continue
                 try:
                     record = json.loads(line)
-                except ValueError as exc:  # also an integer too long to convert
+                except (ValueError, RecursionError) as exc:  # also too long an integer, or too deep nesting
                     raise CorpusFormatError(f"invalid JSON: {getattr(exc, 'msg', exc)}", lineno) from exc
                 examples.append(example_from_record(record, lineno, shared))
                 if len(examples) == limit:

@@ -23,7 +23,6 @@ from typing import Callable, Iterator, NamedTuple, Sequence, get_args, get_origi
 
 import numpy as np
 
-from . import BLAS_THREADS
 from . import model as model_mod
 from .corpus import (
     GeneratorConfig,
@@ -52,7 +51,6 @@ from .model import (
     ModelParams,
     PreparedCorpus,
     TrainSettings,
-    blas_id,
     check_model_size,
     config_digest,
     evaluate,
@@ -122,7 +120,7 @@ class MetricsReport:
             if isinstance(data, dict):
                 data = {key: value for key, value in data.items() if key not in {"baseline_run_id", "deltas"}}
             return config_from_dict(cls, data, decoded=True)
-        except (TypeError, ValueError) as exc:  # also a missing field, bad JSON or bytes that are not UTF-8
+        except (TypeError, ValueError, RecursionError) as exc:  # missing field, bad or too deep JSON, not UTF-8
             raise RunFileError(f"malformed metrics file {path}: {exc}") from exc
 
 
@@ -395,23 +393,10 @@ def _receive(proc, receiver) -> tuple[object, Exception | None, str]:
         return None, WorkerDied(f"worker process exited with status {proc.exitcode}"), ""
 
 
-# The thread variable a BLAS reads first, by a name in blas_id().  prism sets
-# all three, so that variable alone gives the BLAS's thread count.
-BLAS_FIRST_THREAD_VAR = {"openblas": "OPENBLAS_NUM_THREADS", "mkl": "MKL_NUM_THREADS"}
-
-
 def process_slots() -> int:
-    """How many processes fit side by side on the CPUs this one may use: the
-    CPUs divided by the BLAS threads each process starts.  That is the value
-    prism saw at import of the variable the loaded BLAS reads first
-    (BLAS_FIRST_THREAD_VAR), or the largest of the three for another BLAS;
-    one unless the environment set more."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    blas = blas_id().lower()
-    first = [var for name, var in BLAS_FIRST_THREAD_VAR.items() if name in blas]
-    values = [BLAS_THREADS[var] for var in first] or BLAS_THREADS.values()
-    threads = max([int(value) for value in values if value.isdigit()] + [1])
-    return max(1, cpus // threads)
+    """How many processes fit side by side: the CPUs this one may use, since
+    each runs BLAS on one thread."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 def fork_map(fn: Callable, items: Sequence) -> Iterator[tuple[object, Exception | None]]:

@@ -6,10 +6,8 @@ logits.  It is deliberately the smallest thing that exposes a full [T, V]
 logit surface: every gradient stays checkable against finite differences,
 and training is float64 with reductions in a fixed order, so a run is
 reproducible bit for bit from its seed.  BLAS runs one thread, because
-importing prism pins it to 1 unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS
-or MKL_NUM_THREADS is set; a thread count set there is honoured, and its
-bits can differ from one thread's.  Checkpoints record the numeric
-environment (`numeric_environment`).
+importing prism sets its thread variables to 1.  Checkpoints record the
+numeric environment (`numeric_environment`).
 """
 
 from __future__ import annotations
@@ -695,13 +693,9 @@ def blas_id() -> str:
 
 def numeric_environment() -> dict:
     """What a run's bits depend on besides its config and seed: the python,
-    numpy and BLAS versions, the BLAS thread variables as prism left them at
-    import, and whether numpy (and so BLAS) was loaded before that.  Nothing
-    in it varies between runs on one machine.  At more than one BLAS thread
-    the bits also depend on the CPUs the process may use, which it does not
-    record: OpenBLAS runs at most one thread per such CPU, and a matmul's
-    sums change with its thread count, so a run pinned to one CPU gives the
-    one-thread bits under a record of two threads."""
+    numpy and BLAS versions, the BLAS thread variables as prism set them at
+    import (always 1), and whether numpy (and so BLAS) was loaded before
+    that.  Nothing in it varies between runs on one machine."""
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -773,7 +767,7 @@ def load_checkpoint(path: str) -> Checkpoint:
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except ValueError as exc:  # bad JSON or bytes that are not UTF-8
+        except (ValueError, RecursionError) as exc:  # bad or too deep JSON, or bytes that are not UTF-8
             raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
     version = payload.get("format_version") if isinstance(payload, dict) else None
     if type(version) is not int or version not in (2, CHECKPOINT_VERSION):  # 3.0 and true are not versions
@@ -781,7 +775,7 @@ def load_checkpoint(path: str) -> Checkpoint:
                               f"retrain to write a version {CHECKPOINT_VERSION} checkpoint")
     config = payload.get("config")
     if config_digest(config) != payload.get("config_hash"):
-        raise CheckpointError("checkpoint config hash mismatch")
+        raise CheckpointError(f"checkpoint {path}: config hash mismatch")
     try:
         m = payload["model"]
         arrays = {name: _decode_array(m[name], f"model.{name}") for name in PARAM_FIELDS}

@@ -1,5 +1,4 @@
 """Import prism before any test module imports numpy, so that the suite runs
-with the BLAS thread count prism pins (one thread unless the environment
-sets one), the same bits as the CLI."""
+BLAS on the one thread prism sets, the same bits as the CLI."""
 
 import prism  # noqa: F401

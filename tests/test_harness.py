@@ -245,7 +245,7 @@ class TestTrainCommand:
         assert resolved["environment"] == checkpoint["environment"]
         env = resolved["environment"]
         assert env["python"] and env["numpy"] == np.__version__ and env["blas"]
-        assert env["blas_threads"] == {var: os.environ[var] for var in prism.BLAS_THREAD_VARS}
+        assert env["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
         assert env["numpy_imported_before_prism"] is False  # tests/conftest.py imports prism first
         assert "environment" not in resolved["config"]
         assert resolved["config_hash"] == config_digest(resolved["config"])
@@ -259,22 +259,29 @@ class TestTrainCommand:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
         assert proc.stdout == "True\n"
 
-    def test_checkpoint_does_not_depend_on_the_thread_variables(self, corpus_path, tmp_path):
-        # Unset, BLAS would start one thread per core, whose reduction order
-        # changes the bits of a batch this size; prism pins it to one.
+    def test_checkpoint_does_not_depend_on_the_thread_variables(self, tmp_path):
+        # At V = 1024 two BLAS threads change a step's matmul sums, and so the
+        # model's bits; prism runs one thread whatever the variables say.
         src = os.path.dirname(os.path.dirname(prism.__file__))
+        corpus = str(tmp_path / "wide.jsonl")
+        write_jsonl(generate(GeneratorConfig(vocab_size=1024, n_examples=100, n_keys=200, n_values=200,
+                                             sentence_length=6, corruption_fraction=0.3, seed=1)), corpus)
         cfg = tmp_path / "t.cfg"
-        cfg.write_text("steps = 5\nbatch_size = 32\nembed_dim = 32\nhidden_dim = 64\n")
-        bare = {k: v for k, v in os.environ.items() if k not in prism.BLAS_THREAD_VARS}
+        cfg.write_text("steps = 3\nbatch_size = 32\nembed_dim = 32\nhidden_dim = 64\nvocab_size = 1024\n"
+                       "learning_rate = 0.02\n")
+        bare = {k: v for k, v in os.environ.items() if k not in prism.BLAS_THREADS}
+        settings = [{}, *({var: "2"} for var in prism.BLAS_THREADS), dict.fromkeys(prism.BLAS_THREADS, "2")]
         blobs = []
-        for name, extra in (("unset", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
-            workdir = tmp_path / name
+        for i, extra in enumerate(settings):
+            workdir = tmp_path / str(i)
             workdir.mkdir()
             subprocess.run([sys.executable, "-m", "prism.harness", "train", "--config", str(cfg),
-                            "--corpus", corpus_path, "--out", "run"], cwd=workdir, check=True,
+                            "--corpus", corpus, "--out", "run"], cwd=workdir, check=True,
                            capture_output=True, env=dict(bare, PYTHONPATH=src, **extra))
             blobs.append((workdir / "run" / "checkpoint.json").read_bytes())
-        assert blobs[0] == blobs[1]
+        models = [json.loads(blob)["model"] for blob in blobs]
+        assert [model == models[0] for model in models] == [True] * len(settings)
+        assert [blob == blobs[0] for blob in blobs] == [True] * len(settings)
 
     def test_a_small_corpus_holds_out_one_record(self, corpus_path, tmp_path, capsys):
         # 10% of 4 records rounds to none; one is held out all the same
@@ -451,35 +458,18 @@ class TestAblateCommand:
             shutil.rmtree(out)
         assert len(seen[0][0]) == 13 and seen[0] == seen[1]
 
-    @pytest.mark.parametrize("cpus, threads, slots", [
-        (2, {}, 2), (2, {"OPENBLAS_NUM_THREADS": "2"}, 1), (8, {"MKL_NUM_THREADS": "3"}, 2),
-        (1, {}, 1), (4, {"OMP_NUM_THREADS": "4,2"}, 4),
-    ])
-    def test_process_slots_leave_no_cpu_oversubscribed(self, monkeypatch, cpus, threads, slots):
-        import prism.harness as harness_mod
-        # a BLAS of unknown name may read any of the three variables
-        monkeypatch.setattr(harness_mod, "blas_id", lambda: "unknown")
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        monkeypatch.setattr(harness_mod, "BLAS_THREADS", {var: threads.get(var, "1")
-                                                          for var in prism.BLAS_THREAD_VARS})
-        assert harness_mod.process_slots() == slots
-
-    @pytest.mark.parametrize("blas, threads, slots", [
-        ("scipy-openblas 0.3.31", {"OMP_NUM_THREADS": "2"}, 2),
-        ("scipy-openblas 0.3.31", {"OPENBLAS_NUM_THREADS": "2"}, 1),
-        ("openblas 0.3.21", {"MKL_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"}, 2),
-        ("mkl-sdl 2023.1", {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"}, 2),
-        ("mkl-sdl 2023.1", {"MKL_NUM_THREADS": "2"}, 1),
-        ("accelerate", {"OMP_NUM_THREADS": "2"}, 1),
-    ])
-    def test_process_slots_count_the_variable_the_blas_reads_first(self, monkeypatch, blas,
-                                                                   threads, slots):
-        import prism.harness as harness_mod
-        monkeypatch.setattr(harness_mod, "blas_id", lambda: blas)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(harness_mod, "BLAS_THREADS", {var: threads.get(var, "1")
-                                                          for var in prism.BLAS_THREAD_VARS})
-        assert harness_mod.process_slots() == slots
+    def test_process_slots_are_the_cpus_this_process_may_use(self):
+        # the thread variables act at import, so each setting gets a fresh process
+        src = os.path.dirname(os.path.dirname(prism.__file__))
+        code = ("import os, prism.harness\n"
+                "for cpus in (1, 2, 8):\n"
+                "    os.sched_getaffinity = lambda pid, cpus=cpus: set(range(cpus))\n"
+                "    print(prism.harness.process_slots())\n")
+        bare = {k: v for k, v in os.environ.items() if k not in prism.BLAS_THREADS}
+        for threads in ({}, dict.fromkeys(prism.BLAS_THREADS, "2"), {"OPENBLAS_NUM_THREADS": "8"}):
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                                  env=dict(bare, PYTHONPATH=src, **threads))
+            assert proc.stdout.split() == ["1", "2", "8"], threads
 
     def test_dead_worker_is_recorded_and_the_sweep_goes_on(self, corpus_path, tmp_path, capsys,
                                                             monkeypatch):
@@ -739,6 +729,7 @@ class TestTraceCommand:
         open(ck_path, "w").write(json.dumps(payload))
         rc = main(["trace", "--checkpoint", ck_path, "--corpus", corpus_path])
         assert rc == 2
+        assert capsys.readouterr().err == f"i/o error: checkpoint {ck_path}: config hash mismatch\n"
 
     @pytest.mark.parametrize("damage", [
         lambda p: p["model"].pop("b2"),
@@ -1238,6 +1229,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(("config error: ", "i/o error: ")) and err.count("\n") == 1
         assert str(blob) in err
+
+    @pytest.mark.parametrize("what", ["corpus", "checkpoint", "metrics"])
+    def test_too_deeply_nested_json_ends_in_one_line(self, checkpoint_path, corpus_path, tmp_path,
+                                                     capsys, what):
+        deep = "[" * 100_000 + "]" * 100_000 + "\n"  # deeper than the recursion limit
+        os.makedirs(tmp_path / "run")
+        blob = tmp_path / "run" / ("metrics.json" if what == "metrics" else "deep.json")
+        blob.write_text(deep)
+        argv = {
+            "corpus": ["trace", "--checkpoint", checkpoint_path, "--corpus", str(blob)],
+            "checkpoint": ["trace", "--checkpoint", str(blob), "--corpus", corpus_path],
+            "metrics": ["report", str(tmp_path / "run")],
+        }[what]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and "recursion" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["train", "preprocess"])
     def test_negative_seed_is_1(self, corpus_path, tmp_path, capsys, command):
