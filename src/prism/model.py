@@ -119,14 +119,12 @@ def _check_tokens(tokens: np.ndarray, vocab_size: int) -> None:
 class StepViews(NamedTuple):
     """A training step's per-row arrays for a batch of `rows`, each C-contiguous."""
 
-    logits: np.ndarray    # [rows, V], with probs total_loss's two out arrays
-    probs: np.ndarray     # [rows, V]
-    x: np.ndarray         # [rows, window * d], forward_batch's activations
-    hidden: np.ndarray    # [rows, h]
-    d_hidden: np.ndarray  # [rows, h], backward_batch's
-    d_pre: np.ndarray     # [rows, h]
-    d_x: np.ndarray       # [rows, window * d]
-    bins: np.ndarray      # int64 [rows, window * d]
+    logits: np.ndarray      # [rows, V], then total_loss's pass and gradient
+    fact_probs: np.ndarray  # [fact rows, V], the step log's softmax of the fact positions' rows
+    x: np.ndarray           # [rows, window * d], forward_batch's activations, then backward_batch's d_x
+    hidden: np.ndarray      # [rows, h], then backward_batch's d_hidden
+    d_pre: np.ndarray       # [rows, h]
+    bins: np.ndarray        # int64 [rows, window * d]
 
 
 # No arrays given: forward_batch and backward_batch allocate each one.
@@ -178,7 +176,9 @@ def backward_batch(
 ) -> dict[str, np.ndarray]:
     """Exact reverse-mode gradients of the loss w.r.t. every parameter, given
     the per-logit loss gradient [B, V] and forward_batch's activations; with
-    `out`, the [B, ...] intermediates are written into its arrays."""
+    `out`, the [B, ...] intermediates are written into its arrays, d_hidden
+    over its hidden and d_x over its x, each after the last read of the
+    activation there, so `cache` may be (as in train) those two arrays."""
     w = np.asarray(windows, dtype=np.int64)
     dz = np.asarray(dlogits, dtype=np.float64)
     x, hidden = cache
@@ -191,14 +191,14 @@ def backward_batch(
     # d_pre = d_hidden * (1 - hidden**2)
     d_pre = np.multiply(hidden, hidden, out=o.d_pre)
     np.subtract(1.0, d_pre, out=d_pre)
-    d_pre *= np.matmul(dz, params.w2.T, out=o.d_hidden)
+    d_pre *= np.matmul(dz, params.w2.T, out=o.hidden)
     d_w1 = x.T @ d_pre
     d_b1 = d_pre.sum(axis=0)
     # Embedding scatter: one bincount over (token id, column) bins.  Each bin
     # sums its rows in batch order, exactly as np.add.at would.
     dim = params.embed_dim
     bins = np.add(w.reshape(-1, 1) * dim, np.arange(dim), out=None if o.bins is None else o.bins.reshape(-1, dim))
-    d_x = np.matmul(d_pre, params.w1.T, out=o.d_x)
+    d_x = np.matmul(d_pre, params.w1.T, out=o.x)
     d_emb = np.bincount(bins.ravel(), weights=d_x.ravel(), minlength=params.vocab_size * dim)
     d_emb = d_emb.reshape(params.vocab_size, dim)
     return {"embedding": d_emb, "w1": d_w1, "b1": d_b1, "w2": d_w2, "b2": d_b2}
@@ -322,7 +322,8 @@ def prepare_examples(
     Examples are checked in order, each for its token ids, a nonempty target
     and then its annotations (propagate_risk); an annotation error names the
     example's 1-based position in `examples`.  The distinct windows come
-    from one distinct_windows over the corpus.
+    from one distinct_windows over the corpus's windows at its target
+    positions, and only the distinct ones are gathered as rows.
     """
     # One sequence per example, `window` begin tokens, then input and target.
     pad = [TOKEN_BOS] * window
@@ -350,38 +351,43 @@ def prepare_examples(
     # Target position t of an example sits at window + len(input) + t of its
     # sequence; its window is the `window` tokens before it.
     at = span_positions(ends - t_lens - window, ends - window)
-    windows = np.lib.stride_tricks.sliding_window_view(tokens, window)[at] if examples else tokens.reshape(0, window)
-    first, window_id = distinct_windows(windows)
-    labels = tokens[at + window]
+    windows = np.lib.stride_tricks.sliding_window_view(tokens, window) if examples else tokens.reshape(0, window)
+    first, window_id = distinct_windows(windows, at)
+    labels = tokens[window:][at]
     offsets = np.concatenate([[0], np.cumsum(t_lens)])
-    prepared = PreparedCorpus(windows[first], window_id, labels, signals, sentence_id, offsets)
+    prepared = PreparedCorpus(windows[at[first]], window_id, labels, signals, sentence_id, offsets)
     for arr in (prepared.distinct, window_id, labels, offsets):
         arr.setflags(write=False)
     return prepared
 
 
-def distinct_windows(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of token windows [N, window] with nonnegative ids:
-    `first` holds one index per distinct window and `rows` each window's
-    index into `first`, so windows[first][rows] equals windows.  The columns
-    are packed into as few int64 keys as hold them, and one lexsort over the
-    keys orders the windows."""
+def distinct_windows(windows: np.ndarray, at: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of token windows [N, window] with nonnegative ids,
+    or of their rows `at`: `first` holds one index into those rows per
+    distinct window and `rows` each row's index into `first`, so
+    windows[at][first][rows] equals windows[at].  The columns are packed into
+    as few int64 keys as hold them, each column gathered at `at` on its own,
+    and one lexsort over the keys orders the windows."""
+    at = np.arange(len(windows)) if at is None else at
     bits = max(int(windows.max(initial=0)).bit_length(), 1)
     per_key = 63 // bits
     keys = []
     for start in range(0, windows.shape[1], per_key):
-        key = np.zeros(len(windows), dtype=np.int64)
+        key = np.zeros(len(at), dtype=np.int64)
         for column in windows.T[start:start + per_key]:
             key <<= bits
-            key |= column
+            key |= column[at]
         keys.append(key)
     order = np.lexsort(keys[::-1])
-    ordered = np.stack(keys, axis=1)[order]
-    new = np.empty(len(order), dtype=bool)
+    new = np.zeros(len(order), dtype=bool)
     new[:1] = True
-    np.any(ordered[1:] != ordered[:-1], axis=1, out=new[1:])
+    while keys:
+        ordered = keys.pop()[order]
+        new[1:] |= ordered[1:] != ordered[:-1]
+    ids = np.cumsum(new, out=ordered)
+    ids -= 1
     rows = np.empty(len(order), dtype=np.int64)
-    rows[order] = np.cumsum(new) - 1
+    rows[order] = ids
     return order[new], rows
 
 
@@ -498,11 +504,12 @@ def infer_vocab_size(examples: Sequence[AnnotatedExample]) -> int:
     return top + 1
 
 
-def step_views(params: ModelParams, rows: int) -> StepViews:
-    """Uninitialised StepViews arrays of `rows` rows for a model of `params`."""
-    fan_in, hidden = params.w1.shape
-    widths = (params.vocab_size,) * 2 + (fan_in, hidden, hidden, hidden, fan_in)
-    return StepViews(*(np.empty((rows, n)) for n in widths), np.empty((rows, fan_in), dtype=np.int64))
+def step_views(params: ModelParams, rows: int, fact_rows: int) -> StepViews:
+    """Uninitialised StepViews arrays of `rows` rows, and `fact_rows` for
+    fact_probs, for a model of `params`."""
+    (fan_in, hidden), vocab = params.w1.shape, params.vocab_size
+    shapes = ((rows, vocab), (fact_rows, vocab), (rows, fan_in), (rows, hidden), (rows, hidden))
+    return StepViews(*map(np.empty, shapes), np.empty((rows, fan_in), dtype=np.int64))
 
 
 def train(prepared: PreparedCorpus, settings: TrainSettings) -> TrainResult:
@@ -518,8 +525,11 @@ def train(prepared: PreparedCorpus, settings: TrainSettings) -> TrainResult:
     the same valid mask.  Aborts with the step index on non-finite logits
     (which total_loss checks, once per step) or a non-finite loss.  The run
     allocates the per-row arrays once (step_views), for the most distinct
-    windows that batch_size records can have, and each step writes the first
-    rows; total_loss runs its softmax pass over the logits in place.
+    windows that batch_size records can have, and fact_probs for at most
+    batch_size times a record's most fact positions, and each step writes the
+    first rows.  total_loss runs its softmax pass over the logits in place
+    and returns the gradient there, so a step holds one [rows, V] array and
+    the fact rows'.
 
     `prepared` is prepare_examples(examples, settings.window,
     settings.vocab_size, risk_mode=settings.risk_propagation); a sweep
@@ -539,7 +549,9 @@ def train(prepared: PreparedCorpus, settings: TrainSettings) -> TrainResult:
     log: list[StepRecord] = []
     counters = TrainCounters()
     cap = min(len(prepared.distinct), settings.batch_size * int(np.diff(prepared.offsets).max()))
-    scratch = step_views(params, cap)
+    # A record holds at least one position, so reduceat counts each record's fact positions.
+    most_facts = int(np.add.reduceat(prepared.signals.fact_mask, prepared.offsets[:-1]).max())
+    scratch = step_views(params, cap, min(cap, settings.batch_size * most_facts))
     for step in range(1, settings.steps + 1):
         idx = rng.integers(0, len(prepared), size=settings.batch_size)
         at = prepared.positions(idx)
@@ -557,18 +569,17 @@ def train(prepared: PreparedCorpus, settings: TrainSettings) -> TrainResult:
         # only, and a row's softmax does not depend on the other rows.  They
         # are read before total_loss writes its pass over the logits, from a
         # softmax run in place over the fact rows, gathered into the head of
-        # views.probs (total_loss writes over it later).  The fact rows are
-        # rows of the logits, so mode="clip" changes none; it lets take write
-        # into `out` without an intermediate copy.
+        # views.fact_probs.  The fact rows are rows of the logits, so
+        # mode="clip" changes none; it lets take write into `out` without an
+        # intermediate copy.
         fact = signals.fact_mask
         fact_rows, fact_row_of = np.unique(rows[fact], return_inverse=True)
         try:
-            head = np.take(logits, fact_rows, axis=0, mode="clip", out=views.probs[:len(fact_rows)])
+            head = np.take(logits, fact_rows, axis=0, mode="clip", out=views.fact_probs[:len(fact_rows)])
             probs_label = softmax_probs(head, out=head)[fact_row_of, labels[fact]]
             loss, grad, trace = total_loss(
                 logits, labels, signals, lam, settings.epsilon,
-                use_gates=method.use_gates, use_fact_mask=method.use_fact_mask,
-                out=(logits, views.probs), rows=rows,
+                use_gates=method.use_gates, use_fact_mask=method.use_fact_mask, out=logits, rows=rows,
             )
         except NonFiniteLogits as exc:
             raise DivergenceError(f"non-finite logits at step {step}") from exc

@@ -18,6 +18,8 @@ The logits are per row, and every other input is per position: `rows`
 maps each of the N positions to its row of the [U, V] logits, so positions
 that share a context window share one row, and a row's gradient is the sum
 of its positions' gradients.  Without `rows` each position is its own row.
+A total_loss call holds one [U, V] array: the softmax pass writes the
+probabilities over it, and the gradient is written over the probabilities.
 Everything is float64 and deterministic; reductions over positions run in
 position order.
 """
@@ -25,7 +27,7 @@ position order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,13 +64,13 @@ class LossBreakdown:
 class Softmax(NamedTuple):
     """One max/subtract/exp/sum/divide pass over checked logits [U, V], and
     each position's row.  The two loss terms of a total_loss call share it:
-    sft_loss reads `shifted` and writes its gradient over it, and comp_loss
-    reads `probs`."""
+    comp_loss reads `probs`, then sft_loss reads `shifted` and writes its
+    gradient over `probs`."""
 
-    shifted: np.ndarray  # logits minus their row max
-    probs: np.ndarray    # exp(shifted) / sums
-    sums: np.ndarray     # [U, 1] row sums of exp(shifted)
-    rows: np.ndarray     # int64 [N], each position's row
+    shifted: np.ndarray | None  # [N] each label's logit minus its row max (None: no labels)
+    probs: np.ndarray           # [U, V] exp(logits - row max) / sums
+    sums: np.ndarray            # [U, 1] row sums of the exponentials
+    rows: np.ndarray            # int64 [N], each position's row
 
 
 def _as_labels(labels: np.ndarray, length: int, vocab: int) -> np.ndarray:
@@ -91,23 +93,27 @@ def _as_rows(rows: np.ndarray | None, n_rows: int) -> np.ndarray:
 
 
 def softmax_pass(
-    logits: np.ndarray, out: Sequence[np.ndarray] | None = None, rows: np.ndarray | None = None
+    logits: np.ndarray, out: np.ndarray | None = None, rows: np.ndarray | None = None,
+    labels: np.ndarray | None = None,
 ) -> Softmax:
-    """Check that logits are [U, V >= 2] (ValueError) and finite
-    (NonFiniteLogits), and that `rows` (ValueError) holds row indices, then
-    run the max/subtract/exp/sum/divide both loss terms start from; the
-    exponentials are divided in place.  `out`, when given, is two [U, V]
-    float64 arrays that the shifted logits and the probabilities are written
-    into; either may be the logits, and both may be one array."""
+    """Check that logits are [U, V >= 2], that `rows` and `labels` hold row
+    indices and label ids (ValueError), and that the logits are finite
+    (NonFiniteLogits: a NaN reaches the row maxima and the minimum, an
+    infinity one of them), then run the max/subtract/exp/sum/divide both
+    loss terms start from, into `out` (it may be the logits) or one new
+    array.  With `labels`, each label's logit minus its row max is gathered
+    before the exponentials overwrite it."""
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] < 2:
         raise ValueError(f"logits must be [U, V] with V >= 2, got shape {z.shape}")
     rows = _as_rows(rows, len(z))
-    if not np.all(np.isfinite(z)):
+    y = None if labels is None else _as_labels(labels, len(rows), z.shape[1])
+    top = z.max(axis=-1, keepdims=True)
+    if not (np.all(np.isfinite(top)) and np.isfinite(z.min(initial=0.0))):
         raise NonFiniteLogits("logits contain non-finite entries")
-    shifted_out, probs_out = out or (None, None)
-    shifted = np.subtract(z, z.max(axis=-1, keepdims=True), out=shifted_out)
-    e = np.exp(shifted, out=probs_out)
+    shifted = None if y is None else z[rows, y] - top[rows, 0]
+    e = np.subtract(z, top, out=out)
+    np.exp(e, out=e)
     sums = e.sum(axis=-1, keepdims=True)
     e /= sums
     return Softmax(shifted, e, sums, rows)
@@ -116,21 +122,21 @@ def softmax_pass(
 def softmax_probs(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The probabilities of softmax_pass over logits [rows, V >= 2]; with
     `out` (it may be the logits), each step's result is written into it."""
-    return softmax_pass(logits, None if out is None else (out, out)).probs
+    return softmax_pass(logits, out).probs
 
 
 def sft_loss(soft: Softmax, labels: np.ndarray, valid_mask: np.ndarray) -> tuple[float, np.ndarray]:
     """Masked mean negative log-likelihood and its per-logit gradient, from
-    the softmax_pass of the logits.
+    the softmax_pass of the logits with these labels.
 
     Each valid position adds (softmax - onehot(label)) / N to its row's
     gradient, taken as probs * count / N, count being the row's valid
     positions, then -1/N at each valid position's (row, label); a row with
     no valid position has a gradient of exactly zero.  The gradient is
-    written over soft.shifted.
+    written over soft.probs.
     """
     rows = soft.rows
-    n_rows, vocab = soft.shifted.shape
+    n_rows, vocab = soft.probs.shape
     y = _as_labels(labels, len(rows), vocab)
     valid = np.asarray(valid_mask, dtype=bool)
     if valid.shape != (len(rows),):
@@ -139,13 +145,14 @@ def sft_loss(soft: Softmax, labels: np.ndarray, valid_mask: np.ndarray) -> tuple
     if n == 0:
         raise EmptyBatchError("no valid target positions in batch")
 
-    # log-softmax is shifted - log(sums); only its label entries are kept.
+    # A label's log-softmax is its shifted logit minus log(sums).
     log_sums = np.log(soft.sums[:, 0])
-    value = float(-((soft.shifted[rows, y] - log_sums[rows])[valid]).sum() / n)
+    value = float(-((soft.shifted - log_sums[rows])[valid]).sum() / n)
 
     valid_rows = rows[valid]
     weight = np.bincount(valid_rows, minlength=n_rows) / n
-    grad = np.multiply(soft.probs, weight[:, None], out=soft.shifted)
+    grad = soft.probs
+    grad *= weight[:, None]
     np.add.at(grad, (valid_rows, y[valid]), -1.0 / n)
     return value, grad
 
@@ -194,16 +201,16 @@ def comp_loss(
     soft: Softmax,
     labels: np.ndarray,
     signals: TokenSignals,
-    add_into: np.ndarray,
     epsilon: float = DEFAULT_EPSILON,
     *,
     use_gates: bool = True,
     use_fact_mask: bool = True,
     scale: float = 1.0,
-) -> tuple[float, GateTrace]:
-    """Gated complement loss from the softmax_pass of the logits, and the
-    full gate trace; scale * its per-logit gradient is added into `add_into`
-    [U, V], on the active rows only.
+) -> tuple[float, GateTrace, np.ndarray, np.ndarray]:
+    """Gated complement loss from the softmax_pass of the logits, the full
+    gate trace, and scale * its per-logit gradient on the rows it touches:
+    `hit`, the active rows in order, and `block` [len(hit), V], their
+    gradient rows.  Every other row's gradient is zero.
 
     value = (1/N) * sum_t alpha_t * (-log(1 - min(p_label, 1 - epsilon)))
     where N counts the base-mask positions (fact-active by default).  At an
@@ -216,7 +223,7 @@ def comp_loss(
     the risk weighting but drops both gate bits; use_fact_mask=False applies
     the penalty at all valid positions (then N counts valid positions).
 
-    A batch with an empty base mask yields value 0 and adds nothing.
+    A batch with an empty base mask yields value 0 and no rows.
     """
     if not 0.0 < epsilon <= MAX_EPSILON:
         raise ValueError(f"epsilon must be in (0, {MAX_EPSILON}], got {epsilon}")
@@ -228,7 +235,7 @@ def comp_loss(
 
     n_base = np.count_nonzero(signals.fact_mask if use_fact_mask else signals.valid_mask)
     if n_base == 0:
-        return 0.0, trace
+        return 0.0, trace, np.zeros(0, dtype=np.int64), np.zeros((0, vocab))
 
     p_clamped = np.minimum(p_label, 1.0 - epsilon)
     value = float((alpha * -np.log1p(-p_clamped)).sum() / n_base)
@@ -253,8 +260,7 @@ def comp_loss(
     block[row_of, pair_label] = (np.bincount(pair_of, weights=c_label, minlength=len(pairs))
                                  + (m_row[row_of] - m_pair) * probs[pair_row, pair_label])
     block *= scale
-    add_into[hit] += block
-    return value, trace
+    return value, trace, hit, block
 
 
 def total_loss(
@@ -266,7 +272,7 @@ def total_loss(
     *,
     use_gates: bool = True,
     use_fact_mask: bool = True,
-    out: Sequence[np.ndarray] | None = None,
+    out: np.ndarray | None = None,
     rows: np.ndarray | None = None,
 ) -> tuple[LossBreakdown, np.ndarray, GateTrace | None]:
     """Combined objective sft + lam * comp with its per-logit gradient.
@@ -274,10 +280,11 @@ def total_loss(
     The logits [U, V] are checked once and go through one softmax_pass, which
     both terms share; non-finite logits raise NonFiniteLogits.  `rows` maps
     each position to its row (None: one row per position), and the returned
-    gradient [U, V] sums each row's positions.  `out`, when given, is the
-    pass's two [U, V] arrays: the first (it may be the logits) becomes the
-    returned gradient and the second the probabilities, so the call
-    allocates no other [U, V] array.
+    gradient [U, V] sums each row's positions.  The pass writes into `out`
+    (it may be the logits), else into one new array: it holds the
+    probabilities, then comp_loss reads them and sft_loss writes the
+    gradient over them, which is returned.  So the call holds no other
+    [U, V] array.
 
     lam = 0 must reproduce sft_loss bit for bit, so that case skips the
     complement term entirely (adding 0.0 could still flip signed zeros): comp
@@ -287,15 +294,16 @@ def total_loss(
     """
     if lam < 0.0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
-    soft = softmax_pass(logits, out, rows)
+    soft = softmax_pass(logits, out, rows, labels)
+    if lam == 0.0:
+        sft_value, grad = sft_loss(soft, labels, signals.valid_mask)
+        return LossBreakdown(sft=sft_value, comp=0.0, total=sft_value), grad, None
+    comp_value, trace, hit, block = comp_loss(
+        soft, labels, signals, epsilon, use_gates=use_gates, use_fact_mask=use_fact_mask, scale=lam,
+    )
     sft_value, grad = sft_loss(soft, labels, signals.valid_mask)
-    comp_value, total, trace = 0.0, sft_value, None
-    if lam != 0.0:
-        comp_value, trace = comp_loss(
-            soft, labels, signals, grad, epsilon, use_gates=use_gates, use_fact_mask=use_fact_mask, scale=lam,
-        )
-        total = sft_value + lam * comp_value
-    return LossBreakdown(sft=sft_value, comp=comp_value, total=total), grad, trace
+    grad[hit] += block
+    return LossBreakdown(sft=sft_value, comp=comp_value, total=sft_value + lam * comp_value), grad, trace
 
 
 def knowledge_mask_valid(signals: TokenSignals) -> np.ndarray:

@@ -183,8 +183,8 @@ def compute_alpha(
 
 
 def standalone_sft(logits: np.ndarray, labels: np.ndarray, valid_mask: np.ndarray) -> tuple[float, np.ndarray]:
-    """sft_loss on its own: the softmax pass of the logits, then the term."""
-    return sft_loss(softmax_pass(logits), labels, valid_mask)
+    """sft_loss on its own: the softmax pass of the logits with these labels, then the term."""
+    return sft_loss(softmax_pass(logits, labels=labels), labels, valid_mask)
 
 
 def standalone_comp(
@@ -194,7 +194,8 @@ def standalone_comp(
     its gradient added into zeros."""
     soft = softmax_pass(logits)
     grad = np.zeros_like(soft.probs)
-    value, trace = comp_loss(soft, labels, signals, grad, epsilon, **flags)
+    value, trace, hit, block = comp_loss(soft, labels, signals, epsilon, **flags)
+    grad[hit] += block
     return value, grad, trace
 
 

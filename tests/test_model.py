@@ -123,7 +123,7 @@ class TestForward:
         windows = np.zeros((0, 4), dtype=np.int64)
         out = None
         if with_out:  # a run's step arrays sliced to no rows, after stale values
-            scratch = step_views(params, 5)
+            scratch = step_views(params, 5, 5)
             for arr in scratch:
                 arr.fill(np.nan if arr.dtype == np.float64 else -(2**40))
             out = StepViews(*(a[:0] for a in scratch))
@@ -314,6 +314,21 @@ class TestDistinctWindows:
         assert len(first) == MAX_WINDOW + 1
         assert rows[-1] == rows[-2] and len(set(rows[:-1])) == MAX_WINDOW + 1
         assert np.array_equal(windows[first][rows], windows)
+
+    @pytest.mark.parametrize("top", [2, MAX_VOCAB_SIZE - 1])
+    def test_rows_at_give_the_gathered_rows_result(self, top):
+        """Keys gathered one column at a time at `at` give what the gathered
+        rows give, also where an id outside those rows packs fewer columns
+        per key."""
+        rng = np.random.default_rng(7)
+        tokens = rng.integers(0, 3, size=300)
+        tokens[-1] = top  # only in the last window, which `at` leaves out
+        windows = np.lib.stride_tricks.sliding_window_view(tokens, 5)
+        at = rng.integers(0, len(windows) - 1, size=700)
+        first, rows = distinct_windows(windows, at)
+        expected_first, expected_rows = distinct_windows(windows[at])
+        assert bits(first) == bits(expected_first) and bits(rows) == bits(expected_rows)
+        assert len(first) < len(np.unique(at))  # some windows repeat at different positions
 
 
 class TestOptimizer:
@@ -813,7 +828,7 @@ class TestStepViews:
         rng = np.random.default_rng(vocab)
         params = init_params(vocab, 8, 16, 3, rng)
         params.w2 *= 40.0  # peaked softmax rows, so the gates open
-        scratch = step_views(params, 100)
+        scratch = step_views(params, 100, 100)
         for arr in scratch:
             arr.fill(np.nan if arr.dtype == np.float64 else -(2**40))
         active = 0
@@ -825,11 +840,12 @@ class TestStepViews:
                                    support_weight=rng.choice([0.2, 0.5, 0.8, 1.0], rows),
                                    valid_mask=rng.random(rows) < 0.9)
             views = StepViews(*(a[:rows] for a in scratch))
-            reused, reused_cache = forward_batch(params, windows, out=views)
-            assert reused is views.logits and bits(reused) == bits(logits)
-            assert all(bits(a) == bits(b) for a, b in zip(reused_cache, cache))
             for method in METHODS.values():
                 for lam in (0.0, 0.3):
+                    # the last call's loss pass and backward_batch wrote over the logits and activations
+                    reused, reused_cache = forward_batch(params, windows, out=views)
+                    assert reused is views.logits and bits(reused) == bits(logits)
+                    assert all(bits(a) == bits(b) for a, b in zip(reused_cache, cache))
                     lam = lam if method.has_comp else 0.0
                     sig = signals
                     if method.drop_unsupported:
@@ -837,8 +853,7 @@ class TestStepViews:
                                            knowledge_mask_valid(signals))
                     flags = dict(use_gates=method.use_gates, use_fact_mask=method.use_fact_mask)
                     fresh = total_loss(logits, labels, sig, lam, **flags)
-                    reused[...] = logits  # the last call's pass ran over it in place
-                    again = total_loss(reused, labels, sig, lam, **flags, out=(reused, views.probs))
+                    again = total_loss(reused, labels, sig, lam, **flags, out=reused)
                     assert again[1] is views.logits
                     assert repr(again[0]) == repr(fresh[0])
                     assert bits(again[1]) == bits(fresh[1])
@@ -855,37 +870,93 @@ class TestStepViews:
     @pytest.mark.parametrize("shape", ["sweep", "long_docs", "wide_vocab", "one_long_record"])
     def test_no_step_has_more_rows_than_the_run_allocates(self, monkeypatch, shape):
         """train allocates its step arrays once, at min(distinct windows,
-        batch_size x the longest record's positions) rows, and every step's
-        forward_batch runs on a head of them."""
+        batch_size x the longest record's positions) rows, and fact_probs at
+        min(those rows, batch_size x the most fact positions of a record);
+        every step's forward_batch runs on a head of them, and its
+        fact-row softmax on a head of fact_probs."""
         import prism.model as model_mod
         examples, vocab = CAP_CORPORA[shape]()
         settings = TrainSettings(method="prism", lam=0.1, steps=20, batch_size=8, vocab_size=vocab, seed=4)
         prepared = prepare_examples(examples, settings.window, vocab)
         longest = int(np.diff(prepared.offsets).max())
         cap = min(len(prepared.distinct), settings.batch_size * longest)
-        allocated, forwarded = [], []
-        real_views, real_forward = model_mod.step_views, model_mod.forward_batch
+        fact = prepared.signals.fact_mask
+        most_facts = max(int(fact[a:b].sum()) for a, b in zip(prepared.offsets[:-1], prepared.offsets[1:]))
+        fact_cap = min(cap, settings.batch_size * most_facts)
+        allocated, forwarded, heads = [], [], []
+        real_views, real_forward, real_probs = model_mod.step_views, model_mod.forward_batch, model_mod.softmax_probs
 
-        def views(params, rows):
-            allocated.append(real_views(params, rows))
+        def views(params, rows, fact_rows):
+            allocated.append(real_views(params, rows, fact_rows))
             return allocated[-1]
 
         def forward(params, windows, out=None):
             forwarded.append((len(windows), out))
             return real_forward(params, windows, out=out)
 
+        def probs(logits, out=None):
+            heads.append(out)
+            return real_probs(logits, out=out)
+
         monkeypatch.setattr(model_mod, "step_views", views)
         monkeypatch.setattr(model_mod, "forward_batch", forward)
+        monkeypatch.setattr(model_mod, "softmax_probs", probs)
         train(prepared, settings)
-        assert [len(a) for a in allocated[0]] == [cap] * len(StepViews._fields) and len(allocated) == 1
-        assert len(forwarded) == settings.steps
-        for rows, out in forwarded:
+        assert [len(a) for a in allocated[0]] == [cap, fact_cap] + [cap] * 4 and len(allocated) == 1
+        assert fact_cap == settings.batch_size * most_facts < cap  # on these corpora, the fact rows bound it
+        assert len(forwarded) == len(heads) == settings.steps
+        for (rows, out), head in zip(forwarded, heads):
             assert 0 < rows <= cap
-            assert all(len(a) == rows and np.shares_memory(a, b) for a, b in zip(out, allocated[0]))
+            assert all(len(a) == min(rows, len(b)) and np.shares_memory(a, b) for a, b in zip(out, allocated[0]))
+            assert 0 < len(head) <= min(rows, fact_cap) and np.shares_memory(head, allocated[0].fact_probs)
         if shape == "sweep":  # the batch bounds the cap
             assert cap == settings.batch_size * longest < len(prepared.distinct)
         if shape == "one_long_record":  # the long record was drawn, and the distinct windows bound the cap
             assert max(rows for rows, _ in forwarded) > settings.batch_size * 10 and cap == len(prepared.distinct)
+
+    def test_one_vocab_wide_array_per_step(self, monkeypatch):
+        """A run's step arrays filled with NaN: each step's total_loss returns
+        its gradient in the step's logits, fact_probs' rows past the most a
+        step has used stay NaN, and the run keeps the bits of one whose arrays
+        were not filled."""
+        import prism.model as model_mod
+        examples, vocab = CAP_CORPORA["wide_vocab"]()
+        settings = TrainSettings(method="prism", lam=0.1, steps=12, batch_size=8, vocab_size=vocab, seed=4)
+        prepared = prepare_examples(examples, settings.window, vocab)
+        expected = train(prepared, settings)
+        allocated, forwarded, heads = [], [], []
+        real_views, real_forward = model_mod.step_views, model_mod.forward_batch
+        real_probs, real_loss = model_mod.softmax_probs, model_mod.total_loss
+
+        def views(params, rows, fact_rows):
+            allocated.append(real_views(params, rows, fact_rows))
+            for arr in allocated[-1]:
+                arr.fill(np.nan if arr.dtype == np.float64 else -(2**40))
+            return allocated[-1]
+
+        def forward(params, windows, out=None):
+            forwarded.append(out)
+            return real_forward(params, windows, out=out)
+
+        def probs(logits, out=None):
+            heads.append(len(logits))
+            return real_probs(logits, out=out)
+
+        def loss(logits, *args, **kwargs):
+            result = real_loss(logits, *args, **kwargs)
+            assert result[1] is logits is forwarded[-1].logits
+            fact_probs = allocated[0].fact_probs
+            assert np.isnan(fact_probs[max(heads):]).all() and not np.isnan(fact_probs[:heads[-1]]).any()
+            return result
+
+        for name, fn in (("step_views", views), ("forward_batch", forward), ("softmax_probs", probs),
+                         ("total_loss", loss)):
+            monkeypatch.setattr(model_mod, name, fn)
+        result = train(prepared, settings)
+        assert len(heads) == settings.steps and max(heads) < len(allocated[0].fact_probs)
+        assert all(bits(getattr(result.params, name)) == bits(getattr(expected.params, name))
+                   for name in PARAM_FIELDS)
+        assert result.step_log == expected.step_log
 
 
 class TestGatePass:

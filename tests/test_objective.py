@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prism.errors import EmptyBatchError
+from prism.errors import EmptyBatchError, NonFiniteLogits
 from prism.fact_graph import TokenSignals
 from prism.objective import GateTrace, gate_trace, softmax_pass, softmax_probs, total_loss
 
@@ -64,6 +64,32 @@ class TestSoftmax:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             softmax_probs(np.array([[np.nan, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [-np.inf, np.inf, np.nan], ids=["-inf", "+inf", "nan"])
+    def test_one_non_finite_entry_is_refused_before_anything_is_written(self, bad):
+        """A lone -inf reaches only the minimum, a lone +inf only its row's
+        max, and a NaN both."""
+        rng = np.random.default_rng(5)
+        logits = rng.normal(size=(30, 11))
+        logits[17, 6] = bad
+        labels = rng.integers(0, 11, size=30)
+        signals = make_signals(rng.random(30) < 0.5, rng.choice([0.3, 1.0], size=30))
+        before = logits.tobytes()
+        for lam in (0.0, 0.2):
+            with pytest.raises(NonFiniteLogits):
+                total_loss(logits, labels, signals, lam, out=logits)
+        with pytest.raises(NonFiniteLogits):
+            softmax_pass(logits, out=logits, labels=labels)
+        with pytest.raises(NonFiniteLogits):
+            softmax_probs(logits, out=logits)
+        assert logits.tobytes() == before
+
+    def test_no_rows_pass(self):
+        for out in (None, np.empty((0, 7))):
+            soft = softmax_pass(np.zeros((0, 7)), out=out, labels=np.zeros(0, dtype=np.int64))
+            assert soft.probs.shape == (0, 7) and soft.shifted.shape == (0,) and soft.sums.shape == (0, 1)
+            assert out is None or soft.probs is out
+        assert softmax_probs(np.zeros((0, 7))).shape == (0, 7)
 
     @pytest.mark.parametrize("shape", [(4,), (2,), (3, 1), (1, 0), (2, 3, 4)])
     def test_rows_of_at_least_two_logits_required(self, shape):

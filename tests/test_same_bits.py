@@ -112,12 +112,35 @@ def test_manifests_of_different_environments_are_refused(manifests, tmp_path, ca
     assert capsys.readouterr().err.startswith("refused:")
 
 
-def test_a_missing_tree_or_manifest_exits_2(tmp_path, capsys):
+def test_a_missing_tree_or_manifest_exits_2(tmp_path, capsys, monkeypatch):
     assert same_bits.main(["run", str(tmp_path / "nowhere"), str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"error: no prism package under {tmp_path / 'nowhere'}\n"
     assert same_bits.main(["diff", str(tmp_path / "a.json"), str(tmp_path / "b.json")]) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot read manifest {tmp_path / 'a.json'}")
-    for key in same_bits.SECTIONS:  # valid JSON, but a manifest without that section
-        (tmp_path / "a.json").write_text(json.dumps({section: {} for section in same_bits.SECTIONS if section != key}))
-        assert same_bits.main(["diff", str(tmp_path / "a.json"), str(tmp_path / "a.json")]) == 2
-        assert capsys.readouterr().err == f"error: manifest {tmp_path / 'a.json'} has no {key!r}\n"
+    path = tmp_path / "a.json"
+    path.write_text("[" * 100_000)  # deeper than the recursion limit
+    assert same_bits.main(["diff", str(path), str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read manifest {path}: maximum recursion depth")
+    for key in same_bits.SECTIONS:  # valid JSON, but a manifest without that section, or with it not an object
+        for value, problem in ((None, f"has no {key!r}"), ([], f"has a {key!r} that is not an object")):
+            manifest = {section: {} for section in same_bits.SECTIONS if section != key}
+            if value is not None:
+                manifest[key] = value
+            path.write_text(json.dumps(manifest))
+            assert same_bits.main(["diff", str(path), str(path)]) == 2
+            assert capsys.readouterr().err == f"error: manifest {path} {problem}\n"
+    entry = {"argv": [], "exit": 0, "stdout": "", "stderr": ""}
+    for field in same_bits.COMMAND_FIELDS:
+        command = {key: value for key, value in entry.items() if key != field}
+        path.write_text(json.dumps({section: {} for section in same_bits.SECTIONS} | {"commands": {"c/x": command}}))
+        assert same_bits.main(["diff", str(path), str(path)]) == 2
+        assert capsys.readouterr().err == f"error: manifest {path} has a command 'c/x' without {field!r}\n"
+    # an OUT that holds a manifest, the help directory or a case's directory is refused before any command
+    started = []
+    monkeypatch.setattr(same_bits.subprocess, "run", lambda *args, **kwargs: started.append(args))
+    for taken in ("manifest.json", "help", same_bits.matrix()[-1].name):
+        out = tmp_path / f"taken_{taken}"
+        (out / taken).mkdir(parents=True)
+        assert same_bits.main(["run", str(ROOT / "src"), str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {out} already holds {taken}; give an OUT without it\n"
+        assert [p.name for p in out.iterdir()] == [taken] and not started

@@ -31,8 +31,12 @@ that fails.
 ``diff`` prints one line per entry (a command or check, by ``case/name``,
 or a file, by ``case/path``) that differs or is in one manifest only, and
 exits 1 if one of them matches no ``--expect`` pattern (fnmatch, so
-``'*/log.jsonl'`` names every run's log), else 0.  It refuses manifests of
-different numeric environments (python, numpy, BLAS, threads) with exit 2.
+``'*/log.jsonl'`` names every run's log), else 0.  It exits 2 on manifests
+of different numeric environments (python, numpy, BLAS, threads), and on a
+manifest it cannot read: one with a section missing or not an object, or
+with a command entry that lacks one of its four fields.  ``run`` exits 2,
+before it starts any command, when OUT already holds ``manifest.json``,
+``help`` or a case's directory.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 METHODS = ("sft", "prism", "knowledge_mask", "prism_no_gate", "prism_no_mask")
 SUBCOMMANDS = ("preprocess", "train", "ablate", "trace", "report")
 SECTIONS = ("environment", "commands", "files", "checks")
+COMMAND_FIELDS = ("argv", "exit", "stdout", "stderr")
 TEXT_LIMIT = 4096
 BOUND1 = ("import sys, prism.harness, prism.model; prism.model.BLOCK_BYTES = 1; "
           "sys.exit(prism.harness.main(sys.argv[1:]))")
@@ -214,6 +219,10 @@ def run(src: str, out: str, cases: list[Case], jobs: int = 1) -> dict:
     OUT/manifest.json; returns the manifest."""
     if not os.path.isfile(os.path.join(src, "prism", "harness.py")):
         raise FileNotFoundError(f"no prism package under {src}")
+    taken = [name for name in ("manifest.json", "help", *(case.name for case in cases))
+             if os.path.lexists(os.path.join(out, name))]
+    if taken:
+        raise FileExistsError(f"{out} already holds {taken[0]}; give an OUT without it")
     os.makedirs(out, exist_ok=True)
     with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
         env = pool.submit(numeric_environment, src)
@@ -246,7 +255,7 @@ def diff(a: dict, b: dict, expect: tuple = ()) -> tuple[int, list[str]]:
             elif entry not in x:
                 what = "only in B"
             elif x[entry] != y[entry]:
-                fields = [f for f in ("argv", "exit", "stdout", "stderr") if x[entry][f] != y[entry][f]] \
+                fields = [f for f in COMMAND_FIELDS if x[entry][f] != y[entry][f]] \
                     if kind == "commands" else [{"files": "sha256", "checks": "result"}[kind]]
                 what = "changed " + ",".join(fields)
             else:
@@ -255,6 +264,20 @@ def diff(a: dict, b: dict, expect: tuple = ()) -> tuple[int, list[str]]:
             unexpected += not known
             lines.append(f"{what}: {entry}{' (expected)' if known else ''}")
     return (1 if unexpected else 0), lines
+
+
+def manifest_problem(manifest: object) -> str | None:
+    """What keeps a parsed manifest from being diffed, or None."""
+    for key in SECTIONS:
+        if not isinstance(manifest, dict) or key not in manifest:
+            return f"has no {key!r}"
+        if not isinstance(manifest[key], dict):
+            return f"has a {key!r} that is not an object"
+    for name, entry in manifest["commands"].items():
+        missing = [field for field in COMMAND_FIELDS if not isinstance(entry, dict) or field not in entry]
+        if missing:
+            return f"has a command {name!r} without {missing[0]!r}"
+    return None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -284,12 +307,12 @@ def main(argv: list[str] | None = None) -> int:
         try:
             with open(path, encoding="utf-8") as fh:
                 manifests.append(json.load(fh))
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
             print(f"error: cannot read manifest {path}: {exc}", file=sys.stderr)
             return 2
-        missing = [key for key in SECTIONS if not isinstance(manifests[-1], dict) or key not in manifests[-1]]
-        if missing:
-            print(f"error: manifest {path} has no {missing[0]!r}", file=sys.stderr)
+        problem = manifest_problem(manifests[-1])
+        if problem:
+            print(f"error: manifest {path} {problem}", file=sys.stderr)
             return 2
     code, lines = diff(*manifests, expect=tuple(args.expect))
     for line in lines:
