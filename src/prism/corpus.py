@@ -37,7 +37,7 @@ from .fact_graph import (
     DependencyEdge,
     FactSpan,
     SentenceSpan,
-    annotation_violations,
+    violations,
 )
 
 # Fixed special token ids; keys, values, and filler follow in that order.
@@ -225,7 +225,7 @@ def generate(config: GeneratorConfig) -> list[AnnotatedExample]:
                 mentioned.append(key)
                 prev_key = key
             target.append(TOKEN_PERIOD)
-            sentences.append(SentenceSpan(index=j, token_start=start, token_end=len(target), risk=risk))
+            sentences.append(SentenceSpan(token_start=start, token_end=len(target), risk=risk))
             edges.extend(DependencyEdge(src, j) for src in sorted(incoming))
             for key in set(mentioned[before:]):
                 said.setdefault(key, []).append(j)
@@ -327,7 +327,7 @@ def chunk(example: AnnotatedExample, limit: int) -> list[AnnotatedExample]:
                 target_tokens=example.target_tokens[lo:hi],
                 valid_mask=example.valid_mask[lo:hi],
                 sentences=[
-                    SentenceSpan(i - a + 1, s.token_start - lo, s.token_end - lo, risk[i])
+                    SentenceSpan(s.token_start - lo, s.token_end - lo, risk[i])
                     for i, s in enumerate(sentences[a:b], a)
                 ],
                 facts=facts[g],
@@ -348,15 +348,15 @@ class FilterReport:
 def verify_and_filter(examples: Sequence[AnnotatedExample]) -> FilterReport:
     """Drop examples violating any annotation invariant; keep the rest.
 
-    Filtering never raises; each rejected example carries its reason tags.
+    Filtering never raises; each rejected example carries its reason tags,
+    the distinct tags of fact_graph.violations in first-seen order.
     """
     kept: list[AnnotatedExample] = []
     rejected: list[tuple[AnnotatedExample, list[str]]] = []
     counts: dict[str, int] = {}
     for ex in examples:
-        reasons = annotation_violations(
-            ex.sentences, ex.facts, ex.edges, len(ex.target_tokens), ex.valid_mask
-        )
+        found = violations(ex.sentences, ex.edges, ex.facts, len(ex.target_tokens), ex.valid_mask)
+        reasons = list(dict.fromkeys(reason for reason, _ in found))
         if reasons:
             rejected.append((ex, reasons))
             for r in reasons:
@@ -443,11 +443,11 @@ def example_from_record(record: dict, lineno: int | None = None, shared: dict | 
     _require(len(target_tokens) > 0, "field 'target' must not be empty", lineno)
 
     sentences = []
-    for i, s in enumerate(_list_field(record, "sentences", lineno), 1):
+    for s in _list_field(record, "sentences", lineno):
         if not (type(s) is dict and type(s.get("start")) is int and type(s.get("end")) is int
                 and type(s.get("risk")) is float):
             _check_object(s, "sentences", lineno)
-        sentences.append(SentenceSpan(i, s["start"], s["end"], float(s["risk"])))
+        sentences.append(SentenceSpan(s["start"], s["end"], float(s["risk"])))
 
     facts = []
     for f in _list_field(record, "facts", lineno):
@@ -532,15 +532,18 @@ def read_jsonl(path: str, limit: int = 0) -> list[AnnotatedExample]:
 @contextmanager
 def atomic_write(path: str) -> Iterator[TextIO]:
     """Yield a temp file next to `path` and rename it over `path` once the
-    body finishes; if the body or the rename fails, the temp file is removed."""
+    body finishes; if the body or the rename fails, the temp file is removed,
+    and an OSError that names only the temp file names `path` instead."""
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.isfile(tmp):
             os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp and exc.filename2 is None:
+            exc.filename = path
         raise
 
 

@@ -154,10 +154,10 @@ def _file_keys(fields: dict) -> dict:
 
 
 def parse_config_file(path: str) -> dict[str, str]:
-    """Plain-text `key = value` config; '#' starts a comment, and a key may
-    appear once."""
+    """Plain-text `key = value` config in UTF-8, with or without a leading
+    byte order mark; '#' starts a comment, and a key may appear once."""
     raw: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             for lineno, line in enumerate(fh, 1):
                 text = line.split("#", 1)[0].strip()

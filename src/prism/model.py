@@ -334,7 +334,7 @@ def prepare_examples(
     bad = (tokens < 0) | (tokens >= vocab_size)
     first_bad = int(np.searchsorted(ends, bad.argmax(), side="right")) if bad.any() else -1
 
-    graphs = []
+    risks = []
     for pos, ex in enumerate(examples):
         if pos == first_bad:
             _check_tokens(np.asarray(list(ex.input_tokens) + list(ex.target_tokens), dtype=np.int64), vocab_size)
@@ -342,11 +342,11 @@ def prepare_examples(
         if t_len == 0:
             raise ValueError("example has an empty target")
         try:
-            graphs.append(propagate_risk(ex.sentences, ex.edges, risk_mode, ex.facts, t_len, ex.valid_mask))
+            risks.append(propagate_risk(ex.sentences, ex.edges, risk_mode, ex.facts, t_len, ex.valid_mask))
         except AnnotationError as exc:
             raise AnnotationError(f"record {pos + 1}: {exc}") from exc
-    signals, sentence_id = derive_token_signals(graphs, [ex.facts for ex in examples],
-                                                [ex.valid_mask for ex in examples])
+    signals, sentence_id = derive_token_signals([ex.sentences for ex in examples], risks,
+                                                [ex.facts for ex in examples], [ex.valid_mask for ex in examples])
 
     # Target position t of an example sits at window + len(input) + t of its
     # sequence; its window is the `window` tokens before it.

@@ -36,8 +36,8 @@ from prism.fact_graph import (
     FactSpan,
     SentenceSpan,
     TokenSignals,
-    _violations,
     propagate_risk,
+    violations,
 )
 from prism.harness import TRACE_ROW
 from prism.model import (
@@ -95,17 +95,17 @@ def prepare_reference(
         windows = all_windows[len(ex.input_tokens) : len(ex.input_tokens) + t_len].copy()
         valid_mask = np.asarray(ex.valid_mask, dtype=bool)
         try:
-            graph = propagate_risk(ex.sentences, ex.edges, mode=risk_mode)
+            risks = propagate_risk(ex.sentences, ex.edges, mode=risk_mode)
             # no edges: propagate_risk has checked them
-            for _, message in _violations(graph.sentences, (), ex.facts, t_len, valid_mask):
+            for _, message in violations(ex.sentences, (), ex.facts, t_len, valid_mask):
                 raise AnnotationError(message)
         except AnnotationError as exc:
             raise AnnotationError(f"record {pos}: {exc}") from exc
         support = np.ones(t_len, dtype=np.float64)
         sentence_id = np.full(t_len, -1, dtype=np.int64)
-        for s, eff in zip(graph.sentences, graph.effective_risk):
+        for j, (s, eff) in enumerate(zip(ex.sentences, risks), 1):
             support[s.token_start:s.token_end] = 1.0 - eff
-            sentence_id[s.token_start:s.token_end] = s.index
+            sentence_id[s.token_start:s.token_end] = j
         in_fact = np.zeros(t_len, dtype=bool)
         for f in ex.facts:
             in_fact[f.token_start:f.token_end] = True
@@ -413,7 +413,7 @@ def generate_reference(config: GeneratorConfig) -> list[AnnotatedExample]:
                 mentions.append((j, key))
                 prev_key = key
             target.append(TOKEN_PERIOD)
-            sentences.append(SentenceSpan(index=j, token_start=start, token_end=len(target), risk=risk))
+            sentences.append(SentenceSpan(token_start=start, token_end=len(target), risk=risk))
             edges.extend(DependencyEdge(src, j) for src in sorted(incoming))
 
         input_tokens = [TOKEN_QUERY, key_token(config, first_key), TOKEN_QMARK]
@@ -471,22 +471,22 @@ def chunk_reference(example: AnnotatedExample, limit: int) -> list[AnnotatedExam
     if current:
         groups.append(current)
 
-    raw_risk = {s.index: s.risk for s in example.sentences}
+    # Sentence i of the list has id i + 1.
+    raw_risk = {i + 1: s.risk for i, s in enumerate(example.sentences)}
     chunks = []
     for group in groups:
         lo, hi = starts[group[0]], ends[group[-1]]
-        inside = {example.sentences[i].index for i in group}
-        renumber = {example.sentences[i].index: new + 1 for new, i in enumerate(group)}
+        inside = {i + 1 for i in group}
+        renumber = {i + 1: new + 1 for new, i in enumerate(group)}
         sentences = []
         for i in group:
             s = example.sentences[i]
             risk = s.risk
             for e in example.edges:
-                if e.dst == s.index and e.src not in inside:
+                if e.dst == i + 1 and e.src not in inside:
                     risk = max(risk, raw_risk[e.src])
             sentences.append(
                 SentenceSpan(
-                    index=renumber[s.index],
                     token_start=s.token_start - lo,
                     token_end=s.token_end - lo,
                     risk=risk,

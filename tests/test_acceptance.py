@@ -288,11 +288,11 @@ def test_criterion_09_risk_propagation_oracle():
     for _ in range(1000):
         n = int(rng.integers(1, 11))
         risks = rng.uniform(size=n)
-        sentences = [SentenceSpan(j + 1, 3 * j, 3 * j + 3, float(risks[j])) for j in range(n)]
+        sentences = [SentenceSpan(3 * j, 3 * j + 3, float(risks[j])) for j in range(n)]
         edges = [DependencyEdge(i + 1, j + 1)
                  for i in range(n) for j in range(i + 1, n)
                  if rng.random() < 0.3]
-        got = propagate_risk(sentences, edges).effective_risk
+        got = propagate_risk(sentences, edges)
         for j in range(1, n + 1):
             incoming = [risks[e.src - 1] for e in edges if e.dst == j]
             literal = max([risks[j - 1]] + incoming)

@@ -70,11 +70,10 @@ class TestGenerate:
                                    corruption_fraction=0.3))
         risky = total = 0
         for ex in examples:
-            graph = propagate_risk(ex.sentences, ex.edges)
-            eff = {s.index: e for s, e in zip(graph.sentences, graph.effective_risk)}
+            eff = propagate_risk(ex.sentences, ex.edges)
             for f in ex.facts:
                 total += 1
-                risky += eff[f.sentence] >= 0.5
+                risky += eff[f.sentence - 1] >= 0.5
         assert total > 2000
         assert abs(risky / total - 0.3) < 0.05
 
@@ -112,8 +111,7 @@ class TestGenerate:
         examples = generate(config(n_examples=500, dependency_p=0.5))
         inherited = 0
         for ex in examples:
-            graph = propagate_risk(ex.sentences, ex.edges)
-            for s, eff in zip(graph.sentences, graph.effective_risk):
+            for s, eff in zip(ex.sentences, propagate_risk(ex.sentences, ex.edges)):
                 if s.risk == 0.0 and eff >= 0.5:
                     inherited += 1
         assert inherited > 20
@@ -162,7 +160,7 @@ def sentence_lengths_example(lengths):
     for j, n in enumerate(lengths, start=1):
         start = len(target)
         target.extend([N_SPECIAL] * (n - 1) + [TOKEN_PERIOD])
-        sentences.append(SentenceSpan(j, start, len(target), risk=0.1 * j))
+        sentences.append(SentenceSpan(start, len(target), risk=0.1 * j))
     return AnnotatedExample(
         input_tokens=[4], target_tokens=target, valid_mask=[1] * len(target),
         sentences=sentences, facts=[FactSpan(0, 1, 2, 1)], edges=[],
@@ -205,18 +203,17 @@ class TestChunk:
         # sentence 3 restates sentence 1's fact; when they land in different
         # chunks the dropped edge's source risk folds into sentence 3
         target = [5, 6, TOKEN_PERIOD] * 3
-        sentences = [SentenceSpan(1, 0, 3, 0.8), SentenceSpan(2, 3, 6, 0.0),
-                     SentenceSpan(3, 6, 9, 0.0)]
+        sentences = [SentenceSpan(0, 3, 0.8), SentenceSpan(3, 6, 0.0), SentenceSpan(6, 9, 0.0)]
         ex = AnnotatedExample(
             input_tokens=[4], target_tokens=list(target), valid_mask=[1] * 9,
             sentences=sentences, facts=[], edges=[DependencyEdge(1, 3)],
         )
-        whole = propagate_risk(ex.sentences, ex.edges).effective_risk
+        whole = propagate_risk(ex.sentences, ex.edges)
         chunks = chunk(ex, limit=6)
         assert [len(c.target_tokens) for c in chunks] == [6, 3]
         rebuilt = []
         for c in chunks:
-            rebuilt.extend(propagate_risk(c.sentences, c.edges).effective_risk)
+            rebuilt.extend(propagate_risk(c.sentences, c.edges))
         assert rebuilt == list(whole)
 
     def test_generated_corpus_chunks_cleanly(self):
@@ -243,7 +240,7 @@ class TestChunk:
         (lambda ex: ex.edges.append(DependencyEdge(1, 4)), "edge-unknown-sentence"),
         (lambda ex: ex.edges.append(DependencyEdge(0, 2)), "edge-unknown-sentence"),
         (lambda ex: ex.facts.append(FactSpan(1, 4, 5, 4)), "fact-unknown-sentence"),
-        (lambda ex: ex.sentences.extend([ex.sentences.pop(2), ex.sentences.pop(1)]), "sentence-index"),
+        (lambda ex: ex.sentences.extend([ex.sentences.pop(2), ex.sentences.pop(1)]), "sentence-span-order"),
     ], ids=["backward-edge", "duplicate-edge", "edge-to-no-sentence", "edge-from-no-sentence", "fact-of-no-sentence",
             "sentences-2-and-3-swapped"])
     def test_annotation_no_chunk_can_hold_returns_the_example_whole(self, edit, reason, tmp_path, monkeypatch,
@@ -253,7 +250,7 @@ class TestChunk:
         # whole example first, rejects it under its reason and writes none of it
         ex = AnnotatedExample(
             input_tokens=[4], target_tokens=[5, 6, TOKEN_PERIOD] * 3, valid_mask=[1] * 9,
-            sentences=[SentenceSpan(j, 3 * j - 3, 3 * j, 0.1 * j) for j in (1, 2, 3)],
+            sentences=[SentenceSpan(3 * j - 3, 3 * j, 0.1 * j) for j in (1, 2, 3)],
             facts=[FactSpan(0, 1, 2, 1)], edges=[DependencyEdge(1, 3)],
         )
         monkeypatch.setattr(harness, "generate", lambda cfg: [ex])
@@ -285,7 +282,7 @@ class TestChunk:
         n = 20_000
         ex = AnnotatedExample(
             input_tokens=[4], target_tokens=[5, TOKEN_PERIOD] * n, valid_mask=[1] * (2 * n),
-            sentences=[SentenceSpan(j, 2 * j - 2, 2 * j, (j % 10) / 10) for j in range(1, n + 1)],
+            sentences=[SentenceSpan(2 * j - 2, 2 * j, (j % 10) / 10) for j in range(1, n + 1)],
             facts=[FactSpan(j - 1, 2 * j - 2, 2 * j - 1, j) for j in range(1, n + 1)],
             edges=[DependencyEdge(j, j + 1) for j in range(1, n)],
         )
@@ -293,16 +290,16 @@ class TestChunk:
         chunks = chunk(ex, limit=2)
         assert time.perf_counter() - start < 5.0
         assert len(chunks) == n
-        assert all(c.sentences == [SentenceSpan(1, 0, 2, c.sentences[0].risk)] for c in chunks)
+        assert all(c.sentences == [SentenceSpan(0, 2, c.sentences[0].risk)] for c in chunks)
         assert all(c.facts == [FactSpan(j, 0, 1, 1)] and not c.edges for j, c in enumerate(chunks))
-        whole = propagate_risk(ex.sentences, ex.edges).effective_risk
+        whole = propagate_risk(ex.sentences, ex.edges)
         assert [c.sentences[0].risk for c in chunks] == list(whole)
 
 
 def fields(example):
     """Every field of an example, each sentence risk by repr."""
     return (example.input_tokens, example.target_tokens, example.valid_mask,
-            [(s.index, s.token_start, s.token_end, repr(s.risk)) for s in example.sentences],
+            [(s.token_start, s.token_end, repr(s.risk)) for s in example.sentences],
             example.facts, example.edges, example.extra)
 
 

@@ -104,6 +104,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="steps"):
             config_from_dict(RunConfig, {"steps": "many"})
 
+    def test_leading_byte_order_mark_is_skipped(self, corpus_path, tmp_path, capsys):
+        # editors on Windows start a UTF-8 file with U+FEFF
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_text(f"\ufeffsteps = 3\ncorpus = {corpus_path}\n", encoding="utf-8")
+        assert parse_config_file(str(cfg)) == {"steps": "3", "corpus": corpus_path}
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
+        assert json.load(open(tmp_path / "r" / "resolved_config.json"))["config"]["steps"] == 3
+
     def test_nul_byte_is_1(self, corpus_path, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("steps = 3\ncorpus = a\0b\n")
@@ -912,6 +920,7 @@ class TestTraceCommand:
         taken.mkdir()
         assert main(["trace", "--checkpoint", checkpoint_path, "--corpus", corpus_path,
                      "--out", str(taken)]) == 2
+        assert capsys.readouterr().err == f"i/o error: [Errno 21] Is a directory: '{taken}.tmp' -> '{taken}'\n"
         assert not os.path.exists(f"{taken}.tmp")
 
     @pytest.mark.parametrize("flag, value", [("--config", "missing.cfg"), ("--seed", "99")],
@@ -1100,10 +1109,27 @@ class TestReportCommand:
         taken = tmp_path / "taken"
         taken.mkdir()
         assert main(["report", d, "--out", str(taken)]) == 2
+        assert capsys.readouterr().err == f"i/o error: [Errno 21] Is a directory: '{taken}.tmp' -> '{taken}'\n"
         assert not os.path.exists(f"{taken}.tmp")
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("command", ["preprocess", "trace", "report"])
+    def test_out_in_a_missing_directory_names_the_given_path(self, command, corpus_path, checkpoint_path,
+                                                             tmp_path, capsys, monkeypatch):
+        # the error is about the temp file next to OUT, but names OUT
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "gen.cfg").write_text("n_examples = 5\n")
+        if command == "report":
+            cmd_train(run_config(corpus_path, "sft", method="sft", lam=0.0, steps=5))
+        argv = {"preprocess": ["preprocess", "--config", "gen.cfg"],
+                "trace": ["trace", "--checkpoint", checkpoint_path, "--corpus", corpus_path],
+                "report": ["report", "sft"]}[command]
+        out = os.path.join("nodir", "c.out")
+        assert main(argv + ["--out", out]) == 2
+        assert capsys.readouterr().err == f"i/o error: [Errno 2] No such file or directory: '{out}'\n"
+        assert not list(tmp_path.rglob("*.tmp"))
+
     def test_success(self, corpus_path, tmp_path, capsys):
         cfg = tmp_path / "t.cfg"
         cfg.write_text(f"corpus = {corpus_path}\nsteps = 3\nbatch_size = 4\n"

@@ -429,7 +429,7 @@ class TestPrepare:
     def test_windows_are_teacher_forced_prefixes(self):
         ex = AnnotatedExample(
             input_tokens=[5, 6], target_tokens=[7, 8, 9], valid_mask=[1, 1, 1],
-            sentences=[SentenceSpan(1, 0, 3, 0.0)], facts=[], edges=[],
+            sentences=[SentenceSpan(0, 3, 0.0)], facts=[], edges=[],
         )
         prep = prepare_examples([ex], window=3, vocab_size=10)[0]
         assert prep.distinct[prep.window_id].tolist() == [[0, 5, 6], [5, 6, 7], [6, 7, 8]]
@@ -448,7 +448,7 @@ class TestPrepare:
     def test_signals_flow_through_propagation(self):
         ex = AnnotatedExample(
             input_tokens=[1], target_tokens=[2, 3, 4, 5], valid_mask=[1, 1, 1, 1],
-            sentences=[SentenceSpan(1, 0, 2, 0.8), SentenceSpan(2, 2, 4, 0.0)],
+            sentences=[SentenceSpan(0, 2, 0.8), SentenceSpan(2, 4, 0.0)],
             facts=[FactSpan(0, 2, 3, 2)], edges=[DependencyEdge(1, 2)],
         )
         prep = prepare_examples([ex], window=2, vocab_size=8)[0]
@@ -488,14 +488,13 @@ def annotated_examples(draw, vocab=12):
     t_len = draw(st.integers(min_value=1, max_value=14))
     cuts = sorted(draw(st.sets(st.integers(min_value=0, max_value=t_len), max_size=8)))
     bounds = [(a, b) for a, b in zip(cuts[::2], cuts[1::2])]
-    sentences = [SentenceSpan(j, a, b, draw(st.floats(min_value=0.0, max_value=1.0)))
-                 for j, (a, b) in enumerate(bounds, 1)]
+    sentences = [SentenceSpan(a, b, draw(st.floats(min_value=0.0, max_value=1.0))) for a, b in bounds]
     facts = []
-    for s in sentences:
+    for j, s in enumerate(sentences, 1):
         for _ in range(draw(st.integers(min_value=0, max_value=2))):
             start = draw(st.integers(min_value=s.token_start, max_value=s.token_end - 1))
             end = draw(st.integers(min_value=start + 1, max_value=s.token_end))
-            facts.append(FactSpan(len(facts), start, end, s.index))
+            facts.append(FactSpan(len(facts), start, end, j))
     pairs = [(i, j) for i in range(1, len(sentences) + 1) for j in range(i + 1, len(sentences) + 1)]
     tokens = st.integers(min_value=0, max_value=vocab - 1)
     return AnnotatedExample(
@@ -513,7 +512,7 @@ def break_example(ex, kind):
     sentences, facts, edges = list(ex.sentences), list(ex.facts), list(ex.edges)
     target, valid = list(ex.target_tokens), list(ex.valid_mask)
     if kind in ("risk", "both") and sentences:
-        sentences[-1] = SentenceSpan(sentences[-1].index, sentences[-1].token_start, sentences[-1].token_end, 1.5)
+        sentences[-1] = SentenceSpan(sentences[-1].token_start, sentences[-1].token_end, 1.5)
     if kind == "edge":
         edges.append(DependencyEdge(1, 1))
     if kind in ("fact", "both"):
@@ -668,7 +667,7 @@ class TestTrain:
             AnnotatedExample(
                 input_tokens=ex.input_tokens, target_tokens=ex.target_tokens,
                 valid_mask=ex.valid_mask,
-                sentences=[SentenceSpan(s.index, s.token_start, s.token_end, 0.0)
+                sentences=[SentenceSpan(s.token_start, s.token_end, 0.0)
                            for s in ex.sentences],
                 facts=[], edges=[],
             )
@@ -800,7 +799,7 @@ def random_corpus(vocab, n, length=40, seed=9):
     return [
         AnnotatedExample(
             input_tokens=[1], target_tokens=rng.integers(2, vocab, size=length).tolist(), valid_mask=[1] * length,
-            sentences=[SentenceSpan(1, 0, length, 0.5)], facts=[FactSpan(0, 5, 9, 1)], edges=[],
+            sentences=[SentenceSpan(0, length, 0.5)], facts=[FactSpan(0, 5, 9, 1)], edges=[],
         )
         for _ in range(n)
     ]
@@ -1080,7 +1079,7 @@ class TestEvaluate:
     def test_no_facts_yields_none_groups(self):
         ex = AnnotatedExample(
             input_tokens=[1], target_tokens=[2, 3], valid_mask=[1, 1],
-            sentences=[SentenceSpan(1, 0, 2, 0.0)], facts=[], edges=[],
+            sentences=[SentenceSpan(0, 2, 0.0)], facts=[], edges=[],
         )
         prep = prepare_examples([ex], window=2, vocab_size=5)
         metrics = evaluate(init_params(5, 3, 4, 2, np.random.default_rng(7)), prep)
