@@ -28,6 +28,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from typing import Any, Iterator, Sequence, TextIO
 
 import numpy as np
@@ -121,6 +122,8 @@ class GeneratorConfig:
             raise ConfigError("plant_defects must be >= 0")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
+        if not self.out:
+            raise ConfigError("no output path configured")
         if self.plant_defects > 0 and self.sentences_min < 2:
             raise ConfigError("defect planting needs sentences_min >= 2")
         needed = N_SPECIAL + self.n_keys + self.n_values
@@ -430,7 +433,7 @@ def example_from_record(record: dict, lineno: int | None = None, shared: dict | 
     checks, which name the first key it gets wrong, or accept it (a sentence
     risk that is an integer).  Facts and edges, whose fields are integers,
     are immutable: equal ones are one object per `shared` map, which
-    read_jsonl keeps for a whole file.
+    iter_jsonl keeps for a whole file.
     """
     if shared is None:
         shared = {}
@@ -503,16 +506,16 @@ def example_to_record(example: AnnotatedExample) -> dict:
     return record
 
 
-def read_jsonl(path: str, limit: int = 0) -> list[AnnotatedExample]:
-    """Read an annotated corpus, or only its first `limit` records when
-    limit > 0; empty files yield an empty corpus.
+def iter_jsonl(path: str) -> Iterator[AnnotatedExample]:
+    """Yield the records of an annotated corpus one at a time, each as its
+    line is decoded; an empty file yields none.  The file is UTF-8, with or
+    without a leading byte order mark.
 
     Malformed JSON or schema violations raise CorpusFormatError with the
     line number and offending field; so do bytes that are not UTF-8.
     """
-    examples = []
     shared: dict = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             for lineno, line in enumerate(fh, 1):
                 if not line.strip():
@@ -521,12 +524,15 @@ def read_jsonl(path: str, limit: int = 0) -> list[AnnotatedExample]:
                     record = json.loads(line)
                 except (ValueError, RecursionError) as exc:  # also too long an integer, or too deep nesting
                     raise CorpusFormatError(f"invalid JSON: {getattr(exc, 'msg', exc)}", lineno) from exc
-                examples.append(example_from_record(record, lineno, shared))
-                if len(examples) == limit:
-                    break
+                yield example_from_record(record, lineno, shared)
         except UnicodeDecodeError as exc:
             raise CorpusFormatError(f"{path} is not UTF-8 text ({exc.reason})") from exc
-    return examples
+
+
+def read_jsonl(path: str, limit: int = 0) -> list[AnnotatedExample]:
+    """The records of iter_jsonl as one list, or only its first `limit` when
+    limit > 0: no later line is decoded."""
+    return list(islice(iter_jsonl(path), limit or None))
 
 
 @contextmanager

@@ -15,7 +15,6 @@ All operations here are pure functions; returned containers are immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from operator import attrgetter
 from typing import Iterator, Sequence
 
@@ -123,16 +122,6 @@ def span_positions(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return np.arange(len(shift), dtype=np.int64) + shift
 
 
-def _span_table(spans: Sequence[Sequence[SentenceSpan | FactSpan]], bases: np.ndarray) -> np.ndarray:
-    """int64 [spans, 2] of every example's spans in order, (start, end) moved
-    by the example's base position."""
-    counts = [len(example) for example in spans]
-    values = chain.from_iterable(map(attrgetter("token_start", "token_end"), chain.from_iterable(spans)))
-    table = np.fromiter(values, dtype=np.int64, count=2 * sum(counts)).reshape(-1, 2)
-    table += np.repeat(bases, counts)[:, None]
-    return table
-
-
 def _fill_runs(runs: np.ndarray, in_sentence: np.ndarray, in_gap: float) -> np.ndarray:
     """Positions in runs of the given lengths, alternately a gap and a
     sentence, each filled with `in_gap` or that sentence's value."""
@@ -142,44 +131,38 @@ def _fill_runs(runs: np.ndarray, in_sentence: np.ndarray, in_gap: float) -> np.n
 
 
 def derive_token_signals(
-    sentences: Sequence[Sequence[SentenceSpan]],
-    risks: Sequence[Sequence[float]],
-    facts: Sequence[Sequence[FactSpan]],
-    valid: Sequence[Sequence[int] | np.ndarray],
+    sentences: np.ndarray,
+    risks: np.ndarray,
+    facts: np.ndarray,
+    counts: np.ndarray,
+    valid: np.ndarray,
 ) -> tuple[TokenSignals, np.ndarray]:
-    """Per-token signals of a corpus, example after example, from each
-    example's sentences, their effective risks, fact spans and valid mask
-    (whose length is the example's); also each position's sentence id, -1
-    outside every sentence.  Each example's risks must come from
-    propagate_risk given its facts, valid mask and length, which checked the
-    spans.
+    """Per-token signals of a corpus, from its flat tables: the int64 [S, 2]
+    (start, end) of every sentence, in corpus positions, example after
+    example, each one's effective risk in `risks`, the [F, 2] spans of every
+    fact, each example's sentence count in `counts`, and the bool valid mask
+    of every position.  Also each position's sentence id (int32), -1 outside
+    every sentence.  Each example's risks must come from propagate_risk
+    given its facts, valid mask and length, which checked the spans.
 
-    The fact mask is the union of an example's fact spans intersected with
-    its valid mask; overlapping fact spans collapse into one.  Tokens outside
-    every sentence get support weight 1 and no fact mask.
+    The fact mask is the union of the fact spans intersected with the valid
+    mask; overlapping fact spans collapse into one.  Tokens outside every
+    sentence get support weight 1 and no fact mask.
     """
-    lengths = np.array([len(v) for v in valid], dtype=np.int64)
-    length = int(lengths.sum())
-    valid_mask = np.fromiter(chain.from_iterable(valid), dtype=bool, count=length)
-    bases = np.cumsum(lengths) - lengths
-    spans = _span_table(sentences, bases)
-    effective = np.fromiter(chain.from_iterable(risks), dtype=np.float64, count=len(spans))
-    counts = np.array([len(example) for example in sentences], dtype=np.int64)
-    ids = span_positions(np.ones_like(counts), counts + 1)  # 1..n per example
-    fact_spans = _span_table(facts, bases)
+    ids = span_positions(np.ones_like(counts), counts + 1).astype(np.int32)  # 1..n per example
 
     # The sentences are in order and do not overlap (checked), so they and
     # the gaps around them split the positions into runs: gap, sentence,
     # gap, ..., sentence, gap.
-    runs = np.diff(np.concatenate([[0], spans.ravel(), [length]]))
-    support = _fill_runs(runs, 1.0 - effective, 1.0)
+    runs = np.diff(np.concatenate([[0], sentences.ravel(), [len(valid)]]))
+    support = _fill_runs(runs, 1.0 - risks, 1.0)
     sentence_id = _fill_runs(runs, ids, -1)
-    fact_mask = np.zeros(length, dtype=bool)
-    fact_mask[span_positions(fact_spans[:, 0], fact_spans[:, 1])] = True
-    fact_mask &= valid_mask
-    for arr in (fact_mask, support, valid_mask, sentence_id):
+    fact_mask = np.zeros(len(valid), dtype=bool)
+    fact_mask[span_positions(facts[:, 0], facts[:, 1])] = True
+    fact_mask &= valid
+    for arr in (fact_mask, support, valid, sentence_id):
         arr.setflags(write=False)
-    return TokenSignals(fact_mask=fact_mask, support_weight=support, valid_mask=valid_mask), sentence_id
+    return TokenSignals(fact_mask=fact_mask, support_weight=support, valid_mask=valid), sentence_id
 
 
 def violations(

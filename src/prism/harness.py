@@ -29,6 +29,7 @@ from .corpus import (
     atomic_write,
     chunk,
     generate,
+    iter_jsonl,
     read_jsonl,
     stats_table,
     verify_and_filter,
@@ -54,7 +55,6 @@ from .model import (
     check_model_size,
     config_digest,
     evaluate,
-    infer_vocab_size,
     load_checkpoint,
     numeric_environment,
     prepare_examples,
@@ -207,6 +207,8 @@ def validate_run_config(cfg: RunConfig) -> RunConfig:
     cfg.validate()
     if not cfg.corpus:
         raise ConfigError("no corpus path configured")
+    if not cfg.out:
+        raise ConfigError("no output path configured")
     if not 0.0 <= cfg.eval_fraction <= 0.9:
         raise ConfigError("eval_fraction must be in [0, 0.9]")
     if not METHODS[cfg.method].has_comp and cfg.lam != 0.0:
@@ -267,24 +269,30 @@ class RunData(NamedTuple):
 
 
 def load_run_data(cfg: RunConfig) -> RunData:
-    """Read, size, prepare and split the corpus of a validated config.  The
-    whole corpus is prepared once, in file order; with eval_fraction > 0 the
-    last max(1, round(eval_fraction x n)) records are held out, and with 0
-    the run evaluates on its training split.
+    """Read, size, prepare and split the corpus of a validated config, in one
+    pass: prepare_examples takes the records as iter_jsonl decodes them, so
+    no list of them is held.  The whole corpus is prepared, in file order;
+    with eval_fraction > 0 the last max(1, round(eval_fraction x n)) records
+    are held out, and with 0 the run evaluates on its training split.
     The vocabulary (vocab_size, or with 0 the smallest covering the corpus)
-    and the model it sizes must pass check_model_size.  Only the corpus,
-    eval_fraction, vocab_size, window, risk_propagation and model dimension
-    settings matter, so a sweep shares one RunData."""
-    examples = read_jsonl(cfg.corpus)
-    if not examples:
-        raise ConfigError(f"corpus {cfg.corpus} is empty")
-    n_eval = max(1, round(cfg.eval_fraction * len(examples))) if cfg.eval_fraction > 0 else 0
-    if n_eval >= len(examples):
-        raise ConfigError("eval_fraction leaves no training examples")
-    vocab = cfg.vocab_size or infer_vocab_size(examples)
-    check_model_size(cfg, vocab)
-    prepared = prepare_examples(examples, cfg.window, vocab, risk_mode=cfg.risk_propagation)
-    cut = len(prepared) - n_eval
+    and the model it sizes must pass check_model_size.  These corpus-wide
+    checks run once the whole file is decoded, so a format error comes
+    first, and they come before any record's token-id or annotation error.
+    Only the corpus, eval_fraction, vocab_size, window, risk_propagation and
+    model dimension settings matter, so a sweep shares one RunData."""
+    sizes = []
+
+    def check(n: int, vocab: int) -> None:
+        if not n:
+            raise ConfigError(f"corpus {cfg.corpus} is empty")
+        n_eval = max(1, round(cfg.eval_fraction * n)) if cfg.eval_fraction > 0 else 0
+        if n_eval >= n:
+            raise ConfigError("eval_fraction leaves no training examples")
+        check_model_size(cfg, vocab)
+        sizes.extend((n - n_eval, vocab))
+
+    prepared = prepare_examples(iter_jsonl(cfg.corpus), cfg.window, cfg.vocab_size, cfg.risk_propagation, check)
+    cut, vocab = sizes
     return RunData(vocab, prepared[:cut], prepared[cut:] or prepared)
 
 

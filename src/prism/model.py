@@ -17,9 +17,9 @@ import hashlib
 import json
 import math
 import platform
+from array import array
 from dataclasses import dataclass, replace
-from itertools import chain
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -268,15 +268,16 @@ class PreparedCorpus:
     array per field for the whole corpus: example i holds the positions
     offsets[i]:offsets[i + 1].  A position's window is its row of `distinct`,
     the corpus's distinct windows in distinct_windows' order; so ids follow
-    the windows' order, and equal windows share an id.  corpus[i] is example
-    i and corpus[a:b] the examples a..b-1, each a PreparedCorpus of views
-    into these arrays."""
+    the windows' order, and equal windows share an id.  Token ids are stored
+    as uint16, which holds every id below MAX_VOCAB_SIZE, and window and
+    sentence ids as int32.  corpus[i] is example i and corpus[a:b] the
+    examples a..b-1, each a PreparedCorpus of views into these arrays."""
 
-    distinct: np.ndarray     # int64 [D, window]
-    window_id: np.ndarray    # int64 [T], each position's row of `distinct`
-    labels: np.ndarray       # int64 [T]
+    distinct: np.ndarray     # uint16 [D, window]
+    window_id: np.ndarray    # int32 [T], each position's row of `distinct`
+    labels: np.ndarray       # uint16 [T]
     signals: TokenSignals    # [T] each
-    sentence_id: np.ndarray  # int64 [T], -1 outside any sentence
+    sentence_id: np.ndarray  # int32 [T], -1 outside any sentence
     offsets: np.ndarray      # int64 [n + 1], offsets[0] == 0
 
     def __len__(self) -> int:
@@ -310,53 +311,85 @@ class PreparedCorpus:
 
 
 def prepare_examples(
-    examples: Sequence[AnnotatedExample],
+    examples: Iterable[AnnotatedExample],
     window: int,
     vocab_size: int,
     risk_mode: str = RISK_ONEHOP,
+    sized: Callable[[int, int], None] | None = None,
 ) -> PreparedCorpus:
     """Expand annotated examples into per-position windows, labels, and signals.
 
     For target position t the window is the `window` tokens preceding it in
     input + target, left-padded with the begin token at the sequence start.
-    Examples are checked in order, each for its token ids, a nonempty target
-    and then its annotations (propagate_risk); an annotation error names the
-    example's 1-based position in `examples`.  The distinct windows come
-    from one distinct_windows over the corpus's windows at its target
-    positions, and only the distinct ones are gathered as rows.
+    One pass over `examples` checks each one's annotations (propagate_risk)
+    and copies its tokens, span bounds, effective risks and valid mask into
+    flat buffers before it draws the next, so no example outlives its turn.
+    Then sized(n, vocab), when given, gets the example count and vocab_size
+    (with 0, the smallest vocabulary covering every token id); only then is
+    the first broken example's error raised.  Token ids must be below
+    vocab_size and MAX_VOCAB_SIZE; an example's are checked before its
+    nonempty target and annotations, and an annotation error names its
+    1-based position.  One distinct_windows over the windows at the target
+    positions finds the distinct ones, and only they are gathered as rows.
     """
-    # One sequence per example, `window` begin tokens, then input and target.
     pad = [TOKEN_BOS] * window
-    t_lens = np.array([len(ex.target_tokens) for ex in examples], dtype=np.int64)
-    ends = np.cumsum(np.array([len(ex.input_tokens) for ex in examples], dtype=np.int64) + t_lens + window)
-    tokens = np.fromiter(chain.from_iterable(chain(pad, ex.input_tokens, ex.target_tokens) for ex in examples),
-                         dtype=np.int64, count=int(ends[-1]) if examples else 0)
-    bad = (tokens < 0) | (tokens >= vocab_size)
-    first_bad = int(np.searchsorted(ends, bad.argmax(), side="right")) if bad.any() else -1
+    # Record after record: tokens (begin, input, target), valid mask, sentence and fact bounds in corpus
+    # positions, sentence risks; per record, its sentence count and where its tokens and positions end.
+    tokens, valid, risks = array("q"), bytearray(), array("d")
+    s_start, s_end, f_start, f_end, counts = (array("q") for _ in range(5))
+    ends, offsets = array("q", [0]), array("q", [0])
+    held: tuple[int, ValueError] | None = None  # the first example whose annotations fail, and its error
+    for ex in examples:
+        tokens.fromlist(pad + ex.input_tokens + ex.target_tokens)
+        ends.append(len(tokens))
+        counts.append(len(ex.sentences))
+        if held is None:
+            try:
+                if not ex.target_tokens:
+                    raise ValueError("example has an empty target")
+                risks.extend(propagate_risk(ex.sentences, ex.edges, risk_mode, ex.facts, len(ex.target_tokens),
+                                            ex.valid_mask))
+            except AnnotationError as exc:
+                held = len(counts), AnnotationError(f"record {len(counts)}: {exc}")
+            except ValueError as exc:  # an empty target, or an unknown risk_mode
+                held = len(counts), exc
+            else:  # spans that passed propagate_risk lie inside the target, so their bounds fit int64
+                base = offsets[-1]
+                s_start.fromlist([s.token_start + base for s in ex.sentences])
+                s_end.fromlist([s.token_end + base for s in ex.sentences])
+                f_start.fromlist([f.token_start + base for f in ex.facts])
+                f_end.fromlist([f.token_end + base for f in ex.facts])
+                valid.extend(ex.valid_mask)
+                offsets.append(len(valid))
+        del ex  # neither this name nor an enumerate tuple holds an example while the next one is drawn
 
-    risks = []
-    for pos, ex in enumerate(examples):
-        if pos == first_bad:
-            _check_tokens(np.asarray(list(ex.input_tokens) + list(ex.target_tokens), dtype=np.int64), vocab_size)
-        t_len = len(ex.target_tokens)
-        if t_len == 0:
-            raise ValueError("example has an empty target")
-        try:
-            risks.append(propagate_risk(ex.sentences, ex.edges, risk_mode, ex.facts, t_len, ex.valid_mask))
-        except AnnotationError as exc:
-            raise AnnotationError(f"record {pos + 1}: {exc}") from exc
-    signals, sentence_id = derive_token_signals([ex.sentences for ex in examples], risks,
-                                                [ex.facts for ex in examples], [ex.valid_mask for ex in examples])
+    ids = np.frombuffer(tokens, dtype=np.int64)
+    limit = min(vocab_size or MAX_VOCAB_SIZE, MAX_VOCAB_SIZE)
+    if sized is not None:
+        sized(len(counts), vocab_size or int(ids.max(initial=0)) + 1)
+    bad = (ids < 0) | (ids >= limit)
+    if bad.any():
+        first_bad = int(np.searchsorted(ends, bad.argmax(), side="right"))
+        if held is None or first_bad <= held[0]:
+            _check_tokens(ids[ends[first_bad - 1]:ends[first_bad]], limit)
+    if held is not None:
+        raise held[1]
 
-    # Target position t of an example sits at window + len(input) + t of its
-    # sequence; its window is the `window` tokens before it.
-    at = span_positions(ends - t_lens - window, ends - window)
-    windows = np.lib.stride_tricks.sliding_window_view(tokens, window) if examples else tokens.reshape(0, window)
-    first, window_id = distinct_windows(windows, at)
-    labels = tokens[window:][at]
-    offsets = np.concatenate([[0], np.cumsum(t_lens)])
-    prepared = PreparedCorpus(windows[at[first]], window_id, labels, signals, sentence_id, offsets)
-    for arr in (prepared.distinct, window_id, labels, offsets):
+    ends, offsets, s_start, s_end, f_start, f_end, counts = (
+        np.frombuffer(table, dtype=np.int64) for table in (ends, offsets, s_start, s_end, f_start, f_end, counts))
+    signals, sentence_id = derive_token_signals(np.stack([s_start, s_end], axis=1), np.frombuffer(risks),
+                                                np.stack([f_start, f_end], axis=1), counts,
+                                                np.frombuffer(valid, dtype=np.uint8) != 0)
+    ids = ids.astype(np.uint16)
+    del tokens, valid, risks, s_start, s_end, f_start, f_end, bad  # the pass's buffers go before distinct_windows
+    # Target position t of an example sits at its tokens' end - len(target)
+    # + t; its window is the `window` tokens before it.
+    at = span_positions(ends[1:] - np.diff(offsets) - window, ends[1:] - window)
+    windows = np.lib.stride_tricks.sliding_window_view(ids, window) if len(ids) else ids.reshape(0, window)
+    first, rows = distinct_windows(windows, at)
+    prepared = PreparedCorpus(windows[at[first]], rows.astype(np.int32), ids[window:][at], signals, sentence_id,
+                              offsets)
+    for arr in (prepared.distinct, prepared.window_id, prepared.labels, offsets):
         arr.setflags(write=False)
     return prepared
 

@@ -66,10 +66,10 @@ from prism.objective import (
 class PreparedExample:
     """One example flattened into teacher-forcing windows and token signals."""
 
-    windows: np.ndarray       # int64 [T, window]
-    labels: np.ndarray        # int64 [T]
+    windows: np.ndarray       # uint16 [T, window]
+    labels: np.ndarray        # uint16 [T]
     signals: TokenSignals
-    sentence_id: np.ndarray   # int64 [T], -1 outside any sentence
+    sentence_id: np.ndarray   # int32 [T], -1 outside any sentence
 
 
 def prepare_reference(
@@ -92,7 +92,7 @@ def prepare_reference(
             raise ValueError("example has an empty target")
         padded = np.concatenate([np.full(window, TOKEN_BOS, dtype=np.int64), full])
         all_windows = np.lib.stride_tricks.sliding_window_view(padded, window)
-        windows = all_windows[len(ex.input_tokens) : len(ex.input_tokens) + t_len].copy()
+        windows = all_windows[len(ex.input_tokens) : len(ex.input_tokens) + t_len].astype(np.uint16)
         valid_mask = np.asarray(ex.valid_mask, dtype=bool)
         try:
             risks = propagate_risk(ex.sentences, ex.edges, mode=risk_mode)
@@ -102,7 +102,7 @@ def prepare_reference(
         except AnnotationError as exc:
             raise AnnotationError(f"record {pos}: {exc}") from exc
         support = np.ones(t_len, dtype=np.float64)
-        sentence_id = np.full(t_len, -1, dtype=np.int64)
+        sentence_id = np.full(t_len, -1, dtype=np.int32)
         for j, (s, eff) in enumerate(zip(ex.sentences, risks), 1):
             support[s.token_start:s.token_end] = 1.0 - eff
             sentence_id[s.token_start:s.token_end] = j
@@ -112,7 +112,7 @@ def prepare_reference(
         prepared.append(
             PreparedExample(
                 windows=windows,
-                labels=np.asarray(ex.target_tokens, dtype=np.int64),
+                labels=np.asarray(ex.target_tokens, dtype=np.uint16),
                 signals=TokenSignals(fact_mask=in_fact & valid_mask, support_weight=support, valid_mask=valid_mask),
                 sentence_id=sentence_id,
             )

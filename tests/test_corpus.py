@@ -465,6 +465,18 @@ class TestJsonl:
         path.write_text("")
         assert read_jsonl(str(path)) == []
 
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path):
+        examples = generate(config(n_examples=3))
+        path = tmp_path / "bom.jsonl"
+        write_jsonl(examples, str(path))
+        text = path.read_text(encoding="utf-8")
+        path.write_text("\ufeff" + text, encoding="utf-8")
+        assert read_jsonl(str(path)) == examples
+        lines = text.splitlines(keepends=True)
+        path.write_text(lines[0] + "\ufeff" + "".join(lines[1:]), encoding="utf-8")  # elsewhere it is no JSON
+        with pytest.raises(CorpusFormatError, match="^line 2: invalid JSON: Unexpected UTF-8 BOM"):
+            read_jsonl(str(path))
+
     def test_malformed_line_reports_line_number(self, tmp_path):
         good = json.dumps(example_to_record(generate(config(n_examples=1))[0]))
         path = tmp_path / "bad.jsonl"

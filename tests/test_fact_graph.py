@@ -127,9 +127,18 @@ class TestPropagationProperties:
         assert propagate_risk(spans_for(risks), more) == base
 
 
+def derive_one(sentences, risks, facts, valid):
+    """derive_token_signals over a corpus of one example, from its flat tables."""
+    def bounds(spans):
+        return np.array([(s.token_start, s.token_end) for s in spans], dtype=np.int64).reshape(-1, 2)
+
+    return derive_token_signals(bounds(sentences), np.array(risks, dtype=np.float64), bounds(facts),
+                                np.array([len(sentences)]), np.array(valid, dtype=bool))
+
+
 def signals_of(sentences, facts, valid):
     """derive_token_signals over a corpus of one example."""
-    return derive_token_signals([sentences], [propagate_risk(sentences, [])], [facts], [valid])[0]
+    return derive_one(sentences, propagate_risk(sentences, []), facts, valid)[0]
 
 
 class TestDeriveTokenSignals:
@@ -178,7 +187,7 @@ class TestDeriveTokenSignals:
         sentences = spans_for(risks)
         eff = propagate_risk(sentences, [])
         length = 3 * len(risks)
-        sig, sid = derive_token_signals([sentences], [eff], [[]], [np.ones(length, dtype=bool)])
+        sig, sid = derive_one(sentences, eff, [], np.ones(length, dtype=bool))
         for t in range(length):
             assert sig.support_weight[t] + eff[sid[t] - 1] == 1.0
 
@@ -254,7 +263,7 @@ class TestValidatorsAgree:
         reasons = reasons_of(sentences, facts, edges, 3 * n, valid)
         try:
             eff = propagate_risk(sentences, edges, facts=facts, length=3 * n, valid=valid)
-            derive_token_signals([sentences], [eff], [facts], [valid])
+            derive_one(sentences, eff, facts, valid)
         except AnnotationError:
             raised = True
         else:

@@ -44,6 +44,7 @@ from prism.objective import softmax_probs
 import oracles
 from oracles import redistribute, trace_rows_reference, trace_text_per_record
 from test_model import evaluated_trace
+from test_same_bits import same_bits
 
 
 @pytest.fixture(scope="module")
@@ -321,13 +322,14 @@ class TestRunData:
         calls = []
 
         def counting(examples, *args, **kwargs):
-            calls.append(len(examples))
-            return prepare_examples(examples, *args, **kwargs)
+            prepared = prepare_examples(examples, *args, **kwargs)
+            calls.append((isinstance(examples, list), len(prepared)))
+            return prepared
 
         monkeypatch.setattr(harness_mod, "prepare_examples", counting)
         cfg = validate_run_config(run_config(corpus_path, "unused", eval_fraction=eval_fraction))
         data = harness_mod.load_run_data(cfg)
-        assert calls == [120]
+        assert calls == [(False, 120)]  # the records as they are decoded, not a list of them
         n_train = 120 if eval_fraction == 0 else 108
         assert len(data.prep_train) == n_train
         assert len(data.prep_eval) == (120 - n_train or 120)
@@ -336,6 +338,65 @@ class TestRunData:
         for a, b in zip([*data.prep_train, *data.prep_eval], [*alone[:n_train], *held]):
             assert a.distinct[a.window_id].tobytes() == b.distinct[b.window_id].tobytes()
             assert a.signals.support_weight.tobytes() == b.signals.support_weight.tobytes()
+
+
+EDGE_ERROR = "i/o error: record 2: edge 2->1 must point from an earlier to a later sentence"
+# The error `train` gives for each of tools/same_bits.py's fault corpora.
+FAULT_ERRORS = {
+    "json_after_edge": "i/o error: line 4: invalid JSON: Expecting value",
+    "one_record": "config error: eval_fraction leaves no training examples",
+    "edge_before_token": EDGE_ERROR,
+    "token_before_edge": "config error: token id 75 outside [0, 70) of the model vocabulary",
+    "edge_then_wide_token": "config error: vocabulary of 70001 tokens exceeds the limit of 65536",
+}
+
+
+def faulty_corpus(corpus_path, path, name):
+    """The test corpus with same_bits.FAULTS[name] applied."""
+    records, faults, _ = same_bits.FAULTS[name]
+    with open(corpus_path) as fh:
+        same_bits.write_fault_corpus(fh.read().splitlines(), str(path), records, faults)
+    return str(path)
+
+
+class TestCorpusErrorOrder:
+    """A corpus with two faults gets the error a read of the whole file before any check would give: a format
+    error on any line first, then the corpus-wide checks (empty, eval_fraction, the model's size), then the
+    first record's token-id or annotation error, its token ids before its annotations."""
+
+    @pytest.mark.parametrize("name", list(same_bits.FAULTS))
+    def test_train_reports_the_first_fault(self, corpus_path, tmp_path, capsys, name):
+        corpus = faulty_corpus(corpus_path, tmp_path / "faulty.jsonl", name)
+        (tmp_path / "t.cfg").write_text(f"vocab_size = {same_bits.FAULTS[name][2]}\nsteps = 3\n")
+        argv = ["train", "--config", str(tmp_path / "t.cfg"), "--corpus", corpus, "--out", str(tmp_path / "run")]
+        message = FAULT_ERRORS[name]
+        assert main(argv) == (2 if message.startswith("i/o") else 1)
+        assert capsys.readouterr().err == message + "\n"
+        assert not os.path.exists(tmp_path / "run")
+
+    def test_trace_reads_its_slice_before_it_checks_a_record(self, corpus_path, checkpoint_path, tmp_path, capsys):
+        corpus = faulty_corpus(corpus_path, tmp_path / "faulty.jsonl", "json_after_edge")
+        assert main(["trace", "--checkpoint", checkpoint_path, "--corpus", corpus, "--limit", "5"]) == 2
+        assert capsys.readouterr().err == FAULT_ERRORS["json_after_edge"] + "\n"
+        assert main(["trace", "--checkpoint", checkpoint_path, "--corpus", corpus, "--limit", "3"]) == 2
+        assert capsys.readouterr().err == EDGE_ERROR + "\n"
+
+    @pytest.mark.parametrize("field", ["sentences", "facts"])
+    def test_a_span_bound_past_int64_is_the_records_error(self, corpus_path, checkpoint_path, tmp_path, capsys,
+                                                           field):
+        # the record's span check fails before any bound is copied into an int64 buffer
+        lines = open(corpus_path).read().splitlines()
+        record = json.loads(lines[1])
+        record[field][0]["end"] = 2**63
+        lines[1] = json.dumps(record)
+        corpus = tmp_path / "huge.jsonl"
+        corpus.write_text("".join(line + "\n" for line in lines))
+        (tmp_path / "t.cfg").write_text("steps = 3\n")
+        for argv in (["train", "--config", str(tmp_path / "t.cfg"), "--out", str(tmp_path / "run")],
+                     ["trace", "--checkpoint", checkpoint_path]):
+            assert main([*argv, "--corpus", str(corpus)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("i/o error: record 2: ") and f"{2**63})" in err and err.count("\n") == 1
 
 
 class TestAblateCommand:
@@ -1129,6 +1190,16 @@ class TestExitCodes:
         assert main(argv + ["--out", out]) == 2
         assert capsys.readouterr().err == f"i/o error: [Errno 2] No such file or directory: '{out}'\n"
         assert not list(tmp_path.rglob("*.tmp"))
+
+    @pytest.mark.parametrize("command", ["preprocess", "train", "ablate"])
+    def test_empty_out_is_1(self, command, corpus_path, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.cfg").write_text("n_examples = 5\nout =\n" if command == "preprocess"
+                                        else f"corpus = {corpus_path}\nsteps = 3\nout =\n")
+        argv = [command, "--config", "c.cfg"] + (["--lambdas", "0,0.1"] if command == "ablate" else [])
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "config error: no output path configured\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["c.cfg"]
 
     def test_success(self, corpus_path, tmp_path, capsys):
         cfg = tmp_path / "t.cfg"

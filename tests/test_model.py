@@ -4,7 +4,8 @@ and checkpoint round trips for the tiny window model."""
 import json
 import math
 import tracemalloc
-from dataclasses import fields
+import weakref
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -478,7 +479,8 @@ def assert_equals_reference(prepared, reference):
         for got, want in pairs:
             assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
     # one id per distinct window, numbered in distinct_windows' order
-    assert prepared.window_id.tobytes() == distinct_windows(prepared.distinct[prepared.window_id])[1].tobytes()
+    rows = distinct_windows(prepared.distinct[prepared.window_id])[1]
+    assert prepared.window_id.dtype == np.int32 and np.array_equal(prepared.window_id, rows)
 
 
 @st.composite
@@ -570,6 +572,34 @@ class TestPreparedCorpus:
             got = outcome(prepare_examples, broken, 4, 70)
             assert got == outcome(prepare_reference, broken, 4, 70)
             assert got[0] is (ConfigError if broken[1] is tokens else AnnotationError)
+
+    def test_a_streamed_record_does_not_outlive_its_turn(self):
+        examples = small_corpus(n=8)
+        refs = []
+
+        def stream():
+            for ex in examples:
+                record = replace(ex)  # a record only this stream and prepare_examples see
+                assert not refs or refs[-1]() is None, f"record {len(refs)} outlived its turn"
+                refs.append(weakref.ref(record))
+                yield record
+
+        prepared = prepare_examples(stream(), 4, 70)
+        assert len(refs) == 8 and all(ref() is None for ref in refs)
+        assert_equals_reference(prepared, prepare_reference(examples, 4, 70))
+
+    def test_ids_are_stored_narrow(self):
+        ex = small_corpus(n=1)[0]
+        top = replace(ex, target_tokens=ex.target_tokens[:-1] + [MAX_VOCAB_SIZE - 1])
+        prepared = prepare_examples([ex, top], 4, 0)
+        assert [a.dtype for a in (prepared.distinct, prepared.labels, prepared.window_id, prepared.sentence_id,
+                                  prepared.offsets)] == [np.uint16, np.uint16, np.int32, np.int32, np.int64]
+        assert prepared[1].labels[-1] == MAX_VOCAB_SIZE - 1
+        # an id that does not fit uint16 is refused, also with a larger vocabulary
+        beyond = replace(ex, input_tokens=[MAX_VOCAB_SIZE])
+        for vocab in (0, MAX_VOCAB_SIZE + 1):
+            with pytest.raises(ConfigError, match=rf"^token id {MAX_VOCAB_SIZE} outside \[0, {MAX_VOCAB_SIZE}\) "):
+                prepare_examples([ex, beyond], 4, vocab)
 
     def test_split_by_offsets(self):
         examples = small_corpus(n=30)

@@ -66,6 +66,7 @@ def manifests(tmp_path_factory):
             ThreadPoolExecutor(max_workers=len(jobs)) as pool:
         patch.setattr(same_bits, "commands", lambda case: [c for c in every_command(case) if c[0] in KEPT[case.name]])
         patch.setattr(same_bits, "help_commands", lambda: [])
+        patch.setattr(same_bits, "run_faults", lambda src, out: ({}, {}))
         patch.setattr(same_bits, "matrix", lambda: [bound1])
         results = dict(zip(jobs, pool.map(lambda job: job(), jobs.values())))
     return dict(results, planted_stderr=err.getvalue())
@@ -138,7 +139,7 @@ def test_a_missing_tree_or_manifest_exits_2(tmp_path, capsys, monkeypatch):
     # an OUT that holds a manifest, the help directory or a case's directory is refused before any command
     started = []
     monkeypatch.setattr(same_bits.subprocess, "run", lambda *args, **kwargs: started.append(args))
-    for taken in ("manifest.json", "help", same_bits.matrix()[-1].name):
+    for taken in ("manifest.json", "help", same_bits.FAULTS_CASE, same_bits.matrix()[-1].name):
         out = tmp_path / f"taken_{taken}"
         (out / taken).mkdir(parents=True)
         assert same_bits.main(["run", str(ROOT / "src"), str(out)]) == 2

@@ -20,7 +20,11 @@ and once with ``eval_fraction = 0``; ``ablate`` over the case's lambdas;
 ``trace`` of the prism run to a file and to stdout, at the case's
 ``--limit`` and at 0; ``report`` of the method runs, with and without
 ``--out``; and ``train`` and ``trace --limit 0`` again in one process with
-``prism.model.BLOCK_BYTES = 1``.  One more case runs every ``--help``.
+``prism.model.BLOCK_BYTES = 1``.  One more case runs every ``--help``, and
+the ``faults`` case runs ``train``, ``ablate`` and ``trace --limit 5`` on
+each of ``FAULTS``' corpora, copies of the benchmark's sweep_acceptance
+corpus at seed 3 with two faults each: which one a command reports pins the
+order of prism's corpus checks.
 
 Each case then checks, where their commands ran, that a trace's stdout is
 its ``--out`` file and opens the trace at 0, that the ``BLOCK_BYTES = 1``
@@ -66,6 +70,18 @@ README_GEN = dict(vocab_size=70, n_examples=2000, n_keys=20, n_values=20, senten
                   corruption_fraction=0.3, risk_min=0.5, risk_max=0.9, dependency_p=0.25, seed=11)
 README_TRAIN = {"method": "prism", "lambda": 0.1, "steps": 1300, "batch_size": 32, "learning_rate": 0.003,
                 "embed_dim": 32, "hidden_dim": 64, "eval_fraction": 0.1, "seed": 7}
+
+
+FAULTS_CASE = "faults"
+# Each fault corpus: the records it keeps, {record: fault} ("edge" adds an edge 2->1, "json" makes the line
+# invalid JSON, a number becomes the first target token id), and the vocab_size it is trained with.
+FAULTS = {
+    "json_after_edge": (None, {2: "edge", 4: "json"}, 0),
+    "one_record": (1, {1: "edge"}, 0),
+    "edge_before_token": (None, {2: "edge", 4: 75}, 70),
+    "token_before_edge": (None, {2: 75, 4: "edge"}, 70),
+    "edge_then_wide_token": (None, {2: "edge", 5: 70000}, 0),
+}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -189,6 +205,17 @@ def run_commands(src: str, workdir: str, cmds: list[tuple[str, list[str]]]) -> d
     return out
 
 
+def case_files(out: str, workdir: str) -> dict:
+    """The sha256 of every file under `workdir`, by its path in OUT."""
+    files = {}
+    for base, _, names in os.walk(workdir):
+        for file in names:
+            path = os.path.join(base, file)
+            with open(path, "rb") as fh:
+                files[os.path.relpath(path, out).replace(os.sep, "/")] = sha256_bytes(fh.read())
+    return files
+
+
 def run_case(src: str, out: str, case: Case) -> tuple[dict, dict, dict]:
     """Run one case in OUT/<case name>; returns its command, file and check entries."""
     workdir = os.path.join(out, case.name)
@@ -198,13 +225,48 @@ def run_case(src: str, out: str, case: Case) -> tuple[dict, dict, dict]:
     write_config(os.path.join(workdir, "train.cfg"), train)
     write_config(os.path.join(workdir, "train_eval0.cfg"), dict(train, eval_fraction=0))
     results = run_commands(src, workdir, commands(case))
-    files = {}
-    for base, _, names in os.walk(workdir):
-        for file in names:
-            path = os.path.join(base, file)
-            with open(path, "rb") as fh:
-                files[os.path.relpath(path, out).replace(os.sep, "/")] = sha256_bytes(fh.read())
-    return {f"{case.name}/{name}": entry for name, entry in results.items()}, files, checks(case, workdir, results)
+    entries = {f"{case.name}/{name}": entry for name, entry in results.items()}
+    return entries, case_files(out, workdir), checks(case, workdir, results)
+
+
+def write_fault_corpus(lines: list[str], path: str, records: int | None, faults: dict) -> None:
+    """Write the first `records` of a corpus's `lines` (all with None) to `path`, with FAULTS' `faults`."""
+    lines = lines[:records]
+    for at, fault in faults.items():
+        record = json.loads(lines[at - 1])
+        if fault == "edge":
+            record["edges"].append({"from": 2, "to": 1})
+        else:
+            record["target"][0] = fault
+        lines[at - 1] = "oops" if fault == "json" else json.dumps(record)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(line + "\n" for line in lines)
+
+
+def run_faults(src: str, out: str) -> tuple[dict, dict]:
+    """Run the faults case in OUT/faults; returns its command and file entries.  The trace commands read a
+    checkpoint trained for two steps on the clean corpus."""
+    workdir = os.path.join(out, FAULTS_CASE)
+    os.makedirs(workdir)
+    wl = workloads()["sweep_acceptance"]
+    write_config(os.path.join(workdir, "gen.cfg"), dict(wl.generator, seed=3, out="corpus.jsonl"))
+    for vocab in (0, 70):
+        write_config(os.path.join(workdir, f"train{vocab}.cfg"), dict(wl.train, seed=3, steps=2, vocab_size=vocab))
+    cli = ["-m", "prism.harness"]
+    results = run_commands(src, workdir, [("preprocess", cli + ["preprocess", "--config", "gen.cfg"])])
+    with open(os.path.join(workdir, "corpus.jsonl"), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    cmds = [("train_clean", cli + ["train", "--config", "train70.cfg", "--corpus", "corpus.jsonl", "--out", "clean"])]
+    for name, (records, faults, vocab) in FAULTS.items():
+        corpus = f"{name}.jsonl"
+        write_fault_corpus(lines, os.path.join(workdir, corpus), records, faults)
+        flags = ["--config", f"train{vocab}.cfg", "--corpus", corpus]
+        cmds += [(f"train_{name}", cli + ["train", *flags, "--out", f"runs/{name}"]),
+                 (f"ablate_{name}", cli + ["ablate", *flags, "--out", f"runs/{name}_sweep", "--lambdas=0,0.1"]),
+                 (f"trace_{name}", cli + ["trace", "--checkpoint", "clean/checkpoint.json", "--corpus", corpus,
+                                          "--limit", "5"])]
+    results.update(run_commands(src, workdir, cmds))
+    return {f"{FAULTS_CASE}/{name}": entry for name, entry in results.items()}, case_files(out, workdir)
 
 
 def numeric_environment(src: str) -> dict:
@@ -215,23 +277,24 @@ def numeric_environment(src: str) -> dict:
 
 
 def run(src: str, out: str, cases: list[Case], jobs: int = 1) -> dict:
-    """Run `cases` and the help commands against SRC and write
+    """Run `cases`, the faults case and the help commands against SRC and write
     OUT/manifest.json; returns the manifest."""
     if not os.path.isfile(os.path.join(src, "prism", "harness.py")):
         raise FileNotFoundError(f"no prism package under {src}")
-    taken = [name for name in ("manifest.json", "help", *(case.name for case in cases))
+    taken = [name for name in ("manifest.json", "help", FAULTS_CASE, *(case.name for case in cases))
              if os.path.lexists(os.path.join(out, name))]
     if taken:
         raise FileExistsError(f"{out} already holds {taken[0]}; give an OUT without it")
     os.makedirs(out, exist_ok=True)
     with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
         env = pool.submit(numeric_environment, src)
+        faults = pool.submit(run_faults, src, out)
         parts = list(pool.map(lambda case: run_case(src, out, case), cases))
     manifest = {"environment": env.result(), "commands": {}, "files": {}, "checks": {}}
     os.makedirs(os.path.join(out, "help"))
     helps = run_commands(src, os.path.join(out, "help"), help_commands())
     manifest["commands"].update({f"help/{name}": entry for name, entry in helps.items()})
-    for part in parts:
+    for part in [*parts, faults.result()]:
         for section, entries in zip(SECTIONS[1:], part):
             manifest[section].update(entries)
     with open(os.path.join(out, "manifest.json"), "w", encoding="utf-8") as fh:
