@@ -15,8 +15,9 @@ import contextlib
 import dataclasses
 import io
 import json
-import multiprocessing
 import os
+import pickle
+import signal
 import sys
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Iterator, NamedTuple, Sequence, get_args, get_origin, get_type_hints
@@ -389,18 +390,6 @@ def _call_captured(fn: Callable, item: object) -> tuple[object, Exception | None
         return None, exc, out.getvalue()
 
 
-def _worker(fn: Callable, item: object, sender) -> None:
-    sender.send(_call_captured(fn, item))
-
-
-def _receive(proc, receiver) -> tuple[object, Exception | None, str]:
-    try:
-        return receiver.recv()
-    except EOFError:
-        proc.join()
-        return None, WorkerDied(f"worker process exited with status {proc.exitcode}"), ""
-
-
 def process_slots() -> int:
     """How many processes fit side by side: the CPUs this one may use, since
     each runs BLAS on one thread."""
@@ -412,39 +401,50 @@ def fork_map(fn: Callable, items: Sequence) -> Iterator[tuple[object, Exception 
     in order, computed on every core this process may use.
 
     Items go out in rounds of n = min(process_slots(), len(items)).  Each of the
-    first n - 1 of a round runs in a worker forked for it, which inherits
-    everything in memory; this process runs the last one, then waits for the
-    round.  Only outcomes travel back.  Each call's stdout is captured and
-    written out in item order as its outcome is yielded.  A worker that dies
-    yields WorkerDied naming its exit status (negative: killed by that signal).
-    A caller that stops iterating starts no further round.  With n == 1 every
-    call runs in this process, on the same path.
+    first n - 1 of a round runs in a worker forked for it (os.fork), which inherits
+    everything in memory, sends back its pickled outcome through its own pipe
+    and exits 0, or exits 1 if it cannot; this process runs the last one, then
+    reads each pipe to its end and waits for the round.  Each call's stdout is
+    captured and written out in item order as its outcome is yielded.  A worker
+    that sends nothing or does not exit 0 yields WorkerDied naming its exit
+    status (negative: killed by that signal).  A caller that stops iterating
+    starts no further round.  With n == 1 every call runs in this process, on
+    the same path.
     """
-    # fork, not spawn: a worker uses the caller's prepared data as it is in
-    # memory, instead of reading and preparing the corpus again.
-    ctx = multiprocessing.get_context("fork")
     n = max(1, min(process_slots(), len(items)))
     for start in range(0, len(items), n):
         batch = items[start : start + n]
-        workers = []
+        workers = []  # each worker's pid and the read end of its pipe
         try:
             for item in batch[:-1]:
-                receiver, sender = ctx.Pipe(duplex=False)
-                proc = ctx.Process(target=_worker, args=(fn, item, sender))
-                proc.start()
-                sender.close()
-                workers.append((proc, receiver))
+                sys.stdout.flush()  # the worker inherits no buffered output, so none is written twice
+                sys.stderr.flush()
+                read, write = os.pipe()
+                pid = os.fork()
+                if pid == 0:  # the worker: os._exit runs no atexit handler and flushes no inherited buffer
+                    try:
+                        os.close(read)
+                        with open(write, "wb") as fh:  # pickled first, so an unpicklable outcome sends nothing
+                            fh.write(pickle.dumps(_call_captured(fn, item)))
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+                os.close(write)
+                workers.append((pid, open(read, "rb")))
             own = _call_captured(fn, batch[-1])
-            outcomes = [_receive(proc, receiver) for proc, receiver in workers] + [own]
+            payloads = [fh.read() for _, fh in workers]
         except BaseException:  # an interrupt: no worker outlives this call
-            for proc, _ in workers:
-                proc.terminate()
+            for pid, _ in workers:
+                os.kill(pid, signal.SIGKILL)
             raise
         finally:
-            for proc, receiver in workers:
-                proc.join()
-                receiver.close()
-        for value, error, stdout in outcomes:
+            for _, fh in workers:
+                fh.close()
+            statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in workers]
+        outcomes = [pickle.loads(payload) if payload and not status else
+                    (None, WorkerDied(f"worker process exited with status {status}"), "")
+                    for payload, status in zip(payloads, statuses)]
+        for value, error, stdout in outcomes + [own]:
             sys.stdout.write(stdout)
             yield value, error
 

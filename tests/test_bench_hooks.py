@@ -4,9 +4,14 @@ prism.model, so a rename that would break `perfbench/run.py --trace 1` or
 its set-up probe fails here as well as under `pytest perfbench`."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import prism.harness
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -32,3 +37,22 @@ def test_the_setup_probe_imports_resolve():
     assert callable(probe.main)
     for name in ("read_jsonl", "infer_vocab_size", "prepare_examples"):
         assert callable(getattr(probe, name))
+
+
+def test_the_last_item_of_each_round_runs_in_the_calling_process(monkeypatch):
+    # perfbench's tracer records spans only in its own process, so every
+    # per-layer training figure comes from the ablate run trained here.
+    monkeypatch.setattr(prism.harness, "process_slots", lambda: 2)
+    pids = [pid for pid, _ in prism.harness.fork_map(lambda _: os.getpid(), range(5))]
+    assert [pid == os.getpid() for pid in pids] == [False, True, False, True, True]
+
+
+def test_fork_map_loads_no_multiprocessing():
+    code = ("import sys, prism.harness as h\n"
+            "h.process_slots = lambda: 3\n"
+            "assert [value for value, _ in h.fork_map(abs, [-1, -2, -3])] == [1, 2, 3]\n"
+            "print(sorted(name for name in sys.modules if name.startswith('multiprocessing')))\n")
+    src = Path(prism.harness.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.stdout == "[]\n"

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -16,12 +17,14 @@ from prism.harness import (
     CSV_HEADER,
     MetricsReport,
     RunConfig,
+    WorkerDied,
     cmd_ablate,
     cmd_preprocess,
     cmd_report,
     cmd_trace,
     cmd_train,
     config_from_dict,
+    fork_map,
     main,
     parse_config_file,
     run_identifier,
@@ -588,6 +591,90 @@ class TestAblateCommand:
         assert captured.out == ""
         assert captured.err == f"i/o error: [Errno 17] File exists: '{out / 'lam_0'}'\n"
         assert sorted(os.listdir(out)) == ["lam_0", "lam_0.1"]  # no later round started
+
+
+class TestForkMap:
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("exit_path", ["error", "interrupt", "close"])
+    def test_no_worker_outlives_the_call(self, tmp_path, monkeypatch, exit_path):
+        import prism.harness as harness_mod
+        monkeypatch.setattr(harness_mod, "process_slots", lambda: 3)
+
+        def fn(item):  # workers mark their item and wait; the last item of a round runs here
+            (tmp_path / str(item)).write_text("ran")
+            if item != 2:
+                time.sleep(60 if exit_path == "interrupt" else 0.2)
+                return item
+            while not all((tmp_path / name).exists() for name in "01"):
+                time.sleep(0.01)
+            if exit_path != "close":
+                raise (ValueError if exit_path == "error" else KeyboardInterrupt)("own item")
+            return item
+
+        started = time.monotonic()
+        if exit_path == "close":  # the caller stops after the first outcome
+            outcomes = fork_map(fn, range(6))
+            assert next(outcomes) == (0, None)
+            outcomes.close()
+        else:
+            with pytest.raises(ValueError if exit_path == "error" else KeyboardInterrupt, match="own item"):
+                for _, error in fork_map(fn, range(6)):
+                    if error is not None:  # as cmd_ablate does with an error it does not record
+                        raise error
+        self.assert_no_child_left()
+        assert time.monotonic() - started < 30  # an interrupt kills the round's workers
+        assert sorted(os.listdir(tmp_path)) == ["0", "1", "2"]  # no further round started
+
+    def test_an_outcome_that_cannot_be_pickled_is_a_dead_worker(self, monkeypatch):
+        import prism.harness as harness_mod
+        monkeypatch.setattr(harness_mod, "process_slots", lambda: 2)
+        (value, error), (own, none) = fork_map(lambda item: lambda: item, [1, 2])
+        assert value is None and isinstance(error, WorkerDied)
+        assert str(error) == "worker process exited with status 1"
+        assert own() == 2 and none is None
+        self.assert_no_child_left()
+
+    def test_an_unpicklable_run_is_recorded_and_the_sweep_goes_on(self, corpus_path, tmp_path, capsys,
+                                                                  monkeypatch):
+        import prism.harness as harness_mod
+        parent, original = os.getpid(), harness_mod.cmd_train
+
+        def unpicklable_in_a_worker(sub_cfg, *rest):
+            if sub_cfg.lam == 0.5 and os.getpid() != parent:
+                return lambda: sub_cfg
+            return original(sub_cfg, *rest)
+
+        monkeypatch.setattr(harness_mod, "cmd_train", unpicklable_in_a_worker)
+        # rounds (0, 0.1) and (0.5, 1), a worker starting 0 and 0.5
+        monkeypatch.setattr(harness_mod, "process_slots", lambda: 2)
+        out = str(tmp_path / "sweep")
+        cmd_ablate(run_config(corpus_path, out), [0.0, 0.1, 0.5, 1.0])
+        died = "worker process exited with status 1"
+        assert capsys.readouterr().err == f"warning: lambda=0.5 failed: {died}\n"
+        assert json.loads(open(os.path.join(out, "failures.json")).read()) == {
+            "failures": [{"lambda": 0.5, "error": died}]}
+        assert sorted(os.listdir(out)) == ["ablation.csv", "failures.json", "lam_0", "lam_0.1", "lam_1"]
+        self.assert_no_child_left()
+
+    def test_piped_stdout_holds_each_run_once_in_lambda_order(self, corpus_path, tmp_path):
+        # Piped, stdout is block-buffered: the second round forks while the first
+        # round's runs are still in the buffer, which a worker must not write again.
+        src = os.path.dirname(os.path.dirname(prism.__file__))
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        code = "import sys, prism.harness as h\nh.process_slots = lambda: 2\nsys.exit(h.main())\n"
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(f"corpus = {corpus_path}\nsteps = 3\nbatch_size = 4\n")
+        proc = subprocess.run([sys.executable, "-c", code, "ablate", "--config", str(cfg),
+                               "--lambdas", "0,0.1,0.5,1", "--out", str(tmp_path / "sweep")],
+                              capture_output=True, text=True, env=dict(env, PYTHONPATH=src))
+        assert proc.returncode == 0 and proc.stderr == ""
+        runs = [line.split("_")[1] for line in proc.stdout.splitlines() if line.startswith("run ")]
+        assert runs == ["lam0", "lam0.1", "lam0.5", "lam1"]
+        assert proc.stdout.count("  final loss:") == 4 and proc.stdout.count("ablation over lambdas") == 1
 
 
 class TestTraceCommand:
