@@ -117,14 +117,14 @@ def _check_tokens(tokens: np.ndarray, vocab_size: int) -> None:
 
 
 class StepViews(NamedTuple):
-    """A training step's per-row arrays for a batch of `rows`, each C-contiguous."""
+    """A training step's per-row float64 arrays for a batch of `rows`, each
+    C-contiguous; the parameter gradients are not per row and live apart."""
 
     logits: np.ndarray      # [rows, V], then total_loss's pass and gradient
     fact_probs: np.ndarray  # [fact rows, V], the step log's softmax of the fact positions' rows
     x: np.ndarray           # [rows, window * d], forward_batch's activations, then backward_batch's d_x
     hidden: np.ndarray      # [rows, h], then backward_batch's d_hidden
     d_pre: np.ndarray       # [rows, h]
-    bins: np.ndarray        # int64 [rows, window * d]
 
 
 # No arrays given: forward_batch and backward_batch allocate each one.
@@ -173,34 +173,38 @@ def backward_batch(
     dlogits: np.ndarray,
     cache: tuple[np.ndarray, np.ndarray],
     out: StepViews | None = None,
+    grads: dict[str, np.ndarray] | None = None,
 ) -> dict[str, np.ndarray]:
     """Exact reverse-mode gradients of the loss w.r.t. every parameter, given
     the per-logit loss gradient [B, V] and forward_batch's activations; with
     `out`, the [B, ...] intermediates are written into its arrays, d_hidden
     over its hidden and d_x over its x, each after the last read of the
-    activation there, so `cache` may be (as in train) those two arrays."""
+    activation there, so `cache` may be (as in train) those two arrays.  With
+    `grads`, one array per PARAM_FIELDS name shaped as its parameter (as in
+    train), the gradients are written into those arrays."""
     w = np.asarray(windows, dtype=np.int64)
     dz = np.asarray(dlogits, dtype=np.float64)
     x, hidden = cache
     if dz.shape != (w.shape[0], params.vocab_size):
         raise ValueError(f"loss gradient has shape {dz.shape}, expected {(w.shape[0], params.vocab_size)}")
     o = out or _FRESH
+    g = grads or {}
 
-    d_w2 = hidden.T @ dz
-    d_b2 = dz.sum(axis=0)
+    d_w2 = np.matmul(hidden.T, dz, out=g.get("w2"))
+    d_b2 = np.sum(dz, axis=0, out=g.get("b2"))
     # d_pre = d_hidden * (1 - hidden**2)
     d_pre = np.multiply(hidden, hidden, out=o.d_pre)
     np.subtract(1.0, d_pre, out=d_pre)
     d_pre *= np.matmul(dz, params.w2.T, out=o.hidden)
-    d_w1 = x.T @ d_pre
-    d_b1 = d_pre.sum(axis=0)
-    # Embedding scatter: one bincount over (token id, column) bins.  Each bin
-    # sums its rows in batch order, exactly as np.add.at would.
-    dim = params.embed_dim
-    bins = np.add(w.reshape(-1, 1) * dim, np.arange(dim), out=None if o.bins is None else o.bins.reshape(-1, dim))
-    d_x = np.matmul(d_pre, params.w1.T, out=o.x)
-    d_emb = np.bincount(bins.ravel(), weights=d_x.ravel(), minlength=params.vocab_size * dim)
-    d_emb = d_emb.reshape(params.vocab_size, dim)
+    d_w1 = np.matmul(x.T, d_pre, out=g.get("w1"))
+    d_b1 = np.sum(d_pre, axis=0, out=g.get("b1"))
+    # Embedding scatter: one bincount over the window token ids per column.
+    # Each (token id, column) bin sums its rows in batch order from 0.0,
+    # exactly as np.add.at would.
+    d_x = np.matmul(d_pre, params.w1.T, out=o.x).reshape(-1, params.embed_dim)
+    d_emb = g["embedding"] if g else np.empty_like(params.embedding)
+    for column in range(params.embed_dim):
+        d_emb[:, column] = np.bincount(w.ravel(), weights=d_x[:, column], minlength=params.vocab_size)
     return {"embedding": d_emb, "w1": d_w1, "b1": d_b1, "w2": d_w2, "b2": d_b2}
 
 
@@ -538,11 +542,11 @@ def infer_vocab_size(examples: Sequence[AnnotatedExample]) -> int:
 
 
 def step_views(params: ModelParams, rows: int, fact_rows: int) -> StepViews:
-    """Uninitialised StepViews arrays of `rows` rows, and `fact_rows` for
-    fact_probs, for a model of `params`."""
+    """Uninitialised float64 StepViews arrays of `rows` rows, and `fact_rows`
+    for fact_probs, for a model of `params`."""
     (fan_in, hidden), vocab = params.w1.shape, params.vocab_size
     shapes = ((rows, vocab), (fact_rows, vocab), (rows, fan_in), (rows, hidden), (rows, hidden))
-    return StepViews(*map(np.empty, shapes), np.empty((rows, fan_in), dtype=np.int64))
+    return StepViews(*map(np.empty, shapes))
 
 
 def train(prepared: PreparedCorpus, settings: TrainSettings) -> TrainResult:
@@ -562,7 +566,8 @@ def train(prepared: PreparedCorpus, settings: TrainSettings) -> TrainResult:
     batch_size times a record's most fact positions, and each step writes the
     first rows.  total_loss runs its softmax pass over the logits in place
     and returns the gradient there, so a step holds one [rows, V] array and
-    the fact rows'.
+    the fact rows'.  The parameter gradients are five arrays, also allocated
+    once, which backward_batch writes and optimizer_step consumes in place.
 
     `prepared` is prepare_examples(examples, settings.window,
     settings.vocab_size, risk_mode=settings.risk_propagation); a sweep
@@ -585,6 +590,7 @@ def train(prepared: PreparedCorpus, settings: TrainSettings) -> TrainResult:
     # A record holds at least one position, so reduceat counts each record's fact positions.
     most_facts = int(np.add.reduceat(prepared.signals.fact_mask, prepared.offsets[:-1]).max())
     scratch = step_views(params, cap, min(cap, settings.batch_size * most_facts))
+    grads = {name: np.empty_like(getattr(params, name)) for name in PARAM_FIELDS}
     for step in range(1, settings.steps + 1):
         idx = rng.integers(0, len(prepared), size=settings.batch_size)
         at = prepared.positions(idx)
@@ -645,7 +651,7 @@ def train(prepared: PreparedCorpus, settings: TrainSettings) -> TrainResult:
                 p_safe=_group_mean(probs_label, safe),
             )
         )
-        grads = backward_batch(params, windows, grad, cache, out=views)
+        backward_batch(params, windows, grad, cache, out=views, grads=grads)
         params, state = optimizer_step(params, grads, state, settings)
     return TrainResult(params=params, step_log=log, counters=counters)
 

@@ -272,6 +272,25 @@ class TestBackward:
         with pytest.raises(ValueError):
             backward_batch(params, np.array([[1]]), np.zeros((1, 7)), cache)
 
+    def test_writing_into_given_arrays_allocates_little(self):
+        """backward_batch with a step's arrays and a run's gradient arrays, on a
+        V = 1024 batch, peaks below a tenth of the parameters' bytes: no
+        gradient and no index array is allocated."""
+        rng = np.random.default_rng(5)
+        params = init_params(1024, 16, 32, 4, rng)
+        windows = rng.integers(0, 1024, size=(200, 4))
+        views = step_views(params, len(windows), 1)
+        logits, cache = forward_batch(params, windows, out=views)
+        logits[:] = rng.standard_normal(logits.shape)
+        into = {name: np.empty_like(getattr(params, name)) for name in PARAM_FIELDS}
+        tracemalloc.start()
+        try:
+            backward_batch(params, windows, logits, cache, out=views, grads=into)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * sum(getattr(params, name).nbytes for name in PARAM_FIELDS)
+
     def test_embedding_gradient_matches_add_at_bit_for_bit(self):
         # heavily repeated ids, begin-token padding, and rows 7..11 never occur
         rng = np.random.default_rng(4)
@@ -853,13 +872,16 @@ class TestStepViews:
         """A run's step arrays, full of stale values and larger than the
         batch, sliced for batches that shrink and grow within them as train
         slices them: forward_batch, total_loss and backward_batch with out=
-        equal the allocating calls bit for bit."""
+        equal the allocating calls bit for bit; so do the gradients that
+        backward_batch writes into a run's five gradient arrays, NaN before
+        the first call, and they are those arrays."""
         rng = np.random.default_rng(vocab)
         params = init_params(vocab, 8, 16, 3, rng)
         params.w2 *= 40.0  # peaked softmax rows, so the gates open
         scratch = step_views(params, 100, 100)
         for arr in scratch:
-            arr.fill(np.nan if arr.dtype == np.float64 else -(2**40))
+            arr.fill(np.nan)
+        into = {name: np.full_like(getattr(params, name), np.nan) for name in PARAM_FIELDS}
         active = 0
         for rows in (40, 9, 30, 60, 100, 25):
             windows = rng.integers(0, vocab, size=(rows, 3))
@@ -871,6 +893,7 @@ class TestStepViews:
             views = StepViews(*(a[:rows] for a in scratch))
             for method in METHODS.values():
                 for lam in (0.0, 0.3):
+                    given = into if lam else None
                     # the last call's loss pass and backward_batch wrote over the logits and activations
                     reused, reused_cache = forward_batch(params, windows, out=views)
                     assert reused is views.logits and bits(reused) == bits(logits)
@@ -892,8 +915,9 @@ class TestStepViews:
                             assert bits(getattr(again[2], field)) == bits(getattr(fresh[2], field))
                         active += int((fresh[2].alpha > 0).sum())
                     grads = backward_batch(params, windows, fresh[1], cache)
-                    grads_again = backward_batch(params, windows, again[1], reused_cache, out=views)
+                    grads_again = backward_batch(params, windows, again[1], reused_cache, out=views, grads=given)
                     assert all(bits(grads_again[name]) == bits(grads[name]) for name in PARAM_FIELDS)
+                    assert given is None or all(grads_again[name] is into[name] for name in PARAM_FIELDS)
         assert active > 0
 
     @pytest.mark.parametrize("shape", ["sweep", "long_docs", "wide_vocab", "one_long_record"])
@@ -931,7 +955,7 @@ class TestStepViews:
         monkeypatch.setattr(model_mod, "forward_batch", forward)
         monkeypatch.setattr(model_mod, "softmax_probs", probs)
         train(prepared, settings)
-        assert [len(a) for a in allocated[0]] == [cap, fact_cap] + [cap] * 4 and len(allocated) == 1
+        assert [len(a) for a in allocated[0]] == [cap, fact_cap] + [cap] * 3 and len(allocated) == 1
         assert fact_cap == settings.batch_size * most_facts < cap  # on these corpora, the fact rows bound it
         assert len(forwarded) == len(heads) == settings.steps
         for (rows, out), head in zip(forwarded, heads):
@@ -942,6 +966,31 @@ class TestStepViews:
             assert cap == settings.batch_size * longest < len(prepared.distinct)
         if shape == "one_long_record":  # the long record was drawn, and the distinct windows bound the cap
             assert max(rows for rows, _ in forwarded) > settings.batch_size * 10 and cap == len(prepared.distinct)
+
+    def test_step_views_are_float64_only(self):
+        """The embedding scatter needs no index array, so a run's step arrays are float64 only."""
+        params = init_params(70, 8, 16, 3, np.random.default_rng(2))
+        assert [a.dtype for a in step_views(params, 10, 4)] == [np.dtype(np.float64)] * 5
+
+    def test_every_step_updates_from_the_same_gradient_arrays(self, monkeypatch):
+        """train allocates the five gradient arrays once: every step hands
+        optimizer_step the same arrays, each shaped as its parameter."""
+        import prism.model as model_mod
+        examples, vocab = CAP_CORPORA["sweep"]()
+        settings = TrainSettings(method="prism", lam=0.1, steps=6, batch_size=8, vocab_size=vocab, seed=4)
+        prepared = prepare_examples(examples, settings.window, vocab)
+        handed = []
+        real_step = model_mod.optimizer_step
+
+        def step(params, grads, state, settings):
+            handed.append([grads[name] for name in PARAM_FIELDS])
+            assert all(g.shape == getattr(params, name).shape for name, g in zip(PARAM_FIELDS, handed[-1]))
+            return real_step(params, grads, state, settings)
+
+        monkeypatch.setattr(model_mod, "optimizer_step", step)
+        train(prepared, settings)
+        assert len(handed) == settings.steps and len({id(g) for g in handed[0]}) == len(PARAM_FIELDS)
+        assert all(g is first for arrays in handed for g, first in zip(arrays, handed[0]))
 
     def test_one_vocab_wide_array_per_step(self, monkeypatch):
         """A run's step arrays filled with NaN: each step's total_loss returns
