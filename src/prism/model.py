@@ -38,6 +38,7 @@ from .objective import (
     DEFAULT_EPSILON,
     MAX_EPSILON,
     GateTrace,
+    LossBreakdown,
     gate_trace,
     knowledge_mask_valid,
     sft_loss,  # noqa: F401  not called here, but profilers patch prism.model.sft_loss
@@ -117,8 +118,9 @@ def _check_tokens(tokens: np.ndarray, vocab_size: int) -> None:
 
 
 class StepViews(NamedTuple):
-    """A training step's per-row float64 arrays for a batch of `rows`, each
-    C-contiguous; the parameter gradients are not per row and live apart."""
+    """A training step's per-row float64 arrays for a row block of `rows`,
+    at most block_rows(params, STEP_BLOCK_BYTES), each C-contiguous; the
+    parameter gradients are not per row and live apart."""
 
     logits: np.ndarray      # [rows, V], then total_loss's pass and gradient
     fact_probs: np.ndarray  # [fact rows, V], the step log's softmax of the fact positions' rows
@@ -174,6 +176,7 @@ def backward_batch(
     cache: tuple[np.ndarray, np.ndarray],
     out: StepViews | None = None,
     grads: dict[str, np.ndarray] | None = None,
+    add: bool = False,
 ) -> dict[str, np.ndarray]:
     """Exact reverse-mode gradients of the loss w.r.t. every parameter, given
     the per-logit loss gradient [B, V] and forward_batch's activations; with
@@ -181,7 +184,9 @@ def backward_batch(
     over its hidden and d_x over its x, each after the last read of the
     activation there, so `cache` may be (as in train) those two arrays.  With
     `grads`, one array per PARAM_FIELDS name shaped as its parameter (as in
-    train), the gradients are written into those arrays."""
+    train), the gradients are written into those arrays; with `add` too, they
+    are added into them (train's later row blocks), the embedding's column by
+    column and each other one from a new array."""
     w = np.asarray(windows, dtype=np.int64)
     dz = np.asarray(dlogits, dtype=np.float64)
     x, hidden = cache
@@ -189,23 +194,33 @@ def backward_batch(
         raise ValueError(f"loss gradient has shape {dz.shape}, expected {(w.shape[0], params.vocab_size)}")
     o = out or _FRESH
     g = grads or {}
+    into = {} if add else g
 
-    d_w2 = np.matmul(hidden.T, dz, out=g.get("w2"))
-    d_b2 = np.sum(dz, axis=0, out=g.get("b2"))
+    d_w2 = np.matmul(hidden.T, dz, out=into.get("w2"))
+    d_b2 = np.sum(dz, axis=0, out=into.get("b2"))
     # d_pre = d_hidden * (1 - hidden**2)
     d_pre = np.multiply(hidden, hidden, out=o.d_pre)
     np.subtract(1.0, d_pre, out=d_pre)
     d_pre *= np.matmul(dz, params.w2.T, out=o.hidden)
-    d_w1 = np.matmul(x.T, d_pre, out=g.get("w1"))
-    d_b1 = np.sum(d_pre, axis=0, out=g.get("b1"))
+    d_w1 = np.matmul(x.T, d_pre, out=into.get("w1"))
+    d_b1 = np.sum(d_pre, axis=0, out=into.get("b1"))
     # Embedding scatter: one bincount over the window token ids per column.
     # Each (token id, column) bin sums its rows in batch order from 0.0,
     # exactly as np.add.at would.
     d_x = np.matmul(d_pre, params.w1.T, out=o.x).reshape(-1, params.embed_dim)
     d_emb = g["embedding"] if g else np.empty_like(params.embedding)
     for column in range(params.embed_dim):
-        d_emb[:, column] = np.bincount(w.ravel(), weights=d_x[:, column], minlength=params.vocab_size)
-    return {"embedding": d_emb, "w1": d_w1, "b1": d_b1, "w2": d_w2, "b2": d_b2}
+        scattered = np.bincount(w.ravel(), weights=d_x[:, column], minlength=params.vocab_size)
+        if add:
+            d_emb[:, column] += scattered
+        else:
+            d_emb[:, column] = scattered
+    computed = {"embedding": d_emb, "w1": d_w1, "b1": d_b1, "w2": d_w2, "b2": d_b2}
+    if not add:
+        return computed
+    for name in ("w1", "b1", "w2", "b2"):
+        g[name] += computed[name]
+    return g
 
 
 @dataclass
@@ -555,19 +570,26 @@ def train(prepared: PreparedCorpus, settings: TrainSettings) -> TrainResult:
     Each step runs on the batch's distinct windows, found from the corpus's
     window ids: the forward and backward passes and the loss's [rows, V]
     arrays have one row per distinct window, in distinct_windows' order, and
-    total_loss sums each row's positions.
-    Each step is one total_loss call with the method's METHODS switches.
-    Methods without a complement term run at lam = 0, where total_loss skips
-    that term, so any method at lam = 0 is bit-identical to method="sft" on
-    the same valid mask.  Aborts with the step index on non-finite logits
-    (which total_loss checks, once per step) or a non-finite loss.  The run
-    allocates the per-row arrays once (step_views), for the most distinct
-    windows that batch_size records can have, and fact_probs for at most
-    batch_size times a record's most fact positions, and each step writes the
-    first rows.  total_loss runs its softmax pass over the logits in place
-    and returns the gradient there, so a step holds one [rows, V] array and
-    the fact rows'.  The parameter gradients are five arrays, also allocated
-    once, which backward_batch writes and optimizer_step consumes in place.
+    total_loss sums each row's positions.  The rows run in blocks of at most
+    block_rows(params, STEP_BLOCK_BYTES), in order.  A block is one
+    forward_batch, the step log's softmax of its fact rows, one total_loss
+    over the positions whose row it holds, with the method's METHODS
+    switches and the step's position counts, and one backward_batch, which
+    writes the run's five gradient arrays (first block) or adds into them;
+    loss terms and gate counts are summed over the blocks.  So a step within
+    one block is one pass over the batch, and a longer one differs from that
+    pass in the last bits.  Methods without a complement term run at lam = 0,
+    where total_loss skips that term, so any method at lam = 0 is
+    bit-identical to method="sft" on the same valid mask.  Aborts with the
+    step index on non-finite logits (which total_loss checks) or a
+    non-finite loss, before the step's update.  The run allocates the
+    per-row arrays once (step_views), for the least of a block's rows, the
+    corpus's distinct windows and the most distinct windows that batch_size
+    records can have, and fact_probs for at most batch_size times a record's most fact
+    positions; each block writes their first rows.  total_loss runs its
+    softmax pass over the logits in place and returns the gradient there,
+    so a step holds one [block, V] array and the fact rows'.
+    optimizer_step consumes the gradients in place.
 
     `prepared` is prepare_examples(examples, settings.window,
     settings.vocab_size, risk_mode=settings.risk_propagation); a sweep
@@ -586,7 +608,8 @@ def train(prepared: PreparedCorpus, settings: TrainSettings) -> TrainResult:
 
     log: list[StepRecord] = []
     counters = TrainCounters()
-    cap = min(len(prepared.distinct), settings.batch_size * int(np.diff(prepared.offsets).max()))
+    cap = min(len(prepared.distinct), settings.batch_size * int(np.diff(prepared.offsets).max()),
+              max(1, block_rows(params, STEP_BLOCK_BYTES)))
     # A record holds at least one position, so reduceat counts each record's fact positions.
     most_facts = int(np.add.reduceat(prepared.signals.fact_mask, prepared.offsets[:-1]).max())
     scratch = step_views(params, cap, min(cap, settings.batch_size * most_facts))
@@ -597,74 +620,73 @@ def train(prepared: PreparedCorpus, settings: TrainSettings) -> TrainResult:
         windows, rows = prepared.distinct_rows(at)
         labels = prepared.labels[at]
         signals = prepared.signals[at]
-        views = StepViews(*(a[:len(windows)] for a in scratch))
-        logits, cache = forward_batch(params, windows, out=views)
-
         n_sft = int(signals.valid_mask.sum())
         n_fact = int(signals.fact_mask.sum())
         if method.drop_unsupported:
             signals = replace(signals, valid_mask=knowledge_mask_valid(signals))
-        # p_risky and p_safe read the distinct rows of the fact positions
-        # only, and a row's softmax does not depend on the other rows.  They
-        # are read before total_loss writes its pass over the logits, from a
-        # softmax run in place over the fact rows, gathered into the head of
-        # views.fact_probs.  The fact rows are rows of the logits, so
-        # mode="clip" changes none; it lets take write into `out` without an
-        # intermediate copy.
-        fact = signals.fact_mask
-        fact_rows, fact_row_of = np.unique(rows[fact], return_inverse=True)
-        try:
-            head = np.take(logits, fact_rows, axis=0, mode="clip", out=views.fact_probs[:len(fact_rows)])
-            probs_label = softmax_probs(head, out=head)[fact_row_of, labels[fact]]
-            loss, grad, trace = total_loss(
-                logits, labels, signals, lam, settings.epsilon,
-                use_gates=method.use_gates, use_fact_mask=method.use_fact_mask, out=logits, rows=rows,
-            )
-        except NonFiniteLogits as exc:
-            raise DivergenceError(f"non-finite logits at step {step}") from exc
-        alpha_active = off_target = 0
-        if trace is not None:
-            active = trace.alpha > 0.0
-            alpha_active = int(active.sum())
-            off_target = int((active & ~(trace.pref_gate & trace.keep_gate)).sum())
-            counters.alpha_active_total += alpha_active
-            counters.off_target_total += off_target
-            counters.alpha_nonfact_total += int((active & ~signals.fact_mask).sum())
+        n_valid = int(signals.valid_mask.sum())
+        p_label = np.empty(len(at))  # the step log's label probabilities, read at the fact positions
+        loss, alpha_active, off_target = None, 0, 0
+        for lo in range(0, len(windows), cap):
+            part = np.flatnonzero((rows >= lo) & (rows < lo + cap))  # the block's positions, in order
+            part_rows, part_labels, part_signals = rows[part] - lo, labels[part], signals[part]
+            views = StepViews(*(a[:len(windows) - lo] for a in scratch))
+            logits, cache = forward_batch(params, windows[lo:lo + cap], out=views)
+            # p_risky and p_safe read the fact positions' rows only (a row's
+            # softmax does not depend on the others), before total_loss writes
+            # over the logits, from a softmax in place over those rows gathered
+            # into views.fact_probs; they are rows of the logits, so
+            # mode="clip" changes none and lets take write into `out`.
+            fact = part_signals.fact_mask
+            fact_rows, fact_row_of = np.unique(part_rows[fact], return_inverse=True)
+            try:
+                head = np.take(logits, fact_rows, axis=0, mode="clip", out=views.fact_probs[:len(fact_rows)])
+                p_label[part[fact]] = softmax_probs(head, out=head)[fact_row_of, part_labels[fact]]
+                part_loss, grad, trace = total_loss(
+                    logits, part_labels, part_signals, lam, settings.epsilon,
+                    use_gates=method.use_gates, use_fact_mask=method.use_fact_mask, out=logits, rows=part_rows,
+                    n_valid=n_valid, n_base=n_fact if method.use_fact_mask else n_valid,
+                )
+            except NonFiniteLogits as exc:
+                raise DivergenceError(f"non-finite logits at step {step}") from exc
+            if trace is not None:
+                active = trace.alpha > 0.0
+                alpha_active += int(active.sum())
+                off_target += int((active & ~(trace.pref_gate & trace.keep_gate)).sum())
+                counters.alpha_nonfact_total += int((active & ~fact).sum())
+            loss = part_loss if loss is None else LossBreakdown(
+                loss.sft + part_loss.sft, loss.comp + part_loss.comp, loss.total + part_loss.total)
+            if not np.isfinite(loss.total):
+                raise DivergenceError(f"non-finite loss at step {step}")
+            backward_batch(params, windows[lo:lo + cap], grad, cache, out=views, grads=grads, add=lo > 0)
+        counters.alpha_active_total += alpha_active
+        counters.off_target_total += off_target
 
-        if not np.isfinite(loss.total):
-            raise DivergenceError(f"non-finite loss at step {step}")
-
-        fact_support = signals.support_weight[fact]
-        risky = fact_support < 1.0
-        safe = fact_support >= 1.0
-        log.append(
-            StepRecord(
-                step=step,
-                sft=loss.sft,
-                comp=loss.comp,
-                total=loss.total,
-                n_sft=n_sft,
-                n_fact=n_fact,
-                alpha_active=alpha_active,
-                off_target=off_target,
-                p_risky=_group_mean(probs_label, risky),
-                p_safe=_group_mean(probs_label, safe),
-            )
-        )
-        backward_batch(params, windows, grad, cache, out=views, grads=grads)
+        p_fact, fact_support = p_label[signals.fact_mask], signals.support_weight[signals.fact_mask]
+        log.append(StepRecord(step, loss.sft, loss.comp, loss.total, n_sft, n_fact, alpha_active, off_target,
+                              _group_mean(p_fact, fact_support < 1.0), _group_mean(p_fact, fact_support >= 1.0)))
         params, state = optimizer_step(params, grads, state, settings)
     return TrainResult(params=params, step_log=log, counters=counters)
 
 
+# A training step's row block keeps its float64 rows of x, hidden and logits
+# within this many bytes: 215 rows at V = 1024 and about 1,000 at V = 70
+# (d = 32, h = 64, window 4).  Values depend on it: a block's rows get their
+# own matmuls, and a step sums its loss terms and gradients block by block.
+STEP_BLOCK_BYTES = 2 * 2**20
+
 # A record group keeps its float64 rows of x, hidden and logits within this
 # many bytes: about 2,000 positions at V = 70 and 430 at V = 1024.  It bounds
-# memory only: each record has its own matmuls, so no value depends on it.
+# memory only: each record has its own matmuls and every value read from a
+# group is per position, so no value depends on it; train does not read it.
 BLOCK_BYTES = 4 * 2**20
 
 
-def block_rows(params: ModelParams) -> int:
-    """The rows of x, hidden and logits, 8 bytes per column, that fit in BLOCK_BYTES."""
-    return BLOCK_BYTES // (8 * (params.w1.shape[0] + params.w1.shape[1] + params.vocab_size))
+def block_rows(params: ModelParams, budget: int | None = None) -> int:
+    """The rows of x, hidden and logits, 8 bytes per column, that fit in
+    `budget` bytes (by default BLOCK_BYTES)."""
+    budget = BLOCK_BYTES if budget is None else budget
+    return budget // (8 * (params.w1.shape[0] + params.w1.shape[1] + params.vocab_size))
 
 
 def record_groups(params: ModelParams, prepared: PreparedCorpus) -> Iterator[tuple[int, int]]:

@@ -125,14 +125,18 @@ def softmax_probs(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
     return softmax_pass(logits, out).probs
 
 
-def sft_loss(soft: Softmax, labels: np.ndarray, valid_mask: np.ndarray) -> tuple[float, np.ndarray]:
+def sft_loss(
+    soft: Softmax, labels: np.ndarray, valid_mask: np.ndarray, n_valid: int | None = None,
+) -> tuple[float, np.ndarray]:
     """Masked mean negative log-likelihood and its per-logit gradient, from
     the softmax_pass of the logits with these labels.
 
-    Each valid position adds (softmax - onehot(label)) / N to its row's
-    gradient, taken as probs * count / N, count being the row's valid
-    positions, then -1/N at each valid position's (row, label); a row with
-    no valid position has a gradient of exactly zero.  The gradient is
+    N is `n_valid`, by default the valid positions here (a call over part of
+    a batch, as train's row blocks, passes the batch's); N = 0 raises
+    EmptyBatchError.  Each valid position adds (softmax - onehot(label)) / N
+    to its row's gradient, taken as probs * count / N, count being the row's
+    valid positions, then -1/N at each valid position's (row, label); a row
+    with no valid position has a gradient of exactly zero.  The gradient is
     written over soft.probs.
     """
     rows = soft.rows
@@ -141,7 +145,7 @@ def sft_loss(soft: Softmax, labels: np.ndarray, valid_mask: np.ndarray) -> tuple
     valid = np.asarray(valid_mask, dtype=bool)
     if valid.shape != (len(rows),):
         raise ValueError(f"valid mask has shape {valid.shape}, expected ({len(rows)},)")
-    n = int(valid.sum())
+    n = int(valid.sum()) if n_valid is None else n_valid
     if n == 0:
         raise EmptyBatchError("no valid target positions in batch")
 
@@ -206,6 +210,7 @@ def comp_loss(
     use_gates: bool = True,
     use_fact_mask: bool = True,
     scale: float = 1.0,
+    n_base: int | None = None,
 ) -> tuple[float, GateTrace, np.ndarray, np.ndarray]:
     """Gated complement loss from the softmax_pass of the logits, the full
     gate trace, and scale * its per-logit gradient on the rows it touches:
@@ -213,17 +218,18 @@ def comp_loss(
     gradient rows.  Every other row's gradient is zero.
 
     value = (1/N) * sum_t alpha_t * (-log(1 - min(p_label, 1 - epsilon)))
-    where N counts the base-mask positions (fact-active by default).  At an
-    active, unclamped position the gradient is +c*p_y on the label logit and
-    -c*p_y*p_k/(1-p_y) on every other logit k, with c = alpha/N; where the
-    clamp is active the loss is locally constant, so the gradient is zero.
-    A row's gradient is the sum over its positions.
+    where N is `n_base`, by default the base-mask positions (fact-active by
+    default) here, as sft_loss's n_valid.  At an active, unclamped position
+    the gradient is +c*p_y on the label logit and -c*p_y*p_k/(1-p_y) on every
+    other logit k, with c = alpha/N; where the clamp is active the loss is
+    locally constant, so the gradient is zero.  A row's gradient is the sum
+    over its positions.
 
     The keyword flags back the two ablation variants: use_gates=False keeps
     the risk weighting but drops both gate bits; use_fact_mask=False applies
     the penalty at all valid positions (then N counts valid positions).
 
-    A batch with an empty base mask yields value 0 and no rows.
+    N = 0 yields value 0 and no rows.
     """
     if not 0.0 < epsilon <= MAX_EPSILON:
         raise ValueError(f"epsilon must be in (0, {MAX_EPSILON}], got {epsilon}")
@@ -233,7 +239,8 @@ def comp_loss(
     trace = gate_trace(probs, y, signals, rows=rows, use_gates=use_gates, use_fact_mask=use_fact_mask)
     p_label, alpha = trace.p_label, trace.alpha
 
-    n_base = np.count_nonzero(signals.fact_mask if use_fact_mask else signals.valid_mask)
+    if n_base is None:
+        n_base = np.count_nonzero(signals.fact_mask if use_fact_mask else signals.valid_mask)
     if n_base == 0:
         return 0.0, trace, np.zeros(0, dtype=np.int64), np.zeros((0, vocab))
 
@@ -274,6 +281,8 @@ def total_loss(
     use_fact_mask: bool = True,
     out: np.ndarray | None = None,
     rows: np.ndarray | None = None,
+    n_valid: int | None = None,
+    n_base: int | None = None,
 ) -> tuple[LossBreakdown, np.ndarray, GateTrace | None]:
     """Combined objective sft + lam * comp with its per-logit gradient.
 
@@ -284,7 +293,9 @@ def total_loss(
     (it may be the logits), else into one new array: it holds the
     probabilities, then comp_loss reads them and sft_loss writes the
     gradient over them, which is returned.  So the call holds no other
-    [U, V] array.
+    [U, V] array.  `n_valid` and `n_base` are the counts the two terms
+    normalise by (sft_loss, comp_loss); train passes each row block its
+    step's, so the blocks' values and gradients add up to the step's.
 
     lam = 0 must reproduce sft_loss bit for bit, so that case skips the
     complement term entirely (adding 0.0 could still flip signed zeros): comp
@@ -296,12 +307,12 @@ def total_loss(
         raise ValueError(f"lambda must be nonnegative, got {lam}")
     soft = softmax_pass(logits, out, rows, labels)
     if lam == 0.0:
-        sft_value, grad = sft_loss(soft, labels, signals.valid_mask)
+        sft_value, grad = sft_loss(soft, labels, signals.valid_mask, n_valid)
         return LossBreakdown(sft=sft_value, comp=0.0, total=sft_value), grad, None
     comp_value, trace, hit, block = comp_loss(
-        soft, labels, signals, epsilon, use_gates=use_gates, use_fact_mask=use_fact_mask, scale=lam,
+        soft, labels, signals, epsilon, use_gates=use_gates, use_fact_mask=use_fact_mask, scale=lam, n_base=n_base,
     )
-    sft_value, grad = sft_loss(soft, labels, signals.valid_mask)
+    sft_value, grad = sft_loss(soft, labels, signals.valid_mask, n_valid)
     grad[hit] += block
     return LossBreakdown(sft=sft_value, comp=comp_value, total=sft_value + lam * comp_value), grad, trace
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prism.corpus import AnnotatedExample, GeneratorConfig, chunk, generate, verify_and_filter
-from prism.errors import AnnotationError, CheckpointError, ConfigError, DivergenceError
+from prism.errors import AnnotationError, CheckpointError, ConfigError, DivergenceError, EmptyBatchError
 from prism.fact_graph import DependencyEdge, FactSpan, SentenceSpan
 from prism.model import (
     MAX_VOCAB_SIZE,
@@ -22,6 +22,7 @@ from prism.model import (
     METHODS,
     ModelParams,
     PARAM_FIELDS,
+    StepRecord,
     StepViews,
     TrainSettings,
     backward_batch,
@@ -1035,6 +1036,238 @@ class TestStepViews:
         assert all(bits(getattr(result.params, name)) == bits(getattr(expected.params, name))
                    for name in PARAM_FIELDS)
         assert result.step_log == expected.step_log
+
+
+@pytest.fixture(scope="module")
+def warm_params():
+    """Parameters after 150 sft steps on small_corpus(), so that the gates open on its facts."""
+    return train_on(small_corpus(), TrainSettings(method="sft", lam=0.0, steps=150, batch_size=8, vocab_size=70,
+                                                  seed=2, learning_rate=0.03)).params
+
+
+def copy_params(params):
+    return replace(params, **{name: getattr(params, name).copy() for name in PARAM_FIELDS})
+
+
+def recorded_steps(monkeypatch, prepared, settings, block, start=None):
+    """train(prepared, settings) with STEP_BLOCK_BYTES at `block` rows (None:
+    the default) and init_params returning `start` (None: the seeded init).
+    Returns the result and, per step, its positions, its forward_batch row
+    counts, and copies of the parameters and gradients optimizer_step got."""
+    import prism.model as model_mod
+    steps = []
+    real_positions, real_forward, real_step = (model_mod.PreparedCorpus.positions, model_mod.forward_batch,
+                                               model_mod.optimizer_step)
+
+    def positions(self, idx):
+        at = real_positions(self, idx)
+        steps.append({"at": at, "forwarded": []})
+        return at
+
+    def forward(params, windows, out=None):
+        steps[-1]["forwarded"].append(len(windows))
+        return real_forward(params, windows, out=out)
+
+    def step(params, grads, state, settings):
+        steps[-1]["params"] = copy_params(params)
+        steps[-1]["grads"] = {name: grads[name].copy() for name in PARAM_FIELDS}
+        return real_step(params, grads, state, settings)
+
+    if block is not None:
+        row = 8 * (settings.window * settings.embed_dim + settings.hidden_dim + settings.vocab_size)
+        monkeypatch.setattr(model_mod, "STEP_BLOCK_BYTES", block * row)
+    if start is not None:
+        monkeypatch.setattr(model_mod, "init_params", lambda *args: copy_params(start))
+    monkeypatch.setattr(model_mod.PreparedCorpus, "positions", positions)
+    monkeypatch.setattr(model_mod, "forward_batch", forward)
+    monkeypatch.setattr(model_mod, "optimizer_step", step)
+    return train(prepared, settings), steps
+
+
+def whole_batch_step(prepared, settings, at, params):
+    """One forward_batch, total_loss and backward_batch over a step's whole
+    batch: its log record (step 0), its gate counts and its gradients."""
+    method = METHODS[settings.method]
+    windows, rows = prepared.distinct_rows(at)
+    labels, signals = prepared.labels[at], prepared.signals[at]
+    n_sft, n_fact = int(signals.valid_mask.sum()), int(signals.fact_mask.sum())
+    if method.drop_unsupported:
+        signals = replace(signals, valid_mask=knowledge_mask_valid(signals))
+    logits, cache = forward_batch(params, windows)
+    fact = signals.fact_mask
+    p_label = softmax_probs(logits)[rows[fact], labels[fact]]
+    support = signals.support_weight[fact]
+    loss, grad, trace = total_loss(logits, labels, signals, settings.lam if method.has_comp else 0.0,
+                                   settings.epsilon, use_gates=method.use_gates,
+                                   use_fact_mask=method.use_fact_mask, rows=rows)
+    active = np.zeros(len(at), dtype=bool) if trace is None else trace.alpha > 0.0
+    off = 0 if trace is None else int((active & ~(trace.pref_gate & trace.keep_gate)).sum())
+    record = StepRecord(0, loss.sft, loss.comp, loss.total, n_sft, n_fact, int(active.sum()), off,
+                        float(p_label[support < 1.0].mean()) if (support < 1.0).any() else None,
+                        float(p_label[support >= 1.0].mean()) if (support >= 1.0).any() else None)
+    return record, int((active & ~fact).sum()), backward_batch(params, windows, grad, cache)
+
+
+class TestStepBlocks:
+    """train runs a step's distinct windows in row blocks of at most
+    block_rows(params, STEP_BLOCK_BYTES), with the step's position counts."""
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    @pytest.mark.parametrize("method", list(METHODS))
+    def test_a_split_step_is_the_whole_batch_step(self, monkeypatch, warm_params, method, lam):
+        """With blocks of 16 rows every step of a V = 70 batch runs in at least
+        3 blocks; against one whole-batch forward_batch, total_loss and
+        backward_batch at the same parameters, its loss terms agree to 1e-12
+        relative, each gradient optimizer_step gets agrees within 1e-12 of
+        its largest magnitude, and the counts and counters are equal."""
+        settings = TrainSettings(method=method, lam=lam, steps=4, batch_size=8, vocab_size=70, seed=3)
+        prepared = prepare_examples(small_corpus(), settings.window, 70)
+        result, steps = recorded_steps(monkeypatch, prepared, settings, 16, start=warm_params)
+        assert len(steps) == len(result.step_log) == settings.steps
+        nonfact = 0
+        for seen, logged in zip(steps, result.step_log):
+            assert len(seen["forwarded"]) >= 3 and max(seen["forwarded"]) <= 16
+            assert sum(seen["forwarded"]) == len(prepared.distinct_rows(seen["at"])[0])
+            record, alpha_nonfact, grads = whole_batch_step(prepared, settings, seen["at"], seen["params"])
+            nonfact += alpha_nonfact
+            for field in ("sft", "comp", "total", "p_risky", "p_safe"):
+                assert getattr(logged, field) == pytest.approx(getattr(record, field), rel=1e-12, abs=0.0), field
+            for field in ("n_sft", "n_fact", "alpha_active", "off_target"):
+                assert getattr(logged, field) == getattr(record, field), field
+            for name in PARAM_FIELDS:
+                assert np.abs(seen["grads"][name] - grads[name]).max() <= 1e-12 * np.abs(grads[name]).max(), name
+        counters = result.counters
+        assert counters.alpha_active_total == sum(r.alpha_active for r in result.step_log)
+        assert counters.off_target_total == sum(r.off_target for r in result.step_log)
+        assert counters.alpha_nonfact_total == nonfact
+        if lam and METHODS[method].has_comp:
+            assert counters.alpha_active_total > 0  # the complement term is exercised
+
+    @pytest.mark.parametrize("method, lam", [("sft", 0.0), ("prism", 0.1), ("prism_no_mask", 0.1)])
+    def test_a_step_within_one_block_is_the_whole_batch_step_bit_for_bit(self, monkeypatch, warm_params,
+                                                                         method, lam):
+        settings = TrainSettings(method=method, lam=lam, steps=4, batch_size=8, vocab_size=70, seed=3)
+        prepared = prepare_examples(small_corpus(), settings.window, 70)
+        result, steps = recorded_steps(monkeypatch, prepared, settings, None, start=warm_params)
+        for seen, logged in zip(steps, result.step_log):
+            assert len(seen["forwarded"]) == 1
+            record, _, grads = whole_batch_step(prepared, settings, seen["at"], seen["params"])
+            assert repr(replace(logged, step=0)) == repr(record)
+            assert all(bits(seen["grads"][name]) == bits(grads[name]) for name in PARAM_FIELDS)
+
+    def test_a_split_step_matches_finite_differences(self, monkeypatch):
+        """The gradients of a step run in blocks of 10 rows against central
+        differences of the per-position loss over the batch, gates frozen."""
+        settings = TrainSettings(method="prism_no_gate", lam=0.7, steps=1, batch_size=2, vocab_size=70,
+                                 embed_dim=2, hidden_dim=3, window=2, seed=5)
+        prepared = prepare_examples(small_corpus(), settings.window, 70)
+        result, (seen,) = recorded_steps(monkeypatch, prepared, settings, 10)
+        assert len(seen["forwarded"]) >= 3 and result.step_log[0].comp > 0.0
+        params, at = seen["params"], seen["at"]
+        windows = prepared.distinct[prepared.window_id[at]]
+        labels, signals = prepared.labels[at].astype(np.int64), prepared.signals[at]
+        trace = total_loss(forward_batch(params, windows)[0], labels, signals, settings.lam, use_gates=False)[2]
+        alpha, n_fact = trace.alpha.copy(), int(signals.fact_mask.sum())
+        every = np.arange(len(at))
+
+        def loss_at(ps):
+            z = forward_batch(ps, windows)[0]
+            p_label = np.minimum(softmax_probs(z)[every, labels], 1.0 - settings.epsilon)
+            comp = float((alpha * -np.log1p(-p_label)).sum() / n_fact)
+            return standalone_sft(z, labels, signals.valid_mask)[0] + settings.lam * comp
+
+        assert loss_at(params) == pytest.approx(result.step_log[0].total, rel=1e-12)
+        for name in PARAM_FIELDS:
+            arr = getattr(params, name)
+            numeric = np.zeros_like(arr)
+            for ij in np.ndindex(arr.shape):
+                orig = arr[ij]
+                arr[ij] = orig + 1e-5
+                up = loss_at(params)
+                arr[ij] = orig - 1e-5
+                down = loss_at(params)
+                arr[ij] = orig
+                numeric[ij] = (up - down) / 2e-5
+            analytic = seen["grads"][name]
+            scale = max(np.abs(analytic).max(), np.abs(numeric).max(), 1e-12)
+            assert np.abs(analytic - numeric).max() / scale < 1e-5, name
+
+    @pytest.mark.parametrize("method, lam", [("sft", 0.0), ("prism", 0.1)])
+    def test_a_split_step_with_no_valid_position_raises_once(self, monkeypatch, method, lam):
+        """Every position masked: the first block's total_loss raises
+        EmptyBatchError, and no later block runs."""
+        import prism.model as model_mod
+        examples = [replace(ex, valid_mask=[0] * len(ex.target_tokens), facts=[])
+                    for ex in random_corpus(70, 4, length=30)]
+        prepared = prepare_examples(examples, 4, 70)
+        assert len(prepared.distinct_rows(prepared.positions(np.arange(4)))[0]) > 30
+        calls = {"loss": 0}
+        real_loss = model_mod.total_loss
+
+        def loss(*args, **kwargs):
+            calls["loss"] += 1
+            return real_loss(*args, **kwargs)
+
+        params = init_params(70, 16, 32, 4, np.random.default_rng(0))
+        monkeypatch.setattr(model_mod, "STEP_BLOCK_BYTES", 10 * row_bytes(params))
+        monkeypatch.setattr(model_mod, "total_loss", loss)
+        with pytest.raises(EmptyBatchError, match="no valid target positions"):
+            train(prepared, TrainSettings(method=method, lam=lam, steps=3, batch_size=4, vocab_size=70, seed=1))
+        assert calls["loss"] == 1
+
+    @pytest.mark.parametrize("method, lam", [("sft", 0.0), ("prism", 0.1), ("prism_no_gate", 0.5)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_logits_in_a_later_block_name_the_step(self, monkeypatch, method, lam, bad):
+        import prism.model as model_mod
+        calls = {"forward": [], "update": 0}
+        real_forward, real_step = model_mod.forward_batch, model_mod.optimizer_step
+
+        def forward(params, windows, out=None):
+            logits, cache = real_forward(params, windows, out=out)
+            calls["forward"].append(calls["update"])
+            if calls["update"] == 2 and calls["forward"].count(2) == 3:  # step 3's third block
+                logits[-1, 5] = bad
+            return logits, cache
+
+        def step(params, grads, state, settings):
+            calls["update"] += 1
+            return real_step(params, grads, state, settings)
+
+        params = init_params(70, 16, 32, 4, np.random.default_rng(0))
+        monkeypatch.setattr(model_mod, "STEP_BLOCK_BYTES", 10 * row_bytes(params))
+        monkeypatch.setattr(model_mod, "forward_batch", forward)
+        monkeypatch.setattr(model_mod, "optimizer_step", step)
+        settings = TrainSettings(method=method, lam=lam, steps=5, batch_size=4, vocab_size=70, seed=1)
+        with pytest.raises(DivergenceError, match="^non-finite logits at step 3$"):
+            train_on(small_corpus(n=20), settings)
+        assert calls["update"] == 2 and calls["forward"].count(2) == 3
+
+    def test_vocab_1024_steps_run_in_blocks_of_the_allocated_rows(self, monkeypatch):
+        """At V = 1024 and batch 32, the run allocates its step arrays for one
+        block at the default STEP_BLOCK_BYTES, no forward_batch gets more
+        rows, and steps run in more than one block."""
+        import prism.model as model_mod
+        examples, vocab = CAP_CORPORA["wide_vocab"]()
+        settings = TrainSettings(method="prism", lam=0.1, steps=4, batch_size=32, vocab_size=vocab, seed=4)
+        prepared = prepare_examples(examples, settings.window, vocab)
+        allocated, forwarded = [], []
+        real_views, real_forward = model_mod.step_views, model_mod.forward_batch
+
+        def views(params, rows, fact_rows):
+            allocated.append((model_mod.block_rows(params, model_mod.STEP_BLOCK_BYTES), real_views(params, rows,
+                                                                                                  fact_rows)))
+            return allocated[-1][1]
+
+        def forward(params, windows, out=None):
+            forwarded.append(len(windows))
+            return real_forward(params, windows, out=out)
+
+        monkeypatch.setattr(model_mod, "step_views", views)
+        monkeypatch.setattr(model_mod, "forward_batch", forward)
+        train(prepared, settings)
+        ((block, arrays),) = allocated
+        assert block == 234 and all(len(a) <= block for a in arrays) and len(arrays.logits) == block
+        assert max(forwarded) <= block and len(forwarded) > settings.steps
 
 
 class TestGatePass:
