@@ -530,9 +530,9 @@ def iter_jsonl(path: str) -> Iterator[AnnotatedExample]:
 
 
 def read_jsonl(path: str, limit: int = 0) -> list[AnnotatedExample]:
-    """The records of iter_jsonl as one list, or only its first `limit` when
-    limit > 0: no later line is decoded."""
-    return list(islice(iter_jsonl(path), limit or None))
+    """The records of iter_jsonl as one list, or only its first `limit`
+    (at most sys.maxsize) when limit > 0: no later line is decoded."""
+    return list(islice(iter_jsonl(path), min(limit, sys.maxsize) or None))
 
 
 @contextmanager

@@ -161,11 +161,11 @@ def parse_config_file(path: str) -> dict[str, str]:
     with open(path, encoding="utf-8-sig") as fh:
         try:
             for lineno, line in enumerate(fh, 1):
+                if "\0" in line:  # in a comment too
+                    raise ConfigError(f"{path}:{lineno}: NUL byte in {line.strip()!r}")
                 text = line.split("#", 1)[0].strip()
                 if not text:
                     continue
-                if "\0" in text:
-                    raise ConfigError(f"{path}:{lineno}: NUL byte in {text!r}")
                 if "=" not in text:
                     raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {text!r}")
                 key, _, value = (part.strip() for part in text.partition("="))

@@ -36,9 +36,9 @@ from .fact_graph import (
 )
 from .objective import (
     DEFAULT_EPSILON,
-    MAX_EPSILON,
     GateTrace,
     LossBreakdown,
+    check_epsilon,
     gate_trace,
     knowledge_mask_valid,
     sft_loss,  # noqa: F401  not called here, but profilers patch prism.model.sft_loss
@@ -468,8 +468,7 @@ class TrainSettings:
             raise ConfigError(f"unknown method {self.method!r}; expected one of {tuple(METHODS)}")
         if not 0.0 <= self.lam < math.inf:
             raise ConfigError("lambda must be finite and nonnegative")
-        if not 0.0 < self.epsilon <= MAX_EPSILON:
-            raise ConfigError(f"epsilon must be in (0, {MAX_EPSILON}]")
+        check_epsilon(self.epsilon)
         if min(self.steps, self.batch_size, self.embed_dim, self.hidden_dim, self.window) < 1:
             raise ConfigError("steps, batch_size, embed_dim, hidden_dim and window must be >= 1")
         if self.batch_size > MAX_BATCH_SIZE:

@@ -31,13 +31,20 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmptyBatchError, NonFiniteLogits
+from .errors import ConfigError, EmptyBatchError, NonFiniteLogits
 from .fact_graph import TokenSignals
 
 # Label probabilities are clamped to 1 - DEFAULT_EPSILON inside the
 # complement term so the loss stays finite as p_label -> 1.
 DEFAULT_EPSILON = 1e-6
 MAX_EPSILON = 1e-3
+
+
+def check_epsilon(epsilon: float) -> None:
+    """ConfigError unless epsilon is in (0, MAX_EPSILON] and 1 - epsilon < 1:
+    at or below 2**-54 the clamp is 1.0 and does nothing."""
+    if not (0.0 < epsilon <= MAX_EPSILON and 1.0 - epsilon < 1.0):
+        raise ConfigError(f"epsilon must be in (0, {MAX_EPSILON}] and above 2**-54, got {epsilon}")
 
 
 @dataclass
@@ -62,24 +69,16 @@ class LossBreakdown:
 
 
 class Softmax(NamedTuple):
-    """One max/subtract/exp/sum/divide pass over checked logits [U, V], and
-    each position's row.  The two loss terms of a total_loss call share it:
-    comp_loss reads `probs`, then sft_loss reads `shifted` and writes its
-    gradient over `probs`."""
+    """One max/subtract/exp/sum/divide pass over checked logits [U, V], with
+    each position's row and label.  The two loss terms of a total_loss call
+    share it: comp_loss reads `probs`, then sft_loss reads `shifted` and
+    writes its gradient over `probs`."""
 
     shifted: np.ndarray | None  # [N] each label's logit minus its row max (None: no labels)
     probs: np.ndarray           # [U, V] exp(logits - row max) / sums
     sums: np.ndarray            # [U, 1] row sums of the exponentials
     rows: np.ndarray            # int64 [N], each position's row
-
-
-def _as_labels(labels: np.ndarray, length: int, vocab: int) -> np.ndarray:
-    y = np.asarray(labels, dtype=np.int64)
-    if y.shape != (length,):
-        raise ValueError(f"labels have shape {y.shape}, expected ({length},)")
-    if y.min(initial=0) < 0 or y.max(initial=0) >= vocab:
-        raise ValueError("label id outside [0, vocab)")
-    return y
+    labels: np.ndarray | None   # int64 [N], each position's label id in [0, V) (None: no labels)
 
 
 def _as_rows(rows: np.ndarray | None, n_rows: int) -> np.ndarray:
@@ -101,13 +100,18 @@ def softmax_pass(
     (NonFiniteLogits: a NaN reaches the row maxima and the minimum, an
     infinity one of them), then run the max/subtract/exp/sum/divide both
     loss terms start from, into `out` (it may be the logits) or one new
-    array.  With `labels`, each label's logit minus its row max is gathered
-    before the exponentials overwrite it."""
+    array.  With `labels`, they are kept as int64 ids, and each label's
+    logit minus its row max is gathered before the exponentials overwrite
+    it; the loss terms read both from the result."""
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] < 2:
         raise ValueError(f"logits must be [U, V] with V >= 2, got shape {z.shape}")
     rows = _as_rows(rows, len(z))
-    y = None if labels is None else _as_labels(labels, len(rows), z.shape[1])
+    y = None if labels is None else np.asarray(labels, dtype=np.int64)
+    if y is not None and y.shape != rows.shape:
+        raise ValueError(f"labels have shape {y.shape}, expected ({len(rows)},)")
+    if y is not None and (y.min(initial=0) < 0 or y.max(initial=0) >= z.shape[1]):
+        raise ValueError("label id outside [0, vocab)")
     top = z.max(axis=-1, keepdims=True)
     if not (np.all(np.isfinite(top)) and np.isfinite(z.min(initial=0.0))):
         raise NonFiniteLogits("logits contain non-finite entries")
@@ -116,7 +120,7 @@ def softmax_pass(
     np.exp(e, out=e)
     sums = e.sum(axis=-1, keepdims=True)
     e /= sums
-    return Softmax(shifted, e, sums, rows)
+    return Softmax(shifted, e, sums, rows, y)
 
 
 def softmax_probs(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -125,11 +129,9 @@ def softmax_probs(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
     return softmax_pass(logits, out).probs
 
 
-def sft_loss(
-    soft: Softmax, labels: np.ndarray, valid_mask: np.ndarray, n_valid: int | None = None,
-) -> tuple[float, np.ndarray]:
+def sft_loss(soft: Softmax, valid_mask: np.ndarray, n_valid: int | None = None) -> tuple[float, np.ndarray]:
     """Masked mean negative log-likelihood and its per-logit gradient, from
-    the softmax_pass of the logits with these labels.
+    the softmax_pass of the logits with their labels.
 
     N is `n_valid`, by default the valid positions here (a call over part of
     a batch, as train's row blocks, passes the batch's); N = 0 raises
@@ -139,9 +141,7 @@ def sft_loss(
     with no valid position has a gradient of exactly zero.  The gradient is
     written over soft.probs.
     """
-    rows = soft.rows
-    n_rows, vocab = soft.probs.shape
-    y = _as_labels(labels, len(rows), vocab)
+    rows, y = soft.rows, soft.labels
     valid = np.asarray(valid_mask, dtype=bool)
     if valid.shape != (len(rows),):
         raise ValueError(f"valid mask has shape {valid.shape}, expected ({len(rows)},)")
@@ -154,7 +154,7 @@ def sft_loss(
     value = float(-((soft.shifted - log_sums[rows])[valid]).sum() / n)
 
     valid_rows = rows[valid]
-    weight = np.bincount(valid_rows, minlength=n_rows) / n
+    weight = np.bincount(valid_rows, minlength=len(soft.probs)) / n
     grad = soft.probs
     grad *= weight[:, None]
     np.add.at(grad, (valid_rows, y[valid]), -1.0 / n)
@@ -203,19 +203,17 @@ def gate_trace(
 
 def comp_loss(
     soft: Softmax,
-    labels: np.ndarray,
     signals: TokenSignals,
     epsilon: float = DEFAULT_EPSILON,
     *,
     use_gates: bool = True,
     use_fact_mask: bool = True,
-    scale: float = 1.0,
     n_base: int | None = None,
 ) -> tuple[float, GateTrace, np.ndarray, np.ndarray]:
-    """Gated complement loss from the softmax_pass of the logits, the full
-    gate trace, and scale * its per-logit gradient on the rows it touches:
-    `hit`, the active rows in order, and `block` [len(hit), V], their
-    gradient rows.  Every other row's gradient is zero.
+    """Gated complement loss from the softmax_pass of the logits with their
+    labels, the full gate trace, and its per-logit gradient on the rows it
+    touches: `hit`, the active rows in order, and `block` [len(hit), V],
+    their gradient rows.  Every other row's gradient is zero.
 
     value = (1/N) * sum_t alpha_t * (-log(1 - min(p_label, 1 - epsilon)))
     where N is `n_base`, by default the base-mask positions (fact-active by
@@ -229,13 +227,11 @@ def comp_loss(
     the risk weighting but drops both gate bits; use_fact_mask=False applies
     the penalty at all valid positions (then N counts valid positions).
 
-    N = 0 yields value 0 and no rows.
+    N = 0 yields value 0 and no rows; check_epsilon vets epsilon.
     """
-    if not 0.0 < epsilon <= MAX_EPSILON:
-        raise ValueError(f"epsilon must be in (0, {MAX_EPSILON}], got {epsilon}")
-    probs, rows = soft.probs, soft.rows
+    check_epsilon(epsilon)
+    probs, rows, y = soft.probs, soft.rows, soft.labels
     vocab = probs.shape[1]
-    y = _as_labels(labels, len(rows), vocab)
     trace = gate_trace(probs, y, signals, rows=rows, use_gates=use_gates, use_fact_mask=use_fact_mask)
     p_label, alpha = trace.p_label, trace.alpha
 
@@ -266,7 +262,6 @@ def comp_loss(
     block *= m_row[:, None]
     block[row_of, pair_label] = (np.bincount(pair_of, weights=c_label, minlength=len(pairs))
                                  + (m_row[row_of] - m_pair) * probs[pair_row, pair_label])
-    block *= scale
     return value, trace, hit, block
 
 
@@ -307,12 +302,13 @@ def total_loss(
         raise ValueError(f"lambda must be nonnegative, got {lam}")
     soft = softmax_pass(logits, out, rows, labels)
     if lam == 0.0:
-        sft_value, grad = sft_loss(soft, labels, signals.valid_mask, n_valid)
+        sft_value, grad = sft_loss(soft, signals.valid_mask, n_valid)
         return LossBreakdown(sft=sft_value, comp=0.0, total=sft_value), grad, None
     comp_value, trace, hit, block = comp_loss(
-        soft, labels, signals, epsilon, use_gates=use_gates, use_fact_mask=use_fact_mask, scale=lam, n_base=n_base,
+        soft, signals, epsilon, use_gates=use_gates, use_fact_mask=use_fact_mask, n_base=n_base,
     )
-    sft_value, grad = sft_loss(soft, labels, signals.valid_mask, n_valid)
+    sft_value, grad = sft_loss(soft, signals.valid_mask, n_valid)
+    block *= lam
     grad[hit] += block
     return LossBreakdown(sft=sft_value, comp=comp_value, total=sft_value + lam * comp_value), grad, trace
 

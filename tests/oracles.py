@@ -184,7 +184,7 @@ def compute_alpha(
 
 def standalone_sft(logits: np.ndarray, labels: np.ndarray, valid_mask: np.ndarray) -> tuple[float, np.ndarray]:
     """sft_loss on its own: the softmax pass of the logits with these labels, then the term."""
-    return sft_loss(softmax_pass(logits, labels=labels), labels, valid_mask)
+    return sft_loss(softmax_pass(logits, labels=labels), valid_mask)
 
 
 def standalone_comp(
@@ -192,9 +192,9 @@ def standalone_comp(
 ) -> tuple[float, np.ndarray, GateTrace]:
     """comp_loss on its own: the softmax pass of the logits, then the term,
     its gradient added into zeros."""
-    soft = softmax_pass(logits)
+    soft = softmax_pass(logits, labels=labels)
     grad = np.zeros_like(soft.probs)
-    value, trace, hit, block = comp_loss(soft, labels, signals, epsilon, **flags)
+    value, trace, hit, block = comp_loss(soft, signals, epsilon, **flags)
     grad[hit] += block
     return value, grad, trace
 

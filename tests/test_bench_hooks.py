@@ -4,6 +4,8 @@ prism.model, so a rename that would break `perfbench/run.py --trace 1` or
 its set-up probe fails here as well as under `pytest perfbench`."""
 
 import importlib.util
+import json
+import math
 import os
 import subprocess
 import sys
@@ -37,6 +39,39 @@ def test_the_setup_probe_imports_resolve():
     assert callable(probe.main)
     for name in ("read_jsonl", "infer_vocab_size", "prepare_examples"):
         assert callable(getattr(probe, name))
+
+
+def test_every_traced_hook_is_called_and_every_layer_metric_is_finite(tmp_path, monkeypatch):
+    # perfbench's traced execution, in-process and tiny: a call that stops going
+    # through a wrapped lookup site would leave its span out here, and
+    # layer_metrics would raise or read 0.0 for its figure.
+    tracer = TRACER.Tracer()
+    for module, attr, name in TRACER.WRAPPED:
+        monkeypatch.setattr(module, attr, tracer.wrap(getattr(module, attr), name))
+    monkeypatch.setattr(prism.harness, "process_slots", lambda: 1)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "gen.cfg").write_text("vocab_size = 40\nn_examples = 60\nn_keys = 8\nn_values = 8\n"
+                                      "plant_defects = 2\nseed = 1\nout = corpus.jsonl\n")
+    (tmp_path / "train.cfg").write_text("corpus = corpus.jsonl\nsteps = 3\nbatch_size = 8\nembed_dim = 8\n"
+                                        "hidden_dim = 8\neval_fraction = 0.2\nseed = 1\nout = runs\n")
+    checkpoint = os.path.join("runs", "lam_0.1", "checkpoint.json")
+    for argv in (["preprocess", "--config", "gen.cfg"],
+                 ["ablate", "--config", "train.cfg", "--lambdas", "0,0.1"],
+                 ["trace", "--checkpoint", checkpoint, "--corpus", "corpus.jsonl", "--limit", "5",
+                  "--out", "trace.jsonl"],
+                 ["report", os.path.join("runs", "lam_0"), os.path.join("runs", "lam_0.1")]):
+        assert prism.harness.main(argv) == 0, argv
+    assert {span[0] for span in tracer.spans} == {name for _, _, name in TRACER.WRAPPED}
+
+    meta = json.loads((tmp_path / "corpus.jsonl.meta.json").read_text())
+    execution = {"spans": [tracer.spans], "rejected_ratio": meta["rejected"] / (meta["kept"] + meta["rejected"]),
+                 "checkpoint_bytes": os.path.getsize(checkpoint), "comp_active_ratio": 0.5}
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, bench)  # its dataclass looks its module up while it runs
+    spec.loader.exec_module(bench)
+    metrics = bench.layer_metrics(execution)
+    assert metrics and all(math.isfinite(value) for value in metrics.values()), metrics
 
 
 def test_the_last_item_of_each_round_runs_in_the_calling_process(monkeypatch):

@@ -122,6 +122,13 @@ class TestConfigParsing:
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
         assert capsys.readouterr().err == f"config error: {cfg}:2: NUL byte in 'corpus = a\\x00b'\n"
 
+    def test_nul_byte_in_a_comment_is_1(self, corpus_path, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"corpus = {corpus_path}\nsteps = 3 # \0\n")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
+        assert capsys.readouterr().err == f"config error: {cfg}:2: NUL byte in 'steps = 3 # \\x00'\n"
+        assert not os.path.exists(tmp_path / "r")
+
     def test_repeated_key_is_1(self, corpus_path, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "t.cfg").write_text(f"corpus = {corpus_path}\nsteps = 3\nsteps = 4\n")
@@ -1012,9 +1019,11 @@ class TestTraceCommand:
          "unknown config key 'lam' for RunConfig"),
         (lambda c: {**c, "vocab_size": 1}, "vocab_size must be 0 (derive it from the corpus) or >= 2"),
         (lambda c: {**c, "vocab_size": -1}, "vocab_size must be 0 (derive it from the corpus) or >= 2"),
+        # 1 - epsilon == 1.0: the clamp would not keep a saturated label's loss finite
+        (lambda c: {**c, "epsilon": 1e-20}, ": epsilon must be in (0, 0.001] and above 2**-54, got 1e-20\n"),
     ], ids=["not_object", "epsilon_range", "risk_mode", "epsilon_null", "unknown_key", "other_embed_dim",
             "other_vocab_size", "window_float", "window_bool", "window_str", "embed_dim_str", "lambda_str",
-            "steps_float", "corpus_int", "lam_key", "vocab_size_1", "vocab_size_negative"])
+            "steps_float", "corpus_int", "lam_key", "vocab_size_1", "vocab_size_negative", "epsilon_unclamped"])
     def test_damaged_config_with_matching_hash_is_2(self, checkpoint_path, corpus_path, tmp_path,
                                                     capsys, damage, shown):
         payload = json.loads(open(checkpoint_path).read())
@@ -1080,6 +1089,17 @@ class TestTraceCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error: unrecognized arguments:") and err.count("\n") == 1
         assert not os.path.exists(out)
+
+    def test_limit_above_sys_maxsize_traces_every_record(self, checkpoint_path, corpus_path, tmp_path, capsys):
+        traces = []
+        for limit in (str(10**20), "0"):
+            out = tmp_path / f"trace_{limit}.jsonl"
+            assert main(["trace", "--checkpoint", checkpoint_path, "--corpus", corpus_path,
+                         "--limit", limit, "--out", str(out)]) == 0
+            traces.append(out.read_bytes())
+        assert traces[0] == traces[1]
+        assert traces[0].count(b"\n") == sum(len(r.target_tokens) for r in read_jsonl(corpus_path))
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("limit", ["-3", "-1"])
     def test_negative_limit_is_1(self, checkpoint_path, corpus_path, tmp_path, capsys, limit):
@@ -1317,6 +1337,18 @@ class TestExitCodes:
         assert main(["train", "--config", str(cfg), *flags]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
+        assert not os.path.exists(tmp_path / "run")
+
+    @pytest.mark.parametrize("epsilon", ["1e-20", repr(2.0**-54)])
+    def test_epsilon_too_small_to_clamp_is_1(self, corpus_path, tmp_path, capsys, epsilon):
+        # 1 - epsilon == 1.0, so the clamp would not keep a saturated label's loss finite
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(f"corpus = {corpus_path}\nsteps = 3\nmethod = prism_no_gate\nepsilon = {epsilon}\n"
+                       f"out = {tmp_path / 'run'}\n")
+        assert main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: epsilon must be in (0, 0.001] and above 2**-54, got ")
+        assert err.count("\n") == 1
         assert not os.path.exists(tmp_path / "run")
 
     @pytest.mark.parametrize("command, shown", [

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prism.errors import EmptyBatchError, NonFiniteLogits
+from prism.errors import ConfigError, EmptyBatchError, NonFiniteLogits
 from prism.fact_graph import TokenSignals
 from prism.objective import GateTrace, gate_trace, softmax_pass, softmax_probs, total_loss
 
@@ -103,6 +103,22 @@ class TestSoftmax:
         z = logits.copy()
         assert softmax_probs(z, out=z) is z
         assert z.tobytes() == fresh.tobytes()
+
+    def test_the_pass_checks_its_labels_and_keeps_them_for_both_terms(self):
+        logits = np.random.default_rng(2).normal(size=(6, 5))
+        labels = np.array([4, 0, 1, 2, 3, 4], dtype=np.uint16)
+        soft = softmax_pass(logits, labels=labels)
+        assert soft.labels.dtype == np.int64 and soft.labels.tolist() == labels.tolist()
+        assert softmax_pass(logits).labels is None
+        signals = make_signals([1] * 6, [0.5] * 6)
+        for bad, shown in ((labels[:5], r"labels have shape \(5,\), expected \(6,\)"),
+                           (labels + 1, r"label id outside \[0, vocab\)"),
+                           (labels.astype(np.int64) - 1, r"label id outside \[0, vocab\)")):
+            with pytest.raises(ValueError, match=shown):
+                softmax_pass(logits, labels=bad)
+            for lam in (0.0, 0.5):
+                with pytest.raises(ValueError, match=shown):
+                    total_loss(logits, bad, signals, lam)
 
 
 class TestGateTrace:
@@ -467,6 +483,17 @@ class TestCompLoss:
             standalone_comp(np.zeros((1, 2)), np.array([0]), signals, epsilon=0.0)
         with pytest.raises(ValueError):
             standalone_comp(np.zeros((1, 2)), np.array([0]), signals, epsilon=0.1)
+
+    def test_epsilon_too_small_to_clamp_is_refused(self):
+        # at or below 2**-54, 1 - epsilon rounds to 1.0: a saturated label's loss would be infinite
+        logits = np.array([[60.0, 0.0, 0.0]])
+        signals = make_signals([1], [0.0])
+        for epsilon in (1e-20, 2.0**-54):
+            assert 1.0 - epsilon == 1.0
+            with pytest.raises(ConfigError, match=r"^epsilon must be in \(0, 0\.001\] and above 2\*\*-54"):
+                standalone_comp(logits, np.array([0]), signals, epsilon=epsilon, use_gates=False)
+        value, grad, _ = standalone_comp(logits, np.array([0]), signals, epsilon=2.0**-53, use_gates=False)
+        assert value == pytest.approx(53 * math.log(2.0), rel=1e-12) and np.all(grad == 0.0)
 
     def test_variant_flags(self):
         rng = np.random.default_rng(9)
