@@ -537,14 +537,18 @@ def read_jsonl(path: str, limit: int = 0) -> list[AnnotatedExample]:
 
 @contextmanager
 def atomic_write(path: str) -> Iterator[TextIO]:
-    """Yield a temp file next to `path` and rename it over `path` once the
-    body finishes; if the body or the rename fails, the temp file is removed,
-    and an OSError that names only the temp file names `path` instead."""
-    tmp = f"{path}.tmp"
+    """Yield a temp file next to the file `path` resolves to and rename it
+    over that file once the body finishes; if the body or the rename fails,
+    the temp file is removed, and an OSError that names only the temp file
+    names `path` instead.  A FIFO, socket or device there is refused first."""
+    target = os.path.realpath(path)
+    if os.path.lexists(target) and not (os.path.isfile(target) or os.path.isdir(target)):
+        raise OSError(f"{path} is not a regular file; refusing to replace it")
+    tmp = f"{target}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             yield fh
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException as exc:
         if os.path.isfile(tmp):
             os.remove(tmp)

@@ -113,14 +113,17 @@ class MetricsReport:
     @classmethod
     def read(cls, path: str) -> MetricsReport:
         """Load a metrics.json written by `write`, checking every field's name and
-        type (config_from_dict).  Older files' baseline_run_id and deltas (always
-        null and {}) are ignored."""
+        type (config_from_dict), and that its method is one of METHODS.  Older
+        files' baseline_run_id and deltas (always null and {}) are ignored."""
         try:
             with open(path, encoding="utf-8") as fh:
                 data = json.load(fh)
             if isinstance(data, dict):
                 data = {key: value for key, value in data.items() if key not in {"baseline_run_id", "deltas"}}
-            return config_from_dict(cls, data, decoded=True)
+            report = config_from_dict(cls, data, decoded=True)
+            if report.method not in METHODS:
+                raise ValueError(f"unknown method {report.method!r}")
+            return report
         except (TypeError, ValueError, RecursionError) as exc:  # missing field, bad or too deep JSON, not UTF-8
             raise RunFileError(f"malformed metrics file {path}: {exc}") from exc
 
@@ -570,14 +573,13 @@ def cmd_trace(checkpoint_path: str, corpus_path: str, limit: int, out: str | Non
 
 
 def cmd_report(run_dirs: Sequence[str], out: str | None) -> list[str]:
-    """Summarize finished runs against their shared baseline (lambda = 0 or sft)."""
+    """Summarize finished runs against their shared baseline: the first run of
+    method sft, or of a complement method at lambda = 0 (the bits of sft)."""
     reports = [MetricsReport.read(os.path.join(run_dir, "metrics.json")) for run_dir in run_dirs]
-    baseline = next(
-        (r for r in reports if r.lam == 0.0 or r.method == METHOD_SFT),
-        None,
-    )
+    baseline = next((r for r in reports if r.method == METHOD_SFT or (r.lam == 0.0 and METHODS[r.method].has_comp)),
+                    None)
     if baseline is None:
-        raise ConfigError("no baseline run (lambda = 0 or method = sft) among the given runs")
+        raise ConfigError("no baseline run (method = sft, or a complement method at lambda = 0) among the given runs")
     for report in reports:
         if (report.seed, report.corpus) != (baseline.seed, baseline.corpus):
             raise ConfigError(

@@ -119,11 +119,13 @@ def _check_tokens(tokens: np.ndarray, vocab_size: int) -> None:
 
 class StepViews(NamedTuple):
     """A training step's per-row float64 arrays for a row block of `rows`,
-    at most block_rows(params, STEP_BLOCK_BYTES), each C-contiguous; the
-    parameter gradients are not per row and live apart."""
+    each C-contiguous: train allocates them for
+    max(1, block_rows(params, STEP_BLOCK_BYTES)) rows and a block takes
+    their leading rows.  The parameter gradients are not per row and live
+    apart."""
 
     logits: np.ndarray      # [rows, V], then total_loss's pass and gradient
-    fact_probs: np.ndarray  # [fact rows, V], the step log's softmax of the fact positions' rows
+    fact_probs: np.ndarray  # [rows, V], its leading rows the step log's softmax of the fact positions' rows
     x: np.ndarray           # [rows, window * d], forward_batch's activations, then backward_batch's d_x
     hidden: np.ndarray      # [rows, h], then backward_batch's d_hidden
     d_pre: np.ndarray       # [rows, h]
@@ -555,11 +557,10 @@ def infer_vocab_size(examples: Sequence[AnnotatedExample]) -> int:
     return top + 1
 
 
-def step_views(params: ModelParams, rows: int, fact_rows: int) -> StepViews:
-    """Uninitialised float64 StepViews arrays of `rows` rows, and `fact_rows`
-    for fact_probs, for a model of `params`."""
+def step_views(params: ModelParams, rows: int) -> StepViews:
+    """Uninitialised float64 StepViews arrays of `rows` rows each, for a model of `params`."""
     (fan_in, hidden), vocab = params.w1.shape, params.vocab_size
-    shapes = ((rows, vocab), (fact_rows, vocab), (rows, fan_in), (rows, hidden), (rows, hidden))
+    shapes = ((rows, vocab), (rows, vocab), (rows, fan_in), (rows, hidden), (rows, hidden))
     return StepViews(*map(np.empty, shapes))
 
 
@@ -582,12 +583,11 @@ def train(prepared: PreparedCorpus, settings: TrainSettings) -> TrainResult:
     bit-identical to method="sft" on the same valid mask.  Aborts with the
     step index on non-finite logits (which total_loss checks) or a
     non-finite loss, before the step's update.  The run allocates the
-    per-row arrays once (step_views), for the least of a block's rows, the
-    corpus's distinct windows and the most distinct windows that batch_size
-    records can have, and fact_probs for at most batch_size times a record's most fact
-    positions; each block writes their first rows.  total_loss runs its
-    softmax pass over the logits in place and returns the gradient there,
-    so a step holds one [block, V] array and the fact rows'.
+    per-row arrays once (step_views), for one block's rows; each block
+    writes their first rows, so a step's memory is the rows it writes.
+    total_loss runs its softmax pass over the logits in place and returns
+    the gradient there, so a step holds one [block, V] array and the fact
+    rows'.
     optimizer_step consumes the gradients in place.
 
     `prepared` is prepare_examples(examples, settings.window,
@@ -607,11 +607,8 @@ def train(prepared: PreparedCorpus, settings: TrainSettings) -> TrainResult:
 
     log: list[StepRecord] = []
     counters = TrainCounters()
-    cap = min(len(prepared.distinct), settings.batch_size * int(np.diff(prepared.offsets).max()),
-              max(1, block_rows(params, STEP_BLOCK_BYTES)))
-    # A record holds at least one position, so reduceat counts each record's fact positions.
-    most_facts = int(np.add.reduceat(prepared.signals.fact_mask, prepared.offsets[:-1]).max())
-    scratch = step_views(params, cap, min(cap, settings.batch_size * most_facts))
+    cap = max(1, block_rows(params, STEP_BLOCK_BYTES))
+    scratch = step_views(params, cap)
     grads = {name: np.empty_like(getattr(params, name)) for name in PARAM_FIELDS}
     for step in range(1, settings.steps + 1):
         idx = rng.integers(0, len(prepared), size=settings.batch_size)
@@ -681,18 +678,17 @@ STEP_BLOCK_BYTES = 2 * 2**20
 BLOCK_BYTES = 4 * 2**20
 
 
-def block_rows(params: ModelParams, budget: int | None = None) -> int:
+def block_rows(params: ModelParams, budget: int) -> int:
     """The rows of x, hidden and logits, 8 bytes per column, that fit in
-    `budget` bytes (by default BLOCK_BYTES)."""
-    budget = BLOCK_BYTES if budget is None else budget
+    `budget` bytes."""
     return budget // (8 * (params.w1.shape[0] + params.w1.shape[1] + params.vocab_size))
 
 
 def record_groups(params: ModelParams, prepared: PreparedCorpus) -> Iterator[tuple[int, int]]:
     """(start, stop) of each group of consecutive records start..stop-1 whose
-    positions fit in block_rows(params), in order; a larger record is a group
-    of its own."""
-    offsets, rows, start = prepared.offsets, block_rows(params), 0
+    positions fit in block_rows(params, BLOCK_BYTES), in order; a larger
+    record is a group of its own."""
+    offsets, rows, start = prepared.offsets, block_rows(params, BLOCK_BYTES), 0
     while start < len(prepared):
         stop = max(start + 1, int(np.searchsorted(offsets, offsets[start] + rows, side="right")) - 1)
         yield start, stop

@@ -19,8 +19,11 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def load(name):
+    """perfbench/<name>.py as module perfbench_<name>, registered in
+    sys.modules before it runs: run.py's dataclass looks its module up."""
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
@@ -66,11 +69,7 @@ def test_every_traced_hook_is_called_and_every_layer_metric_is_finite(tmp_path, 
     meta = json.loads((tmp_path / "corpus.jsonl.meta.json").read_text())
     execution = {"spans": [tracer.spans], "rejected_ratio": meta["rejected"] / (meta["kept"] + meta["rejected"]),
                  "checkpoint_bytes": os.path.getsize(checkpoint), "comp_active_ratio": 0.5}
-    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
-    bench = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, bench)  # its dataclass looks its module up while it runs
-    spec.loader.exec_module(bench)
-    metrics = bench.layer_metrics(execution)
+    metrics = load("run").layer_metrics(execution)
     assert metrics and all(math.isfinite(value) for value in metrics.values()), metrics
 
 

@@ -1,9 +1,11 @@
 """CLI surface: config parsing, run artifacts, determinism, exit codes."""
 
 import base64
+import dataclasses
 import json
 import os
 import shutil
+import stat
 import subprocess
 import sys
 import time
@@ -183,6 +185,33 @@ class TestConfigParsing:
         b = RunConfig(corpus="c.jsonl", seed=5)
         assert run_identifier(a) == run_identifier(b)
         assert run_identifier(a) != run_identifier(RunConfig(corpus="c.jsonl", seed=6))
+
+
+def readme_config_tables():
+    """{key: default cell} of each table under README's "### Config keys", in order."""
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8").read()
+    section = readme.split("### Config keys\n", 1)[1].split("\n## ", 1)[0]
+    tables = [{}]
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            key, default = [cell.strip() for cell in line.split("|")[1:3]]
+            tables[-1][key.strip("`")] = default.strip("`")
+        elif tables[-1] and not line.startswith("|"):
+            tables.append({})
+    return [table for table in tables if table]
+
+
+@pytest.mark.parametrize("cls", [GeneratorConfig, RunConfig])
+def test_the_readme_config_table_names_every_key_with_its_default(cls):
+    table = readme_config_tables()[[GeneratorConfig, RunConfig].index(cls)]
+    fields = {"lambda" if f.name == "lam" else f.name: f.default for f in dataclasses.fields(cls)}
+    assert list(table) and sorted(table) == sorted(fields)
+    for key, default in fields.items():
+        shown = table[key]
+        if isinstance(default, str):
+            assert shown == (default or "(empty)"), key
+        else:
+            assert type(default)(shown) == default, key
 
 
 class TestPreprocess:
@@ -784,7 +813,7 @@ class TestTraceCommand:
             cut = list(real(params, prepared))
             assert cut[0][0] == 0 and cut[-1][1] == len(prepared)
             assert all(stop == start for (_, stop), (start, _) in zip(cut, cut[1:]))
-            rows = prism.model.block_rows(params)
+            rows = prism.model.block_rows(params, prism.model.BLOCK_BYTES)
             assert all(b - a == 1 or prepared.offsets[b] - prepared.offsets[a] <= rows for a, b in cut)
             groups.extend(b - a for a, b in cut)
             return iter(cut)
@@ -1225,6 +1254,27 @@ class TestReportCommand:
                                                         "lambda": lam}))
         assert report("old.csv") == shown
 
+    def test_knowledge_mask_before_sft_picks_sft(self, corpus_path, tmp_path, capsys):
+        dirs = [str(tmp_path / "mask"), str(tmp_path / "sft")]
+        cmd_train(run_config(corpus_path, dirs[0], method="knowledge_mask", steps=5))
+        cmd_train(run_config(corpus_path, dirs[1], method="sft", steps=5))
+        sft_id = json.loads(open(os.path.join(dirs[1], "metrics.json")).read())["run_id"]
+        capsys.readouterr()
+        lines = cmd_report(dirs, out=None)
+        assert capsys.readouterr().out.startswith(f"baseline: {sft_id} (method=sft, ")
+        sft_rows = [line for line in lines if line.startswith(f"{sft_id},")]
+        assert sft_rows and all(line.endswith(",0.0") for line in sft_rows)
+
+    def test_knowledge_mask_with_a_prism_run_has_no_baseline(self, corpus_path, tmp_path, capsys):
+        dirs = [str(tmp_path / "mask"), str(tmp_path / "prism")]
+        cmd_train(run_config(corpus_path, dirs[0], method="knowledge_mask", steps=5))
+        cmd_train(run_config(corpus_path, dirs[1], method="prism", lam=0.1, steps=5))
+        assert json.loads(open(os.path.join(dirs[0], "metrics.json")).read())["lambda"] == 0.0
+        capsys.readouterr()
+        assert main(["report", *dirs]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: no baseline run") and err.count("\n") == 1
+
     def test_no_baseline_rejected(self, corpus_path, tmp_path, capsys):
         d = str(tmp_path / "only")
         cmd_train(run_config(corpus_path, d, method="prism", lam=0.3))
@@ -1257,8 +1307,9 @@ class TestReportCommand:
         (lambda m: m.update(baseline_run_id=None, deltas={}, color="red"),
          "unknown config key 'color' for MetricsReport"),
         (lambda m: m.update(lam=m.pop("lambda")), "unknown config key 'lam' for MetricsReport"),
+        (lambda m: m.update(method="dpo"), "unknown method 'dpo'"),
     ], ids=["missing_field", "unknown_field", "lambda_str", "metric_list", "seed_bool", "older_keys_and_unknown",
-            "lam_key"])
+            "lam_key", "unknown_method"])
     def test_damaged_metrics_is_2(self, corpus_path, tmp_path, capsys, damage, shown):
         d = tmp_path / "sft"
         cmd_train(run_config(corpus_path, str(d), method="sft", lam=0.0, steps=5))
@@ -1281,18 +1332,60 @@ class TestReportCommand:
         assert not os.path.exists(f"{taken}.tmp")
 
 
+def out_argv(command, corpus_path, checkpoint_path):
+    """The argv of `command` before its --out, run in the current directory;
+    `preprocess` and `report` get their config or run there."""
+    if command == "preprocess":
+        with open("gen.cfg", "w") as fh:
+            fh.write("n_examples = 5\n")
+        return ["preprocess", "--config", "gen.cfg"]
+    if command == "report":
+        cmd_train(run_config(corpus_path, "sft", method="sft", lam=0.0, steps=5))
+        return ["report", "sft"]
+    return ["trace", "--checkpoint", checkpoint_path, "--corpus", corpus_path]
+
+
+class TestOutPaths:
+    """Where --out (or preprocess's out) is not a new or regular file."""
+
+    @pytest.mark.parametrize("command", ["preprocess", "trace", "report"])
+    def test_a_symlink_is_kept_and_its_target_written(self, command, corpus_path, checkpoint_path, tmp_path,
+                                                     capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = out_argv(command, corpus_path, checkpoint_path)
+        assert main(argv + ["--out", "plain.out"]) == 0
+        os.mkdir("real")
+        (tmp_path / "real" / "target.out").write_text("old\n")
+        os.symlink(os.path.join("real", "target.out"), "link.out")
+        assert main(argv + ["--out", "link.out"]) == 0
+        assert os.readlink("link.out") == os.path.join("real", "target.out")
+        assert (tmp_path / "real" / "target.out").read_bytes() == (tmp_path / "plain.out").read_bytes()
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    @pytest.mark.parametrize("node", ["fifo", "link_to_fifo"])
+    @pytest.mark.parametrize("command", ["preprocess", "trace", "report"])
+    def test_a_fifo_is_2_and_kept(self, command, node, corpus_path, checkpoint_path, tmp_path, capsys,
+                                  monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = out_argv(command, corpus_path, checkpoint_path)
+        os.mkfifo("fifo.out")
+        out = "fifo.out" if node == "fifo" else "link.out"
+        if node == "link_to_fifo":
+            os.symlink("fifo.out", "link.out")
+        capsys.readouterr()
+        assert main(argv + ["--out", out]) == 2
+        assert capsys.readouterr().err == f"i/o error: {out} is not a regular file; refusing to replace it\n"
+        assert stat.S_ISFIFO(os.stat("fifo.out").st_mode) and os.path.islink("link.out") == (node != "fifo")
+        assert not list(tmp_path.rglob("*.tmp")) and not os.path.exists("fifo.out.meta.json")
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("command", ["preprocess", "trace", "report"])
     def test_out_in_a_missing_directory_names_the_given_path(self, command, corpus_path, checkpoint_path,
                                                              tmp_path, capsys, monkeypatch):
         # the error is about the temp file next to OUT, but names OUT
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "gen.cfg").write_text("n_examples = 5\n")
-        if command == "report":
-            cmd_train(run_config(corpus_path, "sft", method="sft", lam=0.0, steps=5))
-        argv = {"preprocess": ["preprocess", "--config", "gen.cfg"],
-                "trace": ["trace", "--checkpoint", checkpoint_path, "--corpus", corpus_path],
-                "report": ["report", "sft"]}[command]
+        argv = out_argv(command, corpus_path, checkpoint_path)
         out = os.path.join("nodir", "c.out")
         assert main(argv + ["--out", out]) == 2
         assert capsys.readouterr().err == f"i/o error: [Errno 2] No such file or directory: '{out}'\n"

@@ -125,7 +125,7 @@ class TestForward:
         windows = np.zeros((0, 4), dtype=np.int64)
         out = None
         if with_out:  # a run's step arrays sliced to no rows, after stale values
-            scratch = step_views(params, 5, 5)
+            scratch = step_views(params, 5)
             for arr in scratch:
                 arr.fill(np.nan if arr.dtype == np.float64 else -(2**40))
             out = StepViews(*(a[:0] for a in scratch))
@@ -280,7 +280,7 @@ class TestBackward:
         rng = np.random.default_rng(5)
         params = init_params(1024, 16, 32, 4, rng)
         windows = rng.integers(0, 1024, size=(200, 4))
-        views = step_views(params, len(windows), 1)
+        views = step_views(params, len(windows))
         logits, cache = forward_batch(params, windows, out=views)
         logits[:] = rng.standard_normal(logits.shape)
         into = {name: np.empty_like(getattr(params, name)) for name in PARAM_FIELDS}
@@ -879,7 +879,7 @@ class TestStepViews:
         rng = np.random.default_rng(vocab)
         params = init_params(vocab, 8, 16, 3, rng)
         params.w2 *= 40.0  # peaked softmax rows, so the gates open
-        scratch = step_views(params, 100, 100)
+        scratch = step_views(params, 100)
         for arr in scratch:
             arr.fill(np.nan)
         into = {name: np.full_like(getattr(params, name), np.nan) for name in PARAM_FIELDS}
@@ -923,26 +923,24 @@ class TestStepViews:
 
     @pytest.mark.parametrize("shape", ["sweep", "long_docs", "wide_vocab", "one_long_record"])
     def test_no_step_has_more_rows_than_the_run_allocates(self, monkeypatch, shape):
-        """train allocates its step arrays once, at min(distinct windows,
-        batch_size x the longest record's positions) rows, and fact_probs at
-        min(those rows, batch_size x the most fact positions of a record);
-        every step's forward_batch runs on a head of them, and its
-        fact-row softmax on a head of fact_probs."""
+        """train allocates its step arrays once, fact_probs included, each at
+        max(1, block_rows(params, STEP_BLOCK_BYTES)) rows; every step's
+        forward_batch runs on a head of them, and its fact-row softmax on a
+        head of fact_probs.  A step has no more distinct windows than the
+        corpus or batch_size records hold, so here each step is one block."""
         import prism.model as model_mod
         examples, vocab = CAP_CORPORA[shape]()
         settings = TrainSettings(method="prism", lam=0.1, steps=20, batch_size=8, vocab_size=vocab, seed=4)
         prepared = prepare_examples(examples, settings.window, vocab)
         longest = int(np.diff(prepared.offsets).max())
-        cap = min(len(prepared.distinct), settings.batch_size * longest)
-        fact = prepared.signals.fact_mask
-        most_facts = max(int(fact[a:b].sum()) for a, b in zip(prepared.offsets[:-1], prepared.offsets[1:]))
-        fact_cap = min(cap, settings.batch_size * most_facts)
+        held = min(len(prepared.distinct), settings.batch_size * longest)
         allocated, forwarded, heads = [], [], []
         real_views, real_forward, real_probs = model_mod.step_views, model_mod.forward_batch, model_mod.softmax_probs
 
-        def views(params, rows, fact_rows):
-            allocated.append(real_views(params, rows, fact_rows))
-            return allocated[-1]
+        def views(params, rows):
+            allocated.append((max(1, model_mod.block_rows(params, model_mod.STEP_BLOCK_BYTES)),
+                              real_views(params, rows)))
+            return allocated[-1][1]
 
         def forward(params, windows, out=None):
             forwarded.append((len(windows), out))
@@ -956,22 +954,22 @@ class TestStepViews:
         monkeypatch.setattr(model_mod, "forward_batch", forward)
         monkeypatch.setattr(model_mod, "softmax_probs", probs)
         train(prepared, settings)
-        assert [len(a) for a in allocated[0]] == [cap, fact_cap] + [cap] * 3 and len(allocated) == 1
-        assert fact_cap == settings.batch_size * most_facts < cap  # on these corpora, the fact rows bound it
+        ((cap, arrays),) = allocated
+        assert [len(a) for a in arrays] == [cap] * 5 and held <= cap
         assert len(forwarded) == len(heads) == settings.steps
         for (rows, out), head in zip(forwarded, heads):
-            assert 0 < rows <= cap
-            assert all(len(a) == min(rows, len(b)) and np.shares_memory(a, b) for a, b in zip(out, allocated[0]))
-            assert 0 < len(head) <= min(rows, fact_cap) and np.shares_memory(head, allocated[0].fact_probs)
-        if shape == "sweep":  # the batch bounds the cap
-            assert cap == settings.batch_size * longest < len(prepared.distinct)
-        if shape == "one_long_record":  # the long record was drawn, and the distinct windows bound the cap
-            assert max(rows for rows, _ in forwarded) > settings.batch_size * 10 and cap == len(prepared.distinct)
+            assert 0 < rows <= held
+            assert all(len(a) == rows and np.shares_memory(a, b) for a, b in zip(out, arrays))
+            assert 0 < len(head) <= rows and np.shares_memory(head, arrays.fact_probs)
+        if shape == "sweep":  # the batch bounds a step's rows
+            assert held == settings.batch_size * longest < len(prepared.distinct)
+        if shape == "one_long_record":  # the long record was drawn, and the distinct windows bound a step's rows
+            assert max(rows for rows, _ in forwarded) > settings.batch_size * 10 and held == len(prepared.distinct)
 
     def test_step_views_are_float64_only(self):
         """The embedding scatter needs no index array, so a run's step arrays are float64 only."""
         params = init_params(70, 8, 16, 3, np.random.default_rng(2))
-        assert [a.dtype for a in step_views(params, 10, 4)] == [np.dtype(np.float64)] * 5
+        assert [a.dtype for a in step_views(params, 10)] == [np.dtype(np.float64)] * 5
 
     def test_every_step_updates_from_the_same_gradient_arrays(self, monkeypatch):
         """train allocates the five gradient arrays once: every step hands
@@ -1007,8 +1005,8 @@ class TestStepViews:
         real_views, real_forward = model_mod.step_views, model_mod.forward_batch
         real_probs, real_loss = model_mod.softmax_probs, model_mod.total_loss
 
-        def views(params, rows, fact_rows):
-            allocated.append(real_views(params, rows, fact_rows))
+        def views(params, rows):
+            allocated.append(real_views(params, rows))
             for arr in allocated[-1]:
                 arr.fill(np.nan if arr.dtype == np.float64 else -(2**40))
             return allocated[-1]
@@ -1253,9 +1251,8 @@ class TestStepBlocks:
         allocated, forwarded = [], []
         real_views, real_forward = model_mod.step_views, model_mod.forward_batch
 
-        def views(params, rows, fact_rows):
-            allocated.append((model_mod.block_rows(params, model_mod.STEP_BLOCK_BYTES), real_views(params, rows,
-                                                                                                  fact_rows)))
+        def views(params, rows):
+            allocated.append((model_mod.block_rows(params, model_mod.STEP_BLOCK_BYTES), real_views(params, rows)))
             return allocated[-1][1]
 
         def forward(params, windows, out=None):
@@ -1266,7 +1263,7 @@ class TestStepBlocks:
         monkeypatch.setattr(model_mod, "forward_batch", forward)
         train(prepared, settings)
         ((block, arrays),) = allocated
-        assert block == 234 and all(len(a) <= block for a in arrays) and len(arrays.logits) == block
+        assert block == 234 and all(len(a) == block for a in arrays)
         assert max(forwarded) <= block and len(forwarded) > settings.steps
 
 
@@ -1301,7 +1298,7 @@ class TestGatePass:
         prep = prepare_examples(small_corpus(n=40), window=4, vocab_size=70)
         params = init_params(70, 8, 12, 4, np.random.default_rng(6))
         monkeypatch.setattr(model_mod, "BLOCK_BYTES", budget_rows * row_bytes(params))
-        assert block_rows(params) == budget_rows
+        assert block_rows(params, model_mod.BLOCK_BYTES) == budget_rows
         groups = list(record_groups(params, prep))
         assert groups == record_groups_reference(prep, budget_rows)
         assert groups[0][0] == 0 and groups[-1][1] == len(prep)
@@ -1321,7 +1318,7 @@ class TestGatePass:
         prep = prepare_examples(random_corpus(1024, n=60), window=4, vocab_size=1024)
         params = init_params(1024, 32, 64, 4, np.random.default_rng(3))
         params.w2 *= 8.0
-        assert len(prep.distinct_rows()[0]) > 3 * block_rows(params)
+        assert len(prep.distinct_rows()[0]) > 3 * block_rows(params, model_mod.BLOCK_BYTES)
         grouped, n_grouped, _ = evaluated_trace(params, prep, model_mod.BLOCK_BYTES)
         whole, n_whole, _ = evaluated_trace(params, prep, 2**40)
         assert n_grouped > 3 and n_whole == 1
