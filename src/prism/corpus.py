@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -540,11 +541,16 @@ def atomic_write(path: str) -> Iterator[TextIO]:
     """Yield a temp file next to the file `path` resolves to and rename it
     over that file once the body finishes; if the body or the rename fails,
     the temp file is removed, and an OSError that names only the temp file
-    names `path` instead.  A FIFO, socket or device there is refused first."""
+    names `path` instead.  A FIFO, socket or device there is refused first,
+    and so is a temp path that exists and is not a regular file (a FIFO
+    would block the open, a symlink would be followed), which is left as
+    it is."""
     target = os.path.realpath(path)
     if os.path.lexists(target) and not (os.path.isfile(target) or os.path.isdir(target)):
         raise OSError(f"{path} is not a regular file; refusing to replace it")
     tmp = f"{target}.tmp"
+    if os.path.lexists(tmp) and not stat.S_ISREG(os.lstat(tmp).st_mode):
+        raise OSError(f"{tmp} is not a regular file; refusing to write through it")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             yield fh

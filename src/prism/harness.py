@@ -52,6 +52,7 @@ from .model import (
     METHODS,
     ModelParams,
     PreparedCorpus,
+    TrainResult,
     TrainSettings,
     check_model_size,
     config_digest,
@@ -300,25 +301,33 @@ def load_run_data(cfg: RunConfig) -> RunData:
     return RunData(vocab, prepared[:cut], prepared[cut:] or prepared)
 
 
-def cmd_train(cfg: RunConfig, data: RunData | None = None) -> MetricsReport:
+def cmd_train(cfg: RunConfig | Sequence[RunConfig], data: RunData | None = None) -> MetricsReport | list[MetricsReport]:
     """Train one run and write checkpoint, per-step log, and metrics.
 
-    `data` is load_run_data of an equivalent config; without it the corpus
-    is read and prepared here."""
-    cfg = validate_run_config(cfg)
+    A sequence of configs that differ only in lambda and out is a group,
+    trained in lockstep by one train call; each run is evaluated, then each
+    is written in order, and their reports come back as a list.  `data` is
+    load_run_data of an equivalent config; without it the corpus is read
+    and prepared here."""
+    group = [validate_run_config(run) for run in ([cfg] if isinstance(cfg, RunConfig) else cfg)]
     if data is None:
-        data = load_run_data(cfg)
-    n_train, n_eval = len(data.prep_train), len(data.prep_eval)
-
+        data = load_run_data(group[0])
     # The resolved config keeps the user's vocab_size (0 = derive), so the
     # run id does not depend on the corpus contents.
-    result = train(data.prep_train, replace(cfg, vocab_size=data.vocab))
+    results = train(data.prep_train, [replace(run, vocab_size=data.vocab) for run in group])
+    evaluated = [evaluate(result.params, data.prep_eval) for result in results]
+    reports = [_write_run(run, result, metrics, data) for run, result, metrics in zip(group, results, evaluated)]
+    return reports[0] if isinstance(cfg, RunConfig) else reports
 
+
+def _write_run(cfg: RunConfig, result: TrainResult, evaluated: dict, data: RunData) -> MetricsReport:
+    """Write a trained run's files into cfg.out and print its summary."""
+    n_train, n_eval = len(data.prep_train), len(data.prep_eval)
     resolved = _file_keys(asdict(cfg))
     run_id = run_identifier(cfg)
     last = result.step_log[-1]
     metrics: dict[str, float | None] = {
-        **evaluate(result.params, data.prep_eval),
+        **evaluated,
         "final_sft": last.sft,
         "final_comp": last.comp,
         "final_total": last.total,
@@ -455,15 +464,20 @@ def fork_map(fn: Callable, items: Sequence) -> Iterator[tuple[object, Exception 
 def cmd_ablate(cfg: RunConfig, lambdas: Sequence[float]) -> str:
     """Run the auxiliary-weight sweep and write one consolidated CSV.
 
-    Every lambda shares the seed and corpus, which is read and prepared once;
-    the runs are shared out over the CPUs by fork_map, and each
-    lam_* directory is byte-identical to a standalone train run of the same
-    config.  Stdout, stderr, failures.json and the CSV follow the lambda
-    list's order.  Deltas are taken against the lambda = 0 run.  A run that
-    diverges, finds an empty batch or whose worker dies is recorded and the
-    sweep continues; any other error ends it as at that lambda in a
-    one-by-one sweep.  A sweep without failures removes any failures.json
-    an earlier sweep left in its directory.  Two lambdas that map to one lam_* directory are a
+    Every lambda shares the seed and corpus, which is read and prepared once.
+    The lambda list is cut into min(process_slots(), len(lambdas)) groups of
+    consecutive lambdas, whose sizes differ by at most one, and fork_map
+    runs the groups in one round; each group trains in lockstep in one
+    cmd_train call, which writes its runs in lambda order.  A group in which
+    a run diverges or finds an empty batch is retrained one run at a time,
+    so each lam_* directory, and each failure, is that of a standalone train
+    run of the same config.  Stdout, stderr, failures.json and the CSV
+    follow the lambda list's order.  Deltas are taken against the lambda = 0
+    run.  A run that diverges or finds an empty batch is recorded, as is
+    every run of a group whose worker dies, and the sweep continues; any
+    other error ends it as at the first failing lambda in list order.  A
+    sweep without failures removes any failures.json an earlier sweep left
+    in its directory.  Two lambdas that map to one lam_* directory are a
     config error.
     """
     if not lambdas:
@@ -479,17 +493,39 @@ def cmd_ablate(cfg: RunConfig, lambdas: Sequence[float]) -> str:
                               f"share the run directory {run_dir}")
     data = load_run_data(subs[0])
     os.makedirs(cfg.out, exist_ok=True)
+    n = min(process_slots(), len(subs))
+    bounds = [-(-len(subs) * i // n) for i in range(n + 1)]  # ceil(i * len / n): the larger groups first
+    groups = [subs[a:b] for a, b in zip(bounds, bounds[1:])]
+
+    def train_group(group: list[RunConfig]) -> list[tuple[MetricsReport | None, Exception | None]]:
+        """Each run's (report, None), or (None, its error) up to the first
+        error that ends the sweep."""
+        if len(group) > 1:
+            try:
+                return [(report, None) for report in cmd_train(group, data)]
+            except (DivergenceError, EmptyBatchError):
+                pass  # the group wrote nothing; each run is retrained alone, for its own outcome
+        outcomes: list[tuple[MetricsReport | None, Exception | None]] = []
+        for sub in group:
+            try:
+                outcomes.append((cmd_train([sub], data)[0], None))
+            except Exception as exc:  # kept at its lambda: cmd_ablate decides what it means
+                outcomes.append((None, exc))
+                if not isinstance(exc, (DivergenceError, EmptyBatchError)):
+                    break
+        return outcomes
 
     reports: list[MetricsReport] = []
     failures: list[dict] = []
-    for sub, (report, exc) in zip(subs, fork_map(lambda run: cmd_train(run, data), subs)):
-        if isinstance(exc, (DivergenceError, EmptyBatchError, WorkerDied)):
-            failures.append({"lambda": sub.lam, "error": str(exc)})
-            print(f"warning: lambda={sub.lam:g} failed: {exc}", file=sys.stderr)
-        elif exc is not None:
-            raise exc
-        else:
-            reports.append(report)
+    for group, (outcomes, exc) in zip(groups, fork_map(train_group, groups)):
+        for sub, (report, error) in zip(group, outcomes or [(None, exc)] * len(group)):
+            if isinstance(error, (DivergenceError, EmptyBatchError, WorkerDied)):
+                failures.append({"lambda": sub.lam, "error": str(error)})
+                print(f"warning: lambda={sub.lam:g} failed: {error}", file=sys.stderr)
+            elif error is not None:
+                raise error
+            else:
+                reports.append(report)
     failures_path = os.path.join(cfg.out, "failures.json")
     if failures:
         _write_json(failures_path, {"failures": failures})

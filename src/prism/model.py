@@ -18,7 +18,7 @@ import json
 import math
 import platform
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -72,6 +72,9 @@ METHODS = {
 
 @dataclass
 class ModelParams:
+    """One model's parameters; train stacks a lockstep group's K models, each
+    array with a leading run axis [K, ...]."""
+
     embedding: np.ndarray  # [V, d]
     w1: np.ndarray         # [window * d, h]
     b1: np.ndarray         # [h]
@@ -81,11 +84,11 @@ class ModelParams:
 
     @property
     def vocab_size(self) -> int:
-        return self.embedding.shape[0]
+        return self.embedding.shape[-2]
 
     @property
     def embed_dim(self) -> int:
-        return self.embedding.shape[1]
+        return self.embedding.shape[-1]
 
 
 def init_params(
@@ -143,7 +146,9 @@ def forward_batch(
     into its logits, x and hidden.  `splits`, row offsets 0 = s_0 <= s_1 <=
     ... <= s_k = B, split the two matmuls: each block s_j:s_j+1 gets its own
     pair, so its rows have the bits of a forward_batch over that block alone.
-    None is one block."""
+    None is one block.  Stacked parameters [K, ...] give each of the K models
+    its logits and activations [K, B, ...] for the same windows, with the
+    bits of its own call (a stacked matmul runs one product per model)."""
     w = np.asarray(windows, dtype=np.int64)
     if w.ndim != 2 or w.shape[1] != params.window:
         raise ValueError(f"windows must be [B, {params.window}], got shape {w.shape}")
@@ -155,19 +160,21 @@ def forward_batch(
             raise ValueError(f"splits must rise from 0 to {len(w)}, got {bounds}")
         blocks = list(map(slice, bounds[:-1], bounds[1:]))
     o = out or _FRESH
+    lead, (fan_in, h) = params.embedding.shape[:-2], params.w1.shape[-2:]
     # The ids are checked, so mode="clip" changes none; it lets take write
     # into `out` without an intermediate copy.
-    x = np.take(params.embedding, w, axis=0, mode="clip",
-                out=None if o.x is None else o.x.reshape(*w.shape, params.embed_dim)).reshape(len(w), len(params.w1))
-    hidden = np.empty((len(w), params.w1.shape[1])) if o.hidden is None else o.hidden
+    x = np.take(params.embedding, w, axis=-2, mode="clip",
+                out=None if o.x is None else o.x.reshape(*lead, *w.shape, params.embed_dim)
+                ).reshape(*lead, len(w), fan_in)
+    hidden = np.empty((*lead, len(w), h)) if o.hidden is None else o.hidden
     for b in blocks:
-        np.matmul(x[b], params.w1, out=hidden[b])
-    hidden += params.b1
+        np.matmul(x[..., b, :], params.w1, out=hidden[..., b, :])
+    hidden += params.b1[..., None, :]
     np.tanh(hidden, out=hidden)
-    logits = np.empty((len(w), params.vocab_size)) if o.logits is None else o.logits
+    logits = np.empty((*lead, len(w), params.vocab_size)) if o.logits is None else o.logits
     for b in blocks:
-        np.matmul(hidden[b], params.w2, out=logits[b])
-    logits += params.b2
+        np.matmul(hidden[..., b, :], params.w2, out=logits[..., b, :])
+    logits += params.b2[..., None, :]
     return logits, (x, hidden)
 
 
@@ -188,35 +195,40 @@ def backward_batch(
     `grads`, one array per PARAM_FIELDS name shaped as its parameter (as in
     train), the gradients are written into those arrays; with `add` too, they
     are added into them (train's later row blocks), the embedding's column by
-    column and each other one from a new array."""
+    column and each other one from a new array.  Stacked parameters [K, ...]
+    take dlogits and activations [K, B, ...] and give each model its
+    gradients [K, ...], with the bits of its own call."""
     w = np.asarray(windows, dtype=np.int64)
     dz = np.asarray(dlogits, dtype=np.float64)
     x, hidden = cache
-    if dz.shape != (w.shape[0], params.vocab_size):
-        raise ValueError(f"loss gradient has shape {dz.shape}, expected {(w.shape[0], params.vocab_size)}")
+    lead, vocab = params.embedding.shape[:-2], params.vocab_size
+    if dz.shape != (*lead, w.shape[0], vocab):
+        raise ValueError(f"loss gradient has shape {dz.shape}, expected {(*lead, w.shape[0], vocab)}")
     o = out or _FRESH
     g = grads or {}
     into = {} if add else g
 
-    d_w2 = np.matmul(hidden.T, dz, out=into.get("w2"))
-    d_b2 = np.sum(dz, axis=0, out=into.get("b2"))
+    d_w2 = np.matmul(hidden.swapaxes(-1, -2), dz, out=into.get("w2"))
+    d_b2 = np.sum(dz, axis=-2, out=into.get("b2"))
     # d_pre = d_hidden * (1 - hidden**2)
     d_pre = np.multiply(hidden, hidden, out=o.d_pre)
     np.subtract(1.0, d_pre, out=d_pre)
-    d_pre *= np.matmul(dz, params.w2.T, out=o.hidden)
-    d_w1 = np.matmul(x.T, d_pre, out=into.get("w1"))
-    d_b1 = np.sum(d_pre, axis=0, out=into.get("b1"))
-    # Embedding scatter: one bincount over the window token ids per column.
-    # Each (token id, column) bin sums its rows in batch order from 0.0,
-    # exactly as np.add.at would.
-    d_x = np.matmul(d_pre, params.w1.T, out=o.x).reshape(-1, params.embed_dim)
+    d_pre *= np.matmul(dz, params.w2.swapaxes(-1, -2), out=o.hidden)
+    d_w1 = np.matmul(x.swapaxes(-1, -2), d_pre, out=into.get("w1"))
+    d_b1 = np.sum(d_pre, axis=-2, out=into.get("b1"))
+    # Embedding scatter: one bincount over the window token ids per column,
+    # model k's ids offset by k * V.  Each (model, token id, column) bin sums
+    # its rows in batch order from 0.0, exactly as np.add.at would.
+    d_x = np.matmul(d_pre, params.w1.swapaxes(-1, -2), out=o.x).reshape(*lead, -1, params.embed_dim)
+    ids = w.ravel() if not lead else (np.arange(lead[0])[:, None] * vocab + w.ravel()).ravel()
     d_emb = g["embedding"] if g else np.empty_like(params.embedding)
     for column in range(params.embed_dim):
-        scattered = np.bincount(w.ravel(), weights=d_x[:, column], minlength=params.vocab_size)
+        scattered = np.bincount(ids, weights=d_x[..., column].ravel(),
+                                minlength=d_emb[..., 0].size).reshape(d_emb.shape[:-1])
         if add:
-            d_emb[:, column] += scattered
+            d_emb[..., column] += scattered
         else:
-            d_emb[:, column] = scattered
+            d_emb[..., column] = scattered
     computed = {"embedding": d_emb, "w1": d_w1, "b1": d_b1, "w2": d_w2, "b2": d_b2}
     if not add:
         return computed
@@ -559,12 +571,14 @@ def infer_vocab_size(examples: Sequence[AnnotatedExample]) -> int:
 
 def step_views(params: ModelParams, rows: int) -> StepViews:
     """Uninitialised float64 StepViews arrays of `rows` rows each, for a model of `params`."""
-    (fan_in, hidden), vocab = params.w1.shape, params.vocab_size
+    (fan_in, hidden), vocab = params.w1.shape[-2:], params.vocab_size
     shapes = ((rows, vocab), (rows, vocab), (rows, fan_in), (rows, hidden), (rows, hidden))
     return StepViews(*map(np.empty, shapes))
 
 
-def train(prepared: PreparedCorpus, settings: TrainSettings) -> TrainResult:
+def train(
+    prepared: PreparedCorpus, settings: TrainSettings | Sequence[TrainSettings]
+) -> TrainResult | list[TrainResult]:
     """Teacher-forced training loop over a prepared corpus, fully seeded.
 
     Each step runs on the batch's distinct windows, found from the corpus's
@@ -590,28 +604,49 @@ def train(prepared: PreparedCorpus, settings: TrainSettings) -> TrainResult:
     rows'.
     optimizer_step consumes the gradients in place.
 
+    A sequence of K settings that differ only in lam is a group trained in
+    lockstep, and gives a list of K results.  All share the seed, so they
+    share the initial parameters and every batch: the batch is gathered
+    once, and each block's calls above run once over the stacked parameters
+    [K, ...], AdamW moments and gradients, holding K blocks of rows.  Every
+    per-run value is reduced over that run's own positions, in the order
+    above, so each result is bit-identical to train over its settings alone.
+    A run that diverges ends the whole group.
+
     `prepared` is prepare_examples(examples, settings.window,
     settings.vocab_size, risk_mode=settings.risk_propagation); a sweep
     passes one preparation to every run.  It is only read, never modified.
     """
-    settings.validate()
-    check_model_size(settings, settings.vocab_size)
+    group = [settings] if isinstance(settings, TrainSettings) else list(settings)
+    if not group:
+        raise ConfigError("no runs to train")
+    for run in group:
+        run.validate()
+    first, shared = group[0], [f.name for f in fields(TrainSettings) if f.name != "lam"]
+    if any(getattr(run, name) != getattr(first, name) for run in group for name in shared):
+        raise ConfigError("runs trained in lockstep must differ in lam alone")
+    check_model_size(first, first.vocab_size)
     if not prepared:
         raise ConfigError("training corpus is empty")
-    method = METHODS[settings.method]
-    lam = settings.lam if method.has_comp else 0.0
+    method = METHODS[first.method]
+    runs, vocab = len(group), first.vocab_size
+    lead = (runs,) if runs > 1 else ()  # the run axis of a group's arrays
+    lams = np.array([run.lam if method.has_comp else 0.0 for run in group])
+    comp_on = (lams > 0.0).reshape(*lead, 1)  # a run at lam = 0 counts no gate
 
-    rng = np.random.default_rng(settings.seed)
-    params = init_params(settings.vocab_size, settings.embed_dim, settings.hidden_dim, settings.window, rng)
+    rng = np.random.default_rng(first.seed)
+    params = init_params(first.vocab_size, first.embed_dim, first.hidden_dim, first.window, rng)
+    if lead:
+        params = replace(params, **{name: np.stack([getattr(params, name)] * runs) for name in PARAM_FIELDS})
     state = init_optimizer(params)
 
-    log: list[StepRecord] = []
-    counters = TrainCounters()
+    logs: list[list[StepRecord]] = [[] for _ in group]
+    counters = [TrainCounters() for _ in group]
     cap = max(1, block_rows(params, STEP_BLOCK_BYTES))
-    scratch = step_views(params, cap)
+    scratch = step_views(params, runs * cap)
     grads = {name: np.empty_like(getattr(params, name)) for name in PARAM_FIELDS}
-    for step in range(1, settings.steps + 1):
-        idx = rng.integers(0, len(prepared), size=settings.batch_size)
+    for step in range(1, first.steps + 1):
+        idx = rng.integers(0, len(prepared), size=first.batch_size)
         at = prepared.positions(idx)
         windows, rows = prepared.distinct_rows(at)
         labels = prepared.labels[at]
@@ -621,48 +656,59 @@ def train(prepared: PreparedCorpus, settings: TrainSettings) -> TrainResult:
         if method.drop_unsupported:
             signals = replace(signals, valid_mask=knowledge_mask_valid(signals))
         n_valid = int(signals.valid_mask.sum())
-        p_label = np.empty(len(at))  # the step log's label probabilities, read at the fact positions
-        loss, alpha_active, off_target = None, 0, 0
+        p_label = np.empty((*lead, len(at)))  # the step log's label probabilities, read at the fact positions
+        loss, counts = None, np.zeros((3, *lead), dtype=np.int64)  # alpha_active, off_target, alpha_nonfact
         for lo in range(0, len(windows), cap):
             part = np.flatnonzero((rows >= lo) & (rows < lo + cap))  # the block's positions, in order
             part_rows, part_labels, part_signals = rows[part] - lo, labels[part], signals[part]
-            views = StepViews(*(a[:len(windows) - lo] for a in scratch))
+            block = min(cap, len(windows) - lo)
+            views = StepViews(*(a[:runs * block].reshape(*lead, block, -1) for a in scratch))
             logits, cache = forward_batch(params, windows[lo:lo + cap], out=views)
             # p_risky and p_safe read the fact positions' rows only (a row's
             # softmax does not depend on the others), before total_loss writes
             # over the logits, from a softmax in place over those rows gathered
-            # into views.fact_probs; they are rows of the logits, so
-            # mode="clip" changes none and lets take write into `out`.
+            # into the leading rows of fact_probs; they are rows of the
+            # logits, so mode="clip" changes none and lets take write into `out`.
             fact = part_signals.fact_mask
             fact_rows, fact_row_of = np.unique(part_rows[fact], return_inverse=True)
             try:
-                head = np.take(logits, fact_rows, axis=0, mode="clip", out=views.fact_probs[:len(fact_rows)])
-                p_label[part[fact]] = softmax_probs(head, out=head)[fact_row_of, part_labels[fact]]
+                head = np.take(logits, fact_rows, axis=-2, mode="clip",
+                               out=scratch.fact_probs[:runs * len(fact_rows)].reshape(*lead, len(fact_rows), vocab))
+                flat = head.reshape(-1, head.shape[-1])
+                softmax_probs(flat, out=flat)
+                p_label[..., part[fact]] = head[..., fact_row_of, part_labels[fact]]
                 part_loss, grad, trace = total_loss(
-                    logits, part_labels, part_signals, lam, settings.epsilon,
+                    logits, part_labels, part_signals, lams.reshape(lead), first.epsilon,
                     use_gates=method.use_gates, use_fact_mask=method.use_fact_mask, out=logits, rows=part_rows,
                     n_valid=n_valid, n_base=n_fact if method.use_fact_mask else n_valid,
                 )
             except NonFiniteLogits as exc:
                 raise DivergenceError(f"non-finite logits at step {step}") from exc
             if trace is not None:
-                active = trace.alpha > 0.0
-                alpha_active += int(active.sum())
-                off_target += int((active & ~(trace.pref_gate & trace.keep_gate)).sum())
-                counters.alpha_nonfact_total += int((active & ~fact).sum())
+                active = (trace.alpha > 0.0).reshape(*lead, -1) & comp_on
+                off = ~(trace.pref_gate & trace.keep_gate).reshape(*lead, -1)
+                counts += [active.sum(axis=-1), (active & off).sum(axis=-1), (active & ~fact).sum(axis=-1)]
             loss = part_loss if loss is None else LossBreakdown(
                 loss.sft + part_loss.sft, loss.comp + part_loss.comp, loss.total + part_loss.total)
-            if not np.isfinite(loss.total):
+            if not np.all(np.isfinite(loss.total)):
                 raise DivergenceError(f"non-finite loss at step {step}")
             backward_batch(params, windows[lo:lo + cap], grad, cache, out=views, grads=grads, add=lo > 0)
-        counters.alpha_active_total += alpha_active
-        counters.off_target_total += off_target
 
-        p_fact, fact_support = p_label[signals.fact_mask], signals.support_weight[signals.fact_mask]
-        log.append(StepRecord(step, loss.sft, loss.comp, loss.total, n_sft, n_fact, alpha_active, off_target,
-                              _group_mean(p_fact, fact_support < 1.0), _group_mean(p_fact, fact_support >= 1.0)))
-        params, state = optimizer_step(params, grads, state, settings)
-    return TrainResult(params=params, step_log=log, counters=counters)
+        support = signals.support_weight[signals.fact_mask]
+        p_fact = p_label[..., signals.fact_mask].reshape(runs, -1)
+        values = zip(*(np.reshape(v, runs) for v in (loss.sft, loss.comp, loss.total, *counts)))
+        for log, counter, p, (sft, comp, total, alpha_active, off_target, nonfact) in zip(
+                logs, counters, p_fact, values):
+            log.append(StepRecord(step, float(sft), float(comp), float(total), n_sft, n_fact, int(alpha_active),
+                                  int(off_target), _group_mean(p, support < 1.0), _group_mean(p, support >= 1.0)))
+            counter.alpha_active_total += int(alpha_active)
+            counter.off_target_total += int(off_target)
+            counter.alpha_nonfact_total += int(nonfact)
+        params, state = optimizer_step(params, grads, state, first)
+    models = [replace(params, **{name: getattr(params, name)[k] for name in PARAM_FIELDS})
+              for k in range(runs)] if lead else [params]  # each run's, views of the group's arrays
+    results = [TrainResult(*result) for result in zip(models, logs, counters)]
+    return results[0] if isinstance(settings, TrainSettings) else results
 
 
 # A training step's row block keeps its float64 rows of x, hidden and logits
@@ -681,7 +727,7 @@ BLOCK_BYTES = 4 * 2**20
 def block_rows(params: ModelParams, budget: int) -> int:
     """The rows of x, hidden and logits, 8 bytes per column, that fit in
     `budget` bytes."""
-    return budget // (8 * (params.w1.shape[0] + params.w1.shape[1] + params.vocab_size))
+    return budget // (8 * (sum(params.w1.shape[-2:]) + params.vocab_size))
 
 
 def record_groups(params: ModelParams, prepared: PreparedCorpus) -> Iterator[tuple[int, int]]:

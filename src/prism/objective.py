@@ -18,6 +18,10 @@ The logits are per row, and every other input is per position: `rows`
 maps each of the N positions to its row of the [U, V] logits, so positions
 that share a context window share one row, and a row's gradient is the sum
 of its positions' gradients.  Without `rows` each position is its own row.
+A group of K runs trained in lockstep on one batch stacks its logits, K
+blocks of U rows: each run's positions are the batch's, its rows offset by
+its block, and each loss term is reduced over that run's positions alone,
+in position order, so a run has the values of a call over its block alone.
 A total_loss call holds one [U, V] array: the softmax pass writes the
 probabilities over it, and the gradient is written over the probabilities.
 Everything is float64 and deterministic; reductions over positions run in
@@ -72,13 +76,15 @@ class Softmax(NamedTuple):
     """One max/subtract/exp/sum/divide pass over checked logits [U, V], with
     each position's row and label.  The two loss terms of a total_loss call
     share it: comp_loss reads `probs`, then sft_loss reads `shifted` and
-    writes its gradient over `probs`."""
+    writes its gradient over `probs`.  With `runs` > 1 the positions are the
+    runs' copies of one batch's, run after run."""
 
     shifted: np.ndarray | None  # [N] each label's logit minus its row max (None: no labels)
     probs: np.ndarray           # [U, V] exp(logits - row max) / sums
     sums: np.ndarray            # [U, 1] row sums of the exponentials
     rows: np.ndarray            # int64 [N], each position's row
     labels: np.ndarray | None   # int64 [N], each position's label id in [0, V) (None: no labels)
+    runs: int = 1               # the runs whose blocks of U / runs rows the logits stack
 
 
 def _as_rows(rows: np.ndarray | None, n_rows: int) -> np.ndarray:
@@ -93,7 +99,7 @@ def _as_rows(rows: np.ndarray | None, n_rows: int) -> np.ndarray:
 
 def softmax_pass(
     logits: np.ndarray, out: np.ndarray | None = None, rows: np.ndarray | None = None,
-    labels: np.ndarray | None = None,
+    labels: np.ndarray | None = None, runs: int = 1,
 ) -> Softmax:
     """Check that logits are [U, V >= 2], that `rows` and `labels` hold row
     indices and label ids (ValueError), and that the logits are finite
@@ -102,16 +108,24 @@ def softmax_pass(
     loss terms start from, into `out` (it may be the logits) or one new
     array.  With `labels`, they are kept as int64 ids, and each label's
     logit minus its row max is gathered before the exponentials overwrite
-    it; the loss terms read both from the result."""
+    it; the loss terms read both from the result.  With `runs` > 1 the
+    logits are that many blocks of U / runs rows, `rows` index a block, and
+    the result's positions are each run's, its rows offset by its block."""
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] < 2:
         raise ValueError(f"logits must be [U, V] with V >= 2, got shape {z.shape}")
-    rows = _as_rows(rows, len(z))
+    if len(z) % runs:
+        raise ValueError(f"{len(z)} logit rows do not split into {runs} runs")
+    block = len(z) // runs
+    rows = _as_rows(rows, block)
     y = None if labels is None else np.asarray(labels, dtype=np.int64)
     if y is not None and y.shape != rows.shape:
         raise ValueError(f"labels have shape {y.shape}, expected ({len(rows)},)")
     if y is not None and (y.min(initial=0) < 0 or y.max(initial=0) >= z.shape[1]):
         raise ValueError("label id outside [0, vocab)")
+    if runs > 1:
+        rows = (np.arange(runs)[:, None] * block + rows).ravel()
+        y = None if y is None else np.tile(y, runs)
     top = z.max(axis=-1, keepdims=True)
     if not (np.all(np.isfinite(top)) and np.isfinite(z.min(initial=0.0))):
         raise NonFiniteLogits("logits contain non-finite entries")
@@ -120,7 +134,12 @@ def softmax_pass(
     np.exp(e, out=e)
     sums = e.sum(axis=-1, keepdims=True)
     e /= sums
-    return Softmax(shifted, e, sums, rows, y)
+    return Softmax(shifted, e, sums, rows, y, runs)
+
+
+def _per_run(values: np.ndarray, runs: int) -> float | np.ndarray:
+    """Per-run values [runs], or a lone run's as a float."""
+    return values if runs > 1 else float(values[0])
 
 
 def softmax_probs(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -131,7 +150,8 @@ def softmax_probs(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
 
 def sft_loss(soft: Softmax, valid_mask: np.ndarray, n_valid: int | None = None) -> tuple[float, np.ndarray]:
     """Masked mean negative log-likelihood and its per-logit gradient, from
-    the softmax_pass of the logits with their labels.
+    the softmax_pass of the logits with their labels; the valid mask is per
+    position of one run, and with soft.runs > 1 the value is per run [runs].
 
     N is `n_valid`, by default the valid positions here (a call over part of
     a batch, as train's row blocks, passes the batch's); N = 0 raises
@@ -141,17 +161,18 @@ def sft_loss(soft: Softmax, valid_mask: np.ndarray, n_valid: int | None = None) 
     with no valid position has a gradient of exactly zero.  The gradient is
     written over soft.probs.
     """
-    rows, y = soft.rows, soft.labels
+    rows, y, runs = soft.rows, soft.labels, soft.runs
     valid = np.asarray(valid_mask, dtype=bool)
-    if valid.shape != (len(rows),):
-        raise ValueError(f"valid mask has shape {valid.shape}, expected ({len(rows)},)")
+    if valid.shape != (len(rows) // runs,):
+        raise ValueError(f"valid mask has shape {valid.shape}, expected ({len(rows) // runs},)")
     n = int(valid.sum()) if n_valid is None else n_valid
     if n == 0:
         raise EmptyBatchError("no valid target positions in batch")
 
     # A label's log-softmax is its shifted logit minus log(sums).
     log_sums = np.log(soft.sums[:, 0])
-    value = float(-((soft.shifted - log_sums[rows])[valid]).sum() / n)
+    valid = np.tile(valid, runs)
+    value = _per_run(-((soft.shifted - log_sums[rows])[valid]).reshape(runs, -1).sum(axis=1) / n, runs)
 
     valid_rows = rows[valid]
     weight = np.bincount(valid_rows, minlength=len(soft.probs)) / n
@@ -227,21 +248,25 @@ def comp_loss(
     the risk weighting but drops both gate bits; use_fact_mask=False applies
     the penalty at all valid positions (then N counts valid positions).
 
-    N = 0 yields value 0 and no rows; check_epsilon vets epsilon.
+    N = 0 yields value 0 and no rows; check_epsilon vets epsilon.  The
+    signals are per position of one run; with soft.runs > 1 the value is per
+    run [runs], and the trace and `hit` cover every run's positions and rows.
     """
     check_epsilon(epsilon)
-    probs, rows, y = soft.probs, soft.rows, soft.labels
+    probs, rows, y, runs = soft.probs, soft.rows, soft.labels, soft.runs
     vocab = probs.shape[1]
+    if n_base is None:
+        n_base = np.count_nonzero(signals.fact_mask if use_fact_mask else signals.valid_mask)
+    if runs > 1:
+        signals = signals[np.tile(np.arange(len(rows) // runs), runs)]
     trace = gate_trace(probs, y, signals, rows=rows, use_gates=use_gates, use_fact_mask=use_fact_mask)
     p_label, alpha = trace.p_label, trace.alpha
 
-    if n_base is None:
-        n_base = np.count_nonzero(signals.fact_mask if use_fact_mask else signals.valid_mask)
     if n_base == 0:
-        return 0.0, trace, np.zeros(0, dtype=np.int64), np.zeros((0, vocab))
+        return _per_run(np.zeros(runs), runs), trace, np.zeros(0, dtype=np.int64), np.zeros((0, vocab))
 
     p_clamped = np.minimum(p_label, 1.0 - epsilon)
-    value = float((alpha * -np.log1p(-p_clamped)).sum() / n_base)
+    value = _per_run((alpha * -np.log1p(-p_clamped)).reshape(runs, -1).sum(axis=1) / n_base, runs)
 
     # Where the clamp saturates, the implemented loss is constant in p_label.
     coeff = np.where(p_label >= 1.0 - epsilon, 0.0, alpha / n_base)
@@ -269,7 +294,7 @@ def total_loss(
     logits: np.ndarray,
     labels: np.ndarray,
     signals: TokenSignals,
-    lam: float,
+    lam: float | np.ndarray,
     epsilon: float = DEFAULT_EPSILON,
     *,
     use_gates: bool = True,
@@ -297,20 +322,47 @@ def total_loss(
     is reported as 0.0 and the gate trace is None.  Otherwise lam * the
     complement gradient is added into the SFT gradient on the complement's
     active rows; elsewhere it is zero.
+
+    A group of K runs that share the batch passes K lambdas and its logits
+    stacked, [K, U, V] (`out` likewise; `rows` index a run's U rows): the
+    loss terms come back per run as [K] arrays, the gradient as [K, U, V],
+    and the trace covers every run's positions, run after run.  A run at
+    lambda 0 gets none of the complement's gradient, comp 0.0 and total
+    sft, so each run has the bits of a call over its own logits alone.
     """
-    if lam < 0.0:
+    lams = np.asarray(lam, dtype=np.float64)
+    if lams.ndim > 1 or (lams < 0.0).any():
         raise ValueError(f"lambda must be nonnegative, got {lam}")
-    soft = softmax_pass(logits, out, rows, labels)
-    if lam == 0.0:
-        sft_value, grad = sft_loss(soft, signals.valid_mask, n_valid)
-        return LossBreakdown(sft=sft_value, comp=0.0, total=sft_value), grad, None
-    comp_value, trace, hit, block = comp_loss(
-        soft, signals, epsilon, use_gates=use_gates, use_fact_mask=use_fact_mask, n_base=n_base,
-    )
+    runs, flat, flat_out = 1, logits, out
+    if lams.ndim:  # a group: one lambda per run
+        runs, flat = len(lams), np.asarray(logits, dtype=np.float64)
+        if flat.shape[:1] != (runs,) or flat.ndim != 3:
+            raise ValueError(f"{runs} lambdas need logits [{runs}, U, V], got shape {flat.shape}")
+        flat = flat.reshape(-1, flat.shape[-1])
+        flat_out = None if out is None else out.reshape(flat.shape)
+    soft = softmax_pass(flat, flat_out, rows, labels, runs)
+    on = lams != 0.0  # the runs with a complement term
+    trace = None
+    if on.any():
+        comp_value, trace, hit, block = comp_loss(
+            soft, signals, epsilon, use_gates=use_gates, use_fact_mask=use_fact_mask, n_base=n_base,
+        )
     sft_value, grad = sft_loss(soft, signals.valid_mask, n_valid)
-    block *= lam
-    grad[hit] += block
-    return LossBreakdown(sft=sft_value, comp=comp_value, total=sft_value + lam * comp_value), grad, trace
+    if trace is None:
+        comp_value, total = _per_run(np.zeros(runs), runs), sft_value
+    else:
+        scale = np.atleast_1d(lams)[hit // (len(grad) // runs)]  # each hit row's run's lambda
+        block *= scale[:, None]
+        if not on.all():  # a group's runs at lambda 0 take none of the complement's gradient
+            hit, block = hit[scale != 0.0], block[scale != 0.0]
+        grad[hit] += block
+        comp_value = np.where(on, comp_value, 0.0)
+        total = np.where(on, sft_value + lams * comp_value, sft_value)
+        if runs == 1:
+            comp_value, total = float(comp_value), float(total)
+    if runs > 1:
+        grad = grad.reshape(np.shape(logits))
+    return LossBreakdown(sft=sft_value, comp=comp_value, total=total), grad, trace
 
 
 def knowledge_mask_valid(signals: TokenSignals) -> np.ndarray:

@@ -512,14 +512,15 @@ class TestAblateCommand:
     def test_partial_failure_recorded_and_continues(self, corpus_path, tmp_path, capsys):
         out = str(tmp_path / "sweep")
 
-        # plant a divergent run: negative weight decay only for lambda = 0.5
+        # plant a divergent run: negative weight decay for any group that holds lambda = 0.5,
+        # so the lambda = 0 run trains alone once that group is retrained one run at a time
         import prism.harness as harness_mod
         original = harness_mod.cmd_train
 
-        def flaky(sub_cfg, *rest):
-            if sub_cfg.lam == 0.5:
-                sub_cfg = type(sub_cfg)(**{**sub_cfg.__dict__, "weight_decay": -2e5})
-            return original(sub_cfg, *rest)
+        def flaky(group, *rest):
+            if any(sub_cfg.lam == 0.5 for sub_cfg in group):
+                group = [dataclasses.replace(sub_cfg, weight_decay=-2e5) for sub_cfg in group]
+            return original(group, *rest)
 
         harness_mod.cmd_train = flaky
         try:
@@ -539,10 +540,10 @@ class TestAblateCommand:
         original = harness_mod.cmd_train
         out = str(tmp_path / "sweep")
 
-        def flaky(sub_cfg, *rest):
-            if sub_cfg.lam == 0.5:
+        def flaky(group, *rest):
+            if any(sub_cfg.lam == 0.5 for sub_cfg in group):
                 raise DivergenceError("non-finite loss at step 3")
-            return original(sub_cfg, *rest)
+            return original(group, *rest)
 
         monkeypatch.setattr(harness_mod, "cmd_train", flaky)
         cmd_ablate(run_config(corpus_path, out), [0.0, 0.5])
@@ -551,6 +552,59 @@ class TestAblateCommand:
         csv_path = cmd_ablate(run_config(corpus_path, out), [0.0, 0.5])
         assert sorted(os.listdir(out)) == ["ablation.csv", "lam_0", "lam_0.5"]
         assert {r.split(",")[2] for r in open(csv_path).read().splitlines()[1:]} == {"0.0", "0.5"}
+
+    def test_a_run_that_diverges_in_a_group_fails_as_it_does_alone(self, corpus_path, tmp_path, capsys,
+                                                                     monkeypatch):
+        """No finite lambda diverges on this corpus (even 1e300 only saturates
+        AdamW's second moment), so the run at lambda 0.5 is made to: its
+        loss turns infinite at the first step its complement term is active,
+        in a group as alone.  A one-group sweep trains all four lambdas in
+        lockstep, meets the divergence, and retrains each one alone: 0.5 lands
+        in failures.json with the message of a standalone train at 0.5, and
+        every other lam_* directory has the bytes of its standalone train."""
+        import prism.harness as harness_mod
+        import prism.model as model_mod
+        real_loss, real_train = model_mod.total_loss, harness_mod.train
+        trained = []
+
+        def poisoned(logits, labels, signals, lam, *args, **kwargs):
+            loss, grad, trace = real_loss(logits, labels, signals, lam, *args, **kwargs)
+            total = np.where((np.atleast_1d(lam) == 0.5) & (np.atleast_1d(loss.comp) > 0.0), np.inf, loss.total)
+            return dataclasses.replace(loss, total=total if np.ndim(lam) else float(total[0])), grad, trace
+
+        def counted(prepared, group):
+            trained.append(len(group))
+            return real_train(prepared, group)
+
+        monkeypatch.setattr(model_mod, "total_loss", poisoned)
+        monkeypatch.setattr(harness_mod, "train", counted)
+        monkeypatch.setattr(harness_mod, "process_slots", lambda: 1)  # one group of every lambda
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(f"corpus = {corpus_path}\nsteps = 40\nbatch_size = 16\nlearning_rate = 0.03\n")
+        out = tmp_path / "sweep"
+        lambdas = ["0", "0.1", "0.5", "1"]
+        alone = {}
+        for lam in lambdas:
+            run_dir = out / f"lam_{lam}"
+            code = main(["train", "--config", str(cfg), "--lambda", lam, "--out", str(run_dir)])
+            err = capsys.readouterr().err
+            if lam == "0.5":
+                assert code == 3 and err.startswith("numeric divergence: non-finite loss at step ")
+                message = err[len("numeric divergence: "):-1]
+            else:
+                assert code == 0 and err == ""
+                alone[lam] = {name: (run_dir / name).read_bytes() for name in os.listdir(run_dir)}
+        assert int(message.rsplit(" ", 1)[1]) > 1 and sorted(os.listdir(out)) == ["lam_0", "lam_0.1", "lam_1"]
+        shutil.rmtree(out)
+        trained.clear()
+        assert main(["ablate", "--config", str(cfg), "--lambdas", ",".join(lambdas), "--out", str(out)]) == 0
+        assert trained == [4, 1, 1, 1, 1]
+        assert capsys.readouterr().err == f"warning: lambda=0.5 failed: {message}\n"
+        assert json.loads((out / "failures.json").read_text()) == {"failures": [{"lambda": 0.5, "error": message}]}
+        assert sorted(os.listdir(out)) == ["ablation.csv", "failures.json", "lam_0", "lam_0.1", "lam_1"]
+        for lam, files in alone.items():
+            run_dir = out / f"lam_{lam}"
+            assert {name: (run_dir / name).read_bytes() for name in os.listdir(run_dir)} == files, lam
 
     def test_outputs_do_not_depend_on_the_core_count(self, corpus_path, tmp_path, capsys,
                                                      monkeypatch):
@@ -586,9 +640,9 @@ class TestAblateCommand:
         parent, doomed = os.getpid(), []
         original_train, original_step = harness_mod.train, model_mod.optimizer_step
 
-        def marking(prepared, settings):
-            doomed[:] = [settings.lam == 0.5 and os.getpid() != parent]
-            return original_train(prepared, settings)
+        def marking(prepared, group):
+            doomed[:] = [any(settings.lam == 0.5 for settings in group) and os.getpid() != parent]
+            return original_train(prepared, group)
 
         def step_or_die(params, grads, state, settings):
             if doomed[0] and state.step_count == 2:
@@ -597,21 +651,21 @@ class TestAblateCommand:
 
         monkeypatch.setattr(harness_mod, "train", marking)
         monkeypatch.setattr(model_mod, "optimizer_step", step_or_die)
-        # two slots whatever the machine: rounds (0, 0.1) and (0.5, 1), a worker starting 0 and 0.5
-        monkeypatch.setattr(harness_mod, "process_slots", lambda: 2)
+        # three slots whatever the machine: groups (0, 0.1), (0.5, 1) and (2), workers training the first two
+        monkeypatch.setattr(harness_mod, "process_slots", lambda: 3)
         out = str(tmp_path / "sweep")
-        csv_path = cmd_ablate(run_config(corpus_path, out), [0.0, 0.1, 0.5, 1.0])
+        csv_path = cmd_ablate(run_config(corpus_path, out), [0.0, 0.1, 0.5, 1.0, 2.0])
         captured = capsys.readouterr()
         died = "worker process exited with status 7"
-        assert captured.err == f"warning: lambda=0.5 failed: {died}\n"
+        assert captured.err == f"warning: lambda=0.5 failed: {died}\nwarning: lambda=1 failed: {died}\n"
         failures = json.loads(open(os.path.join(out, "failures.json")).read())
-        assert failures == {"failures": [{"lambda": 0.5, "error": died}]}
-        assert sorted(os.listdir(out)) == ["ablation.csv", "failures.json", "lam_0", "lam_0.1", "lam_1"]
+        assert failures == {"failures": [{"lambda": 0.5, "error": died}, {"lambda": 1.0, "error": died}]}
+        assert sorted(os.listdir(out)) == ["ablation.csv", "failures.json", "lam_0", "lam_0.1", "lam_2"]
         runs = [line.split(":")[0] for line in captured.out.splitlines() if line.startswith("run ")]
-        assert [r.split("_")[1] for r in runs] == ["lam0", "lam0.1", "lam1"]
+        assert [r.split("_")[1] for r in runs] == ["lam0", "lam0.1", "lam2"]
         rows = open(csv_path).read().splitlines()[1:]
         column = [r.split(",")[2] for r in rows]
-        assert column == sorted(column, key=float) and set(column) == {"0.0", "0.1", "1.0"}
+        assert column == sorted(column, key=float) and set(column) == {"0.0", "0.1", "2.0"}
 
     def test_other_error_ends_the_sweep_as_at_the_first_failing_lambda(self, corpus_path, tmp_path,
                                                                       capsys, monkeypatch):
@@ -619,14 +673,17 @@ class TestAblateCommand:
         monkeypatch.setattr(harness_mod, "process_slots", lambda: 2)
         out = tmp_path / "sweep"
         out.mkdir()
-        for blocked in ("lam_0", "lam_0.1"):  # run 0 in a worker, run 0.1 here; both fail
+        # groups (0, 0.1) in a worker and (0.5) here; run 0.1 fails after its group wrote run 0, and run 0.5 fails
+        for blocked in ("lam_0.1", "lam_0.5"):
             (out / blocked).write_text("a file where the run directory goes")
         assert main(["ablate", "--corpus", corpus_path, "--lambdas", "0,0.1,0.5",
                      "--out", str(out)]) == 2
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"i/o error: [Errno 17] File exists: '{out / 'lam_0'}'\n"
-        assert sorted(os.listdir(out)) == ["lam_0", "lam_0.1"]  # no later round started
+        assert [line.split("_")[1] for line in captured.out.splitlines() if line.startswith("run ")] == ["lam0"]
+        assert captured.err == f"i/o error: [Errno 17] File exists: '{out / 'lam_0.1'}'\n"
+        assert sorted(os.listdir(out)) == ["lam_0", "lam_0.1", "lam_0.5"]
+        assert sorted(os.listdir(out / "lam_0")) == ["checkpoint.json", "log.jsonl", "metrics.json",
+                                                     "resolved_config.json"]
 
 
 class TestForkMap:
@@ -679,21 +736,21 @@ class TestForkMap:
         import prism.harness as harness_mod
         parent, original = os.getpid(), harness_mod.cmd_train
 
-        def unpicklable_in_a_worker(sub_cfg, *rest):
-            if sub_cfg.lam == 0.5 and os.getpid() != parent:
-                return lambda: sub_cfg
-            return original(sub_cfg, *rest)
+        def unpicklable_in_a_worker(group, *rest):
+            if any(sub_cfg.lam == 0.5 for sub_cfg in group) and os.getpid() != parent:
+                return [lambda: sub_cfg for sub_cfg in group]
+            return original(group, *rest)
 
         monkeypatch.setattr(harness_mod, "cmd_train", unpicklable_in_a_worker)
-        # rounds (0, 0.1) and (0.5, 1), a worker starting 0 and 0.5
-        monkeypatch.setattr(harness_mod, "process_slots", lambda: 2)
+        # groups (0, 0.1), (0.5, 1) and (2), workers training the first two
+        monkeypatch.setattr(harness_mod, "process_slots", lambda: 3)
         out = str(tmp_path / "sweep")
-        cmd_ablate(run_config(corpus_path, out), [0.0, 0.1, 0.5, 1.0])
+        cmd_ablate(run_config(corpus_path, out), [0.0, 0.1, 0.5, 1.0, 2.0])
         died = "worker process exited with status 1"
-        assert capsys.readouterr().err == f"warning: lambda=0.5 failed: {died}\n"
+        assert capsys.readouterr().err == f"warning: lambda=0.5 failed: {died}\nwarning: lambda=1 failed: {died}\n"
         assert json.loads(open(os.path.join(out, "failures.json")).read()) == {
-            "failures": [{"lambda": 0.5, "error": died}]}
-        assert sorted(os.listdir(out)) == ["ablation.csv", "failures.json", "lam_0", "lam_0.1", "lam_1"]
+            "failures": [{"lambda": 0.5, "error": died}, {"lambda": 1.0, "error": died}]}
+        assert sorted(os.listdir(out)) == ["ablation.csv", "failures.json", "lam_0", "lam_0.1", "lam_2"]
         self.assert_no_child_left()
 
     def test_piped_stdout_holds_each_run_once_in_lambda_order(self, corpus_path, tmp_path):
@@ -1377,6 +1434,32 @@ class TestOutPaths:
         assert capsys.readouterr().err == f"i/o error: {out} is not a regular file; refusing to replace it\n"
         assert stat.S_ISFIFO(os.stat("fifo.out").st_mode) and os.path.islink("link.out") == (node != "fifo")
         assert not list(tmp_path.rglob("*.tmp")) and not os.path.exists("fifo.out.meta.json")
+
+    @pytest.mark.parametrize("node", ["fifo", "symlink"])
+    @pytest.mark.parametrize("command", ["preprocess", "report"])
+    def test_a_temp_path_that_is_not_a_regular_file_is_2_and_kept(self, command, node, corpus_path,
+                                                                   checkpoint_path, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = out_argv(command, corpus_path, checkpoint_path)
+        (tmp_path / "elsewhere.txt").write_text("keep\n")
+        reader = None
+        if node == "fifo":
+            os.mkfifo("c.out.tmp")
+            reader = os.open("c.out.tmp", os.O_RDONLY | os.O_NONBLOCK)  # an open for writing would not block
+        else:
+            os.symlink("elsewhere.txt", "c.out.tmp")
+        try:
+            capsys.readouterr()
+            assert main(argv + ["--out", "c.out"]) == 2
+        finally:
+            if reader is not None:
+                os.close(reader)
+        tmp = os.path.realpath("c.out") + ".tmp"
+        assert capsys.readouterr().err == f"i/o error: {tmp} is not a regular file; refusing to write through it\n"
+        kept = os.lstat("c.out.tmp").st_mode
+        assert stat.S_ISFIFO(kept) if node == "fifo" else stat.S_ISLNK(kept)
+        assert (tmp_path / "elsewhere.txt").read_text() == "keep\n"
+        assert not os.path.lexists("c.out") and not os.path.exists("c.out.meta.json")
 
 
 class TestExitCodes:

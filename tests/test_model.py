@@ -1267,6 +1267,68 @@ class TestStepBlocks:
         assert max(forwarded) <= block and len(forwarded) > settings.steps
 
 
+class TestLockstep:
+    """A sequence of settings that differ only in lam trains as one group, in
+    lockstep over stacked parameters; each run keeps the bits of train over
+    its settings alone."""
+
+    # (corpus, method, batch_size): at V = 70 a step is one row block, at V = 1024 and batch 32 several
+    CASES = [("sweep", "prism", 8), ("sweep", "prism_no_mask", 8), ("sweep", "prism_no_gate", 8),
+             ("wide_vocab", "prism", 32)]
+
+    @pytest.mark.parametrize("shape, method, batch_size", CASES)
+    def test_each_run_of_a_group_is_its_standalone_run(self, monkeypatch, shape, method, batch_size):
+        """Groups of K = 1..5 runs over lambda lists that hold 0, from
+        parameters warm enough that the gates open: every run's parameters,
+        step log and counters equal a standalone train's bit for bit, and the
+        group makes one forward_batch call per row block, not one per run."""
+        import prism.model as model_mod
+        examples, vocab = CAP_CORPORA[shape]()
+        prepared = prepare_examples(examples, 4, vocab)
+        warm = train(prepared, TrainSettings(method="sft", lam=0.0, steps=150, batch_size=8, vocab_size=vocab,
+                                             seed=2, learning_rate=0.03)).params
+        monkeypatch.setattr(model_mod, "init_params", lambda *args: copy_params(warm))
+        base = TrainSettings(method=method, steps=6, batch_size=batch_size, vocab_size=vocab, seed=4,
+                             learning_rate=0.02)
+        lams = [0.0, 0.5, 0.1, 0.01, 1.0]
+        alone = {lam: train(prepared, replace(base, lam=lam)) for lam in lams}
+        forwarded = []
+        real_forward = model_mod.forward_batch
+
+        def forward(params, windows, out=None):
+            forwarded.append(params.embedding.shape)
+            return real_forward(params, windows, out=out)
+
+        monkeypatch.setattr(model_mod, "forward_batch", forward)
+        for k in range(1, len(lams) + 1):
+            forwarded.clear()
+            group = train(prepared, [replace(base, lam=lam) for lam in lams[:k]])
+            assert len(group) == k
+            for lam, result in zip(lams, group):
+                expected = alone[lam]
+                assert repr(result.step_log) == repr(expected.step_log), (k, lam)
+                assert result.counters == expected.counters, (k, lam)
+                assert all(bits(getattr(result.params, name)) == bits(getattr(expected.params, name))
+                           for name in PARAM_FIELDS), (k, lam)
+            assert set(forwarded) == {(k, vocab, base.embed_dim) if k > 1 else (vocab, base.embed_dim)}
+            blocks = len(forwarded) / base.steps
+            assert blocks > 1 if shape == "wide_vocab" else blocks == 1
+        assert alone[0.5].counters.alpha_active_total > 0  # the complement term is exercised
+        if method == "prism_no_mask":
+            assert alone[0.5].counters.alpha_nonfact_total > 0
+
+    def test_a_group_differs_in_lam_alone(self):
+        prepared = prepare_examples(small_corpus(n=20), 4, 70)
+        base = TrainSettings(method="prism", lam=0.1, steps=2, batch_size=4, vocab_size=70, seed=1)
+        with pytest.raises(ConfigError, match="differ in lam alone"):
+            train(prepared, [base, replace(base, lam=0.5, seed=2)])
+        with pytest.raises(ConfigError, match="no runs"):
+            train(prepared, [])
+        (one,) = train(prepared, [base])
+        alone = train(prepared, base)
+        assert one.step_log == alone.step_log and bits(one.params.w2) == bits(alone.params.w2)
+
+
 class TestGatePass:
     def test_per_example_equals_a_pass_over_each_example(self):
         prep = prepare_examples(small_corpus(n=40), window=4, vocab_size=70)

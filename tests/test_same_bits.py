@@ -30,7 +30,8 @@ ONLY = ("preprocess", "train_prism")
 # the commands each copy of TINY runs, by its name, and no --help: "bound1" those the BLOCK_BYTES = 1
 # checks read, "checked" every command a check reads
 KEPT = {"tiny": ONLY, "bound1": ONLY + ("trace_0_out", "bound1_train", "bound1_trace")}
-KEPT["checked"] = KEPT["bound1"] + ("train_sft", "ablate", "trace_3_out", "trace_3_stdout", "trace_0_stdout")
+KEPT["checked"] = KEPT["bound1"] + ("train_sft", "ablate", "trace_3_out", "trace_3_stdout", "trace_0_stdout",
+                                    "train_lam_0.5")
 
 
 def plant(tree):
@@ -53,7 +54,8 @@ def manifests(tmp_path_factory):
     base = tmp_path_factory.mktemp("same_bits")
     src = str(ROOT / "src")
     planted = plant(base / "planted_src")
-    checked, bound1 = (dataclasses.replace(TINY, name=name) for name in ("checked", "bound1"))
+    bound1 = dataclasses.replace(TINY, name="bound1")
+    checked = dataclasses.replace(TINY, name="checked", lambdas=(0.0, 0.1, 0.5), alone=(0.5,))
     jobs = {  # the longest first
         "checked": lambda: same_bits.run(src, str(base / "checked"), [checked]),
         "planted_exit": lambda: same_bits.main(["run", planted, str(base / "planted_exit")]),
@@ -94,7 +96,7 @@ def test_every_check_holds_where_its_commands_ran(manifests):
     assert manifests["a"]["checks"] == {}
     assert manifests["checked"]["checks"] == {f"checked/{name}": True for name in (
         "trace_3_stdout", "trace_0_stdout", "trace_limit_prefix", "bound1_trace", "bound1_run", "sweep_lam_0.1",
-        "sweep_lam_0")}
+        "sweep_lam_0", "sweep_lam_0.5")}
 
 
 def test_trace_rows_that_depend_on_their_group_fail_the_bound1_check(manifests):

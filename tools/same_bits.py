@@ -17,6 +17,7 @@ The matrix is the README quick start, at its own seeds, and the three
 benchmark workloads of ``perfbench/run.py`` (``WORKLOADS``) at seeds 1 and 3.
 Each case runs ``preprocess``; ``train`` for every method at lambda 0.1,
 and once with ``eval_fraction = 0``; ``ablate`` over the case's lambdas;
+for the benchmark cases, ``train`` at every other lambda of the sweep;
 ``trace`` of the prism run to a file and to stdout, at the case's
 ``--limit`` and at 0; ``report`` of the method runs, with and without
 ``--out``; and ``train`` and ``trace --limit 0`` again in one process with
@@ -29,7 +30,8 @@ order of prism's corpus checks.
 Each case then checks, where their commands ran, that a trace's stdout is
 its ``--out`` file and opens the trace at 0, that the ``BLOCK_BYTES = 1``
 trace and run equal the others, and that the sweep's ``lam_0.1`` and
-``lam_0`` equal the prism and sft runs.  ``run`` exits 1 naming each check
+``lam_0`` equal the prism and sft runs and each other ``lam_*`` its
+standalone run, so every member of a lockstep group is checked.  ``run`` exits 1 naming each check
 that fails.
 
 ``diff`` prints one line per entry (a command or check, by ``case/name``,
@@ -91,6 +93,7 @@ class Case:
     train: dict       # RunConfig keys, without corpus and out
     lambdas: tuple    # ablate's list; holds 0 and 0.1
     trace_limit: int  # trace's --limit besides 0
+    alone: tuple = ()  # the sweep's other lambdas, each also trained alone and checked against its lam_*
 
 
 def workloads() -> dict:
@@ -105,8 +108,9 @@ def workloads() -> dict:
 def matrix() -> list[Case]:
     cases = [Case("readme", README_GEN, README_TRAIN, (0.0, 0.01, 0.1, 0.5, 1.0), 8)]
     for name, wl in workloads().items():
+        alone = tuple(lam for lam in wl.lambdas if lam not in (0.0, 0.1))
         cases += [Case(f"{name}-{seed}", dict(wl.generator, seed=seed), dict(wl.train, seed=seed),
-                       wl.lambdas, wl.trace_limit) for seed in (1, 3)]
+                       wl.lambdas, wl.trace_limit, alone) for seed in (1, 3)]
     return cases
 
 
@@ -123,6 +127,8 @@ def commands(case: Case) -> list[tuple[str, list[str]]]:
         ("ablate", cli + ["ablate", "--config", "train.cfg", "--out", "runs/sweep",
                           "--lambdas=" + ",".join(f"{lam:g}" for lam in case.lambdas)]),
     ]
+    cmds += [(f"train_lam_{lam:g}", cli + ["train", "--config", "train.cfg", "--lambda", f"{lam:g}",
+                                           "--out", f"runs/lam_{lam:g}"]) for lam in case.alone]
     for limit in dict.fromkeys((case.trace_limit, 0)):
         trace = cli + ["trace", *ckpt, "--limit", str(limit)]
         cmds += [(f"trace_{limit}_out", trace + ["--out", f"trace_{limit}.jsonl"]), (f"trace_{limit}_stdout", trace)]
@@ -173,6 +179,8 @@ def checks(case: Case, workdir: str, results: dict) -> dict:
         ("sweep_lam_0", ("train_sft", "ablate"),
          lambda: parts("runs/sweep/lam_0", "method") == parts("runs/sft", "method")),
     ]
+    promises += [(f"sweep_lam_{lam:g}", (f"train_lam_{lam:g}", "ablate"),
+                  lambda lam=lam: parts(f"runs/sweep/lam_{lam:g}") == parts(f"runs/lam_{lam:g}")) for lam in case.alone]
     return {f"{case.name}/{name}": holds(promise) for name, needs, promise in promises if set(needs) <= results.keys()}
 
 
