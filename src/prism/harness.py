@@ -469,10 +469,11 @@ def cmd_ablate(cfg: RunConfig, lambdas: Sequence[float]) -> str:
     consecutive lambdas, whose sizes differ by at most one, and fork_map
     runs the groups in one round; each group trains in lockstep in one
     cmd_train call, which writes its runs in lambda order.  A group in which
-    a run diverges or finds an empty batch is retrained one run at a time,
-    so each lam_* directory, and each failure, is that of a standalone train
-    run of the same config.  Stdout, stderr, failures.json and the CSV
-    follow the lambda list's order.  Deltas are taken against the lambda = 0
+    a run diverges is retrained one run at a time, so each lam_* directory,
+    and each failure, is that of a standalone train run of the same config.
+    An empty batch is the group's shared batch, so each of its runs is
+    recorded with that error, as alone.  Stdout, stderr, failures.json and
+    the CSV follow the lambda list's order.  Deltas are taken against the lambda = 0
     run.  A run that diverges or finds an empty batch is recorded, as is
     every run of a group whose worker dies, and the sweep continues; any
     other error ends it as at the first failing lambda in list order.  A
@@ -503,7 +504,7 @@ def cmd_ablate(cfg: RunConfig, lambdas: Sequence[float]) -> str:
         if len(group) > 1:
             try:
                 return [(report, None) for report in cmd_train(group, data)]
-            except (DivergenceError, EmptyBatchError):
+            except DivergenceError:
                 pass  # the group wrote nothing; each run is retrained alone, for its own outcome
         outcomes: list[tuple[MetricsReport | None, Exception | None]] = []
         for sub in group:

@@ -37,7 +37,6 @@ from .fact_graph import (
 from .objective import (
     DEFAULT_EPSILON,
     GateTrace,
-    LossBreakdown,
     check_epsilon,
     gate_trace,
     knowledge_mask_valid,
@@ -263,7 +262,9 @@ def optimizer_step(
     with the hyperparameters of `settings`.  Each intermediate is written
     into one work array per parameter or into the gradient, which the update
     consumes, in the order of p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), so
-    the update has that expression's bits."""
+    the update has that expression's bits.  A gradient that is not finite, or
+    whose square is not (it would freeze its entries at m / inf = 0), raises
+    DivergenceError before its parameter moves."""
     lr, beta1, beta2 = settings.learning_rate, settings.beta1, settings.beta2
     state.step_count += 1
     t = state.step_count
@@ -271,8 +272,6 @@ def optimizer_step(
     bc2 = 1.0 - beta2**t
     for name in PARAM_FIELDS:
         g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError(f"non-finite gradient for parameter {name!r} at optimizer step {t}")
         m = state.m[name]
         v = state.v[name]
         work = np.empty_like(m)
@@ -280,6 +279,8 @@ def optimizer_step(
         m += np.multiply(g, 1.0 - beta1, out=work)
         v *= beta2
         g *= g
+        if not np.isfinite(g.max()):  # max propagates NaN, and a gradient past 1.34e154 squares to inf
+            raise DivergenceError(f"non-finite gradient for parameter {name!r} at optimizer step {t}")
         g *= 1.0 - beta2
         v += g
         p = getattr(params, name)
@@ -596,7 +597,8 @@ def train(
     where total_loss skips that term, so any method at lam = 0 is
     bit-identical to method="sft" on the same valid mask.  Aborts with the
     step index on non-finite logits (which total_loss checks) or a
-    non-finite loss, before the step's update.  The run allocates the
+    non-finite loss, before the step's update, and optimizer_step with the
+    step on a gradient whose square is not finite.  The run allocates the
     per-row arrays once (step_views), for one block's rows; each block
     writes their first rows, so a step's memory is the rows it writes.
     total_loss runs its softmax pass over the logits in place and returns
@@ -607,11 +609,12 @@ def train(
     A sequence of K settings that differ only in lam is a group trained in
     lockstep, and gives a list of K results.  All share the seed, so they
     share the initial parameters and every batch: the batch is gathered
-    once, and each block's calls above run once over the stacked parameters
-    [K, ...], AdamW moments and gradients, holding K blocks of rows.  Every
-    per-run value is reduced over that run's own positions, in the order
-    above, so each result is bit-identical to train over its settings alone.
-    A run that diverges ends the whole group.
+    once; forward_batch, the step log's softmax and backward_batch run once
+    per block, and optimizer_step once per step, over the stacked parameters
+    [K, ...], AdamW moments and gradients, holding K blocks of rows.
+    total_loss runs once per run, on that run's block of the logits with
+    its lam, so each result is bit-identical to train over its settings
+    alone.  A run that diverges ends the whole group.
 
     `prepared` is prepare_examples(examples, settings.window,
     settings.vocab_size, risk_mode=settings.risk_propagation); a sweep
@@ -631,8 +634,7 @@ def train(
     method = METHODS[first.method]
     runs, vocab = len(group), first.vocab_size
     lead = (runs,) if runs > 1 else ()  # the run axis of a group's arrays
-    lams = np.array([run.lam if method.has_comp else 0.0 for run in group])
-    comp_on = (lams > 0.0).reshape(*lead, 1)  # a run at lam = 0 counts no gate
+    lams = [run.lam if method.has_comp else 0.0 for run in group]
 
     rng = np.random.default_rng(first.seed)
     params = init_params(first.vocab_size, first.embed_dim, first.hidden_dim, first.window, rng)
@@ -657,7 +659,8 @@ def train(
             signals = replace(signals, valid_mask=knowledge_mask_valid(signals))
         n_valid = int(signals.valid_mask.sum())
         p_label = np.empty((*lead, len(at)))  # the step log's label probabilities, read at the fact positions
-        loss, counts = None, np.zeros((3, *lead), dtype=np.int64)  # alpha_active, off_target, alpha_nonfact
+        terms = np.empty((3, runs))  # each run's sft, comp and total
+        counts = np.zeros((3, runs), dtype=np.int64)  # each run's alpha_active, off_target and alpha_nonfact
         for lo in range(0, len(windows), cap):
             part = np.flatnonzero((rows >= lo) & (rows < lo + cap))  # the block's positions, in order
             part_rows, part_labels, part_signals = rows[part] - lo, labels[part], signals[part]
@@ -677,28 +680,30 @@ def train(
                 flat = head.reshape(-1, head.shape[-1])
                 softmax_probs(flat, out=flat)
                 p_label[..., part[fact]] = head[..., fact_row_of, part_labels[fact]]
-                part_loss, grad, trace = total_loss(
-                    logits, part_labels, part_signals, lams.reshape(lead), first.epsilon,
-                    use_gates=method.use_gates, use_fact_mask=method.use_fact_mask, out=logits, rows=part_rows,
-                    n_valid=n_valid, n_base=n_fact if method.use_fact_mask else n_valid,
-                )
+                # Each run's total_loss writes its gradient over its own logits.
+                for k, run_logits in enumerate(logits if lead else [logits]):
+                    part_loss, _, trace = total_loss(
+                        run_logits, part_labels, part_signals, lams[k], first.epsilon,
+                        use_gates=method.use_gates, use_fact_mask=method.use_fact_mask, out=run_logits,
+                        rows=part_rows, n_valid=n_valid, n_base=n_fact if method.use_fact_mask else n_valid,
+                    )
+                    if trace is not None:
+                        active = trace.alpha > 0.0
+                        counts[:, k] += [active.sum(), (active & ~(trace.pref_gate & trace.keep_gate)).sum(),
+                                         (active & ~fact).sum()]
+                    # The first block assigns: 0.0 + -0.0 would flip a sign bit.
+                    value = (part_loss.sft, part_loss.comp, part_loss.total)
+                    terms[:, k] = value if lo == 0 else terms[:, k] + value
+                    if not np.isfinite(terms[2, k]):
+                        raise DivergenceError(f"non-finite loss at step {step}")
             except NonFiniteLogits as exc:
                 raise DivergenceError(f"non-finite logits at step {step}") from exc
-            if trace is not None:
-                active = (trace.alpha > 0.0).reshape(*lead, -1) & comp_on
-                off = ~(trace.pref_gate & trace.keep_gate).reshape(*lead, -1)
-                counts += [active.sum(axis=-1), (active & off).sum(axis=-1), (active & ~fact).sum(axis=-1)]
-            loss = part_loss if loss is None else LossBreakdown(
-                loss.sft + part_loss.sft, loss.comp + part_loss.comp, loss.total + part_loss.total)
-            if not np.all(np.isfinite(loss.total)):
-                raise DivergenceError(f"non-finite loss at step {step}")
-            backward_batch(params, windows[lo:lo + cap], grad, cache, out=views, grads=grads, add=lo > 0)
+            backward_batch(params, windows[lo:lo + cap], logits, cache, out=views, grads=grads, add=lo > 0)
 
         support = signals.support_weight[signals.fact_mask]
         p_fact = p_label[..., signals.fact_mask].reshape(runs, -1)
-        values = zip(*(np.reshape(v, runs) for v in (loss.sft, loss.comp, loss.total, *counts)))
-        for log, counter, p, (sft, comp, total, alpha_active, off_target, nonfact) in zip(
-                logs, counters, p_fact, values):
+        for log, counter, p, (sft, comp, total), (alpha_active, off_target, nonfact) in zip(
+                logs, counters, p_fact, terms.T, counts.T):
             log.append(StepRecord(step, float(sft), float(comp), float(total), n_sft, n_fact, int(alpha_active),
                                   int(off_target), _group_mean(p, support < 1.0), _group_mean(p, support >= 1.0)))
             counter.alpha_active_total += int(alpha_active)

@@ -555,10 +555,10 @@ class TestAblateCommand:
 
     def test_a_run_that_diverges_in_a_group_fails_as_it_does_alone(self, corpus_path, tmp_path, capsys,
                                                                      monkeypatch):
-        """No finite lambda diverges on this corpus (even 1e300 only saturates
-        AdamW's second moment), so the run at lambda 0.5 is made to: its
-        loss turns infinite at the first step its complement term is active,
-        in a group as alone.  A one-group sweep trains all four lambdas in
+        """The run at lambda 0.5 is made to diverge with a non-finite loss (a
+        huge lambda ends in an overflowing gradient instead, tested below): its
+        loss turns infinite at the first step its complement term is active, in
+        a group as alone.  A one-group sweep trains all four lambdas in
         lockstep, meets the divergence, and retrains each one alone: 0.5 lands
         in failures.json with the message of a standalone train at 0.5, and
         every other lam_* directory has the bytes of its standalone train."""
@@ -569,8 +569,8 @@ class TestAblateCommand:
 
         def poisoned(logits, labels, signals, lam, *args, **kwargs):
             loss, grad, trace = real_loss(logits, labels, signals, lam, *args, **kwargs)
-            total = np.where((np.atleast_1d(lam) == 0.5) & (np.atleast_1d(loss.comp) > 0.0), np.inf, loss.total)
-            return dataclasses.replace(loss, total=total if np.ndim(lam) else float(total[0])), grad, trace
+            total = np.inf if lam == 0.5 and loss.comp > 0.0 else loss.total
+            return dataclasses.replace(loss, total=total), grad, trace
 
         def counted(prepared, group):
             trained.append(len(group))
@@ -605,6 +605,72 @@ class TestAblateCommand:
         for lam, files in alone.items():
             run_dir = out / f"lam_{lam}"
             assert {name: (run_dir / name).read_bytes() for name in os.listdir(run_dir)} == files, lam
+
+    def test_a_huge_lambda_fails_in_a_group_as_it_does_alone(self, corpus_path, tmp_path, capsys, monkeypatch):
+        """lambda 1e300 keeps a finite loss but squares its gradient past the
+        float range: a one-group sweep meets that, retrains each run alone,
+        and records 1e300 with the standalone message; every other lam_*
+        directory has the bytes of its standalone train."""
+        import prism.harness as harness_mod
+        real_train, trained = harness_mod.train, []
+        monkeypatch.setattr(harness_mod, "train", lambda prepared, group: trained.append(len(group))
+                            or real_train(prepared, group))
+        monkeypatch.setattr(harness_mod, "process_slots", lambda: 1)  # one group of every lambda
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(f"corpus = {corpus_path}\nsteps = 25\nbatch_size = 8\nlearning_rate = 0.03\n"
+                       f"embed_dim = 12\nhidden_dim = 16\nseed = 3\n")
+        out = tmp_path / "sweep"
+        alone = {}
+        for lam in ("0", "0.1"):
+            run_dir = out / f"lam_{lam}"
+            assert main(["train", "--config", str(cfg), "--lambda", lam, "--out", str(run_dir)]) == 0
+            alone[lam] = {name: (run_dir / name).read_bytes() for name in os.listdir(run_dir)}
+        assert main(["train", "--config", str(cfg), "--lambda", "1e300", "--out", str(out / "lam_1e+300")]) == 3
+        message = capsys.readouterr().err[len("numeric divergence: "):-1]
+        assert message == "non-finite gradient for parameter 'embedding' at optimizer step 13"
+        shutil.rmtree(out)
+        trained.clear()
+        assert main(["ablate", "--config", str(cfg), "--lambdas", "0,0.1,1e300", "--out", str(out)]) == 0
+        assert trained == [3, 1, 1, 1]
+        assert capsys.readouterr().err == f"warning: lambda=1e+300 failed: {message}\n"
+        assert json.loads((out / "failures.json").read_text()) == {"failures": [{"lambda": 1e300, "error": message}]}
+        assert sorted(os.listdir(out)) == ["ablation.csv", "failures.json", "lam_0", "lam_0.1"]
+        for lam, files in alone.items():
+            run_dir = out / f"lam_{lam}"
+            assert {name: (run_dir / name).read_bytes() for name in os.listdir(run_dir)} == files, lam
+
+    def test_a_group_that_meets_an_empty_batch_is_trained_once(self, corpus_path, tmp_path, capsys, monkeypatch):
+        """An empty batch is the shared batch's, so every run of a group meets
+        it at the same step with the same message: the group is not retrained
+        one run at a time, and each lambda is recorded as a standalone train
+        fails."""
+        import prism.harness as harness_mod
+        records = [json.loads(line) for line in open(corpus_path)]
+        for record in records[10:]:  # most records have no valid target position
+            record["valid"] = [0] * len(record["target"])
+        corpus = tmp_path / "masked.jsonl"
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in records))
+        real_train, trained = harness_mod.train, []
+        monkeypatch.setattr(harness_mod, "train", lambda prepared, group: trained.append(len(group))
+                            or real_train(prepared, group))
+        monkeypatch.setattr(harness_mod, "process_slots", lambda: 1)  # one group of every lambda
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(f"corpus = {corpus}\nsteps = 25\nbatch_size = 8\n")
+        lambdas = ["0", "0.1", "0.5"]
+        for lam in lambdas:
+            assert main(["train", "--config", str(cfg), "--lambda", lam, "--out", str(tmp_path / "alone")]) == 1
+            assert capsys.readouterr().err == "config error: no valid target positions in batch\n"
+        assert trained == [1, 1, 1]
+        trained.clear()
+        out = tmp_path / "sweep"
+        assert main(["ablate", "--config", str(cfg), "--lambdas", ",".join(lambdas), "--out", str(out)]) == 3
+        assert trained == [3]
+        message = "no valid target positions in batch"
+        assert capsys.readouterr().err == "".join(f"warning: lambda={lam} failed: {message}\n" for lam in lambdas) + (
+            "numeric divergence: baseline run (lambda = 0) failed; no deltas possible\n")
+        assert json.loads((out / "failures.json").read_text()) == {
+            "failures": [{"lambda": float(lam), "error": message} for lam in lambdas]}
+        assert os.listdir(out) == ["failures.json"] and not (tmp_path / "alone").exists()
 
     def test_outputs_do_not_depend_on_the_core_count(self, corpus_path, tmp_path, capsys,
                                                      monkeypatch):
@@ -1715,6 +1781,20 @@ class TestExitCodes:
         assert main(["train", "--config", str(cfg)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("numeric divergence: non-finite ") and err.count("\n") == 1
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_a_gradient_whose_square_overflows_is_3(self, corpus_path, tmp_path, capsys, recwarn):
+        """A finite but huge lambda: the loss stays finite, but once the
+        complement term is active the gradient squares past the float range.
+        That ends the run, where an inf second moment would freeze the
+        parameter and the run would exit 0."""
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(f"corpus = {corpus_path}\nsteps = 25\nbatch_size = 8\nlearning_rate = 0.03\n"
+                       f"embed_dim = 12\nhidden_dim = 16\nseed = 3\n")
+        assert main(["train", "--config", str(cfg), "--lambda", "1e300", "--out", str(tmp_path / "r")]) == 3
+        assert capsys.readouterr().err == ("numeric divergence: non-finite gradient for parameter 'embedding' "
+                                           "at optimizer step 13\n")
+        assert not (tmp_path / "r").exists()
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_vocabulary_above_the_bound_is_1(self, corpus_path, tmp_path, capsys):

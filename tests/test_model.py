@@ -42,7 +42,7 @@ from prism.model import (
     step_views,
     train,
 )
-from prism.objective import GateTrace, knowledge_mask_valid, softmax_probs, total_loss
+from prism.objective import GateTrace, LossBreakdown, knowledge_mask_valid, softmax_probs, total_loss
 
 from oracles import (
     evaluate_reference,
@@ -1316,6 +1316,54 @@ class TestLockstep:
         assert alone[0.5].counters.alpha_active_total > 0  # the complement term is exercised
         if method == "prism_no_mask":
             assert alone[0.5].counters.alpha_nonfact_total > 0
+
+    def test_the_objective_scores_one_run_at_a_time(self, monkeypatch):
+        """In a group at lambdas 0, 0.1 and 0.5, each row block calls
+        comp_loss once for each run with a complement term, over that run's
+        own rows of the stacked logits; the run at lambda 0 makes no call."""
+        import prism.model as model_mod
+        import prism.objective as objective_mod
+        prepared = prepare_examples(small_corpus(n=20), 4, 70)
+        base = TrainSettings(method="prism", steps=3, batch_size=4, vocab_size=70, seed=1)
+        blocks = []  # each block's stacked logits and the probabilities of its comp_loss calls
+        real_forward, real_comp = model_mod.forward_batch, objective_mod.comp_loss
+
+        def forward(params, windows, out=None):
+            logits, cache = real_forward(params, windows, out=out)
+            blocks.append((logits, []))
+            return logits, cache
+
+        def comp(soft, *args, **kwargs):
+            blocks[-1][1].append(soft.probs)
+            return real_comp(soft, *args, **kwargs)
+
+        monkeypatch.setattr(model_mod, "forward_batch", forward)
+        monkeypatch.setattr(objective_mod, "comp_loss", comp)
+        train(prepared, [replace(base, lam=lam) for lam in (0.0, 0.1, 0.5)])
+        assert len(blocks) == base.steps
+        for logits, probs in blocks:
+            assert logits.shape[0] == 3 and len(probs) == 2
+            for run, p in zip((1, 2), probs):
+                assert p.shape == logits.shape[1:]
+                assert [k for k in range(3) if np.shares_memory(p, logits[k])] == [run]
+
+    def test_a_one_block_step_logs_the_loss_terms_total_loss_gives(self, monkeypatch):
+        """A saturated model's SFT term is -0.0 (every label's log-probability
+        is 0.0): the first block's terms are taken as they are, alone and in
+        a group, not added to 0.0, which would log 0.0."""
+        import prism.model as model_mod
+        prepared = prepare_examples(small_corpus(n=20), 4, 70)
+        base = TrainSettings(method="prism", steps=2, batch_size=4, vocab_size=70, seed=1)
+        real_loss = model_mod.total_loss
+
+        def signed(*args, **kwargs):
+            loss, grad, trace = real_loss(*args, **kwargs)
+            return LossBreakdown(-0.0, -0.0, -0.0), grad, trace
+
+        monkeypatch.setattr(model_mod, "total_loss", signed)
+        results = [train(prepared, base), *train(prepared, [base, replace(base, lam=0.0)])]
+        for record in (record for result in results for record in result.step_log):
+            assert all(math.copysign(1.0, value) == -1.0 for value in (record.sft, record.comp, record.total))
 
     def test_a_group_differs_in_lam_alone(self):
         prepared = prepare_examples(small_corpus(n=20), 4, 70)

@@ -25,7 +25,9 @@ for the benchmark cases, ``train`` at every other lambda of the sweep;
 the ``faults`` case runs ``train``, ``ablate`` and ``trace --limit 5`` on
 each of ``FAULTS``' corpora, copies of the benchmark's sweep_acceptance
 corpus at seed 3 with two faults each: which one a command reports pins the
-order of prism's corpus checks.
+order of prism's corpus checks.  On the clean corpus, with that workload's
+settings, it runs ``train --lambda 1e300`` and ``ablate --lambdas
+0,0.1,1e300``, which pin where and how a run whose gradient overflows stops.
 
 Each case then checks, where their commands ran, that a trace's stdout is
 its ``--out`` file and opens the trace at 0, that the ``BLOCK_BYTES = 1``
@@ -260,11 +262,16 @@ def run_faults(src: str, out: str) -> tuple[dict, dict]:
     write_config(os.path.join(workdir, "gen.cfg"), dict(wl.generator, seed=3, out="corpus.jsonl"))
     for vocab in (0, 70):
         write_config(os.path.join(workdir, f"train{vocab}.cfg"), dict(wl.train, seed=3, steps=2, vocab_size=vocab))
+    write_config(os.path.join(workdir, "train.cfg"), dict(wl.train, seed=3, corpus="corpus.jsonl"))
     cli = ["-m", "prism.harness"]
     results = run_commands(src, workdir, [("preprocess", cli + ["preprocess", "--config", "gen.cfg"])])
     with open(os.path.join(workdir, "corpus.jsonl"), encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    cmds = [("train_clean", cli + ["train", "--config", "train70.cfg", "--corpus", "corpus.jsonl", "--out", "clean"])]
+    cmds = [("train_clean", cli + ["train", "--config", "train70.cfg", "--corpus", "corpus.jsonl", "--out", "clean"]),
+            ("train_huge_lambda", cli + ["train", "--config", "train.cfg", "--lambda", "1e300",
+                                         "--out", "runs/huge_lambda"]),
+            ("ablate_huge_lambda", cli + ["ablate", "--config", "train.cfg", "--lambdas=0,0.1,1e300",
+                                          "--out", "runs/huge_lambda_sweep"])]
     for name, (records, faults, vocab) in FAULTS.items():
         corpus = f"{name}.jsonl"
         write_fault_corpus(lines, os.path.join(workdir, corpus), records, faults)
