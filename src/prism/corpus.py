@@ -30,7 +30,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import islice
-from typing import Any, Iterator, Sequence, TextIO
+from typing import Any, BinaryIO, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -507,27 +507,71 @@ def example_to_record(example: AnnotatedExample) -> dict:
     return record
 
 
-def iter_jsonl(path: str) -> Iterator[AnnotatedExample]:
+def _lines(fh: BinaryIO, start: int, stop: int | None) -> Iterator[bytes]:
+    """The lines of binary file `fh` from byte `start`, a line start, up to
+    byte `stop`, a line start after an LF (None: the end), each ending in LF
+    (the last maybe in nothing), as a text file with universal newlines
+    gives them: a line ends at an LF, CR LF or CR.  A pipe, which cannot
+    seek, is read from where it is."""
+    if fh.seekable():
+        fh.seek(start)
+    for chunk in fh:  # each ends at an LF, or at the file's end
+        if stop is not None and start >= stop:
+            return
+        start += len(chunk)
+        if b"\r" in chunk:
+            yield from chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n").splitlines(True)
+        else:
+            yield chunk
+
+
+def line_ranges(path: str, n: int) -> list[tuple[int, int | None]]:
+    """Cut the file at `path` into at most n nonempty byte ranges of about
+    equal size, in file order, each after the first starting after an LF.
+    A file that is not a regular one, such as a pipe, is one range, to its
+    end, and is not opened here, so that nothing is read from it."""
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        return [(0, None)]
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        cuts = [0]
+        for i in range(1, n):
+            fh.seek(max(size * i // n, cuts[-1] + 1) - 1)
+            fh.readline()  # through the next LF
+            cuts += [fh.tell()] if fh.tell() < size else []
+    return list(zip(cuts, cuts[1:] + [size])) if size else []
+
+
+def iter_jsonl(path: str, start: int = 0, stop: int | None = None) -> Iterator[AnnotatedExample]:
     """Yield the records of an annotated corpus one at a time, each as its
-    line is decoded; an empty file yields none.  The file is UTF-8, with or
-    without a leading byte order mark.
+    line is decoded; an empty file yields none.  With `start` and `stop`, a
+    range of line_ranges, only the lines of those bytes are read.  The file
+    is UTF-8, with or without a byte order mark at byte 0; each line is
+    decoded on its own.
 
     Malformed JSON or schema violations raise CorpusFormatError with the
-    line number and offending field; so do bytes that are not UTF-8.
+    line number, counted over the whole file, and the offending field; so
+    do bytes that are not UTF-8, which also name the file.
     """
     shared: dict = {}
-    with open(path, encoding="utf-8-sig") as fh:
+    with open(path, "rb") as fh:
         try:
-            for lineno, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
+            for lineno, raw in enumerate(_lines(fh, start, stop), 1):
                 try:
+                    line = raw.decode("utf-8-sig" if lineno == 1 and not start else "utf-8")  # a BOM only at byte 0
+                    if not line.strip():
+                        continue
                     record = json.loads(line)
+                except UnicodeDecodeError as exc:
+                    raise CorpusFormatError(f"{path} is not UTF-8 text ({exc.reason})", lineno) from exc
                 except (ValueError, RecursionError) as exc:  # also too long an integer, or too deep nesting
                     raise CorpusFormatError(f"invalid JSON: {getattr(exc, 'msg', exc)}", lineno) from exc
                 yield example_from_record(record, lineno, shared)
-        except UnicodeDecodeError as exc:
-            raise CorpusFormatError(f"{path} is not UTF-8 text ({exc.reason})") from exc
+        except CorpusFormatError as exc:
+            if not start:
+                raise
+            before = sum(1 for _ in _lines(fh, 0, start))  # counted only now, as the lines of the range were
+            raise CorpusFormatError(exc.detail, before + exc.line_number) from exc
 
 
 def read_jsonl(path: str, limit: int = 0) -> list[AnnotatedExample]:

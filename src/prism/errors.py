@@ -12,13 +12,12 @@ class ConfigError(ValueError):
 
 
 class CorpusFormatError(ValueError):
-    """A corpus file is malformed; carries the offending line number."""
+    """A corpus file is malformed; carries the offending line number, and the
+    message without it as `detail`."""
 
     def __init__(self, message: str, line_number: int | None = None):
-        if line_number is not None:
-            message = f"line {line_number}: {message}"
-        super().__init__(message)
-        self.line_number = line_number
+        super().__init__(message if line_number is None else f"line {line_number}: {message}")
+        self.detail, self.line_number = message, line_number
 
 
 class EmptyBatchError(ValueError):
@@ -35,7 +34,8 @@ class CheckpointError(ValueError):
 
 
 class RunFileError(ValueError):
-    """A run's metrics.json is unreadable or does not match its schema."""
+    """A run's metrics.json or resolved_config.json is unreadable or does not
+    match its schema."""
 
 
 class DivergenceError(RuntimeError):

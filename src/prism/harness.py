@@ -31,6 +31,7 @@ from .corpus import (
     chunk,
     generate,
     iter_jsonl,
+    line_ranges,
     read_jsonl,
     stats_table,
     verify_and_filter,
@@ -57,10 +58,12 @@ from .model import (
     check_model_size,
     config_digest,
     evaluate,
+    finish_examples,
     load_checkpoint,
     numeric_environment,
     prepare_examples,
     save_checkpoint,
+    scan_examples,
     train,
 )
 
@@ -274,31 +277,42 @@ class RunData(NamedTuple):
 
 
 def load_run_data(cfg: RunConfig) -> RunData:
-    """Read, size, prepare and split the corpus of a validated config, in one
-    pass: prepare_examples takes the records as iter_jsonl decodes them, so
-    no list of them is held.  The whole corpus is prepared, in file order;
-    with eval_fraction > 0 the last max(1, round(eval_fraction x n)) records
-    are held out, and with 0 the run evaluates on its training split.
-    The vocabulary (vocab_size, or with 0 the smallest covering the corpus)
-    and the model it sizes must pass check_model_size.  These corpus-wide
-    checks run once the whole file is decoded, so a format error comes
-    first, and they come before any record's token-id or annotation error.
-    Only the corpus, eval_fraction, vocab_size, window, risk_propagation and
-    model dimension settings matter, so a sweep shares one RunData."""
-    sizes = []
+    """Read, size, prepare and split the corpus of a validated config: fork_map
+    scans one of process_slots() line_ranges per CPU, the last here, each
+    scan_examples taking its records as iter_jsonl decodes them, and
+    finish_examples joins the scans in file order.  With eval_fraction > 0
+    the last max(1, round(eval_fraction x n)) records are held out, and with
+    0 the run evaluates on its training split.  The vocabulary (vocab_size,
+    or with 0 the smallest covering the corpus) and the model it sizes must
+    pass check_model_size.  A format error on any line comes first, then
+    these checks, then the first record's token-id or annotation error, so
+    the outcome is the same on any number of CPUs.  Only the corpus,
+    eval_fraction, vocab_size, window, risk_propagation and model dimension
+    settings matter, so a sweep shares one RunData."""
+    ranges = line_ranges(cfg.corpus, process_slots())
 
-    def check(n: int, vocab: int) -> None:
-        if not n:
-            raise ConfigError(f"corpus {cfg.corpus} is empty")
-        n_eval = max(1, round(cfg.eval_fraction * n)) if cfg.eval_fraction > 0 else 0
-        if n_eval >= n:
-            raise ConfigError("eval_fraction leaves no training examples")
-        check_model_size(cfg, vocab)
-        sizes.extend((n - n_eval, vocab))
+    def scan(bounds: tuple[int, int]):
+        return scan_examples(iter_jsonl(cfg.corpus, *bounds), cfg.window, cfg.risk_propagation)
 
-    prepared = prepare_examples(iter_jsonl(cfg.corpus), cfg.window, cfg.vocab_size, cfg.risk_propagation, check)
-    cut, vocab = sizes
-    return RunData(vocab, prepared[:cut], prepared[cut:] or prepared)
+    def scanned(bounds: tuple[int, int], outcome: tuple):
+        if isinstance(outcome[1], WorkerDied):  # its range is scanned again here
+            return scan(bounds)
+        if outcome[1] is not None:
+            raise outcome[1]
+        return outcome[0]
+
+    # a list that finish_examples empties, so no name holds a scan once its tables are joined
+    scans = [scanned(bounds, outcome) for bounds, outcome in zip(ranges, fork_map(scan, ranges))]
+    n = sum(len(result.counts) for result in scans)
+    if not n:
+        raise ConfigError(f"corpus {cfg.corpus} is empty")
+    n_eval = max(1, round(cfg.eval_fraction * n)) if cfg.eval_fraction > 0 else 0
+    if n_eval >= n:
+        raise ConfigError("eval_fraction leaves no training examples")
+    vocab = cfg.vocab_size or max(int(result.tokens.max(initial=0)) for result in scans) + 1
+    check_model_size(cfg, vocab)
+    prepared = finish_examples(scans, cfg.window, cfg.vocab_size)
+    return RunData(vocab, prepared[:n - n_eval], prepared[n - n_eval:] or prepared)
 
 
 def cmd_train(cfg: RunConfig | Sequence[RunConfig], data: RunData | None = None) -> MetricsReport | list[MetricsReport]:
@@ -609,21 +623,39 @@ def cmd_trace(checkpoint_path: str, corpus_path: str, limit: int, out: str | Non
     return rows
 
 
+def _run_settings(run_dir: str) -> dict:
+    """A finished run's settings by file key, from its resolved_config.json
+    through config_from_dict, which must hold every key."""
+    path = os.path.join(run_dir, "resolved_config.json")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        raw = data.get("config") if isinstance(data, dict) else data
+        settings = _file_keys(asdict(config_from_dict(RunConfig, raw, decoded=True)))
+        if settings.keys() != raw.keys():  # config_from_dict refuses an unknown key, and fills in a missing one
+            raise ValueError(f"missing setting {next(key for key in settings if key not in raw)!r}")
+        return settings
+    except (ValueError, RecursionError) as exc:  # bad or too deep JSON, not UTF-8, a bad or missing setting
+        raise RunFileError(f"malformed run config {path}: {exc}") from exc
+
+
 def cmd_report(run_dirs: Sequence[str], out: str | None) -> list[str]:
     """Summarize finished runs against their shared baseline: the first run of
-    method sft, or of a complement method at lambda = 0 (the bits of sft)."""
+    method sft, or of a complement method at lambda = 0 (the bits of sft).
+    Every run must have the baseline's settings, but for method, lambda and
+    out."""
     reports = [MetricsReport.read(os.path.join(run_dir, "metrics.json")) for run_dir in run_dirs]
-    baseline = next((r for r in reports if r.method == METHOD_SFT or (r.lam == 0.0 and METHODS[r.method].has_comp)),
-                    None)
-    if baseline is None:
+    settings = [_run_settings(run_dir) for run_dir in run_dirs]
+    at = next((i for i, r in enumerate(reports)
+               if r.method == METHOD_SFT or (r.lam == 0.0 and METHODS[r.method].has_comp)), None)
+    if at is None:
         raise ConfigError("no baseline run (method = sft, or a complement method at lambda = 0) among the given runs")
-    for report in reports:
-        if (report.seed, report.corpus) != (baseline.seed, baseline.corpus):
-            raise ConfigError(
-                f"run {report.run_id} (seed {report.seed}, corpus {report.corpus}) does not share "
-                f"seed and corpus with baseline run {baseline.run_id} "
-                f"(seed {baseline.seed}, corpus {baseline.corpus})"
-            )
+    baseline, base = reports[at], settings[at]
+    for report, run in zip(reports, settings):
+        key = next((key for key in run if key not in ("method", "lambda", "out") and run[key] != base[key]), None)
+        if key is not None:
+            raise ConfigError(f"run {report.run_id} does not share setting {key!r} with baseline run "
+                              f"{baseline.run_id} ({run[key]!r} against {base[key]!r})")
     print(f"baseline: {baseline.run_id} (method={baseline.method}, lambda={baseline.lam:g}, "
           f"seed={baseline.seed})")
     return write_csv(reports, baseline, out, echo=True)

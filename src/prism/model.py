@@ -19,7 +19,7 @@ import math
 import platform
 from array import array
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -349,30 +349,48 @@ def prepare_examples(
     window: int,
     vocab_size: int,
     risk_mode: str = RISK_ONEHOP,
-    sized: Callable[[int, int], None] | None = None,
 ) -> PreparedCorpus:
     """Expand annotated examples into per-position windows, labels, and signals.
 
     For target position t the window is the `window` tokens preceding it in
     input + target, left-padded with the begin token at the sequence start.
-    One pass over `examples` checks each one's annotations (propagate_risk)
-    and copies its tokens, span bounds, effective risks and valid mask into
-    flat buffers before it draws the next, so no example outlives its turn.
-    Then sized(n, vocab), when given, gets the example count and vocab_size
-    (with 0, the smallest vocabulary covering every token id); only then is
-    the first broken example's error raised.  Token ids must be below
-    vocab_size and MAX_VOCAB_SIZE; an example's are checked before its
+    It is scan_examples, one pass that checks each example's annotations
+    and copies it into flat buffers, then finish_examples, which raises the
+    first broken example's error.  Token ids must be below vocab_size
+    (with 0, any) and MAX_VOCAB_SIZE; an example's are checked before its
     nonempty target and annotations, and an annotation error names its
     1-based position.  One distinct_windows over the windows at the target
     positions finds the distinct ones, and only they are gathered as rows.
     """
+    return finish_examples([scan_examples(examples, window, risk_mode)], window, vocab_size)
+
+
+class ExampleScan(NamedTuple):
+    """scan_examples' tables of consecutive examples, numbered from the first:
+    each one's tokens, their end and its sentence count, and up to `held`
+    (the first whose annotations fail: its number and unnumbered error) its
+    positions' end, valid mask, risks and span bounds in positions."""
+
+    tokens: np.ndarray     # int64
+    ends: np.ndarray       # int64 [n]
+    counts: np.ndarray     # int64 [n]
+    offsets: np.ndarray    # int64
+    valid: np.ndarray      # uint8
+    risks: np.ndarray      # float64
+    sentences: np.ndarray  # int64 [sentences, 2]
+    facts: np.ndarray      # int64 [facts, 2]
+    held: tuple[int, ValueError] | None
+
+
+def scan_examples(examples: Iterable[AnnotatedExample], window: int, risk_mode: str = RISK_ONEHOP) -> ExampleScan:
+    """prepare_examples' pass over examples: check each one's annotations
+    (propagate_risk) and copy its tokens, span bounds, effective risks and
+    valid mask into flat buffers before the next is drawn, so no example
+    outlives its turn."""
     pad = [TOKEN_BOS] * window
-    # Record after record: tokens (begin, input, target), valid mask, sentence and fact bounds in corpus
-    # positions, sentence risks; per record, its sentence count and where its tokens and positions end.
     tokens, valid, risks = array("q"), bytearray(), array("d")
-    s_start, s_end, f_start, f_end, counts = (array("q") for _ in range(5))
-    ends, offsets = array("q", [0]), array("q", [0])
-    held: tuple[int, ValueError] | None = None  # the first example whose annotations fail, and its error
+    ends, counts, offsets, s_start, s_end, f_start, f_end = (array("q") for _ in range(7))
+    held: tuple[int, ValueError] | None = None
     for ex in examples:
         tokens.fromlist(pad + ex.input_tokens + ex.target_tokens)
         ends.append(len(tokens))
@@ -383,12 +401,10 @@ def prepare_examples(
                     raise ValueError("example has an empty target")
                 risks.extend(propagate_risk(ex.sentences, ex.edges, risk_mode, ex.facts, len(ex.target_tokens),
                                             ex.valid_mask))
-            except AnnotationError as exc:
-                held = len(counts), AnnotationError(f"record {len(counts)}: {exc}")
-            except ValueError as exc:  # an empty target, or an unknown risk_mode
+            except ValueError as exc:  # an annotation error, an empty target, or an unknown risk_mode
                 held = len(counts), exc
             else:  # spans that passed propagate_risk lie inside the target, so their bounds fit int64
-                base = offsets[-1]
+                base = len(valid)
                 s_start.fromlist([s.token_start + base for s in ex.sentences])
                 s_end.fromlist([s.token_end + base for s in ex.sentences])
                 f_start.fromlist([f.token_start + base for f in ex.facts])
@@ -396,26 +412,48 @@ def prepare_examples(
                 valid.extend(ex.valid_mask)
                 offsets.append(len(valid))
         del ex  # neither this name nor an enumerate tuple holds an example while the next one is drawn
+    tokens, ends, counts, offsets, s_start, s_end, f_start, f_end = (
+        np.frombuffer(t, dtype=np.int64) for t in (tokens, ends, counts, offsets, s_start, s_end, f_start, f_end))
+    return ExampleScan(tokens, ends, counts, offsets, np.frombuffer(valid, dtype=np.uint8), np.frombuffer(risks),
+                       np.stack([s_start, s_end], axis=1), np.stack([f_start, f_end], axis=1), held)
 
-    ids = np.frombuffer(tokens, dtype=np.int64)
+
+def finish_examples(scans: list[ExampleScan], window: int, vocab_size: int) -> PreparedCorpus:
+    """prepare_examples' corpus-wide tail over the scans of one or more
+    consecutive runs of examples, in order: the token-id check, the first
+    held error, numbered over all the runs, then the signals and the
+    distinct windows.  `scans` is emptied once their tables are joined, so
+    that they go before distinct_windows."""
+    def joined(field: str, sizes: list[int] | None = None, lead: bool = False) -> np.ndarray:
+        """Table `field` of every scan end to end, after a 0 with `lead`, each plus the prior scans' `sizes`;
+        a lone scan's own table when there is nothing to add."""
+        tables = [np.zeros(1, dtype=np.int64)] * lead + [getattr(scan, field) for scan in scans]
+        if sizes is not None:
+            tables[lead + 1:] = map(np.add, tables[lead + 1:], np.cumsum(sizes[:-1]))
+        return tables[0] if len(tables) == 1 else np.concatenate(tables)
+
+    before = np.cumsum([0, *(len(scan.counts) for scan in scans)])
+    held = next(((int(n) + scan.held[0], scan.held[1]) for n, scan in zip(before, scans) if scan.held), None)
+    ids = joined("tokens")
+    ends = joined("ends", [len(scan.tokens) for scan in scans], lead=True)
     limit = min(vocab_size or MAX_VOCAB_SIZE, MAX_VOCAB_SIZE)
-    if sized is not None:
-        sized(len(counts), vocab_size or int(ids.max(initial=0)) + 1)
     bad = (ids < 0) | (ids >= limit)
     if bad.any():
         first_bad = int(np.searchsorted(ends, bad.argmax(), side="right"))
         if held is None or first_bad <= held[0]:
             _check_tokens(ids[ends[first_bad - 1]:ends[first_bad]], limit)
     if held is not None:
-        raise held[1]
+        number, exc = held
+        raise AnnotationError(f"record {number}: {exc}") if isinstance(exc, AnnotationError) else exc
 
-    ends, offsets, s_start, s_end, f_start, f_end, counts = (
-        np.frombuffer(table, dtype=np.int64) for table in (ends, offsets, s_start, s_end, f_start, f_end, counts))
-    signals, sentence_id = derive_token_signals(np.stack([s_start, s_end], axis=1), np.frombuffer(risks),
-                                                np.stack([f_start, f_end], axis=1), counts,
-                                                np.frombuffer(valid, dtype=np.uint8) != 0)
+    positions = [len(scan.valid) for scan in scans]  # with nothing held, every example's positions
+    offsets = joined("offsets", positions, lead=True)
+    sentences, facts = joined("sentences", positions), joined("facts", positions)
+    risks, counts, valid = joined("risks"), joined("counts"), joined("valid") != 0
+    scans.clear()
+    signals, sentence_id = derive_token_signals(sentences, risks, facts, counts, valid)
     ids = ids.astype(np.uint16)
-    del tokens, valid, risks, s_start, s_end, f_start, f_end, bad  # the pass's buffers go before distinct_windows
+    del sentences, facts, risks, counts, valid, bad  # the joined tables go before distinct_windows
     # Target position t of an example sits at its tokens' end - len(target)
     # + t; its window is the `window` tokens before it.
     at = span_positions(ends[1:] - np.diff(offsets) - window, ends[1:] - window)

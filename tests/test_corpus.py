@@ -21,12 +21,15 @@ from prism.corpus import (
     N_SPECIAL,
     TOKEN_PERIOD,
     _check_object,
+    _lines,
     atomic_write,
     chunk,
     example_from_record,
     example_to_record,
     generate,
+    iter_jsonl,
     key_token,
+    line_ranges,
     n_filler,
     read_jsonl,
     stats_table,
@@ -476,6 +479,49 @@ class TestJsonl:
         path.write_text(lines[0] + "\ufeff" + "".join(lines[1:]), encoding="utf-8")  # elsewhere it is no JSON
         with pytest.raises(CorpusFormatError, match="^line 2: invalid JSON: Unexpected UTF-8 BOM"):
             read_jsonl(str(path))
+
+    def test_undecodable_byte_is_an_error_of_its_own_line(self, tmp_path):
+        good = json.dumps(example_to_record(generate(config(n_examples=1))[0]))
+        bad = good[:9].encode() + b"\xff" + good[9:].encode()
+        path = tmp_path / "bytes.jsonl"
+        path.write_bytes(f"{good}\n{{oops\n{good}\n".encode() + bad + b"\n")  # one read buffer holds all four
+        with pytest.raises(CorpusFormatError, match="^line 2: invalid JSON"):
+            read_jsonl(str(path))
+        path.write_bytes(f"{good}\n\n{good}\n".encode() + bad + b"\n")
+        with pytest.raises(CorpusFormatError) as err:
+            read_jsonl(str(path))
+        assert str(err.value) == f"line 4: {path} is not UTF-8 text (invalid start byte)"
+        assert len(read_jsonl(str(path), limit=2)) == 2  # no later line is decoded
+
+    def test_a_range_numbers_its_lines_over_the_file(self, tmp_path):
+        good = json.dumps(example_to_record(generate(config(n_examples=1))[0]))
+        path = tmp_path / "ranges.jsonl"
+        path.write_bytes(f"\ufeff{good}\r\n\n{good}\r{good}\n{good}\n{{oops\n{good}\n".encode())
+        ranges = line_ranges(str(path), 3)
+        assert len(ranges) == 3
+        assert [ex for bounds in ranges[:2] for ex in iter_jsonl(str(path), *bounds)] == read_jsonl(str(path), 4)
+        with pytest.raises(CorpusFormatError, match="^line 6: invalid JSON") as err:
+            list(iter_jsonl(str(path), *ranges[2]))
+        assert err.value.line_number == 6
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(st.sampled_from(["a", "b", "\n", "\r", " ", "\u00e9"]), max_size=40), st.integers(1, 5))
+    def test_ranges_cut_the_lines_of_a_text_reader(self, text, n):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "lines.txt")
+            with open(path, "wb") as fh:
+                fh.write(text.encode("utf-8"))
+            ranges = line_ranges(path, n)
+            bounds = [0] + [b for _, b in ranges]
+            assert ranges == list(zip(bounds, bounds[1:])) and bounds[-1] == len(text.encode("utf-8"))
+            assert len(ranges) <= n and all(a < b for a, b in ranges)
+            got = []
+            with open(path, "rb") as fh:
+                for a, b in ranges:
+                    assert sum(1 for _ in _lines(fh, 0, a)) == len(got)  # the lines before the range
+                    got += [line.decode("utf-8") for line in _lines(fh, a, b)]
+            with open(path, encoding="utf-8", newline=None) as fh:
+                assert got == list(fh)
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         good = json.dumps(example_to_record(generate(config(n_examples=1))[0]))

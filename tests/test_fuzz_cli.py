@@ -225,6 +225,8 @@ def test_damaged_metrics(base, alone, data):
         os.makedirs(run)
         with open(os.path.join(run, "metrics.json"), "wb") as fh:
             fh.write(blob)
+        # with the run's settings, which report also reads, the damage reaches the metrics reader
+        shutil.copyfile(base / "lam_0.1" / "resolved_config.json", os.path.join(run, "resolved_config.json"))
         runs = [run] if alone else [str(base / "lam_0"), run]
         cli(["report", *runs, "--out", os.path.join(wd, "report.csv")], wd)
     finally:

@@ -1,24 +1,39 @@
 """CLI surface: config parsing, run artifacts, determinism, exit codes."""
 
 import base64
+import codecs
 import dataclasses
 import json
 import os
+import pickle
 import shutil
 import stat
 import subprocess
 import sys
+import threading
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from prism.corpus import MAX_CORPUS_TOKENS, GeneratorConfig, generate, read_jsonl, write_jsonl
-from prism.errors import ConfigError, DivergenceError
+from prism.corpus import (
+    MAX_CORPUS_TOKENS,
+    GeneratorConfig,
+    generate,
+    iter_jsonl,
+    line_ranges,
+    read_jsonl,
+    write_jsonl,
+)
+from prism.errors import AnnotationError, ConfigError, CorpusFormatError, DivergenceError
 from prism.harness import (
     CSV_HEADER,
     MetricsReport,
     RunConfig,
+    RunData,
     WorkerDied,
     cmd_ablate,
     cmd_preprocess,
@@ -38,12 +53,16 @@ from prism.model import (
     MAX_PARAMETERS,
     MAX_VOCAB_SIZE,
     MAX_WINDOW,
+    check_model_size,
     config_digest,
     forward_batch,
+    infer_vocab_size,
     load_checkpoint,
     prepare_examples,
+    scan_examples,
 )
 import prism
+import prism.errors
 from prism.objective import softmax_probs
 
 import oracles
@@ -354,21 +373,82 @@ class TestTrainCommand:
             cmd_train(run_config(str(empty), str(tmp_path / "run")))
 
 
+def run_data_outcome(load, cfg):
+    """The bytes of load(cfg)'s RunData, or its error's type and text."""
+    try:
+        data = load(cfg)
+    except (ConfigError, CorpusFormatError, AnnotationError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    parts = [str(data.vocab).encode()]
+    for split in (data.prep_train, data.prep_eval):
+        for arr in (split.distinct, split.window_id, split.labels, split.sentence_id, split.offsets,
+                    *dataclasses.astuple(split.signals)):
+            parts += [arr.dtype.str.encode(), repr(arr.shape).encode(), arr.tobytes()]
+    return b"|".join(parts)
+
+
+def run_data_reference(cfg):
+    """load_run_data from one prepare_examples over the records of one iter_jsonl of the whole file: a format
+    error first, then the corpus-wide checks, then prepare_examples' own errors."""
+    examples = list(iter_jsonl(cfg.corpus))
+    n = len(examples)
+    if not n:
+        raise ConfigError(f"corpus {cfg.corpus} is empty")
+    n_eval = max(1, round(cfg.eval_fraction * n)) if cfg.eval_fraction > 0 else 0
+    if n_eval >= n:
+        raise ConfigError("eval_fraction leaves no training examples")
+    vocab = cfg.vocab_size or infer_vocab_size(examples)
+    check_model_size(cfg, vocab)
+    prepared = prepare_examples(examples, cfg.window, cfg.vocab_size, cfg.risk_propagation)
+    return RunData(vocab, prepared[:n - n_eval], prepared[n - n_eval:] or prepared)
+
+
+# A corpus line's faults: an edge 2->1, invalid JSON, a token id past the model's 70 or the largest vocabulary,
+# a byte that is not UTF-8, a byte order mark.
+LINE_FAULTS = ["edge", "json", 75, 70000, "byte", "bom"]
+
+
+def corpus_bytes(lines, faults, ends, blanks, bom):
+    """The JSONL lines with `faults` {index: fault} applied, each ended by its `ends` entry and followed by its
+    `blanks` entry, after a byte order mark with `bom`."""
+    out = [codecs.BOM_UTF8] if bom else []
+    for i, line in enumerate(lines):
+        record = json.loads(line)
+        fault = faults.get(i)
+        if fault == "edge":
+            record["edges"].append({"from": 2, "to": 1})
+        elif isinstance(fault, int):
+            record["target"][-1] = fault
+        text = json.dumps(record).encode()
+        text = {"json": b"{oops", "byte": text[:9] + b"\xff" + text[9:], "bom": codecs.BOM_UTF8 + text}.get(
+            fault, text)
+        out += [text, ends[i], blanks[i]]
+    return b"".join(out)
+
+
 class TestRunData:
     @pytest.mark.parametrize("eval_fraction", [0.0, 0.1])
-    def test_corpus_prepared_once_in_file_order(self, corpus_path, monkeypatch, eval_fraction):
+    def test_corpus_prepared_once_in_file_order(self, corpus_path, monkeypatch, tmp_path, eval_fraction):
         import prism.harness as harness_mod
-        calls = []
+        log = tmp_path / "scans.jsonl"
 
-        def counting(examples, *args, **kwargs):
-            prepared = prepare_examples(examples, *args, **kwargs)
-            calls.append((isinstance(examples, list), len(prepared)))
-            return prepared
+        def logging_scan(examples, *args, **kwargs):  # forked workers scan too, so each scan appends to a file
+            scan = scan_examples(examples, *args, **kwargs)
+            with open(log, "a") as fh:
+                fh.write(json.dumps([isinstance(examples, list), scan.tokens.tolist()]) + "\n")
+            return scan
 
-        monkeypatch.setattr(harness_mod, "prepare_examples", counting)
+        monkeypatch.setattr(harness_mod, "scan_examples", logging_scan)
+        monkeypatch.setattr(harness_mod, "process_slots", lambda: 3)
         cfg = validate_run_config(run_config(corpus_path, "unused", eval_fraction=eval_fraction))
         data = harness_mod.load_run_data(cfg)
-        assert calls == [(False, 120)]  # the records as they are decoded, not a list of them
+        calls = [json.loads(line) for line in log.read_text().splitlines()]
+        ranges = line_ranges(corpus_path, 3)
+        assert len(calls) == len(ranges) == 3
+        assert not any(listed for listed, _ in calls)  # the records as they are decoded, not a list of them
+        per_range = [scan_examples(iter_jsonl(corpus_path, *bounds), 4).tokens.tolist() for bounds in ranges]
+        assert sorted(tokens for _, tokens in calls) == sorted(per_range)  # one scan per range, in any order
+        assert sum(per_range, []) == scan_examples(read_jsonl(corpus_path), 4).tokens.tolist()  # in file order
         n_train = 120 if eval_fraction == 0 else 108
         assert len(data.prep_train) == n_train
         assert len(data.prep_eval) == (120 - n_train or 120)
@@ -377,6 +457,62 @@ class TestRunData:
         for a, b in zip([*data.prep_train, *data.prep_eval], [*alone[:n_train], *held]):
             assert a.distinct[a.window_id].tobytes() == b.distinct[b.window_id].tobytes()
             assert a.signals.support_weight.tobytes() == b.signals.support_weight.tobytes()
+
+    def test_a_range_whose_worker_dies_is_scanned_again_in_process(self, corpus_path, monkeypatch):
+        import prism.harness as harness_mod
+        parent = os.getpid()
+
+        def dying_scan(examples, *args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(1)
+            return scan_examples(examples, *args, **kwargs)
+
+        cfg = validate_run_config(run_config(corpus_path, "unused", eval_fraction=0.1))
+        expected = run_data_outcome(harness_mod.load_run_data, cfg)
+        monkeypatch.setattr(harness_mod, "scan_examples", dying_scan)
+        monkeypatch.setattr(harness_mod, "process_slots", lambda: 3)
+        assert run_data_outcome(harness_mod.load_run_data, cfg) == expected
+        TestForkMap.assert_no_child_left()
+
+    def test_a_pipe_is_read_once_as_one_range(self, corpus_path, tmp_path, monkeypatch):
+        import prism.harness as harness_mod
+        monkeypatch.setattr(harness_mod, "process_slots", lambda: 2)
+        expected = run_data_outcome(harness_mod.load_run_data, validate_run_config(run_config(corpus_path, "unused")))
+        fifo = tmp_path / "corpus.fifo"
+        os.mkfifo(fifo)
+
+        def write():
+            with open(fifo, "wb") as fh:  # blocks until the corpus is opened for reading
+                fh.write(open(corpus_path, "rb").read())
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        assert run_data_outcome(harness_mod.load_run_data,
+                                validate_run_config(run_config(str(fifo), "unused"))) == expected
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_any_cpu_count_gives_the_one_pass_outcome(self, corpus_path, tmp_path_factory, data):
+        import prism.harness as harness_mod
+        lines = open(corpus_path).read().splitlines()[:data.draw(st.integers(0, 9))]
+        indices = st.integers(0, max(0, len(lines) - 1))
+        faults = data.draw(st.dictionaries(indices, st.sampled_from(LINE_FAULTS), max_size=2 if lines else 0))
+        ends = data.draw(st.lists(st.sampled_from([b"\n", b"\r\n", b"\r"]), min_size=len(lines), max_size=len(lines)))
+        if lines and data.draw(st.booleans()):
+            ends[-1] = b""  # no end after the last line
+        blanks = data.draw(st.lists(st.sampled_from([b"", b"\n", b" \t\r\n", b"\r"]), min_size=len(lines),
+                                    max_size=len(lines)))
+        path = tmp_path_factory.mktemp("ranges") / "corpus.jsonl"
+        path.write_bytes(corpus_bytes(lines, faults, ends, blanks, bom=data.draw(st.booleans())))
+        overrides = dict(eval_fraction=data.draw(st.sampled_from([0, 0.1, 0.5])),
+                         vocab_size=data.draw(st.sampled_from([0, 70])))
+        cfg = validate_run_config(run_config(str(path), "unused", **overrides))
+        expected = run_data_outcome(run_data_reference, cfg)
+        for slots in (1, 2, 3, 4):
+            with mock.patch.object(harness_mod, "process_slots", lambda slots=slots: slots):
+                assert run_data_outcome(harness_mod.load_run_data, cfg) == expected, slots
 
 
 EDGE_ERROR = "i/o error: record 2: edge 2->1 must point from an earlier to a later sentence"
@@ -387,6 +523,9 @@ FAULT_ERRORS = {
     "edge_before_token": EDGE_ERROR,
     "token_before_edge": "config error: token id 75 outside [0, 70) of the model vocabulary",
     "edge_then_wide_token": "config error: vocabulary of 70001 tokens exceeds the limit of 65536",
+    "edge_then_last_json": "i/o error: line 120: invalid JSON: Expecting value",
+    "edge_then_last_wide_token": "config error: vocabulary of 70001 tokens exceeds the limit of 65536",
+    "late_edge_before_last_token": "i/o error: record 119: edge 2->1 must point from an earlier to a later sentence",
 }
 
 
@@ -412,6 +551,13 @@ class TestCorpusErrorOrder:
         assert main(argv) == (2 if message.startswith("i/o") else 1)
         assert capsys.readouterr().err == message + "\n"
         assert not os.path.exists(tmp_path / "run")
+
+    @pytest.mark.parametrize("slots", [1, 2, 3])
+    @pytest.mark.parametrize("name", list(same_bits.FAULTS))
+    def test_any_cpu_count_reports_the_same_fault(self, corpus_path, tmp_path, monkeypatch, capsys, name, slots):
+        import prism.harness as harness_mod
+        monkeypatch.setattr(harness_mod, "process_slots", lambda: slots)  # the corpus is cut into `slots` ranges
+        self.test_train_reports_the_first_fault(corpus_path, tmp_path, capsys, name)
 
     def test_trace_reads_its_slice_before_it_checks_a_record(self, corpus_path, checkpoint_path, tmp_path, capsys):
         corpus = faulty_corpus(corpus_path, tmp_path / "faulty.jsonl", "json_after_edge")
@@ -817,6 +963,25 @@ class TestForkMap:
         assert json.loads(open(os.path.join(out, "failures.json")).read()) == {
             "failures": [{"lambda": 0.5, "error": died}, {"lambda": 1.0, "error": died}]}
         assert sorted(os.listdir(out)) == ["ablation.csv", "failures.json", "lam_0", "lam_0.1", "lam_2"]
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [
+        *(cls("a message") for cls in vars(prism.errors).values() if isinstance(cls, type)
+          and issubclass(cls, Exception) and cls.__module__ == "prism.errors"),
+        CorpusFormatError("invalid JSON: Expecting value", 3),
+        WorkerDied("worker process exited with status 1"),
+    ], ids=repr)
+    def test_every_error_survives_a_worker(self, monkeypatch, error):
+        import prism.harness as harness_mod
+        monkeypatch.setattr(harness_mod, "process_slots", lambda: 2)
+
+        def raising(item):
+            raise error
+
+        # pickled, and back from a worker and from this process
+        for back in (pickle.loads(pickle.dumps(error)), *(exc for _, exc in fork_map(raising, [0, 1]))):
+            assert type(back) is type(error) and str(back) == str(error)
+            assert vars(back) == vars(error)  # a CorpusFormatError's line_number and detail
         self.assert_no_child_left()
 
     def test_piped_stdout_holds_each_run_once_in_lambda_order(self, corpus_path, tmp_path):
@@ -1420,6 +1585,42 @@ class TestReportCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
         assert all(run_id in err for run_id in ids)
+
+    @pytest.mark.parametrize("setting, value", [("steps", 4), ("learning_rate", 0.01), ("eval_fraction", 0.2),
+                                                ("risk_propagation", "fixpoint")])
+    def test_a_setting_mismatch_is_refused(self, corpus_path, tmp_path, capsys, setting, value):
+        base_dir, other_dir = str(tmp_path / "base"), str(tmp_path / "other")
+        cmd_train(run_config(corpus_path, base_dir, method="sft", lam=0.0, steps=5))
+        cmd_train(run_config(corpus_path, other_dir, lam=0.1, **{"steps": 5, setting: value}))
+        ids = [json.loads(open(os.path.join(d, "metrics.json")).read())["run_id"] for d in (base_dir, other_dir)]
+        base = json.loads(open(os.path.join(base_dir, "resolved_config.json")).read())["config"][setting]
+        capsys.readouterr()
+        assert main(["report", base_dir, other_dir]) == 1
+        assert capsys.readouterr().err == (f"config error: run {ids[1]} does not share setting {setting!r} with "
+                                           f"baseline run {ids[0]} ({value!r} against {base!r})\n")
+
+    @pytest.mark.parametrize("damage, shown", [
+        (None, "No such file or directory"),
+        (lambda c: "{", "malformed run config"),
+        (lambda c: [c], "RunConfig must be a JSON object, got list"),
+        (lambda c: dict(c, config=dict(c["config"], color="red")), "unknown config key 'color' for RunConfig"),
+        (lambda c: dict(c, config=dict(c["config"], steps="5")), "field 'steps' has the wrong type"),
+        (lambda c: dict(c, config={k: v for k, v in c["config"].items() if k != "window"}),
+         "missing setting 'window'"),
+    ], ids=["missing", "bad_json", "not_an_object", "unknown_key", "steps_str", "missing_key"])
+    def test_damaged_run_config_is_2(self, corpus_path, tmp_path, capsys, damage, shown):
+        d = tmp_path / "sft"
+        cmd_train(run_config(corpus_path, str(d), method="sft", lam=0.0, steps=5))
+        path = d / "resolved_config.json"
+        if damage is None:
+            path.unlink()
+        else:
+            damaged = damage(json.loads(path.read_text()))
+            path.write_text(damaged if isinstance(damaged, str) else json.dumps(damaged))
+        capsys.readouterr()
+        assert main(["report", str(d)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and str(path) in err and shown in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("damage, shown", [
         (lambda m: m.pop("seed"), "missing 1 required positional argument"),

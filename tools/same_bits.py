@@ -78,13 +78,18 @@ README_TRAIN = {"method": "prism", "lambda": 0.1, "steps": 1300, "batch_size": 3
 
 FAULTS_CASE = "faults"
 # Each fault corpus: the records it keeps, {record: fault} ("edge" adds an edge 2->1, "json" makes the line
-# invalid JSON, a number becomes the first target token id), and the vocab_size it is trained with.
+# invalid JSON, a number becomes the first target token id; a negative record counts from the end, so -1 is
+# the last), and the vocab_size it is trained with.  The last three put a fault past the file's midpoint, where
+# a run on two CPUs starts its second range: two with the other fault near the start, one with both there.
 FAULTS = {
     "json_after_edge": (None, {2: "edge", 4: "json"}, 0),
     "one_record": (1, {1: "edge"}, 0),
     "edge_before_token": (None, {2: "edge", 4: 75}, 70),
     "token_before_edge": (None, {2: 75, 4: "edge"}, 70),
     "edge_then_wide_token": (None, {2: "edge", 5: 70000}, 0),
+    "edge_then_last_json": (None, {2: "edge", -1: "json"}, 0),
+    "edge_then_last_wide_token": (None, {2: "edge", -1: 70000}, 0),
+    "late_edge_before_last_token": (None, {-2: "edge", -1: 75}, 70),
 }
 
 
@@ -243,12 +248,13 @@ def write_fault_corpus(lines: list[str], path: str, records: int | None, faults:
     """Write the first `records` of a corpus's `lines` (all with None) to `path`, with FAULTS' `faults`."""
     lines = lines[:records]
     for at, fault in faults.items():
-        record = json.loads(lines[at - 1])
+        at = at - 1 if at > 0 else at
+        record = json.loads(lines[at])
         if fault == "edge":
             record["edges"].append({"from": 2, "to": 1})
         else:
             record["target"][0] = fault
-        lines[at - 1] = "oops" if fault == "json" else json.dumps(record)
+        lines[at] = "oops" if fault == "json" else json.dumps(record)
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(line + "\n" for line in lines)
 
